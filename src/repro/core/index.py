@@ -115,6 +115,35 @@ def _interval_cover(items: List[Tuple[float, float, int]]) -> List[Pair]:
     return edges
 
 
+def rw_cover_pairs(
+    reads: Iterable[Tuple[Tuple[int, str], int]],
+    writers: Mapping[str, Iterable[int]],
+    rank: Mapping[int, int],
+) -> List[Pair]:
+    """Cover of the D 4.11 ``~rw`` pairs over totally ordered writers.
+
+    ``reads`` are proper reads-from edges ``((a, x), b)`` and ``rank``
+    sorts the writers ``writers[x]`` of each object into their ``~H+``
+    order — a chain under OO/WW (Theorem 7).  Of all the pairs
+    ``a ~rw c`` (``c`` a writer of ``x`` after ``b``) only the first
+    ``c`` other than ``a`` needs an edge: the rest follow along the
+    chain.  At most one pair per read, same transitive closure.
+    """
+    chains: Dict[str, Tuple[List[int], List[int]]] = {}
+    pairs = set()
+    for (a_uid, obj), b_uid in reads:
+        if obj not in chains:
+            names = sorted(writers.get(obj, ()), key=rank.__getitem__)
+            chains[obj] = ([rank[uid] for uid in names], names)
+        keys, names = chains[obj]
+        k = bisect_right(keys, rank[b_uid])
+        if k < len(names) and names[k] == a_uid:
+            k += 1
+        if k < len(names):
+            pairs.add((a_uid, names[k]))
+    return sorted(pairs)
+
+
 class HistoryIndex:
     """Cached derived data for one :class:`History`.
 
@@ -143,7 +172,6 @@ class HistoryIndex:
         "_conflict_masks",
         "_writer_masks",
         "_write_conflict_masks",
-        "_rf_positional",
         "_bases",
     )
 
@@ -163,9 +191,6 @@ class HistoryIndex:
         self._conflict_masks: Optional[List[int]] = None
         self._writer_masks: Optional[Dict[str, int]] = None
         self._write_conflict_masks: Optional[List[int]] = None
-        self._rf_positional: Optional[
-            List[Tuple[int, int, int, str]]
-        ] = None
         self._bases: Dict[Tuple[str, Tuple[Pair, ...]], Relation] = {}
 
     @classmethod
@@ -275,9 +300,7 @@ class HistoryIndex:
             triples: List[InterferingTriple] = []
             seen = set()
             timelines = self.writer_timelines
-            for (a_uid, obj), b_uid in self.history.reads_from_map.items():
-                if a_uid == b_uid:
-                    continue
+            for (a_uid, obj), b_uid in self.proper_reads():
                 for c_uid in timelines.get(obj, ()):
                     if c_uid == a_uid or c_uid == b_uid:
                         continue
@@ -333,23 +356,13 @@ class HistoryIndex:
                 bad.append(triple)
         return bad
 
-    def _rf_positional_edges(self) -> List[Tuple[int, int, int, str]]:
-        """Reads-from edges as ``(a_uid, pos(a), pos(b), obj)``.
-
-        One entry per proper reads-from edge (reads of an m-op's own
-        write are skipped, matching :meth:`interfering_triples`); the
-        cached form the mask-based ``~rw`` scan consumes.
-        """
-        if self._rf_positional is None:
-            pos = self._positions
-            self._rf_positional = [
-                (a_uid, pos[a_uid], pos[b_uid], obj)
-                for (a_uid, obj), b_uid in sorted(
-                    self.history.reads_from_map.items()
-                )
-                if a_uid != b_uid
-            ]
-        return self._rf_positional
+    def proper_reads(self) -> List[Tuple[Tuple[int, str], int]]:
+        """Reads-from edges ``((a, x), b)`` with ``a != b`` (D 4.2)."""
+        return [
+            (key, b_uid)
+            for key, b_uid in self.history.reads_from_map.items()
+            if key[0] != b_uid
+        ]
 
     def rw_pairs_under(self, closure: Relation) -> List[Pair]:
         """D 4.11 ``~rw`` pairs against a closed order over the full
@@ -364,13 +377,15 @@ class HistoryIndex:
         """
         succ = closure._succ
         nodes = closure.nodes
+        pos = self._positions
         writer_masks = self.writer_masks
         pairs = set()
-        for a_uid, ia, ib, obj in self._rf_positional_edges():
+        for (a_uid, obj), b_uid in self.proper_reads():
+            ib = pos[b_uid]
             cands = (
                 succ[ib]
                 & writer_masks.get(obj, 0)
-                & ~(1 << ia)
+                & ~(1 << pos[a_uid])
                 & ~(1 << ib)
             )
             while cands:
@@ -378,6 +393,17 @@ class HistoryIndex:
                 pairs.add((a_uid, nodes[low.bit_length() - 1]))
                 cands ^= low
         return sorted(pairs)
+
+    def rw_cover_under(self, closure: Relation) -> List[Pair]:
+        """:func:`rw_cover_pairs` against an acyclic closed order over
+        the full universe that totally orders each object's writers:
+        the edges the Theorem 7 witness adds to ``~H``.  A node of a
+        closed strict order precedes only nodes with fewer successors,
+        so the row popcounts rank every writer chain.
+        """
+        rows = zip(closure.nodes, closure._succ)
+        rank = {uid: -row.bit_count() for uid, row in rows}
+        return rw_cover_pairs(self.proper_reads(), self.writer_timelines, rank)
 
     # ------------------------------------------------------------------
     # Conflict structure (D 4.1 / D 4.8)

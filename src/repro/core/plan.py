@@ -30,8 +30,8 @@ This module splits checking into two stages:
     uncertified histories and certificates without a usable shape.
 
 * **execute** — :func:`run_scan` / :func:`run_sharded` run the plan
-  and report acyclicity, legality, the D 4.11 ``~rw`` pairs and (on
-  request) a witness linearization.
+  and report acyclicity, legality, a linear-size cover of the D 4.11
+  ``~rw`` pairs and (on request) a witness linearization.
 
 Verdict fidelity
 ----------------
@@ -42,9 +42,9 @@ from replicating the bitmask Kahn order of
 :meth:`repro.core.relations.Relation._topo_indices` exactly — same
 universe order (``history.uids``), FIFO ready queue, successors
 visited in ascending universe position, per-edge deduplication — over
-the identical edge set (base cover edges plus the identical ``~rw``
-set).  Cross-validated over the 240-history corpus in
-``tests/core/test_plan_crossval.py``.
+base cover edges plus :func:`repro.core.index.rw_cover_pairs` (the
+other D 4.11 pairs are path-implied edges, which FIFO Kahn cannot
+see).  Cross-validated in ``tests/core/test_plan_crossval.py``.
 
 Windowed checking
 -----------------
@@ -69,9 +69,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.history import History
-from repro.core.index import CONDITION_ORDERS, HistoryIndex
+from repro.core.index import CONDITION_ORDERS, HistoryIndex, rw_cover_pairs
 from repro.core.serialize import history_from_dict, history_to_dict
 from repro.errors import PlanRefused, RelationError, WindowExceeded
+from repro.obs import get_tracer
 
 Pair = Tuple[int, int]
 
@@ -131,7 +132,7 @@ class CheckPlan:
 
 @dataclass
 class ScanResult:
-    """Outcome of one forward legality scan."""
+    """Outcome of one forward legality scan (``rw``: the ``~rw`` cover)."""
 
     acyclic: bool
     legal: bool
@@ -433,7 +434,6 @@ def run_scan(
     *,
     extra_pairs: Tuple[Pair, ...] = (),
     window: Optional[int] = None,
-    want_rw: bool = False,
     want_witness: bool = False,
 ) -> ScanResult:
     """The forward legality scan (Theorem 7 without a closure).
@@ -453,6 +453,9 @@ def run_scan(
     With ``window`` set, a read whose mark reaches more than
     ``window`` positions behind its claimed writer raises
     :class:`WindowExceeded` (refusal, not a verdict).
+
+    A legal result carries the ``~rw`` cover (per read, the next writer
+    of the object on the chain); the witness orders ``~H`` plus it.
     """
     uids = history.uids
     pos, succ = _cover_successors(history, condition, extra_pairs)
@@ -499,10 +502,8 @@ def run_scan(
             writer_pos.setdefault(obj, []).append(cp)
             writer_uid.setdefault(obj, []).append(uid)
 
-    reads = sorted(history.reads_from_map.items())
+    reads = sorted(HistoryIndex.of(history).proper_reads())
     for (a_uid, obj), b_uid in reads:
-        if a_uid == b_uid:
-            continue
         b_pos = chain_pos.get(b_uid)
         if b_pos is None:
             raise PlanRefused(
@@ -526,27 +527,15 @@ def run_scan(
         if k >= 0 and positions[k] > b_pos:
             return ScanResult(acyclic=True, legal=False)
 
-    rw: Tuple[Pair, ...] = ()
-    if want_rw or want_witness:
-        pairs = set()
-        for (a_uid, obj), b_uid in reads:
-            if a_uid == b_uid:
-                continue
-            positions = writer_pos.get(obj)
-            if not positions:
-                continue
-            b_pos = chain_pos[b_uid]
-            names = writer_uid[obj]
-            for k in range(bisect_right(positions, b_pos), len(positions)):
-                if names[k] != a_uid:
-                    pairs.add((a_uid, names[k]))
-        rw = tuple(sorted(pairs))
-
+    rw = tuple(rw_cover_pairs(reads, writer_uid, chain_pos))
     witness: Optional[List[int]] = None
     if want_witness:
-        for a_uid, c_uid in rw:
-            succ[pos[a_uid]].add(pos[c_uid])
-        witness = _fifo_topo(uids, succ)
+        with get_tracer().span(
+            "check.witness", reads=len(reads), rw_edges=len(rw)
+        ):
+            for a_uid, c_uid in rw:
+                succ[pos[a_uid]].add(pos[c_uid])
+            witness = _fifo_topo(uids, succ)
         assert witness is not None, (
             "Lemma 3/4 violated: extended relation of a legal "
             "constrained history is cyclic"
@@ -580,24 +569,17 @@ def _shard_chain(history: History) -> Tuple[int, ...]:
     return tuple(chain)
 
 
-def _check_shard(
-    history: History, condition: str, *, want_rw: bool = False
-) -> ScanResult:
-    # ``~rw`` pairs are only needed to assemble the merged global
-    # witness; skipping them keeps the per-shard pass linear (the rw
-    # set itself can be quadratic in the shard size).
-    return run_scan(
-        history, condition, _shard_chain(history), want_rw=want_rw
-    )
+def _check_shard(history: History, condition: str) -> ScanResult:
+    # No per-shard witness: the merged global witness is assembled
+    # from the shards' ``~rw`` cover pairs (at most one per read).
+    return run_scan(history, condition, _shard_chain(history))
 
 
 def _shard_worker(payload: str) -> str:
     """Subprocess entry point: JSON history in, JSON report out."""
     data = json.loads(payload)
     result = _check_shard(
-        history_from_dict(data["history"]),
-        data["condition"],
-        want_rw=data["want_rw"],
+        history_from_dict(data["history"]), data["condition"]
     )
     return json.dumps(
         {
@@ -616,11 +598,11 @@ _FORK_STATE: Dict[str, object] = {}
 
 
 def _fork_shard_worker(task):
-    key, condition, want_rw = task
+    key, condition = task
     history = _FORK_STATE["history"]
     shard = _FORK_STATE["shards"][key]
     sub = shard_history(history, shard)
-    result = _check_shard(sub, condition, want_rw=want_rw)
+    result = _check_shard(sub, condition)
     return (key, result.acyclic, result.legal, result.rw)
 
 
@@ -629,7 +611,6 @@ def _map_shards_forked(
     shards: Tuple[Shard, ...],
     condition: str,
     workers: int,
-    want_witness: bool,
 ) -> Optional[List[ShardReport]]:
     """Fan out over a fork pool; ``None`` if fork is unavailable.
 
@@ -643,7 +624,7 @@ def _map_shards_forked(
         return None
     _FORK_STATE["history"] = history
     _FORK_STATE["shards"] = {shard.key: shard for shard in shards}
-    tasks = [(shard.key, condition, want_witness) for shard in shards]
+    tasks = [(shard.key, condition) for shard in shards]
     try:
         with ctx.Pool(min(workers, len(shards))) as pool:
             raw = pool.map(_fork_shard_worker, tasks)
@@ -664,7 +645,6 @@ def _map_shards_json(
     shards: Tuple[Shard, ...],
     condition: str,
     workers: int,
-    want_witness: bool,
 ) -> Optional[List[ShardReport]]:
     """Spawn-safe fallback: ship each sub-history as a JSON payload."""
     payloads = [
@@ -672,7 +652,6 @@ def _map_shards_json(
             {
                 "key": shard.key,
                 "condition": condition,
-                "want_rw": want_witness,
                 "history": history_to_dict(shard_history(history, shard)),
             }
         )
@@ -725,10 +704,11 @@ def run_sharded(
     Soundness and exactness: under the object-partitioned certificate
     every non-initial base edge is intra-process, so the global order
     is cyclic iff some shard is, every interfering triple (D 4.2) is
-    intra-shard, and the global ``~rw`` set is the union of the shard
-    ``~rw`` sets.  The witness is one global FIFO-Kahn pass over the
-    full cover-edge set plus the merged ``~rw`` pairs — identical to
-    the monolithic extended-relation witness.
+    intra-shard, and the global ``~rw`` cover is the union of the
+    shard covers (at most one pair per read crosses the fork/JSON
+    boundary).  The witness is one global FIFO-Kahn pass over the
+    cover-edge set plus the merged cover pairs — identical to the
+    monolithic extended-relation witness.
 
     ``workers > 1`` fans shards out over a :class:`multiprocessing`
     pool; on platforms with ``fork`` the workers inherit the history
@@ -741,13 +721,9 @@ def run_sharded(
     parallel = False
     pooled: Optional[List[ShardReport]] = None
     if workers > 1 and len(shards) > 1:
-        pooled = _map_shards_forked(
-            history, shards, condition, workers, want_witness
-        )
+        pooled = _map_shards_forked(history, shards, condition, workers)
         if pooled is None:
-            pooled = _map_shards_json(
-                history, shards, condition, workers, want_witness
-            )
+            pooled = _map_shards_json(history, shards, condition, workers)
     reports: List[ShardReport]
     if pooled is not None:
         reports = pooled
@@ -756,7 +732,7 @@ def run_sharded(
         reports = []
         for shard in shards:
             sub = shard_history(history, shard)
-            result = _check_shard(sub, condition, want_rw=want_witness)
+            result = _check_shard(sub, condition)
             reports.append(
                 ShardReport(
                     key=shard.key,
@@ -770,14 +746,16 @@ def run_sharded(
     legal = acyclic and all(report.legal for report in reports)
     witness: Optional[List[int]] = None
     if want_witness and acyclic and legal:
-        pos, succ = _cover_successors(history, condition, ())
-        for report in reports:
-            for a_uid, c_uid in report.rw:
-                ia = pos[a_uid]
-                ic = pos[c_uid]
-                if ia != ic:
-                    succ[ia].add(ic)
-        witness = _fifo_topo(history.uids, succ)
+        with get_tracer().span(
+            "check.witness",
+            reads=len(HistoryIndex.of(history).proper_reads()),
+            rw_edges=sum(len(report.rw) for report in reports),
+        ):
+            pos, succ = _cover_successors(history, condition, ())
+            for report in reports:
+                for a_uid, c_uid in report.rw:
+                    succ[pos[a_uid]].add(pos[c_uid])
+            witness = _fifo_topo(history.uids, succ)
         assert witness is not None, (
             "Lemma 3/4 violated: merged extended relation of a legal "
             "object-partitioned history is cyclic"

@@ -47,6 +47,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # A response goes out as two writes (header block, then body).
+    # With Nagle on, the body waits for the client's delayed ACK of
+    # the header segment: ~40 ms per exchange on a keep-alive
+    # connection.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Helpers

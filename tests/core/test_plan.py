@@ -184,19 +184,26 @@ class TestScan:
         assert result.acyclic and not result.legal
 
     def test_scan_rw_pairs_match_index(self):
+        # ScanResult.rw is the linear-size cover of D 4.11, not the
+        # pair set itself: contained in it, and generating all of it.
         from repro.core.index import HistoryIndex
 
         history, chain = serial(n_mops=50, seed=9)
         ww = tuple(zip(chain, chain[1:]))
-        result = run_scan(
-            history, "m-sc", tuple(chain), extra_pairs=ww, want_rw=True
-        )
+        result = run_scan(history, "m-sc", tuple(chain), extra_pairs=ww)
         index = HistoryIndex.of(history)
-        base = index.base_relation("m-sc").copy()
-        for pair in ww:
-            base.add(*pair)
-        expected = set(index.rw_pairs_under(base.transitive_closure()))
-        assert set(result.rw) == expected
+        base = index.base_relation("m-sc", ww)
+        closure = base.transitive_closure()
+        full = set(index.rw_pairs_under(closure))
+        cover = set(result.rw)
+        assert cover <= full
+        assert cover == set(index.rw_cover_under(closure))
+        assert len(result.rw) <= len(index.proper_reads()) < len(full)
+        extended = base.copy()
+        for pair in cover:
+            extended.add(*pair)
+        generated = extended.transitive_closure()
+        assert all(pair in generated for pair in full)
 
 
 class TestWindowedScan:
@@ -286,6 +293,20 @@ class TestSharded:
         assert outcome.holds
         assert len(outcome.reports) == len(shards)
         assert not outcome.parallel
+        # The shard reports carry the ~rw cover, not the pair set: at
+        # most one pair per read, and their union is the whole
+        # history's cover.
+        from repro.core.index import HistoryIndex
+
+        index = HistoryIndex.of(history)
+        closure = index.base_relation("m-sc").transitive_closure()
+        merged = {pair for report in outcome.reports for pair in report.rw}
+        assert merged == set(index.rw_cover_under(closure))
+        assert merged <= set(index.rw_pairs_under(closure))
+        for report, shard in zip(outcome.reports, shards):
+            members = set(shard.uids)
+            reads = [r for r in index.proper_reads() if r[0][0] in members]
+            assert len(report.rw) <= len(reads)
 
 
 class TestCertifyHistory:

@@ -17,14 +17,20 @@ from repro.analysis.static import (
     certify_chain,
     certify_partitioned_history,
 )
-from repro.core import check_condition
+from repro.core import check_condition, rw_pairs
+from repro.core.index import HistoryIndex
 from repro.errors import PlanRefused, WindowExceeded
 from repro.workloads import (
     HistoryShape,
     corrupt_history,
     random_partitioned_history,
+    random_serial_history,
 )
-from tests.core.test_index_crossval import CONDITIONS, CORPUS
+from tests.core.test_index_crossval import (
+    CONDITIONS,
+    CORPUS,
+    _legal_by_replay,
+)
 
 
 def chain_and_ww(history):
@@ -139,6 +145,81 @@ def test_sharded_is_byte_identical(condition, workers):
         assert sharded.holds == mono.holds
         assert sharded.witness == mono.witness
         assert sharded.mode == "sharded"
+        if sharded.holds:
+            assert _legal_by_replay(history, sharded.witness)
+
+
+def contended_corpus():
+    """Few hot objects, many writers each, clean + near-violating:
+    where the ``~rw`` cover is far smaller than the D 4.11 pair set."""
+    histories = []
+    for seed in range(6):
+        shape = HistoryShape(
+            n_processes=4, n_objects=3, n_mops=40 + 10 * seed,
+            query_fraction=0.5, distribution="hotspot",
+        )
+        clean = random_serial_history(shape, seed=seed)
+        histories.append(clean)
+        for twin in range(3):
+            bad = corrupt_history(clean, seed=seed + 100 * twin)
+            if bad is not None:
+                histories.append(bad)
+    return histories
+
+
+CONTENDED_CORPUS = contended_corpus()
+
+
+@pytest.mark.parametrize("condition", CONDITIONS)
+def test_contended_histories_agree_on_every_path(condition):
+    verdicts = set()
+    for history in CONTENDED_CORPUS:
+        chain, ww = chain_and_ww(history)
+        cert = certify_chain(history, chain)
+        common = dict(method="constrained", extra_pairs=ww)
+        closure = check_condition(history, condition, **common)
+        certified = dict(common, certificate=cert)
+        for verdict in (
+            check_condition(history, condition, **certified),
+            check_condition(
+                history, condition, mode="windowed",
+                window=len(history.mops) + 1, **certified,
+            ),
+        ):
+            assert verdict.holds == closure.holds
+            assert verdict.witness == closure.witness
+        if closure.holds:
+            assert _legal_by_replay(history, closure.witness)
+        verdicts.add(closure.holds)
+    assert verdicts == {True, False}
+
+
+def full_rw_witness(history, condition, extra_pairs):
+    """The Theorem 7 witness by the book: FIFO-Kahn over ``~H`` plus
+    the *whole* D 4.11 pair set — what the cover must reproduce."""
+    index = HistoryIndex.of(history)
+    extended = index.base_relation(condition, tuple(extra_pairs)).copy()
+    for pair in rw_pairs(history, extended.transitive_closure()):
+        extended.add(*pair)
+    return extended.topological_order()
+
+
+def test_cover_witness_equals_full_rw_pair_set_witness():
+    held = 0
+    serial = [history for _label, history in CORPUS] + CONTENDED_CORPUS
+    cases = [(history, chain_and_ww(history)[1]) for history in serial]
+    cases += [(history, ()) for history in PARTITIONED_CORPUS]
+    for history, ww in cases:
+        for condition in CONDITIONS:
+            verdict = check_condition(
+                history, condition, method="constrained", extra_pairs=ww
+            )
+            if verdict.holds:
+                held += 1
+                assert verdict.witness == full_rw_witness(
+                    history, condition, ww
+                )
+    assert held > 300
 
 
 class TestRefusalPaths:

@@ -7,7 +7,9 @@ client.
 
 from __future__ import annotations
 
+import http.client
 import json
+import time
 import urllib.request
 
 import pytest
@@ -54,6 +56,27 @@ def test_cached_resubmission_short_circuits(client):
     metrics = client.metrics()
     assert metrics["serve"]["cache"]["hits"] >= 1
     assert metrics["serve"]["cache"]["hit_rate"] > 0
+
+
+def test_keep_alive_connection_does_not_stall(client, daemon):
+    # Header block and body are separate writes; with Nagle on, each
+    # exchange on a reused connection waited ~40 ms for a delayed ACK
+    # (20 exchanges: 0.8 s).  A cached round trip is ~1 ms.
+    client.submit_and_wait(SPEC)
+    body = json.dumps(SPEC.to_dict()).encode("utf-8")
+    conn = http.client.HTTPConnection(daemon.host, daemon.port, timeout=10.0)
+    try:
+        start = time.perf_counter()
+        for _ in range(20):
+            conn.request("POST", "/v1/runs", body=body)
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 200
+            assert payload["outcome"] == "cached"
+        elapsed = time.perf_counter() - start
+    finally:
+        conn.close()
+    assert elapsed < 0.5
 
 
 def test_metrics_snapshot_shape(client):

@@ -9,7 +9,10 @@ per row:
   n_mops, method)`` — the "method" column distinguishes the dynamic
   ``constrained`` checker from the plan/execute engine's ``full`` /
   ``sharded`` / ``windowed`` modes; the gate fails when a shared
-  row's ``median_s`` regresses by more than ``--factor``;
+  row's ``median_s`` regresses by more than ``--factor``, or when
+  the two rows disagree on ``witness`` (engine rows record whether
+  the witness was built — a witness-free median is no baseline for a
+  witness-on run);
 * **serve rows** (``BENCH_serve.json``, rows carrying ``p50_s``),
   keyed by ``(profile, clients)`` — the gate fails when the median
   submission latency (``p50_s``) regresses by more than ``--factor``
@@ -194,6 +197,12 @@ def gate(
             _gate_events_throughput(
                 key, fresh_row, base_row, factor, failures, notes
             )
+        elif fresh_row.get("witness") != base_row.get("witness"):
+            failures.append(
+                f"{_label(key)}: witness={fresh_row.get('witness')} vs "
+                f"baseline witness={base_row.get('witness')} — the rows "
+                "time different work; regenerate the baseline"
+            )
         else:
             _gate_time(
                 key, fresh_row, base_row, "median_s", factor,
@@ -234,8 +243,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"REGRESSION {line}", file=sys.stderr)
     if failures:
         print(
-            f"{len(failures)} row(s) regressed beyond "
-            f"{args.factor}x the committed baseline",
+            f"{len(failures)} row(s) failed the {args.factor}x gate "
+            "against the committed baseline",
             file=sys.stderr,
         )
         return 1
