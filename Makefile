@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test lint analyze analyze-sarif chaos chaos-smoke report \
 	bench-json bench-gate run-smoke serve-smoke serve-gate \
-	bench-sim sim-gate
+	bench-sim sim-gate e2e-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -82,3 +82,10 @@ sim-gate:
 	$(PYTHON) -m benchmarks.bench_sim bench-sim-fresh.json --quick
 	$(PYTHON) tools/bench_gate.py bench-sim-fresh.json \
 		--baseline BENCH_sim.json
+
+## Spec-to-verdict benchmark, one item per workload (differential
+## gate, expected verdicts, seed-1 pins), then the benchmark's own
+## self-test; ~40 s together.  Results land in .bench_e2e/.
+e2e-smoke:
+	$(PYTHON) -m benchmarks.e2e --smoke
+	$(PYTHON) -m pytest benchmarks/e2e -q

@@ -417,9 +417,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         headline = annotate_previous(rows, previous)
         payload["pre_refactor"] = {
             "description": (
-                "same script, same machine, run on the pre-refactor "
-                "kernel (one-pop-per-step drain, uncached "
-                "estimate_size, full version-vector copies)"
+                "rows of the artifact passed as --previous: this "
+                "script's output on the code before the change"
             ),
             "source_profile": previous.get("profile", "full"),
             "headline": headline,

@@ -142,11 +142,14 @@ class AWProcess(BaseProcess):
         ):
             stamp, program = heapq.heappop(self._pending_updates)
             _t, sender, uid = stamp
-            record = self.store.execute(program, uid)
             if sender == self.pid and self._pending is not None and (
                 self._pending.uid == uid
             ):
-                self._pending.extra["record"] = record
+                self._pending.extra["record"] = self.store.execute(
+                    program, uid
+                )
+            else:
+                self.store.apply(program, uid)
 
     def on_abcast_deliver(self, sender: int, payload: Any) -> None:
         raise ProtocolError(

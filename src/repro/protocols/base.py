@@ -295,8 +295,10 @@ class BaseProcess:
     ) -> None:
         """Shared action (A2): apply a delivered update, respond if ours.
 
-        Tolerant of recovery replay: a re-delivered own update that
-        was already answered is applied to the store (rebuilding the
+        Every process applies; only the issuer observes the run (the
+        record its response and the history need).  Tolerant of
+        recovery replay: a re-delivered own update that was already
+        answered is applied like anyone else's (rebuilding the
         replica) without generating a second response.
         """
         uid: int = payload["uid"]
@@ -306,19 +308,16 @@ class BaseProcess:
             tracer.event(
                 "proto.apply", uid=uid, process=self.pid, sender=sender
             )
-        record = self.store.execute(program, uid)
-        if sender != self.pid:
+        if sender != self.pid or uid in self._responded_uids:
+            self.store.apply(program, uid)
             return
         pending = self._pending
-        if pending is not None and pending.uid == uid:
-            self.respond(pending, record)
-            return
-        if uid in self._responded_uids:
-            return  # recovery replay of an already-answered update
-        raise ProtocolError(
-            f"P{self.pid}: delivery of own update {uid} but no "
-            "matching pending m-operation"
-        )
+        if pending is None or pending.uid != uid:
+            raise ProtocolError(
+                f"P{self.pid}: delivery of own update {uid} but no "
+                "matching pending m-operation"
+            )
+        self.respond(pending, self.store.execute(program, uid))
 
     # ------------------------------------------------------------------
     # Network plumbing

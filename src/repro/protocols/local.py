@@ -63,7 +63,7 @@ class LocalProcess(BaseProcess):
         if message.kind == GOSSIP:
             uid = message.payload["uid"]
             program: MProgram = message.payload["program"]
-            self.store.execute(program, uid)
+            self.store.apply(program, uid)
         else:
             super().handle_message(src, message)
 

@@ -15,11 +15,22 @@ m-operations are *programs*: callables executed against an
 set of objects read and written by an m-operation may actually depend
 on the values read during its execution" — e.g. DCAS writes only when
 both comparisons succeed.
+
+Running a program against a replica is two jobs.  **Applying** it —
+access checks, value mutation, version/writer bump — is what action A2
+asks of *every* process for *every* delivered update
+(:meth:`VersionedStore.apply`).  **Observing** it — the operation log,
+the versions of its external reads, ``ts(start)``/``ts(finish)``,
+bundled as an :class:`ExecutionRecord` — is what the history recorder
+needs, and only from the process that issued the m-operation and
+generates its response (:meth:`VersionedStore.execute`, which is apply
+plus observe).  Both run the program body on the replica's own state
+through the same :class:`ObjectView`; effects are never carried from
+one replica to another, so a replica that diverged keeps diverging.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
@@ -35,14 +46,6 @@ ProgramBody = Callable[["ObjectView"], Any]
 #: otherwise each carry their own copy).
 _INTERNED_OBJECTS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
-#: Delta-chain length at which a :class:`TsSnapshot` flattens back to
-#: a full dict.  Lookups walk at most this many override dicts.
-_MAX_TS_DEPTH = 16
-
-#: Shared ``wobjects`` value for executions that wrote nothing — one
-#: frozenset for every query record instead of one per execution.
-_EMPTY_WOBJECTS: FrozenSet[str] = frozenset()
-
 
 def intern_objects(objects: Tuple[str, ...]) -> Tuple[str, ...]:
     """Return the canonical shared instance of an object-name tuple."""
@@ -51,89 +54,6 @@ def intern_objects(objects: Tuple[str, ...]) -> Tuple[str, ...]:
         _INTERNED_OBJECTS[objects] = objects
         return objects
     return interned
-
-
-class TsSnapshot(MappingABC):
-    """An immutable version-vector snapshot (``ts``, Section 5).
-
-    The store's ``ts`` used to be snapshotted by copying the whole
-    per-object dict twice per :meth:`VersionedStore.execute` —
-    O(objects) allocation per update, the broadcast hot spot ROADMAP
-    item 4 calls out.  A snapshot is now a copy-on-write node: either
-    a ``full`` dict (root, or a flattened chain) or a small
-    ``overrides`` delta over a parent snapshot.  Version bumps
-    allocate O(written objects); lookups walk at most
-    :data:`_MAX_TS_DEPTH` deltas before hitting a full node.
-
-    Snapshots are shared, never mutated: ``execute`` hands the *same*
-    node out as one record's ``finish_ts`` and the next record's
-    ``start_ts``.  Iteration follows the interned canonical object
-    tuple, so rendering order is deterministic regardless of chain
-    shape.
-    """
-
-    __slots__ = ("_objects", "_full", "_parent", "_overrides", "_depth")
-
-    def __init__(
-        self,
-        objects: Tuple[str, ...],
-        *,
-        full: Optional[Dict[str, int]] = None,
-        parent: Optional["TsSnapshot"] = None,
-        overrides: Optional[Dict[str, int]] = None,
-        depth: int = 0,
-    ) -> None:
-        self._objects = objects
-        self._full = full
-        self._parent = parent
-        self._overrides = overrides
-        self._depth = depth
-
-    @classmethod
-    def root(
-        cls, objects: Tuple[str, ...], versions: Mapping[str, int]
-    ) -> "TsSnapshot":
-        return cls(intern_objects(objects), full=dict(versions))
-
-    def child(self, changes: Dict[str, int]) -> "TsSnapshot":
-        """The snapshot after applying ``changes`` (copy-on-write)."""
-        if self._depth >= _MAX_TS_DEPTH:
-            # Flatten by replaying deltas root -> leaf: one dict copy
-            # plus depth dict.update calls, not a per-key chain walk.
-            node = self
-            deltas = []
-            while node._full is None:
-                deltas.append(node._overrides)
-                node = node._parent
-            full = dict(node._full)
-            for overrides in reversed(deltas):
-                full.update(overrides)
-            full.update(changes)
-            return TsSnapshot(self._objects, full=full)
-        return TsSnapshot(
-            self._objects,
-            parent=self,
-            overrides=changes,
-            depth=self._depth + 1,
-        )
-
-    def __getitem__(self, obj: str) -> int:
-        node = self
-        while node._full is None:
-            value = node._overrides.get(obj)
-            if value is not None:
-                return value
-            node = node._parent
-        return node._full[obj]
-
-    def __iter__(self):
-        return iter(self._objects)
-
-    def __len__(self) -> int:
-        return len(self._objects)
-
-    def __repr__(self) -> str:
-        return f"TsSnapshot({dict(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -169,29 +89,29 @@ class MProgram:
 class ObjectView:
     """The interface a program uses to access shared objects.
 
-    Records every operation performed, so the protocol can reconstruct
-    the m-operation's externally visible behaviour and reads-from
-    entries afterwards.
+    Every view *applies*: it checks each access (known object, inside
+    ``static_objects``, writes only from a ``may_write`` program),
+    mutates the store's values and collects the written-object set.
+    A view created with ``observe=True`` additionally *observes*: it
+    logs every operation performed and the (version, writer) of each
+    external read, so the issuer can reconstruct the m-operation's
+    externally visible behaviour and reads-from entries afterwards.
+    A replica that merely applies a delivered update does not observe
+    — there is no second, leaner view class, only an absent log.
     """
 
     __slots__ = (
         "_store",
         "_values",
-        "_allow_writes",
+        "_program",
         "_allowed",
-        "_program_name",
+        "_written",
         "ops",
         "read_versions",
-        "_written",
     )
 
     def __init__(
-        self,
-        store: "VersionedStore",
-        *,
-        allow_writes: bool,
-        allowed_objects: Optional[FrozenSet[str]] = None,
-        program_name: str = "",
+        self, store: "VersionedStore", program: MProgram, *, observe: bool
     ) -> None:
         self._store = store
         # Alias of the store's live value dict: views are allocated on
@@ -199,66 +119,60 @@ class ObjectView:
         # the store's accessor methods for each operation dominated
         # profiles of the 1000-process workload.
         self._values = store._values
-        self._allow_writes = allow_writes
-        self._allowed = allowed_objects
-        self._program_name = program_name
-        self.ops: List[Operation] = []
-        #: obj -> (version, writer uid) for each *external* read.
-        self.read_versions: Dict[str, Tuple[int, int]] = {}
+        self._program = program
+        self._allowed = program.static_objects
         self._written: Set[str] = set()
+        #: the operation log; ``None`` when nobody observes this run.
+        self.ops: Optional[List[Operation]] = [] if observe else None
+        #: obj -> (version, writer uid) for each *external* read
+        #: (filled only when observing).
+        self.read_versions: Dict[str, Tuple[int, int]] = {}
 
-    def read(self, obj: str) -> Any:
-        """Read the current value of ``obj``."""
-        values = self._values
-        if obj not in values:
+    def _check(self, obj: str) -> None:
+        if obj not in self._values:
             raise ProtocolError(f"unknown shared object {obj!r}")
         allowed = self._allowed
         if allowed is not None and obj not in allowed:
             raise ProtocolError(
-                f"program {self._program_name!r} accessed {obj!r} outside "
+                f"program {self._program.name!r} accessed {obj!r} outside "
                 f"its declared static_objects set"
             )
-        value = values[obj]
-        self.ops.append(read(obj, value))
-        if obj not in self._written and obj not in self.read_versions:
-            store = self._store
-            self.read_versions[obj] = (
-                store._versions[obj],
-                store._writers[obj],
-            )
+
+    def read(self, obj: str) -> Any:
+        """Read the current value of ``obj``."""
+        self._check(obj)
+        value = self._values[obj]
+        ops = self.ops
+        if ops is not None:
+            ops.append(read(obj, value))
+            if obj not in self._written and obj not in self.read_versions:
+                store = self._store
+                self.read_versions[obj] = (
+                    store._versions[obj],
+                    store._writers[obj],
+                )
         return value
 
     def write(self, obj: str, value: Any) -> None:
         """Write ``value`` to ``obj`` (updates the view's store)."""
-        values = self._values
-        if obj not in values:
-            raise ProtocolError(f"unknown shared object {obj!r}")
-        allowed = self._allowed
-        if allowed is not None and obj not in allowed:
+        self._check(obj)
+        if not self._program.may_write:
             raise ProtocolError(
-                f"program {self._program_name!r} accessed {obj!r} outside "
-                f"its declared static_objects set"
-            )
-        if not self._allow_writes:
-            raise ProtocolError(
-                f"program {self._program_name!r} declared may_write=False "
+                f"program {self._program.name!r} declared may_write=False "
                 f"but wrote to {obj!r}"
             )
-        values[obj] = value
-        self.ops.append(write(obj, value))
+        self._values[obj] = value
         self._written.add(obj)
-
-    @property
-    def written_objects(self) -> FrozenSet[str]:
-        """Objects written so far (``wobjects``)."""
-        return frozenset(self._written)
+        ops = self.ops
+        if ops is not None:
+            ops.append(write(obj, value))
 
 
 class ExecutionRecord:
     """Everything observable about one program execution.
 
-    A plain ``__slots__`` record (one per update delivery per replica
-    — allocated on the simulator's hottest path).
+    Built by :meth:`VersionedStore.execute`, once per m-operation, at
+    the process that issued it.
 
     Attributes:
         result: the program's return value.
@@ -266,10 +180,10 @@ class ExecutionRecord:
         reads_from: obj -> writer uid, for external reads only.
         read_versions: obj -> version read, for external reads.
         wobjects: objects written.
-        start_ts: snapshot of the store's version vector before
-            execution (``ts(start)``, D 5.4) — an immutable
-            :class:`TsSnapshot` shared with the store, not a copy.
-        finish_ts: snapshot after execution (``ts(finish)``, D 5.5).
+        start_ts: copy of the store's version vector before
+            execution (``ts(start)``, D 5.4).
+        finish_ts: the vector after execution (``ts(finish)``, D 5.5);
+            the same dict as ``start_ts`` when nothing was written.
     """
 
     __slots__ = (
@@ -319,9 +233,6 @@ class VersionedStore:
         self._objects: Tuple[str, ...] = intern_objects(
             tuple(sorted(initial_values))
         )
-        self._ts: TsSnapshot = TsSnapshot.root(
-            self._objects, self._versions
-        )
 
     # ------------------------------------------------------------------
     # Accessors
@@ -356,47 +267,45 @@ class VersionedStore:
         """
         return tuple(self._versions[obj] for obj in self._objects)
 
-    def ts_map(self) -> Mapping[str, int]:
-        """The version vector as an object-keyed mapping.
-
-        Returns the store's current immutable :class:`TsSnapshot` —
-        shared, not copied; callers must not mutate it.
-        """
-        return self._ts
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
-    def execute(self, program: MProgram, mop_uid: int) -> ExecutionRecord:
-        """Run a program against this replica, applying its writes.
+    def apply(self, program: MProgram, mop_uid: int) -> None:
+        """Run a program against this replica for its effects only.
 
-        Implements the body of actions A2 (updates) and A3/A6
-        (queries): the program runs, and then — per P 5.17/P 5.28 —
-        the version of every written object is incremented by one and
-        its writer is recorded as ``mop_uid``.
+        Action A2 as every process performs it on every delivered
+        update: the program body runs on *this* replica's values
+        (never on effects computed elsewhere), and then — per
+        P 5.17/P 5.28 — the version of every written object is
+        incremented by one and its writer recorded as ``mop_uid``.
+        Nothing is logged: use it wherever the caller would discard
+        :meth:`execute`'s record.
         """
-        start_ts = self._ts
-        view = ObjectView(
-            self,
-            allow_writes=program.may_write,
-            allowed_objects=program.static_objects,
-            program_name=program.name,
-        )
-        result = program.body(view)
-        if view._written:
-            written = frozenset(view._written)
-            versions = self._versions
-            writers = self._writers
-            changes: Dict[str, int] = {}
-            for obj in written:
-                bumped = versions[obj] + 1
-                versions[obj] = bumped
-                writers[obj] = mop_uid
-                changes[obj] = bumped
-            self._ts = start_ts.child(changes)
-        else:
-            written = _EMPTY_WOBJECTS
+        self._run(ObjectView(self, program, observe=False), mop_uid)
+
+    def _run(self, view: ObjectView, mop_uid: int) -> Any:
+        """Run the view's program here; bump what it wrote."""
+        result = view._program.body(view)
+        versions = self._versions
+        writers = self._writers
+        for obj in view._written:
+            versions[obj] += 1
+            writers[obj] = mop_uid
+        return result
+
+    def execute(self, program: MProgram, mop_uid: int) -> ExecutionRecord:
+        """:meth:`apply` the program and observe what it did.
+
+        What the issuer of an m-operation needs to answer it and to
+        record it (actions A2 at the issuer, A3/A6 for queries): the
+        same run as :meth:`apply`, on an observing view, bracketed by
+        copies of the version vector.  Records are built once per
+        m-operation, so the copies are plain dicts.
+        """
+        start_ts = dict(self._versions)
+        view = ObjectView(self, program, observe=True)
+        result = self._run(view, mop_uid)
         reads_from: Dict[str, int] = {}
         read_versions: Dict[str, int] = {}
         for obj, (version, writer) in view.read_versions.items():
@@ -407,9 +316,9 @@ class VersionedStore:
             ops=tuple(view.ops),
             reads_from=reads_from,
             read_versions=read_versions,
-            wobjects=written,
+            wobjects=frozenset(view._written),
             start_ts=start_ts,
-            finish_ts=self._ts,
+            finish_ts=dict(self._versions) if view._written else start_ts,
         )
 
     def apply_writes(
@@ -423,16 +332,12 @@ class VersionedStore:
         values it wrote, and remotes install them verbatim — one
         version bump per object, writer attribution to ``mop_uid``.
         """
-        changes: Dict[str, int] = {}
         for obj in sorted(values):
             if obj not in self._values:
                 raise ProtocolError(f"unknown shared object {obj!r}")
             self._values[obj] = values[obj]
             self._versions[obj] += 1
             self._writers[obj] = mop_uid
-            changes[obj] = self._versions[obj]
-        if changes:
-            self._ts = self._ts.child(changes)
 
     # ------------------------------------------------------------------
     # Crash / recovery
@@ -448,7 +353,6 @@ class VersionedStore:
         self._values = dict(self._initial)
         self._versions = {obj: 0 for obj in self._initial}
         self._writers = {obj: INIT_UID for obj in self._initial}
-        self._ts = TsSnapshot.root(self._objects, self._versions)
 
     def install(self, snapshot: Mapping[str, Tuple[Any, int, int]]) -> None:
         """Adopt a peer's exported state wholesale (snapshot recovery).
@@ -467,7 +371,6 @@ class VersionedStore:
             self._values[obj] = value
             self._versions[obj] = version
             self._writers[obj] = writer
-        self._ts = TsSnapshot.root(self._objects, self._versions)
 
     # ------------------------------------------------------------------
     # Replication helpers
@@ -498,7 +401,6 @@ class VersionedStore:
         for obj, (_value, version, writer) in snapshot.items():
             store._versions[obj] = version
             store._writers[obj] = writer
-        store._ts = TsSnapshot.root(store._objects, store._versions)
         return store
 
     def lex_ts(self, objects: Optional[FrozenSet[str]] = None) -> Tuple[int, ...]:

@@ -118,6 +118,15 @@ def estimate_size(value: Any) -> int:
 
 
 def _estimate_size(value: Any, depth: int, seen: Set[int]) -> int:
+    # Exact-type fast paths for the bulk of every payload (a query
+    # reply is ~200 ints and strs).  ``bool`` is not ``int`` by
+    # identity and subclasses miss too, so everything else still
+    # prices by the isinstance rules below.
+    kind = type(value)
+    if kind is int or kind is float:
+        return 8
+    if kind is str:
+        return len(value)
     if value is None:
         return 0
     if isinstance(value, bool):
@@ -130,24 +139,24 @@ def _estimate_size(value: Any, depth: int, seen: Set[int]) -> int:
         return 8
     if isinstance(value, (list, tuple, set, frozenset)):
         seen.add(id(value))
-        total = 2 + sum(_estimate_size(v, depth + 1, seen) for v in value)
-        seen.discard(id(value))
-        return total
-    if isinstance(value, dict):
+        depth += 1
+        total = 2
+        for v in value:
+            total += _estimate_size(v, depth, seen)
+    elif isinstance(value, dict):
         seen.add(id(value))
-        total = 2 + sum(
-            _estimate_size(k, depth + 1, seen)
-            + _estimate_size(v, depth + 1, seen)
-            for k, v in value.items()
-        )
-        seen.discard(id(value))
-        return total
-    if hasattr(value, "__dict__"):
+        depth += 1
+        total = 2
+        for k, v in value.items():
+            total += _estimate_size(k, depth, seen)
+            total += _estimate_size(v, depth, seen)
+    elif hasattr(value, "__dict__"):
         seen.add(id(value))
         total = _estimate_size(vars(value), depth + 1, seen)
-        seen.discard(id(value))
-        return total
-    return 8
+    else:
+        return 8
+    seen.discard(id(value))
+    return total
 
 
 class _CounterProperty:

@@ -13,6 +13,7 @@ from repro.core import (
     check_m_linearizability,
     check_m_sequential_consistency,
 )
+from repro.core.index import LiveIndex
 from repro.core.monitor import LiveMonitor, MonitorUsageError
 from repro.objects import read_reg, write_reg
 from repro.protocols import mlin_cluster, msc_cluster
@@ -66,6 +67,65 @@ class TestLiveRuns:
         )
         assert monitor.consistent
         assert monitor.verifier.observed == len(result.recorder.records)
+
+
+class TestAnnouncedWriteSets:
+    """``Cluster._notify_announce`` reads an update's write set back
+    from the store of whichever process delivered it first — usually
+    not the issuer, i.e. a replica that ran the program through the
+    record-free ``VersionedStore.apply``."""
+
+    @pytest.mark.parametrize(
+        "factory,condition",
+        [(msc_cluster, "m-sc"), (mlin_cluster, "m-lin")],
+    )
+    def test_first_delivery_via_apply_announces_the_real_write_set(
+        self, factory, condition
+    ):
+        announced = {"monitor": [], "index": []}
+
+        class RecordingMonitor(LiveMonitor):
+            def announce(self, uid, writes):
+                announced["monitor"].append((uid, tuple(writes)))
+                super().announce(uid, writes)
+
+        class RecordingIndex(LiveIndex):
+            def announce(self, uid, writes):
+                announced["index"].append((uid, tuple(writes)))
+                super().announce(uid, writes)
+
+        objects = ["w", "x", "y", "z"]
+        monitor, live_index = RecordingMonitor(condition), RecordingIndex()
+        cluster = factory(
+            5, objects, seed=3, monitor=monitor, live_index=live_index
+        )
+        first_delivery = {}
+        notify = cluster._notify_announce
+
+        def spy(uid, pid):
+            first_delivery[uid] = pid
+            notify(uid, pid)
+
+        cluster._notify_announce = spy
+        # The default mix includes conditional writers (dcas, transfer)
+        # and multi-object assignments, so write sets vary per run.
+        result = cluster.run(random_workloads(5, objects, 8, seed=11))
+
+        updates = [r for r in result.recorder.records if r.is_update]
+        written = {
+            rec.uid: tuple(
+                sorted({op.obj for op in rec.ops if op.is_write})
+            )
+            for rec in updates
+        }
+        assert len({len(objs) for objs in written.values()}) > 1
+        # Most first deliveries land away from the issuer.
+        assert any(first_delivery[r.uid] != r.process for r in updates)
+        expected = [(uid, written[uid]) for uid in result.ww_sequence]
+        assert announced["monitor"] == expected
+        assert announced["index"] == expected
+        assert monitor.consistent
+        assert live_index.audit() is None
 
 
 class TestLiveViolationDetection:

@@ -1,0 +1,115 @@
+"""Replicas converge, and only the issuer of an m-operation records it.
+
+Action A2 has every process apply every atomically-broadcast update;
+``VersionedStore.apply`` is the path that builds (and, after a crash,
+rebuilds) all replicas but the issuer's.  These tests pin what that
+path must deliver — n equal stores once the run has settled, clean or
+after crash + recovery — and, structurally (call counts, no wall
+clock), that execution records are built once per m-operation rather
+than once per delivery.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.abcast.sequencer import SequencerAbcast
+from repro.protocols import VersionedStore
+from repro.runtime.registry import protocol_registry, workload_registry
+from repro.sim import Network, UniformLatency
+from repro.sim.faults import CrashEvent, FaultInjector, FaultPlan
+
+OBJECTS = tuple(f"x{i}" for i in range(8))
+
+
+def zipfian(n, ops, seed):
+    return workload_registry()["zipfian"].builder(n, OBJECTS, ops, seed)
+
+
+@pytest.fixture
+def store_calls(monkeypatch):
+    """Count ``VersionedStore.execute`` / ``apply`` calls."""
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(VersionedStore, name)
+
+        def method(self, program, mop_uid):
+            calls[name] += 1
+            return original(self, program, mop_uid)
+
+        return method
+
+    for name in ("execute", "apply"):
+        monkeypatch.setattr(VersionedStore, name, counted(name))
+    return calls
+
+
+def assert_converged(cluster):
+    exports = [proc.store.export() for proc in cluster.processes]
+    assert all(export == exports[0] for export in exports[1:])
+    # Not vacuous: the run really wrote something.
+    assert any(version for _v, version, _w in exports[0].values())
+
+
+@pytest.mark.parametrize("protocol", ["msc", "mlin", "aggregate"])
+def test_clean_run_converges(protocol):
+    n = 6
+    cluster = protocol_registry()[protocol].factory(n, OBJECTS, seed=4)
+    cluster.run(zipfian(n, 12, seed=5), settle=5.0)
+    assert_converged(cluster)
+
+
+def test_records_are_built_once_per_mop_not_once_per_delivery(store_calls):
+    n = 20
+    cluster = protocol_registry()["msc"].factory(n, OBJECTS, seed=2)
+    result = cluster.run(zipfian(n, 6, seed=3), settle=5.0)
+    records = result.recorder.records
+    updates = sum(rec.is_update for rec in records)
+    assert len(records) == n * 6 and 0 < updates < len(records)
+    assert store_calls["execute"] == len(records)
+    assert store_calls["apply"] == updates * (n - 1)
+    assert_converged(cluster)
+
+
+@pytest.mark.parametrize("recovery", ["replay", "snapshot"])
+@pytest.mark.parametrize("protocol", ["msc", "mlin", "aggregate"])
+def test_crash_and_recovery_converges(protocol, recovery, store_calls):
+    """P2 crashes mid-run with answered updates behind it, then rejoins.
+
+    Replay recovery re-delivers P2's own, already-answered updates;
+    they rebuild the replica through ``apply`` like anyone else's, so
+    even with a crash every m-operation is still observed exactly once.
+    """
+    n, seed = 4, 7
+    plan = FaultPlan(
+        seed=seed,
+        drop_prob=0.05,
+        crashes=(CrashEvent(pid=2, at=9.0, restart_after=6.0),),
+    )
+    cluster = protocol_registry()[protocol].factory(
+        n,
+        OBJECTS,
+        seed=seed,
+        fault_tolerant=True,
+        recovery=recovery,
+        abcast_factory=lambda net: SequencerAbcast(net, fault_tolerant=True),
+        network_factory=lambda sim, size: Network(
+            sim,
+            size,
+            latency=UniformLatency(0.5, 1.5),
+            seed=seed + 1,
+            reliable=True,
+        ),
+    )
+    injector = FaultInjector(plan).install(cluster)
+    result = cluster.run(zipfian(n, 10, seed=seed), settle=5.0)
+    assert [pid for _t, pid in injector.restarted] == [2]
+    crash_time = injector.crashed[0][0]
+    assert any(
+        rec.process == 2 and rec.is_update and rec.resp < crash_time
+        for rec in result.recorder.records
+    )
+    assert len(result.recorder.records) == n * 10
+    assert store_calls["execute"] == len(result.recorder.records)
+    assert_converged(cluster)
