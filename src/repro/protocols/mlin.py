@@ -206,8 +206,8 @@ class MLinProcess(BaseProcess):
                 f"{payload['uid']}"
             )
         # (A5): keep the lexicographically freshest snapshot, wholesale.
-        ts = tuple(payload["ts"])
-        if tuple(pending.extra["best_ts"]) < ts:
+        ts = payload["ts"]
+        if pending.extra["best_ts"] < ts:
             pending.extra["best"] = payload["snapshot"]
             pending.extra["best_ts"] = ts
         pending.extra["awaiting"] -= 1

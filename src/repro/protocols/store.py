@@ -27,6 +27,11 @@ generates its response (:meth:`VersionedStore.execute`, which is apply
 plus observe).  Both run the program body on the replica's own state
 through the same :class:`ObjectView`; effects are never carried from
 one replica to another, so a replica that diverged keeps diverging.
+
+**Exporting** a replica — ``(myX, myts)``, what action A4 of Figure 6
+sends in answer to every query — costs what was written since the
+last export, not the size of the store: see :class:`VersionedStore`
+on the replica image.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set,
 
 from repro.core.operation import INIT_UID, Operation, read, write
 from repro.errors import ProtocolError
+from repro.sim.network import EMPTY_SIZE, SizedDict, entry_size
 
 #: The body of an m-operation program: runs reads/writes on a view and
 #: returns the m-operation's result value.
@@ -215,24 +221,67 @@ class ExecutionRecord:
         self.finish_ts = finish_ts
 
 
+#: One object's exported form: ``(value, version, writer uid)``.
+Cell = Tuple[Any, int, int]
+
+
+class _ReplicaImage:
+    """A store's full export, kept between exports (see ``export``).
+
+    Attributes:
+        cells: obj -> cell as of the last export, canonical order.
+        sizes: obj -> :func:`~repro.sim.network.entry_size` of its cell.
+        size: what the network charges for ``cells`` in a reply.
+        stale: objects written since the last export; at first, all.
+    """
+
+    __slots__ = ("cells", "sizes", "size", "stale")
+
+    def __init__(self, objects: Tuple[str, ...]) -> None:
+        self.cells: Dict[str, Cell] = dict.fromkeys(objects)
+        self.sizes: Dict[str, int] = dict.fromkeys(objects, 0)
+        self.size = EMPTY_SIZE
+        self.stale: Set[str] = set(objects)
+
+
 class VersionedStore:
     """One replica's copy of all shared objects plus the ``ts`` vector.
 
     Tracks, per object: current value, version number (number of
     writes applied), and the uid of the m-operation that produced the
-    current version (``INIT_UID`` for the initial value).
+    current version (``INIT_UID`` for the initial value).  The version
+    map is kept in the canonical (sorted) object order, so the version
+    vector is ``tuple(_versions.values())``.
+
+    A replica that answers Figure 6 queries (action A4) also keeps its
+    *image*: the exported form of every object together with what the
+    network charges for it, brought up to date at export time for the
+    objects written since the previous export.  A reply is then a
+    C-level copy that already knows its wire size, whatever the size
+    of the store.  The image is created by the first full
+    :meth:`export` and the write path does nothing for a store that
+    has none: every Figure 4 replica applies every update and never
+    exports.  Anything other than a completed program or
+    :meth:`apply_writes` (:meth:`reset`, :meth:`install`, a program
+    that raised half-way) simply drops the image.
+
+    Written values are treated as immutable once written — the
+    assumption :meth:`export` has always made by aliasing them into
+    snapshots.  A value mutated in place afterwards shows through
+    every snapshot that holds it, and is priced as it was when written.
     """
 
     def __init__(self, initial_values: Mapping[str, Any]) -> None:
         self._initial: Dict[str, Any] = dict(initial_values)
         self._values: Dict[str, Any] = dict(initial_values)
-        self._versions: Dict[str, int] = {obj: 0 for obj in initial_values}
-        self._writers: Dict[str, int] = {
-            obj: INIT_UID for obj in initial_values
-        }
         self._objects: Tuple[str, ...] = intern_objects(
             tuple(sorted(initial_values))
         )
+        self._versions: Dict[str, int] = dict.fromkeys(self._objects, 0)
+        self._writers: Dict[str, int] = dict.fromkeys(
+            self._objects, INIT_UID
+        )
+        self._image: Optional[_ReplicaImage] = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -243,9 +292,6 @@ class VersionedStore:
         """All object names, in the canonical (sorted) order."""
         return self._objects
 
-    def has_object(self, obj: str) -> bool:
-        return obj in self._values
-
     def value_of(self, obj: str) -> Any:
         return self._values[obj]
 
@@ -255,17 +301,13 @@ class VersionedStore:
     def writer_of(self, obj: str) -> int:
         return self._writers[obj]
 
-    def set_value(self, obj: str, value: Any) -> None:
-        """Raw value update (used by views during execution)."""
-        self._values[obj] = value
-
     def ts_vector(self) -> Tuple[int, ...]:
         """The version vector in canonical object order.
 
         Timestamps are compared lexicographically over this order in
         the Fig-6 query phase (action A5).
         """
-        return tuple(self._versions[obj] for obj in self._objects)
+        return tuple(self._versions.values())
 
     # ------------------------------------------------------------------
     # Execution
@@ -286,12 +328,19 @@ class VersionedStore:
 
     def _run(self, view: ObjectView, mop_uid: int) -> Any:
         """Run the view's program here; bump what it wrote."""
-        result = view._program.body(view)
+        try:
+            result = view._program.body(view)
+        except BaseException:
+            # Values it wrote before raising stay written, unversioned.
+            self._image = None
+            raise
         versions = self._versions
         writers = self._writers
         for obj in view._written:
             versions[obj] += 1
             writers[obj] = mop_uid
+        if self._image is not None:
+            self._image.stale.update(view._written)
         return result
 
     def execute(self, program: MProgram, mop_uid: int) -> ExecutionRecord:
@@ -332,12 +381,15 @@ class VersionedStore:
         values it wrote, and remotes install them verbatim — one
         version bump per object, writer attribution to ``mop_uid``.
         """
+        image = self._image
         for obj in sorted(values):
             if obj not in self._values:
                 raise ProtocolError(f"unknown shared object {obj!r}")
             self._values[obj] = values[obj]
             self._versions[obj] += 1
             self._writers[obj] = mop_uid
+            if image is not None:
+                image.stale.add(obj)
 
     # ------------------------------------------------------------------
     # Crash / recovery
@@ -351,10 +403,11 @@ class VersionedStore:
         log from the start or by :meth:`install`-ing a peer snapshot.
         """
         self._values = dict(self._initial)
-        self._versions = {obj: 0 for obj in self._initial}
-        self._writers = {obj: INIT_UID for obj in self._initial}
+        self._versions = dict.fromkeys(self._objects, 0)
+        self._writers = dict.fromkeys(self._objects, INIT_UID)
+        self._image = None
 
-    def install(self, snapshot: Mapping[str, Tuple[Any, int, int]]) -> None:
+    def install(self, snapshot: Mapping[str, Cell]) -> None:
         """Adopt a peer's exported state wholesale (snapshot recovery).
 
         The snapshot must cover every object (a full :meth:`export`);
@@ -365,6 +418,7 @@ class VersionedStore:
             raise ProtocolError(
                 f"snapshot is missing objects {sorted(missing)}"
             )
+        self._image = None
         for obj, (value, version, writer) in snapshot.items():
             if obj not in self._values:
                 raise ProtocolError(f"unknown shared object {obj!r}")
@@ -378,24 +432,44 @@ class VersionedStore:
 
     def export(
         self, objects: Optional[FrozenSet[str]] = None
-    ) -> Dict[str, Tuple[Any, int, int]]:
+    ) -> Dict[str, Cell]:
         """Snapshot ``obj -> (value, version, writer)`` for a query reply.
 
         ``objects=None`` exports the whole store (the literal protocol
-        of Figure 6); a set exports only those objects (the Section
-        5.2 optimization).
+        of Figure 6) as a copy of the replica image — a
+        :class:`~repro.sim.network.SizedDict`, so the message that
+        carries it is priced without walking it; only the cells of
+        objects written since the previous full export are rebuilt
+        and re-priced.  A set exports only those objects (the Section
+        5.2 optimization) as a plain dict.  Either way the caller owns
+        the returned dict and later writes do not show in it.
         """
-        names = self._objects if objects is None else sorted(objects)
-        return {
-            obj: (self._values[obj], self._versions[obj], self._writers[obj])
-            for obj in names
-        }
+        values = self._values
+        versions = self._versions
+        writers = self._writers
+        if objects is not None:
+            return {
+                obj: (values[obj], versions[obj], writers[obj])
+                for obj in sorted(objects)
+            }
+        image = self._image
+        if image is None:
+            image = self._image = _ReplicaImage(self._objects)
+        if image.stale:
+            cells = image.cells
+            sizes = image.sizes
+            for obj in image.stale:
+                cell = cells[obj] = (values[obj], versions[obj], writers[obj])
+                size = entry_size(obj, cell)
+                image.size += size - sizes[obj]
+                sizes[obj] = size
+            image.stale.clear()
+        snapshot = SizedDict(image.cells)
+        snapshot.size = image.size
+        return snapshot
 
     @classmethod
-    def from_export(
-        cls,
-        snapshot: Mapping[str, Tuple[Any, int, int]],
-    ) -> "VersionedStore":
+    def from_export(cls, snapshot: Mapping[str, Cell]) -> "VersionedStore":
         """Rebuild a store (restricted to the exported objects)."""
         store = cls({obj: value for obj, (value, _v, _w) in snapshot.items()})
         for obj, (_value, version, writer) in snapshot.items():
@@ -407,6 +481,5 @@ class VersionedStore:
         """Version vector restricted to ``objects`` (canonical order)."""
         if objects is None:
             return self.ts_vector()
-        return tuple(
-            self._versions[obj] for obj in self._objects if obj in objects
-        )
+        versions = self._versions
+        return tuple([versions[obj] for obj in sorted(objects)])

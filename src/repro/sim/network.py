@@ -104,6 +104,41 @@ class Message:
         return size
 
 
+class SizedDict(dict):
+    """A dict payload part that carries its own :func:`estimate_size`.
+
+    A payload part that is large, is sent often and changes little
+    between sends (a replica's exported store in every Figure 6 query
+    reply) is priced by whoever keeps it current instead of being
+    walked per message.  ``size`` is the owner's statement of what the
+    walk returns for this dict as a direct member of a message payload
+    (nesting depth :data:`SIZED_DEPTH`): :data:`EMPTY_SIZE` plus
+    :func:`entry_size` of every item.  The estimator takes it on trust
+    for this exact type at that depth only; a ``SizedDict`` anywhere
+    else, and any other object that merely has a ``size``, is walked.
+    """
+
+    __slots__ = ("size",)
+
+
+#: The nesting depth a :class:`SizedDict`'s ``size`` is stated for:
+#: ``payload[key]``.  The depth cap makes a price depth-dependent, so
+#: the statement holds at one depth only.
+SIZED_DEPTH = 1
+
+#: What an empty container costs; every member adds its own size.
+EMPTY_SIZE = 2
+
+
+def entry_size(key: Any, value: Any) -> int:
+    """What one ``key: value`` item adds to a :class:`SizedDict`'s size."""
+    seen: Set[int] = set()
+    depth = SIZED_DEPTH + 1
+    return _estimate_size(key, depth, seen) + _estimate_size(
+        value, depth, seen
+    )
+
+
 def estimate_size(value: Any) -> int:
     """A crude, deterministic payload-size estimate in abstract units.
 
@@ -113,20 +148,32 @@ def estimate_size(value: Any) -> int:
     deep payloads (chaos tests craft those): recursion stops at
     :data:`MAX_SIZE_DEPTH` or on revisiting a container, returning a
     flat sentinel cost instead of overflowing the stack.
+
+    The rules, in order: ``None`` 0, ``bool`` 1, ``int``/``float`` 8,
+    ``str`` its length; a list/tuple/set/frozenset or dict
+    :data:`EMPTY_SIZE` plus its members (keys and values); any other
+    object with a ``__dict__`` as that dict; everything else, and any
+    container past the depth cap or already on the current path, 8.
+    One part is not walked: a :class:`SizedDict` directly below the
+    payload answers with the size its owner keeps for it, which must
+    be the number these rules give.
     """
     return _estimate_size(value, 0, set())
 
 
 def _estimate_size(value: Any, depth: int, seen: Set[int]) -> int:
-    # Exact-type fast paths for the bulk of every payload (a query
-    # reply is ~200 ints and strs).  ``bool`` is not ``int`` by
-    # identity and subclasses miss too, so everything else still
-    # prices by the isinstance rules below.
+    # Exact-type fast paths for the bulk of every payload, here and
+    # inlined in the container loops below (a reply's ``ts`` is 32
+    # ints: one call, not 33).  ``bool`` is not ``int`` by identity
+    # and subclasses miss too, so everything else still prices by the
+    # isinstance rules.
     kind = type(value)
     if kind is int or kind is float:
         return 8
     if kind is str:
         return len(value)
+    if kind is SizedDict and depth == SIZED_DEPTH:
+        return value.size
     if value is None:
         return 0
     if isinstance(value, bool):
@@ -140,16 +187,31 @@ def _estimate_size(value: Any, depth: int, seen: Set[int]) -> int:
     if isinstance(value, (list, tuple, set, frozenset)):
         seen.add(id(value))
         depth += 1
-        total = 2
+        total = EMPTY_SIZE
         for v in value:
-            total += _estimate_size(v, depth, seen)
+            kind = type(v)
+            if kind is int:
+                total += 8
+            elif kind is str:
+                total += len(v)
+            else:
+                total += _estimate_size(v, depth, seen)
     elif isinstance(value, dict):
         seen.add(id(value))
         depth += 1
-        total = 2
+        total = EMPTY_SIZE
         for k, v in value.items():
-            total += _estimate_size(k, depth, seen)
-            total += _estimate_size(v, depth, seen)
+            if type(k) is str:
+                total += len(k)
+            else:
+                total += _estimate_size(k, depth, seen)
+            kind = type(v)
+            if kind is int:
+                total += 8
+            elif kind is str:
+                total += len(v)
+            else:
+                total += _estimate_size(v, depth, seen)
     elif hasattr(value, "__dict__"):
         seen.add(id(value))
         total = _estimate_size(vars(value), depth + 1, seen)

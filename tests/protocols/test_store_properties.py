@@ -13,7 +13,11 @@ record:
   version — the operational reads-from used by the recorder;
 * apply/execute equivalence: a replica driven by the record-free
   ``apply`` (action A2 at a non-issuer) ends in the same state, and
-  rejects the same programs, as one driven by ``execute``.
+  rejects the same programs, as one driven by ``execute``;
+* the replica image: whatever was done to a store between two exports,
+  a full ``export()`` is the per-object definition, the reply that
+  carries it is priced as the walk prices a plain copy, and snapshots
+  already handed out do not move.
 """
 
 import pytest
@@ -32,6 +36,9 @@ from repro.objects import (
     write_reg,
 )
 from repro.protocols import MProgram, VersionedStore
+from repro.protocols.mlin import QUERY_RESP
+from repro.sim.network import MAX_SIZE_DEPTH, Message, SizedDict
+from tests.sim.test_estimate_size import nested, plain, reference_size
 
 OBJECTS = ("x", "y", "z")
 
@@ -182,3 +189,136 @@ def test_apply_and_execute_reject_the_same_programs(program):
     # The access checks live in one place, so even the half-run
     # program leaves both replicas in the same state.
     assert applied.export() == executed.export()
+
+
+# ----------------------------------------------------------------------
+# The replica image
+# ----------------------------------------------------------------------
+
+#: Written values beyond the workloads' ints: every leaf rule of the
+#: estimator, containers, and one nested past the depth cap.
+odd_values = st.one_of(
+    st.integers(-3, 2**70),
+    st.text(max_size=6),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.lists(st.integers(0, 9), max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2),
+    st.just(nested(MAX_SIZE_DEPTH + 2)),
+)
+subsets = st.sets(st.sampled_from(OBJECTS)).map(frozenset)
+steps = st.one_of(
+    st.tuples(st.sampled_from(["execute", "apply"]), programs()),
+    st.tuples(st.just("raise"), st.sampled_from(_bad_programs())),
+    st.tuples(
+        st.just("apply_writes"),
+        st.dictionaries(st.sampled_from(OBJECTS), odd_values, max_size=3),
+    ),
+    st.tuples(st.just("reset"), st.none()),
+    # Crash and reinstall a snapshot taken earlier, as the single
+    # server does with its durable image.
+    st.tuples(st.just("install"), st.integers(0, 50)),
+    st.tuples(st.just("export"), st.none()),
+    st.tuples(st.just("export"), subsets),
+)
+
+
+def by_definition(store, objects=None):
+    names = OBJECTS if objects is None else sorted(objects)
+    return {
+        obj: (store.value_of(obj), store.version_of(obj), store.writer_of(obj))
+        for obj in names
+    }
+
+
+def check_export(store, objects, uid):
+    """One (A4) reply: right content, right price, nothing shared."""
+    snapshot = store.export(objects)
+    ts = store.lex_ts(objects)
+    assert snapshot == by_definition(store, objects)
+    assert list(snapshot) == list(by_definition(store, objects))
+    names = OBJECTS if objects is None else sorted(objects)
+    assert ts == tuple(store.version_of(obj) for obj in names)
+    assert (type(snapshot) is SizedDict) == (objects is None)
+    reply = {"uid": uid, "attempt": 0, "snapshot": snapshot, "ts": ts}
+    assert Message(QUERY_RESP, reply).size == reference_size(plain(reply))
+    return snapshot
+
+
+@given(st.lists(steps, min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_exports_are_the_definition_and_priced_as_the_walk(script):
+    store = VersionedStore({obj: 0 for obj in OBJECTS})
+    handed_out = []  # (snapshot, plain copy at hand-out time, its size)
+    for uid, (step, arg) in enumerate(script, start=1):
+        if step in ("execute", "apply"):
+            try:
+                getattr(store, step)(arg, uid)
+            except TypeError:
+                pass  # arithmetic on an odd value: also a half-run program
+        elif step == "raise":
+            with pytest.raises(ProtocolError):
+                store.apply(arg, uid)
+        elif step == "apply_writes":
+            store.apply_writes(arg, uid)
+        elif step == "reset":
+            store.reset()
+        elif step == "install":
+            full = [snap for snap, _c, _s in handed_out if len(snap) == 3]
+            if full:
+                durable = full[arg % len(full)]
+                store.reset()
+                store.install(durable)
+                assert store.export() == durable
+        else:
+            snapshot = check_export(store, arg, uid)
+            handed_out.append(
+                (snapshot, plain(snapshot), getattr(snapshot, "size", None))
+            )
+            if arg is None:
+                clone = VersionedStore.from_export(snapshot)
+                assert check_export(clone, None, uid) == snapshot
+                adopter = VersionedStore({obj: -1 for obj in OBJECTS})
+                adopter.install(snapshot)
+                assert check_export(adopter, None, uid) == snapshot
+    check_export(store, None, 0)
+    for snapshot, copy, size in handed_out:
+        assert snapshot == copy
+        assert getattr(snapshot, "size", None) == size
+
+
+def test_image_exists_only_once_a_full_export_was_asked_for():
+    store = VersionedStore({obj: 0 for obj in OBJECTS})
+    store.execute(write_reg("x", 1), 1)
+    store.apply_writes({"y": 2}, 2)
+    store.export(frozenset("x"))
+    store.lex_ts()
+    assert store._image is None
+    store.export()
+    assert store._image is not None
+    donor = VersionedStore.from_export(store.export())
+    for drop in (store.reset, lambda: store.install(donor.export())):
+        store.export()
+        drop()
+        assert store._image is None
+
+
+def test_server_durable_image_survives_later_commits_and_a_restart():
+    from repro.protocols import server_cluster
+
+    cluster = server_cluster(2, OBJECTS, fault_tolerant=True)
+    server = cluster.processes[0]
+    server._server_execute(1, write_reg("x", 4))
+    first = server._durable_store
+    first_copy = dict(first)
+    server._server_execute(2, m_assign({"y": 1, "z": 2}))
+    durable = server._durable_store
+    assert first == first_copy != durable
+    server.store.apply(write_reg("x", 9), 3)  # executed, never committed
+    server.crash()
+    server.recover()
+    assert server.store.export() == durable == by_definition(server.store)
+    server._server_execute(4, fetch_add("x", 1))
+    assert server._durable_store == by_definition(server.store)
+    assert server._durable_store["x"] == (5, 2, 4)
