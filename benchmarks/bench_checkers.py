@@ -30,31 +30,41 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from benchmarks.conftest import checker_workload, timed_samples
+from benchmarks.conftest import (
+    checker_workload,
+    timed_samples,
+    violated_workload,
+)
 from repro.core import check_condition
 
-#: (condition, n_mops, timing runs).  The 1000-mop case was
+#: (condition, n_mops, twin, timing runs).  The 1000-mop case was
 #: impractical before the index layer (the O(n²) order construction
 #: alone dominated); it now completes in seconds, so it is part of the
-#: routine artifact.
+#: routine artifact.  ``twin`` rewires one read of the history
+#: (``conftest.violated_workload``) so the violated verdicts have a
+#: committed number too: a ``"stale"`` twin ends in the legality test,
+#: a ``"future"`` twin in a cyclic closure.
 CASES = [
-    ("m-sc", 100, 5),
-    ("m-sc", 300, 5),
-    ("m-sc", 1000, 3),
-    ("m-lin", 100, 5),
-    ("m-lin", 300, 5),
-    ("m-norm", 100, 5),
-    ("m-norm", 300, 5),
+    ("m-sc", 100, None, 5),
+    ("m-sc", 300, None, 5),
+    ("m-sc", 1000, None, 3),
+    ("m-sc", 1000, "stale", 3),
+    ("m-sc", 1000, "future", 3),
+    ("m-lin", 100, None, 5),
+    ("m-lin", 300, None, 5),
+    ("m-norm", 100, None, 5),
+    ("m-norm", 300, None, 5),
 ]
 
 #: The CI smoke subset (``--quick``): one small and one medium case
 #: per condition family, two runs each — enough to prove the bench
 #: pipeline produces a well-formed artifact without burning minutes.
 QUICK_CASES = [
-    ("m-sc", 100, 2),
-    ("m-sc", 300, 2),
-    ("m-lin", 100, 2),
-    ("m-norm", 100, 2),
+    ("m-sc", 100, None, 2),
+    ("m-sc", 300, None, 2),
+    ("m-sc", 300, "future", 2),
+    ("m-lin", 100, None, 2),
+    ("m-norm", 100, None, 2),
 ]
 
 #: (condition, n_mops, mode, workers, runs) rows for the certified
@@ -106,22 +116,26 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_checkers.json"
 
 
 def run_cases(
-    cases: Sequence[Tuple[str, int, int]] = CASES
+    cases: Sequence[Tuple[str, int, Optional[str], int]] = CASES
 ) -> List[dict]:
     rows: List[dict] = []
-    for condition, n_mops, runs in cases:
-        def make(condition=condition, n_mops=n_mops):
-            history, ww = checker_workload(n_mops)
+    for condition, n_mops, twin, runs in cases:
+        def make(condition=condition, n_mops=n_mops, twin=twin):
+            if twin is None:
+                history, ww = checker_workload(n_mops)
+            else:
+                history, ww = violated_workload(n_mops, twin)
             return lambda: check_condition(
                 history, condition, method="constrained", extra_pairs=ww
             )
 
         samples, verdict = timed_samples(make, runs)
+        assert verdict.holds == (twin is None)
         rows.append(
             {
                 "condition": condition,
                 "n_mops": n_mops,
-                "method": "constrained",
+                "method": f"constrained/{twin}-twin" if twin else "constrained",
                 "runs": runs,
                 "median_s": round(statistics.median(samples), 4),
                 "min_s": round(min(samples), 4),
@@ -319,7 +333,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     analyzer = run_analyzer_bench(runs=2 if args.quick else 3)
     msc_300 = next(
-        r for r in rows if r["condition"] == "m-sc" and r["n_mops"] == 300
+        r
+        for r in rows
+        if (r["condition"], r["n_mops"], r["method"])
+        == ("m-sc", 300, "constrained")
     )
     payload = {
         "generated_by": "python -m benchmarks.bench_checkers",
@@ -371,6 +388,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for row in rows:
         print(
             f"{row['condition']:<7} n={row['n_mops']:<5} "
+            f"[{row['method']}] "
             f"median={row['median_s']:.4f}s holds={row['holds']}"
         )
     for row in engine_rows:

@@ -51,6 +51,36 @@ def checker_workload(
     return history, list(zip(updates, updates[1:]))
 
 
+def violated_workload(n_mops: int, kind: str):
+    """:func:`checker_workload` with one read rewired so the check fails.
+
+    ``kind`` picks how: a ``"stale"`` twin reads an older writer (an
+    overwriter then sits between the two: D 4.6 fails), a ``"future"``
+    twin a newer one (the ``~ww`` chain runs the other way: the order
+    is cyclic).  The first ``corrupt_history`` seed of that kind which
+    the checker rejects; fresh per call, like :func:`checker_workload`.
+    """
+    from repro.core import check_condition
+    from repro.workloads import corrupt_history
+
+    history, ww = checker_workload(n_mops)
+    for seed in range(64):
+        twin = corrupt_history(history, seed=seed)
+        if twin is None:
+            continue
+        (key,) = [
+            k
+            for k, writer in twin.reads_from_map.items()
+            if history.reads_from_map[k] != writer
+        ]
+        newer = twin.reads_from_map[key] > history.reads_from_map[key]
+        if newer != (kind == "future"):
+            continue
+        if not check_condition(twin, "m-sc", extra_pairs=ww).holds:
+            return corrupt_history(history, seed=seed), ww
+    raise RuntimeError(f"no violated {kind} twin at {n_mops} m-ops")
+
+
 def partitioned_workload(
     n_mops: int,
     *,

@@ -24,10 +24,10 @@ Each checker comes in three methods:
 Every checker also accepts a ``certificate`` — a static proof from
 :mod:`repro.analysis.static.prover` that the workload can only emit
 OO-/WW-constrained histories.  A certificate replaces the dynamic
-constraint phase (the closure scans of
+constraint phase (the mask tests of
 :func:`~repro.core.constraints.satisfies_ww` /
-:func:`~repro.core.constraints.satisfies_oo`) with an O(n) structural
-audit; the audit is trust-but-verify — a mismatch raises
+:func:`~repro.core.constraints.satisfies_oo` against the closure) with
+an O(n) structural audit; the audit is trust-but-verify — a mismatch raises
 :class:`~repro.errors.InvalidCertificate` rather than risking an
 unsound Theorem-7 shortcut.
 """
@@ -113,9 +113,9 @@ def _check(
     with tracer.span(
         f"check.{condition}", method=method, mops=len(history.mops), mode=mode
     ):
-        # One shared index per history: the base order, its closure,
-        # the interfering triples and the constraint masks are computed
-        # at most once no matter how many checkers run on this history.
+        # One shared index per history: the base order, its closure
+        # and the writer and constraint masks are computed at most once
+        # no matter how many checkers run on this history.
         with tracer.span("check.index"):
             index = HistoryIndex.of(history)
             extra = _normalize_extra(extra_pairs)
@@ -142,7 +142,7 @@ def _check(
         # A static certificate (repro.analysis.static.prover) replaces
         # the dynamic constraint phase: Theorem 7's precondition was
         # proved from the workload, so only the O(n) structural audit
-        # runs here — never the closure scans below.  The audit runs
+        # runs here — never the constraint tests below.  The audit runs
         # before planning: every plan strategy relies on it.
         cert = (
             certificate

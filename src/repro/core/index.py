@@ -4,13 +4,14 @@ Every checking layer in this package — the Section 2.3 checkers, the
 Theorem 7 constraint tests, legality (D 4.6), diagnostics, the
 admissibility search, the live monitor and the chaos audits — needs
 the same derived data: per-process chains, per-object writer
-timelines, the reads-from edges, the interfering triples (D 4.2), and
-the generating orders ``~p ∪ ~rf [∪ ~t | ∪ ~x]`` with their transitive
-closures.  Before this layer each consumer rebuilt all of that from
-scratch; :class:`HistoryIndex` computes each piece once per history
-and caches it, and :class:`LiveIndex` maintains the same state
-incrementally for streaming consumers (protocol recorder, chaos
-harness) so an audit never rebuilds a :class:`~repro.core.history.History`.
+timelines and masks, the reads-from edges, the update / conflict /
+co-writer masks (D 4.8-D 4.10), and the generating orders
+``~p ∪ ~rf [∪ ~t | ∪ ~x]`` with their transitive closures.  Before
+this layer each consumer rebuilt all of that from scratch;
+:class:`HistoryIndex` computes each piece once per history and caches
+it, and :class:`LiveIndex` maintains the same state incrementally for
+streaming consumers (protocol recorder, chaos harness) so an audit
+never rebuilds a :class:`~repro.core.history.History`.
 
 Cover edges
 -----------
@@ -40,11 +41,11 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.history import History
 from repro.core.operation import INIT_UID
-from repro.core.relations import IncrementalClosure, Relation
+from repro.core.relations import ClosureRows, IncrementalClosure, Relation
 from repro.errors import MissingTimestampsError, WindowExceeded
 
 #: ``(a, b, c)``: ``a`` reads from ``b`` some object that ``c`` writes.
@@ -167,8 +168,8 @@ class HistoryIndex:
         "_client_updates",
         "_resp_sorted_uids",
         "_triples",
-        "_triples_idx",
         "_positions",
+        "_update_masks",
         "_conflict_masks",
         "_writer_masks",
         "_write_conflict_masks",
@@ -184,10 +185,10 @@ class HistoryIndex:
         self._client_updates: Optional[Tuple[Tuple[int, int], ...]] = None
         self._resp_sorted_uids: Optional[Tuple[int, ...]] = None
         self._triples: Optional[Tuple[InterferingTriple, ...]] = None
-        self._triples_idx: Optional[List[Tuple[int, int, int]]] = None
         self._positions: Dict[int, int] = {
             uid: i for i, uid in enumerate(history.uids)
         }
+        self._update_masks: Optional[List[int]] = None
         self._conflict_masks: Optional[List[int]] = None
         self._writer_masks: Optional[Dict[str, int]] = None
         self._write_conflict_masks: Optional[List[int]] = None
@@ -292,69 +293,90 @@ class HistoryIndex:
         """All interfering triples ``(a, b, c)`` (D 4.2), cached.
 
         For every reads-from edge ``b --x--> a`` and every other writer
-        ``c`` of ``x``, the triple interferes.  Enumerated once per
-        history; legality, diagnostics and ``~rw`` derivation all share
-        this tuple.
+        ``c`` of ``x``, the triple interferes.  This is the definition
+        spelled out — quadratic in the worst case — for tests and
+        callers that want the triples themselves; the checks below
+        decide D 4.6 and D 4.11 per read without it.
         """
         if self._triples is None:
-            triples: List[InterferingTriple] = []
-            seen = set()
+            triples: Dict[InterferingTriple, None] = {}
             timelines = self.writer_timelines
             for (a_uid, obj), b_uid in self.proper_reads():
-                for c_uid in timelines.get(obj, ()):
-                    if c_uid == a_uid or c_uid == b_uid:
-                        continue
-                    triple = (a_uid, b_uid, c_uid)
-                    if triple not in seen:
-                        seen.add(triple)
-                        triples.append(triple)
+                for c_uid in timelines[obj]:
+                    if c_uid != a_uid and c_uid != b_uid:
+                        triples[(a_uid, b_uid, c_uid)] = None
             self._triples = tuple(triples)
         return self._triples
-
-    def _positional_triples(self) -> List[Tuple[int, int, int]]:
-        """Interfering triples as universe positions, for mask tests."""
-        if self._triples_idx is None:
-            pos = self._positions
-            self._triples_idx = [
-                (pos[a], pos[b], pos[c])
-                for a, b, c in self.interfering_triples()
-            ]
-        return self._triples_idx
 
     # ------------------------------------------------------------------
     # Legality against a closure (D 4.6)
     # ------------------------------------------------------------------
 
-    def _aligned(self, closure: Relation) -> bool:
-        return closure.nodes == self.history.uids
+    def closure_rows(self, closure: Relation) -> ClosureRows:
+        """``closure``'s ``succ*`` / ``pred*`` rows by history position.
+
+        Every order from :meth:`base_relation` is over the history's
+        own uid universe and hands out its rows as they are.
+        :func:`~repro.core.admissibility.check_admissible` also takes a
+        caller-built base over a permuted or larger universe: that one
+        is first restricted to the history's uids, in their order, so
+        each check below has one form.
+        """
+        if closure.nodes != self.history.uids:
+            known = self._positions
+            closure = Relation(
+                self.history.uids,
+                (
+                    (a, b)
+                    for a, b in closure.transitive_closure().pairs()
+                    if a != b and a in known and b in known
+                ),
+            )
+        return closure.closure_rows()
+
+    def _overwritten_reads(
+        self, closure: Relation
+    ) -> Iterator[Tuple[int, int, str, int]]:
+        """D 4.6 as a per-read predicate.
+
+        Yields ``(a, b, x, mask)`` for each proper read ``((a, x), b)``
+        that the closed order ``closure`` makes illegal: ``mask`` holds
+        the positions of the writers of ``x`` other than ``a`` and
+        ``b`` ordered strictly between them, ``succ*[b] & pred*[a]``
+        cut down to the object's writers.
+        """
+        rows = self.closure_rows(closure)
+        succ, pred = rows.succ, rows.pred
+        pos = self._positions
+        writer_masks = self.writer_masks
+        for (a_uid, obj), b_uid in self.proper_reads():
+            ia, ib = pos[a_uid], pos[b_uid]
+            between = succ[ib] & pred[ia] & writer_masks[obj]
+            if between:
+                # on a cycle a and b lie between themselves
+                between &= ~(1 << ia | 1 << ib)
+                if between:
+                    yield a_uid, b_uid, obj, between
 
     def legal_under(self, closure: Relation) -> bool:
-        """D 4.6 scan of the cached triples against a closed order.
-
-        ``closure`` must be the transitive closure of the order under
-        test, over the history's full uid universe (as every relation
-        built via :meth:`base_relation` is).  One pair of bit tests per
-        cached triple.
-        """
-        succ = closure._succ
-        for ia, ib, ic in self._positional_triples():
-            if succ[ib] >> ic & 1 and succ[ic] >> ia & 1:
-                return False
-        return True
+        """D 4.6 against the transitive closure of the order under
+        test: no read has an overwriter between its writer and itself.
+        One mask test per read."""
+        return next(self._overwritten_reads(closure), None) is None
 
     def illegal_triples_under(
         self, closure: Relation
     ) -> List[InterferingTriple]:
-        """The D 4.6-violating triples — diagnostic twin of
-        :meth:`legal_under`, sharing the same cached enumeration."""
-        succ = closure._succ
-        bad: List[InterferingTriple] = []
-        for triple, (ia, ib, ic) in zip(
-            self.interfering_triples(), self._positional_triples()
-        ):
-            if succ[ib] >> ic & 1 and succ[ic] >> ia & 1:
-                bad.append(triple)
-        return bad
+        """The D 4.6-violating triples, in :meth:`interfering_triples`
+        order — diagnostic twin of :meth:`legal_under`."""
+        pos = self._positions
+        timelines = self.writer_timelines
+        bad: Dict[InterferingTriple, None] = {}
+        for a_uid, b_uid, obj, between in self._overwritten_reads(closure):
+            for c_uid in timelines[obj]:
+                if between >> pos[c_uid] & 1:
+                    bad[(a_uid, b_uid, c_uid)] = None
+        return list(bad)
 
     def proper_reads(self) -> List[Tuple[Tuple[int, str], int]]:
         """Reads-from edges ``((a, x), b)`` with ``a != b`` (D 4.2)."""
@@ -365,9 +387,7 @@ class HistoryIndex:
         ]
 
     def rw_pairs_under(self, closure: Relation) -> List[Pair]:
-        """D 4.11 ``~rw`` pairs against a closed order over the full
-        universe — the fast twin of
-        :func:`repro.core.constraints.rw_pairs`.
+        """D 4.11 ``~rw`` pairs against a closed order.
 
         Mask form of the triple scan: for each reads-from edge
         ``b --x--> a``, every writer ``c`` of ``x`` with ``b ~H c``
@@ -375,8 +395,8 @@ class HistoryIndex:
         object's writer mask per edge, instead of one bit test per
         interfering triple.
         """
-        succ = closure._succ
-        nodes = closure.nodes
+        succ = self.closure_rows(closure).succ
+        nodes = self.history.uids
         pos = self._positions
         writer_masks = self.writer_masks
         pairs = set()
@@ -384,9 +404,8 @@ class HistoryIndex:
             ib = pos[b_uid]
             cands = (
                 succ[ib]
-                & writer_masks.get(obj, 0)
-                & ~(1 << pos[a_uid])
-                & ~(1 << ib)
+                & writer_masks[obj]
+                & ~(1 << pos[a_uid] | 1 << ib)
             )
             while cands:
                 low = cands & -cands
@@ -406,8 +425,23 @@ class HistoryIndex:
         return rw_cover_pairs(self.proper_reads(), self.writer_timelines, rank)
 
     # ------------------------------------------------------------------
-    # Conflict structure (D 4.1 / D 4.8)
+    # Constraint structure (D 4.1 / D 4.8 - D 4.10): who must be ordered
     # ------------------------------------------------------------------
+
+    @property
+    def update_masks(self) -> List[int]:
+        """Per-position bitmask of the *other* update m-operations
+        (zero for a query) — the pairs the WW-constraint (D 4.9)
+        requires ordered."""
+        if self._update_masks is None:
+            pos = self._positions
+            bits = [1 << pos[uid] for uid in self.update_uids]
+            updates = sum(bits)
+            masks = [0] * len(pos)
+            for uid, bit in zip(self.update_uids, bits):
+                masks[pos[uid]] = updates ^ bit
+            self._update_masks = masks
+        return self._update_masks
 
     @property
     def conflict_masks(self) -> List[int]:
@@ -442,11 +476,6 @@ class HistoryIndex:
                 masks[i] = acc & ~(1 << i)
             self._conflict_masks = masks
         return self._conflict_masks
-
-    @property
-    def conflict_pair_count(self) -> int:
-        """Number of unordered conflicting pairs (the OO denominator)."""
-        return sum(mask.bit_count() for mask in self.conflict_masks) // 2
 
     @property
     def writer_masks(self) -> Dict[str, int]:
@@ -494,13 +523,6 @@ class HistoryIndex:
                 masks[i] = acc & ~(1 << i)
             self._write_conflict_masks = masks
         return self._write_conflict_masks
-
-    @property
-    def write_conflict_pair_count(self) -> int:
-        """Number of unordered co-writing pairs (the WO denominator)."""
-        return (
-            sum(mask.bit_count() for mask in self.write_conflict_masks) // 2
-        )
 
     # ------------------------------------------------------------------
     # Generating orders (Section 2.3) from cover edges
@@ -593,6 +615,19 @@ class HistoryIndex:
     def stats(self) -> IndexStats:
         history = self.history
         updates = len(self.update_uids) - 1  # exclude the initial m-op
+        # len(interfering_triples()), counted rather than enumerated:
+        # per reads-from pair, the writers of any object it read other
+        # than the pair itself.
+        pos = self._positions
+        overwriters: Dict[Pair, int] = {}
+        for (a_uid, obj), b_uid in self.proper_reads():
+            overwriters[a_uid, b_uid] = (
+                overwriters.get((a_uid, b_uid), 0) | self.writer_masks[obj]
+            )
+        triples = sum(
+            (mask & ~(1 << pos[a_uid] | 1 << pos[b_uid])).bit_count()
+            for (a_uid, b_uid), mask in overwriters.items()
+        )
         return IndexStats(
             mops=len(history.mops),
             updates=updates,
@@ -600,7 +635,7 @@ class HistoryIndex:
             objects=len(history.objects),
             processes=len(history.processes),
             reads_from_edges=len(self.reads_from_pairs),
-            interfering_triples=len(self.interfering_triples()),
+            interfering_triples=triples,
         )
 
 

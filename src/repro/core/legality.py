@@ -52,9 +52,9 @@ def interfering_triples(history: History) -> Iterator[InterferingTriple]:
     Iterates the reads-from map rather than all ``n^3`` triples: for
     every reads-from edge ``b --x--> a`` and every other m-operation
     ``c`` writing ``x``, the triple interferes.  The enumeration is
-    cached on the history's :class:`~repro.core.index.HistoryIndex`,
-    so legality, diagnostics and the ``~rw`` derivation all walk the
-    same tuple instead of regenerating it per call.
+    cached on the history's :class:`~repro.core.index.HistoryIndex`;
+    :func:`is_legal`, :func:`illegal_triples` and the ``~rw``
+    derivation decide per read and never build it.
     """
     yield from HistoryIndex.of(history).interfering_triples()
 
@@ -68,37 +68,19 @@ def is_legal(history: History, closure: Relation) -> bool:
 
     Args:
         history: the history under test.
-        closure: the transitive closure of the order ``~H`` under
-            consideration.  Passing a non-closed relation gives a
-            weaker (unsound) test, so callers must close first.
+        closure: the order ``~H`` under consideration.  D 4.6 is
+            tested against its transitive closure, which a relation
+            caches: passing the closed relation costs nothing more.
     """
-    index = HistoryIndex.of(history)
-    if closure.nodes == history.uids:
-        return index.legal_under(closure)
-    # Closure over a different universe (e.g. a restricted history's
-    # order): fall back to membership tests on the shared triples.
-    for a_uid, b_uid, c_uid in index.interfering_triples():
-        if (b_uid, c_uid) in closure and (c_uid, a_uid) in closure:
-            return False
-    return True
+    return HistoryIndex.of(history).legal_under(closure)
 
 
 def illegal_triples(
     history: History, closure: Relation
 ) -> List[InterferingTriple]:
-    """All interfering triples that violate D 4.6 — for diagnostics.
-
-    Shares :func:`is_legal`'s cached enumeration via the history
-    index, so diagnostics never re-enumerate triples.
-    """
-    index = HistoryIndex.of(history)
-    if closure.nodes == history.uids:
-        return index.illegal_triples_under(closure)
-    return [
-        (a, b, c)
-        for a, b, c in index.interfering_triples()
-        if (b, c) in closure and (c, a) in closure
-    ]
+    """All interfering triples that violate D 4.6, in
+    :func:`interfering_triples` order — for diagnostics."""
+    return HistoryIndex.of(history).illegal_triples_under(closure)
 
 
 def is_legal_sequence(history: History, order: Sequence[int]) -> bool:

@@ -8,15 +8,14 @@ linear-extension enumeration.
 
 The implementation represents successor sets as integer bitmasks over a
 fixed, ordered universe of node identifiers.  The transitive closure is
-computed lazily and cached on the relation (mutation invalidates it):
-acyclic relations — the common case, since every generating order of an
-admissible history is a partial order — use a single reverse-topological
-sparse propagation pass, ``O(E * n/64)`` word operations over the
-*generating* edges, so relations built from cover edges (per-process
-chains, reads-from) close in near-linear time.  Cyclic relations fall
-back to the bit-parallel Warshall fixpoint.  :class:`IncrementalClosure`
-maintains reachability under online edge insertion for the streaming
-consumers (recorder / chaos audits).
+computed lazily and cached on the relation (mutation invalidates it) by
+one pass over the strongly connected components in reverse topological
+order, ``O(E * n/64)`` word operations over the *generating* edges, so
+relations built from cover edges (per-process chains, reads-from) close
+in near-linear time whether or not they are cyclic.  The same pass over
+the reversed edges gives the predecessor rows (:class:`ClosureRows`).
+:class:`IncrementalClosure` maintains reachability under online edge
+insertion for the streaming consumers (recorder / chaos audits).
 """
 
 from __future__ import annotations
@@ -26,6 +25,117 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.errors import RelationError
 
 Pair = Tuple[int, int]
+
+
+def _reachability(edges: Sequence[int]) -> Tuple[List[int], bool]:
+    """Reachability rows of the digraph ``edges`` and whether it is acyclic.
+
+    ``edges[i]`` is the bitmask of direct successors of position ``i``.
+    Tarjan's algorithm (iterative) emits each strongly connected
+    component after every component it reaches, so a component's row
+    is the OR of its members' edges and of the finished rows behind
+    them — one big-int OR per edge.  All members of a component share
+    the row; in a component of several members every member has an
+    in-edge from another, so the row holds their own bits too:
+    self-reachability marks the cycles.
+    """
+    n = len(edges)
+    rows = [0] * n
+    number = [0] * n  # DFS discovery number, 0 = not yet visited
+    low = [0] * n
+    open_ = [False] * n  # on the component stack
+    stack: List[int] = []
+    acyclic = True
+    count = 0
+    for root in range(n):
+        if number[root]:
+            continue
+        count += 1
+        number[root] = low[root] = count
+        open_[root] = True
+        stack.append(root)
+        path = [root]
+        todo = [edges[root]]
+        while path:
+            v = path[-1]
+            mask = todo[-1]
+            if mask:
+                bit = mask & -mask
+                todo[-1] = mask ^ bit
+                w = bit.bit_length() - 1
+                if not number[w]:
+                    count += 1
+                    number[w] = low[w] = count
+                    open_[w] = True
+                    stack.append(w)
+                    path.append(w)
+                    todo.append(edges[w])
+                elif open_[w] and number[w] < low[v]:
+                    low[v] = number[w]
+                continue
+            path.pop()
+            todo.pop()
+            if path and low[v] < low[path[-1]]:
+                low[path[-1]] = low[v]
+            if low[v] != number[v]:
+                continue
+            # v roots a component: everything above it on the stack.
+            cut = len(stack) - 1
+            while stack[cut] != v:
+                cut -= 1
+            members = stack[cut:]
+            del stack[cut:]
+            acc = 0
+            for w in members:
+                open_[w] = False
+                mask = edges[w]
+                acc |= mask
+                while mask:
+                    bit = mask & -mask
+                    acc |= rows[bit.bit_length() - 1]
+                    mask ^= bit
+            for w in members:
+                rows[w] = acc
+            if acc >> v & 1:
+                acyclic = False
+    return rows, acyclic
+
+
+class ClosureRows:
+    """Reachability rows of one edge set, by universe position.
+
+    Bit ``j`` of ``succ[i]`` (and bit ``i`` of ``pred[j]``) is set iff
+    a non-empty path leads from position ``i`` to position ``j``;
+    positions on a cycle reach themselves.  ``pred`` is computed on
+    first use, by the same pass over the reversed edges.  One instance
+    is shared by a relation, its unmutated copies and its transitive
+    closure, so rows computed through any of them serve all: read-only.
+    """
+
+    __slots__ = ("_edges", "succ", "_pred")
+
+    def __init__(
+        self,
+        edges: Sequence[int],
+        succ: List[int],
+        pred: Optional[List[int]] = None,
+    ) -> None:
+        self._edges = edges  # a snapshot: the owner may be mutated later
+        self.succ = succ
+        self._pred = pred
+
+    @property
+    def pred(self) -> List[int]:
+        if self._pred is None:
+            reverse = [0] * len(self._edges)
+            for i, mask in enumerate(self._edges):
+                bit_i = 1 << i
+                while mask:
+                    low = mask & -mask
+                    reverse[low.bit_length() - 1] |= bit_i
+                    mask ^= low
+            self._pred, _ = _reachability(reverse)
+        return self._pred
 
 
 class Relation:
@@ -40,7 +150,7 @@ class Relation:
     detection is a first-class query rather than an invariant.
     """
 
-    __slots__ = ("_nodes", "_index", "_succ", "_closure_succ", "_acyclic")
+    __slots__ = ("_nodes", "_index", "_succ", "_closure", "_acyclic")
 
     def __init__(self, nodes: Iterable[int], pairs: Iterable[Pair] = ()) -> None:
         self._nodes: Tuple[int, ...] = tuple(dict.fromkeys(nodes))
@@ -48,9 +158,9 @@ class Relation:
         if len(self._index) != len(self._nodes):  # pragma: no cover
             raise RelationError("duplicate node ids in relation universe")
         self._succ: List[int] = [0] * len(self._nodes)
-        #: Cached closure successor masks (None until computed); the
-        #: cached list is never mutated in place, so copies may share it.
-        self._closure_succ: Optional[List[int]] = None
+        #: Cached closure rows (None until computed); the cached lists
+        #: are never mutated in place, so copies may share them.
+        self._closure: Optional[ClosureRows] = None
         self._acyclic: Optional[bool] = None
         for a, b in pairs:
             self.add(a, b)
@@ -112,7 +222,7 @@ class Relation:
         ib = self._require(b)
         bit = 1 << ib
         if not self._succ[ia] & bit:
-            self._closure_succ = None
+            self._closure = None
             self._acyclic = None
             self._succ[ia] |= bit
 
@@ -127,7 +237,7 @@ class Relation:
         ib = self._require(b)
         bit = 1 << ib
         if self._succ[ia] & bit:
-            self._closure_succ = None
+            self._closure = None
             self._acyclic = None
             self._succ[ia] &= ~bit
 
@@ -145,7 +255,7 @@ class Relation:
         """
         clone = Relation(self._nodes)
         clone._succ = list(self._succ)
-        clone._closure_succ = self._closure_succ
+        clone._closure = self._closure
         clone._acyclic = self._acyclic
         return clone
 
@@ -185,55 +295,21 @@ class Relation:
         own closure, so chaining ``.transitive_closure()`` or asking it
         :meth:`is_acyclic` costs nothing further.
         """
-        if self._closure_succ is None:
-            self._compute_closure()
-        assert self._closure_succ is not None
+        rows = self.closure_rows()
         result = Relation(self._nodes)
-        result._succ = list(self._closure_succ)
-        result._closure_succ = self._closure_succ
+        result._succ = list(rows.succ)
+        result._closure = rows
         result._acyclic = self._acyclic
         return result
 
-    def _compute_closure(self) -> None:
-        """Populate the closure cache (and the acyclicity flag).
-
-        Acyclic path: process nodes in reverse topological order; each
-        node's reachability is its direct successors plus their (already
-        final) reachability — one big-int OR per generating edge.
-        Cyclic path: bit-parallel Warshall iterated to fixpoint; nodes
-        on cycles end up with their own bit set (self-reachability),
-        which :meth:`is_acyclic` inspects.
-        """
-        order = self._topo_indices()
-        if order is not None:
-            succ = [0] * len(self._nodes)
-            for i in reversed(order):
-                mask = self._succ[i]
-                acc = mask
-                while mask:
-                    low = mask & -mask
-                    acc |= succ[low.bit_length() - 1]
-                    mask ^= low
-                succ[i] = acc
-            self._closure_succ = succ
-            self._acyclic = True
-            return
-        n = len(self._nodes)
-        succ = list(self._succ)
-        changed = True
-        while changed:
-            changed = False
-            for k in range(n):
-                bit = 1 << k
-                mask_k = succ[k]
-                if not mask_k:
-                    continue
-                for i in range(n):
-                    if succ[i] & bit and succ[i] | mask_k != succ[i]:
-                        succ[i] |= mask_k
-                        changed = True
-        self._closure_succ = succ
-        self._acyclic = not any(mask >> i & 1 for i, mask in enumerate(succ))
+    def closure_rows(self) -> ClosureRows:
+        """The ``succ*`` / ``pred*`` rows of the transitive closure,
+        computed once per edge set and cached."""
+        if self._closure is None:
+            edges = tuple(self._succ)
+            succ, self._acyclic = _reachability(edges)
+            self._closure = ClosureRows(edges, succ)
+        return self._closure
 
     def is_acyclic(self) -> bool:
         """True iff the relation, viewed as a digraph, has no cycle."""
@@ -261,41 +337,6 @@ class Relation:
         ordered = sum(mask.bit_count() for mask in closure._succ)
         return ordered == n * (n - 1) // 2
 
-    def ordered_pair_count(self, nodes: Iterable[int]) -> int:
-        """Number of directed pairs ``(a, b)`` with both ends in ``nodes``.
-
-        For an *acyclic* transitively closed relation each related pair
-        is counted exactly once, so the result equals the number of
-        unordered pairs from ``nodes`` that the order relates — the
-        quantity the WW-/OO-constraint checks compare against
-        ``C(|nodes|, 2)``.  On cyclic relations mutually reachable
-        pairs count twice; callers must check :meth:`is_acyclic` first.
-        """
-        group = 0
-        idxs = []
-        for node in nodes:
-            i = self._require(node)
-            idxs.append(i)
-            group |= 1 << i
-        total = 0
-        for i in idxs:
-            total += (self._succ[i] & group & ~(1 << i)).bit_count()
-        return total
-
-    def masked_pair_count(self, masks: Sequence[int]) -> int:
-        """``sum_i popcount(succ[i] & masks[i])`` over the universe.
-
-        ``masks`` is indexed by universe position.  With symmetric
-        masks (e.g. the conflict masks of
-        :class:`~repro.core.index.HistoryIndex`) and an acyclic
-        transitively closed relation, this counts each related
-        masked pair exactly once — the OO-constraint comparison.
-        """
-        return sum(
-            (mask & own).bit_count()
-            for own, mask in zip(self._succ, masks)
-        )
-
     def restricted_to(self, nodes: Iterable[int]) -> "Relation":
         """The restriction of the relation to a subset of its universe.
 
@@ -304,11 +345,10 @@ class Relation:
         restriction of it should remain a (possibly cyclic) relation
         rather than fail.
         """
-        keep = [n for n in self._nodes if n in set(nodes)]
-        result = Relation(keep)
-        keep_set = set(keep)
+        keep = set(nodes)
+        result = Relation(n for n in self._nodes if n in keep)
         for a, b in self.pairs():
-            if a in keep_set and b in keep_set and a != b:
+            if a in keep and b in keep and a != b:
                 result.add(a, b)
         return result
 
@@ -433,8 +473,8 @@ class IncrementalClosure:
     keeps both successor and predecessor closure masks; inserting an
     edge ``a -> b`` adds every pair in ``pred*(a) × succ*(b)`` —
     correct for arbitrary insertion orders, including edges that close
-    a cycle (cycle members end up self-reachable, mirroring the
-    Warshall convention in :class:`Relation`).
+    a cycle (cycle members end up self-reachable, as in the rows of
+    :meth:`Relation.closure_rows`).
 
     Amortised cost per edge is ``O(|pred*(a)| * n/64)`` word
     operations; for the near-chain orders the protocols generate this
@@ -525,7 +565,7 @@ class IncrementalClosure:
             mask & ~(1 << i) for i, mask in enumerate(self._succ)
         ]
         if not self._cyclic:
-            rel._closure_succ = rel._succ
+            rel._closure = ClosureRows((), list(rel._succ), list(self._pred))
             rel._acyclic = True
         return rel
 

@@ -40,3 +40,33 @@ def simple_history(specs, *, reads_from=None, initial_values=None):
     return History.from_mops(
         mops, reads_from=reads_from, initial_values=initial_values
     )
+
+
+def ww_chain(history):
+    """Updates chained in issue order — a ``~ww`` the valid history
+    agrees with (``random_serial_history`` issues by increasing uid)."""
+    updates = [m.uid for m in history.mops if m.is_update]
+    return tuple(zip(updates, updates[1:]))
+
+
+def twins(history):
+    """``{"valid": h, "stale": ..., "future": ...}``: a
+    ``random_serial_history`` and two ``corrupt_history`` twins, one
+    reading an older writer than it should, one a newer one."""
+    from repro.workloads import corrupt_history
+
+    found = {"valid": history}
+    for seed in range(64):
+        twin = corrupt_history(history, seed=seed)
+        if twin is None:
+            continue
+        (key,) = [
+            k
+            for k, writer in twin.reads_from_map.items()
+            if history.reads_from_map[k] != writer
+        ]
+        newer = twin.reads_from_map[key] > history.reads_from_map[key]
+        found.setdefault("future" if newer else "stale", twin)
+        if len(found) == 3:
+            return found
+    raise AssertionError(f"no stale and future twin found: {sorted(found)}")

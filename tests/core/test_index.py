@@ -118,6 +118,15 @@ class TestHistoryIndex:
         assert stats.reads_from_edges == len(h.reads_from_pairs())
         assert str(stats.mops) in stats.row()
 
+    @pytest.mark.parametrize(
+        "n_mops, seed", [(40, 7), (25, 11), (20, 5), (30, 9), (200, 3)]
+    )
+    def test_stats_count_triples_without_enumerating_them(self, n_mops, seed):
+        index = HistoryIndex.of(sample_history(n_mops=n_mops, seed=seed))
+        counted = index.stats().interfering_triples
+        assert index._triples is None
+        assert counted == len(index.interfering_triples()) > 0
+
 
 class TestIncrementalClosure:
     def test_transitive_reachability(self):

@@ -1,6 +1,7 @@
 """Unit tests for the relation algebra."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Relation, relation_from_sequence
 from repro.errors import RelationError
@@ -85,6 +86,15 @@ class TestAlgebra:
         assert sub.nodes == (1, 3)
         assert (1, 3) in sub and len(sub) == 1
 
+    def test_restricted_to_takes_any_iterable_once(self):
+        """The signature says ``Iterable``: a generator must not be
+        drained by the first membership test."""
+        rel = Relation(range(5), [(0, 1), (1, 2), (3, 4)])
+        sub = rel.restricted_to(n for n in (2, 1, 0))
+        assert sub.nodes == (0, 1, 2)
+        assert set(sub.pairs()) == {(0, 1), (1, 2)}
+        assert sub == rel.restricted_to([0, 1, 2])
+
 
 class TestClosure:
     def test_transitive_closure_chain(self):
@@ -126,6 +136,95 @@ class TestClosure:
         assert not partial.is_total_order()
         cyclic = Relation([1, 2], [(1, 2), (2, 1)])
         assert not cyclic.is_total_order()
+
+
+def warshall_fixpoint(n, pairs):
+    """Reference closure rows: bit-parallel Warshall iterated to a
+    fixpoint over positions ``0..n-1`` — the routine
+    ``Relation`` used for cyclic relations before the component pass
+    replaced it.  Cycle members end up with their own bit set."""
+    succ = [0] * n
+    for a, b in pairs:
+        succ[a] |= 1 << b
+    changed = True
+    while changed:
+        changed = False
+        for k in range(n):
+            bit = 1 << k
+            mask_k = succ[k]
+            if not mask_k:
+                continue
+            for i in range(n):
+                if succ[i] & bit and succ[i] | mask_k != succ[i]:
+                    succ[i] |= mask_k
+                    changed = True
+    return succ
+
+
+@st.composite
+def digraphs(draw):
+    """``(n, pairs)``: a random DAG over ``0..n-1`` plus zero to
+    several back edges, so acyclic graphs, one cycle, nested and
+    disjoint cycles all turn up."""
+    n = draw(st.integers(1, 12))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    forward = draw(st.lists(edge.filter(lambda p: p[0] < p[1]), max_size=24))
+    back = draw(st.lists(edge.filter(lambda p: p[0] > p[1]), max_size=4))
+    return n, forward + back
+
+
+class TestClosureAgainstWarshall:
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs(), st.randoms(use_true_random=False))
+    def test_rows_cycles_and_topological_order(self, graph, rng):
+        n, pairs = graph
+        # Node ids differ from positions, and positions from DFS order.
+        ids = [10 * i + 3 for i in range(n)]
+        rng.shuffle(ids)
+        rel = Relation(ids, [(ids[a], ids[b]) for a, b in pairs])
+        expected = warshall_fixpoint(n, pairs)
+        cyclic = any(row >> i & 1 for i, row in enumerate(expected))
+
+        rows = rel.closure_rows()
+        assert rows.succ == expected
+        assert rows.pred == [
+            sum(1 << i for i in range(n) if expected[i] >> j & 1)
+            for j in range(n)
+        ]
+        closure = rel.transitive_closure()
+        assert closure._succ == expected
+        assert closure.closure_rows() is rows
+        assert closure.is_acyclic() == (not cyclic)
+        # is_acyclic() on a relation that was never closed takes the
+        # Kahn route; both must agree with the rows.
+        fresh = Relation(ids, rel.pairs())
+        assert fresh.is_acyclic() == (not cyclic)
+        assert (fresh.topological_order() is None) == cyclic
+
+    def test_rows_follow_mutation(self):
+        def rows(relation):
+            found = relation.closure_rows()
+            return found.succ, found.pred
+
+        rel = Relation([1, 2, 3], [(1, 2), (2, 3)])
+        closure = rel.transitive_closure()
+        assert rows(rel) == ([0b110, 0b100, 0], [0, 0b001, 0b011])
+        rel.add(3, 1)
+        assert rows(rel) == ([0b111] * 3, [0b111] * 3)
+        assert not rel.transitive_closure().is_acyclic()
+        rel.discard(3, 1)
+        assert rows(rel) == ([0b110, 0b100, 0], [0, 0b001, 0b011])
+        # The closure taken before the mutations kept its own rows.
+        assert rows(closure) == ([0b110, 0b100, 0], [0, 0b001, 0b011])
+
+    def test_closing_a_cyclic_closure_again_keeps_it_cyclic(self):
+        """A cyclic closure carries self-reachability bits in its own
+        rows; re-closing a mutated copy must still see the cycle."""
+        closure = Relation([1, 2, 3], [(1, 2), (2, 1)]).transitive_closure()
+        again = closure.copy()
+        again.add(2, 3)
+        assert not again.transitive_closure().is_acyclic()
+        assert (1, 3) in again.transitive_closure()
 
 
 class TestLinearExtensions:
