@@ -265,6 +265,29 @@ class FaultSpec:
                 f"unknown degraded mode {self.degraded!r}; expected "
                 "'defer' or 'refuse'"
             )
+        # Settings no run can succeed under are refused here, not
+        # queued: the shim's ranges are the ones ``Network`` enforces.
+        try:
+            rules = (
+                (self.horizon > 0, "horizon > 0"),
+                (self.failover_delay >= 0, "failover_delay >= 0"),
+                (self.detector_period > 0, "detector_period > 0"),
+                (
+                    self.detector_timeout > self.detector_period,
+                    "detector_timeout > detector_period",
+                ),
+                (self.ack_timeout > 0, "ack_timeout > 0"),
+                (self.retry_backoff >= 1, "retry_backoff >= 1"),
+                (self.retry_jitter >= 0, "retry_jitter >= 0"),
+                (self.max_retries >= 0, "max_retries >= 0"),
+            )
+        except TypeError as exc:
+            raise InvalidSpecError(
+                f"fault spec has a non-numeric setting: {exc}"
+            ) from None
+        for ok, rule in rules:
+            if not ok:
+                raise InvalidSpecError(f"fault spec needs {rule}")
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -161,7 +161,7 @@ class HeartbeatDetector:
             # the same instant, so tie-breaking never depends on
             # event insertion order.
             phase = self.period * (pid + 1) / (self.n + 1)
-            self.sim.schedule(phase, lambda pid=pid: self._tick(pid))
+            self.sim.schedule(phase, self._tick, pid)
 
     # ------------------------------------------------------------------
     # Queries
@@ -221,7 +221,7 @@ class HeartbeatDetector:
         ):
             self._stopped = True
             return
-        self.sim.schedule(self.period, lambda: self._tick(pid))
+        self.sim.schedule(self.period, self._tick, pid)
         if self.network.is_down(pid):
             self._paused.add(pid)
             return
@@ -235,12 +235,12 @@ class HeartbeatDetector:
             for target in range(self.n):
                 if target != pid:
                     self._last[(pid, target)] = now
-        # One immutable heartbeat per beat, reused across destinations
-        # (and its estimate_size cache with it), like any broadcast.
-        beat = Message(HEARTBEAT_KIND, pid)
-        for dst in range(self.n):
-            if dst != pid:
-                self.network.send(pid, dst, beat, reliable=False)
+        self.network.send_to_all(
+            pid,
+            Message(HEARTBEAT_KIND, pid),
+            include_self=False,
+            reliable=False,
+        )
         for target in range(self.n):
             if target == pid or target in self._suspects[pid]:
                 continue

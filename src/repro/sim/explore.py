@@ -10,8 +10,8 @@ explored instance.
 Mechanics
 ---------
 
-:class:`ControlledNetwork` intercepts sends into a pending pool
-instead of scheduling timed deliveries.  The explorer replays
+:class:`ControlledNetwork` collects transmitted frames in a pending
+pool instead of scheduling timed deliveries.  The explorer replays
 *schedules* — sequences of indices into the pending pool — against a
 freshly built cluster each time:
 
@@ -56,24 +56,21 @@ class ExplorationBudgetExceeded(RuntimeError):
 class ControlledNetwork(Network):
     """A network whose deliveries are chosen, not timed.
 
-    Sends append to :attr:`pool`; :meth:`deliver` hands one pending
-    message to its destination at ``now + 1``.
+    The physical layer is a pending :attr:`pool` instead of a timed
+    wire: every frame a send would transmit waits there until
+    :meth:`deliver` hands it to its destination at ``now + 1``.
     """
 
     def __init__(self, sim: Simulator, n: int) -> None:
         super().__init__(sim, n, seed=0)
         self.pool: List[Tuple[int, int, Message]] = []
 
-    def send(self, src: int, dst: int, message: Message) -> None:
-        self._check_pid(src)
-        self._check_pid(dst)
-        self.stats.record_send(message)
-        self.pool.append((src, dst, message))
+    def _transmit(self, src, dsts, message, xfer=None) -> None:
+        self.pool.extend((src, dst, message) for dst in dsts)
 
     def deliver(self, index: int) -> None:
         """Deliver the index-th pending message one time unit from now."""
-        src, dst, message = self.pool.pop(index)
-        self._schedule_delivery(src, dst, message, 1.0)
+        self.sim.post(1.0, self._deliver, *self.pool.pop(index))
 
 
 def _resolve_exploration_factory(cluster_factory):

@@ -414,27 +414,19 @@ class FaultInjector:
         network.dup_prob = self.plan.dup_prob
         sim = cluster.sim
         for crash in self.plan.crashes:
-            sim.schedule(
-                crash.at, lambda c=crash: self._crash(cluster, c)
-            )
+            sim.schedule(crash.at, self._crash, cluster, crash)
         for spike in self.plan.spikes:
-            sim.schedule(spike.at, lambda s=spike: self._spike_on(network, s))
+            sim.schedule(spike.at, self._spike_on, network, spike)
             sim.schedule(
-                spike.at + spike.duration,
-                lambda s=spike: self._spike_off(network, s),
+                spike.at + spike.duration, self._spike_off, network, spike
             )
         for event in self.plan.partitions:
-            sim.schedule(
-                event.at,
-                lambda e=event: self._partition_on(cluster, e),
-            )
+            sim.schedule(event.at, self._partition_on, cluster, event)
             if event.duration is not None:
-                sim.schedule(
-                    event.at + event.duration,
-                    lambda e=event: self._partition_off(cluster, e),
-                )
+                heal_at = event.at + event.duration
+                sim.schedule(heal_at, self._partition_off, cluster, event)
         for heal in self.plan.heals:
-            sim.schedule(heal.at, lambda h=heal: self._heal(cluster, h))
+            sim.schedule(heal.at, self._heal, cluster, heal)
         return self
 
     # ------------------------------------------------------------------
@@ -450,8 +442,7 @@ class FaultInjector:
             self.on_event("crash", crash.pid, cluster.sim.now)
         if crash.restart_after is not None:
             cluster.sim.schedule(
-                crash.restart_after,
-                lambda: self._restart(cluster, crash.pid),
+                crash.restart_after, self._restart, cluster, crash.pid
             )
 
     def _restart(self, cluster, pid: int) -> None:

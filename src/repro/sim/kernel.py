@@ -40,56 +40,42 @@ from repro.obs import get_metrics, get_tracer
 _COMPACT_MIN_QUEUE = 64
 
 
-class _Entry:
-    """One scheduled event.
+class EventHandle:
+    """One scheduled event: the heap entry and the caller's handle to it.
 
-    The heap itself holds ``(time, seq, entry)`` tuples so ordering is
+    The heap itself holds ``(time, seq, event)`` tuples so ordering is
     decided by C-level float/int comparisons — ``seq`` is unique, so
-    the entry object is never compared.  The entry carries the mutable
-    state (``cancelled``/``fired``) plus the ``time`` the handle
-    exposes.
+    the event object is never compared.  :meth:`Simulator.schedule`
+    returns the event it queued; there is no second object per timer.
+
+    Attributes:
+        time: the virtual time at which the event fires.
+        cancelled: True once :meth:`cancel` stopped it from firing.
     """
 
-    __slots__ = ("time", "callback", "args", "cancelled", "fired")
+    __slots__ = ("time", "callback", "args", "cancelled", "_sim")
 
     def __init__(
         self,
+        sim: "Simulator",
         time: float,
         callback: Callable[..., None],
-        args: tuple = (),
+        args: tuple,
     ) -> None:
         self.time = time
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self.fired = False
-
-
-class EventHandle:
-    """Handle to a scheduled event, supporting cancellation."""
-
-    __slots__ = ("_entry", "_sim")
-
-    def __init__(self, entry: _Entry, sim: "Simulator") -> None:
-        self._entry = entry
-        self._sim = sim
-
-    @property
-    def time(self) -> float:
-        """The virtual time at which the event will fire."""
-        return self._entry.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry.cancelled
+        #: The simulator whose queue holds the event; None once fired.
+        self._sim: Optional["Simulator"] = sim
 
     def cancel(self) -> None:
-        """Prevent the event from firing (idempotent)."""
-        entry = self._entry
-        if entry.cancelled or entry.fired:
+        """Prevent the event from firing (idempotent; a no-op once fired)."""
+        sim = self._sim
+        if sim is None or self.cancelled:
             return
-        entry.cancelled = True
-        self._sim._on_cancel()
+        self.cancelled = True
+        sim._on_cancel()
 
 
 class Simulator:
@@ -108,7 +94,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        #: Min-heap of ``(time, seq, _Entry)`` tuples.
+        #: Min-heap of ``(time, seq, EventHandle)`` tuples.
         self._queue: List[tuple] = []
         self._seq = itertools.count()
         self._events_fired = 0
@@ -136,49 +122,38 @@ class Simulator:
         return self._pending
 
     def schedule(
-        self, delay: float, callback: Callable[[], None]
+        self, delay: float, callback: Callable[..., None], *args: object
     ) -> EventHandle:
-        """Schedule ``callback`` to fire ``delay`` time units from now.
+        """Schedule ``callback(*args)`` to fire ``delay`` time units from now.
 
         Args:
             delay: non-negative offset from the current virtual time.
-            callback: zero-argument callable.
+            callback: the callable to fire.
+            *args: positional arguments passed to ``callback`` at fire
+                time, so timers and delivery loops need no per-event
+                closure.
 
         Returns:
-            A cancellable :class:`EventHandle`.
+            The queued event, which is its own cancellable
+            :class:`EventHandle`; hot paths simply discard it.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         time = self._now + delay
-        entry = _Entry(time, callback)
-        heapq.heappush(self._queue, (time, next(self._seq), entry))
+        event = EventHandle(self, time, callback, args)
+        heapq.heappush(self._queue, (time, next(self._seq), event))
         self._pending += 1
-        return EventHandle(entry, self)
+        return event
 
-    def post(
-        self, delay: float, callback: Callable[..., None], *args: object
-    ) -> None:
-        """Schedule a fire-and-forget event (no cancellation handle).
-
-        Identical ordering semantics to :meth:`schedule`, minus the
-        :class:`EventHandle` allocation — the right call on hot paths
-        (message delivery) where the handle is always discarded.
-        Positional ``args`` are passed to ``callback`` at fire time,
-        so delivery loops need no per-event closure.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        time = self._now + delay
-        heapq.heappush(
-            self._queue, (time, next(self._seq), _Entry(time, callback, args))
-        )
-        self._pending += 1
+    #: The same call under the name the delivery paths (and the
+    #: end-to-end benchmark's probes) use for fire-and-forget events.
+    post = schedule
 
     def schedule_at(
-        self, time: float, callback: Callable[[], None]
+        self, time: float, callback: Callable[..., None], *args: object
     ) -> EventHandle:
-        """Schedule ``callback`` at absolute virtual time ``time``."""
-        return self.schedule(time - self._now, callback)
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
+        return self.schedule(time - self._now, callback, *args)
 
     def _on_cancel(self) -> None:
         """Bookkeeping for one newly cancelled, unfired entry."""
@@ -287,7 +262,7 @@ class Simulator:
                         if self._stale:
                             self._stale -= 1
                         continue
-                    entry.fired = True
+                    entry._sim = None  # fired: cancel() is now a no-op
                     self._pending -= 1
                     self._events_fired += 1
                     fired_this_run += 1

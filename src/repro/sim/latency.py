@@ -54,7 +54,9 @@ class UniformLatency(LatencyModel):
     high: float = 1.5
 
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
-        return rng.uniform(self.low, self.high)
+        # ``rng.uniform(low, high)``, bit for bit, without the wrapper's
+        # Python-level call: one sample is drawn per delivered frame.
+        return self.low + (self.high - self.low) * rng.random()
 
     def mean(self) -> float:
         return (self.low + self.high) / 2.0

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DeliveryTimeout, ProcessCrashed, SimulationError
 from repro.obs import MetricsRegistry, get_tracer
@@ -221,154 +221,99 @@ def _estimate_size(value: Any, depth: int, seen: Set[int]) -> int:
     return total
 
 
-class _CounterProperty:
-    """Expose a registry counter as a plain int attribute.
-
-    Keeps the pre-registry surface (``stats.dropped += 1`` and
-    ``stats.dropped == 3``) working while the numbers live in a
-    :class:`~repro.obs.MetricsRegistry`.
-    """
-
-    __slots__ = ("attr",)
-
-    def __init__(self, attr: str) -> None:
-        self.attr = attr
-
-    def __get__(self, obj: "NetworkStats", _objtype=None) -> int:
-        if obj is None:  # pragma: no cover - class access
-            return self
-        obj._flush()
-        return getattr(obj, self.attr).value
-
-    def __set__(self, obj: "NetworkStats", value: int) -> None:
-        counter = getattr(obj, self.attr)
-        counter.inc(value - counter.value)
-
-
 class NetworkStats:
     """Aggregate statistics of messages that entered the network.
 
     ``sent``/``by_kind``/``size_by_kind`` count *logical* sends (one
-    per ``send()`` call); ``dropped``/``duplicated`` count *physical*
-    frames affected by fault injection on any path (data, broadcast
-    copy, retransmission, acknowledgment); the remaining fields are
-    the reliable-delivery shim's ledger.
+    per destination of a ``send()``/``send_to_all()``);
+    ``dropped``/``duplicated`` count *physical* frames affected by
+    fault injection on any path (data, broadcast copy, retransmission,
+    acknowledgment); the remaining fields are the reliable-delivery
+    shim's ledger.
 
-    The numbers are held in a per-network
-    :class:`~repro.obs.MetricsRegistry` (``stats.registry``); the int
-    attributes below are views into it, and :meth:`snapshot` renders
-    the whole registry as one plain dict.
+    The numbers are plain ints (and one per-kind dict) that the
+    single-threaded simulated network writes directly: counting a
+    message takes no lock and no lookup.  The
+    :class:`~repro.obs.MetricsRegistry` form (:attr:`registry`, which
+    :meth:`snapshot` renders as one plain dict) is brought up to date
+    only when it is read.
     """
 
     _SCALARS = (
-        ("sent", "net.sent"),
-        ("delivered", "net.delivered"),
-        ("dropped", "net.dropped"),
-        ("duplicated", "net.duplicated"),
+        "sent",
+        "delivered",
+        "dropped",
+        "duplicated",
         # Retransmission attempts by the reliable shim (physical
         # resends beyond each frame's first transmission).
-        ("retransmitted", "net.retransmitted"),
+        "retransmitted",
         # Acknowledgments that reached their sender.
-        ("acked", "net.acked"),
+        "acked",
         # Duplicate data frames suppressed at the receiver by
         # transfer id.
-        ("deduped", "net.deduped"),
+        "deduped",
         # Frames discarded because the destination endpoint was down.
-        ("lost_to_crash", "net.lost_to_crash"),
+        "lost_to_crash",
         # Frames discarded because the directed link was cut.
-        ("lost_to_partition", "net.lost_to_partition"),
+        "lost_to_partition",
         # Outstanding reliable transfers re-fired by a link heal.
-        ("flushed", "net.flushed"),
-        ("total_size", "net.total_size"),
+        "flushed",
+        "total_size",
     )
 
     def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        for attr, metric in self._SCALARS:
-            setattr(self, f"_{attr}", self.registry.counter(metric))
-        # Hot-path buffer: the simulated network is single-threaded,
-        # so per-send/per-delivery increments accumulate in plain ints
-        # (no instrument locks) and flush into the registry whenever a
-        # view property, ``by_kind``/``size_by_kind`` or ``snapshot``
-        # is read.  Cold-path counters (drops, retransmits, ...) still
-        # write through directly.
-        self._pending_sent = 0
-        self._pending_delivered = 0
-        self._pending_size = 0
-        # kind -> [sends, size units] awaiting flush.
-        self._pending_kind: Dict[str, List[int]] = {}
+        for name in self._SCALARS:
+            setattr(self, name, 0)
+        #: kind -> [logical sends, estimated payload units].
+        self.kinds: Dict[str, List[int]] = {}
+        self._registry = MetricsRegistry()
 
-    sent = _CounterProperty("_sent")
-    delivered = _CounterProperty("_delivered")
-    dropped = _CounterProperty("_dropped")
-    duplicated = _CounterProperty("_duplicated")
-    retransmitted = _CounterProperty("_retransmitted")
-    acked = _CounterProperty("_acked")
-    deduped = _CounterProperty("_deduped")
-    lost_to_crash = _CounterProperty("_lost_to_crash")
-    lost_to_partition = _CounterProperty("_lost_to_partition")
-    flushed = _CounterProperty("_flushed")
-    total_size = _CounterProperty("_total_size")
+    def record_send(self, message: Message, count: int = 1) -> None:
+        """Count ``count`` logical sends of ``message`` (one per
+        destination; its size is computed once and cached)."""
+        size = message.size * count
+        self.sent += count
+        self.total_size += size
+        per_kind = self.kinds.get(message.kind)
+        if per_kind is None:
+            self.kinds[message.kind] = [count, size]
+        else:
+            per_kind[0] += count
+            per_kind[1] += size
 
     @property
     def by_kind(self) -> Dict[str, int]:
         """Logical sends per message kind (a fresh dict)."""
-        self._flush()
-        return self.registry.by_label("net.sent_by_kind", "kind")
+        return {kind: row[0] for kind, row in sorted(self.kinds.items())}
 
     @property
     def size_by_kind(self) -> Dict[str, int]:
         """Estimated payload units per message kind (a fresh dict)."""
-        self._flush()
-        return self.registry.by_label("net.size_by_kind", "kind")
+        return {kind: row[1] for kind, row in sorted(self.kinds.items())}
 
-    def record_send(self, message: Message) -> None:
-        self._pending_sent += 1
-        size = message.size  # cached across broadcast destinations
-        self._pending_size += size
-        per_kind = self._pending_kind.get(message.kind)
-        if per_kind is None:
-            self._pending_kind[message.kind] = [1, size]
-        else:
-            per_kind[0] += 1
-            per_kind[1] += size
+    @property
+    def registry(self) -> MetricsRegistry:
+        """The counters as ``net.*`` series of a metrics registry.
 
-    def record_broadcast(self, message: "Message", count: int) -> None:
-        """Record ``count`` identical sends in one buffered update."""
-        self._pending_sent += count
-        size = message.size
-        self._pending_size += size * count
-        per_kind = self._pending_kind.get(message.kind)
-        if per_kind is None:
-            self._pending_kind[message.kind] = [count, size * count]
-        else:
-            per_kind[0] += count
-            per_kind[1] += size * count
+        One registry per network, updated to the current numbers on
+        every read; the failure detector keeps its ``detector.*``
+        counters in the same registry, so one snapshot shows both.
+        """
+        registry = self._registry
 
-    def record_delivered(self) -> None:
-        self._pending_delivered += 1
+        def render(value: int, name: str, **labels: str) -> None:
+            counter = registry.counter(name, **labels)
+            counter.inc(value - counter.value)
 
-    def _flush(self) -> None:
-        """Push buffered hot-path increments into the registry."""
-        if self._pending_sent:
-            self._sent.inc(self._pending_sent)
-            self._pending_sent = 0
-        if self._pending_delivered:
-            self._delivered.inc(self._pending_delivered)
-            self._pending_delivered = 0
-        if self._pending_size:
-            self._total_size.inc(self._pending_size)
-            self._pending_size = 0
-        if self._pending_kind:
-            registry = self.registry
-            for kind, (sends, size) in sorted(self._pending_kind.items()):
-                registry.counter("net.sent_by_kind", kind=kind).inc(sends)
-                registry.counter("net.size_by_kind", kind=kind).inc(size)
-            self._pending_kind.clear()
+        for name in self._SCALARS:
+            render(getattr(self, name), f"net.{name}")
+        for kind, (sends, size) in sorted(self.kinds.items()):
+            render(sends, "net.sent_by_kind", kind=kind)
+            render(size, "net.size_by_kind", kind=kind)
+        return registry
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """The registry's counters/gauges/histograms as a plain dict."""
-        self._flush()
         return self.registry.snapshot()
 
 
@@ -398,8 +343,38 @@ class _Transfer:
         self.timer: Optional[EventHandle] = None
 
 
+def _physical_knob(name: str) -> property:
+    """A physical-layer fault setting of :class:`Network`.
+
+    Reads like a plain attribute; assigning it (fault plans and tests
+    do, mid-run) re-evaluates whether the fault stage of
+    :meth:`Network._transmit` has anything to do.
+    """
+    slot = "_" + name
+
+    def fget(self: "Network") -> Any:
+        return getattr(self, slot)
+
+    def fset(self: "Network", value: Any) -> None:
+        setattr(self, slot, value)
+        self._refresh_impaired()
+
+    return property(fget, fset)
+
+
 class Network:
     """A reordering point-to-point network with optional fault layer.
+
+    Every message takes one path: :meth:`send` / :meth:`send_to_all`
+    do the per-message work once, :meth:`_transmit` puts one frame per
+    destination on the wire, :meth:`_deliver` hands it to the
+    destination's handler.  The stages a configuration does not use
+    are absent: no transfer ids, timers or acks without the reliable
+    shim, no fault sampling on an unimpaired wire, no per-destination
+    bookkeeping when neither the shim nor a tracer wants any.  A
+    network that chooses deliveries itself (the exploring
+    :class:`~repro.sim.explore.ControlledNetwork`) overrides
+    :meth:`_transmit` alone.
 
     Args:
         sim: the driving simulator.
@@ -426,7 +401,18 @@ class Network:
             drop/duplicate/latency sampling stream and
             :class:`DeliveryTimeout` behavior is replayable from a
             spec.
+
+    Out-of-range settings (a probability outside [0, 1], a
+    non-positive ``ack_timeout``, a backoff below 1, negative retries
+    or jitter) raise :class:`~repro.errors.SimulationError`.
     """
+
+    fifo = _physical_knob("fifo")
+    drop_prob = _physical_knob("drop_prob")
+    dup_prob = _physical_knob("dup_prob")
+    #: Multiplier applied to every sampled latency; fault plans raise
+    #: it temporarily to model congestion/delay spikes.
+    delay_factor = _physical_knob("delay_factor")
 
     def __init__(
         self,
@@ -447,23 +433,26 @@ class Network:
     ) -> None:
         if n <= 0:
             raise SimulationError("network needs at least one endpoint")
+        for ok, rule in (
+            (0.0 <= drop_prob <= 1.0, f"drop_prob={drop_prob} in [0, 1]"),
+            (0.0 <= dup_prob <= 1.0, f"dup_prob={dup_prob} in [0, 1]"),
+            (ack_timeout > 0, f"ack_timeout={ack_timeout} > 0"),
+            (backoff >= 1, f"backoff={backoff} >= 1"),
+            (max_backoff >= 1, f"max_backoff={max_backoff} >= 1"),
+            (max_retries >= 0, f"max_retries={max_retries} >= 0"),
+            (retry_jitter >= 0, f"retry_jitter={retry_jitter} >= 0"),
+        ):
+            if not ok:
+                raise SimulationError(f"network needs {rule}")
         self.sim = sim
         self.n = n
         self.latency = latency or FixedLatency(1.0)
-        self.fifo = fifo
-        self.drop_prob = drop_prob
-        self.dup_prob = dup_prob
         self.reliable = reliable
         self.ack_timeout = ack_timeout
         self.backoff = backoff
         self.max_backoff = max_backoff
         self.max_retries = max_retries
-        if retry_jitter < 0:
-            raise SimulationError("retry_jitter must be non-negative")
         self.retry_jitter = retry_jitter
-        #: Multiplier applied to every sampled latency; fault plans
-        #: raise it temporarily to model congestion/delay spikes.
-        self.delay_factor = 1.0
         self.stats = NetworkStats()
         self._rng = random.Random(seed)
         # Dedicated stream for retransmission jitter: timer behavior
@@ -471,7 +460,13 @@ class Network:
         self._retry_rng = random.Random((seed + 1) * 0x9E3779B1)
         #: Directed link cuts: ``(src, dst)`` pairs currently severed.
         self._cut: Set[Tuple[int, int]] = set()
-        self._handlers: Dict[int, Handler] = {}
+        self._fifo = fifo
+        self._drop_prob = drop_prob
+        self._dup_prob = dup_prob
+        self._delay_factor = 1.0
+        self._refresh_impaired()
+        #: Handler per pid; None until :meth:`register` attaches one.
+        self._handlers: List[Optional[Handler]] = [None] * n
         self._last_delivery: Dict[Tuple[int, int], float] = {}
         self._down: Set[int] = set()
         self._next_xfer = itertools.count()
@@ -485,6 +480,17 @@ class Network:
         #: Retired transfer objects awaiting reuse (see ``_Transfer``).
         self._transfer_pool: List[_Transfer] = []
 
+    def _refresh_impaired(self) -> None:
+        """Re-evaluate whether the fault stage of :meth:`_transmit` can
+        touch a frame at all; called wherever one of its inputs changes."""
+        self._impaired = bool(
+            self._cut
+            or self._drop_prob
+            or self._dup_prob
+            or self._fifo
+            or self._delay_factor != 1.0
+        )
+
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
@@ -492,7 +498,7 @@ class Network:
     def register(self, pid: int, handler: Handler) -> None:
         """Attach the message handler for endpoint ``pid``."""
         self._check_pid(pid)
-        if pid in self._handlers:
+        if self._handlers[pid] is not None:
             raise SimulationError(f"endpoint {pid} already registered")
         self._handlers[pid] = handler
 
@@ -557,6 +563,7 @@ class Network:
                 self._cut.add(pair)
                 if tracer.enabled:
                     tracer.event("net.cut", src=pair[0], dst=pair[1])
+        self._refresh_impaired()
 
     def heal_link(self, src: int, dst: int, *, symmetric: bool = True) -> None:
         """Restore the ``src -> dst`` link (both directions by default).
@@ -576,6 +583,7 @@ class Network:
         for pair in pairs:
             if pair in self._cut:
                 self._cut.discard(pair)
+                self._refresh_impaired()
                 if tracer.enabled:
                     tracer.event("net.heal", src=pair[0], dst=pair[1])
                 self._flush_link(*pair)
@@ -638,8 +646,8 @@ class Network:
                     src=src,
                     dst=dst,
                 )
-            self._transmit(src, dst, ("data", xfer, transfer.message))
-            self._arm_timer(src, xfer)
+            self._transmit(src, (dst,), transfer.message, xfer)
+            self._arm_timer(src, xfer, transfer)
 
     # ------------------------------------------------------------------
     # Sending
@@ -664,25 +672,16 @@ class Network:
         heartbeats stay fire-and-forget (a retransmitted heartbeat
         would defeat its own purpose).
         """
-        self._check_pid(src)
         self._check_pid(dst)
-        if src in self._down:
-            raise ProcessCrashed(f"endpoint {src} sent while down")
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event("net.send", kind=message.kind, src=src, dst=dst)
-        self.stats.record_send(message)
-        use_shim = self.reliable if reliable is None else reliable
-        if not use_shim:
-            self._transmit(src, dst, ("data", None, message))
-            return
-        xfer = next(self._next_xfer)
-        self._outstanding[src][xfer] = self._new_transfer(dst, message)
-        self._transmit(src, dst, ("data", xfer, message))
-        self._arm_timer(src, xfer)
+        self._send(src, (dst,), message, reliable)
 
     def send_to_all(
-        self, src: int, message: Message, *, include_self: bool = True
+        self,
+        src: int,
+        message: Message,
+        *,
+        include_self: bool = True,
+        reliable: Optional[bool] = None,
     ) -> None:
         """Point-to-point send to every endpoint (not atomic broadcast!).
 
@@ -690,149 +689,162 @@ class Network:
         Fig-6 query phase (actions A3/A4); total-order broadcast lives
         in :mod:`repro.abcast`.
 
-        When the network is in its clean configuration (no shim, no
-        faults, no cuts, no tracer) the per-destination loop inlines
-        the ``send``/``_transmit`` pair: stats, latency sample,
-        delivery event — nothing else.  The fault-free sequencer
-        fan-out is the simulator's hottest loop, and the RNG draw
-        order (one latency sample per destination, in pid order) is
-        identical to the general path, so histories don't shift.
+        Exactly :meth:`send` to each endpoint in pid order (``src``
+        itself skipped with ``include_self=False``), ``reliable``
+        override included — same frames, same RNG draws, same events —
+        with the per-message work (sender checks, statistics, payload
+        sizing) done once instead of once per destination.
         """
+        self._send(
+            src,
+            range(self.n)
+            if include_self
+            else [dst for dst in range(self.n) if dst != src],
+            message,
+            reliable,
+        )
+
+    def _send(
+        self,
+        src: int,
+        dsts: Sequence[int],
+        message: Message,
+        reliable: Optional[bool],
+    ) -> None:
         self._check_pid(src)
         if src in self._down:
             raise ProcessCrashed(f"endpoint {src} sent while down")
-        if (
-            type(self) is not Network  # subclasses may override send()
-            or self.reliable
-            or self._cut
-            or self.drop_prob
-            or self.dup_prob
-            or self.fifo
-            or self.delay_factor != 1.0
-            or get_tracer().enabled
-        ):
-            for dst in range(self.n):
-                if dst == src and not include_self:
-                    continue
-                self.send(src, dst, message)
+        self.stats.record_send(message, len(dsts))
+        tracer = get_tracer()
+        shim = self.reliable if reliable is None else reliable
+        if not (shim or tracer.enabled):
+            self._transmit(src, dsts, message)
             return
+        # Per-destination bookkeeping — the trace event, and under the
+        # reliable shim a transfer id and its retransmission timer —
+        # goes around the same call one destination at a time, in the
+        # order a loop of single sends produces.
+        for dst in dsts:
+            if tracer.enabled:
+                tracer.event("net.send", kind=message.kind, src=src, dst=dst)
+            if not shim:
+                self._transmit(src, (dst,), message)
+                continue
+            xfer = next(self._next_xfer)
+            transfer = self._new_transfer(dst, message)
+            self._outstanding[src][xfer] = transfer
+            self._transmit(src, (dst,), message, xfer)
+            self._arm_timer(src, xfer, transfer)
+
+    # ------------------------------------------------------------------
+    # Physical layer (fault injection lives here, for every frame)
+    # ------------------------------------------------------------------
+
+    def _transmit(
+        self,
+        src: int,
+        dsts: Sequence[int],
+        message: Optional[Message],
+        xfer: Optional[int] = None,
+    ) -> None:
+        """Put one frame per destination on the wire out of ``src``.
+
+        A frame is a data frame (``message``) or, with ``message``
+        None, the acknowledgment of transfer ``xfer``; frames of the
+        reliable shim carry their transfer id and travel one
+        destination per call.  Each copy that survives the fault stage
+        gets its own sampled latency and arrives at :meth:`_deliver`
+        (acknowledgments at :meth:`_on_ack`).  Several destinations in
+        one call are exactly that many calls in the same order.  This
+        is the hook a network that picks its own delivery order
+        overrides.
+        """
+        impaired = self._impaired
         sample = self.latency.sample
         rng = self._rng
         post = self.sim.post
-        deliver = self._deliver_data
-        self.stats.record_broadcast(
-            message, self.n if include_self else self.n - 1
-        )
-        for dst in range(self.n):
-            if dst == src and not include_self:
-                continue
-            delay = sample(rng, src, dst)
-            if delay < 0:
-                raise SimulationError("latency model produced negative delay")
-            post(delay, deliver, src, dst, message)
+        deliver = self._deliver
+        for dst in dsts:
+            copies = 1
+            if impaired:
+                copies = self._fault_stage(src, dst, message)
+            while copies:
+                copies -= 1
+                delay = sample(rng, src, dst)
+                if delay < 0:
+                    raise SimulationError(
+                        "latency model produced negative delay"
+                    )
+                if impaired:
+                    delay *= self._delay_factor
+                    if self._fifo:
+                        now = self.sim.now
+                        floor = self._last_delivery.get((src, dst), -1.0)
+                        arrival = max(now + delay, floor + 1e-9)
+                        self._last_delivery[(src, dst)] = arrival
+                        delay = arrival - now
+                # Three positional args when there is no transfer id:
+                # the in-flight entry of a clean delivery stays as
+                # small as a shim-less network needs.
+                if xfer is None:
+                    post(delay, deliver, src, dst, message)
+                elif message is None:
+                    post(delay, self._on_ack, dst, xfer)
+                else:
+                    post(delay, deliver, src, dst, message, xfer)
 
-    # ------------------------------------------------------------------
-    # Physical layer (fault injection lives here, for every path)
-    # ------------------------------------------------------------------
-
-    def _transmit(self, src: int, dst: int, frame: Tuple) -> None:
+    def _fault_stage(
+        self, src: int, dst: int, message: Optional[Message]
+    ) -> int:
+        """How many copies of a frame get onto the wire: 0 (the link
+        is cut, or the frame is dropped), 1, or 2 (duplicated)."""
         if (src, dst) in self._cut:
             # A cut link loses the frame before it reaches the wire:
             # no drop/dup sampling, so partition windows do not shift
             # the fault layer's RNG stream.
             self.stats.lost_to_partition += 1
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.event(
-                    "net.partition_drop", kind=frame[0], src=src, dst=dst
-                )
-            return
-        if self.drop_prob and self._rng.random() < self.drop_prob:
+            event, copies = "net.partition_drop", 0
+        elif self._drop_prob and self._rng.random() < self._drop_prob:
             self.stats.dropped += 1
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.event("net.drop", kind=frame[0], src=src, dst=dst)
-            return
-        copies = 1
-        if self.dup_prob and self._rng.random() < self.dup_prob:
-            copies = 2
+            event, copies = "net.drop", 0
+        elif self._dup_prob and self._rng.random() < self._dup_prob:
             self.stats.duplicated += 1
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.event("net.dup", kind=frame[0], src=src, dst=dst)
-        for _ in range(copies):
-            delay = self.latency.sample(self._rng, src, dst)
-            if delay < 0:
-                raise SimulationError("latency model produced negative delay")
-            delay *= self.delay_factor
-            if self.fifo:
-                arrival = self.sim.now + delay
-                floor = self._last_delivery.get((src, dst), -1.0)
-                arrival = max(arrival, floor + 1e-9)
-                self._last_delivery[(src, dst)] = arrival
-                delay = arrival - self.sim.now
-            self.sim.post(delay, self._deliver_frame, src, dst, frame)
-
-    def _schedule_delivery(
-        self, src: int, dst: int, message: Message, delay: float
-    ) -> None:
-        """Schedule a bare (shim-less) delivery after ``delay``.
-
-        Bypasses fault injection; used by controlled/exploring
-        networks that pick delivery orders themselves.
-        """
-        self.sim.post(
-            delay, self._deliver_frame, src, dst, ("data", None, message)
-        )
-
-    def _deliver_data(self, src: int, dst: int, message: Message) -> None:
-        """Clean-path delivery: a data frame with no reliable shim.
-
-        The semantic twin of :meth:`_deliver_frame` for the fast
-        broadcast path — crash check, handler dispatch, buffered
-        stats — minus the frame tuple and its kind dispatch.
-        """
-        if dst in self._down:
-            self.stats.lost_to_crash += 1
-            return
-        handler = self._handlers.get(dst)
-        if handler is None:
-            raise SimulationError(
-                f"message {message.kind!r} delivered to unregistered "
-                f"endpoint {dst}"
-            )
-        self.stats._pending_delivered += 1
+            event, copies = "net.dup", 2
+        else:
+            return 1
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.event(
-                "net.deliver", kind=message.kind, src=src, dst=dst
-            )
-        handler(src, message)
+            kind = "ack" if message is None else "data"
+            tracer.event(event, kind=kind, src=src, dst=dst)
+        return copies
 
-    def _deliver_frame(self, src: int, dst: int, frame: Tuple) -> None:
-        kind = frame[0]
+    def _deliver(
+        self,
+        src: int,
+        dst: int,
+        message: Message,
+        xfer: Optional[int] = None,
+    ) -> None:
+        """A data frame arrives: hand it to ``dst``'s handler."""
         if dst in self._down:
             self.stats.lost_to_crash += 1
             return
-        if kind == "ack":
-            self._on_ack(dst, frame[1])
-            return
-        _kind, xfer, message = frame
         if xfer is not None:
             # Reliable shim: acknowledge every copy (the first ack may
             # be lost), deliver only the first.
-            self._transmit(dst, src, ("ack", xfer))
-            if xfer in self._seen[dst]:
+            self._transmit(dst, (src,), None, xfer)
+            seen = self._seen[dst]
+            if xfer in seen:
                 self.stats.deduped += 1
                 return
-            self._seen[dst].add(xfer)
-        handler = self._handlers.get(dst)
+            seen.add(xfer)
+        handler = self._handlers[dst]
         if handler is None:
             raise SimulationError(
                 f"message {message.kind!r} delivered to unregistered "
                 f"endpoint {dst}"
             )
-        self.stats.record_delivered()
+        self.stats.delivered += 1
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
@@ -844,16 +856,13 @@ class Network:
     # Reliable shim internals
     # ------------------------------------------------------------------
 
-    def _arm_timer(self, src: int, xfer: int) -> None:
-        transfer = self._outstanding[src].get(xfer)
-        if transfer is None:  # pragma: no cover - defensive
-            return
+    def _arm_timer(self, src: int, xfer: int, transfer: _Transfer) -> None:
         scale = min(self.backoff ** transfer.attempts, self.max_backoff)
         timeout = self.ack_timeout * scale
         # Desynchronizing jitter from the dedicated retry stream.
         timeout *= 1.0 + self.retry_jitter * self._retry_rng.random()
         transfer.timer = self.sim.schedule(
-            timeout, lambda: self._on_timeout(src, xfer)
+            timeout, self._on_timeout, src, xfer
         )
 
     def _on_timeout(self, src: int, xfer: int) -> None:
@@ -877,10 +886,14 @@ class Network:
                 dst=transfer.dst,
                 attempt=transfer.attempts,
             )
-        self._transmit(src, transfer.dst, ("data", xfer, transfer.message))
-        self._arm_timer(src, xfer)
+        self._transmit(src, (transfer.dst,), transfer.message, xfer)
+        self._arm_timer(src, xfer, transfer)
 
     def _on_ack(self, src: int, xfer: int) -> None:
+        """An acknowledgment arrives back at the transfer's sender."""
+        if src in self._down:
+            self.stats.lost_to_crash += 1
+            return
         transfer = self._outstanding[src].pop(xfer, None)
         if transfer is None:
             return  # duplicate or post-crash ack

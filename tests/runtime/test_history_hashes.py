@@ -9,11 +9,23 @@ store semantics shows up here as a hash mismatch.
 
 The ``seed=11`` rows are the report's fig4 (msc) and fig6 (mlin)
 configurations — see ``tests/runtime/test_report_parity.py``.
+
+The fault path (reliable shim, fault injector, detector, failover) is
+pinned the same way further down: for msc and mlin under a crash plan
+(both recovery modes) and under a partition plan, two fault seeds
+each, ``fault_run_pins.json`` holds the history hash, every network
+counter, the chaos tallies (``duration`` is the virtual end time) and
+the number of kernel events fired, captured at dfa094b before the
+network's delivery path was rebuilt.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.runtime import RunSpec, VerifyPolicy, execute
+from repro.protocols.base import Cluster
+from repro.runtime import FaultSpec, RunSpec, VerifyPolicy, execute
 
 #: The report's shape: n=4 processes, 8 programs each, objects x/y/z.
 N = 4
@@ -49,3 +61,51 @@ def test_history_hash_matches_pre_refactor_kernel(protocol, seed):
     )
     artifact = execute(spec)
     assert artifact.history_hash == PINNED_HASHES[(protocol, seed)]
+
+
+#: "protocol/fault mode/seed" -> pinned outcome of the faulty run.
+PINNED_FAULT_RUNS = json.loads(
+    (Path(__file__).parent / "fault_run_pins.json").read_text()
+)
+
+FAULT_MODES = {
+    "crash-replay": {},
+    "crash-snapshot": {"recovery": "snapshot"},
+    "partition": {"partition": True},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FAULT_RUNS))
+def test_faulty_run_matches_pinned_outcome(case, monkeypatch):
+    protocol, mode, seed = case.split("/")
+    seed = int(seed)
+    # ``RunResult`` does not carry the simulator: read the event count
+    # where the run ends, as ``benchmarks/e2e/spans.py`` does.
+    events_fired = []
+    run = Cluster.run
+
+    def tapped_run(cluster, *args, **kwargs):
+        try:
+            return run(cluster, *args, **kwargs)
+        finally:
+            events_fired.append(cluster.sim.events_fired)
+
+    monkeypatch.setattr(Cluster, "run", tapped_run)
+    artifact = execute(
+        RunSpec(
+            protocol=protocol,
+            n=N,
+            objects=OBJECTS,
+            ops=OPS,
+            seed=seed,
+            verify=VerifyPolicy(enabled=False),
+            faults=FaultSpec(seed=seed, **FAULT_MODES[mode]),
+        )
+    )
+    assert artifact.ok, artifact.summary()
+    assert {
+        "history_hash": artifact.history_hash,
+        "events_fired": events_fired[0],
+        "chaos": artifact.net_stats["chaos"],
+        "counters": artifact.net_stats["counters"],
+    } == PINNED_FAULT_RUNS[case]

@@ -130,6 +130,8 @@ def test_malformed_spec_is_400(client):
         {"protocol": "mlin", "workload": "no-such-workload"},
         {"protocol": "mlin", "n": -1},
         {"protocol": "mlin", "bogus_field": 1},
+        # A shim that can never deliver is refused, not queued.
+        {"protocol": "mlin", "faults": {"ack_timeout": 0.0}},
     ):
         with pytest.raises(ServeClientError) as excinfo:
             client.submit(bad)

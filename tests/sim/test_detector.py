@@ -10,12 +10,16 @@ history is a deterministic function of the seed — no RNG is consumed.
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs import MetricsRegistry
+from repro.protocols.base import Cluster
 from repro.sim import (
     HEARTBEAT_KIND,
+    ControlledNetwork,
     HeartbeatDetector,
     Message,
     Network,
     Simulator,
+    run_chaos,
 )
 from repro.sim.latency import FixedLatency, UniformLatency
 
@@ -164,3 +168,91 @@ class TestDetector:
         sim.run()
         assert net.stats.retransmitted == 0
         assert net.stats.acked == 0
+
+
+class TestDetectorOnAControlledNetwork:
+    def test_detector_ticks_where_deliveries_are_chosen(self):
+        """Heartbeats go out through ``send_to_all(reliable=False)``,
+        which an exploring network collects like any other frame (its
+        own ``send`` used to lack the keyword)."""
+        sim = Simulator()
+        net = ControlledNetwork(sim, 3)
+        detector = HeartbeatDetector(
+            net, should_stop=lambda: sim.now >= 2.0
+        )
+        for pid in range(3):
+            net.register(
+                pid,
+                lambda src, msg, pid=pid: detector.on_heartbeat(pid, src),
+            )
+        detector.start()
+        sim.run()
+        beats = [(src, dst) for src, dst, msg in net.pool]
+        assert {msg.kind for _s, _d, msg in net.pool} == {HEARTBEAT_KIND}
+        # Two full rounds: every pid beat every peer, never itself.
+        assert sorted(beats) == sorted(
+            [(s, d) for s in range(3) for d in range(3) if s != d] * 2
+        )
+        assert net.stats.by_kind == {HEARTBEAT_KIND: 12}
+        while net.pool:
+            net.deliver(0)
+        sim.run()
+        assert net.stats.delivered == 12
+        assert detector.events == []
+
+
+#: ``ChaosResult.metrics["counters"]`` of ``run_chaos("msc", 1,
+#: partition=True, ops_per_process=8)``, recorded at dfa094b.
+PARENT_PARTITION_COUNTERS = {
+    "detector.suspect": 6, "detector.trust": 6,
+    "net.acked": 241, "net.deduped": 24, "net.delivered": 580,
+    "net.dropped": 38, "net.duplicated": 31, "net.flushed": 19,
+    "net.lost_to_crash": 0, "net.lost_to_partition": 91,
+    "net.retransmitted": 25, "net.sent": 652,
+    "net.sent_by_kind{kind=abc-ack}": 73,
+    "net.sent_by_kind{kind=abc-new-seq}": 4,
+    "net.sent_by_kind{kind=abc-req}": 20,
+    "net.sent_by_kind{kind=abc-seq}": 84,
+    "net.sent_by_kind{kind=abc-stable}": 60,
+    "net.sent_by_kind{kind=hb}": 411,
+    "net.size_by_kind{kind=abc-ack}": 2774,
+    "net.size_by_kind{kind=abc-new-seq}": 184,
+    "net.size_by_kind{kind=abc-req}": 2028,
+    "net.size_by_kind{kind=abc-seq}": 11732,
+    "net.size_by_kind{kind=abc-stable}": 1740,
+    "net.size_by_kind{kind=hb}": 3288,
+    "net.total_size": 21746,
+}
+
+
+def test_counters_cost_no_registry_lookup_per_frame(monkeypatch):
+    """Structural guard, no wall clock: while a partition run is
+    simulated the only registry lookups are the detector's own (at
+    most two per suspect/trust event; 624 lookups at dfa094b, where
+    every cold counter write flushed the hot ones), and what the
+    registry renders afterwards is unchanged."""
+    lookups = []
+    during_run = []
+    counter = MetricsRegistry.counter
+    run = Cluster.run
+
+    def counting_counter(registry, name, **labels):
+        lookups.append(name)
+        return counter(registry, name, **labels)
+
+    def tapped_run(cluster, *args, **kwargs):
+        before = len(lookups)
+        try:
+            return run(cluster, *args, **kwargs)
+        finally:
+            during_run.extend(lookups[before:])
+
+    monkeypatch.setattr(MetricsRegistry, "counter", counting_counter)
+    monkeypatch.setattr(Cluster, "run", tapped_run)
+    result = run_chaos("msc", 1, partition=True, ops_per_process=8)
+    assert result.ok, result.summary()
+    transitions = result.detector["suspicions"] + result.detector["trusts"]
+    assert transitions == 12
+    assert len(during_run) <= 2 * transitions
+    assert all(name.startswith("detector.") for name in during_run)
+    assert result.metrics["counters"] == PARENT_PARTITION_COUNTERS

@@ -4,7 +4,9 @@ A malformed plan must die at construction with a message naming the
 offending event — not halfway through a chaos run — and a structurally
 valid plan referencing pids the cluster doesn't have must die at
 install time.  Also pins the determinism of the seeded partition-plan
-generator (the replayability contract behind ``--fault-seed``).
+generator (the replayability contract behind ``--fault-seed``), and
+that shim/detector settings no run can succeed under are refused when
+the network or the spec is built, not run into a ``DeliveryTimeout``.
 """
 
 import types
@@ -12,6 +14,7 @@ import types
 import pytest
 
 from repro.errors import SimulationError
+from repro.runtime import FaultSpec, InvalidSpecError
 from repro.sim import Network, Simulator
 from repro.sim.faults import (
     CrashEvent,
@@ -169,3 +172,56 @@ class TestInjectorInstall:
         assert injector.partitioned == [
             (2.0, "partition", 2), (6.0, "heal", 2)
         ]
+
+
+#: Constructor keyword -> values outside its range.
+BAD_SHIM_SETTINGS = [
+    ("drop_prob", 1.5),
+    ("dup_prob", -0.1),
+    ("ack_timeout", 0.0),
+    ("ack_timeout", -1.0),
+    ("backoff", 0.0),
+    ("max_backoff", 0.5),
+    ("max_retries", -1),
+    ("retry_jitter", -0.25),
+]
+
+#: ``FaultSpec`` field -> values outside its range.
+BAD_FAULT_SPEC_SETTINGS = [
+    ("ack_timeout", 0.0),
+    ("ack_timeout", -1.0),
+    ("retry_backoff", 0.0),
+    ("retry_jitter", -0.25),
+    ("max_retries", -1),
+    ("detector_period", 0.0),
+    ("detector_timeout", 1.0),  # must exceed the default period 1.0
+    ("horizon", 0.0),
+    ("failover_delay", -1.0),
+    ("ack_timeout", "soon"),
+]
+
+
+class TestShimSettingsValidation:
+    @pytest.mark.parametrize(("name", "value"), BAD_SHIM_SETTINGS)
+    def test_network_rejects_out_of_range(self, name, value):
+        with pytest.raises(SimulationError, match=name):
+            Network(Simulator(), 2, reliable=True, **{name: value})
+
+    def test_network_accepts_the_boundaries(self):
+        Network(
+            Simulator(), 2, drop_prob=1.0, dup_prob=0.0, backoff=1.0,
+            max_backoff=1.0, max_retries=0, retry_jitter=0.0,
+        )
+
+    @pytest.mark.parametrize(("name", "value"), BAD_FAULT_SPEC_SETTINGS)
+    def test_fault_spec_rejects_out_of_range(self, name, value):
+        with pytest.raises(InvalidSpecError):
+            FaultSpec(**{name: value})
+        with pytest.raises(InvalidSpecError):
+            FaultSpec.from_dict({name: value})
+
+    def test_fault_spec_accepts_the_boundaries(self):
+        FaultSpec(
+            failover_delay=0.0, retry_backoff=1.0, retry_jitter=0.0,
+            max_retries=0,
+        )

@@ -4,12 +4,15 @@ The kernel pops whole same-timestamp runs in one pass; these tests pin
 the properties that make that invisible to protocols: firing order
 equals the per-entry pop order, cancellation mid-batch is honoured,
 ``until``/``max_events`` cut batches at the right entry, and the lazy
-compaction of cancelled entries never reorders survivors.
+compaction of cancelled entries never reorders survivors.  The queued
+entry is its own handle (``schedule`` returns it, ``post`` is the same
+call), so the same properties are pinned for events scheduled with
+positional arguments.
 """
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import EventHandle, Simulator
 from repro.sim.kernel import _COMPACT_MIN_QUEUE
 
 
@@ -169,6 +172,79 @@ class TestLazyCompaction:
         assert sim.events_fired == 1
         assert sim.pending == 0
         assert sim.now == 0.5
+
+
+class TestEntryIsTheHandle:
+    def test_schedule_passes_args_and_returns_the_queued_entry(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1.5, lambda *args: fired.append(args), "a", 2)
+        assert isinstance(handle, EventHandle)
+        assert handle.time == 1.5 and not handle.cancelled
+        assert sim._queue[0][2] is handle  # no second object per timer
+        sim.schedule_at(1.5, fired.append, "at")
+        sim.run()
+        assert fired == [("a", 2), "at"]
+
+    def test_post_is_schedule(self):
+        sim = Simulator()
+        fired = []
+        posted = sim.post(1.0, fired.append, "posted")
+        scheduled = sim.schedule(1.0, fired.append, "scheduled")
+        assert type(posted) is type(scheduled) is EventHandle
+        posted.cancel()
+        sim.run()
+        assert fired == ["scheduled"]
+
+    def test_cancel_mid_batch_with_args(self):
+        sim = Simulator()
+        fired = []
+        victims = []
+
+        def canceller(tag):
+            fired.append(tag)
+            victims[0].cancel()
+
+        sim.schedule(1.0, canceller, "canceller")
+        victims.append(sim.schedule(1.0, fired.append, "victim"))
+        sim.schedule(1.0, fired.append, "bystander")
+        sim.run()
+        assert fired == ["canceller", "bystander"]
+        assert victims[0].cancelled
+        assert sim.pending == 0 and sim._stale == 0
+
+    def test_cancel_after_firing_changes_nothing(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=1.0)
+        handle.cancel()
+        # A fired event is not "cancelled", and the books only count
+        # events still queued.
+        assert not handle.cancelled
+        assert sim.pending == 1 and sim._stale == 0
+        sim.run()
+        assert sim.events_fired == 2
+
+    def test_cancelled_timers_with_args_compact_away(self):
+        # The reliable shim's pattern: many timers armed with args,
+        # most cancelled by an ack long before they are due.
+        sim = Simulator()
+        total = 4 * _COMPACT_MIN_QUEUE
+        fired = []
+        timers = [
+            sim.schedule(10.0 + i, fired.append, i) for i in range(total)
+        ]
+        for i, timer in enumerate(timers):
+            if i % 8:
+                timer.cancel()
+                timer.cancel()  # idempotent: counted once
+        assert sim.pending == total // 8
+        assert len(sim._queue) < total
+        assert sim._stale * 2 <= len(sim._queue)
+        sim.run()
+        assert fired == list(range(0, total, 8))
+        assert sim.pending == 0
 
 
 class TestReentrancy:

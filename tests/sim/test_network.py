@@ -43,6 +43,14 @@ class TestLatencyModels:
             assert 0.5 <= d <= 1.5
         assert model.mean() == 1.0
 
+    def test_uniform_is_rng_uniform_bit_for_bit(self):
+        # Pinned histories depend on it: same draws, same floats.
+        model = UniformLatency(0.5, 1.5)
+        ours, reference = random.Random(42), random.Random(42)
+        assert [model.sample(ours, 0, 1) for _ in range(200)] == [
+            reference.uniform(0.5, 1.5) for _ in range(200)
+        ]
+
     def test_exponential_positive(self):
         rng = random.Random(0)
         model = ExponentialLatency(1.0, floor=0.05)

@@ -19,8 +19,8 @@ import json
 
 import pytest
 
-from repro.runtime import RunSpec, execute
-from repro.runtime.spec import FaultSpec
+from repro.runtime import RunSpec, VerifyPolicy, execute
+from repro.runtime.spec import FaultSpec, LatencySpec
 from repro.sim.chaos import run_chaos
 
 #: Negative-control seeds whose generated traffic demonstrably spans
@@ -118,3 +118,40 @@ def test_partition_runspec_roundtrips_and_replays_identically():
     second = execute(restored)
     assert first.ok and second.ok
     assert first.history_hash == second.history_hash
+
+
+#: The one known schedule (1 of 400 screened mlin partition specs, 0 of
+#: 400 msc — ROADMAP item 3) on which mlin never finishes: process 2
+#: keeps retrying after the heal until the event budget runs out.
+MLIN_LIVELOCK = RunSpec(
+    protocol="mlin",
+    workload="zipfian",
+    n=5,
+    objects=tuple(f"x{i}" for i in range(8)),
+    ops=30,
+    seed=16,
+    latency=LatencySpec("uniform", (0.5, 1.5)),
+    max_events=60_000,
+    verify=VerifyPolicy(enabled=False),
+    faults=FaultSpec(seed=19, partition=True),
+)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="known mlin partition livelock (ROADMAP item 3)"
+)
+def test_mlin_partition_livelock_completes():
+    assert execute(MLIN_LIVELOCK).ok
+
+
+def test_mlin_partition_livelock_ends_in_a_typed_error():
+    """Until the livelock is fixed the run must at least end, inside
+    its event budget, in the typed error — at exactly the same point,
+    which also holds the delivery path event-for-event to the schedule
+    that first exposed it."""
+    artifact = execute(MLIN_LIVELOCK)
+    assert artifact.failure == (
+        "ProtocolError: run ended with unfinished processes [2] "
+        "(event budget 60000 exhausted?)"
+    )
+    assert (artifact.completed, artifact.expected) == (124, 150)
