@@ -1,12 +1,18 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint analyze analyze-sarif chaos chaos-smoke report \
+.PHONY: test paper lint analyze analyze-sarif chaos chaos-smoke report \
 	bench-json bench-gate run-smoke serve-smoke serve-gate \
 	bench-sim sim-gate e2e-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+## The paper's reproduction assertions (Fig 1-7, Thm 1/2/7/15/20,
+## A1-A7 ...: 143 tests, ~3 s), timing loops disabled.
+paper:
+	$(PYTHON) -m pytest benchmarks --ignore=benchmarks/e2e \
+		--benchmark-disable -q
 
 ## ruff (rules from pyproject.toml) when installed, stdlib fallback
 ## otherwise — see tools/lint.py.

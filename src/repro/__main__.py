@@ -362,7 +362,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         artifact.save(args.out)
         print(f"artifact -> {args.out}")
     if args.json:
-        print(artifact.to_json())
+        print(json.dumps(artifact.to_dict(), indent=2, sort_keys=True))
     return 0 if artifact.ok else 1
 
 

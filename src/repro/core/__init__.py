@@ -98,7 +98,6 @@ from repro.core.plan import (
 )
 from repro.core.orders import (
     base_order,
-    chain_order,
     mlin_order,
     mnorm_order,
     msc_order,
@@ -151,7 +150,6 @@ __all__ = [
     "WindowedIndex",
     "base_order",
     "causal_order",
-    "chain_order",
     "check_admissible",
     "check_condition",
     "check_m_linearizability",

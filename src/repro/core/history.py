@@ -41,6 +41,9 @@ from repro.errors import MalformedHistoryError, ReadsFromError
 #: A reads-from map: ``(reader_uid, object) -> writer_uid``.
 ReadsFromMap = Mapping[Tuple[int, str], int]
 
+#: uid -> that m-operation's ``external_reads`` (or ``external_writes``).
+_Views = Dict[int, Mapping[str, Any]]
+
 
 class History:
     """An execution history ``(op(H), ~H)`` (Section 2.2).
@@ -53,7 +56,9 @@ class History:
     the data held in this class.
 
     Use :meth:`History.from_mops` rather than the raw constructor; it
-    derives the reads-from map and validates well-formedness.
+    materialises the initial m-operation.  Either way the reads-from
+    map is completed by unique-value matching and the history is
+    validated for well-formedness.
     """
 
     __slots__ = (
@@ -69,11 +74,17 @@ class History:
         self,
         mops: Sequence[MOperation],
         init: MOperation,
-        reads_from: ReadsFromMap,
+        reads_from: Optional[ReadsFromMap] = None,
     ) -> None:
         self._mops: Tuple[MOperation, ...] = tuple(mops)
         self._init = init
-        self._reads_from: Dict[Tuple[int, str], int] = dict(reads_from)
+        # ``external_reads`` / ``external_writes`` walk the ops on every
+        # access (caching them on MOperation costs more memory than it
+        # saves time): each is taken once per m-operation here, serves
+        # completion and validation, and goes away with this frame.
+        self._reads_from, reads, writes = _complete_reads_from(
+            self._mops, init, reads_from
+        )
         self._by_uid: Dict[int, MOperation] = {init.uid: init}
         for mop in self._mops:
             if mop.uid in self._by_uid:
@@ -81,14 +92,18 @@ class History:
                     f"duplicate m-operation uid {mop.uid}"
                 )
             self._by_uid[mop.uid] = mop
-        self._objects: FrozenSet[str] = frozenset(init.wobjects).union(
-            *(mop.objects for mop in self._mops)
-        ) if self._mops else frozenset(init.wobjects)
+        # objects(a) = external reads + writes: an internal read's
+        # object is by definition also written.
+        self._objects: FrozenSet[str] = frozenset().union(
+            *reads.values(), *writes.values()
+        )
         #: Lazily attached :class:`repro.core.index.HistoryIndex`; a
         #: history is immutable once constructed, so derived data never
         #: goes stale.  Typed as ``object`` to avoid a core import cycle.
         self._index_cache: Optional[object] = None
-        self._validate()
+        self._validate_uids()
+        self._validate_well_formedness()
+        self._validate_reads_from(reads, writes)
 
     # ------------------------------------------------------------------
     # Construction
@@ -123,12 +138,7 @@ class History:
         if initial_values:
             for obj, value in initial_values.items():
                 init_values[obj] = value
-        init = initial_mop(init_values)
-        if reads_from is None:
-            reads_from = _derive_reads_from(mops, init)
-        else:
-            reads_from = _complete_reads_from(mops, init, reads_from)
-        return cls(mops, init, reads_from)
+        return cls(mops, initial_mop(init_values), reads_from)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -255,11 +265,6 @@ class History:
     # Validation
     # ------------------------------------------------------------------
 
-    def _validate(self) -> None:
-        self._validate_uids()
-        self._validate_well_formedness()
-        self._validate_reads_from()
-
     def _validate_uids(self) -> None:
         if self._init.uid != INIT_UID:
             raise MalformedHistoryError(
@@ -294,7 +299,9 @@ class History:
                         f"{later.label} (inv={later.inv})"
                     )
 
-    def _validate_reads_from(self) -> None:
+    def _validate_reads_from(self, reads: _Views, writes: _Views) -> None:
+        """Every entry names a real external read and the external
+        write whose value it returned."""
         for (reader_uid, obj), writer_uid in self._reads_from.items():
             reader = self._by_uid.get(reader_uid)
             writer = self._by_uid.get(writer_uid)
@@ -303,31 +310,23 @@ class History:
                     f"reads-from entry ({reader_uid}, {obj!r}) -> "
                     f"{writer_uid} references unknown m-operations"
                 )
-            if obj not in reader.external_reads:
+            read, written = reads[reader_uid], writes[writer_uid]
+            if obj not in read:
                 raise MalformedHistoryError(
                     f"{reader.label} has no external read of {obj!r} but "
                     "the reads-from map says it does"
                 )
-            if obj not in writer.external_writes:
+            if obj not in written:
                 raise MalformedHistoryError(
                     f"{writer.label} has no external write of {obj!r} but "
                     f"{reader.label} claims to read {obj!r} from it"
                 )
-            expected = writer.external_writes[obj]
-            actual = reader.external_reads[obj]
-            if expected != actual:
+            if written[obj] != read[obj]:
                 raise MalformedHistoryError(
-                    f"{reader.label} reads {obj!r}={actual!r} but its "
-                    f"reads-from writer {writer.label} wrote {expected!r}"
+                    f"{reader.label} reads {obj!r}={read[obj]!r} but its "
+                    f"reads-from writer {writer.label} wrote "
+                    f"{written[obj]!r}"
                 )
-        # Every external read must be covered.
-        for mop in self._mops:
-            for obj in mop.external_reads:
-                if (mop.uid, obj) not in self._reads_from:
-                    raise MalformedHistoryError(
-                        f"{mop.label}: external read of {obj!r} has no "
-                        "reads-from entry"
-                    )
 
     def __repr__(self) -> str:
         return (
@@ -355,53 +354,36 @@ class History:
 # ----------------------------------------------------------------------
 
 
-def _derive_reads_from(
-    mops: Sequence[MOperation], init: MOperation
-) -> Dict[Tuple[int, str], int]:
-    """Derive the reads-from map by unique-value matching."""
-    writers: Dict[Tuple[str, Any], List[int]] = {}
-    for mop in (init,) + tuple(mops):
-        for obj, value in mop.external_writes.items():
-            writers.setdefault((obj, value), []).append(mop.uid)
-    result: Dict[Tuple[int, str], int] = {}
-    for mop in mops:
-        for obj, value in mop.external_reads.items():
-            candidates = writers.get((obj, value), [])
-            candidates = [uid for uid in candidates if uid != mop.uid]
-            if not candidates:
-                raise ReadsFromError(
-                    f"{mop.label} reads {obj!r}={value!r} but no "
-                    "m-operation writes that value"
-                )
-            if len(candidates) > 1:
-                raise ReadsFromError(
-                    f"{mop.label} reads {obj!r}={value!r} which is written "
-                    f"by {len(candidates)} m-operations; pass an explicit "
-                    "reads_from map to disambiguate"
-                )
-            result[(mop.uid, obj)] = candidates[0]
-    return result
-
-
 def _complete_reads_from(
     mops: Sequence[MOperation],
     init: MOperation,
-    explicit: ReadsFromMap,
-) -> Dict[Tuple[int, str], int]:
-    """Fill gaps in an explicit reads-from map by value matching.
+    explicit: Optional[ReadsFromMap],
+) -> Tuple[Dict[Tuple[int, str], int], _Views, _Views]:
+    """Complete a reads-from map by unique-value matching.
 
-    Entries supplied by the caller win; missing entries are derived
-    when unambiguous.
+    Entries supplied by the caller win; missing entries (all of them
+    when ``explicit`` is None) are derived when unambiguous.  Returns
+    the map plus every m-operation's external reads and external
+    writes by uid, each computed exactly once.
     """
-    result: Dict[Tuple[int, str], int] = dict(explicit)
+    result: Dict[Tuple[int, str], int] = dict(explicit or ())
+    remedy = (
+        "pass an explicit" if explicit is None else "supply a complete"
+    )
+    reads: _Views = {init.uid: {}}
+    writes: _Views = {}
     writers: Dict[Tuple[str, Any], List[int]] = {}
     for mop in (init,) + tuple(mops):
-        for obj, value in mop.external_writes.items():
+        writes[mop.uid] = written = mop.external_writes
+        for obj, value in written.items():
             writers.setdefault((obj, value), []).append(mop.uid)
     for mop in mops:
-        for obj, value in mop.external_reads.items():
+        reads[mop.uid] = read = mop.external_reads
+        for obj, value in read.items():
             key = (mop.uid, obj)
-            if key in result:
+            # (A fully derived map never skips: under a duplicate uid,
+            # rejected by the constructor next, the later reader wins.)
+            if explicit is not None and key in result:
                 continue
             candidates = [
                 uid for uid in writers.get((obj, value), []) if uid != mop.uid
@@ -414,8 +396,8 @@ def _complete_reads_from(
             if len(candidates) > 1:
                 raise ReadsFromError(
                     f"{mop.label} reads {obj!r}={value!r} which is written "
-                    f"by {len(candidates)} m-operations; supply a complete "
+                    f"by {len(candidates)} m-operations; {remedy} "
                     "reads_from map to disambiguate"
                 )
             result[key] = candidates[0]
-    return result
+    return result, reads, writes

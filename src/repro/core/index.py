@@ -166,7 +166,6 @@ class HistoryIndex:
         "_rf_pairs",
         "_update_uids",
         "_client_updates",
-        "_resp_sorted_uids",
         "_triples",
         "_positions",
         "_update_masks",
@@ -183,7 +182,6 @@ class HistoryIndex:
         self._rf_pairs: Optional[Tuple[Pair, ...]] = None
         self._update_uids: Optional[Tuple[int, ...]] = None
         self._client_updates: Optional[Tuple[Tuple[int, int], ...]] = None
-        self._resp_sorted_uids: Optional[Tuple[int, ...]] = None
         self._triples: Optional[Tuple[InterferingTriple, ...]] = None
         self._positions: Dict[int, int] = {
             uid: i for i, uid in enumerate(history.uids)
@@ -272,22 +270,6 @@ class HistoryIndex:
                 if m.is_update and m.uid != init_uid
             )
         return self._client_updates
-
-    @property
-    def resp_sorted_uids(self) -> Tuple[int, ...]:
-        """Real m-operation uids sorted by response time (timed only)."""
-        if self._resp_sorted_uids is None:
-            if not self.history.is_timed:
-                raise MissingTimestampsError(
-                    "response-time ordering requires a timed history"
-                )
-            self._resp_sorted_uids = tuple(
-                m.uid
-                for m in sorted(
-                    self.history.mops, key=lambda m: (m.resp, m.uid)
-                )
-            )
-        return self._resp_sorted_uids
 
     def interfering_triples(self) -> Tuple[InterferingTriple, ...]:
         """All interfering triples ``(a, b, c)`` (D 4.2), cached.

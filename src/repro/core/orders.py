@@ -138,36 +138,6 @@ def base_order(
     return rel
 
 
-def chain_order(
-    history: History, chain: Iterable[int]
-) -> Relation:
-    """``~ww`` as certified: a total update order as its cover chain.
-
-    ``chain`` lists update uids in certified broadcast order (D 5.3);
-    the returned relation holds the ``k - 1`` cover edges between the
-    chain members present in the history, plus the initial fan-out.
-    Chain entries absent from the history (e.g. updates dropped by a
-    fault schedule) are skipped, matching the scan executor's
-    handling.
-
-    The plan/execute engine (:mod:`repro.core.plan`) never
-    materializes this relation — it lowers the chain to integer
-    positions and answers ``b ~ww c`` by comparing them.  The relation
-    form exists for diagnostics and for cross-validating the scan
-    executor against the closure-based checker.
-    """
-    rel = init_order(history)
-    known = set(history.uids)
-    prev = None
-    for uid in chain:
-        if uid not in known:
-            continue
-        if prev is not None:
-            rel.add(prev, uid)
-        prev = uid
-    return rel
-
-
 def msc_order(history: History) -> Relation:
     """``~H`` for m-sequential consistency: ``~p ∪ ~rf``.
 

@@ -15,6 +15,12 @@ The interchange format is deliberately simple and human-writable::
 
 Values must be JSON scalars.  When ``reads_from`` is omitted it is
 derived by unique-value matching, as everywhere else in the library.
+
+:func:`canonical_json` is the one machine-facing encoding in the
+package: hashes (``history_hash``, ``RunSpec.spec_hash``) are taken
+over it and the artifact files of :mod:`repro.runtime` and
+:mod:`repro.serve` are written in it.  :func:`history_to_json` is the
+indented view for people.
 """
 
 from __future__ import annotations
@@ -25,6 +31,15 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.history import History
 from repro.core.operation import MOperation, Operation, read, write
 from repro.errors import MalformedHistoryError
+
+
+def canonical_json(obj: Any) -> str:
+    """``obj`` as canonical JSON text: sorted keys, no whitespace.
+
+    No ``indent``, so CPython encodes in C (``indent`` silently selects
+    the pure-Python ``_iterencode``, ~3x slower on a recorded history).
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def history_to_dict(history: History) -> Dict[str, Any]:

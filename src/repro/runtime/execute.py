@@ -21,10 +21,10 @@ keeps the package import graph acyclic (same pattern as
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.serialize import canonical_json, history_to_dict
 from repro.errors import ReproError
 from repro.runtime.registry import (
     ProtocolSpec,
@@ -41,14 +41,27 @@ class FaultPolicyError(ReproError):
     """The spec asks for faults on a protocol without recovery support."""
 
 
-def history_hash(history) -> str:
-    """A deterministic digest of a history (determinism guard)."""
-    from repro.core.serialize import history_to_dict
+def history_hash(history, text: Optional[str] = None) -> str:
+    """SHA-256 of a history's canonical JSON (determinism guard).
 
-    payload = json.dumps(
-        history_to_dict(history), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    ``text`` is that JSON when the caller has already encoded it.
+    """
+    if text is None:
+        text = canonical_json(history_to_dict(history))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _encoded(result) -> Dict[str, Any]:
+    """A finished run's one encoding pass, as ``RunArtifact`` fields."""
+    if result is None:
+        return {"history_json": None, "history_hash": ""}
+    text = canonical_json(history_to_dict(result.history))
+    return {
+        "history_json": text,
+        # Via the public function, which benchmarks/e2e taps by name
+        # to time each run's hashing step.
+        "history_hash": history_hash(result.history, text),
+    }
 
 
 @dataclass(frozen=True)
@@ -78,6 +91,11 @@ class RunArtifact:
     in-process callers — the benchmark report reads ``result``, the
     chaos CLI reads ``chaos`` — and are summarized, not embedded, in
     the JSON form.
+
+    The recorded history is encoded once, by :func:`execute`, as
+    ``history_json``: ``history_hash`` is the SHA-256 of that text and
+    :meth:`to_json` embeds it verbatim, so the ``history`` member of
+    every written artifact hashes to its ``history_hash``.
     """
 
     spec: RunSpec
@@ -88,7 +106,10 @@ class RunArtifact:
     completed: int
     expected: int
     duration: float
+    #: SHA-256 of ``history_json`` ("" when the run left no history).
     history_hash: str
+    #: canonical JSON of the recorded history, or None.
+    history_json: Optional[str] = field(repr=False, compare=False)
     verdicts: List[VerdictRecord] = field(default_factory=list)
     #: chaos verdict components (empty outside fault runs).
     violations: List[str] = field(default_factory=list)
@@ -116,9 +137,8 @@ class RunArtifact:
     def history(self):
         return self.result.history if self.result is not None else None
 
-    def to_dict(self) -> Dict[str, Any]:
-        from repro.core.serialize import history_to_dict
-
+    def _members(self) -> Dict[str, Any]:
+        """Every serialized member but ``history``."""
         return {
             "spec": self.spec.to_dict(),
             "protocol": self.protocol,
@@ -137,15 +157,32 @@ class RunArtifact:
             "trace_path": self.trace_path,
             "trace_spans": self.trace_spans,
             "ok": self.ok,
-            "history": (
-                history_to_dict(self.result.history)
-                if self.result is not None
-                else None
-            ),
         }
 
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_dict(self) -> Dict[str, Any]:
+        members = self._members()
+        members["history"] = (
+            history_to_dict(self.result.history)
+            if self.result is not None
+            else None
+        )
+        return members
+
+    def to_json(self) -> str:
+        """:func:`canonical_json` of :meth:`to_dict`, byte for byte.
+
+        Assembled member by member, so the history — nearly all of the
+        text — is the encoding :func:`execute` made and hashed, not a
+        second pass over the recorded run.
+        """
+        members = {
+            key: canonical_json(value)
+            for key, value in self._members().items()
+        }
+        members["history"] = self.history_json or "null"
+        return "{%s}" % ",".join(
+            f'"{key}":{text}' for key, text in sorted(members.items())
+        )
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -350,7 +387,7 @@ def _execute_clean(
         completed=len(result.recorder.records),
         expected=expected,
         duration=result.duration,
-        history_hash=history_hash(result.history),
+        **_encoded(result),
         verdicts=verdicts,
         violations=violations,
         net_stats=result.net_stats.snapshot(),
@@ -436,9 +473,7 @@ def _execute_faulty(
         completed=chaos.completed,
         expected=chaos.expected,
         duration=chaos.duration,
-        history_hash=(
-            history_hash(result.history) if result is not None else ""
-        ),
+        **_encoded(result),
         verdicts=verdicts,
         violations=violations,
         failure=chaos.failure,

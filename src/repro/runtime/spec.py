@@ -18,6 +18,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.core.serialize import canonical_json
 from repro.errors import ReproError
 from repro.sim.faults import (
     CrashEvent,
@@ -517,9 +518,7 @@ class RunSpec:
 
     def canonical_json(self) -> str:
         """The canonical dict as compact, key-sorted JSON text."""
-        return json.dumps(
-            self.canonical_dict(), sort_keys=True, separators=(",", ":")
-        )
+        return canonical_json(self.canonical_dict())
 
     def spec_hash(self) -> str:
         """SHA-256 of :meth:`canonical_json` — the verdict-cache key.

@@ -72,17 +72,17 @@ class VerdictCache:
             self._remember(spec_hash, artifact)
         return artifact
 
-    def put(self, spec_hash: str, artifact: Dict[str, Any]) -> None:
-        """Cache a finished artifact (memory + write-through to disk)."""
-        payload = json.dumps(
-            artifact, sort_keys=True, separators=(",", ":")
-        )
+    def put(
+        self, spec_hash: str, artifact: Dict[str, Any], text: str
+    ) -> None:
+        """Cache a finished artifact: ``artifact`` in memory, its JSON
+        ``text`` written through to disk as is."""
         path = self._path(spec_hash)
         tmp = path.with_suffix(".tmp")
         with self._lock:
             self._remember(spec_hash, artifact)
             try:
-                tmp.write_text(payload, encoding="utf-8")
+                tmp.write_text(text, encoding="utf-8")
                 os.replace(tmp, path)
             except OSError:
                 # Disk tier is an optimization; the memory entry is

@@ -539,7 +539,10 @@ class ControlPlane:
                 detail=error,
             )
         else:
+            # The dict is what the HTTP layer serves; the canonical
+            # text is what goes to disk, byte for byte.
             payload = artifact.to_dict()
+            text = artifact.to_json()
             trace = (
                 artifact.tracer.records()
                 if artifact.tracer is not None
@@ -548,8 +551,8 @@ class ControlPlane:
             # Persist before flipping status: a client that sees
             # "done" must find the artifact in the store/cache too.
             if artifact.history_hash:
-                self.store.put(artifact.history_hash, payload)
-            self.cache.put(record.spec_hash, payload)
+                self.store.put(artifact.history_hash, text)
+            self.cache.put(record.spec_hash, payload, text)
             run_seconds = tick() - started
             record.finish(
                 payload, artifact.history_hash, trace, run_seconds

@@ -1,7 +1,8 @@
 """Content-addressed artifact store with a retention policy.
 
-Artifacts (serialized :class:`~repro.runtime.execute.RunArtifact`
-dicts) are stored on disk keyed by their ``history_hash`` — one file
+Artifacts (the canonical JSON text of a
+:class:`~repro.runtime.execute.RunArtifact`, written byte for byte)
+are stored on disk keyed by their ``history_hash`` — one file
 per distinct history, so resubmitting a spec (or two specs that
 happen to produce the same history) never duplicates bytes.  A
 retention policy bounds the store: when either the entry count or the
@@ -92,12 +93,11 @@ class ArtifactStore:
     # Public API
     # ------------------------------------------------------------------
 
-    def put(self, key: str, artifact: Dict[str, Any]) -> str:
-        """Store ``artifact`` under ``key``; returns the file path."""
+    def put(self, key: str, text: str) -> str:
+        """Store an artifact's JSON ``text`` under ``key``, as is;
+        returns the file path."""
         self._check_key(key)
-        payload = json.dumps(
-            artifact, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        payload = text.encode("utf-8")
         path = self._path(key)
         with self._lock:
             if key in self._index:

@@ -11,7 +11,6 @@ from repro.sim.explore import (
     ExplorationBudgetExceeded,
     explore,
     explore_factory,
-    explore_verified,
 )
 from repro.sim.faults import (
     CrashEvent,
@@ -64,6 +63,5 @@ __all__ = [
     "estimate_size",
     "explore",
     "explore_factory",
-    "explore_verified",
     "run_chaos",
 ]

@@ -154,51 +154,6 @@ def explore(
     yield from dfs([])
 
 
-def explore_verified(
-    cluster_factory: "Callable[..., Cluster]",
-    workloads: "Workloads",
-    *,
-    condition: Optional[str] = None,
-    method: str = "auto",
-    limit: int = 20_000,
-    cluster_kwargs: Optional[dict] = None,
-) -> "Iterator[Tuple[RunResult, object]]":
-    """:func:`explore`, with every interleaving checked on the spot.
-
-    Yields ``(result, verdict)`` pairs where the verdict comes from
-    the shared checking pipeline
-    (:func:`repro.core.consistency.check_condition`) with the run's
-    recorded ``~ww`` delivery order as ``extra_pairs`` — the same call
-    the demo and chaos paths make, so exhaustive interleaving coverage
-    and single-run verification cannot drift apart.
-
-    ``condition`` defaults to the registry's declared condition when
-    ``cluster_factory`` is a protocol name, else ``"m-sc"``.
-    """
-    from repro.core.consistency import check_condition
-
-    if condition is None:
-        condition = "m-sc"
-        if isinstance(cluster_factory, str):
-            from repro.runtime.registry import get_protocol
-
-            condition = get_protocol(cluster_factory).condition or "m-sc"
-
-    for result in explore(
-        cluster_factory,
-        workloads,
-        limit=limit,
-        cluster_kwargs=cluster_kwargs,
-    ):
-        verdict = check_condition(
-            result.history,
-            condition,
-            method=method,
-            extra_pairs=result.ww_pairs(),
-        )
-        yield result, verdict
-
-
 def explore_factory(
     factory: "Callable[..., Cluster]",
     n: int,

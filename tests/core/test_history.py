@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.core import INIT_UID, History, make_mop, write
-from repro.errors import MalformedHistoryError, ReadsFromError
+from repro.core import INIT_UID, History, MOperation, make_mop, write
+from repro.errors import (
+    MalformedHistoryError,
+    MalformedOperationError,
+    ReadsFromError,
+)
 from tests.conftest import simple_history
 
 
@@ -130,6 +134,74 @@ class TestWellFormedness:
     def test_is_timed(self):
         assert simple_history([(1, 0, "w x 1", 0.0, 1.0)]).is_timed
         assert not simple_history([(1, 0, "w x 1")]).is_timed
+
+
+class TestConstructionCost:
+    """The uncached ``external_reads`` / ``external_writes`` views are
+    taken once per m-operation, whatever the reads-from map's size."""
+
+    def test_views_are_computed_once_per_mop(self, monkeypatch):
+        walks = {"external_reads": [], "external_writes": []}
+        for name, seen in walks.items():
+            real = getattr(MOperation, name).fget
+
+            def counted(mop, real=real, seen=seen):
+                seen.append(mop.uid)
+                return real(mop)
+
+            monkeypatch.setattr(MOperation, name, property(counted))
+        specs = [
+            (1, 0, "w x 1, w y 1"),
+            (2, 1, "r x 1, r y 1, w z 2"),
+            (3, 2, "r x 1, r y 1, r z 2"),
+        ]
+        explicit = {
+            (2, "x"): 1, (2, "y"): 1, (3, "x"): 1, (3, "y"): 1, (3, "z"): 2,
+        }
+        for reads_from in (None, explicit, {(3, "z"): 2}):
+            for seen in walks.values():
+                seen.clear()
+            h = simple_history(specs, reads_from=reads_from)
+            assert h.reads_from_map == explicit
+            assert h.objects == {"x", "y", "z"}
+            assert sorted(walks["external_reads"]) == [1, 2, 3]
+            assert sorted(walks["external_writes"]) == [INIT_UID, 1, 2, 3]
+
+
+class TestRaiseOrder:
+    """Which error wins when several apply is part of the contract
+    (differentially pinned against the pre-refactor constructor)."""
+
+    def test_earlier_mops_missing_writer_beats_later_mops_bad_reads(self):
+        with pytest.raises(ReadsFromError, match="m1 reads 'x'=7 but no"):
+            simple_history([(1, 0, "r x 7"), (2, 1, "r y 1, r y 2")])
+        with pytest.raises(MalformedOperationError, match="disagree"):
+            simple_history([(1, 0, "r y 1, r y 2"), (2, 1, "r x 7")])
+
+    def test_completion_errors_beat_duplicate_uids(self):
+        with pytest.raises(ReadsFromError, match="no m-operation writes"):
+            simple_history([(1, 0, "w x 1"), (1, 1, "r x 7")])
+
+    def test_duplicate_uids_beat_reads_from_validation(self):
+        with pytest.raises(MalformedHistoryError, match="duplicate"):
+            simple_history(
+                [(1, 0, "w x 1"), (1, 1, "w x 2")], reads_from={(9, "x"): 1}
+            )
+
+    def test_ambiguity_remedy_names_the_map_that_was_passed(self):
+        specs = [(1, 0, "w x 5"), (2, 1, "w x 5"), (3, 2, "r x 5, r y 0")]
+        with pytest.raises(ReadsFromError, match="pass an explicit"):
+            simple_history(specs)
+        with pytest.raises(ReadsFromError, match="supply a complete"):
+            simple_history(specs, reads_from={(3, "y"): 0})
+
+    def test_value_mismatch_message(self):
+        specs = [(1, 0, "w x 5"), (2, 1, "w x 6"), (3, 2, "r x 5")]
+        with pytest.raises(
+            MalformedHistoryError,
+            match="m3 reads 'x'=5 but its reads-from writer m2 wrote 6",
+        ):
+            simple_history(specs, reads_from={(3, "x"): 2})
 
 
 class TestEquivalence:

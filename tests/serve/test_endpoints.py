@@ -7,6 +7,7 @@ client.
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
 import time
@@ -14,7 +15,8 @@ import urllib.request
 
 import pytest
 
-from repro.runtime import RunSpec
+from repro.core.serialize import canonical_json
+from repro.runtime import RunSpec, execute
 from repro.serve import ServeClientError
 
 SPEC = RunSpec(protocol="mlin", ops=4, seed=3)
@@ -43,6 +45,25 @@ def test_submit_poll_artifact_roundtrip(client):
     # The artifact is retrievable content-addressed by history hash.
     stored = client.artifact(artifact["history_hash"])
     assert stored == artifact
+
+
+def test_stored_files_are_the_artifact_bytes(client, daemon):
+    """Store and cache write ``RunArtifact.to_json()`` as is, and the
+    history a client fetches by hash hashes to that hash."""
+    run = client.submit_and_wait(SPEC)
+    assert run["status"] == "done"
+    text = execute(SPEC).to_json()  # deterministic: the same run
+    digest = run["artifact"]["history_hash"]
+    plane = daemon.plane
+    stored = (plane.store.root / f"{digest}.json").read_bytes()
+    cached = (plane.cache.root / f"{SPEC.spec_hash()}.json").read_bytes()
+    assert stored == cached == text.encode("utf-8")
+    assert plane.store.stats()["bytes"] == len(stored)
+
+    fetched = client.artifact(digest)
+    assert fetched == json.loads(text)
+    payload = canonical_json(fetched["history"]).encode("utf-8")
+    assert hashlib.sha256(payload).hexdigest() == digest
 
 
 def test_cached_resubmission_short_circuits(client):

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.core.serialize import canonical_json
 from repro.runtime import RunSpec
 from repro.serve import (
     ArtifactStore,
@@ -27,11 +28,15 @@ def _artifact(tag: str) -> dict:
     return {"history_hash": tag, "payload": "x" * 64}
 
 
+def _text(tag: str) -> str:
+    return canonical_json(_artifact(tag))
+
+
 class TestArtifactStore:
     def test_put_get_roundtrip(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = "ab" * 32
-        store.put(key, _artifact(key))
+        store.put(key, _text(key))
         assert store.get(key) == _artifact(key)
         assert key in store
         assert store.get("cd" * 32) is None
@@ -41,11 +46,11 @@ class TestArtifactStore:
             tmp_path, RetentionPolicy(max_entries=2, max_bytes=None)
         )
         keys = ["aa" * 32, "bb" * 32, "cc" * 32]
-        store.put(keys[0], _artifact(keys[0]))
-        store.put(keys[1], _artifact(keys[1]))
+        store.put(keys[0], _text(keys[0]))
+        store.put(keys[1], _text(keys[1]))
         # Touch the oldest so the *middle* entry becomes the victim.
         store.get(keys[0])
-        store.put(keys[2], _artifact(keys[2]))
+        store.put(keys[2], _text(keys[2]))
         assert store.get(keys[1]) is None
         assert store.get(keys[0]) is not None
         assert store.get(keys[2]) is not None
@@ -60,7 +65,7 @@ class TestArtifactStore:
         )
         keys = ["aa" * 32, "bb" * 32, "cc" * 32]
         for key in keys:
-            store.put(key, _artifact(key))
+            store.put(key, _text(key))
         assert store.stats()["bytes"] <= 300
         assert store.get(keys[0]) is None, "oldest must be evicted"
         assert store.get(keys[2]) is not None
@@ -68,7 +73,7 @@ class TestArtifactStore:
     def test_reindex_on_restart(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = "ab" * 32
-        store.put(key, _artifact(key))
+        store.put(key, _text(key))
         reopened = ArtifactStore(tmp_path)
         assert reopened.get(key) == _artifact(key)
         assert len(reopened) == 1
@@ -77,14 +82,15 @@ class TestArtifactStore:
         store = ArtifactStore(tmp_path)
         for bad in ("../escape", "UPPER", "", "zz"):
             with pytest.raises(StoreError):
-                store.put(bad, {})
+                store.put(bad, "{}")
 
 
 class TestVerdictCache:
     def test_memory_lru_falls_back_to_disk(self, tmp_path):
         cache = VerdictCache(tmp_path, memory_entries=1)
-        cache.put("a" * 64, {"verdict": 1})
-        cache.put("b" * 64, {"verdict": 2})  # evicts 'a' from memory
+        cache.put("a" * 64, {"verdict": 1}, '{"verdict":1}')
+        # evicts 'a' from memory
+        cache.put("b" * 64, {"verdict": 2}, '{"verdict":2}')
         assert len(cache) == 1
         # 'a' is served from the disk tier and repopulates memory.
         assert cache.get("a" * 64) == {"verdict": 1}
@@ -95,7 +101,9 @@ class TestVerdictCache:
         assert 0 < stats["hit_rate"] < 1
 
     def test_warm_start_from_disk(self, tmp_path):
-        VerdictCache(tmp_path).put("a" * 64, {"verdict": 7})
+        VerdictCache(tmp_path).put(
+            "a" * 64, {"verdict": 7}, '{"verdict":7}'
+        )
         reopened = VerdictCache(tmp_path)
         assert reopened.get("a" * 64) == {"verdict": 7}
 
