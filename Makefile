@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test paper lint analyze analyze-sarif chaos chaos-smoke report \
 	bench-json bench-gate run-smoke serve-smoke serve-gate \
-	bench-sim sim-gate e2e-smoke
+	bench-sim sim-gate e2e-smoke e2e-pairs
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -95,3 +95,13 @@ sim-gate:
 e2e-smoke:
 	$(PYTHON) -m benchmarks.e2e --smoke
 	$(PYTHON) -m pytest benchmarks/e2e -q
+
+## Perf-claim measurement: PAIRS alternated runs of one e2e workload on
+## PARENT (a git revision, exported beside this tree) and on this tree,
+## both compileall-ed; prints every run, medians, quartiles and wins
+## per end-to-end metric.  Calls benchmarks/e2e/run.py unmodified.
+PAIRS ?= 10
+SEED ?= 1
+e2e-pairs:
+	$(PYTHON) tools/e2e_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--seed $(SEED) --pairs $(PAIRS)

@@ -13,7 +13,8 @@ classic ones:
   same relative order.
 
 This module defines the implementation-independent interface; the
-concrete algorithms live in :mod:`repro.abcast.sequencer` and
+concrete algorithms live in :mod:`repro.abcast.sequencer` (with its
+fault-tolerance layer, :mod:`repro.abcast.failover`) and
 :mod:`repro.abcast.lamport` and are validated against these properties
 by their test suites.
 """
@@ -40,8 +41,14 @@ class AtomicBroadcast:
     every participant, in one global order.
     """
 
+    #: Wire kinds the implementation owns; claimed on the network at
+    #: construction, so its frames reach :meth:`handle` directly.
+    KINDS: Tuple[str, ...] = ()
+
     def __init__(self, network: Network) -> None:
         self.network = network
+        for kind in self.KINDS:
+            network.bind(kind, self.handle)
         self._deliver: Dict[int, DeliverFn] = {}
         #: per-pid delivery logs (sender, payload), kept for property
         #: checking in tests; cheap relative to simulation cost.
@@ -69,9 +76,9 @@ class AtomicBroadcast:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Crash/recovery hooks (optional; the fault-tolerant sequencer
-    # implements them, other implementations inherit the base
-    # behaviour: forget the crashed participant's deliveries)
+    # Crash/recovery hooks (optional; ``FailoverSequencer`` implements
+    # them, other implementations inherit the base behaviour: forget
+    # the crashed participant's deliveries)
     # ------------------------------------------------------------------
 
     def on_crash(self, pid: int) -> None:
@@ -90,10 +97,6 @@ class AtomicBroadcast:
         raise NotImplementedError(
             f"{type(self).__name__} does not support crash recovery"
         )
-
-    def handles(self, kind: str) -> bool:
-        """True iff this layer owns network messages of this kind."""
-        raise NotImplementedError
 
     def handle(self, pid: int, src: int, message: Any) -> None:
         """Process a layer-owned message arriving at endpoint ``pid``."""

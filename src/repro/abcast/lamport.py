@@ -43,10 +43,10 @@ Key = Tuple[int, int, int]
 class LamportAbcast(AtomicBroadcast):
     """Decentralised total-order broadcast (no sequencer).
 
-    All ``network.n`` endpoints participate.  The owning process must
-    route messages whose kind starts with ``"abl-"`` into
-    :meth:`handle`.
+    All ``network.n`` endpoints participate.
     """
+
+    KINDS = (BCAST, ACK)
 
     def __init__(self, network: Network) -> None:
         super().__init__(network)
@@ -87,10 +87,6 @@ class LamportAbcast(AtomicBroadcast):
     # ------------------------------------------------------------------
     # Wire protocol
     # ------------------------------------------------------------------
-
-    def handles(self, kind: str) -> bool:
-        """True iff this layer owns messages of the given kind."""
-        return kind in (BCAST, ACK)
 
     def handle(self, pid: int, src: int, message: Message) -> None:
         """FIFO-reassemble, then process, a protocol message."""

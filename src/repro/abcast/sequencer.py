@@ -1,4 +1,4 @@
-"""Fixed-sequencer atomic broadcast, with optional failover.
+"""Fixed-sequencer atomic broadcast: the ordering core.
 
 The simplest total-order broadcast over reliable channels: a designated
 *sequencer* process assigns consecutive sequence numbers.
@@ -7,127 +7,40 @@ The simplest total-order broadcast over reliable channels: a designated
 * The sequencer stamps the payload with the next sequence number and
   sends ``abc-seq`` to every participant (including the sender and
   itself).
-* Each participant buffers out-of-order arrivals (the network is
-  non-FIFO) and delivers in sequence-number order.
+* Each participant delivers in sequence-number order: a relay that
+  arrives in order is delivered at once, one that arrives early (the
+  network is non-FIFO) waits in a buffer for the gap to fill.
 
 Message cost per broadcast: ``1 + n`` point-to-point messages and two
 message delays on the critical path (request to sequencer + relay),
 or one delay when the sender *is* the sequencer.
 
-Fault tolerance (``fault_tolerant=True``)
------------------------------------------
-
-The robustness subsystem (see ``docs/fault_model.md``) relaxes the
-paper's crash-free assumption; this layer then provides:
-
-* **Duplicate suppression** — requests are deduplicated by message id
-  at the sequencer and relays by sequence number at each participant,
-  so duplicated or retransmitted frames never double-deliver.
-* **Sequencer failover** — when the sequencer crashes, a deterministic
-  successor (the next live pid in ring order) is elected after a
-  detection delay.  The new sequencer rebuilds the sequencing state
-  from the live participants' retained logs: delivered entries keep
-  their numbers (no live process can have delivered past a gap),
-  buffered-but-undelivered entries are *renumbered* contiguously, and
-  everything is restamped with a new epoch and rebroadcast.
-  Participants drop stale-epoch relays, and on learning of the new
-  epoch re-send their still-unsequenced requests — the in-flight-
-  request retry path.  Requests are idempotent by message id, so the
-  retry can never double-sequence.
-* **Crash recovery** — a restarted participant fetches the sequenced
-  log from the current sequencer (``abc-fetch``/``abc-log``) and
-  re-delivers from its cursor (0 after a full wipe, or a snapshot
-  cursor installed by the protocol layer).
-
-Partition tolerance (``bind_detector``)
----------------------------------------
-
-All sequencing state is held **per participant**: each pid has its
-own view of who the sequencer is (``_psequencer``) and its own epoch
-(``_pepoch``), and a pid holds sequencing state only while its own
-view names itself.  Nothing global leaks across a link cut, so a
-partition is modeled honestly — a stale minority sequencer really can
-keep stamping old-epoch entries, and the negative controls prove the
-checkers catch the resulting split-brain.
-
-Binding a :class:`~repro.sim.detector.HeartbeatDetector` arms the
-quorum-aware degraded mode (unless ``quorum_aware=False``, the
-negative control):
-
-* **Quorum-gated delivery** — participants acknowledge every accepted
-  relay (``abc-ack``); the sequencer advances a contiguous *stable*
-  watermark once a majority acked and announces it (``abc-stable``,
-  also piggybacked on relays).  Participants deliver only below the
-  watermark, so nothing a minority delivered can ever be missing from
-  a majority's election state: a stable entry was acked by a quorum,
-  every majority intersects that quorum, and the election renumbering
-  preserves the stable prefix position-for-position.
-* **Degraded minority** — a sequencer that (by its own detector view)
-  cannot reach a quorum stops sequencing: requests are *deferred*
-  (``degraded="defer"``, replayed when quorum returns) and, in
-  ``degraded="refuse"`` mode, ``broadcast()`` on a minority process
-  raises :class:`~repro.errors.PartitionedError` instead of queueing.
-  Local stale reads on the minority side are the protocol layer's
-  decision (m-SC explicitly allows them; see ``docs/fault_model.md``).
-* **Partition failover** — when an observer's detector suspects the
-  observer's *own* sequencer, an election is scheduled; it aborts
-  unless the mutually-reachable view is a majority, so only the
-  majority side elects.  Epoch fencing extends to partition-induced
-  loss: the ``abc-new-seq`` announcement is sent to *every* up pid —
-  the reliable shim carries it across the cut at heal time — which
-  fences the minority's ex-sequencer (its state and deferred queue
-  are dropped), redirects the minority to the new sequencer, and
-  triggers the unsequenced-request retry.  That retry is the
-  post-heal reconciliation: every operation queued on the minority
-  side is replayed through the new sequencer's atomic broadcast.
-
-The election gathers the live participants' state in one atomic step
-(standing in for a synchronous state-collection round) but performs
-all repair — new-epoch announcement, rebroadcast, request retry,
-log fetch — through real (lossy, reordering, partitionable) network
-messages.  The handoff is safe under the single-failure-at-a-time
-schedules the chaos harness generates; overlapping crashes of the
-sequencer and the only participant that delivered a suffix can lose
-that suffix, as in any 1-resilient primary-backup scheme without
-stable storage.
+Its invariant: **every participant's delivery log is a gap-free prefix
+``0..k`` of the one sequence the sequencer stamped**.  Duplicated
+frames are harmless (requests are deduplicated by message id, relays
+by sequence number) and no delivered entry is retained.  The core
+knows no epochs, elections or quorums — the paper assumes reliable
+channels and crash-free processes (Section 5): with the sequencer down
+:meth:`SequencerAbcast.broadcast` raises
+:class:`~repro.errors.SequencerUnavailable`, as does a request to
+recover.  Runs with a fault plan use
+:class:`repro.abcast.failover.FailoverSequencer`, same wire format
+(the ``"epoch": 0`` on every relay is the one field it ever moves).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Set
 
 from repro.abcast.interface import AtomicBroadcast
-from repro.errors import PartitionedError, ProtocolError, SequencerUnavailable
+from repro.errors import ProtocolError, SequencerUnavailable
 from repro.obs import get_tracer
 from repro.sim.network import Message, Network
 
 #: Message kinds used on the wire.
 REQ = "abc-req"
 SEQ = "abc-seq"
-NEWSEQ = "abc-new-seq"
-FETCH = "abc-fetch"
-LOG = "abc-log"
-ACK = "abc-ack"
-STABLE = "abc-stable"
-
-KINDS = (REQ, SEQ, NEWSEQ, FETCH, LOG, ACK, STABLE)
-
-
-@dataclass
-class _SeqState:
-    """One pid's sequencer-side state (exists only while it leads)."""
-
-    next_seq: int = 0
-    ids: Set[int] = field(default_factory=set)
-    log: Dict[int, Dict[str, Any]] = field(default_factory=dict)
-    #: seq -> pids that acknowledged the relay (quorum-gated mode).
-    acks: Dict[int, Set[int]] = field(default_factory=dict)
-    #: Contiguous stable watermark: every seq below it is quorum-acked.
-    stable: int = 0
-    #: Requests parked while the sequencer lacks a quorum.
-    deferred: Dict[int, Dict[str, Any]] = field(default_factory=dict)
 
 
 class SequencerAbcast(AtomicBroadcast):
@@ -136,239 +49,112 @@ class SequencerAbcast(AtomicBroadcast):
     Args:
         network: the simulated network; all ``network.n`` endpoints
             participate.
-        sequencer: pid of the (initial) sequencing process (default 0).
-        fault_tolerant: enable duplicate suppression of relays,
-            sequencer failover and participant recovery.  Off by
-            default: the paper's experiments assume reliable channels
-            and crash-free processes, and the non-fault-tolerant mode
-            preserves their exact message costs.
-        failover_delay: virtual time between a sequencer crash (or a
-            partition suspicion) and the successor election completing
-            (models failure-detection confirmation).
-
-    The implementation piggybacks on the endpoints' handlers: it wires
-    itself into the network via :meth:`handle`, which the owning
-    process must call for messages whose kind starts with ``"abc-"``.
+        sequencer: pid of the sequencing process (default 0).
     """
 
-    def __init__(
-        self,
-        network: Network,
-        *,
-        sequencer: int = 0,
-        fault_tolerant: bool = False,
-        failover_delay: float = 5.0,
-    ) -> None:
+    KINDS = (REQ, SEQ)
+
+    #: The epoch stamped on every relay; only a failover ever moves it
+    #: (an election's ``self.epoch += 1`` starts from this 0).
+    epoch = 0
+
+    def __init__(self, network: Network, *, sequencer: int = 0) -> None:
         super().__init__(network)
         if not 0 <= sequencer < network.n:
             raise ProtocolError(f"sequencer pid {sequencer} out of range")
-        #: The *latest-epoch* sequencer (what a fresh observer with a
-        #: global view would name); individual participants may lag —
-        #: see ``_psequencer``.
         self.sequencer = sequencer
-        self.fault_tolerant = fault_tolerant
-        self.failover_delay = failover_delay
-        self.epoch = 0
-        #: Completed failovers: (time, old sequencer, new sequencer).
-        self.failovers: List[tuple] = []
-        #: Degraded-mode incidents: (time, pid, reason, msg id|None).
-        self.degraded: List[tuple] = []
         self._next_msg_id = itertools.count()
-        # --- quorum awareness (armed by bind_detector) ---
-        self.detector = None
-        self.degraded_mode = "defer"
-        self._quorum_aware = True
-        self._quorum: Optional[int] = None
-        #: Quorum machinery active (detector bound with safeguards on).
-        #: A plain attribute, not a property — it is read on every
-        #: accepted delivery and the method-call cost showed up in
-        #: profiles of the 1000-process workload.
-        self._gated = False
-        # --- sequencer-side state, per pid *currently holding the
-        # role in its own view* (volatile: dies with a crash, dropped
-        # when an epoch fence demotes the holder) ---
-        self._seq_state: Dict[int, _SeqState] = {sequencer: _SeqState()}
+        # --- sequencer-side state ---
+        self._next_seq = 0
+        #: Ids of the requests already stamped (a duplicated request
+        #: frame must not be ordered twice).
+        self._ids: Set[int] = set()
         # --- per-participant state ---
-        #: Each participant's view of who the sequencer is.  Diverges
-        #: across a partition (that is the point); reconciled by the
-        #: NEWSEQ announcement.
-        self._psequencer: Dict[int, int] = {
-            pid: sequencer for pid in range(network.n)
-        }
+        #: Delivery cursor: the next sequence number to deliver.
         self._expected: Dict[int, int] = {pid: 0 for pid in range(network.n)}
+        #: Relays that arrived ahead of the cursor, by sequence number.
         self._buffer: Dict[int, Dict[int, Dict[str, Any]]] = {
             pid: {} for pid in range(network.n)
         }
-        #: Delivered entries retained per participant; feeds elections
-        #: and peer snapshots.
-        self._plog: Dict[int, Dict[int, Dict[str, Any]]] = {
-            pid: {} for pid in range(network.n)
-        }
-        #: Participant's current epoch (stale-epoch relays dropped).
-        self._pepoch: Dict[int, int] = {pid: 0 for pid in range(network.n)}
-        #: Participant's known stable watermarks, **per announcing
-        #: epoch** (quorum-gated mode).  A watermark from epoch ``e``
-        #: vouches only for entries of epoch >= ``e``: an election
-        #: preserves the stable prefix position-for-position going
-        #: *forward*, so a newer epoch's watermark says nothing about
-        #: a stale buffered entry from an older epoch still awaiting
-        #: its fence (the split-brain heal race).
-        self._pstable: Dict[int, Dict[int, int]] = {
-            pid: {} for pid in range(network.n)
-        }
-        #: Participants whose delivery is gated (snapshot install).
-        self._suspended: Set[int] = set()
-        #: Sender pid -> msg id -> request body, for requests not yet
-        #: seen in the delivered order (durable client intent; resent
-        #: on failover and recovery).
-        self._unsequenced: Dict[int, Dict[int, Dict[str, Any]]] = {
-            pid: {} for pid in range(network.n)
-        }
-        #: Recovery-completion callbacks: pid -> thunk fired once the
-        #: replayed delivery reaches the LOG reply's ``upto`` target.
-        self._on_caught_up: Dict[int, Any] = {}
-        #: Open tracing span covering sequencer crash -> election done.
-        self._failover_span: Optional[Any] = None
-
-    # ------------------------------------------------------------------
-    # Quorum awareness
-    # ------------------------------------------------------------------
-
-    def bind_detector(
-        self,
-        detector,
-        *,
-        quorum: Optional[int] = None,
-        quorum_aware: bool = True,
-        degraded: str = "defer",
-    ) -> None:
-        """Arm partition handling with a heartbeat failure detector.
-
-        With ``quorum_aware=True`` (default) this enables quorum-gated
-        delivery, minority degradation and majority-side partition
-        failover.  ``quorum_aware=False`` keeps the detector driving
-        elections but strips every quorum safeguard — the split-brain
-        negative control.
-        """
-        if degraded not in ("defer", "refuse"):
-            raise ProtocolError(
-                f"unknown degraded mode {degraded!r}; expected 'defer' "
-                "or 'refuse'"
-            )
-        self.detector = detector
-        self._quorum_aware = quorum_aware
-        self._quorum = quorum
-        self.degraded_mode = degraded
-        self._gated = quorum_aware
-        detector.on_change = self.on_detector_event
-
-    def quorum_size(self) -> int:
-        """The majority threshold used for stability and elections."""
-        return (
-            self._quorum
-            if self._quorum is not None
-            else self.network.n // 2 + 1
-        )
-
-    def _quorate(self, pid: int) -> bool:
-        """Does ``pid``'s own detector view still see a majority?"""
-        if self.detector is None:
-            return True
-        alive = self.network.n - len(self.detector.suspects(pid))
-        return alive >= self.quorum_size()
-
-    def _is_sequencer(self, pid: int) -> bool:
-        """True iff ``pid``'s own view names itself sequencer."""
-        return self._psequencer[pid] == pid
-
-    def _state(self, pid: int) -> _SeqState:
-        state = self._seq_state.get(pid)
-        if state is None:
-            state = self._seq_state[pid] = _SeqState()
-        return state
 
     # ------------------------------------------------------------------
     # AtomicBroadcast API
     # ------------------------------------------------------------------
 
     def broadcast(self, sender: int, payload: Any) -> None:
-        """Send the payload to the sequencer (in the sender's view)."""
-        if not self.fault_tolerant and self.network.is_down(self.sequencer):
+        """Send the payload to the sequencer."""
+        if self.network.is_down(self.sequencer):
             raise SequencerUnavailable(
-                f"sequencer {self.sequencer} is down and failover is "
-                "disabled"
+                f"sequencer {self.sequencer} is down and this sequencer "
+                "has no failover"
             )
-        if (
-            self._gated
-            and self.degraded_mode == "refuse"
-            and not self._quorate(sender)
-        ):
-            self.degraded.append(
-                (self.network.sim.now, sender, "refused", None)
-            )
-            raise PartitionedError(
-                f"P{sender} is on the minority side of a partition "
-                "(degraded mode 'refuse'): broadcast rejected"
-            )
-        msg_id = next(self._next_msg_id)
-        body = {"sender": sender, "payload": payload, "id": msg_id}
-        if self.fault_tolerant:
-            self._unsequenced[sender][msg_id] = body
-        self.network.send(
-            sender, self._psequencer[sender], Message(REQ, body)
-        )
-
-    # ------------------------------------------------------------------
-    # Wire protocol
-    # ------------------------------------------------------------------
-
-    def handles(self, kind: str) -> bool:
-        """True iff this layer owns messages of the given kind."""
-        return kind in KINDS
+        body = {
+            "sender": sender,
+            "payload": payload,
+            "id": next(self._next_msg_id),
+        }
+        self.network.send(sender, self.sequencer, Message(REQ, body))
 
     def handle(self, pid: int, src: int, message: Message) -> None:
         """Process an ``abc-*`` message arriving at endpoint ``pid``."""
-        if message.kind == REQ:
-            if not self._is_sequencer(pid):
-                if self.fault_tolerant:
-                    # Stale address (pre-failover sender, or a frame
-                    # retried into a fenced ex-sequencer): forward to
-                    # the sequencer in *this* pid's view.
-                    self.network.send(
-                        pid, self._psequencer[pid], message
-                    )
-                    return
+        entry = message.payload
+        if message.kind == SEQ:
+            seq = entry["seq"]
+            expected = self._expected[pid]
+            if seq > expected:
+                # Early; a duplicated early frame keeps the first copy.
+                self._buffer[pid].setdefault(seq, entry)
+                return
+            if seq < expected:
+                return  # duplicate of an already-delivered relay
+            deliver = self._deliver.get(pid)
+            if deliver is None:
+                raise ProtocolError(
+                    f"delivery at unattached participant {pid}"
+                )
+            log = self.delivery_log[pid]
+            buffer = self._buffer[pid]
+            while entry is not None:
+                expected += 1
+                self._expected[pid] = expected
+                log.append((entry["sender"], entry["id"]))
+                deliver(entry["sender"], entry["payload"])
+                entry = buffer.pop(expected, None)
+        elif message.kind == REQ:
+            if pid != self.sequencer:
                 raise ProtocolError(
                     f"abc-req arrived at non-sequencer {pid}"
                 )
-            self._sequence(pid, message.payload)
-        elif message.kind == SEQ:
-            entry = message.payload
-            if self._gated and "stable" in entry:
-                self._learn_stable(pid, entry["stable"], entry["epoch"])
-            if self._accept(pid, entry) and self._gated:
-                self._send_ack(pid, src, entry)
-            self._drain(pid)
-        elif message.kind == NEWSEQ:
-            self._on_new_sequencer(pid, message.payload)
-        elif message.kind == FETCH:
-            if not self._is_sequencer(pid):
-                self.network.send(pid, self._psequencer[pid], message)
-                return
-            self._serve_fetch(pid, message.payload)
-        elif message.kind == LOG:
-            self._on_log(pid, src, message.payload)
-        elif message.kind == ACK:
-            self._on_ack(pid, message.payload)
-        elif message.kind == STABLE:
-            body = message.payload
-            self._learn_stable(pid, body["stable"], body["epoch"])
-            self._drain(pid)
+            if entry["id"] in self._ids:
+                return  # duplicated request frame: already ordered
+            self._ids.add(entry["id"])
+            stamped = self._stamp(self._next_seq, self.epoch, entry)
+            self._next_seq += 1
+            self.network.send_to_all(pid, Message(SEQ, stamped))
         else:  # pragma: no cover - defensive
             raise ProtocolError(f"unexpected message kind {message.kind!r}")
 
+    @staticmethod
+    def _stamp(seq: int, epoch: int, request: Dict[str, Any]) -> Dict[str, Any]:
+        """The relay body that puts ``request`` at position ``seq``."""
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.event(
+                "abcast.sequence",
+                seq=seq,
+                epoch=epoch,
+                sender=request["sender"],
+            )
+        return {
+            "seq": seq,
+            "epoch": epoch,
+            "sender": request["sender"],
+            "payload": request["payload"],
+            "id": request["id"],
+        }
+
     # ------------------------------------------------------------------
-    # Crash / recovery hooks (driven by the cluster / fault injector)
+    # Crash hooks (driven by the cluster / fault injector)
     # ------------------------------------------------------------------
 
     def on_crash(self, pid: int) -> None:
@@ -376,590 +162,17 @@ class SequencerAbcast(AtomicBroadcast):
         super().on_crash(pid)
         self._expected[pid] = 0
         self._buffer[pid].clear()
-        self._plog[pid].clear()
-        self._pstable[pid] = {}
-        self._suspended.discard(pid)
-        self._on_caught_up.pop(pid, None)
-        # Sequencing state (if this pid led in its own view) was in
-        # the crashed process's memory.
-        self._seq_state.pop(pid, None)
-        if pid == self.sequencer and self.fault_tolerant:
-            failed_epoch = self.epoch
-            tracer = get_tracer()
-            if tracer.enabled and self._failover_span is None:
-                self._failover_span = tracer.begin(
-                    "abcast.failover", failed=pid, epoch=failed_epoch
-                )
-            self.network.sim.schedule(
-                self.failover_delay,
-                lambda: self._elect(pid, failed_epoch),
-            )
 
-    def recover(
-        self, pid: int, *, cursor: int = 0, on_caught_up=None
-    ) -> None:
-        """Participant ``pid`` restarted; catch up from ``cursor``.
-
-        ``cursor=0`` replays the whole totally-ordered log (the
-        process starts from a fresh store); a positive cursor resumes
-        after a peer snapshot covering deliveries ``0..cursor-1``.
-        Also re-sends the participant's still-unsequenced requests —
-        their original frames may have died with the old sequencer.
-
-        ``on_caught_up`` fires once the replay has re-delivered every
-        entry the sequencer's log held when it served the fetch.  The
-        cluster gates the restarted *client* on it: answering a local
-        query from the half-replayed store would read values older
-        than ones this process's earlier responses already exposed.
-        """
-        if not self.fault_tolerant:
-            raise SequencerUnavailable(
-                "recovery requires a fault-tolerant sequencer"
-            )
-        # A restarted process rejoins with the cluster's current view
-        # of the sequencer (it re-learns everything else from the LOG
-        # reply anyway).
-        self._psequencer[pid] = self.sequencer
-        # Stay gated until the LOG reply arrives: it carries the
-        # current epoch, which is what lets _drain tell a live relay
-        # from a stale pre-crash frame still floating in the network.
-        self._suspended.add(pid)
-        self._expected[pid] = cursor
-        self.delivery_offset[pid] = cursor
-        self._buffer[pid] = {
-            seq: entry
-            for seq, entry in self._buffer[pid].items()
-            if seq >= cursor
-        }
-        if on_caught_up is not None:
-            self._on_caught_up[pid] = on_caught_up
-        self.network.send(
-            pid, self.sequencer, Message(FETCH, {"pid": pid, "from": cursor})
+    def recover(self, pid: int, **_recovery: Any) -> None:
+        """The core keeps nothing a restarted participant could catch
+        up from."""
+        raise SequencerUnavailable(
+            "crash recovery requires a FailoverSequencer"
         )
-        for body in list(self._unsequenced[pid].values()):
-            self.network.send(pid, self.sequencer, Message(REQ, body))
-        self._drain(pid)
 
-    def suspend(self, pid: int) -> None:
-        """Gate delivery at ``pid`` (while a snapshot is in flight)."""
-        self._suspended.add(pid)
-
-    def install_snapshot(
-        self, pid: int, cursor: int, log: Dict[int, Dict[str, Any]]
-    ) -> None:
-        """Adopt a peer's retained log up to ``cursor`` (state transfer).
-
-        The retained log keeps the recovered participant eligible as
-        an election donor for entries it did not re-deliver itself.
-        """
-        self._plog[pid] = {
-            seq: entry for seq, entry in log.items() if seq < cursor
-        }
+    #: Snapshot recovery opens by gating delivery; refused the same way.
+    suspend = recover
 
     def cursor(self, pid: int) -> int:
         """``pid``'s delivery cursor (next expected sequence number)."""
         return self._expected[pid]
-
-    def retained_log(self, pid: int) -> Dict[int, Dict[str, Any]]:
-        """``pid``'s retained delivered entries (for peer snapshots)."""
-        return dict(self._plog[pid])
-
-    # ------------------------------------------------------------------
-    # Sequencer internals
-    # ------------------------------------------------------------------
-
-    def _sequence(self, pid: int, request: Dict[str, Any]) -> None:
-        state = self._state(pid)
-        if request["id"] in state.ids:
-            return  # duplicate or retried request: already ordered
-        if self._gated and not self._quorate(pid):
-            # Graceful degradation: a sequencer that cannot see a
-            # majority must not extend the order (its relays could
-            # never stabilize, and in the split-brain case they would
-            # diverge from the majority's).  Park the request; it is
-            # replayed when quorum returns, or re-driven by its
-            # sender's unsequenced retry after an epoch fence.
-            if request["id"] not in state.deferred:
-                state.deferred[request["id"]] = request
-                self.degraded.append(
-                    (
-                        self.network.sim.now,
-                        pid,
-                        "sequence-deferred",
-                        request["id"],
-                    )
-                )
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        "abcast.degraded",
-                        pid=pid,
-                        reason="sequence-deferred",
-                        id=request["id"],
-                    )
-            return
-        state.ids.add(request["id"])
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "abcast.sequence",
-                seq=state.next_seq,
-                epoch=self._pepoch[pid],
-                sender=request["sender"],
-            )
-        stamped = {
-            "seq": state.next_seq,
-            "epoch": self._pepoch[pid],
-            "sender": request["sender"],
-            "payload": request["payload"],
-            "id": request["id"],
-        }
-        if self._gated:
-            stamped["stable"] = state.stable
-        state.next_seq += 1
-        state.log[stamped["seq"]] = stamped
-        self.network.send_to_all(pid, Message(SEQ, stamped))
-
-    def _serve_fetch(self, pid: int, body: Dict[str, Any]) -> None:
-        state = self._state(pid)
-        start = body["from"]
-        entries = [
-            state.log[seq]
-            for seq in range(start, state.next_seq)
-            if seq in state.log
-        ]
-        # Catch-up target for the recovering participant's client
-        # gate.  Under quorum gating nothing past the stable watermark
-        # is deliverable by anyone, so the watermark caps the target
-        # (waiting for more would deadlock the restart).
-        upto = state.next_seq
-        if self._gated:
-            upto = min(upto, state.stable)
-        reply = {
-            "entries": entries,
-            "epoch": self._pepoch[pid],
-            "upto": max(start, upto),
-        }
-        if self._gated:
-            reply["stable"] = state.stable
-        self.network.send(pid, body["pid"], Message(LOG, reply))
-
-    def _on_ack(self, pid: int, body: Dict[str, Any]) -> None:
-        if not self._is_sequencer(pid):
-            return  # stale ack to a fenced or retired ex-sequencer
-        if body["epoch"] != self._pepoch[pid]:
-            return
-        state = self._state(pid)
-        state.acks.setdefault(body["seq"], set()).add(body["from"])
-        quorum = self.quorum_size()
-        advanced = False
-        while len(state.acks.get(state.stable, ())) >= quorum:
-            state.stable += 1
-            advanced = True
-        if advanced:
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.event(
-                    "abcast.stable", pid=pid, stable=state.stable
-                )
-            self.network.send_to_all(
-                pid,
-                Message(
-                    STABLE,
-                    {"stable": state.stable, "epoch": self._pepoch[pid]},
-                ),
-            )
-
-    def _send_ack(self, pid: int, relayer: int, entry: Dict[str, Any]) -> None:
-        self.network.send(
-            pid,
-            relayer,
-            Message(
-                ACK,
-                {"seq": entry["seq"], "epoch": entry["epoch"], "from": pid},
-            ),
-        )
-
-    def _learn_stable(self, pid: int, stable: int, epoch: int) -> None:
-        known = self._pstable[pid]
-        if stable > known.get(epoch, 0):
-            known[epoch] = stable
-
-    def _stable_for(self, pid: int, entry_epoch: int) -> int:
-        """Delivery bound for an entry of the given epoch.
-
-        Only watermarks announced in epoch <= the entry's count: a
-        stable position in epoch ``e`` names epoch-``e``'s entry at
-        that position, which later epochs are guaranteed (by the
-        election's renumbering) to keep — but an *older* entry at the
-        same position may be an uncommitted stale one the fence has
-        not yet swept away.
-        """
-        return max(
-            (
-                stable
-                for epoch, stable in self._pstable[pid].items()
-                if epoch <= entry_epoch
-            ),
-            default=0,
-        )
-
-    # ------------------------------------------------------------------
-    # Participant internals
-    # ------------------------------------------------------------------
-
-    def _accept(self, pid: int, entry: Dict[str, Any]) -> bool:
-        """Buffer a relay; True iff it is new (and worth acking)."""
-        if entry["epoch"] < self._pepoch[pid]:
-            return False  # renumbered away by a failover this pid saw
-        seq = entry["seq"]
-        if seq < self._expected[pid]:
-            return False  # duplicate of an already-delivered relay
-        existing = self._buffer[pid].get(seq)
-        if existing is not None and existing["epoch"] >= entry["epoch"]:
-            return False  # duplicate buffered relay
-        self._buffer[pid][seq] = entry
-        return True
-
-    def _drain(self, pid: int) -> None:
-        if pid in self._suspended:
-            return
-        # Hot loop: locals for the per-pid maps; ``expected``/``pepoch``
-        # are re-read after each delivery callback, which may advance
-        # them through events it triggers.
-        buffer = self._buffer[pid]
-        plog = self._plog[pid]
-        gated = self._gated
-        fault_tolerant = self.fault_tolerant
-        expected = self._expected[pid]
-        pepoch = self._pepoch[pid]
-        while expected in buffer:
-            entry = buffer[expected]
-            if gated and expected >= self._stable_for(pid, entry["epoch"]):
-                # Quorum-gated delivery: the relay is here but no
-                # watermark of its own (or an older) epoch covers it
-                # yet.  A newer epoch's watermark does not count — it
-                # vouches for the *renumbered* entry at this position,
-                # not a stale buffered one (leave that to the fence).
-                break
-            del buffer[expected]
-            if entry["epoch"] < pepoch:
-                # A stale pre-failover frame occupying a slot the
-                # election renumbered; the current sequencer will
-                # (re)relay this slot's real entry.  Do not advance.
-                break
-            plog[entry["seq"]] = entry
-            self._expected[pid] = expected + 1
-            if fault_tolerant and pid == entry["sender"]:
-                # Retire the retained request only when the *sender*
-                # delivers it.  Another participant's delivery is not
-                # enough: that participant (e.g. the sequencer, which
-                # delivers its own relays first) may crash as the only
-                # process that saw the entry, and then the sender's
-                # retained copy is what the retry path resends.
-                self._unsequenced[pid].pop(entry["id"], None)
-            self._local_deliver(
-                pid, entry["sender"], entry["payload"], entry["id"]
-            )
-            expected = self._expected[pid]
-            pepoch = self._pepoch[pid]
-
-    def _on_new_sequencer(self, pid: int, body: Dict[str, Any]) -> None:
-        # Equal epochs still proceed: the election already fenced the
-        # live participants to the new epoch, and this announcement is
-        # what triggers their in-flight-request retry.
-        if body["epoch"] < self._pepoch[pid]:
-            return
-        self._pepoch[pid] = body["epoch"]
-        new = body["sequencer"]
-        self._psequencer[pid] = new
-        if self._gated and "stable" in body:
-            self._learn_stable(pid, body["stable"], body["epoch"])
-        if new != pid and pid in self._seq_state:
-            # The epoch fence reaching a partition-healed minority
-            # ex-sequencer: its sequencing authority (and deferred
-            # queue) die here; parked requests are re-driven by their
-            # senders' unsequenced retry below.
-            del self._seq_state[pid]
-        # Buffered relays from older epochs were renumbered; drop them.
-        self._buffer[pid] = {
-            seq: entry
-            for seq, entry in self._buffer[pid].items()
-            if entry["epoch"] >= body["epoch"]
-        }
-        # In-flight-request retry: everything this participant has
-        # broadcast but not yet seen delivered may have died with the
-        # old sequencer (or sat deferred on a fenced minority one).
-        for req in list(self._unsequenced[pid].values()):
-            self.network.send(pid, new, Message(REQ, req))
-        self._drain(pid)
-
-    def _on_log(self, pid: int, src: int, body: Dict[str, Any]) -> None:
-        if body["epoch"] > self._pepoch[pid]:
-            self._pepoch[pid] = body["epoch"]
-        if self._gated and "stable" in body:
-            self._learn_stable(pid, body["stable"], body["epoch"])
-        # The LOG reply completes recovery: the participant now knows
-        # the current epoch, so delivery can resume (see recover()).
-        self._suspended.discard(pid)
-        for entry in body["entries"]:
-            if self._accept(pid, entry) and self._gated:
-                self._send_ack(pid, src, entry)
-        self._drain(pid)
-        callback = self._on_caught_up.get(pid)
-        if callback is not None and self._expected[pid] >= body.get(
-            "upto", 0
-        ):
-            del self._on_caught_up[pid]
-            callback()
-
-    # ------------------------------------------------------------------
-    # Failover
-    # ------------------------------------------------------------------
-
-    def on_detector_event(
-        self, kind: str, observer: int, target: int, now: float
-    ) -> None:
-        """Detector hook: drive partition failover and deferral replay.
-
-        Installed as the bound detector's ``on_change``.
-        """
-        if not self.fault_tolerant:
-            return
-        if kind == "trust":
-            # Quorum may be back: replay requests deferred while the
-            # observer (if it leads in its own view) was degraded.
-            if (
-                self._is_sequencer(observer)
-                and observer in self._seq_state
-                and self._quorate(observer)
-            ):
-                state = self._seq_state[observer]
-                deferred = list(state.deferred.values())
-                state.deferred.clear()
-                for request in deferred:
-                    self._sequence(observer, request)
-            return
-        if kind != "suspect":
-            return
-        leader = self._psequencer[observer]
-        if target != leader or observer == leader:
-            return
-        if self.network.is_down(observer):
-            return
-        # Confirmation delay mirrors the crash path; the epoch guard
-        # dedups the elections every majority observer schedules.
-        failed_epoch = self._pepoch[observer]
-        tracer = get_tracer()
-        if tracer.enabled and self._failover_span is None:
-            self._failover_span = tracer.begin(
-                "abcast.failover",
-                failed=target,
-                epoch=failed_epoch,
-                cause="suspicion",
-            )
-        self.network.sim.schedule(
-            self.failover_delay,
-            lambda: self._elect_partition(observer, target, failed_epoch),
-        )
-
-    def _elect_partition(
-        self, observer: int, failed: int, failed_epoch: int
-    ) -> None:
-        if self.network.is_down(observer):
-            return
-        if (
-            self._psequencer[observer] != failed
-            or self._pepoch[observer] != failed_epoch
-            or self.epoch != failed_epoch
-        ):
-            return  # superseded by a newer election or a heal
-        if self.detector is not None and not self.detector.is_suspected(
-            observer, failed
-        ):
-            return  # the suspicion did not survive the confirmation delay
-        n = self.network.n
-        view = [
-            pid
-            for pid in range(n)
-            if not self.network.is_down(pid)
-            and self.network.reachable(observer, pid)
-            and self.network.reachable(pid, observer)
-        ]
-        if self._gated and len(view) < self.quorum_size():
-            # Minority side: electing here would be the split brain
-            # the quorum rule exists to prevent.  Stay degraded.
-            self.degraded.append(
-                (self.network.sim.now, observer, "election-aborted", None)
-            )
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.event(
-                    "abcast.degraded",
-                    pid=observer,
-                    reason="election-aborted",
-                )
-            return
-        successor: Optional[int] = None
-        for step in range(1, n + 1):
-            candidate = (failed + step) % n
-            if candidate in view:
-                successor = candidate
-                break
-        if successor is None:
-            raise SequencerUnavailable(
-                "no reachable candidate to take over sequencing"
-            )
-        self._run_election(successor, view, failed)
-
-    def _elect(self, failed: int, failed_epoch: int) -> None:
-        """Crash-path election (scheduled by :meth:`on_crash`)."""
-        if self.epoch != failed_epoch or self.sequencer != failed:
-            return  # superseded by a newer election
-        if not self.network.is_down(failed):
-            # The sequencer restarted within the detection window (it
-            # recovers as a follower of itself; no handoff needed —
-            # but its sequencing state is gone, so we must still
-            # elect, possibly re-electing the same pid).
-            pass
-        n = self.network.n
-        successor: Optional[int] = None
-        for step in range(1, n + 1):
-            candidate = (failed + step) % n
-            if not self.network.is_down(candidate):
-                successor = candidate
-                break
-        if successor is None:
-            raise SequencerUnavailable(
-                "no live candidate to take over sequencing"
-            )
-        live = [
-            pid
-            for pid in range(n)
-            if not self.network.is_down(pid)
-            and self.network.reachable(successor, pid)
-            and self.network.reachable(pid, successor)
-        ]
-        if self._gated and len(live) < self.quorum_size():
-            # A crash election on a minority fragment would split the
-            # brain just like a partition election would; the majority
-            # side elects via its own suspicion of the dead sequencer.
-            self.degraded.append(
-                (self.network.sim.now, successor, "election-aborted", None)
-            )
-            return
-        self._run_election(successor, live, failed)
-
-    def _run_election(
-        self, successor: int, live: List[int], failed: int
-    ) -> None:
-        self.epoch += 1
-        old = self.sequencer
-        self.sequencer = successor
-        self.failovers.append((self.network.sim.now, old, successor))
-        if self._failover_span is not None:
-            self._failover_span.end(successor=successor, epoch=self.epoch)
-            self._failover_span = None
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "abcast.epoch",
-                epoch=self.epoch,
-                sequencer=successor,
-                failed=failed,
-            )
-
-        # --- state collection (atomic stand-in for a gather round) ---
-        # Epoch-fence the collected participants in the same atomic
-        # step: pre-crash relays still in flight must not extend any
-        # delivered prefix past the state the election just gathered
-        # (the renumbering below is computed from exactly this state).
-        # Participants *outside* the view (a partitioned minority) are
-        # deliberately not touched: the NEWSEQ announcement fences
-        # them whenever the network lets it through.
-        for pid in live:
-            self._pepoch[pid] = self.epoch
-            self._psequencer[pid] = successor
-        donor = max(live, key=lambda pid: self._expected[pid])
-        delivered_upto = self._expected[donor]
-        log: Dict[int, Dict[str, Any]] = {}
-        for pid in live:
-            for seq, entry in self._plog[pid].items():
-                if seq < delivered_upto:
-                    log.setdefault(seq, entry)
-        # Undelivered entries exist only in buffers (no live process
-        # delivered past `delivered_upto`); renumber them contiguously
-        # in old-sequence order, deduplicated by message id.  In
-        # quorum-gated mode the stable prefix is contiguous and fully
-        # present in the gathered buffers (each stable entry was acked
-        # by a quorum, which intersects this majority view), so stable
-        # entries land back on their original numbers — nothing any
-        # minority participant already delivered can move.
-        pending: Dict[int, Dict[str, Any]] = {}
-        for pid in live:
-            for entry in self._buffer[pid].values():
-                if entry["seq"] >= delivered_upto:
-                    pending.setdefault(entry["id"], entry)
-        renumbered = sorted(pending.values(), key=lambda e: e["seq"])
-
-        # --- install the rebuilt sequencer state (restamped) ---
-        state = _SeqState()
-        next_seq = 0
-        for seq in sorted(log):
-            if seq != next_seq:  # pragma: no cover - defensive
-                raise ProtocolError(
-                    f"failover log has a gap at sequence {next_seq}"
-                )
-            entry = dict(log[seq])
-            entry["epoch"] = self.epoch
-            state.log[seq] = entry
-            state.ids.add(entry["id"])
-            next_seq += 1
-        for entry in renumbered:
-            stamped = dict(entry)
-            stamped["seq"] = next_seq
-            stamped["epoch"] = self.epoch
-            state.log[next_seq] = stamped
-            state.ids.add(stamped["id"])
-            next_seq += 1
-        state.next_seq = next_seq
-        if self._gated:
-            # Watermarks known to the gathered view all come from
-            # epochs before this election (the epoch guard in _elect /
-            # _elect_partition ensures no newer epoch existed), and
-            # the renumbering preserved their prefixes, so the new
-            # epoch adopts the largest one.
-            known = max(
-                self._stable_for(pid, self.epoch) for pid in live
-            )
-            state.stable = min(max(delivered_upto, known), next_seq)
-            for seq, entry in state.log.items():
-                entry["stable"] = state.stable
-        self._seq_state[successor] = state
-        # The failed leader's own state is NOT cleared here: on the
-        # crash path on_crash already wiped it, and on the partition
-        # path it lives across the cut — clearing it would be the
-        # oracle leak this refactor removes.  The NEWSEQ fence retires
-        # it instead.
-
-        # --- repair over the real network ---
-        announcement = {"epoch": self.epoch, "sequencer": successor}
-        if self._gated:
-            announcement["stable"] = state.stable
-        for dst in range(self.network.n):
-            # Every *up* pid gets the announcement, including ones the
-            # successor cannot currently reach: the reliable shim
-            # retries across the cut, so the fence and the redirect
-            # arrive with the heal — that is the post-heal
-            # reconciliation trigger.
-            if not self.network.is_down(dst):
-                self.network.send(
-                    successor, dst, Message(NEWSEQ, dict(announcement))
-                )
-        base = min(self._expected[pid] for pid in live)
-        for seq in range(base, state.next_seq):
-            for dst in range(self.network.n):
-                if not self.network.is_down(dst):
-                    self.network.send(
-                        successor, dst, Message(SEQ, state.log[seq])
-                    )

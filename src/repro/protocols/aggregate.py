@@ -17,8 +17,6 @@ response.)
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 from repro.errors import ProtocolError
 from repro.protocols.base import BaseProcess, Cluster, PendingOp, make_cluster
 from repro.runtime.registry import Capabilities, ProtocolSpec, register_protocol
@@ -42,9 +40,6 @@ class AggregateProcess(BaseProcess):
             self.pid,
             {"uid": pending.uid, "program": pending.program},
         )
-
-    def on_abcast_deliver(self, sender: int, payload: Dict[str, Any]) -> None:
-        self._apply_update_delivery(sender, payload)
 
 
 def aggregate_cluster(n: int, objects, **kwargs) -> Cluster:

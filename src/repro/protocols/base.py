@@ -16,11 +16,14 @@ Protocol subclasses implement two hooks:
 * :meth:`BaseProcess.handle_message` — protocol-specific messages
   (e.g. the Fig-6 "query"/"query response").
 
-Atomic-broadcast traffic is routed to the abcast layer transparently.
+Atomic-broadcast and heartbeat traffic never reaches a process: those
+layers claim their message kinds on the network
+(:meth:`~repro.sim.network.Network.bind`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -33,7 +36,7 @@ from repro.errors import ProcessCrashed, ProtocolError, SimulationError
 from repro.obs import get_tracer
 from repro.protocols.recorder import HistoryRecorder, OpRecord
 from repro.protocols.store import ExecutionRecord, MProgram, VersionedStore
-from repro.sim.detector import HEARTBEAT_KIND, HeartbeatDetector
+from repro.sim.detector import HeartbeatDetector
 from repro.sim.kernel import Simulator
 from repro.sim.latency import LatencyModel, UniformLatency
 from repro.sim.network import ChannelStats, Message, Network
@@ -293,10 +296,12 @@ class BaseProcess:
     def _apply_update_delivery(
         self, sender: int, payload: Dict[str, Any]
     ) -> None:
-        """Shared action (A2): apply a delivered update, respond if ours.
+        """Atomic-broadcast delivery (total order across processes).
 
-        Every process applies; only the issuer observes the run (the
-        record its response and the history need).  Tolerant of
+        Action (A2), the default of every abcast protocol: apply the
+        delivered update, respond if ours.  Every process applies;
+        only the issuer observes the run (the record its response and
+        the history need).  Tolerant of
         recovery replay: a re-delivered own update that was already
         answered is applied like anyone else's (rebuilding the
         replica) without generating a second response.
@@ -319,22 +324,7 @@ class BaseProcess:
             )
         self.respond(pending, self.store.execute(program, uid))
 
-    # ------------------------------------------------------------------
-    # Network plumbing
-    # ------------------------------------------------------------------
-
-    def on_network(self, src: int, message: Message) -> None:
-        """Route an incoming message to the detector, abcast or protocol."""
-        if message.kind == HEARTBEAT_KIND:
-            detector = self.cluster.detector
-            if detector is not None:
-                detector.on_heartbeat(self.pid, src)
-            return
-        abcast = self.cluster.abcast
-        if abcast is not None and abcast.handles(message.kind):
-            abcast.handle(self.pid, src, message)
-        else:
-            self.handle_message(src, message)
+    on_abcast_deliver = _apply_update_delivery
 
     # ------------------------------------------------------------------
     # Protocol hooks
@@ -342,10 +332,6 @@ class BaseProcess:
 
     def on_invoke(self, pending: PendingOp) -> None:
         """Start the protocol's actions for a newly issued m-operation."""
-        raise NotImplementedError
-
-    def on_abcast_deliver(self, sender: int, payload: Any) -> None:
-        """Atomic-broadcast delivery (total order across processes)."""
         raise NotImplementedError
 
     def handle_message(self, src: int, message: Message) -> None:
@@ -542,18 +528,11 @@ class Cluster:
         for pid in range(n):
             proc = process_class(pid, self)
             self.processes.append(proc)
-            self.network.register(pid, proc.on_network)
+            self.network.register(pid, proc.handle_message)
             if self.abcast is not None:
                 self.abcast.attach(
-                    pid,
-                    lambda sender, payload, _pid=pid: self._deliver(
-                        _pid, sender, payload
-                    ),
+                    pid, functools.partial(self._deliver, pid)
                 )
-        #: Optional heartbeat failure detector (see
-        #: :meth:`attach_detector`); heartbeat frames are routed to it
-        #: by :meth:`BaseProcess.on_network`, never to the protocol.
-        self.detector: Optional[HeartbeatDetector] = None
         self._ran = False
         #: uids already recorded in ``ww_sequence`` (recovery replay
         #: re-delivers them at pid 0; they must not be re-announced).
@@ -562,14 +541,10 @@ class Cluster:
     def attach_detector(self, detector: HeartbeatDetector) -> None:
         """Arm a heartbeat failure detector for this cluster.
 
-        Routes incoming heartbeats to it and wires its stop predicate
-        to "every workload is done" — a detector that kept beating
-        would hold the event queue open and the run would never
-        quiesce.
+        Wires its stop predicate to "every workload is done" — a
+        detector that kept beating would hold the event queue open and
+        the run would never quiesce.
         """
-        if self.detector is not None:
-            raise ProtocolError("cluster already has a detector attached")
-        self.detector = detector
         if detector.should_stop is None:
             detector.should_stop = lambda: all(
                 proc.done for proc in self.processes

@@ -74,10 +74,6 @@ class MLinProcess(BaseProcess):
         # (A3): gather the freshest replica state.
         self._start_gather(pending, attempt=0)
 
-    def on_abcast_deliver(self, sender: int, payload: Dict[str, Any]) -> None:
-        # (A2): apply the update everywhere; respond at the issuer.
-        self._apply_update_delivery(sender, payload)
-
     def on_recover_pending(self, pending: PendingOp) -> None:
         """Restart an interrupted gather after a crash.
 

@@ -25,8 +25,6 @@ implementation, generalised to multi-object operations.
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 from repro.errors import ProtocolError
 from repro.obs import get_tracer
 from repro.protocols.base import BaseProcess, Cluster, PendingOp, make_cluster
@@ -60,10 +58,6 @@ class MSCProcess(BaseProcess):
             ):
                 record = self.store.execute(pending.program, pending.uid)
             self.respond(pending, record)
-
-    def on_abcast_deliver(self, sender: int, payload: Dict[str, Any]) -> None:
-        # (A2): apply to the local copy; respond if we issued it.
-        self._apply_update_delivery(sender, payload)
 
 
 def msc_cluster(

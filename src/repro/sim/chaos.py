@@ -147,6 +147,12 @@ class ChaosResult:
     #: the run itself failed, e.g. the negative control); carried for
     #: the runtime layer's artifact, never serialized.
     result: Any = field(default=None, repr=False, compare=False)
+    #: pid -> abcast delivery cursor when the run ended, failed runs
+    #: included (the first thing to look at when one never finishes);
+    #: empty without an abcast layer.  Diagnostic: never serialized.
+    abcast_cursors: Dict[int, int] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def summary(self) -> str:
         """One line for assertion messages: plan plus verdict."""
@@ -247,7 +253,7 @@ def run_chaos(
         **factory_kwargs: extra cluster-factory keywords (protocol
             options such as ``reply_relevant_only``).
     """
-    from repro.abcast.sequencer import SequencerAbcast
+    from repro.abcast.failover import FailoverSequencer
     from repro.core.index import LiveIndex, WindowedIndex
     from repro.core.monitor import verify_stream
     from repro.workloads.generator import random_workloads
@@ -292,8 +298,8 @@ def run_chaos(
         # the others default their own abcast_factory=None and must
         # not have one forced in (``server_cluster`` et al. use
         # setdefault, which an explicit keyword would override).
-        factory_kwargs["abcast_factory"] = lambda net: SequencerAbcast(
-            net, fault_tolerant=True, failover_delay=failover_delay
+        factory_kwargs["abcast_factory"] = lambda net: FailoverSequencer(
+            net, failover_delay=failover_delay
         )
     cluster = factory(
         n,
@@ -328,9 +334,7 @@ def run_chaos(
             timeout=detector_timeout,
         )
         cluster.attach_detector(detector)
-        if cluster.abcast is not None and hasattr(
-            cluster.abcast, "bind_detector"
-        ):
+        if cluster.abcast is not None:
             cluster.abcast.bind_detector(
                 detector, quorum_aware=quorum_aware, degraded=degraded
             )
@@ -397,12 +401,14 @@ def run_chaos(
         and not violations
         and completed == expected
     )
-    degraded_log = list(getattr(cluster.abcast, "degraded", ()))
+    abcast = cluster.abcast  # a FailoverSequencer, or None
+    degraded_log = list(abcast.degraded) if abcast else []
+    failovers = list(abcast.failovers) if abcast else []
     metrics = cluster.network.stats.snapshot()
     metrics["chaos"] = {
         "crashes": len(injector.crashed),
         "restarts": len(injector.restarted),
-        "failovers": len(cluster.abcast.failovers) if cluster.abcast else 0,
+        "failovers": len(failovers),
         "partitions": len(injector.partitioned),
         "degraded": len(degraded_log),
         "audits": len(audits),
@@ -426,7 +432,7 @@ def run_chaos(
         abcast_violation=abcast_violation,
         crashes=list(injector.crashed),
         restarts=list(injector.restarted),
-        failovers=list(cluster.abcast.failovers) if cluster.abcast else [],
+        failovers=failovers,
         duration=cluster.sim.now,
         partitions=list(injector.partitioned),
         detector=detector.summary() if detector is not None else {},
@@ -434,4 +440,7 @@ def run_chaos(
         audits=audits,
         metrics=metrics,
         result=result,
+        abcast_cursors=(
+            {pid: abcast.cursor(pid) for pid in range(n)} if abcast else {}
+        ),
     )

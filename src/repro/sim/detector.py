@@ -42,8 +42,8 @@ from repro.sim.network import Message, Network
 
 __all__ = ["DetectorEvent", "HeartbeatDetector", "HEARTBEAT_KIND"]
 
-#: Message kind of heartbeat frames (routed straight to the detector
-#: by :class:`repro.protocols.base.BaseProcess`, never to protocols).
+#: Message kind of heartbeat frames (the detector claims it on its
+#: network, so they never reach an endpoint's handler).
 HEARTBEAT_KIND = "hb"
 
 #: Signature of the change callback: (kind, observer, target, now).
@@ -143,6 +143,7 @@ class HeartbeatDetector:
         self.false_suspicions = 0
         self._started = False
         self._metrics = network.stats.registry
+        network.bind(HEARTBEAT_KIND, self.on_heartbeat)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -196,7 +197,9 @@ class HeartbeatDetector:
     # Heartbeat plumbing
     # ------------------------------------------------------------------
 
-    def on_heartbeat(self, observer: int, src: int) -> None:
+    def on_heartbeat(
+        self, observer: int, src: int, beat: Optional[Message] = None
+    ) -> None:
         """Record a heartbeat from ``src`` arriving at ``observer``."""
         if observer == src:
             return

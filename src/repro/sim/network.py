@@ -49,6 +49,9 @@ from repro.sim.latency import FixedLatency, LatencyModel
 #: Signature of a message handler: (src_pid, message) -> None.
 Handler = Callable[[int, "Message"], None]
 
+#: Signature of a layer's per-kind handler: (dst_pid, src_pid, message).
+KindHandler = Callable[[int, int, "Message"], None]
+
 #: Maximum recursion depth for :func:`estimate_size`.
 MAX_SIZE_DEPTH = 24
 
@@ -467,6 +470,8 @@ class Network:
         self._refresh_impaired()
         #: Handler per pid; None until :meth:`register` attaches one.
         self._handlers: List[Optional[Handler]] = [None] * n
+        #: Message kinds a layer claimed with :meth:`bind`.
+        self._bound: Dict[str, KindHandler] = {}
         self._last_delivery: Dict[Tuple[int, int], float] = {}
         self._down: Set[int] = set()
         self._next_xfer = itertools.count()
@@ -501,6 +506,19 @@ class Network:
         if self._handlers[pid] is not None:
             raise SimulationError(f"endpoint {pid} already registered")
         self._handlers[pid] = handler
+
+    def bind(self, kind: str, handler: KindHandler) -> None:
+        """Claim message ``kind`` for a layer below the endpoints.
+
+        Every frame of that kind, whatever its destination, goes to
+        ``handler(dst, src, message)`` instead of the destination's
+        registered handler — the atomic broadcast and the failure
+        detector take their own traffic here, so an endpoint's handler
+        sees protocol messages only.
+        """
+        if kind in self._bound:
+            raise SimulationError(f"message kind {kind!r} already bound")
+        self._bound[kind] = handler
 
     # ------------------------------------------------------------------
     # Crash / restore
@@ -825,7 +843,8 @@ class Network:
         message: Message,
         xfer: Optional[int] = None,
     ) -> None:
-        """A data frame arrives: hand it to ``dst``'s handler."""
+        """A data frame arrives: hand it to the layer bound to its kind,
+        else to ``dst``'s handler."""
         if dst in self._down:
             self.stats.lost_to_crash += 1
             return
@@ -838,7 +857,8 @@ class Network:
                 self.stats.deduped += 1
                 return
             seen.add(xfer)
-        handler = self._handlers[dst]
+        bound = self._bound.get(message.kind)
+        handler = self._handlers[dst] if bound is None else bound
         if handler is None:
             raise SimulationError(
                 f"message {message.kind!r} delivered to unregistered "
@@ -850,7 +870,10 @@ class Network:
             tracer.event(
                 "net.deliver", kind=message.kind, src=src, dst=dst
             )
-        handler(src, message)
+        if bound is None:
+            handler(src, message)
+        else:
+            bound(dst, src, message)
 
     # ------------------------------------------------------------------
     # Reliable shim internals

@@ -6,7 +6,7 @@ process** across 100 seeded runs whose transport reorders (wildly
 varying latency, non-FIFO) and duplicates frames.  Neither
 implementation may double-deliver a duplicated frame or diverge.
 
-A second group covers the fault-tolerant sequencer's failover path
+A second group covers the failover sequencer's handoff path
 deterministically (no probabilistic faults): crash the sequencer
 mid-stream, let the ring-order successor take over, and check that
 every participant — including the restarted ex-sequencer — converges
@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.abcast.failover import FailoverSequencer
 from repro.abcast.lamport import LamportAbcast
 from repro.abcast.sequencer import SequencerAbcast
 from repro.sim.kernel import Simulator
@@ -27,14 +28,9 @@ N = 3
 BROADCASTS = 8
 
 
-def _wire(abcast, network, n):
+def _wire(abcast, n):
     for pid in range(n):
         abcast.attach(pid, lambda sender, payload: None)
-    for pid in range(n):
-        network.register(
-            pid,
-            lambda src, message, _pid=pid: abcast.handle(_pid, src, message),
-        )
 
 
 @pytest.mark.parametrize("impl", [SequencerAbcast, LamportAbcast])
@@ -51,7 +47,7 @@ def test_total_order_under_reorder_and_duplication(impl, seed):
         dup_prob=0.15,
     )
     abcast = impl(network)
-    _wire(abcast, network, N)
+    _wire(abcast, N)
     rng = random.Random(seed * 7919 + 17)
     for i in range(BROADCASTS):
         sender = rng.randrange(N)
@@ -71,8 +67,8 @@ def test_sequencer_failover_handoff():
     """Crash the sequencer mid-stream; the successor finishes the job."""
     sim = Simulator()
     network = Network(sim, 4, latency=UniformLatency(0.5, 1.5), seed=3)
-    abcast = SequencerAbcast(network, fault_tolerant=True, failover_delay=2.0)
-    _wire(abcast, network, 4)
+    abcast = FailoverSequencer(network, failover_delay=2.0)
+    _wire(abcast, 4)
 
     for i in range(4):
         sim.schedule(0.1 * i, lambda s=i, i=i: abcast.broadcast(s % 4, {"op": i}))
@@ -104,16 +100,20 @@ def test_sequencer_failover_handoff():
 
 
 def test_failover_without_fault_tolerance_stays_down():
-    """Non-FT sequencer: a crash makes broadcast raise, no election."""
+    """The ordering core: a crash makes broadcast (and a request to
+    recover) raise, no election."""
     from repro.errors import SequencerUnavailable
 
     sim = Simulator()
     network = Network(sim, 3, latency=UniformLatency(0.5, 1.5), seed=0)
     abcast = SequencerAbcast(network)
-    _wire(abcast, network, 3)
+    _wire(abcast, 3)
     network.crash(0)
     abcast.on_crash(0)
     sim.run()
     assert abcast.sequencer == 0 and abcast.epoch == 0
     with pytest.raises(SequencerUnavailable):
         abcast.broadcast(1, {"op": 0})
+    network.restore(0)
+    with pytest.raises(SequencerUnavailable):
+        abcast.recover(0, cursor=0)

@@ -1,7 +1,7 @@
 """Quorum-aware sequencer behaviour across network partitions.
 
 Deterministic (single-schedule) unit tests of the partition-tolerance
-machinery in :class:`SequencerAbcast` + :class:`HeartbeatDetector`:
+machinery in :class:`FailoverSequencer` + :class:`HeartbeatDetector`:
 
 * majority-side failover with epoch fencing when the sequencer lands
   in the minority;
@@ -17,7 +17,7 @@ machinery in :class:`SequencerAbcast` + :class:`HeartbeatDetector`:
 
 import pytest
 
-from repro.abcast.sequencer import SequencerAbcast
+from repro.abcast.failover import FailoverSequencer
 from repro.errors import PartitionedError
 from repro.sim import HeartbeatDetector, Network, Simulator
 from repro.sim.latency import UniformLatency
@@ -32,9 +32,7 @@ def make_cluster(seed=0, *, quorum_aware=True, degraded="defer", stop_at=80.0):
     network = Network(
         sim, N, latency=UniformLatency(0.3, 0.9), seed=seed, reliable=True
     )
-    abcast = SequencerAbcast(
-        network, fault_tolerant=True, failover_delay=2.0
-    )
+    abcast = FailoverSequencer(network, failover_delay=2.0)
     detector = HeartbeatDetector(
         network,
         period=1.0,
@@ -46,14 +44,6 @@ def make_cluster(seed=0, *, quorum_aware=True, degraded="defer", stop_at=80.0):
     )
     for pid in range(N):
         abcast.attach(pid, lambda sender, payload: None)
-
-        def handler(src, msg, pid=pid):
-            if msg.kind == "hb":
-                detector.on_heartbeat(pid, src)
-            else:
-                abcast.handle(pid, src, msg)
-
-        network.register(pid, handler)
     detector.start()
     return sim, network, abcast, detector
 

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from repro.abcast.sequencer import SequencerAbcast
+from repro.abcast import FailoverSequencer
 from repro.protocols import VersionedStore
 from repro.runtime.registry import protocol_registry, workload_registry
 from repro.sim import Network, UniformLatency
@@ -93,7 +93,7 @@ def test_crash_and_recovery_converges(protocol, recovery, store_calls):
         seed=seed,
         fault_tolerant=True,
         recovery=recovery,
-        abcast_factory=lambda net: SequencerAbcast(net, fault_tolerant=True),
+        abcast_factory=FailoverSequencer,
         network_factory=lambda sim, size: Network(
             sim,
             size,

@@ -130,6 +130,20 @@ class TestDelivery:
         with pytest.raises(SimulationError):
             net.register(0, lambda s, m: None)
 
+    def test_bound_kind_goes_to_its_layer_not_the_endpoint(self):
+        sim, net, inboxes = make_net(n=3)
+        claimed = []
+        net.bind("layer", lambda dst, src, msg: claimed.append((dst, src, msg)))
+        ping, plain = Message("layer", 1), Message("other", 2)
+        net.send_to_all(0, ping, include_self=False)
+        net.send(0, 1, plain)
+        sim.run()
+        assert sorted(claimed) == [(1, 0, ping), (2, 0, ping)]
+        assert inboxes == {0: [], 1: [(0, plain)], 2: []}
+        assert net.stats.delivered == 3
+        with pytest.raises(SimulationError, match="already bound"):
+            net.bind("layer", lambda dst, src, msg: None)
+
     def test_needs_positive_endpoints(self):
         with pytest.raises(SimulationError):
             Network(Simulator(), 0)

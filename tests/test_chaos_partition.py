@@ -121,8 +121,11 @@ def test_partition_runspec_roundtrips_and_replays_identically():
 
 
 #: The one known schedule (1 of 400 screened mlin partition specs, 0 of
-#: 400 msc — ROADMAP item 3) on which mlin never finishes: process 2
-#: keeps retrying after the heal until the event budget runs out.
+#: 400 msc — ROADMAP item 1) on which a run never finishes.  The hole
+#: is in the abcast layer, not in mlin: P2 sat with the old sequencer
+#: on the minority side of the cut and misses seq 2-3, which nothing
+#: ever re-fetches, so it buffers the whole new epoch behind that gap —
+#: its own update (uid 23) included — while heartbeats burn the budget.
 MLIN_LIVELOCK = RunSpec(
     protocol="mlin",
     workload="zipfian",
@@ -138,20 +141,25 @@ MLIN_LIVELOCK = RunSpec(
 
 
 @pytest.mark.xfail(
-    strict=True, reason="known mlin partition livelock (ROADMAP item 3)"
+    strict=True,
+    reason="abcast gap after a partition is never re-fetched "
+    "(ROADMAP item 1a)",
 )
 def test_mlin_partition_livelock_completes():
     assert execute(MLIN_LIVELOCK).ok
 
 
 def test_mlin_partition_livelock_ends_in_a_typed_error():
-    """Until the livelock is fixed the run must at least end, inside
-    its event budget, in the typed error — at exactly the same point,
+    """Until gap repair lands the run must at least end, inside its
+    event budget, in the typed error — at exactly the same point,
     which also holds the delivery path event-for-event to the schedule
-    that first exposed it."""
+    that first exposed it — and the failing layer is named: every
+    participant delivered all 58 entries except P2, stuck at cursor 2
+    behind the two it never received."""
     artifact = execute(MLIN_LIVELOCK)
     assert artifact.failure == (
         "ProtocolError: run ended with unfinished processes [2] "
         "(event budget 60000 exhausted?)"
     )
     assert (artifact.completed, artifact.expected) == (124, 150)
+    assert artifact.chaos.abcast_cursors == {0: 58, 1: 58, 2: 2, 3: 58, 4: 58}

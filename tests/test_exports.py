@@ -72,6 +72,13 @@ def test_headline_api_reachable():
         assert hasattr(repro, name), name
 
 
+def test_abcast_exports_both_sequencer_layers():
+    import repro.abcast as abcast
+
+    assert issubclass(abcast.FailoverSequencer, abcast.SequencerAbcast)
+    assert {"SequencerAbcast", "FailoverSequencer"} <= set(abcast.__all__)
+
+
 def test_version_string():
     import repro
 

@@ -123,6 +123,35 @@ def test_simulation_500_mops_under_10s():
     assert monitor_seconds < 2.0
 
 
+def test_delivered_update_reaches_the_replica_in_four_frames(monkeypatch):
+    # Structural, no wall clock: the per-delivery cost of a clean run
+    # is the Python frames between the event loop and the replica.
+    # Network._deliver -> SequencerAbcast.handle -> Cluster._deliver ->
+    # _apply_update_delivery -> store.apply.
+    import sys
+
+    from repro.protocols.store import VersionedStore
+    from repro.sim.kernel import Simulator
+
+    paths = set()
+    apply = VersionedStore.apply
+
+    def tapped_apply(store, program, uid):
+        frame, between = sys._getframe(1), []
+        while frame.f_code is not Simulator.run.__code__:
+            between.append(frame.f_code.co_name)
+            frame = frame.f_back
+        paths.add(tuple(reversed(between)))
+        return apply(store, program, uid)
+
+    monkeypatch.setattr(VersionedStore, "apply", tapped_apply)
+    cluster = msc_cluster(4, ["x", "y"], seed=5)
+    cluster.run(random_workloads(4, ["x", "y"], 10, seed=6))
+    assert paths and all(len(path) <= 4 for path in paths), paths
+    # ... and a clean run's abcast retains no delivered entry.
+    assert not hasattr(cluster.abcast, "_plog")
+
+
 def test_witness_costs_at_most_5x_the_bare_verdict_at_4000_mops():
     # The deep-verify shape (msc hotspot n=8 x 32 x 500): with the
     # whole D 4.11 pair set the witness cost ~70x the scan's verdict;
