@@ -67,29 +67,30 @@ QUICK_CASES = [
     ("m-norm", 100, None, 2),
 ]
 
-#: (condition, n_mops, mode, workers, runs) rows for the certified
-#: plan/execute engine (:mod:`repro.core.plan`).  ``full`` and
-#: ``windowed`` run the single forward legality scan over the shared
-#: serial workload's total-update-order certificate; ``sharded`` runs
-#: the object-group parallel plan over the partitioned workload.  The
-#: 100k rows are the headline: a certified 100k-mop history checks
-#: end-to-end in single-digit seconds.
+#: (condition, n_mops, method, runs) rows for the certified
+#: plan/execute engine (:mod:`repro.core.plan`): every row is the one
+#: forward legality scan.  ``full`` and ``windowed`` run it over the
+#: shared serial workload's total-update-order certificate (the latter
+#: with a bounded lookback); ``full/partitioned`` runs it over the
+#: object-partitioned workload's per-process chains.  The 100k rows
+#: are the headline: a certified 100k-mop history checks end-to-end in
+#: a couple of seconds.
 ENGINE_CASES = [
-    ("m-sc", 10_000, "full", 1, 3),
-    ("m-sc", 10_000, "sharded", 4, 3),
-    ("m-sc", 10_000, "windowed", 1, 3),
-    ("m-norm", 10_000, "full", 1, 2),
-    ("m-sc", 100_000, "full", 1, 2),
-    ("m-sc", 100_000, "sharded", 4, 1),
-    ("m-sc", 100_000, "windowed", 1, 2),
+    ("m-sc", 10_000, "full", 3),
+    ("m-sc", 10_000, "full/partitioned", 3),
+    ("m-sc", 10_000, "windowed", 3),
+    ("m-norm", 10_000, "full", 2),
+    ("m-sc", 100_000, "full", 2),
+    ("m-sc", 100_000, "full/partitioned", 2),
+    ("m-sc", 100_000, "windowed", 2),
 ]
 
-#: The CI smoke subset for the engine: every mode exercised at a size
-#: that finishes in well under a second.
+#: The CI smoke subset for the engine: every row kind exercised at a
+#: size that finishes in well under a second.
 QUICK_ENGINE_CASES = [
-    ("m-sc", 300, "full", 1, 2),
-    ("m-sc", 300, "sharded", 2, 2),
-    ("m-sc", 300, "windowed", 1, 2),
+    ("m-sc", 300, "full", 2),
+    ("m-sc", 300, "full/partitioned", 2),
+    ("m-sc", 300, "windowed", 2),
 ]
 
 #: (condition, n_mops, runs) pairs for the certified-vs-dynamic
@@ -146,9 +147,9 @@ def run_cases(
 
 
 def run_engine_cases(
-    cases: Sequence[Tuple[str, int, str, int, int]] = ENGINE_CASES
+    cases: Sequence[Tuple[str, int, str, int]] = ENGINE_CASES
 ) -> List[dict]:
-    """Plan/execute engine rows: full / sharded / windowed modes.
+    """Plan/execute engine rows: the certified scan on each workload.
 
     Certificates are built outside the timed region (proving is a
     one-off static cost).  Every row runs with the default
@@ -163,20 +164,18 @@ def run_engine_cases(
     from repro.analysis.static.prover import certify_chain
 
     rows: List[dict] = []
-    for condition, n_mops, mode, workers, runs in cases:
-        window = min(1000, n_mops) if mode == "windowed" else None
+    for condition, n_mops, method, runs in cases:
+        window = min(1000, n_mops) if method == "windowed" else None
 
         def make(
             condition=condition,
             n_mops=n_mops,
-            mode=mode,
-            workers=workers,
+            method=method,
             window=window,
         ):
-            if mode == "sharded":
-                # Sharded plans refuse extra_pairs (they cross
-                # shards); the object-partitioned certificate alone
-                # carries the constraint.
+            if method == "full/partitioned":
+                # The object-partitioned certificate alone carries the
+                # constraint: no ~ww chain to pass.
                 history, cert = partitioned_workload(n_mops)
                 ww = []
             else:
@@ -189,8 +188,6 @@ def run_engine_cases(
                 method="constrained",
                 extra_pairs=ww,
                 certificate=cert,
-                mode=mode,
-                workers=workers,
                 window=window,
             )
 
@@ -199,8 +196,7 @@ def run_engine_cases(
             {
                 "condition": condition,
                 "n_mops": n_mops,
-                "method": mode,
-                "workers": workers,
+                "method": method,
                 "window": window,
                 "witness": verdict.witness is not None,
                 "runs": runs,
@@ -349,10 +345,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "engine": {
             "description": (
                 "certified plan/execute engine "
-                "(repro.core.plan): method full = single forward "
-                "legality scan, sharded = object-group parallel "
-                "plan on the partitioned workload, windowed = "
-                "bounded-memory scan with window=min(1000, n); "
+                "(repro.core.plan), one forward legality scan per "
+                "row: method full = the serial workload's ~ww chain, "
+                "full/partitioned = the object-partitioned workload's "
+                "per-process chains (benchmarks.conftest."
+                "partitioned_workload), windowed = the serial scan "
+                "with window=min(1000, n); "
                 "default witness=True (Lemma 3/4 self-check and "
                 "witness order included in every row)"
             ),
@@ -392,9 +390,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"median={row['median_s']:.4f}s holds={row['holds']}"
         )
     for row in engine_rows:
-        extras = f" workers={row['workers']}" if row["workers"] > 1 else ""
+        extras = ""
         if row["window"] is not None:
-            extras += f" window={row['window']}"
+            extras = f" window={row['window']}"
         print(
             f"{row['condition']:<7} n={row['n_mops']:<6} "
             f"[{row['method']}{extras}] "

@@ -89,13 +89,12 @@ def partitioned_workload(
     objects_per_process: int = 2,
     query_fraction: float = 0.4,
 ):
-    """The sharded-engine workload at a given size.
+    """The object-partitioned engine workload at a given size.
 
     An object-partitioned serial history (each process owns a private
-    object namespace) plus its object-partitioned certificate — the
-    input shape the sharded execution plan in
-    :mod:`repro.core.plan` requires.  Fresh per call, like
-    :func:`checker_workload`.
+    object namespace) plus its object-partitioned certificate — which
+    :mod:`repro.core.plan` lowers to one scan over the per-process
+    update chains.  Fresh per call, like :func:`checker_workload`.
     """
     from repro.analysis.static import certify_partitioned_history
     from repro.workloads import HistoryShape, random_partitioned_history

@@ -86,12 +86,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(f"index: {HistoryIndex.of(history).stats().row()}")
     print()
     method = args.method
-    mode = args.mode
     certificate = None
-    if mode != "full":
-        # Sharded/windowed plans need a static certificate; derive the
-        # strongest one the concrete history supports (read-only >
-        # single-updater > object-partitioned).
+    if args.window is not None:
+        # A bounded lookback needs a certified scan; derive the
+        # strongest certificate the concrete history supports
+        # (read-only > single-updater > object-partitioned).
         from repro.analysis.static import certify_history
         from repro.errors import CertificationRefused
 
@@ -103,7 +102,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
             print()
         except CertificationRefused as exc:
-            print(f"error: cannot plan mode={mode!r}: {exc}", file=sys.stderr)
+            print(
+                f"error: cannot plan window={args.window}: {exc}",
+                file=sys.stderr,
+            )
             return 2
     failures = 0
     checks = [
@@ -118,8 +120,6 @@ def cmd_check(args: argparse.Namespace) -> int:
                 condition,
                 method=method,
                 certificate=certificate,
-                mode=mode,
-                workers=args.workers,
                 window=args.window,
             )
         except MissingTimestampsError:
@@ -229,7 +229,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             partition=args.partition,
             quorum_aware=not args.no_quorum,
             verify_window=args.window,
-            verify_workers=args.workers,
         )
         print(result.summary())
         if args.metrics:
@@ -340,17 +339,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    overrides = {}
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.window is not None:
-        overrides["window"] = args.window
-    if overrides:
         spec = dataclasses.replace(
             spec,
-            verify=dataclasses.replace(spec.verify, **overrides),
+            verify=dataclasses.replace(spec.verify, window=args.window),
         )
     try:
         artifact = execute_spec(spec)
@@ -521,26 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     check.add_argument(
-        "--mode",
-        choices=["full", "sharded", "windowed"],
-        default="full",
-        help="verification plan: full (monolithic), sharded "
-        "(object-group parallel), or windowed (bounded-memory scan); "
-        "non-full modes derive a static certificate from the history",
-    )
-    check.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for sharded plans (default: 1, "
-        "in-process)",
-    )
-    check.add_argument(
         "--window",
         type=int,
         default=None,
-        help="window size (broadcast positions) for windowed plans; "
-        "reads spanning more than this refuse rather than mis-answer",
+        help="derive a static certificate from the history and bound "
+        "the certified scan's lookback to this many update-chain "
+        "positions; reads spanning more refuse rather than mis-answer",
     )
     check.add_argument(
         "--strict",
@@ -654,15 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--window",
         type=int,
         default=None,
-        help="audit each run with a bounded-memory WindowedIndex of "
-        "this many broadcast positions instead of the full LiveIndex",
-    )
-    chaos.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the end-of-run batch verification "
-        "(default: 1, in-process)",
+        help="bound the in-run audit monitor's memory to a lookback of "
+        "this many broadcast positions (reads reaching further back "
+        "are counted as refused, never mis-answered)",
     )
     chaos.add_argument(
         "--out",
@@ -680,18 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute a declarative RunSpec JSON through the runtime",
     )
     run.add_argument("spec", help="path to the RunSpec JSON file")
-    run.add_argument(
-        "--mode",
-        choices=["full", "sharded", "windowed"],
-        default=None,
-        help="override the spec's verify.mode",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="override the spec's verify.workers",
-    )
     run.add_argument(
         "--window",
         type=int,

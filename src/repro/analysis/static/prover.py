@@ -488,9 +488,8 @@ def certify_partitioned_history(history: History) -> ConstraintCertificate:
 
     One O(n) ownership scan: every object must be touched by a single
     process, which confines every conflicting pair to one process
-    chain (D 4.8) — the shape the sharded verification plan
-    (:mod:`repro.core.plan`) decomposes along.  Unlike
-    :func:`certify_spec` this certifies *one history*, not a workload;
+    chain (D 4.8) — the shape :mod:`repro.core.plan` scans process
+    chain by process chain.  Unlike :func:`certify_spec` this certifies *one history*, not a workload;
     the checker's trust-but-verify audit re-runs the same scan before
     relying on it.
     """
@@ -519,8 +518,8 @@ def certify_partitioned_history(history: History) -> ConstraintCertificate:
 def certify_history(history: History) -> ConstraintCertificate:
     """Best-effort post-hoc certification of a raw history.
 
-    For checking saved histories (``python -m repro check --mode
-    sharded|windowed``) where no workload spec or run record exists:
+    For checking saved histories (``python -m repro check --window
+    N``) where no workload spec or run record exists:
     tries the structural rules strongest-first — ``read-only``,
     ``single-updater``, then ``object-partitioned`` — and raises
     :class:`~repro.errors.CertificationRefused` when none applies.

@@ -53,12 +53,7 @@ from repro.core.constraints import (
 )
 from repro.core.diagnostics import Explanation, explain
 from repro.core.history import History
-from repro.core.index import (
-    HistoryIndex,
-    IndexStats,
-    LiveIndex,
-    WindowedIndex,
-)
+from repro.core.index import HistoryIndex, IndexStats
 from repro.core.legality import (
     conflict,
     interfere,
@@ -70,7 +65,6 @@ from repro.core.monitor import (
     LiveMonitor,
     MonitorUsageError,
     ObservedOp,
-    StreamingVerifier,
     StreamViolation,
     verify_stream,
 )
@@ -84,18 +78,7 @@ from repro.core.operation import (
     read,
     write,
 )
-from repro.core.plan import (
-    MODES,
-    CheckPlan,
-    ScanResult,
-    Shard,
-    ShardOutcome,
-    object_shards,
-    plan_check,
-    run_scan,
-    run_sharded,
-    shard_history,
-)
+from repro.core.plan import CheckPlan, ScanResult, plan_check, run_scan
 from repro.core.orders import (
     base_order,
     mlin_order,
@@ -106,11 +89,7 @@ from repro.core.orders import (
     reads_from_order,
     real_time_order,
 )
-from repro.core.relations import (
-    IncrementalClosure,
-    Relation,
-    relation_from_sequence,
-)
+from repro.core.relations import Relation, relation_from_sequence
 from repro.core.serialize import (
     history_from_dict,
     history_from_json,
@@ -129,11 +108,8 @@ __all__ = [
     "History",
     "HistoryIndex",
     "INIT_UID",
-    "IncrementalClosure",
     "IndexStats",
-    "LiveIndex",
     "LiveMonitor",
-    "MODES",
     "MOperation",
     "MonitorUsageError",
     "ObservedOp",
@@ -143,11 +119,7 @@ __all__ = [
     "ScanResult",
     "SearchBudgetExceeded",
     "SearchStats",
-    "Shard",
-    "ShardOutcome",
     "StreamViolation",
-    "StreamingVerifier",
-    "WindowedIndex",
     "base_order",
     "causal_order",
     "check_admissible",
@@ -185,7 +157,6 @@ __all__ = [
     "mnorm_order",
     "msc_order",
     "object_order",
-    "object_shards",
     "plan_check",
     "process_order",
     "read",
@@ -194,9 +165,7 @@ __all__ = [
     "relation_from_sequence",
     "restrict_history",
     "run_scan",
-    "run_sharded",
     "save_history",
-    "shard_history",
     "rw_pairs",
     "satisfies_oo",
     "satisfies_wo",

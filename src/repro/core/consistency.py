@@ -42,7 +42,7 @@ from repro.core.constraints import satisfies_oo, satisfies_ww
 from repro.core.history import History
 from repro.core.index import HistoryIndex
 from repro.core.legality import is_legal
-from repro.core.plan import MODES, plan_check, run_scan, run_sharded
+from repro.core.plan import plan_check, run_scan
 from repro.core.relations import Relation
 from repro.errors import InvalidCertificate, PlanRefused, ReproError
 from repro.obs import get_tracer
@@ -74,10 +74,6 @@ class ConsistencyVerdict:
             that replaced the dynamic constraint phase, or None when
             the constraint was (or would have been) checked
             dynamically.
-        mode: the execution mode of the plan that produced the
-            verdict (``"full"``, ``"sharded"`` or ``"windowed"``).
-            Verdicts are mode-independent — sharded and windowed runs
-            reproduce the full checker byte for byte.
     """
 
     holds: bool
@@ -86,7 +82,6 @@ class ConsistencyVerdict:
     witness: Optional[List[int]] = None
     stats: SearchStats = field(default_factory=SearchStats)
     certificate: Optional[str] = None
-    mode: str = "full"
 
     def __bool__(self) -> bool:
         return self.holds
@@ -99,19 +94,15 @@ def _check(
     node_limit: Optional[int],
     extra_pairs: Iterable[Tuple[int, int]],
     certificate=None,
-    mode: str = "full",
-    workers: int = 1,
     window: Optional[int] = None,
     witness: bool = True,
 ) -> ConsistencyVerdict:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
     tracer = get_tracer()
     with tracer.span(
-        f"check.{condition}", method=method, mops=len(history.mops), mode=mode
+        f"check.{condition}", method=method, mops=len(history.mops)
     ):
         # One shared index per history: the base order, its closure
         # and the writer and constraint masks are computed at most once
@@ -121,10 +112,10 @@ def _check(
             extra = _normalize_extra(extra_pairs)
 
         if method == "exact":
-            if mode != "full":
+            if window is not None:
                 raise PlanRefused(
-                    "the exact admissibility search has no sharded or "
-                    "windowed form; use mode='full'"
+                    "the exact admissibility search has no windowed "
+                    "form; drop window"
                 )
             # The exact search needs neither the closure nor the
             # constraint verdicts.
@@ -163,8 +154,6 @@ def _check(
             plan = plan_check(
                 history,
                 condition,
-                mode=mode,
-                workers=workers,
                 window=window,
                 extra_pairs=extra,
                 certificate=cert,
@@ -186,27 +175,6 @@ def _check(
                 method_used="constrained",
                 witness=result.witness,
                 certificate=plan.certificate_rule,
-                mode=mode,
-            )
-
-        if plan.strategy == "shard":
-            with tracer.span(
-                "check.shards", shards=len(plan.shards), workers=plan.workers
-            ):
-                outcome = run_sharded(
-                    history,
-                    condition,
-                    plan.shards,
-                    workers=plan.workers,
-                    want_witness=witness,
-                )
-            return ConsistencyVerdict(
-                holds=outcome.holds,
-                condition=condition,
-                method_used="constrained",
-                witness=outcome.witness,
-                certificate=plan.certificate_rule,
-                mode=mode,
             )
 
         # strategy == "closure": the monolithic Theorem-7 path.
@@ -301,8 +269,6 @@ def check_m_sequential_consistency(
     node_limit: Optional[int] = None,
     extra_pairs: Iterable[Tuple[int, int]] = (),
     certificate=None,
-    mode: str = "full",
-    workers: int = 1,
     window: Optional[int] = None,
     witness: bool = True,
 ) -> ConsistencyVerdict:
@@ -320,20 +286,20 @@ def check_m_sequential_consistency(
     admissibility w.r.t. a larger order implies m-sequential
     consistency, but not conversely.
 
-    ``mode`` selects the plan the engine executes (see
-    :mod:`repro.core.plan`): ``"full"`` (default) checks the whole
-    history at once, ``"sharded"`` decomposes an object-partitioned
-    history into independent per-process shards run on ``workers``
-    processes, and ``"windowed"`` bounds the legality scan's lookback
-    to ``window`` broadcast positions, refusing (never deciding
-    wrongly) with :class:`~repro.errors.WindowExceeded` when a read
-    reaches further back.  ``witness=False`` skips the witness (and
-    with it the Lemma 3/4 self-check); the verdict is unchanged and
-    the saving is one linear pass, so every caller keeps the default.
+    A ``certificate`` whose shape yields an update chain lowers the
+    check to the forward scan of :mod:`repro.core.plan`; ``window``
+    bounds that scan's lookback to so many chain positions, refusing
+    (never deciding wrongly) with
+    :class:`~repro.errors.WindowExceeded` when a read reaches further
+    back, and with :class:`~repro.errors.PlanRefused` when no
+    certificate binds a total update chain to measure along.
+    ``witness=False`` skips the witness (and with it the Lemma 3/4
+    self-check); the verdict is unchanged and the saving is one linear
+    pass, so every caller keeps the default.
     """
     return _check(
         history, "m-sc", method, node_limit, extra_pairs, certificate,
-        mode=mode, workers=workers, window=window, witness=witness,
+        window=window, witness=witness,
     )
 
 
@@ -344,8 +310,6 @@ def check_m_linearizability(
     node_limit: Optional[int] = None,
     extra_pairs: Iterable[Tuple[int, int]] = (),
     certificate=None,
-    mode: str = "full",
-    workers: int = 1,
     window: Optional[int] = None,
     witness: bool = True,
 ) -> ConsistencyVerdict:
@@ -356,13 +320,11 @@ def check_m_linearizability(
     an instant between its invocation and response, and the order of
     non-overlapping m-operations is preserved.  Requires a timed
     history.  See :func:`check_m_sequential_consistency` for
-    ``extra_pairs`` and the ``mode``/``workers``/``window``/``witness``
-    plan knobs (``mode="sharded"`` is refused for m-linearizability:
-    the real-time order crosses shard boundaries).
+    ``extra_pairs``, ``certificate``, ``window`` and ``witness``.
     """
     return _check(
         history, "m-lin", method, node_limit, extra_pairs, certificate,
-        mode=mode, workers=workers, window=window, witness=witness,
+        window=window, witness=witness,
     )
 
 
@@ -373,8 +335,6 @@ def check_m_normality(
     node_limit: Optional[int] = None,
     extra_pairs: Iterable[Tuple[int, int]] = (),
     certificate=None,
-    mode: str = "full",
-    workers: int = 1,
     window: Optional[int] = None,
     witness: bool = True,
 ) -> ConsistencyVerdict:
@@ -384,12 +344,12 @@ def check_m_normality(
     ordered only when they act on a common object (object order ``~x``
     instead of real-time order ``~t``).  m-linearizability implies
     m-normality implies m-sequential consistency.  See
-    :func:`check_m_sequential_consistency` for ``extra_pairs`` and the
-    ``mode``/``workers``/``window``/``witness`` plan knobs.
+    :func:`check_m_sequential_consistency` for ``extra_pairs``,
+    ``certificate``, ``window`` and ``witness``.
     """
     return _check(
         history, "m-norm", method, node_limit, extra_pairs, certificate,
-        mode=mode, workers=workers, window=window, witness=witness,
+        window=window, witness=witness,
     )
 
 
@@ -408,8 +368,8 @@ def check_condition(
     the simulator and the chaos harness share.
 
     ``kwargs`` are forwarded to the named checker (``method``,
-    ``node_limit``, ``extra_pairs``, ``certificate``, ``mode``,
-    ``workers``, ``window``, ``witness``).
+    ``node_limit``, ``extra_pairs``, ``certificate``, ``window``,
+    ``witness``).
     """
     try:
         checker = CHECKERS[condition]

@@ -9,9 +9,9 @@ co-writer masks (D 4.8-D 4.10), and the generating orders
 ``~p ∪ ~rf [∪ ~t | ∪ ~x]`` with their transitive closures.  Before
 this layer each consumer rebuilt all of that from scratch;
 :class:`HistoryIndex` computes each piece once per history and caches
-it, and :class:`LiveIndex` maintains the same state incrementally for
-streaming consumers (protocol recorder, chaos harness) so an audit
-never rebuilds a :class:`~repro.core.history.History`.
+it.  (The streaming consumers — protocol recorder, chaos harness —
+feed :class:`repro.core.monitor.LiveMonitor`, which never builds a
+:class:`~repro.core.history.History` at all.)
 
 Cover edges
 -----------
@@ -45,8 +45,8 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.history import History
 from repro.core.operation import INIT_UID
-from repro.core.relations import ClosureRows, IncrementalClosure, Relation
-from repro.errors import MissingTimestampsError, WindowExceeded
+from repro.core.relations import ClosureRows, Relation
+from repro.errors import MissingTimestampsError
 
 #: ``(a, b, c)``: ``a`` reads from ``b`` some object that ``c`` writes.
 InterferingTriple = Tuple[int, int, int]
@@ -167,7 +167,7 @@ class HistoryIndex:
         "_update_uids",
         "_client_updates",
         "_triples",
-        "_positions",
+        "positions",
         "_update_masks",
         "_conflict_masks",
         "_writer_masks",
@@ -183,7 +183,8 @@ class HistoryIndex:
         self._update_uids: Optional[Tuple[int, ...]] = None
         self._client_updates: Optional[Tuple[Tuple[int, int], ...]] = None
         self._triples: Optional[Tuple[InterferingTriple, ...]] = None
-        self._positions: Dict[int, int] = {
+        #: uid -> position in ``history.uids`` (the bitmask universe).
+        self.positions: Dict[int, int] = {
             uid: i for i, uid in enumerate(history.uids)
         }
         self._update_masks: Optional[List[int]] = None
@@ -305,7 +306,7 @@ class HistoryIndex:
         each check below has one form.
         """
         if closure.nodes != self.history.uids:
-            known = self._positions
+            known = self.positions
             closure = Relation(
                 self.history.uids,
                 (
@@ -329,7 +330,7 @@ class HistoryIndex:
         """
         rows = self.closure_rows(closure)
         succ, pred = rows.succ, rows.pred
-        pos = self._positions
+        pos = self.positions
         writer_masks = self.writer_masks
         for (a_uid, obj), b_uid in self.proper_reads():
             ia, ib = pos[a_uid], pos[b_uid]
@@ -351,7 +352,7 @@ class HistoryIndex:
     ) -> List[InterferingTriple]:
         """The D 4.6-violating triples, in :meth:`interfering_triples`
         order — diagnostic twin of :meth:`legal_under`."""
-        pos = self._positions
+        pos = self.positions
         timelines = self.writer_timelines
         bad: Dict[InterferingTriple, None] = {}
         for a_uid, b_uid, obj, between in self._overwritten_reads(closure):
@@ -379,7 +380,7 @@ class HistoryIndex:
         """
         succ = self.closure_rows(closure).succ
         nodes = self.history.uids
-        pos = self._positions
+        pos = self.positions
         writer_masks = self.writer_masks
         pairs = set()
         for (a_uid, obj), b_uid in self.proper_reads():
@@ -416,7 +417,7 @@ class HistoryIndex:
         (zero for a query) — the pairs the WW-constraint (D 4.9)
         requires ordered."""
         if self._update_masks is None:
-            pos = self._positions
+            pos = self.positions
             bits = [1 << pos[uid] for uid in self.update_uids]
             updates = sum(bits)
             masks = [0] * len(pos)
@@ -439,7 +440,7 @@ class HistoryIndex:
             n = len(self.history.uids)
             touch_mask: Dict[str, int] = {}
             write_mask: Dict[str, int] = {}
-            pos = self._positions
+            pos = self.positions
             for mop in self.history.all_mops:
                 bit = 1 << pos[mop.uid]
                 for obj in mop.objects:
@@ -469,7 +470,7 @@ class HistoryIndex:
         masks AND against.
         """
         if self._writer_masks is None:
-            pos = self._positions
+            pos = self.positions
             masks: Dict[str, int] = {}
             for obj, timeline in self.writer_timelines.items():
                 acc = 0
@@ -492,7 +493,7 @@ class HistoryIndex:
         if self._write_conflict_masks is None:
             n = len(self.history.uids)
             masks = [0] * n
-            pos = self._positions
+            pos = self.positions
             writer_masks = self.writer_masks
             for mop in self.history.all_mops:
                 wobjects = mop.wobjects
@@ -510,48 +511,59 @@ class HistoryIndex:
     # Generating orders (Section 2.3) from cover edges
     # ------------------------------------------------------------------
 
-    def base_relation(
-        self, condition: str, extra_pairs: Tuple[Pair, ...] = ()
-    ) -> Relation:
-        """The cached generating order ``~H`` for a condition.
+    def cover_edges(
+        self, condition: str, extra_pairs: Iterable[Pair] = ()
+    ) -> Iterator[Pair]:
+        """The edges that make ``~H`` for a condition, as ``(a, b)``.
 
-        Built from cover edges (initial-m-op fan-out, per-process
-        chains, ``~rf``, and the ``~t``/``~x`` interval covers — see
-        the module docstring); the transitive closure equals the full
-        paper order and is itself cached on the returned relation.
-
-        The result is shared: do not mutate it — ``.copy()`` first.
-        ``extra_pairs`` must be a normalised (sorted, deduplicated,
-        irreflexive) tuple so equal requests hit the same cache entry.
+        Initial-m-op fan-out, per-process chains, ``~rf``, the
+        ``~t``/``~x`` interval cover the condition calls for (see the
+        module docstring), then ``extra_pairs``.  Their transitive
+        closure is the full paper order.  The one definition:
+        :meth:`base_relation` packs these into bitmasks and the
+        forward scan of :mod:`repro.core.plan` walks them as sets.
         """
         if condition not in CONDITION_ORDERS:
             raise ValueError(
                 f"unknown condition {condition!r}; expected one of "
                 f"{tuple(CONDITION_ORDERS)}"
             )
+        real_time, objects = CONDITION_ORDERS[condition]
+        init_uid = self.history.init.uid
+        for mop in self.history.mops:
+            yield init_uid, mop.uid
+        for chain in self.process_chains.values():
+            yield from zip(chain, chain[1:])
+        yield from self.reads_from_pairs
+        if real_time:
+            yield from self.real_time_cover()
+        if objects:
+            yield from self.object_cover()
+        yield from extra_pairs
+
+    def base_relation(
+        self, condition: str, extra_pairs: Tuple[Pair, ...] = ()
+    ) -> Relation:
+        """The cached generating order ``~H`` for a condition.
+
+        Built from :meth:`cover_edges`; the transitive closure equals
+        the full paper order and is itself cached on the returned
+        relation.
+
+        The result is shared: do not mutate it — ``.copy()`` first.
+        ``extra_pairs`` must be a normalised (sorted, deduplicated,
+        irreflexive) tuple so equal requests hit the same cache entry.
+        """
         key = (condition, extra_pairs)
         rel = self._bases.get(key)
         if rel is None:
             if extra_pairs:
                 rel = self.base_relation(condition).copy()
-                for a, b in extra_pairs:
-                    rel.add(a, b)
+                rel.add_all(extra_pairs)
             else:
-                real_time, objects = CONDITION_ORDERS[condition]
-                history = self.history
-                rel = Relation(history.uids)
-                init_uid = history.init.uid
-                for mop in history.mops:
-                    rel.add(init_uid, mop.uid)
-                for chain in self.process_chains.values():
-                    for a, b in zip(chain, chain[1:]):
-                        rel.add(a, b)
-                for writer, reader in self.reads_from_pairs:
-                    rel.add(writer, reader)
-                if real_time:
-                    rel.add_all(self.real_time_cover())
-                if objects:
-                    rel.add_all(self.object_cover())
+                rel = Relation(
+                    self.history.uids, self.cover_edges(condition)
+                )
             self._bases[key] = rel
         return rel
 
@@ -600,7 +612,7 @@ class HistoryIndex:
         # len(interfering_triples()), counted rather than enumerated:
         # per reads-from pair, the writers of any object it read other
         # than the pair itself.
-        pos = self._positions
+        pos = self.positions
         overwriters: Dict[Pair, int] = {}
         for (a_uid, obj), b_uid in self.proper_reads():
             overwriters[a_uid, b_uid] = (
@@ -619,423 +631,3 @@ class HistoryIndex:
             reads_from_edges=len(self.reads_from_pairs),
             interfering_triples=triples,
         )
-
-
-class LiveIndex:
-    """Incrementally maintained order + legality state for a live run.
-
-    Streaming twin of :class:`HistoryIndex` for the protocol recorder
-    and the chaos harness: instead of rebuilding a ``History`` and
-    re-deriving everything per audit, the cluster feeds completions
-    (:meth:`observe`) and broadcast deliveries (:meth:`announce`) as
-    they happen, and :meth:`audit` answers in ``O(triples)`` bit tests
-    against an :class:`~repro.core.relations.IncrementalClosure`.
-
-    The maintained order is ``~p ∪ ~rf ∪ ~ww`` plus the initial
-    fan-out — exactly the base the batch m-sc check uses with a run's
-    ``ww_pairs()`` as ``extra_pairs`` — and the interfering triples
-    accumulate as reads-from edges and writers appear.  Both the edge
-    set and the triple set only grow, so a violation reported mid-run
-    is permanent (and will also be flagged by the end-of-run batch
-    check); a clean mid-run audit is provisional.
-
-    Like :class:`~repro.core.monitor.LiveMonitor`, completions may
-    arrive before the writers they read from are announced; such
-    completions are buffered and applied once their dependencies are
-    known.
-    """
-
-    __slots__ = (
-        "_closure",
-        "_last_update",
-        "_last_by_process",
-        "_writers",
-        "_rf_by_obj",
-        "_triples",
-        "_announced",
-        "_pending",
-        "applied",
-        "announced",
-        "audits",
-    )
-
-    def __init__(self) -> None:
-        self._closure = IncrementalClosure()
-        self._closure.add_node(INIT_UID)
-        self._last_update: Optional[int] = None
-        self._last_by_process: Dict[int, int] = {}
-        self._writers: Dict[str, List[int]] = {}
-        self._rf_by_obj: Dict[str, List[Tuple[int, int]]] = {}
-        self._triples: List[InterferingTriple] = []
-        self._announced = {INIT_UID}
-        self._pending: List[
-            Tuple[int, int, Dict[str, int], bool]
-        ] = []
-        #: completions applied to the order so far.
-        self.applied = 0
-        #: broadcast deliveries registered so far.
-        self.announced = 0
-        #: audits run so far.
-        self.audits = 0
-
-    # ------------------------------------------------------------------
-    # Feeding
-    # ------------------------------------------------------------------
-
-    def announce(self, uid: int, writes: Iterable[str]) -> None:
-        """Register a broadcast delivery: ``uid`` wrote ``writes``.
-
-        Consecutive announcements form the ``~ww`` chain (D 5.3).
-        Idempotent per uid (only the first delivery counts, matching
-        the recorder's ``ww_sequence``).
-        """
-        if uid in self._announced:
-            return
-        self._announced.add(uid)
-        self.announced += 1
-        closure = self._closure
-        closure.add_node(uid)
-        closure.add_edge(INIT_UID, uid)
-        if self._last_update is not None:
-            closure.add_edge(self._last_update, uid)
-        self._last_update = uid
-        for obj in writes:
-            for a_uid, b_uid in self._rf_by_obj.get(obj, ()):
-                if uid != a_uid and uid != b_uid:
-                    self._triples.append((a_uid, b_uid, uid))
-            self._writers.setdefault(obj, [INIT_UID]).append(uid)
-        self._drain()
-
-    def observe(
-        self,
-        uid: int,
-        process: int,
-        reads_from: Mapping[str, int],
-        is_update: bool,
-    ) -> None:
-        """Register a completed m-operation at its issuing process."""
-        self._pending.append((uid, process, dict(reads_from), is_update))
-        self._drain()
-
-    def _ready(self, entry: Tuple[int, int, Dict[str, int], bool]) -> bool:
-        uid, _process, reads_from, is_update = entry
-        if is_update and uid not in self._announced:
-            return False
-        return all(w in self._announced for w in reads_from.values())
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for i, entry in enumerate(self._pending):
-                if self._ready(entry):
-                    del self._pending[i]
-                    self._apply(entry)
-                    progressed = True
-                    break
-
-    def _apply(self, entry: Tuple[int, int, Dict[str, int], bool]) -> None:
-        uid, process, reads_from, _is_update = entry
-        closure = self._closure
-        closure.add_node(uid)
-        closure.add_edge(INIT_UID, uid)
-        prev = self._last_by_process.get(process)
-        if prev is not None and prev != uid:
-            closure.add_edge(prev, uid)
-        self._last_by_process[process] = uid
-        for obj, writer in reads_from.items():
-            if writer != uid:
-                closure.add_edge(writer, uid)
-                for c_uid in self._writers.setdefault(obj, [INIT_UID]):
-                    if c_uid != uid and c_uid != writer:
-                        self._triples.append((uid, writer, c_uid))
-                self._rf_by_obj.setdefault(obj, []).append((uid, writer))
-        self.applied += 1
-
-    # ------------------------------------------------------------------
-    # Auditing
-    # ------------------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        """Completions buffered awaiting their writers' announcements."""
-        return len(self._pending)
-
-    def audit(self) -> Optional[str]:
-        """Check the accumulated order; None if clean so far.
-
-        Theorem 7 under the WW-constraint (discharged by the ``~ww``
-        chain): the run is m-sequentially consistent w.r.t. the
-        accumulated order iff it is acyclic and legal (D 4.6).
-        Monotone — a reported violation can never be retracted by
-        later m-operations.
-        """
-        self.audits += 1
-        closure = self._closure
-        if closure.cyclic:
-            return "order cycle among applied m-operations"
-        for a_uid, b_uid, c_uid in self._triples:
-            if closure.has(b_uid, c_uid) and closure.has(c_uid, a_uid):
-                return (
-                    f"illegal triple (D 4.6): m-op {a_uid} reads from "
-                    f"{b_uid} but writer {c_uid} is ordered between them"
-                )
-        return None
-
-    @property
-    def consistent(self) -> bool:
-        """Boolean form of :meth:`audit`."""
-        return self.audit() is None
-
-    def snapshot(self) -> Relation:
-        """The current closed order as a :class:`Relation`."""
-        return self._closure.to_relation()
-
-
-class WindowedIndex:
-    """Bounded-memory streaming auditor — the windowed twin of
-    :class:`LiveIndex`.
-
-    :class:`LiveIndex` maintains an incremental transitive closure,
-    whose bitmask rows grow quadratically with the run; an unbounded
-    stream eventually exhausts memory.  ``WindowedIndex`` keeps the
-    same feeding interface (:meth:`announce` / :meth:`observe` /
-    :meth:`audit`) but replaces the closure with the ``~ww``
-    chain-position scan of :mod:`repro.core.plan`: every broadcast
-    delivery gets a chain position, each process carries a *mark* (the
-    highest chain position visible to it), and a completed read is
-    legal iff no other writer of the object sits between its writer
-    and the reader's mark — one :func:`bisect <bisect.bisect_right>`
-    per read against the object's retained writer positions.
-
-    **Epoch checkpoints.**  Every ``window`` announcements the index
-    seals the closed prefix: writer positions more than ``window``
-    behind the delivery frontier are discarded, keeping only the
-    *sealed head* (the newest discarded writer — reads from it remain
-    decidable).  Retained state is O(objects × window) plus one
-    integer per announced uid; the quadratic closure state is gone.
-    A read reaching behind a sealed prefix is a *refusal*, never a
-    wrong verdict: it is counted in :attr:`window_refusals` (and
-    raised as :class:`~repro.errors.WindowExceeded` when
-    ``strict=True``) — re-run with a larger window or a full
-    :class:`LiveIndex` to decide it.
-
-    **Fidelity.**  Violations reported here are real (the scan is the
-    plan engine's, cross-validated against the closure checker), but
-    the streaming mark is a lower bound on the batch mark: it folds
-    the process predecessor's mark and the read-from writers'
-    *positions*, not their full marks, so a violation visible only
-    through a longer chain of happened-before hops may surface later
-    than :class:`LiveIndex` would report it — the same contract as
-    :class:`~repro.core.monitor.StreamingVerifier`, and the end-of-run
-    batch check remains the authority.
-    """
-
-    __slots__ = (
-        "window",
-        "strict",
-        "_pos",
-        "_next_pos",
-        "_writer_pos",
-        "_writer_uid",
-        "_pruned",
-        "_mark_by_process",
-        "_announced",
-        "_pending",
-        "_violation",
-        "applied",
-        "announced",
-        "audits",
-        "epochs",
-        "sealed",
-        "window_refusals",
-    )
-
-    def __init__(self, window: int, *, strict: bool = False) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        #: retained ``~ww`` depth, in broadcast positions.
-        self.window = window
-        #: raise :class:`WindowExceeded` on refusal instead of counting.
-        self.strict = strict
-        self._pos: Dict[int, int] = {INIT_UID: 0}
-        self._next_pos = 1
-        self._writer_pos: Dict[str, List[int]] = {}
-        self._writer_uid: Dict[str, List[int]] = {}
-        self._pruned: Dict[str, bool] = {}
-        self._mark_by_process: Dict[int, int] = {}
-        self._announced = {INIT_UID}
-        self._pending: List[Tuple[int, int, Dict[str, int], bool]] = []
-        self._violation: Optional[str] = None
-        #: completions applied to the scan so far.
-        self.applied = 0
-        #: broadcast deliveries registered so far.
-        self.announced = 0
-        #: audits run so far.
-        self.audits = 0
-        #: prefix seals performed (one per ``window`` announcements).
-        self.epochs = 0
-        #: writer-timeline slots discarded by sealing.
-        self.sealed = 0
-        #: reads refused for reaching behind a sealed prefix.
-        self.window_refusals = 0
-
-    # ------------------------------------------------------------------
-    # Feeding (LiveIndex-compatible)
-    # ------------------------------------------------------------------
-
-    def announce(self, uid: int, writes: Iterable[str]) -> None:
-        """Register a broadcast delivery: ``uid`` wrote ``writes``.
-
-        Consecutive announcements form the ``~ww`` chain (D 5.3);
-        idempotent per uid, like :meth:`LiveIndex.announce`.
-        """
-        if uid in self._announced:
-            return
-        self._announced.add(uid)
-        self.announced += 1
-        p = self._next_pos
-        self._next_pos += 1
-        self._pos[uid] = p
-        for obj in writes:
-            self._writer_pos.setdefault(obj, [0]).append(p)
-            self._writer_uid.setdefault(obj, [INIT_UID]).append(uid)
-        if p % self.window == 0:
-            self._seal()
-        self._drain()
-
-    def observe(
-        self,
-        uid: int,
-        process: int,
-        reads_from: Mapping[str, int],
-        is_update: bool,
-    ) -> None:
-        """Register a completed m-operation at its issuing process."""
-        self._pending.append((uid, process, dict(reads_from), is_update))
-        self._drain()
-
-    def _seal(self) -> None:
-        """Epoch checkpoint: discard writer positions behind the window.
-
-        Keeps the sealed head — the newest discarded writer — so a
-        read from it is still decidable; anything older refuses.
-        """
-        floor = self._next_pos - 1 - self.window
-        if floor <= 0:
-            return
-        self.epochs += 1
-        for obj, positions in self._writer_pos.items():
-            cut = bisect_left(positions, floor) - 1
-            if cut <= 0:
-                continue
-            del positions[:cut]
-            del self._writer_uid[obj][:cut]
-            self._pruned[obj] = True
-            self.sealed += cut
-
-    def _ready(self, entry: Tuple[int, int, Dict[str, int], bool]) -> bool:
-        uid, _process, reads_from, is_update = entry
-        if is_update and uid not in self._announced:
-            return False
-        return all(w in self._announced for w in reads_from.values())
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for i, entry in enumerate(self._pending):
-                if self._ready(entry):
-                    del self._pending[i]
-                    self._apply(entry)
-                    progressed = True
-                    break
-
-    def _apply(self, entry: Tuple[int, int, Dict[str, int], bool]) -> None:
-        uid, process, reads_from, is_update = entry
-        pos = self._pos
-        mark = self._mark_by_process.get(process, 0)
-        for writer in reads_from.values():
-            wp = pos[writer]
-            if wp > mark:
-                mark = wp
-        own = pos.get(uid) if is_update else None
-        if own is not None and mark > own and self._violation is None:
-            # A predecessor (process order or reads-from) carries a
-            # chain position after this update's own delivery: the
-            # visible order contradicts ~ww.
-            self._violation = (
-                f"order cycle among applied m-operations: update {uid} at "
-                f"broadcast position {own} observes position {mark}"
-            )
-        for obj, writer in sorted(reads_from.items()):
-            if writer == uid:
-                continue
-            b_pos = pos[writer]
-            if b_pos >= mark:
-                # The writer is the newest delivery the reader can see:
-                # nothing can sit between them (decidable even sealed).
-                continue
-            positions = self._writer_pos.get(obj, [0])
-            if self._pruned.get(obj) and b_pos < positions[0]:
-                self.window_refusals += 1
-                if self.strict:
-                    raise WindowExceeded(
-                        f"m-op {uid} reads {obj} from {writer} at broadcast "
-                        f"position {b_pos}, behind the sealed prefix "
-                        f"(oldest retained: {positions[0]}, window "
-                        f"{self.window})"
-                    )
-                continue
-            uids = self._writer_uid.get(obj, [INIT_UID])
-            j = bisect_right(positions, mark) - 1
-            while j >= 0 and uids[j] == uid:
-                j -= 1
-            if (
-                j >= 0
-                and positions[j] > b_pos
-                and self._violation is None
-            ):
-                self._violation = (
-                    f"illegal triple (D 4.6): m-op {uid} reads from "
-                    f"{writer} but writer {uids[j]} is ordered between "
-                    "them"
-                )
-        if own is not None and own > mark:
-            mark = own
-        self._mark_by_process[process] = mark
-        self.applied += 1
-
-    # ------------------------------------------------------------------
-    # Auditing (LiveIndex-compatible)
-    # ------------------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        """Completions buffered awaiting their writers' announcements."""
-        return len(self._pending)
-
-    @property
-    def frontier(self) -> int:
-        """The newest broadcast position announced so far."""
-        return self._next_pos - 1
-
-    @property
-    def retained(self) -> int:
-        """Writer-timeline slots currently held (memory gauge)."""
-        return sum(len(p) for p in self._writer_pos.values())
-
-    def audit(self) -> Optional[str]:
-        """Check the stream so far; None if clean.
-
-        Monotone, like :meth:`LiveIndex.audit` — a reported violation
-        is permanent.  Refused reads are *not* violations; see
-        :attr:`window_refusals`.
-        """
-        self.audits += 1
-        return self._violation
-
-    @property
-    def consistent(self) -> bool:
-        """Boolean form of :meth:`audit`."""
-        return self.audit() is None

@@ -1,10 +1,11 @@
 """Streaming verification of WW-constrained executions (S28).
 
 The constrained checker (Theorem 7) already avoids the NP-complete
-search, but it reruns an O(n²)-ish legality scan over the whole
-history.  For *monitoring* — checking each m-operation as it
-completes — the same theory supports an incremental formulation that
-is the operational twin of the paper's Section-5 timestamp reasoning:
+search, but it reruns a legality scan over the whole history.  For
+*monitoring* — checking each m-operation as it completes — the same
+theory supports an incremental formulation that is the operational
+twin of the paper's Section-5 timestamp reasoning, and of the batch
+scan in :mod:`repro.core.plan`:
 
 Under the WW-constraint the updates carry a total order (``~ww``
 positions).  For a completed m-operation ``a``, the set of update
@@ -23,11 +24,17 @@ predecessors:
 * for an update: its own position (every earlier update precedes it
   via ``~ww``).
 
-Legality (D 4.6) then collapses to a per-read check: *the latest
-writer of object ``x`` at or below the mark must be exactly the
-writer the read reads from* — one ``bisect`` per read.  A read whose
-writer sits *above* an update's own position is a reads-from-the-
-future cycle and is likewise flagged.
+**Cycles.**  Every cycle of the order passes through an update, and an
+update ``u`` lies on one iff its predecessors' mark already reaches
+its own position (``>= pos(u)``: a predecessor saw ``u`` itself or
+something broadcast after it).  Where no update is flagged, an
+update's mark *is* its position, so only positions — never marks —
+need to travel along reads-from edges, and a reader may be checked
+before the update it read from has completed.
+
+**Legality** (D 4.6) collapses to a per-read check: *no other writer
+of object ``x`` sits at a position after the claimed writer's and at
+or below the reader's mark* — one ``bisect`` per read.
 
 The verdicts coincide with the batch constrained checker
 (``check_*(extra_pairs=ww_pairs)``) — cross-validated over randomized
@@ -37,9 +44,11 @@ per m-operation instead of a whole-history rescan per query.
 
 from __future__ import annotations
 
-import bisect
+import heapq
+import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.operation import INIT_UID
 from repro.errors import ReproError
@@ -49,7 +58,7 @@ INIT_POS = -1
 
 
 class MonitorUsageError(ReproError):
-    """The streaming verifier was fed an out-of-contract stream."""
+    """The live monitor was fed an out-of-contract stream."""
 
 
 @dataclass(frozen=True)
@@ -58,9 +67,10 @@ class StreamViolation:
 
     Attributes:
         uid: the m-operation whose completion exposed the violation.
-        obj: the object whose read is illegal.
+        obj: the object whose read is illegal ("" when no read is).
         expected_writer: the writer the read claims.
-        actual_writer: the latest visible writer at the mark.
+        actual_writer: a writer ordered between it and the reader
+            (None for order cycles and never-delivered updates).
         detail: human-readable narrative.
     """
 
@@ -76,19 +86,19 @@ class StreamViolation:
 
 @dataclass
 class ObservedOp:
-    """What the verifier needs to know about one completed m-operation.
+    """What the monitor needs to know about one completed m-operation.
 
     Attributes:
         uid: m-operation uid (> 0, unique).
         process: issuing process id.
         inv: invocation time.
-        resp: response time (observations must arrive in resp order).
+        resp: response time.
         reads_from: obj -> writer uid for every external read
             (``INIT_UID`` for initial values).
         writes: objects written.
         is_update: whether the m-operation occupies a ``~ww`` slot
-            (it must have been announced via :meth:`StreamingVerifier.
-            observe_ww` before being observed).
+            (it is held back until :meth:`LiveMonitor.announce` has
+            given it one).
     """
 
     uid: int
@@ -100,204 +110,44 @@ class ObservedOp:
     is_update: bool
 
 
-class StreamingVerifier:
-    """Incremental m-SC / m-linearizability verification.
+class LiveMonitor:
+    """Incremental m-SC / m-linearizability verification of a live run.
 
     Args:
         condition: ``"m-sc"`` (marks from process order and reads-from)
             or ``"m-lin"`` (additionally the global response-time
             mark).
-
-    Contract: updates are announced in broadcast-delivery order via
-    :meth:`observe_ww` (before or at their own observation);
-    completed m-operations are fed to :meth:`observe` in response-time
-    order.  Violations are returned as they are exposed and collected
-    in :attr:`violations`; the stream may continue afterwards.
-    """
-
-    def __init__(self, condition: str = "m-sc") -> None:
-        if condition not in ("m-sc", "m-lin"):
-            raise MonitorUsageError(
-                f"unknown condition {condition!r}; expected 'm-sc' or "
-                "'m-lin'"
-            )
-        self.condition = condition
-        self._ww_pos: Dict[int, int] = {INIT_UID: INIT_POS}
-        self._next_pos = 0
-        # Per object: parallel arrays of (position, writer uid),
-        # positions strictly increasing.
-        self._write_pos: Dict[str, List[int]] = {}
-        self._write_uid: Dict[str, List[int]] = {}
-        self._proc_mark: Dict[int, int] = {}
-        # Global mark history: response times and the cumulative mark
-        # after each observation (both non-decreasing).
-        self._resp_times: List[float] = []
-        self._marks_after: List[float] = []
-        self._global_mark = INIT_POS
-        self._last_resp = float("-inf")
-        self.observed = 0
-        self.violations: List[StreamViolation] = []
-
-    # ------------------------------------------------------------------
-    # Feeding the stream
-    # ------------------------------------------------------------------
-
-    def observe_ww(self, uid: int, writes: Tuple[str, ...] = ()) -> None:
-        """Announce the next update in atomic-broadcast order.
-
-        ``writes`` is the update's (deterministic) write set, known at
-        delivery time in any replica — *before* any reader can depend
-        on it.  Registering writes here rather than at the update's
-        own response matters: responses of different issuers can
-        arrive out of broadcast order, but deliveries cannot.
-        """
-        if uid in self._ww_pos:
-            raise MonitorUsageError(f"uid {uid} already has a ww position")
-        position = self._next_pos
-        self._ww_pos[uid] = position
-        self._next_pos += 1
-        for obj in writes:
-            self._write_pos.setdefault(obj, []).append(position)
-            self._write_uid.setdefault(obj, []).append(uid)
-
-    def observe(self, op: ObservedOp) -> Optional[StreamViolation]:
-        """Feed one completed m-operation; return its violation if any."""
-        if op.resp < self._last_resp:
-            raise MonitorUsageError(
-                "observations must arrive in response-time order"
-            )
-        self._last_resp = op.resp
-
-        if op.is_update and op.uid not in self._ww_pos:
-            raise MonitorUsageError(
-                f"update {op.uid} observed before its ww position was "
-                "announced"
-            )
-        own_pos = self._ww_pos.get(op.uid)
-
-        # Assemble the mark.
-        mark = self._proc_mark.get(op.process, INIT_POS)
-        if self.condition == "m-lin":
-            mark = max(mark, self._global_mark_at(op.inv))
-        violation: Optional[StreamViolation] = None
-        for obj, writer in op.reads_from.items():
-            writer_pos = self._ww_pos.get(writer)
-            if writer_pos is None:
-                raise MonitorUsageError(
-                    f"{op.uid} reads {obj!r} from {writer}, which has no "
-                    "ww position (non-update writers are impossible)"
-                )
-            if op.is_update and writer_pos > own_pos:
-                violation = violation or StreamViolation(
-                    uid=op.uid,
-                    obj=obj,
-                    expected_writer=writer,
-                    actual_writer=None,
-                    detail=(
-                        f"m#{op.uid} (update, ww position {own_pos}) "
-                        f"reads {obj!r} from m#{writer} which is "
-                        f"broadcast *later* (position {writer_pos}) — "
-                        "a reads-from-the-future cycle"
-                    ),
-                )
-            mark = max(mark, writer_pos)
-        if op.is_update:
-            mark = max(mark, own_pos)
-
-        # Per-read legality at the mark.
-        for obj, writer in op.reads_from.items():
-            if violation is not None:
-                break
-            limit = mark
-            if op.is_update and obj in op.writes:
-                # The reader's own write is not a predecessor.
-                limit = min(limit, own_pos - 1) if own_pos is not None else limit
-            actual = self._latest_writer(obj, limit)
-            if actual != writer:
-                violation = StreamViolation(
-                    uid=op.uid,
-                    obj=obj,
-                    expected_writer=writer,
-                    actual_writer=actual,
-                    detail=(
-                        f"m#{op.uid} reads {obj!r} from m#{writer}, but "
-                        f"the latest write of {obj!r} it is ordered "
-                        f"after comes from "
-                        f"m#{actual if actual is not None else '?'} "
-                        "(D 4.6 violated under the recorded ~ww order)"
-                    ),
-                )
-
-        # Advance the marks.
-        self._proc_mark[op.process] = max(
-            self._proc_mark.get(op.process, INIT_POS), mark
-        )
-        self._global_mark = max(self._global_mark, mark)
-        self._resp_times.append(op.resp)
-        self._marks_after.append(self._global_mark)
-
-        self.observed += 1
-        if violation is not None:
-            self.violations.append(violation)
-        return violation
-
-    # ------------------------------------------------------------------
-    # Verdict
-    # ------------------------------------------------------------------
-
-    @property
-    def consistent(self) -> bool:
-        """True iff no violation has been detected so far."""
-        return not self.violations
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _global_mark_at(self, time: float) -> int:
-        """The cumulative mark of operations that responded before ``time``."""
-        index = bisect.bisect_left(self._resp_times, time)
-        if index == 0:
-            return INIT_POS
-        return int(self._marks_after[index - 1])
-
-    def _latest_writer(self, obj: str, limit: int) -> Optional[int]:
-        """uid of the latest write of ``obj`` at position <= ``limit``.
-
-        ``None`` means no broadcast write is visible; the object still
-        holds the initial value (writer ``INIT_UID``).
-        """
-        positions = self._write_pos.get(obj)
-        if not positions:
-            return INIT_UID
-        index = bisect.bisect_right(positions, limit)
-        if index == 0:
-            return INIT_UID
-        return self._write_uid[obj][index - 1]
-
-
-class LiveMonitor:
-    """Order-tolerant front end for live (in-run) verification.
-
-    In a running cluster the two event streams are only *locally*
-    ordered: a reader can complete before the monitor's ``~ww`` tap
-    (pid 0's delivery) has announced the update it read from.  This
-    wrapper buffers completed operations until every uid they depend
-    on has a broadcast position — then releases them to the underlying
-    :class:`StreamingVerifier` in their original response order.
+        window: bounded-memory mode — every ``window`` announcements
+            the closed prefix is sealed: writer positions more than
+            ``window`` behind the delivery frontier are discarded,
+            keeping per object only the *sealed head* (the newest
+            discarded writer — reads from it stay decidable).  A read
+            reaching behind a sealed prefix is a *refusal*, never a
+            wrong verdict: it is counted in :attr:`window_refusals`
+            and left undecided (the end-of-run batch check is the
+            authority).  Retained state is O(objects × window) plus
+            one integer per announced uid.
+        slack: see the release discipline below.
 
     Attach via ``Cluster(..., monitor=LiveMonitor("m-sc"))``; the
-    cluster feeds deliveries and completions automatically and the
-    verdict is available as :attr:`consistent` during and after the
-    run (also surfaced on the :class:`RunResult`).
+    cluster feeds broadcast deliveries (:meth:`announce`, in total
+    order, with the update's write set — known at delivery time in
+    any replica, *before* any reader can depend on it) and completions
+    (:meth:`complete`) as they happen, and the verdict is available as
+    :attr:`consistent` / :meth:`audit` during and after the run.
 
-    Release discipline: completions are queued in response order, and
-    the head is released only once (a) its dependencies are announced
-    and (b) the clock has passed ``head.resp + slack`` — with a
+    In a running cluster the two event streams are only *locally*
+    ordered: a reader can complete before the ``~ww`` tap (the first
+    delivery) has announced the update it read from.  Completions are
+    therefore queued in response order, and the head is released only
+    once (a) every uid it depends on has a broadcast position and (b)
+    the clock has passed ``head.resp + slack`` — with a
     response-clamping protocol (see ``BaseProcess.respond``) a later
     completion can carry an *earlier* response time by up to the local
     delay, so the slack window guarantees no earlier-response
-    straggler is still coming.
+    straggler is still coming.  Only m-lin's response-time mark
+    depends on that order; there a straggler behind an already
+    released completion is a :class:`MonitorUsageError`.
 
     At a quiescent point (epoch boundary, fault boundary, end of run)
     :meth:`barrier` releases every dependency-satisfied completion
@@ -308,60 +158,102 @@ class LiveMonitor:
     :class:`StreamViolation` — an executed read whose writer was never
     delivered anywhere is itself a consistency violation, not a usage
     error, so the tap-ordering race can no longer mask a verdict.
+
+    Violations are collected in :attr:`violations` and are permanent
+    (the order only grows); the stream may continue afterwards.
     """
 
     def __init__(
         self,
         condition: str = "m-sc",
         *,
+        window: Optional[int] = None,
         slack: float = 1e-3,
-        index=None,
     ) -> None:
-        self.verifier = StreamingVerifier(condition)
-        self._queue: List[ObservedOp] = []
-        self._now = float("-inf")
+        if condition not in ("m-sc", "m-lin"):
+            raise MonitorUsageError(
+                f"unknown condition {condition!r}; expected 'm-sc' or "
+                "'m-lin'"
+            )
+        if window is not None and window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        self.condition = condition
+        #: retained ``~ww`` depth, in broadcast positions (None = all).
+        self.window = window
         self.slack = slack
-        #: optional :class:`repro.core.index.LiveIndex` co-fed with
-        #: the verifier, so one event stream maintains both the mark
-        #: verdicts and the incrementally closed order for audits.
-        self.index = index
+        self._real_time = condition == "m-lin"
+        self._pos: Dict[int, int] = {INIT_UID: INIT_POS}
+        # Per object: parallel arrays of (position, writer uid),
+        # positions strictly increasing.
+        self._write_pos: Dict[str, List[int]] = {}
+        self._write_uid: Dict[str, List[int]] = {}
+        self._pruned: Set[str] = set()
+        self._proc_mark: Dict[int, int] = {}
+        # m-lin: response times and the cumulative mark after each
+        # release (both non-decreasing).
+        self._resp_times: List[float] = []
+        self._marks_after: List[int] = []
+        self._last_resp = float("-inf")
+        # Completions awaiting release: (resp, arrival number, op).
+        self._queue: List[Tuple[float, int, ObservedOp]] = []
+        self._arrivals = itertools.count()
+        self._now = float("-inf")
+        #: completions released to the checks so far.
+        self.observed = 0
+        self.violations: List[StreamViolation] = []
+        #: prefix seals performed (one per ``window`` announcements).
+        self.epochs = 0
+        #: writer-timeline slots discarded by sealing.
+        self.sealed = 0
+        #: reads refused for reaching behind a sealed prefix.
+        self.window_refusals = 0
 
     # -- feed ----------------------------------------------------------
 
-    def announce(self, uid: int, writes: Tuple[str, ...]) -> None:
-        """An update was delivered (in total order) with this write set."""
-        self.verifier.observe_ww(uid, writes)
-        if self.index is not None:
-            self.index.announce(uid, writes)
+    def announce(self, uid: int, writes: Iterable[str]) -> None:
+        """The next update in atomic-broadcast order, with its write set.
+
+        Consecutive announcements form the ``~ww`` chain (D 5.3).
+        """
+        if uid in self._pos:
+            raise MonitorUsageError(f"uid {uid} already has a ww position")
+        position = len(self._pos) - 1
+        self._pos[uid] = position
+        for obj in writes:
+            self._write_pos.setdefault(obj, []).append(position)
+            self._write_uid.setdefault(obj, []).append(uid)
+        if self.window is not None and (position + 1) % self.window == 0:
+            self._seal(position - self.window)
         self._drain()
 
     def complete(self, op: ObservedOp, *, now: Optional[float] = None) -> None:
         """An m-operation completed at (simulated) wall time ``now``."""
         if now is not None:
             self._now = max(self._now, now)
-        bisect.insort(self._queue, op, key=lambda o: o.resp)
-        if self.index is not None:
-            self.index.observe(
-                op.uid, op.process, op.reads_from, op.is_update
+        if self._real_time and op.resp < self._last_resp:
+            raise MonitorUsageError(
+                f"m#{op.uid} responded at {op.resp}, before the "
+                f"already released response at {self._last_resp}: "
+                "completions outran the slack window"
             )
+        heapq.heappush(self._queue, (op.resp, next(self._arrivals), op))
         self._drain()
 
-    def barrier(self, now: Optional[float] = None) -> int:
+    def barrier(self) -> int:
         """Deterministic epoch barrier: drain without the slack wait.
 
         Releases queued completions, in response order, as long as the
         head's broadcast dependencies are announced — the slack window
         is ignored, so the outcome depends only on the event streams,
-        not on how far the clock has advanced.  Call at a point where
-        no earlier-response straggler can still arrive (epoch or fault
-        boundary, quiescence).  Returns the number released; anything
-        left is blocked on a delivery that has not landed yet.
+        not on how far the clock has advanced.  Under m-lin, call at a
+        point where no earlier-response straggler can still arrive
+        (epoch or fault boundary, quiescence).  Returns the number
+        released; anything left is blocked on a delivery that has not
+        landed yet.
         """
-        if now is not None:
-            self._now = max(self._now, now)
         released = 0
-        while self._queue and self._ready(self._queue[0]):
-            self.verifier.observe(self._queue.pop(0))
+        while self._queue and self._ready(self._queue[0][2]):
+            self._release(heapq.heappop(self._queue)[2])
             released += 1
         return released
 
@@ -375,10 +267,10 @@ class LiveMonitor:
         :class:`StreamViolation`.
         """
         self._now = float("inf")
-        self._drain()
-        blocked, self._queue = self._queue, []
-        positions = self.verifier._ww_pos
-        for op in blocked:  # response order, per the insort discipline
+        self.barrier()
+        blocked, self._queue = sorted(self._queue), []
+        positions = self._pos
+        for _resp, _arrival, op in blocked:
             missing = sorted(
                 {w for w in op.reads_from.values() if w not in positions}
                 | (
@@ -395,7 +287,7 @@ class LiveMonitor:
                 ),
                 (op.writes[0] if op.writes else "", op.uid),
             )
-            self.verifier.violations.append(
+            self.violations.append(
                 StreamViolation(
                     uid=op.uid,
                     obj=obj,
@@ -413,24 +305,33 @@ class LiveMonitor:
 
     # -- verdict -------------------------------------------------------
 
+    def audit(self) -> Optional[str]:
+        """:meth:`barrier`, then the first violation so far (None if
+        clean).  Monotone: a reported violation is never retracted by
+        later m-operations, a clean audit is provisional.  Refused
+        reads are *not* violations; see :attr:`window_refusals`."""
+        self.barrier()
+        return str(self.violations[0]) if self.violations else None
+
     @property
     def consistent(self) -> bool:
         """No violation among the operations released so far."""
-        return self.verifier.consistent
-
-    @property
-    def violations(self) -> List[StreamViolation]:
-        return self.verifier.violations
+        return not self.violations
 
     @property
     def pending(self) -> int:
         """Completed operations still awaiting a dependency's position."""
         return len(self._queue)
 
+    @property
+    def retained(self) -> int:
+        """Writer-timeline slots currently held (memory gauge)."""
+        return sum(len(p) for p in self._write_pos.values())
+
     # -- internals -----------------------------------------------------
 
     def _ready(self, op: ObservedOp) -> bool:
-        positions = self.verifier._ww_pos
+        positions = self._pos
         if op.is_update and op.uid not in positions:
             return False
         return all(
@@ -438,51 +339,166 @@ class LiveMonitor:
         )
 
     def _drain(self) -> None:
+        queue = self._queue
         while (
-            self._queue
-            and self._queue[0].resp + self.slack <= self._now
-            and self._ready(self._queue[0])
+            queue
+            and queue[0][0] + self.slack <= self._now
+            and self._ready(queue[0][2])
         ):
-            self.verifier.observe(self._queue.pop(0))
+            self._release(heapq.heappop(queue)[2])
+
+    def _seal(self, floor: int) -> None:
+        """Epoch checkpoint: discard writer positions below ``floor``
+        except, per object, the newest of them (the sealed head)."""
+        if floor <= 0:
+            return
+        self.epochs += 1
+        for obj, positions in self._write_pos.items():
+            cut = bisect_left(positions, floor) - 1
+            if cut <= 0:
+                continue
+            del positions[:cut]
+            del self._write_uid[obj][:cut]
+            self._pruned.add(obj)
+            self.sealed += cut
+
+    def _release(self, op: ObservedOp) -> None:
+        """Check one completion against the marks, then advance them."""
+        pos = self._pos
+        uid = op.uid
+        self._last_resp = op.resp
+        reads = [
+            (obj, writer)
+            for obj, writer in op.reads_from.items()
+            if writer != uid
+        ]
+
+        # The predecessors' mark.
+        mark = self._proc_mark.get(op.process, INIT_POS)
+        if self._real_time:
+            k = bisect_left(self._resp_times, op.inv)
+            if k and self._marks_after[k - 1] > mark:
+                mark = self._marks_after[k - 1]
+        for _obj, writer in reads:
+            if pos[writer] > mark:
+                mark = pos[writer]
+
+        violation: Optional[StreamViolation] = None
+        own = pos[uid] if op.is_update else None
+        if own is not None:
+            if mark >= own:
+                violation = self._cycle(op, own, mark, reads)
+            else:
+                mark = own
+
+        # Per-read legality at the mark.
+        for obj, writer in reads:
+            b_pos = pos[writer]
+            positions = self._write_pos.get(obj)
+            if b_pos >= mark or not positions:
+                # The claimed writer is the newest delivery the reader
+                # can see: nothing can sit between them.
+                continue
+            if obj in self._pruned and b_pos < positions[0]:
+                self.window_refusals += 1
+                continue
+            uids = self._write_uid[obj]
+            k = bisect_right(positions, mark) - 1
+            while k >= 0 and uids[k] == uid:
+                k -= 1  # the reader's own write is not a predecessor
+            if k >= 0 and positions[k] > b_pos and violation is None:
+                violation = StreamViolation(
+                    uid=uid,
+                    obj=obj,
+                    expected_writer=writer,
+                    actual_writer=uids[k],
+                    detail=(
+                        f"illegal triple (D 4.6): m#{uid} reads {obj!r} "
+                        f"from m#{writer}, but writer m#{uids[k]} is "
+                        "ordered between them under the recorded ~ww "
+                        "order"
+                    ),
+                )
+
+        # Advance the marks.
+        self._proc_mark[op.process] = mark
+        if self._real_time:
+            marks = self._marks_after
+            self._resp_times.append(op.resp)
+            marks.append(max(mark, marks[-1]) if marks else mark)
+        self.observed += 1
+        if violation is not None:
+            self.violations.append(violation)
+
+    def _cycle(
+        self,
+        op: ObservedOp,
+        own: int,
+        mark: int,
+        reads: List[Tuple[str, int]],
+    ) -> StreamViolation:
+        """The violation for an update whose predecessors already see
+        broadcast position ``mark >= own``."""
+        pos = self._pos
+        for obj, writer in reads:
+            if pos[writer] >= own:
+                return StreamViolation(
+                    uid=op.uid,
+                    obj=obj,
+                    expected_writer=writer,
+                    actual_writer=None,
+                    detail=(
+                        f"order cycle: m#{op.uid} (update, ww position "
+                        f"{own}) reads {obj!r} from m#{writer} which is "
+                        f"broadcast *later* (position {pos[writer]}) — "
+                        "a reads-from-the-future cycle"
+                    ),
+                )
+        return StreamViolation(
+            uid=op.uid,
+            obj="",
+            expected_writer=op.uid,
+            actual_writer=None,
+            detail=(
+                f"order cycle: m#{op.uid} (update, ww position {own}) "
+                "is ordered after an m-operation that already observes "
+                f"broadcast position {mark}"
+            ),
+        )
 
 
 def verify_stream(
     result,  # RunResult; untyped to avoid a protocols dependency
     *,
     condition: str = "m-sc",
-) -> StreamingVerifier:
-    """Replay a protocol run's records through a streaming verifier.
+) -> LiveMonitor:
+    """Replay a finished protocol run through a :class:`LiveMonitor`.
 
     Updates' ww positions come from ``result.ww_sequence``; records
-    are fed in response order.  The returned verifier's
-    :attr:`~StreamingVerifier.violations` should be empty for every
-    run of the Section-5 protocols (and is, see the test suite), and
-    its verdict coincides with the batch constrained checker.
+    are fed in response order and flushed.  The returned monitor's
+    :attr:`~LiveMonitor.violations` should be empty for every run of
+    the Section-5 protocols (and is, see the test suite), and its
+    verdict coincides with the batch constrained checker.
     """
-    verifier = StreamingVerifier(condition)
+    monitor = LiveMonitor(condition)
     records = sorted(result.recorder.records, key=lambda r: r.resp)
     writes_of = {
-        record.uid: tuple(
-            op.obj for op in record.ops if op.is_write
-        )
+        record.uid: tuple(op.obj for op in record.ops if op.is_write)
         for record in records
     }
-    # Announce every broadcast slot with its write set (delivery-time
-    # knowledge; see observe_ww's docstring).
     for uid in result.ww_sequence:
-        verifier.observe_ww(uid, writes_of.get(uid, ()))
+        monitor.announce(uid, writes_of.get(uid, ()))
     for record in records:
-        verifier.observe(
+        monitor.complete(
             ObservedOp(
                 uid=record.uid,
                 process=record.process,
                 inv=record.inv,
                 resp=record.resp,
                 reads_from=dict(record.reads_from),
-                writes=tuple(
-                    op.obj for op in record.ops if op.is_write
-                ),
+                writes=writes_of[record.uid],
                 is_update=record.is_update,
             )
         )
-    return verifier
+    monitor.flush()
+    return monitor

@@ -14,8 +14,6 @@ order, ``O(E * n/64)`` word operations over the *generating* edges, so
 relations built from cover edges (per-process chains, reads-from) close
 in near-linear time whether or not they are cyclic.  The same pass over
 the reversed edges gives the predecessor rows (:class:`ClosureRows`).
-:class:`IncrementalClosure` maintains reachability under online edge
-insertion for the streaming consumers (recorder / chaos audits).
 """
 
 from __future__ import annotations
@@ -462,112 +460,6 @@ class Relation:
     def __repr__(self) -> str:
         pairs = ", ".join(f"{a}->{b}" for a, b in self.pairs())
         return f"Relation({len(self._nodes)} nodes: {pairs})"
-
-
-class IncrementalClosure:
-    """Transitive reachability maintained under online node/edge insertion.
-
-    The streaming consumers (history recorder, chaos audits) observe an
-    execution one m-operation at a time and need reachability queries
-    against the growing order without re-closing from scratch.  This
-    keeps both successor and predecessor closure masks; inserting an
-    edge ``a -> b`` adds every pair in ``pred*(a) × succ*(b)`` —
-    correct for arbitrary insertion orders, including edges that close
-    a cycle (cycle members end up self-reachable, as in the rows of
-    :meth:`Relation.closure_rows`).
-
-    Amortised cost per edge is ``O(|pred*(a)| * n/64)`` word
-    operations; for the near-chain orders the protocols generate this
-    is far below one full re-closure per audit.
-    """
-
-    __slots__ = ("_nodes", "_index", "_succ", "_pred", "_cyclic")
-
-    def __init__(self) -> None:
-        self._nodes: List[int] = []
-        self._index: Dict[int, int] = {}
-        self._succ: List[int] = []
-        self._pred: List[int] = []
-        self._cyclic = False
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def nodes(self) -> Tuple[int, ...]:
-        return tuple(self._nodes)
-
-    @property
-    def cyclic(self) -> bool:
-        """True once any inserted edge closed a cycle."""
-        return self._cyclic
-
-    def __contains__(self, node: int) -> bool:
-        return node in self._index
-
-    def add_node(self, node: int) -> None:
-        """Register a node; idempotent."""
-        if node in self._index:
-            return
-        self._index[node] = len(self._nodes)
-        self._nodes.append(node)
-        self._succ.append(0)
-        self._pred.append(0)
-
-    def add_edge(self, a: int, b: int) -> None:
-        """Insert ``a -> b`` (registering endpoints as needed)."""
-        if a == b:
-            raise RelationError(
-                f"relation is irreflexive; cannot add ({a}, {b})"
-            )
-        self.add_node(a)
-        self.add_node(b)
-        ia, ib = self._index[a], self._index[b]
-        if self._succ[ia] >> ib & 1:
-            return
-        if ia == ib or self._succ[ib] >> ia & 1:
-            self._cyclic = True
-        succ = self._succ
-        pred = self._pred
-        reach = succ[ib] | 1 << ib
-        sources = pred[ia] | 1 << ia
-        while sources:
-            low = sources & -sources
-            i = low.bit_length() - 1
-            sources ^= low
-            new = reach & ~succ[i]
-            if new:
-                succ[i] |= new
-                bit_i = 1 << i
-                m = new
-                while m:
-                    l2 = m & -m
-                    pred[l2.bit_length() - 1] |= bit_i
-                    m ^= l2
-
-    def has(self, a: int, b: int) -> bool:
-        """Reachability query ``a ->* b`` (strictly via inserted edges)."""
-        ia = self._index.get(a)
-        ib = self._index.get(b)
-        if ia is None or ib is None:
-            return False
-        return bool(self._succ[ia] >> ib & 1)
-
-    def to_relation(self) -> Relation:
-        """Snapshot the current closure as a :class:`Relation`.
-
-        Self-reachability bits (cycle members) are dropped to respect
-        the Relation irreflexivity invariant; the cyclic flag is the
-        authoritative cycle signal.
-        """
-        rel = Relation(self._nodes)
-        rel._succ = [
-            mask & ~(1 << i) for i, mask in enumerate(self._succ)
-        ]
-        if not self._cyclic:
-            rel._closure = ClosureRows((), list(rel._succ), list(self._pred))
-            rel._acyclic = True
-        return rel
 
 
 def relation_from_sequence(sequence: Sequence[int]) -> Relation:

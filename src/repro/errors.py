@@ -95,13 +95,10 @@ class SequencerUnavailable(SimulationError):
 class PlanRefused(ReproError):
     """The verification planner cannot build the requested plan.
 
-    Raised when a sharded or windowed check is requested but no
-    certificate of the right shape is available — e.g. sharding
-    without an object-partitioned certificate, a windowed scan without
-    a total update chain, or a condition (m-linearizability) whose
-    order crosses shard boundaries.  Like
-    :class:`CertificationRefused`, a refusal is not a verdict: the
-    caller may fall back to ``mode="full"``.
+    Raised when a bounded lookback (``window``) is requested but no
+    certificate binds the total update chain the lookback is measured
+    along.  Like :class:`CertificationRefused`, a refusal is not a
+    verdict: the caller may drop ``window``.
     """
 
 
@@ -112,7 +109,7 @@ class WindowExceeded(ReproError):
     positions of each object's writer timeline; a read whose visibility
     frontier reaches further back cannot be decided at bounded memory.
     This is a *refusal*, never a wrong verdict — re-run with a larger
-    window (or ``mode="full"``) to decide the history.
+    window (or none) to decide the history.
     """
 
 

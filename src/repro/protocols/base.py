@@ -465,7 +465,6 @@ class Cluster:
             Callable[[Simulator, int], Network]
         ] = None,
         monitor=None,
-        live_index=None,
         fault_tolerant: bool = False,
         recovery: str = "replay",
         query_retry: float = 6.0,
@@ -487,11 +486,6 @@ class Cluster:
         #: optional live verifier (repro.core.monitor.LiveMonitor);
         #: fed broadcast deliveries and completions as they happen.
         self.monitor = monitor
-        #: optional repro.core.index.LiveIndex; fed the same stream
-        #: through the recorder (completions) and _deliver
-        #: (announcements), maintaining an incrementally closed order
-        #: for cheap mid-run audits.
-        self.live_index = live_index
         #: enables the crash/recovery surface (crash_process et al.)
         #: and the protocols' retry paths.
         self.fault_tolerant = fault_tolerant
@@ -518,7 +512,7 @@ class Cluster:
         self.abcast: Optional[AtomicBroadcast] = (
             abcast_factory(self.network) if abcast_factory else None
         )
-        self.recorder = HistoryRecorder(live_index=live_index)
+        self.recorder = HistoryRecorder()
         self._uid_counter = itertools.count(1)
         #: uids of broadcast m-operations in delivery order — the
         #: ``~ww`` synchronization order of D 5.3/D 5.8 (identical at
@@ -571,21 +565,22 @@ class Cluster:
             self._notify_announce(payload["uid"], pid)
 
     def _notify_announce(self, uid: int, pid: int) -> None:
-        """Feed one synchronization-order entry to the live verifiers.
+        """Feed one synchronization-order entry to the live monitor.
 
         Must run *after* process ``pid`` applied ``uid`` — the write
         set is read back from its store.
         """
-        if self.monitor is None and self.live_index is None:
+        if self.monitor is None:
             return
         store = self.processes[pid].store
-        writes = tuple(
-            obj for obj in store.objects if store.writer_of(obj) == uid
+        self.monitor.announce(
+            uid,
+            tuple(
+                obj
+                for obj in store.objects
+                if store.writer_of(obj) == uid
+            ),
         )
-        if self.monitor is not None:
-            self.monitor.announce(uid, writes)
-        if self.live_index is not None:
-            self.live_index.announce(uid, writes)
 
     def announce_sync(self, uid: int, pid: int) -> None:
         """Record ``uid`` in the ``~ww`` sequence outside the abcast path.
@@ -594,7 +589,7 @@ class Cluster:
         atomic broadcast (the single-server baseline's arrival order)
         call this at execution time so their runs still expose the
         total synchronization order the Theorem-7 fast path and the
-        live verifiers key on.  Idempotent across recovery replays.
+        live monitor key on.  Idempotent across recovery replays.
         """
         if uid in self._announced:
             return

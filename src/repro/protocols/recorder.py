@@ -12,10 +12,9 @@ executable experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.core.history import History
-from repro.core.index import LiveIndex
 from repro.core.operation import MOperation, Operation
 from repro.errors import ProtocolError
 
@@ -50,17 +49,9 @@ class OpRecord:
 
 @dataclass
 class HistoryRecorder:
-    """Collects :class:`OpRecord` entries and builds a history.
-
-    When ``live_index`` is set, every completion is additionally fed
-    to that :class:`~repro.core.index.LiveIndex`, which maintains the
-    run's order and legality state incrementally — so mid-run audits
-    (chaos harness, fault hooks) never rebuild a
-    :class:`~repro.core.history.History`.
-    """
+    """Collects :class:`OpRecord` entries and builds a history."""
 
     records: List[OpRecord] = field(default_factory=list)
-    live_index: Optional[LiveIndex] = None
     _open_invocations: Dict[int, Tuple[float, str]] = field(
         default_factory=dict
     )
@@ -75,13 +66,6 @@ class HistoryRecorder:
         """Record a completed m-operation."""
         self._open_invocations.pop(record.uid, None)
         self.records.append(record)
-        if self.live_index is not None:
-            self.live_index.observe(
-                record.uid,
-                record.process,
-                record.reads_from,
-                record.is_update,
-            )
 
     @property
     def incomplete(self) -> Dict[int, Tuple[float, str]]:

@@ -271,8 +271,6 @@ def _verify(
         method=policy.method,
         extra_pairs=extra_pairs,
         certificate=certificate,
-        mode=policy.mode,
-        workers=policy.workers,
         window=policy.window,
     )
     return [
@@ -454,7 +452,6 @@ def _execute_faulty(
         retry_jitter=faults.retry_jitter,
         max_retries=faults.max_retries,
         verify_window=spec.verify.window,
-        verify_workers=spec.verify.workers,
         **options,
     )
     result = chaos.result

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.serialize import canonical_json
@@ -76,6 +76,16 @@ def _canonical_value(value: Any) -> Any:
         f"value {value!r} ({type(value).__name__}) has no canonical "
         "JSON form"
     )
+
+
+def _reject_unknown(cls, section: str, data: Mapping[str, Any]) -> None:
+    """A spec section names only fields of its dataclass: a misspelt
+    or retired key is an error, never a silently ignored setting."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise InvalidSpecError(
+            f"unknown {section} field(s): {sorted(unknown)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -148,10 +158,8 @@ class LatencySpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LatencySpec":
-        return cls(
-            kind=data.get("kind", "uniform"),
-            params=tuple(data.get("params", (0.5, 1.5))),
-        )
+        _reject_unknown(cls, "latency", data)
+        return cls(**data)
 
 
 def fault_plan_to_dict(plan: FaultPlan) -> Dict[str, Any]:
@@ -313,23 +321,13 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
+        _reject_unknown(cls, "faults", data)
         plan = data.get("plan")
         return cls(
-            seed=data.get("seed", 0),
-            horizon=data.get("horizon", 40.0),
-            recovery=data.get("recovery", "replay"),
-            recover=data.get("recover", True),
-            failover_delay=data.get("failover_delay", 4.0),
-            plan=None if plan is None else fault_plan_from_dict(plan),
-            partition=data.get("partition", False),
-            quorum_aware=data.get("quorum_aware", True),
-            degraded=data.get("degraded", "defer"),
-            detector_period=data.get("detector_period", 1.0),
-            detector_timeout=data.get("detector_timeout", 3.5),
-            ack_timeout=data.get("ack_timeout", 4.0),
-            retry_backoff=data.get("retry_backoff", 2.0),
-            retry_jitter=data.get("retry_jitter", 0.25),
-            max_retries=data.get("max_retries", 40),
+            **{
+                **data,
+                "plan": None if plan is None else fault_plan_from_dict(plan),
+            }
         )
 
 
@@ -351,17 +349,13 @@ class VerifyPolicy:
             :class:`~repro.analysis.static.prover.ConstraintCertificate`
             (falling back silently when it refuses); ``"off"`` = always
             use the dynamic constraint phase.
-        mode: verification plan mode (``"full"``, ``"sharded"`` or
-            ``"windowed"``), forwarded to
-            :func:`repro.core.check_condition`.  Sharded and windowed
-            plans need a certificate of the right shape; the engine
-            raises :class:`~repro.errors.PlanRefused` otherwise.
-        workers: shard-executor process count for ``mode="sharded"``
-            (1 = in-process, the safe default).
-        window: ``~ww`` lookback depth for ``mode="windowed"`` — also
-            selects the bounded-memory
-            :class:`~repro.core.index.WindowedIndex` for in-run chaos
-            audits when faults are armed.
+        window: ``~ww`` lookback depth of the certified scan,
+            forwarded to :func:`repro.core.check_condition` (which
+            raises :class:`~repro.errors.PlanRefused` when no
+            certificate binds a total update chain) — also the
+            bounded-memory ``window`` of the in-run
+            :class:`~repro.core.monitor.LiveMonitor` when faults are
+            armed.
     """
 
     enabled: bool = True
@@ -369,8 +363,6 @@ class VerifyPolicy:
     method: str = "auto"
     use_ww: bool = True
     certificate: str = "auto"
-    mode: str = "full"
-    workers: int = 1
     window: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -382,15 +374,6 @@ class VerifyPolicy:
             raise InvalidSpecError(
                 f"certificate policy must be 'auto' or 'off', got "
                 f"{self.certificate!r}"
-            )
-        if self.mode not in ("full", "sharded", "windowed"):
-            raise InvalidSpecError(
-                f"unknown verify mode {self.mode!r}; expected 'full', "
-                "'sharded' or 'windowed'"
-            )
-        if self.workers < 1:
-            raise InvalidSpecError(
-                f"workers must be >= 1, got {self.workers}"
             )
         if self.window is not None and self.window < 1:
             raise InvalidSpecError(
@@ -404,23 +387,13 @@ class VerifyPolicy:
             "method": self.method,
             "use_ww": self.use_ww,
             "certificate": self.certificate,
-            "mode": self.mode,
-            "workers": self.workers,
             "window": self.window,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "VerifyPolicy":
-        return cls(
-            enabled=data.get("enabled", True),
-            condition=data.get("condition"),
-            method=data.get("method", "auto"),
-            use_ww=data.get("use_ww", True),
-            certificate=data.get("certificate", "auto"),
-            mode=data.get("mode", "full"),
-            workers=data.get("workers", 1),
-            window=data.get("window"),
-        )
+        _reject_unknown(cls, "verify", data)
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -535,15 +508,7 @@ class RunSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
         if "protocol" not in data:
             raise InvalidSpecError("run spec needs a 'protocol'")
-        unknown = set(data) - {
-            "protocol", "workload", "n", "objects", "ops", "seed",
-            "latency", "faults", "tracing", "trace_path", "metrics",
-            "verify", "settle", "max_events", "options",
-        }
-        if unknown:
-            raise InvalidSpecError(
-                f"unknown run-spec field(s): {sorted(unknown)}"
-            )
+        _reject_unknown(cls, "run-spec", data)
         faults = data.get("faults")
         return cls(
             protocol=data["protocol"],

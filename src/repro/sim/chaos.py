@@ -105,7 +105,7 @@ class ChaosResult:
     """Outcome of one chaos run.
 
     ``ok`` requires *all* of: every client m-operation completed, the
-    streaming verifier saw no violation, the incremental index audits
+    streaming replay saw no violation, the live monitor's audits
     (one per fault event, plus the end-of-run audit) saw no violation,
     the batch checker accepted the history, and the abcast delivery
     logs kept total order.
@@ -133,7 +133,7 @@ class ChaosResult:
     #: ``(time, pid, reason, msg id|None)``.
     degraded: List[tuple] = field(default_factory=list)
     #: ``(time, event, pid, verdict)`` per incremental audit run
-    #: between fault events against the live index (verdict None =
+    #: between fault events against the live monitor (verdict None =
     #: clean so far); violations are monotone, so any non-None entry
     #: is also reflected in ``violations``.
     audits: List[Tuple[float, str, int, Optional[str]]] = field(
@@ -196,7 +196,6 @@ def run_chaos(
     retry_jitter: float = 0.25,
     max_retries: int = 40,
     verify_window: Optional[int] = None,
-    verify_workers: int = 1,
     **factory_kwargs,
 ) -> ChaosResult:
     """Run one protocol under one fault plan and verify the result.
@@ -240,22 +239,18 @@ def run_chaos(
         ack_timeout / retry_backoff / retry_jitter / max_retries: the
             reliable shim's retransmission schedule (all forwarded to
             the network, all replayable from a ``RunSpec``).
-        verify_window: when set, the in-run audits use the
-            bounded-memory :class:`~repro.core.index.WindowedIndex`
-            (a ``~ww`` lookback of this many broadcast positions)
-            instead of the quadratic :class:`~repro.core.index
-            .LiveIndex`; reads refused for reaching behind a sealed
-            prefix are tallied in ``metrics["chaos"]
-            ["window_refusals"]``.  The end-of-run batch check stays
-            full-mode and authoritative either way.
-        verify_workers: forwarded to the batch checker's plan
-            executor (only effective for plans that shard).
+        verify_window: when set, the in-run audit monitor keeps only
+            a ``~ww`` lookback of this many broadcast positions
+            (:class:`~repro.core.monitor.LiveMonitor`'s ``window``);
+            reads refused for reaching behind a sealed prefix are
+            tallied in ``metrics["chaos"]["window_refusals"]``.  The
+            end-of-run batch check is unbounded and authoritative
+            either way.
         **factory_kwargs: extra cluster-factory keywords (protocol
             options such as ``reply_relevant_only``).
     """
     from repro.abcast.failover import FailoverSequencer
-    from repro.core.index import LiveIndex, WindowedIndex
-    from repro.core.monitor import verify_stream
+    from repro.core.monitor import LiveMonitor, verify_stream
     from repro.workloads.generator import random_workloads
 
     if cluster_seed is None:
@@ -288,11 +283,10 @@ def run_chaos(
             heals=plan.heals,
         )
 
-    live_index = (
-        WindowedIndex(verify_window)
-        if verify_window is not None
-        else LiveIndex()
-    )
+    # The in-run audits check the order every protocol here promises
+    # at least, ~p ∪ ~rf ∪ ~ww; the declared condition is checked on
+    # the finished run below.
+    monitor = LiveMonitor("m-sc", window=verify_window)
     if spec.uses_abcast:
         # Only broadcast protocols get the fault-tolerant sequencer;
         # the others default their own abcast_factory=None and must
@@ -307,7 +301,7 @@ def run_chaos(
         seed=cluster_seed,
         fault_tolerant=True,
         recovery=recovery,
-        live_index=live_index,
+        monitor=monitor,
         network_factory=lambda sim, size: Network(
             sim,
             size,
@@ -339,13 +333,13 @@ def run_chaos(
                 detector, quorum_aware=quorum_aware, degraded=degraded
             )
 
-    # Incremental verification between fault events: the live index
-    # closes the order online, so an audit at a crash/restart boundary
-    # is a cheap triple scan instead of a full history rebuild.
+    # Incremental verification between fault events: the monitor
+    # checks completions as they land, so an audit at a crash/restart
+    # boundary is a barrier instead of a full history rebuild.
     audits: List[Tuple[float, str, int, Optional[str]]] = []
 
     def _audit(kind: str, pid: int, now: float) -> None:
-        audits.append((now, kind, pid, live_index.audit()))
+        audits.append((now, kind, pid, monitor.audit()))
 
     injector = FaultInjector(plan, on_event=_audit).install(cluster)
     if workloads is None:
@@ -374,7 +368,7 @@ def run_chaos(
         if audit_verdict is not None:
             violations.append(f"incremental audit: {audit_verdict}")
     if result is not None:
-        final_audit = live_index.audit()
+        final_audit = monitor.audit()
         audits.append((cluster.sim.now, "final", -1, final_audit))
         if final_audit is not None:
             violations.append(f"incremental audit (final): {final_audit}")
@@ -388,7 +382,6 @@ def run_chaos(
                 result.history,
                 condition,
                 extra_pairs=result.ww_pairs(),
-                workers=verify_workers,
             )
             if not verdict.holds:
                 violations.append(
@@ -417,8 +410,8 @@ def run_chaos(
         "duration": cluster.sim.now,
     }
     if verify_window is not None:
-        metrics["chaos"]["window_refusals"] = live_index.window_refusals
-        metrics["chaos"]["window_epochs"] = live_index.epochs
+        metrics["chaos"]["window_refusals"] = monitor.window_refusals
+        metrics["chaos"]["window_epochs"] = monitor.epochs
     if detector is not None:
         metrics["detector"] = detector.summary()
     return ChaosResult(

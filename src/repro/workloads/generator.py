@@ -335,9 +335,9 @@ def random_partitioned_history(
     touches only its issuing process's objects.  The result therefore
     satisfies the object-partitioned certificate
     (:func:`repro.analysis.static.certify_partitioned_history`), which
-    is what the sharded execution plan in :mod:`repro.core.plan`
-    requires: object groups never interact, so each process's
-    sub-history can be checked in isolation.
+    lowers the check to the linear scan of :mod:`repro.core.plan`:
+    object groups never interact, so each process's update chain
+    orders everything its reads can see.
     """
     rng = random.Random(seed)
     pick = _object_picker(rng, shape.distribution)
@@ -484,7 +484,7 @@ def permute_uids(history: History, *, seed: int = 0) -> History:
 def corrupt_history(
     history: History, *, seed: int = 0
 ) -> Optional[History]:
-    """Rewire one reads-from edge to an older writer, if possible.
+    """Rewire one reads-from edge to another writer, if possible.
 
     Picks a read whose object has at least two distinct writers and
     redirects it to a different writer (fixing the read's value to
@@ -514,9 +514,15 @@ def corrupt_history(
     ]
     if not alternatives:
         return None
-    new_writer = rng.choice(alternatives)
-    new_value = history[new_writer].external_writes[obj]
+    return rewire_read(history, reader_uid, obj, rng.choice(alternatives))
 
+
+def rewire_read(
+    history: History, reader_uid: int, obj: str, new_writer: int
+) -> History:
+    """``history`` with ``reader_uid``'s external read of ``obj``
+    redirected to ``new_writer`` (the read's value fixed to match)."""
+    new_value = history[new_writer].external_writes[obj]
     new_mops: List[MOperation] = []
     for mop in history.mops:
         if mop.uid != reader_uid:

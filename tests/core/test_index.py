@@ -1,17 +1,16 @@
 """Unit tests for the shared history-index layer.
 
 :class:`HistoryIndex` (batch: cached covers, triples, base orders),
-:class:`LiveIndex` (streaming twin fed by the protocol recorder and
-the chaos harness) and :class:`IncrementalClosure` (the online
-reachability structure underneath it).
+and the audit contract the chaos harness keys on — once a streaming
+``LiveIndex`` twin of it, now :class:`~repro.core.monitor.LiveMonitor`.
 """
 
 import pytest
 
 from repro.core import (
     HistoryIndex,
-    IncrementalClosure,
-    LiveIndex,
+    LiveMonitor,
+    ObservedOp,
     Relation,
     base_order,
     object_order,
@@ -19,6 +18,7 @@ from repro.core import (
 )
 from repro.core.index import CONDITION_ORDERS
 from repro.core.operation import INIT_UID
+from repro.core.plan import _cover_successors
 from repro.errors import MissingTimestampsError
 from repro.protocols import msc_cluster
 from repro.workloads import (
@@ -59,6 +59,22 @@ class TestHistoryIndex:
         assert (
             index_base.transitive_closure() == naive.transitive_closure()
         )
+
+    @pytest.mark.parametrize("condition", sorted(CONDITION_ORDERS))
+    def test_cover_edges_feed_the_relation_and_the_scan(self, condition):
+        """One generator says which edges make ``~H``: the bitmask
+        base order and the scan's adjacency sets both hold exactly
+        them (extra pairs included, duplicates folded)."""
+        h = sample_history(n_mops=25, seed=11)
+        index = HistoryIndex.of(h)
+        extra = ((1, 2), (2, 3))
+        edges = set(index.cover_edges(condition, extra))
+        assert set(extra) <= edges
+        assert set(index.base_relation(condition, extra).pairs()) == edges
+        pos, succ = _cover_successors(h, condition, extra)
+        assert {
+            (a, h.uids[j]) for a in h.uids for j in succ[pos[a]]
+        } == edges
 
     def test_real_time_cover_closure_matches_order(self):
         h = sample_history(n_mops=25, seed=11)
@@ -128,83 +144,61 @@ class TestHistoryIndex:
         assert counted == len(index.interfering_triples()) > 0
 
 
-class TestIncrementalClosure:
-    def test_transitive_reachability(self):
-        inc = IncrementalClosure()
-        for node in (1, 2, 3, 4):
-            inc.add_node(node)
-        inc.add_edge(1, 2)
-        inc.add_edge(3, 4)
-        assert not inc.has(1, 4)
-        inc.add_edge(2, 3)  # links the two chains: 1..2 -> 3..4
-        assert inc.has(1, 4) and inc.has(1, 3) and inc.has(2, 4)
-        assert not inc.has(4, 1)
-        assert not inc.cyclic
-
-    def test_cycle_flag(self):
-        inc = IncrementalClosure()
-        inc.add_edge(1, 2)
-        inc.add_edge(2, 3)
-        assert not inc.cyclic
-        inc.add_edge(3, 1)
-        assert inc.cyclic
-
-    def test_to_relation_equals_batch_closure(self):
-        edges = [(1, 2), (2, 3), (1, 4), (4, 5), (3, 5)]
-        inc = IncrementalClosure()
-        for a, b in edges:
-            inc.add_edge(a, b)
-        batch = Relation(range(1, 6), edges).transitive_closure()
-        assert set(inc.to_relation().pairs()) == set(batch.pairs())
+def observe(monitor, uid, process, reads_from, is_update):
+    """Feed one completion (times in uid order: arrival is response
+    order) and release whatever is ready."""
+    monitor.complete(
+        ObservedOp(
+            uid, process, float(uid), uid + 0.5, dict(reads_from), (),
+            is_update,
+        )
+    )
+    monitor.barrier()
 
 
 class TestLiveIndex:
+    """The streaming audit contract (class and test names are the
+    ``LiveIndex`` era's; the behaviours are ``LiveMonitor``'s now)."""
+
     def test_buffers_until_writer_announced(self):
-        li = LiveIndex()
-        li.observe(2, 0, {"x": 1}, False)  # reads a not-yet-known writer
-        assert li.pending == 1 and li.applied == 0
+        li = LiveMonitor()
+        observe(li, 2, 0, {"x": 1}, False)  # reads a not-yet-known writer
+        assert li.pending == 1 and li.observed == 0
         li.announce(1, ["x"])
-        assert li.pending == 0 and li.applied == 1
         assert li.audit() is None
+        assert li.pending == 0 and li.observed == 1
 
     def test_update_waits_for_own_announcement(self):
-        li = LiveIndex()
-        li.observe(1, 0, {}, True)
+        li = LiveMonitor()
+        observe(li, 1, 0, {}, True)
         assert li.pending == 1
         li.announce(1, ["x"])
-        assert li.pending == 0 and li.applied == 1
+        assert li.audit() is None
+        assert li.pending == 0 and li.observed == 1
 
     def test_detects_order_cycle(self):
-        li = LiveIndex()
+        li = LiveMonitor()
         li.announce(1, ["x"])
         li.announce(2, ["x"])  # ~ww: 1 -> 2
-        li.observe(1, 0, {"x": 2}, True)  # ~rf: 2 -> 1 closes the cycle
-        assert li.audit() is not None
+        observe(li, 1, 0, {"x": 2}, True)  # ~rf: 2 -> 1 closes the cycle
+        assert "cycle" in li.audit()
         assert not li.consistent
 
     def test_detects_illegal_triple(self):
-        li = LiveIndex()
+        li = LiveMonitor()
         li.announce(1, ["x"])
         li.announce(2, ["x"])  # ~ww: 1 -> 2
-        li.observe(2, 0, {}, True)
-        li.observe(3, 0, {"x": 1}, False)  # P0: 2 -> 3, but 3 reads 1
+        observe(li, 2, 0, {}, True)
+        observe(li, 3, 0, {"x": 1}, False)  # P0: 2 -> 3, but 3 reads 1
         verdict = li.audit()
         assert verdict is not None and "illegal triple" in verdict
 
-    def test_announce_is_idempotent(self):
-        li = LiveIndex()
-        li.announce(1, ["x"])
-        li.announce(1, ["x"])
-        assert li.announced == 1
-
     def test_clean_protocol_run_stays_consistent(self):
-        """End-to-end: the cluster feeds the live index during a run
-        and the final audit agrees with the batch verdict."""
-        li = LiveIndex()
-        cluster = msc_cluster(3, ["x", "y"], seed=2, live_index=li)
+        """End-to-end: the cluster feeds the monitor during a run and
+        the final audit agrees with the batch verdict."""
+        li = LiveMonitor()
+        cluster = msc_cluster(3, ["x", "y"], seed=2, monitor=li)
         result = cluster.run(random_workloads(3, ["x", "y"], 4, seed=3))
-        assert li.applied == len(result.recorder.records)
+        assert li.observed == len(result.recorder.records)
         assert li.pending == 0
         assert li.audit() is None
-        assert li.snapshot().is_acyclic()
-        assert li.audits == 1

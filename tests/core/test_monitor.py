@@ -1,43 +1,51 @@
-"""Streaming verifier: unit behaviour + agreement with batch checking."""
+"""Live monitor: unit behaviour + agreement with batch checking."""
 
 import pytest
 
-from repro.core import (
-    History,
-    check_m_linearizability,
-    check_m_sequential_consistency,
-)
+from repro.core import History, check_condition
 from repro.core.monitor import (
+    LiveMonitor,
     MonitorUsageError,
     ObservedOp,
-    StreamingVerifier,
     verify_stream,
 )
 from repro.workloads import (
     HistoryShape,
     corrupt_history,
     random_serial_history,
+    rewire_read,
     shift_process,
     stretch_history,
 )
 
 
-def feed_history(history: History, condition: str) -> StreamingVerifier:
-    """Stream an abstract history through the verifier.
+def observe(monitor: LiveMonitor, *fields):
+    """Complete one m-operation and release it; its violation if any."""
+    before = len(monitor.violations)
+    monitor.complete(ObservedOp(*fields))
+    monitor.barrier()
+    exposed = monitor.violations[before:]
+    return exposed[0] if exposed else None
 
-    The ``~ww`` order is taken to be the updates' response order —
-    for serially generated (and then perturbed) histories that is the
-    generation order, exactly the role the broadcast would play.
-    """
-    verifier = StreamingVerifier(condition)
-    mops = sorted(history.mops, key=lambda m: m.resp)
-    for mop in mops:
-        if mop.is_update:
-            verifier.observe_ww(
-                mop.uid, tuple(sorted(mop.external_writes))
-            )
-    for mop in mops:
-        verifier.observe(
+
+def ww_chain_of(history: History):
+    """The updates in response order — for a serially generated
+    history the generation order, exactly the role the broadcast
+    would play as ``~ww``."""
+    return [
+        m.uid for m in sorted(history.mops, key=lambda m: m.resp)
+        if m.is_update
+    ]
+
+
+def feed_history(history: History, condition: str, chain=None) -> LiveMonitor:
+    """Stream an abstract history through the monitor and flush it,
+    ``chain`` (default: :func:`ww_chain_of`) being the ``~ww`` order."""
+    monitor = LiveMonitor(condition)
+    for uid in ww_chain_of(history) if chain is None else chain:
+        monitor.announce(uid, tuple(sorted(history[uid].external_writes)))
+    for mop in history.mops:
+        monitor.complete(
             ObservedOp(
                 uid=mop.uid,
                 process=mop.process,
@@ -51,136 +59,161 @@ def feed_history(history: History, condition: str) -> StreamingVerifier:
                 is_update=mop.is_update,
             )
         )
-    return verifier
+    monitor.flush()
+    return monitor
 
 
-def ww_pairs_of(history: History):
-    updates = [
-        m.uid for m in sorted(history.mops, key=lambda m: m.resp)
-        if m.is_update
-    ]
-    return list(zip(updates, updates[1:]))
+def batch_holds(history: History, condition: str, chain=None) -> bool:
+    if chain is None:
+        chain = ww_chain_of(history)
+    return check_condition(
+        history,
+        condition,
+        method="constrained",
+        extra_pairs=list(zip(chain, chain[1:])),
+    ).holds
 
 
 class TestUnitBehaviour:
     def test_empty_stream_consistent(self):
-        verifier = StreamingVerifier()
-        assert verifier.consistent and verifier.observed == 0
+        monitor = LiveMonitor()
+        assert monitor.consistent and monitor.observed == 0
+        assert monitor.audit() is None
 
     def test_simple_fresh_read(self):
-        verifier = StreamingVerifier()
-        verifier.observe_ww(1, ("x",))
-        assert (
-            verifier.observe(
-                ObservedOp(1, 0, 0.0, 1.0, {}, ("x",), True)
-            )
-            is None
-        )
-        assert (
-            verifier.observe(
-                ObservedOp(2, 1, 2.0, 3.0, {"x": 1}, (), False)
-            )
-            is None
-        )
+        monitor = LiveMonitor()
+        monitor.announce(1, ("x",))
+        assert observe(monitor, 1, 0, 0.0, 1.0, {}, ("x",), True) is None
+        assert observe(monitor, 2, 1, 2.0, 3.0, {"x": 1}, (), False) is None
+        assert monitor.observed == 2
 
     def test_skipped_update_detected(self):
         # Reader's own process already saw update 2, then reads x
         # from update 1 — the overwrite is a predecessor: illegal.
-        verifier = StreamingVerifier()
-        verifier.observe_ww(1, ("x",))
-        verifier.observe_ww(2, ("x",))
-        verifier.observe(ObservedOp(1, 0, 0.0, 1.0, {}, ("x",), True))
-        verifier.observe(ObservedOp(2, 0, 2.0, 3.0, {}, ("x",), True))
-        violation = verifier.observe(
-            ObservedOp(3, 0, 4.0, 5.0, {"x": 1}, (), False)
-        )
+        monitor = LiveMonitor()
+        monitor.announce(1, ("x",))
+        monitor.announce(2, ("x",))
+        observe(monitor, 1, 0, 0.0, 1.0, {}, ("x",), True)
+        observe(monitor, 2, 0, 2.0, 3.0, {}, ("x",), True)
+        violation = observe(monitor, 3, 0, 4.0, 5.0, {"x": 1}, (), False)
         assert violation is not None
         assert violation.obj == "x"
         assert violation.expected_writer == 1
         assert violation.actual_writer == 2
-        assert not verifier.consistent
+        assert not monitor.consistent
+        assert "illegal triple" in monitor.audit()
 
     def test_other_process_stale_read_fine_for_msc(self):
         # A different process may lag arbitrarily under m-SC.
-        verifier = StreamingVerifier("m-sc")
-        verifier.observe_ww(1, ("x",))
-        verifier.observe(ObservedOp(1, 0, 0.0, 1.0, {}, ("x",), True))
-        assert (
-            verifier.observe(
-                ObservedOp(2, 1, 2.0, 3.0, {"x": 0}, (), False)
-            )
-            is None
-        )
+        monitor = LiveMonitor("m-sc")
+        monitor.announce(1, ("x",))
+        observe(monitor, 1, 0, 0.0, 1.0, {}, ("x",), True)
+        assert observe(monitor, 2, 1, 2.0, 3.0, {"x": 0}, (), False) is None
 
     def test_same_stale_read_flagged_for_mlin(self):
-        verifier = StreamingVerifier("m-lin")
-        verifier.observe_ww(1, ("x",))
-        verifier.observe(ObservedOp(1, 0, 0.0, 1.0, {}, ("x",), True))
-        violation = verifier.observe(
-            ObservedOp(2, 1, 2.0, 3.0, {"x": 0}, (), False)
-        )
+        monitor = LiveMonitor("m-lin")
+        monitor.announce(1, ("x",))
+        observe(monitor, 1, 0, 0.0, 1.0, {}, ("x",), True)
+        violation = observe(monitor, 2, 1, 2.0, 3.0, {"x": 0}, (), False)
         assert violation is not None
 
     def test_overlapping_stale_read_fine_for_mlin(self):
-        verifier = StreamingVerifier("m-lin")
-        verifier.observe_ww(1, ("x",))
-        verifier.observe(ObservedOp(1, 0, 0.0, 2.0, {}, ("x",), True))
+        monitor = LiveMonitor("m-lin")
+        monitor.announce(1, ("x",))
+        observe(monitor, 1, 0, 0.0, 2.0, {}, ("x",), True)
         # inv before the writer's resp: no global-mark edge.
-        assert (
-            verifier.observe(
-                ObservedOp(2, 1, 1.0, 3.0, {"x": 0}, (), False)
-            )
-            is None
-        )
+        assert observe(monitor, 2, 1, 1.0, 3.0, {"x": 0}, (), False) is None
 
     def test_future_read_flagged(self):
-        verifier = StreamingVerifier()
-        verifier.observe_ww(1, ("x",))
-        verifier.observe_ww(2, ("y",))
-        verifier.observe(ObservedOp(1, 0, 0.0, 1.0, {}, ("x",), True))
+        monitor = LiveMonitor()
+        monitor.announce(1, ("x",))
+        monitor.announce(2, ("y",))
+        observe(monitor, 1, 0, 0.0, 1.0, {}, ("x",), True)
         # Update 2 claims to read y from an even later broadcast.
-        verifier.observe_ww(3, ("y",))
-        violation = verifier.observe(
-            ObservedOp(2, 1, 2.0, 3.0, {"y": 3}, ("y",), True)
-        )
+        monitor.announce(3, ("y",))
+        violation = observe(monitor, 2, 1, 2.0, 3.0, {"y": 3}, ("y",), True)
         assert violation is not None
         assert "future" in violation.detail
 
+    @pytest.mark.parametrize(
+        "condition, writer_process", [("m-sc", 0), ("m-lin", 1)]
+    )
+    def test_read_of_a_later_update_is_a_cycle(
+        self, condition, writer_process
+    ):
+        # P0's query 2 reads x from update 1, which is only issued
+        # after the query responded — by P0 itself (~p closes the
+        # cycle with ~rf) or, under m-lin, by anyone (~t does).  The
+        # predecessors' mark *equals* the update's own position.
+        monitor = LiveMonitor(condition)
+        monitor.announce(1, ("x",))
+        assert observe(monitor, 2, 0, 0.0, 1.0, {"x": 1}, (), False) is None
+        violation = observe(
+            monitor, 1, writer_process, 2.0, 3.0, {}, ("x",), True
+        )
+        assert violation is not None and "cycle" in violation.detail
+        assert "cycle" in monitor.audit()
+
     def test_out_of_order_responses_rejected(self):
-        verifier = StreamingVerifier()
-        verifier.observe_ww(1, ("x",))
-        verifier.observe(ObservedOp(1, 0, 0.0, 5.0, {}, ("x",), True))
+        # m-lin's response-time mark needs releases in response order.
+        monitor = LiveMonitor("m-lin")
+        monitor.announce(1, ("x",))
+        observe(monitor, 1, 0, 0.0, 5.0, {}, ("x",), True)
         with pytest.raises(MonitorUsageError):
-            verifier.observe(
-                ObservedOp(2, 1, 0.0, 1.0, {"x": 1}, (), False)
-            )
+            observe(monitor, 2, 1, 0.0, 1.0, {"x": 1}, (), False)
 
     def test_unannounced_update_rejected(self):
-        verifier = StreamingVerifier()
-        with pytest.raises(MonitorUsageError):
-            verifier.observe(
-                ObservedOp(1, 0, 0.0, 1.0, {}, ("x",), True)
-            )
+        # Held back while its broadcast position may still land; at
+        # the end of the run a never-delivered update is a violation.
+        monitor = LiveMonitor()
+        assert observe(monitor, 1, 0, 0.0, 1.0, {}, ("x",), True) is None
+        assert monitor.pending == 1 and monitor.observed == 0
+        monitor.flush()
+        assert not monitor.consistent
+        assert "never received a broadcast position" in monitor.audit()
 
     def test_duplicate_announcement_rejected(self):
-        verifier = StreamingVerifier()
-        verifier.observe_ww(1, ("x",))
+        monitor = LiveMonitor()
+        monitor.announce(1, ("x",))
         with pytest.raises(MonitorUsageError):
-            verifier.observe_ww(1, ("x",))
+            monitor.announce(1, ("x",))
 
     def test_rmw_excludes_own_write(self):
         # An update reading x and writing x: its read must match the
         # previous writer, not itself.
-        verifier = StreamingVerifier()
-        verifier.observe_ww(1, ("x",))
-        verifier.observe_ww(2, ("x",))
-        verifier.observe(ObservedOp(1, 0, 0.0, 1.0, {}, ("x",), True))
+        monitor = LiveMonitor()
+        monitor.announce(1, ("x",))
+        monitor.announce(2, ("x",))
+        observe(monitor, 1, 0, 0.0, 1.0, {}, ("x",), True)
         assert (
-            verifier.observe(
-                ObservedOp(2, 1, 2.0, 3.0, {"x": 1}, ("x",), True)
-            )
-            is None
+            observe(monitor, 2, 1, 2.0, 3.0, {"x": 1}, ("x",), True) is None
         )
+
+
+def rewired(history: History, chain, kind: str, seed: int):
+    """One read redirected to a *stale* (earlier in ``chain``),
+    *future* (later) or *own-future* (later, and issued by the
+    reader's own process after the read) writer; None if no read can
+    be."""
+    position = {uid: k for k, uid in enumerate(chain)}
+    position[history.init.uid] = -1
+    candidates = []
+    for (reader, obj), old in sorted(history.reads_from_map.items()):
+        for mop in history.mops:
+            uid = mop.uid
+            if uid in (reader, old) or obj not in mop.external_writes:
+                continue
+            later = position[uid] > position[old]
+            own = (
+                mop.process == history[reader].process
+                and mop.inv > history[reader].resp
+            )
+            if kind == ("own-future" if later and own else
+                        "future" if later else "stale"):
+                candidates.append((reader, obj, uid))
+    if not candidates:
+        return None
+    return rewire_read(history, *candidates[seed % len(candidates)])
 
 
 class TestAgreementWithBatchChecker:
@@ -196,15 +229,46 @@ class TestAgreementWithBatchChecker:
             h = shift_process(h, h.processes[0], 11.0)
         h = corrupt_history(h, seed=seed) or h
         monitor = feed_history(h, condition)
-        checker = (
-            check_m_sequential_consistency
-            if condition == "m-sc"
-            else check_m_linearizability
+        assert monitor.consistent == batch_holds(h, condition), (
+            seed, condition,
         )
-        batch = checker(
-            h, method="constrained", extra_pairs=ww_pairs_of(h)
-        )
-        assert monitor.consistent == batch.holds, (seed, condition)
+
+    @pytest.mark.parametrize("condition", ["m-sc", "m-lin"])
+    def test_stream_verdict_is_the_batch_verdict(self, condition):
+        """The tier-1 agreement property: after ``flush()`` the monitor
+        is consistent iff the batch checker holds under the same
+        ``~ww`` — over random, stale-, future- and own-future-read
+        streams, the last being the shape whose cycle closes through
+        the reader's own process order."""
+        checked = {"clean": 0, "stale": 0, "future": 0, "own-future": 0}
+        violated = dict(checked)
+        for seed in range(150):
+            shape = HistoryShape(
+                n_processes=2 + seed % 3,
+                n_objects=1 + seed % 2,
+                n_mops=8 + seed % 5,
+                query_fraction=0.5,
+            )
+            clean = random_serial_history(shape, seed=seed)
+            chain = ww_chain_of(clean)
+            clean = stretch_history(clean, seed=seed)
+            if seed % 4 == 0:
+                clean = shift_process(clean, clean.processes[0], 7.0)
+            for kind in checked:
+                h = clean
+                if kind != "clean":
+                    h = rewired(clean, chain, kind, seed)
+                    if h is None:
+                        continue
+                holds = batch_holds(h, condition, chain)
+                monitor = feed_history(h, condition, chain)
+                assert monitor.consistent == holds, (seed, kind)
+                checked[kind] += 1
+                violated[kind] += not holds
+        assert sum(checked.values()) >= 500  # x 2 conditions >= 1000
+        assert min(checked.values()) >= 50
+        assert all(violated[kind] for kind in checked if kind != "clean")
+        assert violated["clean"] < checked["clean"] / 2
 
     @pytest.mark.parametrize("seed", range(6))
     def test_clean_histories_pass_both(self, seed):

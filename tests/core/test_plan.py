@@ -1,9 +1,10 @@
 """Unit tests for the plan/execute verification engine.
 
-Planner strategy selection and refusals, the forward legality scan,
-the shard executor, the windowed scan's refusal contract, and the
-streaming :class:`WindowedIndex`.  Corpus-scale verdict fidelity lives
-in ``tests/core/test_plan_crossval.py``.
+Planner strategy selection and refusals, the forward legality scan
+(certified chains and object-partitioned histories alike), the
+windowed scan's refusal contract, and its streaming counterpart,
+:class:`LiveMonitor` with a ``window``.  Corpus-scale verdict fidelity
+lives in ``tests/core/test_plan_crossval.py``.
 """
 
 from __future__ import annotations
@@ -15,16 +16,11 @@ from repro.analysis.static import (
     certify_history,
     certify_partitioned_history,
 )
-from repro.core import WindowedIndex, check_condition
-from repro.core.plan import (
-    object_shards,
-    plan_check,
-    run_scan,
-    run_sharded,
-    shard_history,
-)
+from repro.core import LiveMonitor, check_condition
+from repro.core.plan import plan_check, run_scan
 from repro.errors import (
     CertificationRefused,
+    InvalidCertificate,
     PlanRefused,
     WindowExceeded,
 )
@@ -33,6 +29,7 @@ from repro.workloads import (
     random_partitioned_history,
     random_serial_history,
 )
+from tests.core.test_index import observe
 
 
 def serial(n_mops=40, seed=3, **kwargs):
@@ -54,7 +51,7 @@ class TestPlanner:
         history, _chain = serial()
         plan = plan_check(history, "m-sc")
         assert plan.strategy == "closure"
-        assert plan.mode == "full"
+        assert plan.window is None
 
     def test_full_with_chain_certificate_is_scan(self):
         history, chain = serial()
@@ -63,79 +60,55 @@ class TestPlanner:
         assert plan.strategy == "scan"
         assert plan.chain == tuple(chain)
         assert plan.certificate_rule == "total-update-order"
-        # full mode never carries a window, even when one is passed.
-        plan = plan_check(
-            history, "m-sc", certificate=cert, window=10
-        )
         assert plan.window is None
 
     def test_windowed_requires_chain_certificate(self):
         history = partitioned()
         cert = certify_partitioned_history(history)
         with pytest.raises(PlanRefused, match="chain"):
-            plan_check(
-                history,
-                "m-sc",
-                mode="windowed",
-                window=16,
-                certificate=cert,
-            )
+            plan_check(history, "m-sc", window=16, certificate=cert)
         with pytest.raises(PlanRefused):
-            plan_check(history, "m-sc", mode="windowed", window=16)
+            plan_check(history, "m-sc", window=16)
 
     def test_windowed_plan_carries_window(self):
         history, chain = serial()
         cert = certify_chain(history, chain)
         plan = plan_check(
-            history, "m-sc", mode="windowed", window=16,
-            certificate=cert,
+            history, "m-sc", window=16, certificate=cert
         )
         assert plan.strategy == "scan"
         assert plan.window == 16
 
-    def test_sharded_requires_partitioned_certificate(self):
-        history, chain = serial()
-        cert = certify_chain(history, chain)
-        with pytest.raises(PlanRefused, match="object-partitioned"):
-            plan_check(
-                history, "m-sc", mode="sharded", certificate=cert
-            )
-        with pytest.raises(PlanRefused):
-            plan_check(history, "m-sc", mode="sharded")
-
-    def test_sharded_refuses_mlin_and_extra_pairs(self):
-        history = partitioned()
-        cert = certify_partitioned_history(history)
-        with pytest.raises(PlanRefused, match="real-time"):
-            plan_check(
-                history, "m-lin", mode="sharded", certificate=cert
-            )
-        with pytest.raises(PlanRefused, match="extra_pairs"):
-            plan_check(
-                history,
-                "m-sc",
-                mode="sharded",
-                certificate=cert,
-                extra_pairs=((1, 2),),
-            )
-
-    def test_sharded_plan_shards_by_process(self):
+    def test_partitioned_certificate_scans_the_process_chains(self):
         history = partitioned(n_processes=3)
         cert = certify_partitioned_history(history)
-        plan = plan_check(
-            history, "m-sc", mode="sharded", certificate=cert,
-            workers=2,
-        )
-        assert plan.strategy == "shard"
-        assert [s.key for s in plan.shards] == sorted(
-            {m.process for m in history.mops}
-        )
-        assert plan.workers == 2
+        for condition in ("m-sc", "m-norm"):
+            plan = plan_check(history, condition, certificate=cert)
+            assert plan.strategy == "scan"
+            assert plan.certificate_rule == "object-partitioned"
+            # Every update, process by process in pid order, each
+            # process's in issue order.
+            by_process = sorted(
+                (m.process, m.inv, m.uid)
+                for m in history.mops
+                if m.is_update
+            )
+            assert plan.chain == tuple(uid for _p, _t, uid in by_process)
 
-    def test_unknown_mode_rejected(self):
-        history, _chain = serial()
-        with pytest.raises(ValueError, match="mode"):
-            plan_check(history, "m-sc", mode="parallel")
+    def test_partitioned_mlin_and_extra_pairs_take_the_closure(self):
+        # ~t and extra_pairs order m-operations across the partitions:
+        # a reader's mark would leave its own chain segment.
+        history = partitioned()
+        cert = certify_partitioned_history(history)
+        assert (
+            plan_check(history, "m-lin", certificate=cert).strategy
+            == "closure"
+        )
+        plan = plan_check(
+            history, "m-sc", certificate=cert, extra_pairs=((1, 2),)
+        )
+        assert plan.strategy == "closure"
+        assert plan.certificate_rule == "object-partitioned"
 
 
 class TestScan:
@@ -249,64 +222,46 @@ class TestWindowedScan:
         )
 
 
-class TestSharded:
-    def test_shard_histories_partition_the_mops(self):
-        history = partitioned(n_mops=80)
-        shards = object_shards(history)
-        seen = []
-        for shard in shards:
-            sub = shard_history(history, shard)
-            seen.extend(m.uid for m in sub.mops)
-        assert sorted(seen) == sorted(m.uid for m in history.mops)
-
-    def test_shard_history_rejects_cross_shard_writer(self):
-        history, _chain = serial()
-        shards = object_shards(history)
-        with pytest.raises(PlanRefused):
-            for shard in shards:
-                shard_history(history, shard)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sharded_matches_monolithic(self, workers):
+class TestPartitioned:
+    def test_certified_default_matches_monolithic(self):
         history = partitioned(n_mops=90, seed=11)
         cert = certify_partitioned_history(history)
-        for condition in ("m-sc", "m-norm"):
-            sharded = check_condition(
-                history,
-                condition,
-                method="constrained",
-                certificate=cert,
-                mode="sharded",
-                workers=workers,
+        for condition in ("m-sc", "m-norm", "m-lin"):
+            certified = check_condition(
+                history, condition, method="constrained", certificate=cert
             )
             mono = check_condition(
                 history, condition, method="constrained"
             )
-            assert sharded.holds == mono.holds
-            assert sharded.witness == mono.witness
-            assert sharded.mode == "sharded"
+            assert certified.holds == mono.holds
+            assert certified.witness == mono.witness
+            assert certified.certificate == "object-partitioned"
 
-    def test_sharded_outcome_merges_reports(self):
-        history = partitioned(n_mops=60, seed=2)
-        shards = object_shards(history)
-        outcome = run_sharded(history, "m-sc", shards)
-        assert outcome.holds
-        assert len(outcome.reports) == len(shards)
-        assert not outcome.parallel
-        # The shard reports carry the ~rw cover, not the pair set: at
-        # most one pair per read, and their union is the whole
-        # history's cover.
+    def test_scan_over_process_chains_covers_rw(self):
+        # One scan over the concatenated chains yields the whole
+        # history's ~rw cover: at most one pair per read.
         from repro.core.index import HistoryIndex
 
+        history = partitioned(n_mops=60, seed=2)
+        plan = plan_check(
+            history, "m-sc",
+            certificate=certify_partitioned_history(history),
+        )
+        result = run_scan(history, "m-sc", plan.chain)
+        assert result.holds
         index = HistoryIndex.of(history)
         closure = index.base_relation("m-sc").transitive_closure()
-        merged = {pair for report in outcome.reports for pair in report.rw}
-        assert merged == set(index.rw_cover_under(closure))
-        assert merged <= set(index.rw_pairs_under(closure))
-        for report, shard in zip(outcome.reports, shards):
-            members = set(shard.uids)
-            reads = [r for r in index.proper_reads() if r[0][0] in members]
-            assert len(report.rw) <= len(reads)
+        assert set(result.rw) == set(index.rw_cover_under(closure))
+        assert set(result.rw) <= set(index.rw_pairs_under(closure))
+        assert len(result.rw) <= len(index.proper_reads())
+
+    def test_cross_process_access_fails_the_audit(self):
+        # The certificate is re-audited before any plan relies on it:
+        # a shared object never reaches the scan.
+        history, _chain = serial()
+        cert = certify_partitioned_history(partitioned())
+        with pytest.raises(InvalidCertificate, match="accessed by"):
+            check_condition(history, "m-sc", certificate=cert)
 
 
 class TestCertifyHistory:
@@ -323,11 +278,17 @@ class TestCertifyHistory:
 
 
 class TestWindowedIndex:
+    """:class:`LiveMonitor` with a ``window`` (the class keeps the
+    name of the ``WindowedIndex`` whose contract this is)."""
+
+    observe = staticmethod(observe)
+
     def feed(self, index, history):
         for mop in history.mops:
             if mop.is_update:
                 index.announce(mop.uid, list(mop.external_writes))
-            index.observe(
+            self.observe(
+                index,
                 mop.uid,
                 mop.process,
                 {
@@ -341,7 +302,7 @@ class TestWindowedIndex:
 
     def test_clean_serial_history_is_consistent(self):
         history, _chain = serial(n_mops=100, seed=6)
-        index = WindowedIndex(window=16)
+        index = LiveMonitor(window=16)
         self.feed(index, history)
         assert index.audit() is None
         assert index.consistent
@@ -350,7 +311,7 @@ class TestWindowedIndex:
 
     def test_memory_stays_bounded(self):
         history, _chain = serial(n_mops=200, seed=7, n_objects=2)
-        index = WindowedIndex(window=10)
+        index = LiveMonitor(window=10)
         self.feed(index, history)
         # Per object the timeline keeps at most the sealed head plus
         # the live window of writer positions.
@@ -359,44 +320,35 @@ class TestWindowedIndex:
 
     def test_window_one_rejected(self):
         with pytest.raises(ValueError):
-            WindowedIndex(window=0)
+            LiveMonitor(window=0)
 
-    def stale_feed(self, index):
+    def test_stale_read_behind_seal_counts_refusal(self):
         # Two x writers, then enough y traffic that the seal discards
         # x's older position; a reader whose mark advanced on y then
         # reads x from the *pruned* older writer — undecidable.
+        index = LiveMonitor(window=2)
         index.announce(1, ["x"])
-        index.observe(1, 0, {}, True)
+        self.observe(index, 1, 0, {}, True)
         index.announce(2, ["x"])
-        index.observe(2, 0, {"x": 1}, True)
+        self.observe(index, 2, 0, {"x": 1}, True)
         for uid in range(3, 9):
             index.announce(uid, ["y"])
-            index.observe(uid, 1, {}, True)
-        index.observe(10, 2, {"y": 8}, False)
-
-    def test_stale_read_behind_seal_counts_refusal(self):
-        index = WindowedIndex(window=2)
-        self.stale_feed(index)
-        index.observe(11, 2, {"x": 1}, False)
+            self.observe(index, uid, 1, {}, True)
+        self.observe(index, 10, 2, {"y": 8}, False)
+        self.observe(index, 11, 2, {"x": 1}, False)
         assert index.window_refusals >= 1
         assert index.audit() is None  # refusal, never a verdict
 
-    def test_strict_raises_instead_of_counting(self):
-        index = WindowedIndex(window=2, strict=True)
-        self.stale_feed(index)
-        with pytest.raises(WindowExceeded):
-            index.observe(11, 2, {"x": 1}, False)
-
     def test_illegal_triple_detected_within_window(self):
-        index = WindowedIndex(window=32)
+        index = LiveMonitor(window=32)
         index.announce(1, ["x"])
-        index.observe(1, 0, {}, True)
+        self.observe(index, 1, 0, {}, True)
         index.announce(2, ["x"])
-        index.observe(2, 0, {"x": 1}, True)
+        self.observe(index, 2, 0, {"x": 1}, True)
         # Reader saw writer 2 (via y-less mark: its own process read
         # of 2) yet reads x from 1: illegal D 4.6 triple.
-        index.observe(3, 1, {"x": 2}, False)
-        index.observe(4, 1, {"x": 1}, False)
+        self.observe(index, 3, 1, {"x": 2}, False)
+        self.observe(index, 4, 1, {"x": 1}, False)
         violation = index.audit()
         assert violation is not None
         assert "illegal triple" in violation

@@ -2,8 +2,9 @@
 
 The acceptance bar for the engine: on the same randomized corpus the
 monolithic checker is validated against
-(``tests/core/test_index_crossval.py``), the certified scan, the
-windowed scan and the sharded executor must return **byte-identical**
+(``tests/core/test_index_crossval.py``), the certified scan — over a
+delivery chain or over an object-partitioned history's process
+chains — and its windowed form must return **byte-identical**
 verdicts — same ``holds``, same witness list, not merely
 equi-satisfiable — plus the refusal paths must refuse rather than
 mis-answer.
@@ -91,7 +92,6 @@ def test_windowed_none_is_byte_identical(condition):
             method="constrained",
             extra_pairs=ww,
             certificate=cert,
-            mode="windowed",
             window=None,
         )
         closure = check_condition(
@@ -99,7 +99,6 @@ def test_windowed_none_is_byte_identical(condition):
         )
         assert windowed.holds == closure.holds
         assert windowed.witness == closure.witness
-        assert windowed.mode == "windowed"
 
 
 @pytest.mark.parametrize("condition", CONDITIONS)
@@ -113,7 +112,6 @@ def test_wide_window_is_byte_identical(condition):
             method="constrained",
             extra_pairs=ww,
             certificate=cert,
-            mode="windowed",
             window=len(history.mops) + 1,
         )
         closure = check_condition(
@@ -123,30 +121,45 @@ def test_wide_window_is_byte_identical(condition):
         assert windowed.witness == closure.witness
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("condition", ["m-sc", "m-norm"])
-def test_sharded_is_byte_identical(condition, workers):
-    corpus = (
-        PARTITIONED_CORPUS if workers == 1 else PARTITIONED_CORPUS[::6]
-    )
-    for history in corpus:
+@pytest.mark.parametrize("condition", CONDITIONS)
+def test_partitioned_default_equals_closure(condition):
+    """The default path on a certified object-partitioned history —
+    the scan over its process chains under m-sc / m-norm, the closure
+    under m-lin — equals the uncertified closure path byte for byte,
+    clean and corrupted."""
+    verdicts = set()
+    for history in PARTITIONED_CORPUS:
         cert = certify_partitioned_history(history)
-        sharded = check_condition(
-            history,
-            condition,
-            method="constrained",
-            certificate=cert,
-            mode="sharded",
-            workers=workers,
+        default = check_condition(
+            history, condition, method="constrained", certificate=cert
         )
         mono = check_condition(
             history, condition, method="constrained"
         )
-        assert sharded.holds == mono.holds
-        assert sharded.witness == mono.witness
-        assert sharded.mode == "sharded"
-        if sharded.holds:
-            assert _legal_by_replay(history, sharded.witness)
+        assert default.holds == mono.holds
+        assert default.witness == mono.witness
+        if default.holds:
+            assert _legal_by_replay(history, default.witness)
+        verdicts.add(default.holds)
+    assert verdicts == {True, False}
+
+
+def test_partitioned_with_extra_pairs_gets_the_closure_verdict():
+    """Extra pairs cross the partitions: the certificate still spares
+    the constraint phase, the verdict is the closure's."""
+    for history in PARTITIONED_CORPUS[::3]:
+        cert = certify_partitioned_history(history)
+        _chain, ww = chain_and_ww(history)
+        for condition in CONDITIONS:
+            certified = check_condition(
+                history, condition, method="constrained",
+                certificate=cert, extra_pairs=ww,
+            )
+            mono = check_condition(
+                history, condition, method="constrained", extra_pairs=ww
+            )
+            assert certified.holds == mono.holds
+            assert certified.witness == mono.witness
 
 
 def contended_corpus():
@@ -182,7 +195,7 @@ def test_contended_histories_agree_on_every_path(condition):
         for verdict in (
             check_condition(history, condition, **certified),
             check_condition(
-                history, condition, mode="windowed",
+                history, condition,
                 window=len(history.mops) + 1, **certified,
             ),
         ):
@@ -225,41 +238,10 @@ def test_cover_witness_equals_full_rw_pair_set_witness():
 class TestRefusalPaths:
     """Refusals are errors, never wrong verdicts."""
 
-    def test_sharded_without_certificate(self):
-        history = CORPUS[0][1]
-        with pytest.raises(PlanRefused):
-            check_condition(history, "m-sc", mode="sharded")
-
-    def test_sharded_refuses_mlin(self):
-        history = PARTITIONED_CORPUS[0]
-        cert = certify_partitioned_history(history)
-        with pytest.raises(PlanRefused):
-            check_condition(
-                history,
-                "m-lin",
-                certificate=cert,
-                mode="sharded",
-            )
-
-    def test_sharded_refuses_extra_pairs(self):
-        history = PARTITIONED_CORPUS[0]
-        cert = certify_partitioned_history(history)
-        chain, ww = chain_and_ww(history)
-        with pytest.raises(PlanRefused):
-            check_condition(
-                history,
-                "m-sc",
-                certificate=cert,
-                mode="sharded",
-                extra_pairs=ww,
-            )
-
     def test_windowed_without_chain_certificate(self):
         history = CORPUS[0][1]
         with pytest.raises(PlanRefused):
-            check_condition(
-                history, "m-sc", mode="windowed", window=8
-            )
+            check_condition(history, "m-sc", window=8)
 
     def test_tiny_window_raises_window_exceeded(self):
         # Find a corpus history whose reads genuinely span more than
@@ -276,7 +258,6 @@ class TestRefusalPaths:
                     method="constrained",
                     extra_pairs=ww,
                     certificate=cert,
-                    mode="windowed",
                     window=1,
                 )
             except WindowExceeded:
@@ -292,5 +273,5 @@ class TestRefusalPaths:
                 "m-sc",
                 method="exact",
                 certificate=cert,
-                mode="sharded",
+                window=8,
             )

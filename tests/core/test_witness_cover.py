@@ -104,16 +104,14 @@ def test_rw_edges_bounded_by_reads_on_a_deep_verify_shape():
     assert 0 < witness["attrs"]["rw_edges"] <= proper_reads(history)
 
 
-def test_sharded_witness_span_counts_the_merged_cover():
+def test_partitioned_witness_span_counts_the_whole_cover():
     shape = HistoryShape(n_processes=3, n_objects=2, n_mops=90)
     history = random_partitioned_history(shape, seed=11)
     verdict, spans = traced_check(
-        history,
-        certificate=certify_partitioned_history(history),
-        mode="sharded",
+        history, certificate=certify_partitioned_history(history)
     )
     assert verdict.holds and verdict.witness is not None
     witness = spans["check.witness"]
-    assert witness["parent"] == spans["check.shards"]["id"]
+    assert witness["parent"] == spans["check.scan"]["id"]
     assert witness["attrs"]["reads"] == proper_reads(history)
     assert 0 < witness["attrs"]["rw_edges"] <= proper_reads(history)

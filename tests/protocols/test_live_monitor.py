@@ -13,7 +13,6 @@ from repro.core import (
     check_m_linearizability,
     check_m_sequential_consistency,
 )
-from repro.core.index import LiveIndex
 from repro.core.monitor import LiveMonitor, MonitorUsageError
 from repro.objects import read_reg, write_reg
 from repro.protocols import mlin_cluster, msc_cluster
@@ -33,7 +32,7 @@ class TestLiveRuns:
         )
         assert monitor.consistent
         assert monitor.pending == 0
-        assert monitor.verifier.observed == len(result.recorder.records)
+        assert monitor.observed == len(result.recorder.records)
         batch = check_m_sequential_consistency(
             result.history, extra_pairs=result.ww_pairs()
         )
@@ -66,7 +65,7 @@ class TestLiveRuns:
             random_workloads(4, ["x", "y"], 5, seed=8)
         )
         assert monitor.consistent
-        assert monitor.verifier.observed == len(result.recorder.records)
+        assert monitor.observed == len(result.recorder.records)
 
 
 class TestAnnouncedWriteSets:
@@ -82,23 +81,16 @@ class TestAnnouncedWriteSets:
     def test_first_delivery_via_apply_announces_the_real_write_set(
         self, factory, condition
     ):
-        announced = {"monitor": [], "index": []}
+        announced = []
 
         class RecordingMonitor(LiveMonitor):
             def announce(self, uid, writes):
-                announced["monitor"].append((uid, tuple(writes)))
-                super().announce(uid, writes)
-
-        class RecordingIndex(LiveIndex):
-            def announce(self, uid, writes):
-                announced["index"].append((uid, tuple(writes)))
+                announced.append((uid, tuple(writes)))
                 super().announce(uid, writes)
 
         objects = ["w", "x", "y", "z"]
-        monitor, live_index = RecordingMonitor(condition), RecordingIndex()
-        cluster = factory(
-            5, objects, seed=3, monitor=monitor, live_index=live_index
-        )
+        monitor = RecordingMonitor(condition)
+        cluster = factory(5, objects, seed=3, monitor=monitor)
         first_delivery = {}
         notify = cluster._notify_announce
 
@@ -122,10 +114,9 @@ class TestAnnouncedWriteSets:
         # Most first deliveries land away from the issuer.
         assert any(first_delivery[r.uid] != r.process for r in updates)
         expected = [(uid, written[uid]) for uid in result.ww_sequence]
-        assert announced["monitor"] == expected
-        assert announced["index"] == expected
+        assert announced == expected
         assert monitor.consistent
-        assert live_index.audit() is None
+        assert monitor.audit() is None
 
 
 class TestLiveViolationDetection:
@@ -196,13 +187,14 @@ class TestBufferingDiscipline:
     def test_out_of_window_completion_rejected_directly(self):
         from repro.core.monitor import ObservedOp
 
-        monitor = LiveMonitor("m-sc", slack=0.001)
+        monitor = LiveMonitor("m-lin", slack=0.001)
         monitor.announce(1, ("x",))
         monitor.complete(
             ObservedOp(1, 0, 0.0, 1.0, {}, ("x",), True), now=5.0
         )
         # Released already (window passed); a later-time feed with an
-        # earlier response violates the verifier's contract.
+        # earlier response would be missing from the response-time
+        # mark of what was released since.
         with pytest.raises(MonitorUsageError):
             monitor.complete(
                 ObservedOp(2, 1, 0.0, 0.5, {"x": 1}, (), False), now=6.0

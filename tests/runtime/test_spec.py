@@ -63,11 +63,11 @@ SPECS = [
     RunSpec(
         protocol="msc",
         workload="hotspot",
-        verify=VerifyPolicy(mode="sharded", workers=4),
+        verify=VerifyPolicy(method="constrained", use_ww=False),
     ),
     RunSpec(
         protocol="msc",
-        verify=VerifyPolicy(mode="windowed", window=256),
+        verify=VerifyPolicy(window=256),
     ),
 ]
 
@@ -107,6 +107,23 @@ class TestValidation:
         with pytest.raises(InvalidSpecError, match="wrokload"):
             RunSpec.from_dict({"protocol": "msc", "wrokload": "random"})
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            # the two retired engine knobs: rejected, not reinterpreted
+            ("verify", "mode"),
+            ("verify", "workers"),
+            ("verify", "windw"),
+            ("latency", "parms"),
+            ("faults", "sede"),
+        ],
+    )
+    def test_unknown_nested_fields_rejected(self, section, field):
+        with pytest.raises(
+            InvalidSpecError, match=f"unknown {section} field.*{field}"
+        ):
+            RunSpec.from_dict({"protocol": "msc", section: {field: 1}})
+
     def test_malformed_json_rejected(self):
         with pytest.raises(InvalidSpecError, match="not valid JSON"):
             RunSpec.from_json("{nope")
@@ -138,20 +155,13 @@ class TestValidation:
             VerifyPolicy(certificate="maybe")
 
     def test_verify_policy_engine_knobs(self):
-        with pytest.raises(InvalidSpecError, match="mode"):
-            VerifyPolicy(mode="parallel")
-        with pytest.raises(InvalidSpecError, match="workers"):
-            VerifyPolicy(workers=0)
         with pytest.raises(InvalidSpecError, match="window"):
             VerifyPolicy(window=0)
 
     def test_verify_policy_engine_defaults(self):
         policy = VerifyPolicy()
-        assert (policy.mode, policy.workers, policy.window) == (
-            "full",
-            1,
-            None,
-        )
+        assert policy.window is None
+        assert not {"mode", "workers"} & set(policy.to_dict())
 
 
 class TestLatencySpec:

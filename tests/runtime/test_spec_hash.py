@@ -31,8 +31,6 @@ MATERIALIZED = {
         "method": "auto",
         "use_ww": True,
         "certificate": "auto",
-        "mode": "full",
-        "workers": 1,
         "window": None,
     },
     "settle": 0.0,

@@ -153,6 +153,10 @@ def test_malformed_spec_is_400(client):
         {"protocol": "mlin", "bogus_field": 1},
         # A shim that can never deliver is refused, not queued.
         {"protocol": "mlin", "faults": {"ack_timeout": 0.0}},
+        # Retired or misspelt nested keys are named, not ignored.
+        {"protocol": "mlin", "verify": {"mode": "sharded"}},
+        {"protocol": "mlin", "verify": {"workers": 4}},
+        {"protocol": "mlin", "latency": {"kind": "fixed", "parms": [1]}},
     ):
         with pytest.raises(ServeClientError) as excinfo:
             client.submit(bad)

@@ -72,6 +72,29 @@ def test_headline_api_reachable():
         assert hasattr(repro, name), name
 
 
+def test_retired_verification_names_are_gone():
+    """One mark scan: the shard executor, the mode table and the four
+    streaming classes behind it left no alias behind."""
+    import repro.core as core
+    import repro.core.index as index
+    import repro.core.monitor as monitor
+    import repro.core.plan as plan
+    import repro.core.relations as relations
+
+    retired = {
+        "IncrementalClosure", "LiveIndex", "MODES", "Shard",
+        "ShardOutcome", "ShardReport", "StreamingVerifier",
+        "WindowedIndex", "object_shards", "run_sharded", "shard_history",
+    }
+    assert not retired & set(core.__all__)
+    for module in (core, index, monitor, plan, relations):
+        for name in retired:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert {"LiveMonitor", "verify_stream", "run_scan"} <= set(core.__all__)
+    public = {n for n in vars(index) if n[0].isupper() and n[0] != "_"}
+    assert {n for n in public if n.endswith("Index")} == {"HistoryIndex"}
+
+
 def test_abcast_exports_both_sequencer_layers():
     import repro.abcast as abcast
 

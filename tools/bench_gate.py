@@ -6,9 +6,10 @@ baseline, row by row.  Three row schemas are understood, auto-detected
 per row:
 
 * **checker rows** (``BENCH_checkers.json``), keyed by ``(condition,
-  n_mops, method)`` — the "method" column distinguishes the dynamic
-  ``constrained`` checker from the plan/execute engine's ``full`` /
-  ``sharded`` / ``windowed`` modes; the gate fails when a shared
+  n_mops, method)`` — the "method" column names what the row ran
+  (the dynamic ``constrained`` checker, or the certified scan as
+  ``full``, ``full/partitioned`` or ``windowed``) and is compared as
+  an opaque label; the gate fails when a shared
   row's ``median_s`` regresses by more than ``--factor``, or when
   the two rows disagree on ``witness`` (engine rows record whether
   the witness was built — a witness-free median is no baseline for a
