@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.sim.chaos import run_chaos
+from repro.runtime import FaultSpec, RunSpec, execute
 
 #: (protocol, seed count, ops per process) for the full artifact.
 SWEEPS = [
@@ -49,28 +49,34 @@ def run_sweep(protocol: str, seeds: int, ops: int) -> dict:
     rows: List[dict] = []
     for seed in range(seeds):
         started = time.perf_counter()
-        result = run_chaos(
-            protocol, seed, partition=True, ops_per_process=ops
+        artifact = execute(
+            RunSpec(
+                protocol=protocol,
+                n=4,
+                ops=ops,
+                seed=seed,
+                faults=FaultSpec(seed=seed, partition=True),
+            )
         )
         wall = time.perf_counter() - started
-        if not result.ok:
+        if not artifact.ok:
             raise SystemExit(
                 f"benchmark run failed ({protocol}, seed {seed}): "
-                f"{result.summary()}"
+                f"{artifact.summary()}"
             )
-        detector = result.detector
+        detector = artifact.chaos.detector
         rows.append(
             {
                 "seed": seed,
                 "wall_s": round(wall, 4),
-                "virtual_duration": round(result.duration, 2),
+                "virtual_duration": round(artifact.duration, 2),
                 "suspicions": detector.get("suspicions", 0),
                 "false_suspicions": detector.get("false_suspicions", 0),
                 "false_suspect_rate": round(
                     detector.get("false_suspect_rate", 0.0), 4
                 ),
-                "failovers": len(result.failovers),
-                "degraded_incidents": len(result.degraded),
+                "failovers": len(artifact.chaos.failovers),
+                "degraded_incidents": len(artifact.chaos.degraded),
             }
         )
     walls = [r["wall_s"] for r in rows]
@@ -112,7 +118,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     payload = {
         "generated_by": "python -m benchmarks.bench_chaos",
         "workload": (
-            "run_chaos(protocol, seed, partition=True) — "
+            "execute(RunSpec(protocol, n=4, seed=s, faults=FaultSpec("
+            "seed=s, partition=True))) — "
             "FaultPlan.random_partition schedules (one healing "
             "majority/minority split per seed plus background "
             "drops/duplicates), quorum-aware degradation enabled"

@@ -56,7 +56,9 @@ from repro.errors import (
 )
 from repro.obs import flame_summary
 from repro.runtime import (
+    FaultSpec,
     RunSpec,
+    VerifyPolicy,
     crash_tolerant_protocols,
     partition_tolerant_protocols,
     protocol_names,
@@ -214,42 +216,49 @@ def cmd_figures(_args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.sim.chaos import run_chaos
-
     failures = 0
-    artifacts = []
+    rows = []
     for seed in range(args.fault_seed, args.fault_seed + args.runs):
-        result = run_chaos(
-            args.protocol,
-            seed,
+        # One integer per run: it seeds the fault plan, the cluster
+        # and (+1) the workload.
+        spec = RunSpec(
+            protocol=args.protocol,
             n=args.processes,
-            ops_per_process=args.ops,
-            recovery=args.recovery,
-            recover=not args.no_recover,
-            partition=args.partition,
-            quorum_aware=not args.no_quorum,
-            verify_window=args.window,
+            ops=args.ops,
+            seed=seed,
+            verify=VerifyPolicy(window=args.window),
+            faults=FaultSpec(
+                seed=seed,
+                recovery=args.recovery,
+                recover=not args.no_recover,
+                partition=args.partition,
+                quorum_aware=not args.no_quorum,
+            ),
         )
-        print(result.summary())
+        artifact = execute_spec(spec)
+        chaos = artifact.chaos
+        print(artifact.summary())
+        print(f"  {chaos.plan.describe()}")
         if args.metrics:
-            print(json.dumps(result.metrics, indent=2, sort_keys=True))
+            print(json.dumps(artifact.net_stats, indent=2, sort_keys=True))
         if args.out:
-            artifacts.append(
+            rows.append(
                 {
                     "seed": seed,
-                    "ok": result.ok,
-                    "summary": result.summary(),
-                    "violations": result.violations,
-                    "abcast_violation": result.abcast_violation,
-                    "failure": result.failure,
-                    "detector": result.detector,
-                    "degraded": len(result.degraded),
-                    "partitions": result.partitions,
-                    "failovers": result.failovers,
-                    "metrics": result.metrics,
+                    # Replays with ``python -m repro run``.
+                    "spec": spec.to_dict(),
+                    "ok": artifact.ok,
+                    "summary": artifact.summary(),
+                    "violations": artifact.violations,
+                    "failure": artifact.failure,
+                    "detector": chaos.detector,
+                    "degraded": len(chaos.degraded),
+                    "partitions": chaos.partitions,
+                    "failovers": chaos.failovers,
+                    "metrics": artifact.net_stats,
                 }
             )
-        failures += not result.ok
+        failures += not artifact.ok
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(
@@ -258,7 +267,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                     "runs": args.runs,
                     "failures": failures,
                     "negative_control": args.no_recover or args.no_quorum,
-                    "results": artifacts,
+                    "results": rows,
                 },
                 handle,
                 indent=2,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import History, make_mop, read, write
+from repro.runtime import FaultSpec, RunSpec, VerifyPolicy
 
 
 @pytest.fixture
@@ -13,6 +14,22 @@ def fig2_history():
     from repro.workloads import figure2_h1
 
     return figure2_h1()
+
+
+def chaos_spec(
+    protocol, seed, *, n=4, ops=5, verify=VerifyPolicy(), **faults
+):
+    """One chaos run as a spec: ``seed`` seeds the cluster, the
+    workload (``seed + 1``) and the fault plan alike; ``faults`` are
+    :class:`~repro.runtime.FaultSpec` fields."""
+    return RunSpec(
+        protocol=protocol,
+        n=n,
+        ops=ops,
+        seed=seed,
+        verify=verify,
+        faults=FaultSpec(seed=seed, **faults),
+    )
 
 
 def simple_history(specs, *, reads_from=None, initial_values=None):

@@ -354,11 +354,14 @@ class TestWindowedIndex:
         assert "illegal triple" in violation
 
     def test_chaos_accepts_verify_window(self):
-        from repro.sim.chaos import run_chaos
+        from repro.runtime import VerifyPolicy, execute
+        from tests.conftest import chaos_spec
 
-        result = run_chaos(
-            "msc", 0, n=3, ops_per_process=4, verify_window=64
+        artifact = execute(
+            chaos_spec(
+                "msc", 0, n=3, ops=4, verify=VerifyPolicy(window=64)
+            )
         )
-        assert result.ok
-        assert result.metrics["chaos"]["window_refusals"] == 0
-        assert "window_epochs" in result.metrics["chaos"]
+        assert artifact.ok
+        assert artifact.net_stats["chaos"]["window_refusals"] == 0
+        assert "window_epochs" in artifact.net_stats["chaos"]

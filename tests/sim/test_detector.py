@@ -12,6 +12,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.obs import MetricsRegistry
 from repro.protocols.base import Cluster
+from repro.runtime import execute
 from repro.sim import (
     HEARTBEAT_KIND,
     ControlledNetwork,
@@ -19,9 +20,9 @@ from repro.sim import (
     Message,
     Network,
     Simulator,
-    run_chaos,
 )
 from repro.sim.latency import FixedLatency, UniformLatency
+from tests.conftest import chaos_spec
 
 
 def make_detector(n=3, *, latency=None, stop_at=40.0, seed=0, **kwargs):
@@ -193,27 +194,27 @@ class TestDetectorOnAControlledNetwork:
         assert detector.events == []
 
 
-#: ``ChaosResult.metrics["counters"]`` of ``run_chaos("msc", 1,
-#: partition=True, ops_per_process=8)``, recorded at dfa094b.
+#: ``net_stats["counters"]`` of ``execute(chaos_spec("msc", 1, ops=8,
+#: partition=True))``, recorded at 395fb53.
 PARENT_PARTITION_COUNTERS = {
     "detector.suspect": 6, "detector.trust": 6,
-    "net.acked": 241, "net.deduped": 24, "net.delivered": 580,
-    "net.dropped": 38, "net.duplicated": 31, "net.flushed": 19,
-    "net.lost_to_crash": 0, "net.lost_to_partition": 91,
-    "net.retransmitted": 25, "net.sent": 652,
-    "net.sent_by_kind{kind=abc-ack}": 73,
+    "net.acked": 222, "net.deduped": 26, "net.delivered": 691,
+    "net.dropped": 44, "net.duplicated": 39, "net.flushed": 20,
+    "net.lost_to_crash": 0, "net.lost_to_partition": 99,
+    "net.retransmitted": 41, "net.sent": 750,
+    "net.sent_by_kind{kind=abc-ack}": 74,
     "net.sent_by_kind{kind=abc-new-seq}": 4,
     "net.sent_by_kind{kind=abc-req}": 20,
-    "net.sent_by_kind{kind=abc-seq}": 84,
-    "net.sent_by_kind{kind=abc-stable}": 60,
-    "net.sent_by_kind{kind=hb}": 411,
-    "net.size_by_kind{kind=abc-ack}": 2774,
+    "net.sent_by_kind{kind=abc-seq}": 80,
+    "net.sent_by_kind{kind=abc-stable}": 44,
+    "net.sent_by_kind{kind=hb}": 528,
+    "net.size_by_kind{kind=abc-ack}": 2812,
     "net.size_by_kind{kind=abc-new-seq}": 184,
-    "net.size_by_kind{kind=abc-req}": 2028,
-    "net.size_by_kind{kind=abc-seq}": 11732,
-    "net.size_by_kind{kind=abc-stable}": 1740,
-    "net.size_by_kind{kind=hb}": 3288,
-    "net.total_size": 21746,
+    "net.size_by_kind{kind=abc-req}": 2031,
+    "net.size_by_kind{kind=abc-seq}": 11164,
+    "net.size_by_kind{kind=abc-stable}": 1276,
+    "net.size_by_kind{kind=hb}": 4224,
+    "net.total_size": 21691,
 }
 
 
@@ -241,10 +242,11 @@ def test_counters_cost_no_registry_lookup_per_frame(monkeypatch):
 
     monkeypatch.setattr(MetricsRegistry, "counter", counting_counter)
     monkeypatch.setattr(Cluster, "run", tapped_run)
-    result = run_chaos("msc", 1, partition=True, ops_per_process=8)
-    assert result.ok, result.summary()
-    transitions = result.detector["suspicions"] + result.detector["trusts"]
+    artifact = execute(chaos_spec("msc", 1, ops=8, partition=True))
+    assert artifact.ok, artifact.summary()
+    detector = artifact.chaos.detector
+    transitions = detector["suspicions"] + detector["trusts"]
     assert transitions == 12
     assert len(during_run) <= 2 * transitions
     assert all(name.startswith("detector.") for name in during_run)
-    assert result.metrics["counters"] == PARENT_PARTITION_COUNTERS
+    assert artifact.net_stats["counters"] == PARENT_PARTITION_COUNTERS

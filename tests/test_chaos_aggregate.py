@@ -9,7 +9,8 @@ must replay unanswered *queries* as well as updates.
 
 import pytest
 
-from repro.sim.chaos import run_chaos
+from repro.runtime import execute
+from tests.conftest import chaos_spec
 
 
 def _recovery(seed: int) -> str:
@@ -19,30 +20,35 @@ def _recovery(seed: int) -> str:
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", range(10))
 def test_aggregate_survives_fault_schedule(seed):
-    result = run_chaos("aggregate", seed, recovery=_recovery(seed))
-    assert result.ok, result.summary()
-    assert result.completed == result.expected
-    assert result.plan.drop_prob > 0
-    assert result.crashes and result.restarts, result.summary()
-    assert result.failovers, result.summary()
+    artifact = execute(
+        chaos_spec("aggregate", seed, recovery=_recovery(seed))
+    )
+    chaos = artifact.chaos
+    assert artifact.ok, artifact.summary()
+    assert artifact.completed == artifact.expected
+    assert chaos.plan.drop_prob > 0
+    assert chaos.crashes and chaos.restarts, artifact.summary()
+    assert chaos.failovers, artifact.summary()
 
 
 def test_aggregate_chaos_smoke():
     """Tier-1 smoke subset: both recovery modes, two schedules each."""
     for seed in (0, 1):
         for recovery in ("replay", "snapshot"):
-            result = run_chaos("aggregate", seed, recovery=recovery)
-            assert result.ok, result.summary()
-            assert result.failovers, result.summary()
+            artifact = execute(
+                chaos_spec("aggregate", seed, recovery=recovery)
+            )
+            assert artifact.ok, artifact.summary()
+            assert artifact.chaos.failovers, artifact.summary()
 
 
 def test_aggregate_without_recovery_loses_operations():
     """Negative control: permanent crashes must break the run."""
     for seed in range(3):
-        result = run_chaos("aggregate", seed, recover=False)
-        assert not result.ok, result.summary()
+        artifact = execute(chaos_spec("aggregate", seed, recover=False))
+        assert not artifact.ok, artifact.summary()
         assert (
-            result.completed < result.expected
-            or result.failure is not None
-            or result.violations
-        ), result.summary()
+            artifact.completed < artifact.expected
+            or artifact.failure is not None
+            or artifact.violations
+        ), artifact.summary()

@@ -10,7 +10,8 @@ crash/recovery and sequencer-failover machinery.
 
 import pytest
 
-from repro.sim.chaos import run_chaos
+from repro.runtime import execute
+from tests.conftest import chaos_spec
 
 
 def _recovery(seed: int) -> str:
@@ -20,30 +21,35 @@ def _recovery(seed: int) -> str:
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", range(50))
 def test_mlin_survives_fault_schedule(seed):
-    result = run_chaos("mlin", seed, recovery=_recovery(seed))
-    assert result.ok, result.summary()
-    assert result.completed == result.expected
-    assert result.plan.drop_prob > 0
-    assert result.crashes and result.restarts, result.summary()
-    assert result.failovers, result.summary()
+    artifact = execute(
+        chaos_spec("mlin", seed, recovery=_recovery(seed))
+    )
+    chaos = artifact.chaos
+    assert artifact.ok, artifact.summary()
+    assert artifact.completed == artifact.expected
+    assert chaos.plan.drop_prob > 0
+    assert chaos.crashes and chaos.restarts, artifact.summary()
+    assert chaos.failovers, artifact.summary()
 
 
 def test_mlin_chaos_smoke():
     """Tier-1 smoke subset: both recovery modes, two schedules each."""
     for seed in (0, 1):
         for recovery in ("replay", "snapshot"):
-            result = run_chaos("mlin", seed, recovery=recovery)
-            assert result.ok, result.summary()
-            assert result.failovers, result.summary()
+            artifact = execute(
+                chaos_spec("mlin", seed, recovery=recovery)
+            )
+            assert artifact.ok, artifact.summary()
+            assert artifact.chaos.failovers, artifact.summary()
 
 
 def test_mlin_without_recovery_loses_operations():
     """Negative control: permanent crashes must break the run."""
     for seed in range(3):
-        result = run_chaos("mlin", seed, recover=False)
-        assert not result.ok, result.summary()
+        artifact = execute(chaos_spec("mlin", seed, recover=False))
+        assert not artifact.ok, artifact.summary()
         assert (
-            result.completed < result.expected
-            or result.failure is not None
-            or result.violations
-        ), result.summary()
+            artifact.completed < artifact.expected
+            or artifact.failure is not None
+            or artifact.violations
+        ), artifact.summary()

@@ -13,7 +13,8 @@ run unmarked in tier-1.
 
 import pytest
 
-from repro.sim.chaos import run_chaos
+from repro.runtime import execute
+from tests.conftest import chaos_spec
 
 
 def _recovery(seed: int) -> str:
@@ -24,22 +25,27 @@ def _recovery(seed: int) -> str:
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", range(50))
 def test_msc_survives_fault_schedule(seed):
-    result = run_chaos("msc", seed, recovery=_recovery(seed))
-    assert result.ok, result.summary()
-    assert result.completed == result.expected
+    artifact = execute(
+        chaos_spec("msc", seed, recovery=_recovery(seed))
+    )
+    chaos = artifact.chaos
+    assert artifact.ok, artifact.summary()
+    assert artifact.completed == artifact.expected
     # The schedule really exercised the fault machinery.
-    assert result.plan.drop_prob > 0
-    assert result.crashes and result.restarts, result.summary()
-    assert result.failovers, result.summary()
+    assert chaos.plan.drop_prob > 0
+    assert chaos.crashes and chaos.restarts, artifact.summary()
+    assert chaos.failovers, artifact.summary()
 
 
 def test_msc_chaos_smoke():
     """Tier-1 smoke subset: both recovery modes, two schedules each."""
     for seed in (0, 1):
         for recovery in ("replay", "snapshot"):
-            result = run_chaos("msc", seed, recovery=recovery)
-            assert result.ok, result.summary()
-            assert result.failovers, result.summary()
+            artifact = execute(
+                chaos_spec("msc", seed, recovery=recovery)
+            )
+            assert artifact.ok, artifact.summary()
+            assert artifact.chaos.failovers, artifact.summary()
 
 
 def test_msc_without_recovery_loses_operations():
@@ -50,10 +56,10 @@ def test_msc_without_recovery_loses_operations():
     recovery machinery is what makes the positive runs pass.
     """
     for seed in range(3):
-        result = run_chaos("msc", seed, recover=False)
-        assert not result.ok, result.summary()
+        artifact = execute(chaos_spec("msc", seed, recover=False))
+        assert not artifact.ok, artifact.summary()
         assert (
-            result.completed < result.expected
-            or result.failure is not None
-            or result.violations
-        ), result.summary()
+            artifact.completed < artifact.expected
+            or artifact.failure is not None
+            or artifact.violations
+        ), artifact.summary()

@@ -9,7 +9,8 @@ the client retry timers that regenerate responses lost to a crash.
 
 import pytest
 
-from repro.sim.chaos import run_chaos
+from repro.runtime import execute
+from tests.conftest import chaos_spec
 
 
 def _recovery(seed: int) -> str:
@@ -19,30 +20,35 @@ def _recovery(seed: int) -> str:
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", range(10))
 def test_server_survives_fault_schedule(seed):
-    result = run_chaos("server", seed, recovery=_recovery(seed))
-    assert result.ok, result.summary()
-    assert result.completed == result.expected
-    assert result.plan.drop_prob > 0
-    assert result.crashes and result.restarts, result.summary()
+    artifact = execute(
+        chaos_spec("server", seed, recovery=_recovery(seed))
+    )
+    chaos = artifact.chaos
+    assert artifact.ok, artifact.summary()
+    assert artifact.completed == artifact.expected
+    assert chaos.plan.drop_prob > 0
+    assert chaos.crashes and chaos.restarts, artifact.summary()
     # No abcast layer -> no sequencer failovers, ever.
-    assert not result.failovers
+    assert not chaos.failovers
 
 
 def test_server_chaos_smoke():
     """Tier-1 smoke subset: both recovery modes, two schedules each."""
     for seed in (0, 1):
         for recovery in ("replay", "snapshot"):
-            result = run_chaos("server", seed, recovery=recovery)
-            assert result.ok, result.summary()
+            artifact = execute(
+                chaos_spec("server", seed, recovery=recovery)
+            )
+            assert artifact.ok, artifact.summary()
 
 
 def test_server_without_recovery_loses_operations():
     """Negative control: permanent crashes must break the run."""
     for seed in range(3):
-        result = run_chaos("server", seed, recover=False)
-        assert not result.ok, result.summary()
+        artifact = execute(chaos_spec("server", seed, recover=False))
+        assert not artifact.ok, artifact.summary()
         assert (
-            result.completed < result.expected
-            or result.failure is not None
-            or result.violations
-        ), result.summary()
+            artifact.completed < artifact.expected
+            or artifact.failure is not None
+            or artifact.violations
+        ), artifact.summary()
