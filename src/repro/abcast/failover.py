@@ -54,7 +54,7 @@ The election gathers the live participants' state in one atomic step
 all repair — new-epoch announcement, rebroadcast, request retry,
 log fetch — through real (lossy, reordering, partitionable) network
 messages.  The handoff is safe under the single-failure-at-a-time
-schedules the chaos harness generates; overlapping crashes of the
+schedules ``FaultPlan.random`` generates; overlapping crashes of the
 sequencer and the only participant that delivered a suffix can lose
 that suffix, as in any 1-resilient primary-backup scheme without
 stable storage.

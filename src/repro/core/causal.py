@@ -27,25 +27,23 @@ model: because query m-operations write nothing, the per-process
 query insertions into the shared update order can always be merged
 into one global legal sequence (queries at the same slot do not
 interact), and conversely any global witness projects onto an update
-order plus insertions.  The checker is therefore an alternative
-decision procedure for m-sequential consistency with a differently
-shaped witness (update order + per-process positions); the test suite
-asserts the agreement on randomized histories.  A genuinely weaker
-"causal serializability" would need update transactions whose reads
-are validated only at their issuer — a different model.
+order plus insertions.  :func:`check_m_causal_serializability`
+therefore *is* the m-sequential-consistency checker, reporting the
+witness's update order.  A genuinely weaker "causal serializability"
+would need update transactions whose reads are validated only at
+their issuer — a different model.
 
-Complexity: the per-process serializations reuse the exact
-admissibility search (worst-case exponential); the query-insertion
-check for a fixed update order is polynomial (greedy earliest-
-feasible-slot, correct by an exchange argument).
+Complexity: the per-process serializations of m-causal consistency
+reuse the exact admissibility search (worst-case exponential).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.admissibility import check_admissible
+from repro.core.consistency import check_m_sequential_consistency
 from repro.core.history import History
 from repro.core.operation import INIT_UID
 from repro.core.orders import msc_order
@@ -140,145 +138,26 @@ def is_m_causally_consistent(history: History, **kwargs) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _queries_insertable(
-    history: History,
-    proc: int,
-    update_order: Sequence[int],
-    co: Relation,
-) -> bool:
-    """Greedy earliest-slot insertion of one process's queries.
-
-    Position ``k`` means "after the k-th update of ``update_order``"
-    (k = 0: before all updates).  For each query, in process order,
-    pick the smallest feasible position that is >= the previous
-    query's position; feasibility means (a) every external read's
-    writer is the last writer of its object at that position, and (b)
-    the position is compatible with the causal order against all
-    updates.  Greedy-earliest is complete by an exchange argument.
-    """
-    update_pos = {uid: i + 1 for i, uid in enumerate(update_order)}
-    n_slots = len(update_order) + 1
-
-    # last_writer_at[k][obj]: uid of obj's last writer at position k.
-    last_writer_at: List[Dict[str, int]] = []
-    current: Dict[str, int] = {obj: INIT_UID for obj in history.objects}
-    last_writer_at.append(dict(current))
-    for uid in update_order:
-        for obj in history[uid].external_writes:
-            current[obj] = uid
-        last_writer_at.append(dict(current))
-
-    queries = [
-        m for m in history.subhistory(proc) if m.is_query
-    ]
-    cursor = 0
-    for query in queries:
-        lo = cursor
-        hi = n_slots - 1
-        for uid in update_order:
-            if (uid, query.uid) in co:
-                lo = max(lo, update_pos[uid])
-            if (query.uid, uid) in co:
-                hi = min(hi, update_pos[uid] - 1)
-        placed = False
-        for pos in range(lo, hi + 1):
-            state = last_writer_at[pos]
-            ok = all(
-                state.get(obj) == history.writer_of(query.uid, obj)
-                for obj in query.external_reads
-            )
-            if ok:
-                cursor = pos
-                placed = True
-                break
-        if not placed:
-            return False
-    return True
-
-
 def check_m_causal_serializability(
     history: History, *, node_limit: Optional[int] = None
 ) -> CausalVerdict:
     """Is the history m-causally serializable?
 
-    Searches for a single legal linear extension of the causal order
-    restricted to update m-operations into which *every* process's
-    queries can be inserted.  Backtracking over update prefixes with
-    the same (scheduled set, last-writer) failure memoization as the
-    admissibility search; each complete update order is then tested
-    per process with the polynomial insertion check.
+    Decided by the m-sequential-consistency checker — the two
+    conditions coincide in this model (module docstring) — whose
+    witness, projected onto the update m-operations, is the shared
+    update order into which every process's queries insert.
     """
-    co = causal_order(history)
-    updates = [history.init] + [m for m in history.mops if m.is_update]
-    uids = [m.uid for m in updates]
-    index = {uid: i for i, uid in enumerate(uids)}
-    n = len(uids)
-    objects = sorted(history.objects)
-    obj_index = {obj: i for i, obj in enumerate(objects)}
-
-    pred_mask = [0] * n
-    for a, b in co.pairs():
-        ia, ib = index.get(a), index.get(b)
-        if ia is not None and ib is not None and ia != ib:
-            pred_mask[ib] |= 1 << ia
-
-    reads: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    writes: List[List[int]] = [[] for _ in range(n)]
-    for i, mop in enumerate(updates):
-        for obj in mop.external_reads:
-            writer = history.writer_of(mop.uid, obj)
-            if writer in index:  # writers of updates are updates/init
-                reads[i].append((obj_index[obj], index[writer]))
-        for obj in mop.external_writes:
-            writes[i].append(obj_index[obj])
-
-    processes = history.processes or (0,)
-    full_mask = (1 << n) - 1
-    failed: Set[Tuple[int, Tuple[int, ...]]] = set()
-    nodes = 0
-
-    def solve(
-        done: int, last_writer: Tuple[int, ...], order: List[int]
-    ) -> Optional[List[int]]:
-        nonlocal nodes
-        nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            raise RuntimeError(
-                f"causal-serializability search exceeded {node_limit} nodes"
-            )
-        if done == full_mask:
-            update_order = [uids[i] for i in order[1:]]  # drop init
-            if all(
-                _queries_insertable(history, proc, update_order, co)
-                for proc in processes
-            ):
-                return list(update_order)
-            return None
-        key = (done, last_writer)
-        if key in failed:
-            return None
-        for i in range(n):
-            if done >> i & 1 or pred_mask[i] & ~done:
-                continue
-            if not all(last_writer[oi] == w for oi, w in reads[i]):
-                continue
-            lw = list(last_writer)
-            for oi in writes[i]:
-                lw[oi] = i
-            order.append(i)
-            found = solve(done | (1 << i), tuple(lw), order)
-            if found is not None:
-                return found
-            order.pop()
-        failed.add(key)
-        return None
-
-    start = tuple([-1] * len(objects))
-    witness = solve(0, start, [])
-    if witness is None:
+    verdict = check_m_sequential_consistency(history, node_limit=node_limit)
+    if not verdict.holds:
         return CausalVerdict(False, "m-causal-serializable")
+    update_order = [
+        uid
+        for uid in verdict.witness
+        if uid != INIT_UID and history[uid].is_update
+    ]
     return CausalVerdict(
-        True, "m-causal-serializable", witnesses={-1: witness}
+        True, "m-causal-serializable", witnesses={-1: update_order}
     )
 
 

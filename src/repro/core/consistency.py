@@ -364,8 +364,8 @@ CHECKERS = {
 def check_condition(
     history: History, condition: str, **kwargs
 ) -> ConsistencyVerdict:
-    """Check any condition by name — the single entry point the CLI,
-    the simulator and the chaos harness share.
+    """Check any condition by name — the single entry point the CLI
+    and the run pipeline share.
 
     ``kwargs`` are forwarded to the named checker (``method``,
     ``node_limit``, ``extra_pairs``, ``certificate``, ``window``,

@@ -9,7 +9,7 @@ co-writer masks (D 4.8-D 4.10), and the generating orders
 ``~p ∪ ~rf [∪ ~t | ∪ ~x]`` with their transitive closures.  Before
 this layer each consumer rebuilt all of that from scratch;
 :class:`HistoryIndex` computes each piece once per history and caches
-it.  (The streaming consumers — protocol recorder, chaos harness —
+it.  (The streaming consumers — protocol recorder, fault runs —
 feed :class:`repro.core.monitor.LiveMonitor`, which never builds a
 :class:`~repro.core.history.History` at all.)
 

@@ -9,8 +9,8 @@ each distinct label set is its own time series, exactly as in the
 Prometheus data model this deliberately mirrors (dependency-free).
 
 ``registry.snapshot()`` renders everything as one plain dict, which is
-what the CLI ``--metrics`` flags and :class:`~repro.sim.chaos.
-ChaosResult` expose — consumers read recorded numbers instead of
+what the CLI ``--metrics`` flags and ``RunArtifact.net_stats`` /
+``.metrics`` expose — consumers read recorded numbers instead of
 poking private attributes of live objects.
 """
 

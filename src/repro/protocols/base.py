@@ -618,7 +618,7 @@ class Cluster:
         return self.rng.uniform(0.0, self.think_jitter)
 
     # ------------------------------------------------------------------
-    # Fault injection surface (used by repro.sim.faults / sim.chaos)
+    # Fault injection surface (used by repro.sim.faults)
     # ------------------------------------------------------------------
 
     def crash_process(self, pid: int) -> None:

@@ -8,7 +8,7 @@ One pipeline from a declarative :class:`RunSpec` to a serializable
         -> execute(spec)
         -> RunArtifact (history, verdicts, metrics, net stats)
 
-The CLI (``demo``/``trace``/``chaos``/``run``), the chaos harness,
+The CLI (``demo``/``trace``/``chaos``/``run``), the chaos suites,
 the exploration driver and the benchmark report all resolve protocols
 and workloads through this package instead of keeping private tables.
 """

@@ -1,21 +1,27 @@
 """``execute(spec) -> RunArtifact`` — the one run pipeline.
 
-Every surface that runs a protocol (the ``demo``/``trace``/``run``
-CLI commands, the chaos harness's spec form, the exploration driver
-and the benchmark report) goes through this module: resolve the
-protocol and workload from the registry, build the cluster, arm the
-fault plan if the spec carries one, install tracing/metrics when
-asked, run, verify per the spec's :class:`~repro.runtime.spec
-.VerifyPolicy` (taking the Theorem-7 fast path with a static
-:class:`~repro.analysis.static.prover.ConstraintCertificate` whenever
-the prover certifies the workload), and return one serializable
-:class:`RunArtifact`.
+Every surface that runs a protocol (the ``demo``/``trace``/``run``/
+``chaos`` CLI commands, the chaos suites, the exploration driver and
+the benchmark report) goes through this module, and the module has
+one body in which faults are a step, not a fork: resolve the protocol
+and workload from the registry; if the spec carries faults, resolve
+the plan, check it against the protocol's capabilities and add the
+fault-tolerant cluster keywords (reliable network, failover
+sequencer, in-run ``LiveMonitor("m-sc")``); build the cluster; arm
+detector and injector; run, catching a faulty run's typed failures
+into ``failure``; and give the run its **single** batch verdict under
+the spec's :class:`~repro.runtime.spec.VerifyPolicy` (the Theorem-7
+fast path with a static :class:`~repro.analysis.static.prover
+.ConstraintCertificate` whenever the prover certifies the workload).
+The result is one serializable :class:`RunArtifact`.
 
-Imports of the protocol/sim layers happen inside :func:`execute` —
-this module is re-exported from :mod:`repro.runtime`, which protocol
-modules import at load time for registration; resolving at call time
-keeps the package import graph acyclic (same pattern as
-``repro.sim.chaos``).
+A faulty run is therefore judged by: completion, the monitor's audit
+at every fault boundary and at the end, the abcast delivery logs'
+total order, and that one verdict.  The *negative controls*
+(``recover=False``: crashes stay down; ``quorum_aware=False``: the
+quorum safeguards are stripped and a split-brain is allowed to
+happen) must fail one of them — the evidence that recovery and
+quorum gating, not luck, make the positive runs pass.
 """
 
 from __future__ import annotations
@@ -24,21 +30,48 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.abcast.failover import FailoverSequencer
+from repro.core.monitor import LiveMonitor
 from repro.core.serialize import canonical_json, history_to_dict
-from repro.errors import ReproError
+from repro.errors import (
+    DeliveryTimeout,
+    PartitionedError,
+    ProcessCrashed,
+    ProtocolError,
+    ReproError,
+    SequencerUnavailable,
+)
 from repro.runtime.registry import (
     ProtocolSpec,
-    WorkloadSpec,
     get_workload,
     resolve_protocol,
 )
 from repro.runtime.spec import InvalidSpecError, RunSpec
+from repro.sim.detector import HeartbeatDetector
+from repro.sim.faults import FaultInjector, FaultPlan
+from repro.sim.network import Network
 
-__all__ = ["FaultPolicyError", "RunArtifact", "execute", "history_hash"]
+__all__ = [
+    "ChaosResult",
+    "FaultPolicyError",
+    "RunArtifact",
+    "execute",
+    "history_hash",
+]
+
+#: What a run under faults may end in instead of a history; caught
+#: into ``RunArtifact.failure`` (a clean run raises them).
+_RUN_FAILURES = (
+    DeliveryTimeout,
+    PartitionedError,
+    ProcessCrashed,
+    ProtocolError,
+    SequencerUnavailable,
+)
 
 
 class FaultPolicyError(ReproError):
-    """The spec asks for faults on a protocol without recovery support."""
+    """The fault plan needs a capability the protocol does not have."""
 
 
 def history_hash(history, text: Optional[str] = None) -> str:
@@ -83,14 +116,46 @@ class VerdictRecord:
 
 
 @dataclass
+class ChaosResult:
+    """What a fault run did that :class:`RunArtifact` does not say.
+
+    A live handle (``RunArtifact.chaos``), never serialized; the
+    tallies are in ``net_stats["chaos"]`` / ``net_stats["detector"]``.
+    """
+
+    #: the resolved plan that was armed.
+    plan: FaultPlan
+    #: ``(time, pid)`` per executed crash / restart.
+    crashes: List[Tuple[float, int]]
+    restarts: List[Tuple[float, int]]
+    #: the failover sequencer's elections (empty without an abcast).
+    failovers: List[tuple]
+    #: ``(time, "partition"|"heal", link count)`` per topology change.
+    partitions: List[Tuple[float, str, int]]
+    #: ``HeartbeatDetector.summary()``; empty when none was armed.
+    detector: Dict[str, float]
+    #: degraded-mode incidents of the quorum-aware sequencer:
+    #: ``(time, pid, reason, msg id|None)``.
+    degraded: List[tuple]
+    #: ``(time, event, pid, verdict)`` per audit of the in-run monitor
+    #: — one per fault event plus ``"final"`` (verdict None = clean so
+    #: far; any other is also in ``RunArtifact.violations``).
+    audits: List[Tuple[float, str, int, Optional[str]]]
+    #: pid -> abcast delivery cursor when the run ended, failed runs
+    #: included (the first thing to look at when one never finishes).
+    abcast_cursors: Dict[int, int]
+
+
+@dataclass
 class RunArtifact:
     """Everything one executed :class:`RunSpec` produced.
 
     The artifact is JSON-serializable (:meth:`to_dict` / :meth:`save`);
-    the two live handles (``result``, ``chaos``) are carried for
+    the two live handles (``result``, and ``chaos`` — a
+    :class:`ChaosResult`, None outside fault runs) are carried for
     in-process callers — the benchmark report reads ``result``, the
-    chaos CLI reads ``chaos`` — and are summarized, not embedded, in
-    the JSON form.
+    chaos CLI and suites read ``chaos`` — and are summarized, not
+    embedded, in the JSON form.
 
     The recorded history is encoded once, by :func:`execute`, as
     ``history_json``: ``history_hash`` is the SHA-256 of that text and
@@ -111,8 +176,10 @@ class RunArtifact:
     #: canonical JSON of the recorded history, or None.
     history_json: Optional[str] = field(repr=False, compare=False)
     verdicts: List[VerdictRecord] = field(default_factory=list)
-    #: chaos verdict components (empty outside fault runs).
+    #: what the run got wrong besides its verdict: in-run audit
+    #: findings and an abcast total-order breach.
     violations: List[str] = field(default_factory=list)
+    #: text of the typed error a fault run ended in, if it did.
     failure: Optional[str] = None
     net_stats: Dict[str, Any] = field(default_factory=dict)
     metrics: Optional[Dict[str, Any]] = None
@@ -212,12 +279,6 @@ class RunArtifact:
         )
 
 
-def _build_workloads(
-    workload: WorkloadSpec, n: int, objects: Tuple[str, ...], spec: RunSpec
-):
-    return workload.builder(n, objects, spec.ops, spec.seed + 1)
-
-
 def _static_certificate(proto: ProtocolSpec, workloads, result):
     """Ask the prover for a workload certificate; None when it refuses."""
     from repro.analysis.static.prover import (
@@ -243,6 +304,8 @@ def _verify(
     spec: RunSpec, proto: ProtocolSpec, workloads, result
 ) -> List[VerdictRecord]:
     """Run the spec's verification policy over a finished run."""
+    # Resolved per call: benchmarks/e2e and the call-count guard wrap
+    # ``repro.core.check_condition`` to time / count this one call.
     from repro.core import check_condition, check_m_causal_consistency
 
     policy = spec.verify
@@ -294,6 +357,27 @@ def _check_options(spec: RunSpec, proto: ProtocolSpec) -> Dict[str, Any]:
     return options
 
 
+def _check_eligible(proto: ProtocolSpec, plan: FaultPlan) -> None:
+    """Eligibility follows the resolved plan, not a blanket flag."""
+    caps = proto.capabilities
+    if plan.crashes and not caps.crash_tolerant:
+        raise FaultPolicyError(
+            f"protocol {proto.name!r} has no crash-recovery support; "
+            "crash plans require a crash-tolerant protocol (see "
+            "repro.runtime.crash_tolerant_protocols())"
+        )
+    # A plan of drops and spikes alone still runs on the reliable shim
+    # under the monitor: it needs a protocol built for either family.
+    if not caps.partition_tolerant and (
+        plan.partitions or not caps.crash_tolerant
+    ):
+        raise FaultPolicyError(
+            f"protocol {proto.name!r} has no partition-tolerance "
+            "support; partition plans require the partition_tolerant "
+            "capability (see repro.runtime.partition_tolerant_protocols())"
+        )
+
+
 def execute(spec: RunSpec, **overrides) -> RunArtifact:
     """Run one :class:`RunSpec` end to end and return the artifact.
 
@@ -312,8 +396,6 @@ def execute(spec: RunSpec, **overrides) -> RunArtifact:
     )
 
     proto = resolve_protocol(spec.protocol)
-    workload = get_workload(spec.workload)
-    n, objects = workload.shape(spec.n, spec.objects)
     options = _check_options(spec, proto)
     options.update(overrides)
 
@@ -324,14 +406,7 @@ def execute(spec: RunSpec, **overrides) -> RunArtifact:
     if registry is not None:
         install_metrics(registry)
     try:
-        if spec.faults is not None:
-            artifact = _execute_faulty(
-                spec, proto, workload, n, objects, options
-            )
-        else:
-            artifact = _execute_clean(
-                spec, proto, workload, n, objects, options
-            )
+        artifact = _run(spec, proto, options)
     finally:
         if registry is not None:
             uninstall_metrics()
@@ -352,130 +427,157 @@ def execute(spec: RunSpec, **overrides) -> RunArtifact:
     return artifact
 
 
-def _execute_clean(
-    spec: RunSpec,
-    proto: ProtocolSpec,
-    workload: WorkloadSpec,
-    n: int,
-    objects: Tuple[str, ...],
-    options: Dict[str, Any],
+def _run(
+    spec: RunSpec, proto: ProtocolSpec, options: Dict[str, Any]
 ) -> RunArtifact:
-    cluster = proto.factory(
-        n,
-        objects,
-        seed=spec.seed,
-        latency=spec.latency.build(),
-        **options,
-    )
-    workloads = _build_workloads(workload, n, objects, spec)
-    expected = sum(len(w) for w in workloads)
-    result = cluster.run(
-        workloads, max_events=spec.max_events, settle=spec.settle
-    )
-    verdicts = _verify(spec, proto, workloads, result)
-    violations = []
-    if result.abcast_violation is not None:
-        violations.append(f"abcast: {result.abcast_violation}")
-    return RunArtifact(
-        spec=spec,
-        protocol=proto.name,
-        condition=spec.verify.condition or proto.condition,
-        n=n,
-        objects=objects,
-        completed=len(result.recorder.records),
-        expected=expected,
-        duration=result.duration,
-        **_encoded(result),
-        verdicts=verdicts,
-        violations=violations,
-        net_stats=result.net_stats.snapshot(),
-        result=result,
-    )
-
-
-def _execute_faulty(
-    spec: RunSpec,
-    proto: ProtocolSpec,
-    workload: WorkloadSpec,
-    n: int,
-    objects: Tuple[str, ...],
-    options: Dict[str, Any],
-) -> RunArtifact:
-    from repro.sim.chaos import run_chaos
-
+    workload = get_workload(spec.workload)
+    n, objects = workload.shape(spec.n, spec.objects)
     faults = spec.faults
-    # Eligibility follows the plan, not a blanket flag: crash events
-    # need crash tolerance, partition events need partition tolerance.
-    # With an explicit plan the requirements are read off it; a seeded
-    # draw is a crash plan unless ``partition`` selects the partition
-    # generator.
-    plan = faults.plan
-    needs_crash = plan.crashes if plan is not None else not faults.partition
-    needs_partition = (
-        bool(plan.partitions) if plan is not None else faults.partition
-    )
-    if needs_crash and not proto.capabilities.crash_tolerant:
-        raise FaultPolicyError(
-            f"protocol {proto.name!r} has no crash-recovery support; "
-            "crash plans require a crash-tolerant protocol (see "
-            "repro.runtime.crash_tolerant_protocols())"
+    latency = spec.latency.build()
+
+    plan = monitor = None
+    if faults is not None:
+        plan = faults.resolve(n)
+        _check_eligible(proto, plan)
+        # The in-run audits check the order every protocol here
+        # promises at least, ~p ∪ ~rf ∪ ~ww; the declared condition
+        # is checked on the finished run.
+        monitor = LiveMonitor("m-sc", window=spec.verify.window)
+        options.update(
+            fault_tolerant=True,
+            recovery=faults.recovery,
+            monitor=monitor,
+            network_factory=lambda sim, size: Network(
+                sim,
+                size,
+                latency=latency,
+                seed=faults.seed + 1,
+                reliable=True,
+                ack_timeout=faults.ack_timeout,
+                backoff=faults.retry_backoff,
+                retry_jitter=faults.retry_jitter,
+                max_retries=faults.max_retries,
+            ),
         )
-    if needs_partition and not proto.capabilities.partition_tolerant:
-        raise FaultPolicyError(
-            f"protocol {proto.name!r} has no partition-tolerance "
-            "support; partition plans require the partition_tolerant "
-            "capability (see repro.runtime.partition_tolerant_protocols())"
-        )
-    workloads = _build_workloads(workload, n, objects, spec)
-    chaos = run_chaos(
-        proto.name,
-        faults.seed,
-        n=n,
-        objects=objects,
-        ops_per_process=spec.ops,
-        recovery=faults.recovery,
-        recover=faults.recover,
-        plan=faults.plan,
-        partition=faults.partition,
-        quorum_aware=faults.quorum_aware,
-        degraded=faults.degraded,
-        detector_period=faults.detector_period,
-        detector_timeout=faults.detector_timeout,
-        horizon=faults.horizon,
-        failover_delay=faults.failover_delay,
-        max_events=spec.max_events,
-        workloads=workloads,
-        latency=spec.latency.build(),
-        cluster_seed=spec.seed,
-        ack_timeout=faults.ack_timeout,
-        retry_backoff=faults.retry_backoff,
-        retry_jitter=faults.retry_jitter,
-        max_retries=faults.max_retries,
-        verify_window=spec.verify.window,
-        **options,
+        if proto.uses_abcast:
+            # The other protocols default their own abcast_factory to
+            # None and must not have one forced in.
+            options["abcast_factory"] = lambda net: FailoverSequencer(
+                net, failover_delay=faults.failover_delay
+            )
+    cluster = proto.factory(
+        n, objects, seed=spec.seed, latency=latency, **options
     )
-    result = chaos.result
+
+    detector = injector = None
+    audits: List[Tuple[float, str, int, Optional[str]]] = []
+    if plan is not None:
+        if plan.partitions:
+            # Nothing else tells a protocol the far side went silent.
+            # The detector rides the same lossy, partitionable network
+            # as the protocol, so its view degrades with the topology.
+            detector = HeartbeatDetector(
+                cluster.network,
+                period=faults.detector_period,
+                timeout=faults.detector_timeout,
+            )
+            cluster.attach_detector(detector)
+            if cluster.abcast is not None:
+                cluster.abcast.bind_detector(
+                    detector,
+                    quorum_aware=faults.quorum_aware,
+                    degraded=faults.degraded,
+                )
+        # The monitor checks completions as they land, so an audit at
+        # a fault boundary is a barrier, not a history rebuild.
+        injector = FaultInjector(
+            plan,
+            on_event=lambda kind, pid, now: audits.append(
+                (now, kind, pid, monitor.audit())
+            ),
+        ).install(cluster)
+
+    workloads = workload.builder(n, objects, spec.ops, spec.seed + 1)
+    result = failure = None
+    try:
+        result = cluster.run(
+            workloads, max_events=spec.max_events, settle=spec.settle
+        )
+    except _RUN_FAILURES as exc:
+        if plan is None:
+            raise
+        failure = f"{type(exc).__name__}: {exc}"
+
+    violations = [
+        f"incremental audit: {found}"
+        for _t, _kind, _pid, found in audits
+        if found is not None
+    ]
     verdicts: List[VerdictRecord] = []
-    if result is not None and spec.verify.enabled:
+    if result is not None:
+        if monitor is not None:
+            found = monitor.audit()
+            audits.append((cluster.sim.now, "final", -1, found))
+            if found is not None:
+                violations.append(f"incremental audit (final): {found}")
         verdicts = _verify(spec, proto, workloads, result)
-    violations = list(chaos.violations)
-    if chaos.abcast_violation is not None:
-        violations.append(f"abcast: {chaos.abcast_violation}")
+        if result.abcast_violation is not None:
+            violations.append(f"abcast: {result.abcast_violation}")
+
+    completed = len(cluster.recorder.records)
+    expected = sum(len(w) for w in workloads)
+    net_stats = cluster.network.stats.snapshot()
+    chaos = None
+    if plan is not None:
+        abcast = cluster.abcast  # a FailoverSequencer, or None
+        chaos = ChaosResult(
+            plan=plan,
+            crashes=list(injector.crashed),
+            restarts=list(injector.restarted),
+            failovers=list(abcast.failovers) if abcast else [],
+            partitions=list(injector.partitioned),
+            detector=detector.summary() if detector else {},
+            degraded=list(abcast.degraded) if abcast else [],
+            audits=audits,
+            abcast_cursors=(
+                {pid: abcast.cursor(pid) for pid in range(n)}
+                if abcast
+                else {}
+            ),
+        )
+        net_stats["chaos"] = {
+            "crashes": len(chaos.crashes),
+            "restarts": len(chaos.restarts),
+            "failovers": len(chaos.failovers),
+            "partitions": len(chaos.partitions),
+            "degraded": len(chaos.degraded),
+            "audits": len(audits),
+            "completed": completed,
+            "expected": expected,
+            "duration": cluster.sim.now,
+        }
+        if spec.verify.window is not None:
+            net_stats["chaos"]["window_refusals"] = monitor.window_refusals
+            net_stats["chaos"]["window_epochs"] = monitor.epochs
+        if detector is not None:
+            net_stats["detector"] = chaos.detector
     return RunArtifact(
         spec=spec,
         protocol=proto.name,
         condition=spec.verify.condition or proto.condition,
         n=n,
         objects=objects,
-        completed=chaos.completed,
-        expected=chaos.expected,
-        duration=chaos.duration,
+        completed=completed,
+        expected=expected,
+        duration=cluster.sim.now,
         **_encoded(result),
         verdicts=verdicts,
         violations=violations,
-        failure=chaos.failure,
-        net_stats=dict(chaos.metrics),
-        metrics=dict(chaos.metrics),
+        failure=failure,
+        net_stats=net_stats,
+        # A fault run's tallies are metrics whether or not a registry
+        # was asked for.
+        metrics=dict(net_stats) if plan is not None else None,
         result=result,
         chaos=chaos,
     )

@@ -3,7 +3,7 @@
 Every replication protocol registers a :class:`ProtocolSpec` *next to
 its own module* (at the bottom of ``repro/protocols/<name>.py``), and
 every runnable workload a :class:`WorkloadSpec` — so the CLI, the
-chaos harness, the exploration driver and the benchmark report all
+chaos suites, the exploration driver and the benchmark report all
 resolve the same table instead of each keeping a private dict.  The
 spec ties together what the paper treats as one family (Section 5):
 the cluster factory, the strongest consistency condition the protocol

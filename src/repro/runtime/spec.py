@@ -217,7 +217,12 @@ def fault_plan_from_dict(data: Mapping[str, Any]) -> FaultPlan:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """Fault injection for a run (requires a crash-tolerant protocol).
+    """Fault injection for a run.
+
+    What the protocol must support follows the resolved plan: crash
+    events need a crash-tolerant protocol, partition events a
+    partition-tolerant one (``repro.runtime.crash_tolerant_protocols()``
+    / ``partition_tolerant_protocols()``).
 
     Attributes:
         seed: seeds :meth:`~repro.sim.faults.FaultPlan.random` when no
@@ -297,6 +302,20 @@ class FaultSpec:
         for ok, rule in rules:
             if not ok:
                 raise InvalidSpecError(f"fault spec needs {rule}")
+
+    def resolve(self, n: int) -> FaultPlan:
+        """The plan a run of ``n`` processes arms: the explicit
+        ``plan`` or the seeded draw, restartless when ``recover`` is
+        off."""
+        plan = self.plan
+        if plan is None:
+            draw = (
+                FaultPlan.random_partition
+                if self.partition
+                else FaultPlan.random
+            )
+            plan = draw(self.seed, n, horizon=self.horizon)
+        return plan if self.recover else plan.without_restarts()
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -1,6 +1,5 @@
 """Discrete-event simulation substrate (systems S9-S10)."""
 
-from repro.sim.chaos import ChaosResult, run_chaos
 from repro.sim.detector import (
     HEARTBEAT_KIND,
     DetectorEvent,
@@ -38,7 +37,6 @@ from repro.sim.network import (
 
 __all__ = [
     "AsymmetricLatency",
-    "ChaosResult",
     "ControlledNetwork",
     "CrashEvent",
     "DelaySpike",
@@ -63,5 +61,4 @@ __all__ = [
     "estimate_size",
     "explore",
     "explore_factory",
-    "run_chaos",
 ]

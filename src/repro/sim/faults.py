@@ -1,4 +1,4 @@
-"""Deterministic fault schedules for robustness testing (S29).
+"""Deterministic fault schedules for robustness testing (S30).
 
 A :class:`FaultPlan` is a seeded, fully deterministic description of
 the faults injected into one protocol run: probabilistic message drops
@@ -24,7 +24,7 @@ protocols implement to survive the relaxation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -354,6 +354,20 @@ class FaultPlan:
             partitions=(split,),
         )
 
+    def without_restarts(self) -> "FaultPlan":
+        """The negative-control form: every crash becomes permanent.
+
+        Only each pid's first crash is kept — a restartless window
+        extends to the end of the run, so a second crash of the same
+        pid could never fire (and would trip the overlap validation).
+        """
+        first: dict = {}
+        for crash in sorted(self.crashes, key=lambda c: c.at):
+            first.setdefault(
+                crash.pid, replace(crash, restart_after=None)
+            )
+        return replace(self, crashes=tuple(first.values()))
+
     def describe(self) -> str:
         """One-line human-readable summary (for failure reports)."""
         crashes = ", ".join(
@@ -397,7 +411,7 @@ class FaultInjector:
         self.partitioned: list = []
         #: optional ``fn(kind, pid, now)`` called after each executed
         #: crash ("crash") / restart ("restart") / partition
-        #: ("partition") / heal ("heal") — the chaos harness hooks
+        #: ("partition") / heal ("heal") — the run pipeline hooks
         #: incremental consistency audits here (pid is -1 for the
         #: link-level events).
         self.on_event = on_event

@@ -229,6 +229,25 @@ class TestMCausalSerializability:
             if cser:
                 assert ccon, seed
 
+    def test_bad_update_prefix_does_not_poison_a_good_one(self):
+        """Whether the queries insert depends on the whole update
+        order: 1-before-2 strands m4 (it reads x from 2 and y from
+        init), 2-before-1 admits it.  A failure memo keyed on the
+        scheduled set and last writers — equal for both prefixes —
+        once reported this history as not serializable."""
+        h = simple_history(
+            [
+                (1, 0, "w y 1"),
+                (2, 1, "w x 1"),
+                (3, 2, "r x 1,r y 1,w z 1"),
+                (4, 3, "r x 1,r y 0"),
+            ]
+        )
+        assert is_m_sequentially_consistent(h, method="exact")
+        verdict = check_m_causal_serializability(h)
+        assert verdict.holds
+        assert verdict.witnesses[-1] == [2, 1, 3]
+
     def test_update_order_witness_returned(self):
         h = simple_history(
             [(1, 0, "w x 1"), (2, 1, "r x 1"), (3, 2, "w x 2")]

@@ -1,7 +1,7 @@
 """Chaos suite: the aggregate-broadcast protocol under fault schedules.
 
 The aggregate protocol became chaos-eligible when the runtime layer's
-capability flags replaced the harness's hardcoded msc/mlin table; this
+capability flags replaced a hardcoded msc/mlin table; this
 suite mirrors ``test_chaos_msc.py`` for it.  Aggregate answers queries
 through the broadcast too (``abcast_answers_queries``), so recovery
 must replay unanswered *queries* as well as updates.

@@ -16,14 +16,11 @@ import pytest
 from repro.core import check_condition, verify_stream
 from repro.runtime import execute
 from tests.conftest import chaos_spec
+from tests.test_chaos_msc import _recovery
 from tests.test_chaos_partition import CONTROL_SEEDS
 
 #: protocol -> seeds of its crash sweep (``tests/test_chaos_*.py``).
 CRASH_SWEEPS = {"msc": 50, "mlin": 50, "aggregate": 10, "server": 10}
-
-
-def _recovery(seed):
-    return "replay" if seed % 2 == 0 else "snapshot"
 
 
 def _split_brain(seed):

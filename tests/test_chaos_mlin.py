@@ -1,6 +1,6 @@
 """Chaos suite: the Fig-6 (m-linearizable) protocol under faults.
 
-Same harness as ``test_chaos_msc.py`` but the verification bar is
+Same pipeline as ``test_chaos_msc.py`` but the verification bar is
 higher — every surviving history must be *m-linearizable* — and the
 protocol has more fault surface: the query gather phase spans
 messages, so crashes mid-gather exercise the attempt-numbered restart

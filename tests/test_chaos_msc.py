@@ -2,9 +2,12 @@
 
 Every generated :class:`~repro.sim.faults.FaultPlan` carries message
 drops (up to 20%), duplicates, at least one crash-restart and at
-least one *sequencer* crash (forcing a failover).  A run passes only
-if every client m-operation completed and both the streaming verifier
-and the batch constrained checker accept the recorded history.
+least one *sequencer* crash (forcing a failover).  Each run is one
+``execute`` of a spec with a ``FaultSpec``; it passes only if every
+client m-operation completed, the in-run monitor's audits stayed
+clean, the abcast logs kept total order and the run's one batch
+verdict holds.  (``tests/test_chaos_differential.py`` holds the
+streaming replay and the closure checker to that verdict.)
 
 The full 50-schedule sweep is marked ``chaos`` (``make chaos`` /
 ``pytest -m chaos``); a bounded smoke subset and the negative control

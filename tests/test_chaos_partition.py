@@ -89,7 +89,7 @@ def test_partition_negative_control_split_brain_is_caught():
 
 def test_partition_refuse_mode_surfaces_at_the_client():
     """degraded='refuse': a minority-side client request is rejected
-    loudly instead of parked; the chaos harness records the abort."""
+    loudly instead of parked; the artifact records the abort."""
     # Seed 0 puts a client with pending traffic on the minority side.
     artifact = execute(
         chaos_spec("msc", 0, ops=10, partition=True, degraded="refuse")

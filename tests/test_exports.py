@@ -6,6 +6,7 @@ be reachable from the top-level ``repro`` namespace.
 """
 
 import importlib
+import importlib.util
 
 import pytest
 
@@ -93,6 +94,22 @@ def test_retired_verification_names_are_gone():
     assert {"LiveMonitor", "verify_stream", "run_scan"} <= set(core.__all__)
     public = {n for n in vars(index) if n[0].isupper() and n[0] != "_"}
     assert {n for n in public if n.endswith("Index")} == {"HistoryIndex"}
+
+
+def test_the_chaos_harness_is_gone_from_sim():
+    """One run pipeline: fault runs are ``repro.runtime.execute`` and
+    what is left of the result type hangs off its artifact."""
+    import repro.sim as sim
+    from repro.runtime.execute import ChaosResult, RunArtifact
+
+    assert importlib.util.find_spec("repro.sim.chaos") is None
+    # Neither the harness function nor its result type, by any name.
+    assert not [name for name in dir(sim) if "chaos" in name.lower()]
+    assert "chaos" in RunArtifact.__dataclass_fields__
+    assert list(ChaosResult.__dataclass_fields__) == [
+        "plan", "crashes", "restarts", "failovers", "partitions",
+        "detector", "degraded", "audits", "abcast_cursors",
+    ]
 
 
 def test_abcast_exports_both_sequencer_layers():

@@ -178,6 +178,64 @@ def test_delivered_update_reaches_the_replica_in_four_frames(monkeypatch):
     assert not hasattr(cluster.abcast, "_plog")
 
 
+def test_faulty_run_is_verified_once_under_its_policy(monkeypatch):
+    # Structural, no wall clock: a fault run gets one batch verdict,
+    # the one its VerifyPolicy asks for (at 395fb53 it got that plus a
+    # verify_stream replay and an uncertified check_condition, neither
+    # of which the policy reached).
+    import repro.core as core
+    import repro.core.consistency as consistency
+    import repro.core.monitor as monitor
+    from repro.runtime import VerifyPolicy, execute
+    from tests.conftest import chaos_spec
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(subject, condition, **kwargs):
+            calls.append((name, condition))
+            return fn(subject, condition, **kwargs)
+
+        return wrapper
+
+    check = counted("check_condition", consistency.check_condition)
+    stream = counted("verify_stream", monitor.verify_stream)
+    for module in (core, consistency):
+        monkeypatch.setattr(module, "check_condition", check)
+    for module in (core, monitor):
+        monkeypatch.setattr(module, "verify_stream", stream)
+
+    def run(protocol, seed, **fields):
+        del calls[:]
+        return execute(chaos_spec(protocol, seed, ops=10, **fields))
+
+    artifact = run("msc", 1, partition=True)
+    assert artifact.ok, artifact.summary()
+    assert calls == [("check_condition", "m-sc")]
+
+    artifact = run(
+        "mlin", 1, partition=True, verify=VerifyPolicy(condition="m-sc")
+    )
+    assert artifact.ok, artifact.summary()
+    assert calls == [("check_condition", "m-sc")]
+
+    # Verification off: no checker runs, but the in-run audits and the
+    # abcast total-order check are not verification — split-brain
+    # seed 3 still trips an audit, seed 4 still diverges the logs.
+    off = VerifyPolicy(enabled=False)
+    artifact = run("msc", 1, partition=True, verify=off)
+    assert artifact.ok and artifact.verdicts == [] and calls == []
+    assert [event for _t, event, _p, _v in artifact.chaos.audits] == [
+        "partition", "heal", "final",
+    ]
+    for seed, prefix in ((3, "incremental audit: "), (4, "abcast: ")):
+        artifact = run(
+            "msc", seed, partition=True, quorum_aware=False, verify=off
+        )
+        assert calls == [] and not artifact.ok
+        assert artifact.violations[0].startswith(prefix), artifact.summary()
+
+
 def test_witness_costs_at_most_5x_the_bare_verdict_at_4000_mops():
     # The deep-verify shape (msc hotspot n=8 x 32 x 500): with the
     # whole D 4.11 pair set the witness cost ~70x the scan's verdict;
