@@ -67,12 +67,12 @@ QUICK_CASES = [
     ("m-norm", 100, None, 2),
 ]
 
-#: (condition, n_mops, method, runs) rows for the certified
-#: plan/execute engine (:mod:`repro.core.plan`): every row is the one
-#: forward legality scan.  ``full`` and ``windowed`` run it over the
-#: shared serial workload's total-update-order certificate (the latter
-#: with a bounded lookback); ``full/partitioned`` runs it over the
-#: object-partitioned workload's per-process chains.  The 100k rows
+#: (condition, n_mops, method, runs) rows for the certified forward
+#: legality scan (:mod:`repro.core.plan`).  ``full`` and ``windowed``
+#: run it over the shared serial workload's total-update-order
+#: certificate (the latter with a bounded lookback);
+#: ``full/partitioned`` runs it over the object-partitioned workload's
+#: per-process chains.  The 100k rows
 #: are the headline: a certified 100k-mop history checks end-to-end in
 #: a couple of seconds.
 ENGINE_CASES = [
@@ -149,13 +149,12 @@ def run_cases(
 def run_engine_cases(
     cases: Sequence[Tuple[str, int, str, int]] = ENGINE_CASES
 ) -> List[dict]:
-    """Plan/execute engine rows: the certified scan on each workload.
+    """Certified scan rows: the forward legality scan on each workload.
 
     Certificates are built outside the timed region (proving is a
-    one-off static cost).  Every row runs with the default
-    ``witness=True`` — what ``runtime.execute``, the CLI, chaos and
-    ``repro serve`` all run — so the Lemma 3/4 self-check and the
-    witness order are part of what is timed.
+    one-off static cost).  The scan always builds the witness, so the
+    Lemma 3/4 self-check and the witness order are part of what is
+    timed.
     ``windowed`` runs with ``window = min(1000, n_mops)``: large
     enough that the serial workload's recent-read pattern never
     refuses, small enough to demonstrate bounded state.
@@ -198,7 +197,6 @@ def run_engine_cases(
                 "n_mops": n_mops,
                 "method": method,
                 "window": window,
-                "witness": verdict.witness is not None,
                 "runs": runs,
                 "median_s": round(statistics.median(samples), 4),
                 "min_s": round(min(samples), 4),
@@ -344,15 +342,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         "results": rows + engine_rows,
         "engine": {
             "description": (
-                "certified plan/execute engine "
-                "(repro.core.plan), one forward legality scan per "
+                "certified forward legality scan "
+                "(repro.core.plan), one scan per "
                 "row: method full = the serial workload's ~ww chain, "
                 "full/partitioned = the object-partitioned workload's "
                 "per-process chains (benchmarks.conftest."
                 "partitioned_workload), windowed = the serial scan "
-                "with window=min(1000, n); "
-                "default witness=True (Lemma 3/4 self-check and "
-                "witness order included in every row)"
+                "with window=min(1000, n); the Lemma 3/4 "
+                "self-check and witness order are included in every "
+                "row"
             ),
             "results": engine_rows,
         },

@@ -48,7 +48,6 @@ from repro.analysis.static.framework import (
 from repro.analysis.static.prover import (
     CONSTRAINTS,
     THEOREM7_CONSTRAINTS,
-    TOTAL_ORDER_PROTOCOLS,
     ConstraintCertificate,
     ProgramProfile,
     SampledRun,
@@ -86,7 +85,6 @@ __all__ = [
     "SampledRun",
     "SourceFile",
     "THEOREM7_CONSTRAINTS",
-    "TOTAL_ORDER_PROTOCOLS",
     "WorkloadSpec",
     "analyze_repo",
     "baseline_payload",

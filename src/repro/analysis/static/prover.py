@@ -3,25 +3,26 @@
 Theorem 7 makes verification polynomial *when the history satisfies
 the OO- or WW-constraint* (D 4.8/4.9) — but the checker pipeline
 discovers that dynamically, per history, by scanning the transitive
-closure.  This module proves it **up front**, from the workload alone:
+closure.  This module proves it **up front**.  Every proof reads one
+:class:`Footprint` per process — which updates it issues, which
+objects it touches and which it writes — taken either from a
+workload's program profiles or from a concrete history, and one table
+of rules, :data:`RULES`, tried strongest first:
 
-* a workload in which no program may write produces no conflicting
-  pairs among client m-operations (D 4.1 needs a write), so the
-  OO-constraint holds vacuously — rule ``read-only``;
-* a workload in which at most one process issues updates has all its
-  updates totally ordered by process order (and the initial
-  m-operation precedes everything), so the WW-constraint (D 4.9)
-  holds under any of the paper's base orders — rule
-  ``single-updater``;
-* a workload whose objects are statically partitioned across
-  processes (each object accessed by one process only) confines every
-  conflict to a single process, so the OO-constraint holds — rule
+* no process updates: no pair of client m-operations conflicts (D 4.1
+  needs a write), so the OO-constraint holds vacuously — rule
+  ``read-only``;
+* at most one process updates: its updates are totally ordered by
+  process order (and the initial m-operation precedes everything), so
+  the WW-constraint (D 4.9) holds under any of the paper's base
+  orders — rule ``single-updater``;
+* every object is touched by one process only: every conflict lies
+  within a single process, so the OO-constraint holds — rule
   ``object-partitioned``;
-* a workload driven through a protocol that routes **every** update
-  through atomic broadcast (the Fig-4/Fig-6 protocols) and whose
-  delivery chain is fed back to the checker as ``extra_pairs`` (the
-  ``~ww`` order, D 5.3) is WW-constrained by construction — rule
-  ``total-update-order``;
+* every update is routed through atomic broadcast (the Fig-4/Fig-6
+  protocols) and the delivery chain is fed back to the checker as
+  ``extra_pairs`` (the ``~ww`` order, D 5.3): WW-constrained by
+  construction — rule ``total-update-order``;
 * disjoint per-process *write* sets alone certify only the weaker
   WO-constraint (D 4.10) — recorded for diagnostics, but WO does not
   unlock Theorem 7, so the checker ignores it — rule
@@ -29,44 +30,49 @@ closure.  This module proves it **up front**, from the workload alone:
 
 A successful proof is a :class:`ConstraintCertificate`.  The checker
 (:func:`repro.core.consistency.check_condition` with
-``certificate=``) audits it in O(n) against the concrete history —
-never computing the quadratic closure scan of
+``certificate=``) calls :meth:`ConstraintCertificate.chain_for`, which
+re-evaluates the certified rule on the concrete history's footprints
+in O(n) — never the quadratic closure scan of
 :func:`repro.core.constraints.satisfies_ww` /
-:func:`~repro.core.constraints.satisfies_oo` — and then jumps
-straight to the Theorem-7 legality path.  When no rule applies the
+:func:`~repro.core.constraints.satisfies_oo` — and returns the update
+chain the Theorem-7 legality scan walks.  When no rule applies the
 prover raises :class:`~repro.errors.CertificationRefused`; refusal
 means "fall back to the dynamic phase", not "the constraint fails".
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field, replace
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
+    Union,
 )
 
 from repro.core.history import History
+from repro.core.index import HistoryIndex
 from repro.core.operation import MOperation, read, write
 from repro.errors import CertificationRefused, InvalidCertificate
-
-#: Protocols whose update path is atomic broadcast for *every* update
-#: m-operation (Fig-4 m-SC and Fig-6 m-lin), so ``RunResult.ww_pairs()``
-#: chains the full update set.
-TOTAL_ORDER_PROTOCOLS = ("msc", "mlin")
 
 #: Constraint names a certificate can claim.
 CONSTRAINTS = ("ww", "oo", "wo")
 
 #: Constraints that unlock the Theorem-7 legality-only path.
 THEOREM7_CONSTRAINTS = ("ww", "oo")
+
+#: Where a process first does something — ``(m-operation, object)``
+#: indexes in listing order for a history, ``(process, program)`` for
+#: a workload.  Only ever compared, to name the first clash.
+Position = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -117,39 +123,197 @@ class WorkloadSpec:
             sync=sync,
         )
 
-    @property
-    def profiles(self) -> Tuple[ProgramProfile, ...]:
-        return tuple(p for seq in self.processes for p in seq)
 
-    def updater_processes(self) -> Tuple[int, ...]:
-        """Processes with at least one update program."""
-        return tuple(
-            pid
-            for pid, seq in enumerate(self.processes)
-            if any(p.may_write for p in seq)
-        )
+# ----------------------------------------------------------------------
+# Footprints: what each process does
+# ----------------------------------------------------------------------
 
-    def footprints_known(self) -> bool:
-        return all(p.objects is not None for p in self.profiles)
 
-    def objects_by_process(self) -> List[Set[str]]:
-        out: List[Set[str]] = []
-        for seq in self.processes:
-            touched: Set[str] = set()
-            for profile in seq:
-                touched |= profile.objects or set()
-            out.append(touched)
-        return out
+@dataclass(frozen=True)
+class Footprint:
+    """What one process does, each item mapped to where it first does so.
 
-    def write_objects_by_process(self) -> List[Set[str]]:
-        out: List[Set[str]] = []
-        for seq in self.processes:
-            touched: Set[str] = set()
-            for profile in seq:
+    Attributes:
+        updates: its update m-operations (uids) or update programs
+            (indexes), in issue order.
+        objects: the objects it touches; None when one of its programs
+            declares no ``static_objects``.
+        writes: the objects its updates write; None likewise.
+    """
+
+    updates: Mapping[int, Position]
+    objects: Optional[Mapping[str, Position]]
+    writes: Optional[Mapping[str, Position]]
+
+
+#: pid -> footprint, in pid order.
+Footprints = Dict[int, Footprint]
+
+
+def spec_footprints(spec: WorkloadSpec) -> Footprints:
+    """Per-process footprints of a workload's program profiles."""
+    footprints: Footprints = {}
+    for pid, programs in enumerate(spec.processes):
+        updates: Dict[int, Position] = {}
+        objects: Dict[str, Position] = {}
+        writes: Dict[str, Position] = {}
+        for k, profile in enumerate(programs):
+            if profile.may_write:
+                updates[k] = (pid, k)
+            for obj in profile.objects or ():
+                objects.setdefault(obj, (pid, k))
                 if profile.may_write:
-                    touched |= profile.objects or set()
-            out.append(touched)
-        return out
+                    writes.setdefault(obj, (pid, k))
+        known = all(p.objects is not None for p in programs)
+        footprints[pid] = Footprint(
+            updates, objects if known else None, writes if known else None
+        )
+    return footprints
+
+
+def history_footprints(history: History) -> Footprints:
+    """Per-process footprints of a concrete history, in one pass."""
+    seen: Dict[int, Tuple[Dict, Dict, Dict]] = {}
+    for i, mop in enumerate(history.mops):
+        updates, objects, writes = seen.get(mop.process) or seen.setdefault(
+            mop.process, ({}, {}, {})
+        )
+        for j, obj in enumerate(mop.objects):
+            if obj not in objects:
+                objects[obj] = (i, j)
+        wobjects = mop.wobjects
+        if wobjects:
+            updates[mop.uid] = (i, 0)
+            for j, obj in enumerate(wobjects):
+                if obj not in writes:
+                    writes[obj] = (i, j)
+    # Issue order (H|P) is timestamp order in a timed history, which
+    # its listing need not follow.
+    chains = HistoryIndex.of(history).process_chains
+    return {
+        pid: Footprint(
+            {uid: updates[uid] for uid in chains[pid] if uid in updates},
+            objects,
+            writes,
+        )
+        for pid, (updates, objects, writes) in sorted(seen.items())
+    }
+
+
+def _first_clash(
+    owned: Mapping[int, Mapping[str, Position]]
+) -> Optional[Tuple[str, int, int]]:
+    """The first access to an object by a second process, as
+    ``(object, first process, second process)``, or None."""
+    owner: Dict[str, int] = {}
+    for _at, pid, obj in sorted(
+        (at, pid, obj)
+        for pid, objects in owned.items()
+        for obj, at in objects.items()
+    ):
+        if owner.setdefault(obj, pid) != pid:
+            return obj, owner[obj], pid
+    return None
+
+
+# ----------------------------------------------------------------------
+# The rule table
+# ----------------------------------------------------------------------
+
+#: What ``total-update-order`` leans on: a workload's sync promise,
+#: or a history's bound chain and the checker's extra_pairs.
+Order = Union[
+    None, bool, Tuple[Optional[Tuple[int, ...]], Tuple[Tuple[int, int], ...]]
+]
+
+#: A rule's test: None when it holds on the footprints, else why not.
+Test = Callable[[Footprints, Order], Optional[str]]
+
+
+def _read_only(footprints: Footprints, order: Order) -> Optional[str]:
+    count = sum(len(fp.updates) for fp in footprints.values())
+    return f"history has {count} update m-operation(s)" if count else None
+
+
+def _single_updater(footprints: Footprints, order: Order) -> Optional[str]:
+    owners = [pid for pid, fp in footprints.items() if fp.updates]
+    if len(owners) > 1:
+        return f"updates span processes {owners}"
+    return None
+
+
+def _partitioned(footprints: Footprints, attr: str, verb: str) -> Optional[str]:
+    owned = {pid: getattr(fp, attr) for pid, fp in footprints.items()}
+    if any(objects is None for objects in owned.values()):
+        return "a program declares no static_objects"
+    clash = _first_clash(owned)
+    if clash is None:
+        return None
+    obj, first, second = clash
+    return f"object {obj!r} is {verb} by P{first} and P{second}"
+
+
+def _total_update_order(
+    footprints: Footprints, order: Order
+) -> Optional[str]:
+    if isinstance(order, bool):
+        return None if order else "no total update order was promised"
+    chain, extra_pairs = order
+    if chain is None:
+        return (
+            "total-update-order certificate used without a bound "
+            "delivery chain; call .with_chain(...)"
+        )
+    chain_set = set(chain)
+    if len(chain_set) != len(chain):
+        return "delivery chain contains duplicate uids"
+    updates = {
+        uid: at for fp in footprints.values() for uid, at in fp.updates.items()
+    }
+    missing = sorted(
+        (uid for uid in updates if uid not in chain_set),
+        key=updates.__getitem__,
+    )
+    if missing:
+        return (
+            f"updates {missing} never appeared in the certified "
+            "delivery chain"
+        )
+    supplied = set(extra_pairs)
+    absent = [
+        (a, b) for a, b in zip(chain, chain[1:]) if (a, b) not in supplied
+    ]
+    if absent:
+        return (
+            f"chain edges {absent[:3]}{'...' if len(absent) > 3 else ''} "
+            "were not passed to the checker as extra_pairs"
+        )
+    return None
+
+
+#: rule -> (constraint, test), strongest first: a structural proof
+#: that needs no synchronization pairs beats one that does.
+RULES: Dict[str, Tuple[str, Test]] = {
+    "read-only": ("oo", _read_only),
+    "single-updater": ("ww", _single_updater),
+    "object-partitioned": (
+        "oo", lambda fps, _order: _partitioned(fps, "objects", "accessed")
+    ),
+    "total-update-order": ("ww", _total_update_order),
+    "disjoint-writers": (
+        "wo", lambda fps, _order: _partitioned(fps, "writes", "written")
+    ),
+}
+
+
+def _strongest(
+    footprints: Footprints, order: Order, rules: Iterable[str]
+) -> Optional["ConstraintCertificate"]:
+    for rule in rules:
+        constraint, test = RULES[rule]
+        if test(footprints, order) is None:
+            return ConstraintCertificate(constraint=constraint, rule=rule)
+    return None
 
 
 @dataclass(frozen=True)
@@ -158,10 +322,7 @@ class ConstraintCertificate:
 
     Attributes:
         constraint: ``"ww"``, ``"oo"`` or ``"wo"`` (D 4.9/4.8/4.10).
-        rule: the prover rule that fired (see module docstring).
-        reason: human-readable justification.
-        assumptions: model facts the proof leans on (sequential
-            clients, abcast total order, ...), for the record.
+        rule: the :data:`RULES` entry that fired.
         chain: for ``total-update-order`` certificates, the update
             delivery sequence whose consecutive pairs the caller feeds
             to the checker as ``extra_pairs``.  Bound post-run via
@@ -170,8 +331,6 @@ class ConstraintCertificate:
 
     constraint: str
     rule: str
-    reason: str
-    assumptions: Tuple[str, ...] = ()
     chain: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
@@ -195,188 +354,56 @@ class ConstraintCertificate:
         """Bind the concrete delivery chain (e.g. ``result.ww_sequence``)."""
         return replace(self, chain=tuple(sequence))
 
-    # ------------------------------------------------------------------
-    # O(n) structural audit — the checker's trust-but-verify step
-    # ------------------------------------------------------------------
-
-    def audit(
+    def chain_for(
         self,
         history: History,
         extra_pairs: Iterable[Tuple[int, int]] = (),
-    ) -> Optional[str]:
-        """Check the certificate against a concrete history in O(n).
+    ) -> Optional[Tuple[int, ...]]:
+        """Audit the certificate on a concrete history; return its chain.
 
-        Returns None when the history structurally matches the
-        certified workload shape, else a failure message.  This never
-        computes a transitive closure — that is the point.
+        Re-evaluates the certified rule on the history's footprints in
+        O(n) — the checker's trust-but-verify step, never a transitive
+        closure — and returns the update chain along which every
+        object's writers are totally ordered: ``()`` for
+        ``read-only``, the updates of each process in issue order,
+        processes in pid order, for ``single-updater`` and
+        ``object-partitioned``, the bound chain for
+        ``total-update-order``, None for ``disjoint-writers``.
+
+        Raises:
+            InvalidCertificate: the history does not have the
+                certified shape.
         """
-        from repro.core.index import HistoryIndex
-
-        # (uid, process) of non-init updates — cached on the shared
-        # index, so repeated certified checks pay the scan once.
-        updates = HistoryIndex.of(history).client_updates
-        if self.rule == "read-only":
-            if updates:
-                return (
-                    f"certified read-only but history has "
-                    f"{len(updates)} update m-operation(s)"
-                )
+        if self.rule not in RULES:
+            raise InvalidCertificate(
+                f"unknown certificate rule {self.rule!r}"
+            )
+        footprints = history_footprints(history)
+        failure = RULES[self.rule][1](
+            footprints, (self.chain, tuple(extra_pairs))
+        )
+        if failure is not None:
+            raise InvalidCertificate(
+                failure
+                if self.requires_chain
+                else f"certified {self.rule} but {failure}"
+            )
+        if not self.unlocks_theorem7:
             return None
-        if self.rule == "single-updater":
-            owners = {process for _uid, process in updates}
-            if len(owners) > 1:
-                return (
-                    "certified single-updater but updates span "
-                    f"processes {sorted(owners)}"
-                )
-            return None
-        if self.rule == "object-partitioned":
-            owner: Dict[str, int] = {}
-            for mop in history.mops:
-                for obj in mop.objects:
-                    previous = owner.setdefault(obj, mop.process)
-                    if previous != mop.process:
-                        return (
-                            f"certified object-partitioned but object "
-                            f"{obj!r} is accessed by P{previous} and "
-                            f"P{mop.process}"
-                        )
-            return None
-        if self.rule == "total-update-order":
-            if self.chain is None:
-                return (
-                    "total-update-order certificate used without a "
-                    "bound delivery chain; call .with_chain(...)"
-                )
-            chain_set = set(self.chain)
-            if len(chain_set) != len(self.chain):
-                return "delivery chain contains duplicate uids"
-            missing = [
-                uid for uid, _process in updates if uid not in chain_set
-            ]
-            if missing:
-                return (
-                    f"updates {missing} never appeared in the "
-                    "certified delivery chain"
-                )
-            supplied = set(extra_pairs)
-            absent = [
-                (a, b)
-                for a, b in zip(self.chain, self.chain[1:])
-                if (a, b) not in supplied
-            ]
-            if absent:
-                return (
-                    f"chain edges {absent[:3]}{'...' if len(absent) > 3 else ''} "
-                    "were not passed to the checker as extra_pairs"
-                )
-            return None
-        if self.rule == "disjoint-writers":
-            owner_w: Dict[str, int] = {}
-            init_uid = history.init.uid
-            for mop in history.mops:
-                if not mop.is_update or mop.uid == init_uid:
-                    continue
-                for obj in mop.wobjects:
-                    previous = owner_w.setdefault(obj, mop.process)
-                    if previous != mop.process:
-                        return (
-                            f"certified disjoint-writers but object "
-                            f"{obj!r} is written by P{previous} and "
-                            f"P{mop.process}"
-                        )
-            return None
-        return f"unknown certificate rule {self.rule!r}"
-
-    def as_dict(self) -> Dict:
-        return {
-            "constraint": self.constraint,
-            "rule": self.rule,
-            "reason": self.reason,
-            "assumptions": list(self.assumptions),
-            "chain_length": len(self.chain) if self.chain else 0,
-        }
-
-
-#: Model facts every certificate relies on; see protocols/base.py —
-#: clients are sequential (well-formedness, Section 2.2) and the
-#: initial m-operation precedes everything (init_order).
-_BASE_ASSUMPTIONS = (
-    "sequential-clients",
-    "init-precedes-all",
-)
+        if self.requires_chain:
+            return self.chain
+        return tuple(uid for fp in footprints.values() for uid in fp.updates)
 
 
 def certify_spec(spec: WorkloadSpec) -> ConstraintCertificate:
-    """Prove a workload spec OO-/WW-constrained, or refuse.
-
-    Rules are tried strongest-first: a structural proof that needs no
-    synchronization pairs beats one that does.
-    """
-    updaters = spec.updater_processes()
-    if not updaters:
-        return ConstraintCertificate(
-            constraint="oo",
-            rule="read-only",
-            reason=(
-                "no program may write, so no pair of client "
-                "m-operations conflicts (D 4.1 requires a write); "
-                "conflicts with the initial m-operation are ordered "
-                "by the init fan-out"
-            ),
-            assumptions=_BASE_ASSUMPTIONS,
-        )
-    if len(updaters) == 1:
-        return ConstraintCertificate(
-            constraint="ww",
-            rule="single-updater",
-            reason=(
-                f"only P{updaters[0]} issues updates; its updates are "
-                "totally ordered by process order and the initial "
-                "m-operation precedes them all, so every update pair "
-                "is ordered (D 4.9)"
-            ),
-            assumptions=_BASE_ASSUMPTIONS,
-        )
-    if spec.footprints_known():
-        per_process = spec.objects_by_process()
-        clashes = _shared_objects(per_process)
-        if not clashes:
-            return ConstraintCertificate(
-                constraint="oo",
-                rule="object-partitioned",
-                reason=(
-                    "every object is accessed by a single process, so "
-                    "conflicting m-operations share a process and are "
-                    "ordered by process order (D 4.8)"
-                ),
-                assumptions=_BASE_ASSUMPTIONS,
-            )
-    if spec.sync == "total-update-order":
-        return ConstraintCertificate(
-            constraint="ww",
-            rule="total-update-order",
-            reason=(
-                "every update is atomically broadcast and the "
-                "delivery chain is fed to the checker as extra_pairs "
-                "(the ~ww order, D 5.3), totally ordering all update "
-                "pairs (D 4.9)"
-            ),
-            assumptions=_BASE_ASSUMPTIONS + ("abcast-total-order",),
-        )
-    if spec.footprints_known():
-        write_sets = spec.write_objects_by_process()
-        if not _shared_objects(write_sets):
-            return ConstraintCertificate(
-                constraint="wo",
-                rule="disjoint-writers",
-                reason=(
-                    "per-process write sets are disjoint, so updates "
-                    "writing a common object share a process (D 4.10); "
-                    "note WO alone does not unlock Theorem 7"
-                ),
-                assumptions=_BASE_ASSUMPTIONS,
-            )
+    """Prove a workload spec OO-/WW-constrained, or refuse."""
+    footprints = spec_footprints(spec)
+    cert = _strongest(
+        footprints, spec.sync == "total-update-order", RULES
+    )
+    if cert is not None:
+        return cert
+    if all(fp.objects is not None for fp in footprints.values()):
         raise CertificationRefused(
             "multiple processes update overlapping objects with no "
             "total synchronization order; emitted histories can "
@@ -389,35 +416,20 @@ def certify_spec(spec: WorkloadSpec) -> ConstraintCertificate:
     )
 
 
-def _shared_objects(per_process: List[Set[str]]) -> Set[str]:
-    seen: Dict[str, int] = {}
-    clashes: Set[str] = set()
-    for pid, objs in enumerate(per_process):
-        for obj in objs:
-            if obj in seen and seen[obj] != pid:
-                clashes.add(obj)
-            seen.setdefault(obj, pid)
-    return clashes
-
-
 def certify_workloads(
     workloads: Sequence[Sequence],
     *,
-    protocol: Optional[str] = None,
+    sync: str = "none",
 ) -> ConstraintCertificate:
     """Certify concrete :class:`~repro.protocols.store.MProgram` lists.
 
-    ``protocol`` names the cluster the workload will run on; for the
-    total-order protocols (``"msc"``, ``"mlin"``) the prover may fall
-    back to the ``total-update-order`` rule, whose certificate must be
-    bound to the run's ``ww_sequence`` afterwards (or obtained
-    directly via :func:`certify_run`).
+    ``sync`` is the :class:`WorkloadSpec` promise: with
+    ``"total-update-order"`` (a protocol whose registry entry is
+    ``certificate_eligible``) the prover may fall back to the
+    ``total-update-order`` rule, whose certificate must be bound to
+    the run's ``ww_sequence`` afterwards (or obtained directly via
+    :func:`certify_run`).
     """
-    sync = (
-        "total-update-order"
-        if protocol in TOTAL_ORDER_PROTOCOLS
-        else "none"
-    )
     return certify_spec(WorkloadSpec.of_workloads(workloads, sync=sync))
 
 
@@ -445,12 +457,6 @@ def certify_run(result) -> ConstraintCertificate:
     return ConstraintCertificate(
         constraint="ww",
         rule="total-update-order",
-        reason=(
-            "every recorded update appears in the atomic-broadcast "
-            "delivery sequence; its consecutive pairs (~ww, D 5.3) "
-            "totally order the updates (D 4.9)"
-        ),
-        assumptions=_BASE_ASSUMPTIONS + ("abcast-total-order",),
         chain=tuple(result.ww_sequence),
     )
 
@@ -467,96 +473,52 @@ def certify_chain(
     pairs to the checker as ``extra_pairs``.
     """
     cert = ConstraintCertificate(
-        constraint="ww",
-        rule="total-update-order",
-        reason=(
-            "explicit WW synchronization chain covering every update "
-            "m-operation (D 4.9)"
-        ),
-        assumptions=_BASE_ASSUMPTIONS,
-        chain=tuple(chain),
+        constraint="ww", rule="total-update-order", chain=tuple(chain)
     )
-    pairs = list(zip(cert.chain, cert.chain[1:]))
-    failure = cert.audit(history, pairs)
-    if failure is not None:
-        raise CertificationRefused(failure)
+    try:
+        cert.chain_for(history, zip(cert.chain, cert.chain[1:]))
+    except InvalidCertificate as exc:
+        raise CertificationRefused(str(exc)) from None
     return cert
 
 
 def certify_partitioned_history(history: History) -> ConstraintCertificate:
     """Certify a concrete history as object-partitioned, post hoc.
 
-    One O(n) ownership scan: every object must be touched by a single
-    process, which confines every conflicting pair to one process
-    chain (D 4.8) — the shape :mod:`repro.core.plan` scans process
-    chain by process chain.  Unlike :func:`certify_spec` this certifies *one history*, not a workload;
-    the checker's trust-but-verify audit re-runs the same scan before
-    relying on it.
+    Every object must be touched by a single process, which confines
+    every conflicting pair to one process chain (D 4.8).  Unlike
+    :func:`certify_spec` this certifies *one history*, not a workload;
+    the checker's :meth:`~ConstraintCertificate.chain_for` re-runs the
+    same rule before relying on it.
     """
-    owner: Dict[str, int] = {}
-    for mop in history.mops:
-        for obj in mop.objects:
-            previous = owner.setdefault(obj, mop.process)
-            if previous != mop.process:
-                raise CertificationRefused(
-                    f"object {obj!r} is accessed by P{previous} and "
-                    f"P{mop.process}; the history is not "
-                    "object-partitioned"
-                )
-    return ConstraintCertificate(
-        constraint="oo",
-        rule="object-partitioned",
-        reason=(
-            "every object in the concrete history is accessed by a "
-            "single process, so conflicting m-operations share a "
-            "process and are ordered by process order (D 4.8)"
-        ),
-        assumptions=_BASE_ASSUMPTIONS,
-    )
+    return _certify_history(history, ("object-partitioned",))
 
 
 def certify_history(history: History) -> ConstraintCertificate:
     """Best-effort post-hoc certification of a raw history.
 
     For checking saved histories (``python -m repro check --window
-    N``) where no workload spec or run record exists:
-    tries the structural rules strongest-first — ``read-only``,
-    ``single-updater``, then ``object-partitioned`` — and raises
-    :class:`~repro.errors.CertificationRefused` when none applies.
-    Each rule mirrors its :func:`certify_spec` counterpart, evaluated
-    on the concrete m-operations instead of program profiles.
+    N``) where no workload spec or run record exists: the strongest of
+    ``read-only``, ``single-updater`` and ``object-partitioned`` that
+    holds on the history's footprints, or
+    :class:`~repro.errors.CertificationRefused`.
     """
-    init_uid = history.init.uid
-    updaters = sorted(
-        {
-            m.process
-            for m in history.mops
-            if m.is_update and m.uid != init_uid
-        }
+    return _certify_history(
+        history, ("read-only", "single-updater", "object-partitioned")
     )
-    if not updaters:
-        return ConstraintCertificate(
-            constraint="oo",
-            rule="read-only",
-            reason=(
-                "the history contains no client update m-operation, so "
-                "no pair of client m-operations conflicts (D 4.1 "
-                "requires a write)"
-            ),
-            assumptions=_BASE_ASSUMPTIONS,
+
+
+def _certify_history(
+    history: History, rules: Sequence[str]
+) -> ConstraintCertificate:
+    footprints = history_footprints(history)
+    cert = _strongest(footprints, None, rules)
+    if cert is None:
+        raise CertificationRefused(
+            f"{_partitioned(footprints, 'objects', 'accessed')}; the "
+            "history is not object-partitioned"
         )
-    if len(updaters) == 1:
-        return ConstraintCertificate(
-            constraint="ww",
-            rule="single-updater",
-            reason=(
-                f"only P{updaters[0]} issues updates in this history; "
-                "its updates are totally ordered by process order and "
-                "the initial m-operation precedes them all (D 4.9)"
-            ),
-            assumptions=_BASE_ASSUMPTIONS,
-        )
-    return certify_partitioned_history(history)
+    return cert
 
 
 # ----------------------------------------------------------------------
@@ -599,7 +561,7 @@ def sample_history(
     rng = random.Random(seed)
     universe = list(objects)
     if not universe:
-        for profile in spec.profiles:
+        for profile in itertools.chain(*spec.processes):
             universe.extend(profile.objects or ())
         universe = sorted(set(universe)) or ["x"]
     store: Dict[str, int] = {obj: 0 for obj in universe}

@@ -6,7 +6,7 @@ Sub-modules:
 * :mod:`repro.core.history` — histories and the reads-from map.
 * :mod:`repro.core.relations` — relation algebra.
 * :mod:`repro.core.index` — shared per-history derived-data layer.
-* :mod:`repro.core.plan` — plan/execute verification engine.
+* :mod:`repro.core.plan` — the certified forward legality scan.
 * :mod:`repro.core.orders` — process/reads-from/real-time/object order.
 * :mod:`repro.core.legality` — conflict, interference, legality.
 * :mod:`repro.core.constraints` — OO/WW/WO constraints, ``~rw``, ``~H+``.
@@ -78,7 +78,7 @@ from repro.core.operation import (
     read,
     write,
 )
-from repro.core.plan import CheckPlan, ScanResult, plan_check, run_scan
+from repro.core.plan import ScanResult, run_scan
 from repro.core.orders import (
     base_order,
     mlin_order,
@@ -102,7 +102,6 @@ from repro.core.serialize import (
 __all__ = [
     "AdmissibilityResult",
     "CausalVerdict",
-    "CheckPlan",
     "ConsistencyVerdict",
     "ConstraintNotSatisfied",
     "History",
@@ -157,7 +156,6 @@ __all__ = [
     "mnorm_order",
     "msc_order",
     "object_order",
-    "plan_check",
     "process_order",
     "read",
     "reads_from_order",

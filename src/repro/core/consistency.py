@@ -27,7 +27,8 @@ OO-/WW-constrained histories.  A certificate replaces the dynamic
 constraint phase (the mask tests of
 :func:`~repro.core.constraints.satisfies_ww` /
 :func:`~repro.core.constraints.satisfies_oo` against the closure) with
-an O(n) structural audit; the audit is trust-but-verify — a mismatch raises
+an O(n) structural audit that also yields the forward scan's update
+chain; the audit is trust-but-verify — a mismatch raises
 :class:`~repro.errors.InvalidCertificate` rather than risking an
 unsound Theorem-7 shortcut.
 """
@@ -40,9 +41,9 @@ from typing import Iterable, List, Optional, Tuple
 from repro.core.admissibility import SearchStats, check_admissible
 from repro.core.constraints import satisfies_oo, satisfies_ww
 from repro.core.history import History
-from repro.core.index import HistoryIndex
+from repro.core.index import CONDITION_ORDERS, HistoryIndex
 from repro.core.legality import is_legal
-from repro.core.plan import plan_check, run_scan
+from repro.core.plan import run_scan
 from repro.core.relations import Relation
 from repro.errors import InvalidCertificate, PlanRefused, ReproError
 from repro.obs import get_tracer
@@ -95,7 +96,6 @@ def _check(
     extra_pairs: Iterable[Tuple[int, int]],
     certificate=None,
     window: Optional[int] = None,
-    witness: bool = True,
 ) -> ConsistencyVerdict:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -133,59 +133,66 @@ def _check(
         # A static certificate (repro.analysis.static.prover) replaces
         # the dynamic constraint phase: Theorem 7's precondition was
         # proved from the workload, so only the O(n) structural audit
-        # runs here — never the constraint tests below.  The audit runs
-        # before planning: every plan strategy relies on it.
+        # runs here — never the constraint tests below — and it hands
+        # back the update chain the forward scan walks.
         cert = (
             certificate
-            if certificate is not None
-            and getattr(certificate, "unlocks_theorem7", False)
+            if getattr(certificate, "unlocks_theorem7", False)
             else None
         )
+        chain = None
         if cert is not None:
             with tracer.span("check.certificate"):
-                failure = cert.audit(history, extra)
-            if failure is not None:
-                raise InvalidCertificate(
-                    f"{cert.rule} certificate rejected for the "
-                    f"{condition} check: {failure}"
-                )
+                try:
+                    chain = cert.chain_for(history, extra)
+                except InvalidCertificate as exc:
+                    raise InvalidCertificate(
+                        f"{cert.rule} certificate rejected for the "
+                        f"{condition} check: {exc}"
+                    ) from None
 
         with tracer.span("check.plan"):
-            plan = plan_check(
-                history,
-                condition,
-                window=window,
-                extra_pairs=extra,
-                certificate=cert,
-            )
+            # ~t and extra_pairs order m-operations across processes,
+            # carrying a reader's mark out of its own segment of an
+            # object-partitioned chain; a window needs one total chain.
+            real_time = CONDITION_ORDERS[condition][0]
+            if (
+                chain is not None
+                and cert.rule == "object-partitioned"
+                and (real_time or extra or window is not None)
+            ):
+                chain = None
+            if window is not None and chain is None:
+                got = cert.rule if cert is not None else "no certificate"
+                raise PlanRefused(
+                    "a bounded lookback (window) needs a certificate "
+                    f"binding a total update chain; got {got}"
+                )
 
-        if plan.strategy == "scan":
-            with tracer.span("check.scan", chain=len(plan.chain)):
+        if chain is not None:
+            with tracer.span("check.scan", chain=len(chain)):
                 result = run_scan(
                     history,
                     condition,
-                    plan.chain,
+                    chain,
                     extra_pairs=extra,
-                    window=plan.window,
-                    want_witness=witness,
+                    window=window,
                 )
             return ConsistencyVerdict(
                 holds=result.holds,
                 condition=condition,
                 method_used="constrained",
                 witness=result.witness,
-                certificate=plan.certificate_rule,
+                certificate=cert.rule,
             )
 
-        # strategy == "closure": the monolithic Theorem-7 path.
+        # No usable chain: the monolithic Theorem-7 path.
         base = index.base_relation(condition, extra)
         with tracer.span("check.closure"):
             closure = base.transitive_closure()
 
         if cert is not None:
-            verdict = _check_constrained(
-                history, base, closure, condition, want_witness=witness
-            )
+            verdict = _check_constrained(history, base, closure, condition)
             verdict.certificate = cert.rule
             return verdict
 
@@ -202,9 +209,7 @@ def _check(
             )
 
         if constrained_ok:
-            return _check_constrained(
-                history, base, closure, condition, want_witness=witness
-            )
+            return _check_constrained(history, base, closure, condition)
 
         with tracer.span("check.exact"):
             result = check_admissible(history, base, node_limit=node_limit)
@@ -222,8 +227,6 @@ def _check_constrained(
     base: Relation,
     closure: Relation,
     condition: str,
-    *,
-    want_witness: bool = True,
 ) -> ConsistencyVerdict:
     """Theorem 7: under OO/WW, admissible ⟺ legal.
 
@@ -241,8 +244,6 @@ def _check_constrained(
             return ConsistencyVerdict(False, condition, "constrained")
         if not is_legal(history, closure):
             return ConsistencyVerdict(False, condition, "constrained")
-    if not want_witness:
-        return ConsistencyVerdict(True, condition, "constrained")
     with tracer.span("check.witness"):
         extended = base.copy()
         for a_uid, c_uid in HistoryIndex.of(history).rw_cover_under(closure):
@@ -270,7 +271,6 @@ def check_m_sequential_consistency(
     extra_pairs: Iterable[Tuple[int, int]] = (),
     certificate=None,
     window: Optional[int] = None,
-    witness: bool = True,
 ) -> ConsistencyVerdict:
     """Is the history m-sequentially consistent? (Section 2.3)
 
@@ -293,13 +293,10 @@ def check_m_sequential_consistency(
     :class:`~repro.errors.WindowExceeded` when a read reaches further
     back, and with :class:`~repro.errors.PlanRefused` when no
     certificate binds a total update chain to measure along.
-    ``witness=False`` skips the witness (and with it the Lemma 3/4
-    self-check); the verdict is unchanged and the saving is one linear
-    pass, so every caller keeps the default.
     """
     return _check(
         history, "m-sc", method, node_limit, extra_pairs, certificate,
-        window=window, witness=witness,
+        window=window,
     )
 
 
@@ -311,7 +308,6 @@ def check_m_linearizability(
     extra_pairs: Iterable[Tuple[int, int]] = (),
     certificate=None,
     window: Optional[int] = None,
-    witness: bool = True,
 ) -> ConsistencyVerdict:
     """Is the history m-linearizable? (Section 2.3)
 
@@ -320,11 +316,11 @@ def check_m_linearizability(
     an instant between its invocation and response, and the order of
     non-overlapping m-operations is preserved.  Requires a timed
     history.  See :func:`check_m_sequential_consistency` for
-    ``extra_pairs``, ``certificate``, ``window`` and ``witness``.
+    ``extra_pairs``, ``certificate`` and ``window``.
     """
     return _check(
         history, "m-lin", method, node_limit, extra_pairs, certificate,
-        window=window, witness=witness,
+        window=window,
     )
 
 
@@ -336,7 +332,6 @@ def check_m_normality(
     extra_pairs: Iterable[Tuple[int, int]] = (),
     certificate=None,
     window: Optional[int] = None,
-    witness: bool = True,
 ) -> ConsistencyVerdict:
     """Is the history m-normal? (Section 2.3)
 
@@ -345,11 +340,11 @@ def check_m_normality(
     instead of real-time order ``~t``).  m-linearizability implies
     m-normality implies m-sequential consistency.  See
     :func:`check_m_sequential_consistency` for ``extra_pairs``,
-    ``certificate``, ``window`` and ``witness``.
+    ``certificate`` and ``window``.
     """
     return _check(
         history, "m-norm", method, node_limit, extra_pairs, certificate,
-        window=window, witness=witness,
+        window=window,
     )
 
 
@@ -368,8 +363,7 @@ def check_condition(
     and the run pipeline share.
 
     ``kwargs`` are forwarded to the named checker (``method``,
-    ``node_limit``, ``extra_pairs``, ``certificate``, ``window``,
-    ``witness``).
+    ``node_limit``, ``extra_pairs``, ``certificate``, ``window``).
     """
     try:
         checker = CHECKERS[condition]

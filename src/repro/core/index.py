@@ -165,7 +165,6 @@ class HistoryIndex:
         "_writer_timelines",
         "_rf_pairs",
         "_update_uids",
-        "_client_updates",
         "_triples",
         "positions",
         "_update_masks",
@@ -181,7 +180,6 @@ class HistoryIndex:
         self._writer_timelines: Optional[Dict[str, Tuple[int, ...]]] = None
         self._rf_pairs: Optional[Tuple[Pair, ...]] = None
         self._update_uids: Optional[Tuple[int, ...]] = None
-        self._client_updates: Optional[Tuple[Tuple[int, int], ...]] = None
         self._triples: Optional[Tuple[InterferingTriple, ...]] = None
         #: uid -> position in ``history.uids`` (the bitmask universe).
         self.positions: Dict[int, int] = {
@@ -253,24 +251,6 @@ class HistoryIndex:
                 m.uid for m in self.history.all_mops if m.is_update
             )
         return self._update_uids
-
-    @property
-    def client_updates(self) -> Tuple[Tuple[int, int], ...]:
-        """``(uid, process)`` of non-initial update m-operations.
-
-        The structural facts certificate audits consume
-        (:meth:`repro.analysis.static.ConstraintCertificate.audit`):
-        cached here so repeated certified checks on one history pay
-        the O(n) scan once.
-        """
-        if self._client_updates is None:
-            init_uid = self.history.init.uid
-            self._client_updates = tuple(
-                (m.uid, m.process)
-                for m in self.history.all_mops
-                if m.is_update and m.uid != init_uid
-            )
-        return self._client_updates
 
     def interfering_triples(self) -> Tuple[InterferingTriple, ...]:
         """All interfering triples ``(a, b, c)`` (D 4.2), cached.

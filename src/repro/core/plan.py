@@ -1,37 +1,28 @@
-"""Plan/execute verification engine (certificate-driven checking).
+"""The certified forward legality scan (Theorem 7 without a closure).
 
-The monolithic ``_check`` pipeline computed one global transitive
-closure per history — ``O(n²)`` bits of state — which BENCH_checkers
-showed dominating end-to-end checking well before 10k m-operations.
-This module splits checking into two stages:
+The monolithic closure path computes one global transitive closure per
+history — ``O(n²)`` bits of state.  When a static
+:class:`~repro.analysis.static.prover.ConstraintCertificate` holds, its
+:meth:`~repro.analysis.static.prover.ConstraintCertificate.chain_for`
+hands :func:`repro.core.consistency.check_condition` an update chain
+along which every object's writers are totally ordered, and legality
+(D 4.6) lowers to a single forward scan: under acyclicity,
+update-to-update reachability collapses to chain position comparison,
+and "is some writer ordered strictly between ``b`` and its reader"
+becomes one binary search per external read against a visibility
+*mark* computed by dynamic programming over the cover DAG.  No closure
+is ever materialised — ``O((V + E) log V)`` total.  The chain is the
+bound delivery order (``total-update-order``), the one updater's
+process order (``single-updater``), empty (``read-only``), or — for
+``object-partitioned`` certificates (every object is accessed by a
+single process) without ``~t`` and without ``extra_pairs`` — the
+per-process update chains concatenated in process-id order: every
+non-initial base edge is then intra-process, so a reader's mark and
+the writers of the object it reads all lie in its own process's
+segment of the chain.
 
-* **plan** — :func:`plan_check` inspects the history together with the
-  static :class:`~repro.analysis.static.prover.ConstraintCertificate`
-  and picks an execution *strategy*:
-
-  - ``"scan"``    — the certificate yields an update chain along which
-    every object's writers are totally ordered, so legality (D 4.6)
-    lowers to a single forward scan: under acyclicity,
-    update-to-update reachability collapses to chain position
-    comparison, and "is some writer ordered strictly between ``b`` and
-    its reader" becomes one binary search per external read against a
-    visibility *mark* computed by dynamic programming over the cover
-    DAG.  No closure is ever materialised — ``O((V + E) log V)``
-    total.  The chain is the bound delivery order
-    (``total-update-order``), the one updater's process order
-    (``single-updater``), empty (``read-only``), or — for
-    ``object-partitioned`` certificates (the D 4.10 family: every
-    object is accessed by a single process) under m-sc / m-norm with
-    no ``extra_pairs`` — the per-process update chains concatenated
-    in process-id order: every non-initial base edge is then
-    intra-process, so a reader's mark and the writers of the object
-    it reads all lie in its own process's segment of the chain.
-  - ``"closure"`` — the monolithic Theorem-7/dynamic path, kept for
-    uncertified histories and certificates without a usable shape.
-
-* **execute** — :func:`run_scan` runs the plan and reports
-  acyclicity, legality, a linear-size cover of the D 4.11 ``~rw``
-  pairs and (on request) a witness linearization.
+:func:`run_scan` reports acyclicity, legality, a linear-size cover of
+the D 4.11 ``~rw`` pairs and a witness linearization.
 
 Verdict fidelity
 ----------------
@@ -65,39 +56,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.history import History
-from repro.core.index import CONDITION_ORDERS, HistoryIndex, rw_cover_pairs
+from repro.core.index import HistoryIndex, rw_cover_pairs
 from repro.errors import PlanRefused, RelationError, WindowExceeded
 from repro.obs import get_tracer
 
 Pair = Tuple[int, int]
 
-#: Certificate rules that bind (or imply) a total update chain.
-CHAIN_RULES = ("total-update-order", "single-updater", "read-only")
-
 #: Mark value below every chain position (INIT sits at -1).
 _NO_MARK = -2
-
-
-@dataclass(frozen=True)
-class CheckPlan:
-    """What the executor will run — the planner's output.
-
-    Attributes:
-        condition: the consistency condition under check.
-        strategy: ``"scan"`` or ``"closure"``.
-        chain: the update chain of a scan, excluding the initial
-            m-operation.
-        window: lookback bound of the scan (None = unbounded).
-        certificate_rule: rule of the certificate the plan relies on.
-        notes: human-readable planning decisions.
-    """
-
-    condition: str
-    strategy: str
-    chain: Tuple[int, ...] = ()
-    window: Optional[int] = None
-    certificate_rule: Optional[str] = None
-    notes: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -112,112 +78,6 @@ class ScanResult:
     @property
     def holds(self) -> bool:
         return self.acyclic and self.legal
-
-
-# ----------------------------------------------------------------------
-# Planner
-# ----------------------------------------------------------------------
-
-
-def plan_check(
-    history: History,
-    condition: str,
-    *,
-    window: Optional[int] = None,
-    extra_pairs: Tuple[Pair, ...] = (),
-    certificate=None,
-) -> CheckPlan:
-    """Choose an execution strategy for one consistency check.
-
-    ``certificate`` must already have passed its structural audit
-    (the caller — ``repro.core.consistency._check`` — audits before
-    planning); only certificates with ``unlocks_theorem7`` influence
-    the plan.
-
-    Raises:
-        PlanRefused: ``window`` is set without a certificate binding a
-            total update chain (lookback is measured along it).
-        ValueError: unknown condition.
-    """
-    if condition not in CONDITION_ORDERS:
-        raise ValueError(
-            f"unknown condition {condition!r}; expected one of "
-            f"{tuple(CONDITION_ORDERS)}"
-        )
-    rule = (
-        certificate.rule
-        if certificate is not None
-        and getattr(certificate, "unlocks_theorem7", False)
-        else None
-    )
-    if window is not None and rule not in CHAIN_RULES:
-        raise PlanRefused(
-            "a bounded lookback (window) needs a certificate binding a "
-            f"total update chain (one of {CHAIN_RULES}); got "
-            f"{rule if rule is not None else 'no certificate'}"
-        )
-    # ~t relates m-operations of different processes and extra_pairs
-    # (e.g. a recorded ~ww chain) order updates across them: either
-    # carries a reader's mark out of its own process's chain segment.
-    if rule in CHAIN_RULES or (
-        rule == "object-partitioned"
-        and condition != "m-lin"
-        and not extra_pairs
-    ):
-        return CheckPlan(
-            condition=condition,
-            strategy="scan",
-            chain=_update_chain(history, certificate),
-            window=window,
-            certificate_rule=rule,
-            notes=(
-                f"{rule} certificate lowers legality to a scan"
-                + ("" if window is None else f", window={window}"),
-            ),
-        )
-    note = (
-        f"{rule} certificate has no update chain; closure strategy"
-        if rule is not None
-        else "no usable certificate; dynamic closure strategy"
-    )
-    return CheckPlan(
-        condition=condition,
-        strategy="closure",
-        certificate_rule=rule,
-        notes=(note,),
-    )
-
-
-def _update_chain(history: History, certificate) -> Tuple[int, ...]:
-    """The update chain a scan-shaped certificate stands for."""
-    rule = certificate.rule
-    if rule == "read-only":
-        return ()
-    if rule == "total-update-order":
-        chain = certificate.chain
-        if chain is None:
-            raise PlanRefused(
-                "total-update-order certificate has no bound chain; "
-                "call .with_chain(run.ww_sequence) first"
-            )
-        return tuple(chain)
-    # single-updater: one process issues every client update, so its
-    # process order is the chain.  object-partitioned: each process's
-    # updates in process order, processes in pid order.
-    index = HistoryIndex.of(history)
-    chains = index.process_chains
-    owners = {process for _uid, process in index.client_updates}
-    if rule == "single-updater" and len(owners) > 1:  # pragma: no cover
-        raise PlanRefused(  # the audit rejects this first
-            f"single-updater certificate but updates come from "
-            f"processes {sorted(owners)}"
-        )
-    return tuple(
-        uid
-        for owner in sorted(owners)
-        for uid in chains[owner]
-        if history[uid].is_update
-    )
 
 
 # ----------------------------------------------------------------------
@@ -287,11 +147,10 @@ def run_scan(
     *,
     extra_pairs: Tuple[Pair, ...] = (),
     window: Optional[int] = None,
-    want_witness: bool = False,
 ) -> ScanResult:
     """The forward legality scan (Theorem 7 without a closure).
 
-    Preconditions (discharged by the certificate audit): ``chain``
+    Preconditions (discharged by the certificate's ``chain_for``): ``chain``
     lists every non-initial update, and the base order totally orders
     the writers of each object along it — every consecutive chain pair
     is in the base order (via ``extra_pairs`` for
@@ -385,16 +244,14 @@ def run_scan(
             return ScanResult(acyclic=True, legal=False)
 
     rw = tuple(rw_cover_pairs(reads, writer_uid, chain_pos))
-    witness: Optional[List[int]] = None
-    if want_witness:
-        with get_tracer().span(
-            "check.witness", reads=len(reads), rw_edges=len(rw)
-        ):
-            for a_uid, c_uid in rw:
-                succ[pos[a_uid]].add(pos[c_uid])
-            witness = _fifo_topo(uids, succ)
-        assert witness is not None, (
-            "Lemma 3/4 violated: extended relation of a legal "
-            "constrained history is cyclic"
-        )
+    with get_tracer().span(
+        "check.witness", reads=len(reads), rw_edges=len(rw)
+    ):
+        for a_uid, c_uid in rw:
+            succ[pos[a_uid]].add(pos[c_uid])
+        witness = _fifo_topo(uids, succ)
+    assert witness is not None, (
+        "Lemma 3/4 violated: extended relation of a legal "
+        "constrained history is cyclic"
+    )
     return ScanResult(acyclic=True, legal=True, rw=rw, witness=witness)

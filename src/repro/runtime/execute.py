@@ -7,7 +7,8 @@ one body in which faults are a step, not a fork: resolve the protocol
 and workload from the registry; if the spec carries faults, resolve
 the plan, check it against the protocol's capabilities and add the
 fault-tolerant cluster keywords (reliable network, failover
-sequencer, in-run ``LiveMonitor("m-sc")``); build the cluster; arm
+sequencer and, for a protocol that declares a condition, an in-run
+``LiveMonitor("m-sc")``); build the cluster; arm
 detector and injector; run, catching a faulty run's typed failures
 into ``failure``; and give the run its **single** batch verdict under
 the spec's :class:`~repro.runtime.spec.VerifyPolicy` (the Theorem-7
@@ -286,11 +287,11 @@ def _static_certificate(proto: ProtocolSpec, workloads, result):
         certify_workloads,
     )
 
-    protocol = (
-        proto.name if proto.capabilities.certificate_eligible else None
-    )
+    # The registry flag promises the run's ~ww chain as extra_pairs.
+    eligible = proto.capabilities.certificate_eligible
+    sync = "total-update-order" if eligible else "none"
     try:
-        cert = certify_workloads(workloads, protocol=protocol)
+        cert = certify_workloads(workloads, sync=sync)
     except CertificationRefused:
         return None
     if cert.requires_chain:
@@ -439,10 +440,11 @@ def _run(
     if faults is not None:
         plan = faults.resolve(n)
         _check_eligible(proto, plan)
-        # The in-run audits check the order every protocol here
-        # promises at least, ~p ∪ ~rf ∪ ~ww; the declared condition
-        # is checked on the finished run.
-        monitor = LiveMonitor("m-sc", window=spec.verify.window)
+        if proto.condition is not None:
+            # The in-run audits check the order every protocol with a
+            # condition promises at least, ~p ∪ ~rf ∪ ~ww (the others
+            # tap no ~ww); the condition is checked on the finished run.
+            monitor = LiveMonitor("m-sc", window=spec.verify.window)
         options.update(
             fault_tolerant=True,
             recovery=faults.recovery,
@@ -492,8 +494,10 @@ def _run(
         # a fault boundary is a barrier, not a history rebuild.
         injector = FaultInjector(
             plan,
-            on_event=lambda kind, pid, now: audits.append(
-                (now, kind, pid, monitor.audit())
+            on_event=None if monitor is None else (
+                lambda kind, pid, now: audits.append(
+                    (now, kind, pid, monitor.audit())
+                )
             ),
         ).install(cluster)
 
@@ -556,7 +560,7 @@ def _run(
             "expected": expected,
             "duration": cluster.sim.now,
         }
-        if spec.verify.window is not None:
+        if monitor is not None and spec.verify.window is not None:
             net_stats["chaos"]["window_refusals"] = monitor.window_refusals
             net_stats["chaos"]["window_epochs"] = monitor.epochs
         if detector is not None:

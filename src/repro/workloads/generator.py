@@ -250,6 +250,7 @@ def _object_picker(rng: random.Random, distribution: str):
     call the generators made before the knob existed, so uniform
     histories are byte-identical per seed.  Skewed paths do weighted
     sampling without replacement, mirroring ``random_workloads``.
+    The rank weights of each pool size are computed once per generator.
     """
     skew = DISTRIBUTION_SKEW.get(distribution)
     if skew is None:
@@ -260,11 +261,15 @@ def _object_picker(rng: random.Random, distribution: str):
     if skew == 0.0:
         return lambda pool, k: rng.sample(pool, k=k)
 
+    ranked: Dict[int, List[float]] = {}
+
     def pick(pool: Sequence[str], k: int) -> List[str]:
         pool = list(pool)
-        pool_weights = [
-            1.0 / (rank + 1) ** skew for rank in range(len(pool))
-        ]
+        if len(pool) not in ranked:
+            ranked[len(pool)] = [
+                1.0 / (rank + 1) ** skew for rank in range(len(pool))
+            ]
+        pool_weights = list(ranked[len(pool)])
         chosen: List[str] = []
         for _ in range(k):
             index = rng.choices(

@@ -14,10 +14,12 @@ import pytest
 from repro.analysis.static import (
     ProgramProfile,
     WorkloadSpec,
+    certify_history,
     certify_run,
     certify_spec,
     sample_history,
 )
+from repro.analysis.static.prover import RULES
 from repro.core.consistency import check_condition
 from repro.core.constraints import satisfies_oo, satisfies_ww
 from repro.core.index import HistoryIndex
@@ -96,9 +98,8 @@ def test_certificates_confirmed_dynamically_on_sampled_histories(rule):
         bound = (
             cert.with_chain(run.chain) if cert.requires_chain else cert
         )
-        assert bound.audit(run.history, run.extra_pairs) is None, (
-            f"audit failed for {rule} seed {seed}"
-        )
+        # Raises InvalidCertificate if the sample lacks the shape.
+        bound.chain_for(run.history, run.extra_pairs)
         closure = closure_for(run.history, run.extra_pairs)
         assert dynamic(run.history, closure), (
             f"{cert.constraint}-constraint violated dynamically for "
@@ -176,6 +177,24 @@ def test_refused_spec_emits_unconstrained_history():
         "every sampled history happened to be constrained; the "
         "refusal would be vacuous on this spec"
     )
+
+
+@pytest.mark.parametrize(
+    "rule", ["read-only", "single-updater", "object-partitioned"]
+)
+def test_history_rule_is_at_least_the_spec_rule(rule):
+    """One table for workloads and histories: a history drawn from a
+    structurally certified spec certifies by the same or a stronger
+    (earlier) rule, and both certificates pass their audit on it."""
+    spec = CERTIFIABLE_SPECS[rule]
+    cert = certify_spec(spec)
+    strength = list(RULES)
+    for seed in range(50):
+        history = sample_history(spec, seed=seed).history
+        found = certify_history(history)
+        assert strength.index(found.rule) <= strength.index(rule), seed
+        cert.chain_for(history)
+        found.chain_for(history)
 
 
 def test_refusal_is_not_overcautious_for_certifiable_specs():

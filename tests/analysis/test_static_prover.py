@@ -146,7 +146,7 @@ class TestRules:
 
     def test_unknown_constraint_rejected(self):
         with pytest.raises(InvalidCertificate):
-            ConstraintCertificate(constraint="xx", rule="r", reason="?")
+            ConstraintCertificate(constraint="xx", rule="r")
 
 
 class TestPaperWorkloads:
@@ -181,7 +181,7 @@ class TestPaperWorkloads:
         ]
         with pytest.raises(CertificationRefused):
             certify_workloads(workloads)
-        cert = certify_workloads(workloads, protocol="msc")
+        cert = certify_workloads(workloads, sync="total-update-order")
         assert cert.rule == "total-update-order"
 
 
@@ -196,18 +196,16 @@ class TestAudit:
             ),
             seed=1,
         )
-        cert = ConstraintCertificate(
-            constraint="ww", rule="single-updater", reason="forged"
-        )
-        failure = cert.audit(run.history)
-        assert failure is not None and "span processes" in failure
+        cert = ConstraintCertificate(constraint="ww", rule="single-updater")
+        with pytest.raises(InvalidCertificate, match="span processes"):
+            cert.chain_for(run.history)
 
     def test_chain_audit_requires_extra_pairs(self):
         history, _ = figure2_h1()
         cert = certify_chain(history, [1, 3, 4])
-        assert cert.audit(history, [(1, 3), (3, 4)]) is None
-        failure = cert.audit(history, [(1, 3)])
-        assert failure is not None and "extra_pairs" in failure
+        assert cert.chain_for(history, [(1, 3), (3, 4)]) == (1, 3, 4)
+        with pytest.raises(InvalidCertificate, match="extra_pairs"):
+            cert.chain_for(history, [(1, 3)])
 
     def test_checker_raises_invalid_certificate_on_mismatch(self):
         run = sample_history(
@@ -219,9 +217,7 @@ class TestAudit:
             ),
             seed=2,
         )
-        forged = ConstraintCertificate(
-            constraint="ww", rule="single-updater", reason="forged"
-        )
+        forged = ConstraintCertificate(constraint="ww", rule="single-updater")
         with pytest.raises(InvalidCertificate):
             check_m_sequential_consistency(
                 run.history, certificate=forged
@@ -241,7 +237,7 @@ class TestAudit:
             seed=3,
         )
         wo_cert = ConstraintCertificate(
-            constraint="wo", rule="disjoint-writers", reason="weak"
+            constraint="wo", rule="disjoint-writers"
         )
         verdict = check_m_sequential_consistency(
             run.history, certificate=wo_cert

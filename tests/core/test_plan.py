@@ -1,10 +1,12 @@
-"""Unit tests for the plan/execute verification engine.
+"""Unit tests for the certified forward legality scan.
 
-Planner strategy selection and refusals, the forward legality scan
-(certified chains and object-partitioned histories alike), the
-windowed scan's refusal contract, and its streaming counterpart,
-:class:`LiveMonitor` with a ``window``.  Corpus-scale verdict fidelity
-lives in ``tests/core/test_plan_crossval.py``.
+Which path a check takes (the verdict's ``certificate`` and its
+``check.scan`` / ``check.closure`` spans) and its refusals, the chain
+a certificate hands the checker, the forward legality scan (certified
+chains and object-partitioned histories alike), the windowed scan's
+refusal contract, and its streaming counterpart, :class:`LiveMonitor`
+with a ``window``.  Corpus-scale verdict fidelity lives in
+``tests/core/test_plan_crossval.py``.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from repro.analysis.static import (
     certify_partitioned_history,
 )
 from repro.core import LiveMonitor, check_condition
-from repro.core.plan import plan_check, run_scan
+from repro.core.plan import run_scan
 from repro.errors import (
     CertificationRefused,
     InvalidCertificate,
     PlanRefused,
     WindowExceeded,
 )
+from repro.obs import Tracer, install_tracer, uninstall_tracer
 from repro.workloads import (
     HistoryShape,
     random_partitioned_history,
@@ -46,69 +49,89 @@ def partitioned(n_mops=60, seed=3, n_processes=3):
     return random_partitioned_history(shape, seed=seed)
 
 
+def traced(history, condition, **kwargs):
+    """The verdict and the names of the check's spans."""
+    tracer = Tracer()
+    install_tracer(tracer)
+    try:
+        verdict = check_condition(history, condition, **kwargs)
+    finally:
+        uninstall_tracer()
+    return verdict, {r["name"]: r for r in tracer.records()}
+
+
 class TestPlanner:
+    """Which path a check takes, read off its verdict and spans."""
+
     def test_full_without_certificate_is_closure(self):
         history, _chain = serial()
-        plan = plan_check(history, "m-sc")
-        assert plan.strategy == "closure"
-        assert plan.window is None
+        verdict, spans = traced(history, "m-sc")
+        assert verdict.certificate is None
+        assert "check.closure" in spans and "check.scan" not in spans
 
     def test_full_with_chain_certificate_is_scan(self):
         history, chain = serial()
+        ww = tuple(zip(chain, chain[1:]))
         cert = certify_chain(history, chain)
-        plan = plan_check(history, "m-sc", certificate=cert)
-        assert plan.strategy == "scan"
-        assert plan.chain == tuple(chain)
-        assert plan.certificate_rule == "total-update-order"
-        assert plan.window is None
+        assert cert.chain_for(history, ww) == tuple(chain)
+        verdict, spans = traced(
+            history, "m-sc", extra_pairs=ww, certificate=cert
+        )
+        assert verdict.certificate == "total-update-order"
+        assert spans["check.scan"]["attrs"]["chain"] == len(chain)
+        assert "check.closure" not in spans
 
     def test_windowed_requires_chain_certificate(self):
         history = partitioned()
         cert = certify_partitioned_history(history)
         with pytest.raises(PlanRefused, match="chain"):
-            plan_check(history, "m-sc", window=16, certificate=cert)
+            check_condition(history, "m-sc", window=16, certificate=cert)
         with pytest.raises(PlanRefused):
-            plan_check(history, "m-sc", window=16)
+            check_condition(history, "m-sc", window=16)
 
     def test_windowed_plan_carries_window(self):
-        history, chain = serial()
+        history, chain = serial(n_mops=80, seed=5)
+        ww = tuple(zip(chain, chain[1:]))
         cert = certify_chain(history, chain)
-        plan = plan_check(
-            history, "m-sc", window=16, certificate=cert
+        verdict, spans = traced(
+            history, "m-sc", window=len(history.mops), extra_pairs=ww,
+            certificate=cert,
         )
-        assert plan.strategy == "scan"
-        assert plan.window == 16
+        assert verdict.holds and "check.scan" in spans
+        with pytest.raises(WindowExceeded):
+            check_condition(
+                history, "m-sc", window=1, extra_pairs=ww, certificate=cert
+            )
 
     def test_partitioned_certificate_scans_the_process_chains(self):
         history = partitioned(n_processes=3)
         cert = certify_partitioned_history(history)
+        # Every update, process by process in pid order, each
+        # process's in issue order.
+        by_process = sorted(
+            (m.process, m.inv, m.uid) for m in history.mops if m.is_update
+        )
+        assert cert.chain_for(history) == tuple(
+            uid for _p, _t, uid in by_process
+        )
         for condition in ("m-sc", "m-norm"):
-            plan = plan_check(history, condition, certificate=cert)
-            assert plan.strategy == "scan"
-            assert plan.certificate_rule == "object-partitioned"
-            # Every update, process by process in pid order, each
-            # process's in issue order.
-            by_process = sorted(
-                (m.process, m.inv, m.uid)
-                for m in history.mops
-                if m.is_update
-            )
-            assert plan.chain == tuple(uid for _p, _t, uid in by_process)
+            verdict, spans = traced(history, condition, certificate=cert)
+            assert verdict.certificate == "object-partitioned"
+            assert spans["check.scan"]["attrs"]["chain"] == len(by_process)
+            assert "check.closure" not in spans
 
     def test_partitioned_mlin_and_extra_pairs_take_the_closure(self):
         # ~t and extra_pairs order m-operations across the partitions:
         # a reader's mark would leave its own chain segment.
         history = partitioned()
         cert = certify_partitioned_history(history)
-        assert (
-            plan_check(history, "m-lin", certificate=cert).strategy
-            == "closure"
-        )
-        plan = plan_check(
-            history, "m-sc", certificate=cert, extra_pairs=((1, 2),)
-        )
-        assert plan.strategy == "closure"
-        assert plan.certificate_rule == "object-partitioned"
+        for condition, extra in (("m-lin", ()), ("m-sc", ((1, 2),))):
+            verdict, spans = traced(
+                history, condition, certificate=cert, extra_pairs=extra
+            )
+            assert verdict.certificate == "object-partitioned"
+            assert "check.closure" in spans and "check.scan" not in spans
+            assert "check.constraints" not in spans
 
 
 class TestScan:
@@ -183,13 +206,9 @@ class TestWindowedScan:
     def test_window_none_equals_full(self):
         history, chain = serial(n_mops=50, seed=4)
         ww = tuple(zip(chain, chain[1:]))
-        full = run_scan(
-            history, "m-sc", tuple(chain), extra_pairs=ww,
-            want_witness=True,
-        )
+        full = run_scan(history, "m-sc", tuple(chain), extra_pairs=ww)
         windowed = run_scan(
-            history, "m-sc", tuple(chain), extra_pairs=ww,
-            window=None, want_witness=True,
+            history, "m-sc", tuple(chain), extra_pairs=ww, window=None
         )
         assert (full.acyclic, full.legal, full.witness) == (
             windowed.acyclic,
@@ -243,11 +262,8 @@ class TestPartitioned:
         from repro.core.index import HistoryIndex
 
         history = partitioned(n_mops=60, seed=2)
-        plan = plan_check(
-            history, "m-sc",
-            certificate=certify_partitioned_history(history),
-        )
-        result = run_scan(history, "m-sc", plan.chain)
+        chain = certify_partitioned_history(history).chain_for(history)
+        result = run_scan(history, "m-sc", chain)
         assert result.holds
         index = HistoryIndex.of(history)
         closure = index.base_relation("m-sc").transitive_closure()
@@ -256,8 +272,8 @@ class TestPartitioned:
         assert len(result.rw) <= len(index.proper_reads())
 
     def test_cross_process_access_fails_the_audit(self):
-        # The certificate is re-audited before any plan relies on it:
-        # a shared object never reaches the scan.
+        # The certificate is re-audited before its chain is used: a
+        # shared object never reaches the scan.
         history, _chain = serial()
         cert = certify_partitioned_history(partitioned())
         with pytest.raises(InvalidCertificate, match="accessed by"):

@@ -1,4 +1,4 @@
-"""Verdict fidelity of the plan/execute engine at corpus scale.
+"""Verdict fidelity of the certified forward scan at corpus scale.
 
 The acceptance bar for the engine: on the same randomized corpus the
 monolithic checker is validated against

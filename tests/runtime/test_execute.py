@@ -12,6 +12,7 @@ from repro.runtime import (
     VerifyPolicy,
     execute,
     protocol_names,
+    protocol_registry,
 )
 
 
@@ -58,6 +59,17 @@ class TestVerification:
             assert verdict.certificate == "total-update-order", (
                 artifact.summary()
             )
+
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_total_update_order_iff_certificate_eligible(self, protocol):
+        # The registry flag is the one source of the sync promise.
+        eligible = protocol_registry()[protocol].capabilities
+        certificates = [
+            v.certificate for v in execute(RunSpec(protocol=protocol)).verdicts
+        ]
+        assert (certificates == ["total-update-order"]) == (
+            eligible.certificate_eligible
+        ), certificates
 
     def test_certificate_off_uses_dynamic_phase(self):
         spec = small("msc", verify=VerifyPolicy(certificate="off"))
@@ -117,6 +129,19 @@ class TestFaultyRuns:
         assert artifact.completed == artifact.expected
         (verdict,) = artifact.verdicts
         assert verdict.condition == "m-lin" and verdict.holds
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partition_run_of_a_protocol_without_condition(self, seed):
+        # writeall declares no condition and taps no ~ww order: no
+        # in-run monitor is armed, so no audit can fail its run.
+        spec = RunSpec(
+            protocol="writeall", n=4, ops=6, seed=seed,
+            faults=FaultSpec(seed=seed, partition=True),
+        )
+        artifact = execute(spec)
+        assert artifact.ok, artifact.summary()
+        assert artifact.completed == artifact.expected == 24
+        assert artifact.chaos.audits == []
 
     def test_negative_control_fails_loudly(self):
         spec = RunSpec(

@@ -1,11 +1,14 @@
 """Unit tests for workload and abstract-history generators (S18)."""
 
+import hashlib
+
 import pytest
 
 from repro.core import (
     is_m_linearizable,
     is_m_sequentially_consistent,
 )
+from repro.core.serialize import history_to_json
 from repro.errors import WorkloadError
 from repro.workloads import (
     BLIND_MIX,
@@ -76,6 +79,32 @@ class TestProgramWorkloads:
 
 
 class TestSerialHistories:
+    #: sha256 of ``history_to_json`` per distribution, seeds 0-4,
+    #: recorded before the skewed picker cached its weights.
+    PINNED = {
+        "uniform": (
+            "cdda3c47dc96968bf1f068b1ce76eadbe52ac4a43ad6b21e6b3d4576112a7353",
+            "23d64a3a10b729c71e687853f23afc383d3b09e9f7ceb30e1a4fe900078a8ffc",
+            "6afd3315fa00fde6c28ca51dd34e3d3408bf82fb719a920b590017072aa8120c",
+            "55dd54a1693f69a3858f0db55b873fb59264d96dde705f0004d2e6cbfec0253a",
+            "8e22cf5f8615fbfeab9759537c6e40b4d2214390f495be55e6e7b52375470b83",
+        ),
+        "zipfian": (
+            "f26c126f26c0c2b762bf0fd05ffad32fd80b60b3a7582e2df99280b13524fd68",
+            "c5482a5412f3762bd48e763e6d2d0714de533077e690e39cfa77e840aae75983",
+            "a9fbc1206c0d6e16039161988f497ee153fe1b31c362edfb1fc5056b61d6890a",
+            "f4b9606b7b8c2e5ab323221fb7b1e833b16a9a3efe225421c5d33c3d2ac90bc9",
+            "8fda3b8895977e30f5f10a8a84e80096be76234afaa6aab8e70edabed369290b",
+        ),
+        "hotspot": (
+            "9945d02e9530f6da1381af70a4279fcd7511ddb89de083cd220c0f9043725414",
+            "739ec166b9b93e97be5618d0440ead1e544e52bd959e87fd37b698592457069e",
+            "1b03ff61b6243bb3b020ef3f0b164fb10067673fd0e9d040a5d471f4366f8600",
+            "cc3a11a97ed074a460f3278e4ce66b0233fa1b39a023204efb2a9cfe9d7ec156",
+            "5aa65caeaf1fa42fc6017da5c09b89e38c0628daa2fea880280f42ab15d8badc",
+        ),
+    }
+
     def test_is_m_linearizable_by_construction(self):
         shape = HistoryShape(n_mops=8)
         for seed in range(5):
@@ -99,6 +128,18 @@ class TestSerialHistories:
         shape = HistoryShape(n_mops=10, query_fraction=0.0)
         h = random_serial_history(shape, seed=1)
         assert all(m.is_update for m in h.mops)
+
+    def test_histories_are_pinned_per_distribution_and_seed(self):
+        for distribution, digests in self.PINNED.items():
+            shape = HistoryShape(
+                n_processes=4, n_objects=12, n_mops=60,
+                distribution=distribution,
+            )
+            for seed, digest in enumerate(digests):
+                text = history_to_json(random_serial_history(shape, seed=seed))
+                assert hashlib.sha256(text.encode()).hexdigest() == digest, (
+                    distribution, seed,
+                )
 
 
 class TestTransformations:

@@ -10,10 +10,7 @@ per row:
   (the dynamic ``constrained`` checker, or the certified scan as
   ``full``, ``full/partitioned`` or ``windowed``) and is compared as
   an opaque label; the gate fails when a shared
-  row's ``median_s`` regresses by more than ``--factor``, or when
-  the two rows disagree on ``witness`` (engine rows record whether
-  the witness was built — a witness-free median is no baseline for a
-  witness-on run);
+  row's ``median_s`` regresses by more than ``--factor``;
 * **serve rows** (``BENCH_serve.json``, rows carrying ``p50_s``),
   keyed by ``(profile, clients)`` — the gate fails when the median
   submission latency (``p50_s``) regresses by more than ``--factor``
@@ -197,12 +194,6 @@ def gate(
         elif key[0] == "sim":
             _gate_events_throughput(
                 key, fresh_row, base_row, factor, failures, notes
-            )
-        elif fresh_row.get("witness") != base_row.get("witness"):
-            failures.append(
-                f"{_label(key)}: witness={fresh_row.get('witness')} vs "
-                f"baseline witness={base_row.get('witness')} — the rows "
-                "time different work; regenerate the baseline"
             )
         else:
             _gate_time(

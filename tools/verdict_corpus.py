@@ -1,0 +1,227 @@
+#!/usr/bin/env python3
+"""Are the checkers' verdicts the same on two revisions?
+
+    PYTHONPATH=<parent tree>/src python tools/verdict_corpus.py dump parent.jsonl
+    PYTHONPATH=src               python tools/verdict_corpus.py dump change.jsonl
+    python tools/verdict_corpus.py compare parent.jsonl change.jsonl
+
+``dump`` rebuilds three history corpora from the same generators and
+seeds as the cross-validation tests — the ``test_index_crossval``
+corpus, and the partitioned and contended corpora of
+``test_plan_crossval`` — and sends every history down every checker
+path: method {auto, constrained, exact} x condition {m-sc, m-lin,
+m-norm} x with/without the update chain as ``extra_pairs`` x
+certificate {none, ``certify_chain``, ``certify_partitioned_history``,
+``certify_history``} x window {None, 1, wide}.  Each path writes one
+line: ``(holds, method_used, witness, certificate, stats)``, or the
+type and message of what it raised.  A certificate the prover refuses
+is one line of its own and its paths are not run.
+
+``compare`` demands byte equality for every verdict and equal
+exception types; it lists every exception message that differs, for
+the reader to judge.  The run re-executes itself under
+``PYTHONHASHSEED=0``: a few messages name the first of several objects
+in a frozenset, whose order follows the string hash.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import os
+import sys
+from collections import Counter
+from typing import Dict, Iterator, List, Tuple
+
+from repro.analysis.static import (
+    certify_chain,
+    certify_history,
+    certify_partitioned_history,
+)
+from repro.core import check_condition
+from repro.workloads import (
+    HistoryShape,
+    corrupt_history,
+    random_partitioned_history,
+    random_serial_history,
+)
+
+CONDITIONS = ("m-sc", "m-lin", "m-norm")
+METHODS = ("auto", "constrained", "exact")
+CERTIFICATES = {
+    "chain": lambda history: certify_chain(history, update_chain(history)),
+    "partitioned": certify_partitioned_history,
+    "history": certify_history,
+}
+#: Bounds the exact search on the contended corpus; hitting it is an
+#: outcome like any other.
+NODE_LIMIT = 5000
+
+
+def update_chain(history) -> List[int]:
+    return [m.uid for m in history.mops if m.is_update]
+
+
+def index_corpus(minimum: int = 200):
+    shapes = [
+        HistoryShape(n_processes=2, n_objects=2, n_mops=5,
+                     query_fraction=0.3),
+        HistoryShape(n_processes=3, n_objects=2, n_mops=6,
+                     query_fraction=0.5),
+        HistoryShape(n_processes=3, n_objects=3, n_mops=8,
+                     query_fraction=0.4),
+        HistoryShape(n_processes=4, n_objects=2, n_mops=10,
+                     query_fraction=0.4),
+    ]
+    histories = []
+    seed = 0
+    while len(histories) < minimum:
+        clean = random_serial_history(shapes[seed % len(shapes)], seed=seed)
+        histories.append(clean)
+        bad = corrupt_history(clean, seed=seed)
+        if bad is not None:
+            histories.append(bad)
+        seed += 1
+    return histories
+
+
+def partitioned_corpus(minimum: int = 40):
+    shapes = [
+        HistoryShape(n_processes=2, n_objects=2, n_mops=10),
+        HistoryShape(n_processes=3, n_objects=2, n_mops=14),
+        HistoryShape(n_processes=4, n_objects=1, n_mops=16),
+    ]
+    histories = []
+    seed = 0
+    while len(histories) < minimum:
+        for shape in shapes:
+            clean = random_partitioned_history(shape, seed=seed)
+            histories.append(clean)
+            bad = corrupt_history(clean, seed=seed)
+            if bad is not None:
+                histories.append(bad)
+        seed += 1
+    return histories
+
+
+def contended_corpus():
+    histories = []
+    for seed in range(6):
+        shape = HistoryShape(
+            n_processes=4, n_objects=3, n_mops=40 + 10 * seed,
+            query_fraction=0.5, distribution="hotspot",
+        )
+        clean = random_serial_history(shape, seed=seed)
+        histories.append(clean)
+        for twin in range(3):
+            bad = corrupt_history(clean, seed=seed + 100 * twin)
+            if bad is not None:
+                histories.append(bad)
+    return histories
+
+
+def raised(exc: Exception) -> Dict[str, str]:
+    return {"raised": type(exc).__name__, "message": str(exc)}
+
+
+def records() -> Iterator[Tuple[str, Dict]]:
+    corpora = (
+        ("index", index_corpus()),
+        ("partitioned", partitioned_corpus()),
+        ("contended", contended_corpus()),
+    )
+    for corpus, histories in corpora:
+        for h, history in enumerate(histories):
+            chain = update_chain(history)
+            ww = tuple(zip(chain, chain[1:]))
+            certificates = {"none": None}
+            for kind, certify in CERTIFICATES.items():
+                try:
+                    certificates[kind] = certify(history)
+                except Exception as exc:  # a refusal is an outcome
+                    yield f"{corpus}[{h}] certify={kind}", raised(exc)
+            for kind, cert in certificates.items():
+                for method in METHODS:
+                    for condition in CONDITIONS:
+                        for extra, pairs in (("ww", ww), ("no-ww", ())):
+                            for window in (None, 1, len(history.mops) + 1):
+                                label = (
+                                    f"{corpus}[{h}] {method} {condition} "
+                                    f"{extra} cert={kind} window={window}"
+                                )
+                                yield label, verdict(
+                                    history, condition, method=method,
+                                    extra_pairs=pairs, certificate=cert,
+                                    window=window, node_limit=NODE_LIMIT,
+                                )
+
+
+def verdict(history, condition, **kwargs) -> Dict:
+    try:
+        found = check_condition(history, condition, **kwargs)
+    except Exception as exc:  # a refusal is an outcome
+        return raised(exc)
+    return {
+        "holds": found.holds,
+        "method_used": found.method_used,
+        "witness": found.witness,
+        "certificate": found.certificate,
+        "stats": dataclasses.asdict(found.stats),
+    }
+
+
+def dump(path: str) -> None:
+    with open(path, "w", encoding="utf-8") as out:
+        for label, record in records():
+            out.write(json.dumps([label, record], sort_keys=True) + "\n")
+
+
+def compare(parent_path: str, change_path: str) -> int:
+    def rows(path):
+        with open(path, encoding="utf-8") as handle:
+            return [json.loads(line) for line in handle]
+
+    parent, change = rows(parent_path), rows(change_path)
+    if [label for label, _r in parent] != [label for label, _r in change]:
+        print(f"corpus paths differ ({len(parent)} vs {len(change)} records)")
+        return 1
+    tally = Counter()
+    messages: Counter = Counter()
+    problems = 0
+    for (label, p), (_label, c) in zip(parent, change):
+        tally["records"] += 1
+        if "raised" not in p and "raised" not in c:
+            tally["verdicts"] += 1
+            if p != c:
+                problems += 1
+                print(f"{label}: {p} vs {c}")
+            continue
+        tally["raised"] += 1
+        if p.get("raised") != c.get("raised"):
+            problems += 1
+            print(f"{label}: raised {p.get('raised')} vs {c.get('raised')}")
+        elif p["message"] != c["message"]:
+            messages[(p["raised"], p["message"], c["message"])] += 1
+    for (kind, old, new), count in sorted(messages.items()):
+        tally["message_differs"] += count
+        print(f"{kind} message differs in {count} record(s):")
+        print(f"    - {old}")
+        print(f"    + {new}")
+    print(json.dumps(dict(tally), sort_keys=True))
+    print(f"problems: {problems}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(
+            sys.executable,
+            [sys.executable, *sys.argv],
+            dict(os.environ, PYTHONHASHSEED="0"),
+        )
+    if len(sys.argv) == 3 and sys.argv[1] == "dump":
+        dump(sys.argv[2])
+    elif len(sys.argv) == 4 and sys.argv[1] == "compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
+    else:
+        sys.exit(__doc__)
