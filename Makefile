@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test paper lint analyze analyze-sarif chaos chaos-smoke report \
+.PHONY: test paper lint chaos chaos-smoke report \
 	bench-json bench-gate run-smoke serve-smoke serve-gate \
 	bench-sim sim-gate e2e-smoke e2e-pairs
 
@@ -18,18 +18,6 @@ paper:
 ## otherwise — see tools/lint.py.
 lint:
 	$(PYTHON) tools/lint.py
-
-## Static analyzer: determinism/race lints + workload constraint
-## prover infrastructure — see docs/static_analysis.md.
-analyze:
-	$(PYTHON) -m repro analyze
-
-## Same pass, but emit a SARIF 2.1.0 log (analyze.sarif) and enforce
-## the committed findings baseline: the run fails only on findings
-## not excused by analysis_baseline.json.
-analyze-sarif:
-	$(PYTHON) -m repro analyze --sarif analyze.sarif \
-		--baseline analysis_baseline.json
 
 ## Full chaos suite: every @pytest.mark.chaos schedule (still < 60 s).
 chaos:

@@ -17,8 +17,7 @@ The artifact also records the **static-certificate** comparison: the
 same constrained check run with a
 :class:`~repro.analysis.static.prover.ConstraintCertificate`, which
 replaces the dynamic constraint scans with an O(n) audit (see
-``docs/static_analysis.md``), plus the wall-clock of one full
-``python -m repro analyze`` pass over the source tree.
+``docs/static_analysis.md``).
 """
 
 from __future__ import annotations
@@ -286,23 +285,6 @@ def _phase_time(fn, span_name: str) -> float:
     )
 
 
-def run_analyzer_bench(runs: int = 3) -> dict:
-    """Wall-clock of a full static-analysis pass over the source tree."""
-    from repro.analysis.static import analyze_repo
-
-    def make():
-        return analyze_repo
-
-    samples, report = timed_samples(make, runs)
-    return {
-        "runs": runs,
-        "median_s": round(statistics.median(samples), 4),
-        "files_analyzed": report.files_analyzed,
-        "rules_run": len(report.rules_run),
-        "ok": bool(report.ok),
-    }
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="benchmarks.bench_checkers")
     parser.add_argument(
@@ -325,7 +307,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     certificate_rows = run_certificate_cases(
         QUICK_CERTIFICATE_CASES if args.quick else CERTIFICATE_CASES
     )
-    analyzer = run_analyzer_bench(runs=2 if args.quick else 3)
     msc_300 = next(
         r
         for r in rows
@@ -362,12 +343,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "docs/static_analysis.md)"
             ),
             "results": certificate_rows,
-        },
-        "static_analyzer": {
-            "description": (
-                "one full `python -m repro analyze` pass over src/repro"
-            ),
-            **analyzer,
         },
         "baseline": {
             "description": (
@@ -409,11 +384,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{row['certificate_audit_s']:.4f}s "
             f"({row['phase_speedup']}x)"
         )
-    print(
-        f"analyzer: {analyzer['files_analyzed']} files, "
-        f"{analyzer['rules_run']} rules, "
-        f"median {analyzer['median_s']:.4f}s, ok={analyzer['ok']}"
-    )
     print(f"wrote {out}")
     return 0
 

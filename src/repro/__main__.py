@@ -21,9 +21,6 @@ Commands:
 * ``run`` — execute a declarative ``RunSpec`` JSON file through the
   runtime layer and print (or save) the resulting ``RunArtifact``;
   see ``docs/architecture.md``'s Runtime layer section.
-* ``analyze`` — run the static analyzer (workload constraint prover
-  infrastructure + determinism/race lints) over the source tree and
-  fail on unsuppressed findings; see ``docs/static_analysis.md``.
 * ``serve`` — start the verification control plane: an HTTP daemon
   that executes submitted ``RunSpec`` JSON on a worker pool, caches
   verdicts by canonical spec hash, stores artifacts content-addressed
@@ -397,113 +394,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro import __version__
-    from repro.analysis.static import (
-        Analyzer,
-        AnalyzerConfig,
-        analyze_repo,
-        baseline_payload,
-        diff_against_baseline,
-        load_baseline,
-        load_config,
-        registered_rules,
-        render_json,
-        render_sarif,
-        render_text,
-        rule_descriptions,
-    )
-
-    if args.list_rules:
-        for rule, description in sorted(rule_descriptions().items()):
-            print(f"{rule}: {description}")
-        return 0
-    select = (
-        tuple(
-            token.strip()
-            for token in args.rules.split(",")
-            if token.strip()
-        )
-        if args.rules
-        else ()
-    )
-    unknown = set(select) - set(registered_rules())
-    if unknown:
-        print(
-            f"error: unknown rule(s) {sorted(unknown)}; "
-            "the registered rules are:",
-            file=sys.stderr,
-        )
-        for rule, description in sorted(rule_descriptions().items()):
-            print(f"  {rule}: {description}", file=sys.stderr)
-        return 2
-    if args.paths:
-        config = load_config(Path("pyproject.toml"))
-        if select:
-            config = AnalyzerConfig(
-                select=select, exclude=config.exclude
-            )
-        report = Analyzer(config=config).analyze_paths(
-            [Path(p) for p in args.paths]
-        )
-    else:
-        config = None
-        if select:
-            config = AnalyzerConfig(select=select)
-        report = analyze_repo(config=config)
-    if args.sarif:
-        Path(args.sarif).write_text(
-            render_sarif(
-                report,
-                rule_descriptions(),
-                tool_version=__version__,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-    if args.write_baseline:
-        Path(args.write_baseline).write_text(
-            baseline_payload(report), encoding="utf-8"
-        )
-        print(
-            f"analyze: wrote baseline with "
-            f"{len(report.unsuppressed)} finding(s) to "
-            f"{args.write_baseline}"
-        )
-        return 0
-    if args.json:
-        print(render_json(report))
-    else:
-        print(
-            render_text(
-                report, include_suppressed=args.include_suppressed
-            )
-        )
-    if args.baseline:
-        try:
-            baseline = load_baseline(Path(args.baseline))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        new = diff_against_baseline(report, baseline)
-        if new:
-            print(
-                f"analyze: {len(new)} finding(s) not in baseline "
-                f"{args.baseline}:",
-                file=sys.stderr,
-            )
-            for finding in new:
-                print(f"  {finding.row()}", file=sys.stderr)
-            return 1
-        print(
-            f"analyze: no findings beyond baseline {args.baseline}"
-        )
-        return 0 if not report.errors else 1
-    return 0 if report.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -729,54 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact retention: max total artifact bytes",
     )
     serve.set_defaults(func=cmd_serve)
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="run the static analyzer (prover infra + determinism lints)",
-    )
-    analyze.add_argument(
-        "paths",
-        nargs="*",
-        help="files/directories to analyze (default: the repro package)",
-    )
-    analyze.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable report instead of text",
-    )
-    analyze.add_argument(
-        "--rules",
-        help="comma-separated rule names to run (default: all registered)",
-    )
-    analyze.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the registered rules with descriptions and exit",
-    )
-    analyze.add_argument(
-        "--include-suppressed",
-        action="store_true",
-        help="show findings silenced by '# repro: allow[rule]' comments",
-    )
-    analyze.add_argument(
-        "--sarif",
-        metavar="PATH",
-        help="also write the report as SARIF 2.1.0 to PATH",
-    )
-    analyze.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help=(
-            "fail only on findings not in this baseline file "
-            "(see --write-baseline)"
-        ),
-    )
-    analyze.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="write the current findings as a new baseline and exit 0",
-    )
-    analyze.set_defaults(func=cmd_analyze)
 
     return parser
 

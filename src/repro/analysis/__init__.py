@@ -1,9 +1,8 @@
-"""Metrics, checker-scaling analysis (S19) and static analysis.
+"""Metrics, checker-scaling analysis (S19) and the constraint prover.
 
-The :mod:`repro.analysis.static` subpackage hosts the pass-based
-static analyzer: the workload constraint prover (OO/WW/WO
-certificates consumed by the checkers, Theorem 7) and the
-determinism/race lint passes behind ``python -m repro analyze``.
+The :mod:`repro.analysis.static` subpackage hosts the workload
+constraint prover: OO/WW/WO certificates consumed by the checkers
+(Theorem 7).
 """
 
 from repro.analysis import static

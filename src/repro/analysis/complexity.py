@@ -168,7 +168,7 @@ def measure_exact(
     points: List[ScalingPoint] = []
     for history in histories:
         base = msc_order(history)
-        start = time.perf_counter()  # repro: allow[wall-clock] - measures the checker
+        start = time.perf_counter()  # wall clock: measures the checker
         try:
             result = check_admissible(
                 history,
@@ -176,7 +176,7 @@ def measure_exact(
                 node_limit=node_limit,
                 propagate_rw=propagate_rw,
             )
-            elapsed = time.perf_counter() - start  # repro: allow[wall-clock]
+            elapsed = time.perf_counter() - start
             points.append(
                 ScalingPoint(
                     size=len(history),
@@ -186,7 +186,7 @@ def measure_exact(
                 )
             )
         except SearchBudgetExceeded:
-            elapsed = time.perf_counter() - start  # repro: allow[wall-clock]
+            elapsed = time.perf_counter() - start
             points.append(
                 ScalingPoint(
                     size=len(history),
@@ -206,9 +206,9 @@ def measure(
     """Time an arbitrary boolean checker on each history."""
     points: List[ScalingPoint] = []
     for history in histories:
-        start = time.perf_counter()  # repro: allow[wall-clock] - measures the checker
+        start = time.perf_counter()  # wall clock: measures the checker
         verdict = checker(history)
-        elapsed = time.perf_counter() - start  # repro: allow[wall-clock]
+        elapsed = time.perf_counter() - start
         points.append(
             ScalingPoint(
                 size=len(history), seconds=elapsed, nodes=0, verdict=verdict

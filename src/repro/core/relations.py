@@ -270,10 +270,18 @@ class Relation:
         return self.union(other)
 
     def issubset(self, other: "Relation") -> bool:
-        """True iff every pair of ``self`` is also in ``other``."""
+        """True iff the order ``self`` generates is contained in the
+        order ``other`` generates.
+
+        Compares transitive closures, so the cover-edge generating sets
+        the order builders return compare as the orders they stand for.
+        """
         self._check_same_universe(other)
         return all(
-            mine & ~theirs == 0 for mine, theirs in zip(self._succ, other._succ)
+            mine & ~theirs == 0
+            for mine, theirs in zip(
+                self.closure_rows().succ, other.closure_rows().succ
+            )
         )
 
     def __eq__(self, other: object) -> bool:

@@ -121,11 +121,7 @@ class WorkloadError(ReproError):
     """A workload generator received unsatisfiable parameters."""
 
 
-class StaticAnalysisError(ReproError):
-    """The static analyzer could not read or parse a source file."""
-
-
-class CertificationRefused(StaticAnalysisError):
+class CertificationRefused(ReproError):
     """The constraint prover cannot soundly certify a workload.
 
     Raised when no prover rule applies — e.g. multiple processes issue
@@ -136,7 +132,7 @@ class CertificationRefused(StaticAnalysisError):
     """
 
 
-class InvalidCertificate(StaticAnalysisError):
+class InvalidCertificate(ReproError):
     """A constraint certificate failed its structural audit.
 
     The checker cross-checks every certificate against the concrete

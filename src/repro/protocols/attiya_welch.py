@@ -77,10 +77,10 @@ class AWProcess(BaseProcess):
         stamp: Stamp = (now, self.pid, pending.uid)
         # Enqueue the local copy before the broadcast: once the
         # update is on the wire a peer may act on it, so this
-        # process's own state must already reflect it (the
-        # handler-atomicity discipline; in the cooperative kernel the
-        # two orders are equivalent, but only this one survives a
-        # preemptive scheduler).
+        # process's own state must already reflect it (mutate, then
+        # send; in the cooperative kernel the two orders are
+        # equivalent, but only this one survives a preemptive
+        # scheduler).
         self._enqueue(stamp, pending.program)
         cluster.network.send_to_all(
             self.pid,

@@ -70,6 +70,17 @@ class TestAlgebra:
         assert a.issubset(b)
         assert not b.issubset(a)
 
+    def test_issubset_compares_generated_orders(self):
+        """Fig 1: m-norm holds 2->4 where m-lin holds 2->5, 5->4, so the
+        cover-edge sets differ while the orders nest."""
+        from repro.core import mlin_order, mnorm_order, msc_order
+        from repro.workloads import figure1
+
+        h = figure1()
+        msc, mnorm, mlin = msc_order(h), mnorm_order(h), mlin_order(h)
+        assert msc.issubset(mnorm) and mnorm.issubset(mlin)
+        assert not mlin.issubset(msc)
+
     def test_copy_is_independent(self):
         a = Relation([1, 2], [(1, 2)])
         b = a.copy()

@@ -1,10 +1,11 @@
-"""Regression tests for the races the static lockset pass flagged.
+"""Regression tests for the serve-layer races a static lockset pass
+once found.
 
-Each test here corresponds to a finding the ``lockset`` rule raised
-against the serve layer (PR 9): unlocked metrics read-modify-writes,
-torn ``RunRecord`` snapshots, and unsynchronized worker/serve-thread
-handles.  They hammer the fixed code from many threads and assert the
-exactness/consistency the locks now guarantee.  Thread counts and
+Each test here corresponds to one of those findings: unlocked metrics
+read-modify-writes, torn ``RunRecord`` snapshots, and unsynchronized
+worker/serve-thread handles.  The pass is gone; these tests are what
+pins the fixes.  They hammer the fixed code from many threads and
+assert the exactness/consistency the locks now guarantee.  Thread counts and
 iteration counts are sized so the pre-fix code fails with near
 certainty while the suite stays fast.
 """

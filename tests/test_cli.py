@@ -153,41 +153,3 @@ class TestFigures:
         assert "Figure 1" in out
         assert "stale" in out
 
-
-class TestAnalyze:
-    def test_repo_analyzes_clean(self, capsys):
-        assert main(["analyze"]) == 0
-        out = capsys.readouterr().out
-        assert "0 finding(s)" in out
-
-    def test_json_report(self, capsys):
-        assert main(["analyze", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        assert payload["files_analyzed"] > 50
-        assert "wall-clock" in payload["rules_run"]
-
-    def test_list_rules(self, capsys):
-        assert main(["analyze", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        assert "wall-clock:" in out and "swallowed-error:" in out
-
-    def test_unknown_rule_rejected(self, capsys):
-        assert main(["analyze", "--rules", "no-such-rule"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
-
-    def test_findings_fail_with_exit_1(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\ntime.time()\n")
-        assert main(["analyze", str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "[wall-clock]" in out
-
-    def test_rule_selection_on_explicit_path(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\ntime.time()\n")
-        code = main(
-            ["analyze", "--rules", "unseeded-random", str(bad)]
-        )
-        assert code == 0
-        assert "0 finding(s)" in capsys.readouterr().out

@@ -55,10 +55,9 @@ def test_extending_guide_snippets_are_syntactic():
 
 
 def test_static_analysis_guide_snippets_are_syntactic():
-    """Executing these would register the example lint pass globally,
-    so only compile them (the real flows are covered by
-    tests/analysis/)."""
+    """The prover guide's snippet certifies a protocol run: it must
+    compile and run."""
     blocks = python_blocks(DOCS / "static_analysis.md")
-    assert len(blocks) >= 2
+    assert blocks
     for block in blocks:
-        compile(block, "<static_analysis.md>", "exec")
+        exec(compile(block, "<static_analysis.md>", "exec"), {})  # noqa: S102

@@ -7,8 +7,14 @@ be reachable from the top-level ``repro`` namespace.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 PACKAGES = [
     "repro",
@@ -110,6 +116,34 @@ def test_the_chaos_harness_is_gone_from_sim():
         "plan", "crashes", "restarts", "failovers", "partitions",
         "detector", "degraded", "audits", "abcast_cursors",
     ]
+
+
+def test_the_self_linter_is_gone():
+    """The constraint prover is all that is left of ``analysis.static``:
+    no analyzer module, no ``analyze`` subcommand, and a run imports
+    nothing else from the package."""
+    from repro.__main__ import main
+
+    for name in ("cfg", "dataflow", "findings", "flows", "framework",
+                 "lints", "locks", "report", "sarif"):
+        assert importlib.util.find_spec(f"repro.analysis.static.{name}") is None
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze"])
+    assert exc.value.code == 2
+    probe = (
+        "import sys\n"
+        "from repro.runtime import RunSpec, execute\n"
+        "execute(RunSpec('msc'))\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('repro.analysis.static')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": SRC},
+    ).stdout
+    assert out.strip() == str(
+        ["repro.analysis.static", "repro.analysis.static.prover"]
+    )
 
 
 def test_abcast_exports_both_sequencer_layers():

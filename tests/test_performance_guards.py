@@ -276,15 +276,3 @@ def test_witness_costs_at_most_5x_the_bare_verdict_at_4000_mops():
     bare = min(scan - witness for scan, witness in runs)
     assert with_witness < 5.0 * bare
 
-
-def test_full_repo_static_analysis_under_10s():
-    # The flow-sensitive passes (CFG + fixpoint per function) must not
-    # push a whole-tree `repro analyze` past the point where it can
-    # run on every lint/CI invocation.  tools/bench_gate.py enforces
-    # the same 10 s budget on BENCH_checkers.json's analyzer row.
-    from repro.analysis.static import analyze_repo
-
-    report, seconds = timed(analyze_repo)
-    assert report.files_analyzed > 50
-    assert len(report.rules_run) >= 8
-    assert seconds < 10.0

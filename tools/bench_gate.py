@@ -29,13 +29,6 @@ their baselines do, and retired sizes linger in old baselines.
 Sub-millisecond time baselines are skipped outright — at that scale
 the medians are dominated by timer and allocator jitter, not by the
 code under test.
-
-Checker artifacts additionally carry a ``static_analyzer`` section
-(the wall clock of one full ``python -m repro analyze`` pass).  That
-row is gated against an **absolute** budget rather than a ratio: the
-flow-sensitive passes must keep a full-repo run under
-``ANALYZER_BUDGET_SECONDS`` so the analyzer stays cheap enough to run
-on every lint/CI invocation.
 """
 
 from __future__ import annotations
@@ -48,11 +41,6 @@ from typing import Dict, List, Optional, Tuple
 
 #: Baseline medians below this are too noisy to gate on.
 MIN_GATED_SECONDS = 0.001
-
-#: Hard ceiling for a full-repo ``repro analyze`` pass.  Absolute, not
-#: relative: the analyzer runs inside ``make lint`` and the CI analyze
-#: job, so its cost must stay flat as rules accumulate.
-ANALYZER_BUDGET_SECONDS = 10.0
 
 Key = Tuple
 
@@ -147,28 +135,6 @@ def _gate_events_throughput(
     (failures if ratio > factor else notes).append(line)
 
 
-def _gate_analyzer(
-    fresh: dict, failures: List[str], notes: List[str]
-) -> None:
-    """Absolute wall-clock budget for the static-analyzer row."""
-    row = fresh.get("static_analyzer")
-    if not isinstance(row, dict) or "median_s" not in row:
-        return
-    median = float(row["median_s"])
-    line = (
-        f"static_analyzer median_s: {median:.4f}s "
-        f"(budget {ANALYZER_BUDGET_SECONDS:.0f}s, "
-        f"{row.get('files_analyzed', '?')} files, "
-        f"{row.get('rules_run', '?')} rules)"
-    )
-    (failures if median > ANALYZER_BUDGET_SECONDS else notes).append(line)
-    if not row.get("ok", True):
-        failures.append(
-            "static_analyzer: the benched analyze pass itself reported "
-            "findings or errors (ok=false)"
-        )
-
-
 def gate(
     fresh: dict, baseline: dict, *, factor: float = 2.0
 ) -> Tuple[List[str], List[str]]:
@@ -200,7 +166,6 @@ def gate(
                 key, fresh_row, base_row, "median_s", factor,
                 failures, notes,
             )
-    _gate_analyzer(fresh, failures, notes)
     return failures, notes
 
 

@@ -7,12 +7,7 @@ checks the standard library can do on its own:
 
 * every Python file byte-compiles (``compileall`` — catches syntax
   errors, the bulk of ruff's E9xx class);
-* no file mixes tabs and spaces in indentation (``tokenize``);
-* the project's own static analyzer (``repro.analysis.static``) runs
-  its full rule set over ``src/`` — the syntactic determinism lints
-  *and* the flow-sensitive passes (``lockset``, ``span-pairing``,
-  ``swallowed-error``, ``handler-atomicity``); it is stdlib-only, so
-  it is available wherever the package itself imports.
+* no file mixes tabs and spaces in indentation (``tokenize``).
 
 Exit status 0 means clean under whichever linter ran.
 """
@@ -64,39 +59,9 @@ def run_fallback() -> int:
     for target in TARGETS:
         for path in sorted((ROOT / target).rglob("*.py")):
             failures += _check_indentation(path)
-    failures += _run_static_analyzer()
     status = "clean" if not failures else f"{failures} problem(s)"
     print(f"lint: fallback checks {status}")
     return 1 if failures else 0
-
-
-def _run_static_analyzer() -> int:
-    """Run the repo's own stdlib-only lint passes over ``src/``.
-
-    Counts each unsuppressed finding (and each file the analyzer could
-    not parse) as one failure; see ``docs/static_analysis.md``.
-    """
-    src = str(ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
-    try:
-        from repro.analysis.static import analyze_repo
-    except ImportError as exc:  # package broken: compileall already flagged it
-        print(f"lint: static analyzer unavailable ({exc}); skipping")
-        return 0
-    report = analyze_repo()
-    print(
-        f"lint: repro analyze ran {len(report.rules_run)} rule(s) "
-        f"({', '.join(report.rules_run)}) over "
-        f"{report.files_analyzed} file(s): "
-        f"{len(report.unsuppressed)} finding(s), "
-        f"{len(report.errors)} error(s)"
-    )
-    for finding in report.unsuppressed:
-        print(f"  {finding.row()}")
-    for error in report.errors:
-        print(f"  {error}")
-    return len(report.unsuppressed) + len(report.errors)
 
 
 def _check_indentation(path: Path) -> int:
