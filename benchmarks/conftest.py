@@ -61,20 +61,12 @@ def violated_workload(n_mops: int, kind: str):
     the checker rejects; fresh per call, like :func:`checker_workload`.
     """
     from repro.core import check_condition
-    from repro.workloads import corrupt_history
+    from repro.workloads import corrupt_history, corruption_kind
 
     history, ww = checker_workload(n_mops)
     for seed in range(64):
         twin = corrupt_history(history, seed=seed)
-        if twin is None:
-            continue
-        (key,) = [
-            k
-            for k, writer in twin.reads_from_map.items()
-            if history.reads_from_map[k] != writer
-        ]
-        newer = twin.reads_from_map[key] > history.reads_from_map[key]
-        if newer != (kind == "future"):
+        if twin is None or corruption_kind(history, twin) != kind:
             continue
         if not check_condition(twin, "m-sc", extra_pairs=ww).holds:
             return corrupt_history(history, seed=seed), ww

@@ -130,14 +130,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         status = "HOLDS" if verdict.holds else "VIOLATED"
         print(f"{label:<28} {status}  [{verdict.method_used} checker]")
         failures += not verdict.holds
-        if not verdict.holds and args.explain:
-            from repro.core.diagnostics import explain
-
-            diagnosis = explain(history, condition)
-            indented = "\n".join(
-                "    " + line for line in diagnosis.detail.splitlines()
-            )
-            print(indented)
+        if not verdict.holds:
+            for line in str(verdict.refutation).splitlines():
+                print("    " + line)
     causal = check_m_causal_consistency(history)
     status = "HOLDS" if causal.holds else "VIOLATED"
     extra = (
@@ -423,11 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict",
         action="store_true",
         help="exit non-zero when any condition is violated",
-    )
-    check.add_argument(
-        "--explain",
-        action="store_true",
-        help="diagnose each violation (cycle / illegal triple / search)",
     )
     check.set_defaults(func=cmd_check)
 

@@ -12,6 +12,7 @@ Sub-modules:
 * :mod:`repro.core.constraints` — OO/WW/WO constraints, ``~rw``, ``~H+``.
 * :mod:`repro.core.admissibility` — exact (NP-complete) admissibility.
 * :mod:`repro.core.consistency` — m-SC / m-lin / m-norm checkers.
+* :mod:`repro.core.refutation` — why a violated verdict is violated.
 """
 
 from repro.core.admissibility import (
@@ -51,7 +52,6 @@ from repro.core.constraints import (
     satisfies_wo,
     satisfies_ww,
 )
-from repro.core.diagnostics import Explanation, explain
 from repro.core.history import History
 from repro.core.index import HistoryIndex, IndexStats
 from repro.core.legality import (
@@ -65,7 +65,6 @@ from repro.core.monitor import (
     LiveMonitor,
     MonitorUsageError,
     ObservedOp,
-    StreamViolation,
     verify_stream,
 )
 from repro.core.operation import (
@@ -89,6 +88,7 @@ from repro.core.orders import (
     reads_from_order,
     real_time_order,
 )
+from repro.core.refutation import Refutation
 from repro.core.relations import Relation, relation_from_sequence
 from repro.core.serialize import (
     history_from_dict,
@@ -114,11 +114,11 @@ __all__ = [
     "ObservedOp",
     "OpKind",
     "Operation",
+    "Refutation",
     "Relation",
     "ScanResult",
     "SearchBudgetExceeded",
     "SearchStats",
-    "StreamViolation",
     "base_order",
     "causal_order",
     "check_admissible",
@@ -131,8 +131,6 @@ __all__ = [
     "conflict",
     "constraint_report",
     "count_legal_linearizations",
-    "Explanation",
-    "explain",
     "extended_relation",
     "history_from_dict",
     "history_from_json",

@@ -42,8 +42,8 @@ from repro.core.admissibility import SearchStats, check_admissible
 from repro.core.constraints import satisfies_oo, satisfies_ww
 from repro.core.history import History
 from repro.core.index import CONDITION_ORDERS, HistoryIndex
-from repro.core.legality import is_legal
 from repro.core.plan import run_scan
+from repro.core.refutation import Refutation, refute_order
 from repro.core.relations import Relation
 from repro.errors import InvalidCertificate, PlanRefused, ReproError
 from repro.obs import get_tracer
@@ -75,6 +75,9 @@ class ConsistencyVerdict:
             that replaced the dynamic constraint phase, or None when
             the constraint was (or would have been) checked
             dynamically.
+        refutation: why the condition fails, as the deciding pass
+            found it (:mod:`repro.core.refutation`); None exactly when
+            it holds.
     """
 
     holds: bool
@@ -83,6 +86,7 @@ class ConsistencyVerdict:
     witness: Optional[List[int]] = None
     stats: SearchStats = field(default_factory=SearchStats)
     certificate: Optional[str] = None
+    refutation: Optional[Refutation] = None
 
     def __bool__(self) -> bool:
         return self.holds
@@ -117,18 +121,9 @@ def _check(
                     "the exact admissibility search has no windowed "
                     "form; drop window"
                 )
-            # The exact search needs neither the closure nor the
-            # constraint verdicts.
+            # The exact search needs no constraint verdicts.
             base = index.base_relation(condition, extra)
-            with tracer.span("check.exact"):
-                result = check_admissible(history, base, node_limit=node_limit)
-            return ConsistencyVerdict(
-                holds=result.admissible,
-                condition=condition,
-                method_used="exact",
-                witness=result.witness,
-                stats=result.stats,
-            )
+            return _check_exact(history, condition, base, extra, node_limit)
 
         # A static certificate (repro.analysis.static.prover) replaces
         # the dynamic constraint phase: Theorem 7's precondition was
@@ -184,6 +179,7 @@ def _check(
                 method_used="constrained",
                 witness=result.witness,
                 certificate=cert.rule,
+                refutation=result.refutation,
             )
 
         # No usable chain: the monolithic Theorem-7 path.
@@ -192,7 +188,9 @@ def _check(
             closure = base.transitive_closure()
 
         if cert is not None:
-            verdict = _check_constrained(history, base, closure, condition)
+            verdict = _check_constrained(
+                history, base, closure, condition, extra
+            )
             verdict.certificate = cert.rule
             return verdict
 
@@ -209,17 +207,41 @@ def _check(
             )
 
         if constrained_ok:
-            return _check_constrained(history, base, closure, condition)
+            return _check_constrained(
+                history, base, closure, condition, extra
+            )
+        return _check_exact(history, condition, base, extra, node_limit)
 
-        with tracer.span("check.exact"):
-            result = check_admissible(history, base, node_limit=node_limit)
-        return ConsistencyVerdict(
-            holds=result.admissible,
-            condition=condition,
-            method_used="exact",
-            witness=result.witness,
-            stats=result.stats,
+
+def _check_exact(
+    history: History,
+    condition: str,
+    base: Relation,
+    extra: Tuple[Tuple[int, int], ...],
+    node_limit: Optional[int],
+) -> ConsistencyVerdict:
+    """The exact search.  A violation its pre-checks caught (cyclic or
+    illegal base order) is refuted from the closure they share with
+    ``base``; any other is the search's own."""
+    with get_tracer().span("check.exact"):
+        base.closure_rows()  # cached on base, so the search's copy shares it
+        result = check_admissible(history, base, node_limit=node_limit)
+    refutation = None
+    if not result.admissible:
+        stats = result.stats
+        if stats.pruned_cyclic or stats.pruned_illegal:
+            refutation = refute_order(history, condition, base, extra)
+        refutation = refutation or Refutation(
+            "search", condition, stats=stats
         )
+    return ConsistencyVerdict(
+        holds=result.admissible,
+        condition=condition,
+        method_used="exact",
+        witness=result.witness,
+        stats=result.stats,
+        refutation=refutation,
+    )
 
 
 def _check_constrained(
@@ -227,6 +249,7 @@ def _check_constrained(
     base: Relation,
     closure: Relation,
     condition: str,
+    extra: Tuple[Tuple[int, int], ...],
 ) -> ConsistencyVerdict:
     """Theorem 7: under OO/WW, admissible ⟺ legal.
 
@@ -240,10 +263,11 @@ def _check_constrained(
     """
     tracer = get_tracer()
     with tracer.span("check.legality"):
-        if not closure.is_acyclic():
-            return ConsistencyVerdict(False, condition, "constrained")
-        if not is_legal(history, closure):
-            return ConsistencyVerdict(False, condition, "constrained")
+        refutation = refute_order(history, condition, base, extra)
+    if refutation is not None:
+        return ConsistencyVerdict(
+            False, condition, "constrained", refutation=refutation
+        )
     with tracer.span("check.witness"):
         extended = base.copy()
         for a_uid, c_uid in HistoryIndex.of(history).rw_cover_under(closure):

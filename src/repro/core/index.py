@@ -1,13 +1,13 @@
 """Shared derived-data layer over a history (the "history index").
 
 Every checking layer in this package — the Section 2.3 checkers, the
-Theorem 7 constraint tests, legality (D 4.6), diagnostics, the
-admissibility search, the live monitor and the chaos audits — needs
-the same derived data: per-process chains, per-object writer
-timelines and masks, the reads-from edges, the update / conflict /
-co-writer masks (D 4.8-D 4.10), and the generating orders
-``~p ∪ ~rf [∪ ~t | ∪ ~x]`` with their transitive closures.  Before
-this layer each consumer rebuilt all of that from scratch;
+Theorem 7 constraint tests, legality (D 4.6), the refutations of
+violated verdicts, the admissibility search, the live monitor and the
+chaos audits — needs the same derived data: per-process chains,
+per-object writer timelines and masks, the reads-from edges, the
+update / conflict / co-writer masks (D 4.8-D 4.10), and the generating
+orders ``~p ∪ ~rf [∪ ~t | ∪ ~x]`` with their transitive closures.
+Before this layer each consumer rebuilt all of that from scratch;
 :class:`HistoryIndex` computes each piece once per history and caches
 it.  (The streaming consumers — protocol recorder, fault runs —
 feed :class:`repro.core.monitor.LiveMonitor`, which never builds a
@@ -150,7 +150,7 @@ class HistoryIndex:
 
     Obtain via :meth:`HistoryIndex.of` — the instance is cached on the
     history, so every layer touching the same history (the three
-    checkers, legality, diagnostics, metrics, the CLI) shares one
+    checkers, legality, refutations, metrics, the CLI) shares one
     index and therefore one copy of each derived structure.
 
     The relations returned by :meth:`base_relation` are shared cached
@@ -331,7 +331,7 @@ class HistoryIndex:
         self, closure: Relation
     ) -> List[InterferingTriple]:
         """The D 4.6-violating triples, in :meth:`interfering_triples`
-        order — diagnostic twin of :meth:`legal_under`."""
+        order: every hit of :meth:`legal_under`."""
         pos = self.positions
         timelines = self.writer_timelines
         bad: Dict[InterferingTriple, None] = {}

@@ -79,60 +79,54 @@ def illegal_triples(
     history: History, closure: Relation
 ) -> List[InterferingTriple]:
     """All interfering triples that violate D 4.6, in
-    :func:`interfering_triples` order — for diagnostics."""
+    :func:`interfering_triples` order."""
     return HistoryIndex.of(history).illegal_triples_under(closure)
 
 
 def is_legal_sequence(history: History, order: Sequence[int]) -> bool:
     """Directly check legality of a total order of the history's uids.
 
-    Replays ``order`` left to right, tracking the last external writer
-    of every object, and checks each m-operation's external reads
-    against the current last writer.  This is the operational reading
-    of a "legal sequential history" (Section 2.2) and is used both by
-    the exact admissibility search and as an independent oracle in
-    tests.
+    The operational reading of a "legal sequential history" (Section
+    2.2), used both by the exact admissibility search and as an
+    independent oracle in tests: ``order`` is a permutation of the
+    history's m-operations in which :func:`first_illegal_read` finds
+    no violated read.
 
     Args:
         history: the history whose m-operations are being sequenced.
         order: a permutation of ``history.uids``; the initial
             m-operation may be omitted, in which case it is implicitly
             first.
-
-    Returns:
-        True iff every external read in the sequence reads from the
-        most recent preceding external write on its object.
     """
-    order = list(order)
-    if history.init.uid not in order:
-        order = [history.init.uid] + order
-    if set(order) != set(history.uids) or len(order) != len(history.uids):
+    try:
+        return first_illegal_read(history, order) is None
+    except ValueError:  # not a permutation
         return False
-    if order[0] != history.init.uid:
-        return False
-    last_writer: Dict[str, int] = {}
-    for uid in order:
-        mop = history[uid]
-        for obj in mop.external_reads:
-            expected = history.writer_of(uid, obj)
-            if last_writer.get(obj) != expected:
-                return False
-        for obj in mop.external_writes:
-            last_writer[obj] = uid
-    return True
 
 
 def first_illegal_read(
     history: History, order: Sequence[int]
 ) -> Optional[Tuple[int, str, int, Optional[int]]]:
-    """Diagnostic twin of :func:`is_legal_sequence`.
+    """The first violated read of a total order of the history's uids.
 
-    Returns ``(reader_uid, obj, expected_writer, actual_last_writer)``
-    for the first violated read, or None if the sequence is legal.
+    Replays ``order`` left to right, tracking the last external writer
+    of every object, and checks each m-operation's external reads
+    against the current last writer.  Returns ``(reader_uid, obj,
+    expected_writer, actual_last_writer)``, or None if the sequence is
+    legal.
+
+    Raises:
+        ValueError: ``order`` is not a permutation of ``history.uids``
+            (the initial m-operation may be omitted, else first).
     """
     order = list(order)
     if history.init.uid not in order:
         order = [history.init.uid] + order
+    if sorted(order) != sorted(history.uids) or order[0] != history.init.uid:
+        raise ValueError(
+            f"{order} is not a permutation of the history's m-operations "
+            "with the initial one first"
+        )
     last_writer: Dict[str, int] = {}
     for uid in order:
         mop = history[uid]

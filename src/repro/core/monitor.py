@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.operation import INIT_UID
+from repro.core.refutation import Refutation
 from repro.errors import ReproError
 
 #: Position assigned to the imaginary initial m-operation.
@@ -59,29 +60,6 @@ INIT_POS = -1
 
 class MonitorUsageError(ReproError):
     """The live monitor was fed an out-of-contract stream."""
-
-
-@dataclass(frozen=True)
-class StreamViolation:
-    """One detected inconsistency.
-
-    Attributes:
-        uid: the m-operation whose completion exposed the violation.
-        obj: the object whose read is illegal ("" when no read is).
-        expected_writer: the writer the read claims.
-        actual_writer: a writer ordered between it and the reader
-            (None for order cycles and never-delivered updates).
-        detail: human-readable narrative.
-    """
-
-    uid: int
-    obj: str
-    expected_writer: int
-    actual_writer: Optional[int]
-    detail: str
-
-    def __str__(self) -> str:
-        return self.detail
 
 
 @dataclass
@@ -154,13 +132,16 @@ class LiveMonitor:
     deterministically, without waiting out the slack window.
     ``flush()`` (called by the cluster at finalize) is the terminal
     barrier: it releases the remainder and converts any completion
-    still blocked on a never-announced broadcast position into a
-    :class:`StreamViolation` — an executed read whose writer was never
-    delivered anywhere is itself a consistency violation, not a usage
-    error, so the tap-ordering race can no longer mask a verdict.
+    still blocked on a never-announced broadcast position into an
+    ``"undelivered"`` refutation — an executed read whose writer was
+    never delivered anywhere is itself a consistency violation, not a
+    usage error, so the tap-ordering race can no longer mask a verdict.
 
-    Violations are collected in :attr:`violations` and are permanent
-    (the order only grows); the stream may continue afterwards.
+    Violations are collected in :attr:`violations` as
+    :class:`~repro.core.refutation.Refutation` values over the order
+    ``~p ∪ ~rf [∪ ~t]`` plus the ``~ww`` chain (label ``extra``); they
+    are permanent (the order only grows) and the stream may continue
+    afterwards.
     """
 
     def __init__(
@@ -200,7 +181,7 @@ class LiveMonitor:
         self._now = float("-inf")
         #: completions released to the checks so far.
         self.observed = 0
-        self.violations: List[StreamViolation] = []
+        self.violations: List[Refutation] = []
         #: prefix seals performed (one per ``window`` announcements).
         self.epochs = 0
         #: writer-timeline slots discarded by sealing.
@@ -263,43 +244,23 @@ class LiveMonitor:
         A completion still blocked here depends on a broadcast
         position that will never be announced — its writer (or the
         update itself) was never delivered.  That is a verdict, not a
-        bookkeeping state: each such completion is recorded as a
-        :class:`StreamViolation`.
+        bookkeeping state: each such completion is recorded as an
+        ``"undelivered"`` refutation.
         """
         self._now = float("inf")
         self.barrier()
         blocked, self._queue = sorted(self._queue), []
         positions = self._pos
         for _resp, _arrival, op in blocked:
-            missing = sorted(
-                {w for w in op.reads_from.values() if w not in positions}
-                | (
-                    {op.uid}
-                    if op.is_update and op.uid not in positions
-                    else set()
-                )
-            )
-            obj, expected = next(
-                (
-                    (o, w)
-                    for o, w in sorted(op.reads_from.items())
-                    if w not in positions
-                ),
-                (op.writes[0] if op.writes else "", op.uid),
-            )
+            missing = {w for w in op.reads_from.values() if w not in positions}
+            if op.is_update and op.uid not in positions:
+                missing.add(op.uid)
             self.violations.append(
-                StreamViolation(
-                    uid=op.uid,
-                    obj=obj,
-                    expected_writer=expected,
-                    actual_writer=None,
-                    detail=(
-                        f"m#{op.uid} completed but "
-                        f"{', '.join(f'm#{m}' for m in missing)} never "
-                        "received a broadcast position: the update it "
-                        "depends on was never delivered (~ww tap never "
-                        "landed)"
-                    ),
+                Refutation(
+                    "undelivered",
+                    self.condition,
+                    undelivered=tuple(sorted(missing)),
+                    blocked=op.uid,
                 )
             )
 
@@ -383,11 +344,11 @@ class LiveMonitor:
             if pos[writer] > mark:
                 mark = pos[writer]
 
-        violation: Optional[StreamViolation] = None
+        violation: Optional[Refutation] = None
         own = pos[uid] if op.is_update else None
         if own is not None:
             if mark >= own:
-                violation = self._cycle(op, own, mark, reads)
+                violation = self._cycle(uid, own, mark, reads)
             else:
                 mark = own
 
@@ -407,17 +368,11 @@ class LiveMonitor:
             while k >= 0 and uids[k] == uid:
                 k -= 1  # the reader's own write is not a predecessor
             if k >= 0 and positions[k] > b_pos and violation is None:
-                violation = StreamViolation(
-                    uid=uid,
+                violation = Refutation(
+                    "illegal",
+                    self.condition,
+                    triple=(uid, writer, uids[k]),
                     obj=obj,
-                    expected_writer=writer,
-                    actual_writer=uids[k],
-                    detail=(
-                        f"illegal triple (D 4.6): m#{uid} reads {obj!r} "
-                        f"from m#{writer}, but writer m#{uids[k]} is "
-                        "ordered between them under the recorded ~ww "
-                        "order"
-                    ),
                 )
 
         # Advance the marks.
@@ -431,40 +386,25 @@ class LiveMonitor:
             self.violations.append(violation)
 
     def _cycle(
-        self,
-        op: ObservedOp,
-        own: int,
-        mark: int,
-        reads: List[Tuple[str, int]],
-    ) -> StreamViolation:
-        """The violation for an update whose predecessors already see
-        broadcast position ``mark >= own``."""
+        self, uid: int, own: int, mark: int, reads: List[Tuple[str, int]]
+    ) -> Refutation:
+        """The cycle through an update whose predecessors already see
+        broadcast position ``mark >= own``: a read from a later update
+        ``w`` is ``uid -extra-> w -rf-> uid``; otherwise the update at
+        ``mark`` follows ``uid`` on the chain and precedes it along a
+        path of the order (or is ``uid`` itself)."""
         pos = self._pos
-        for obj, writer in reads:
+        for _obj, writer in reads:
             if pos[writer] >= own:
-                return StreamViolation(
-                    uid=op.uid,
-                    obj=obj,
-                    expected_writer=writer,
-                    actual_writer=None,
-                    detail=(
-                        f"order cycle: m#{op.uid} (update, ww position "
-                        f"{own}) reads {obj!r} from m#{writer} which is "
-                        f"broadcast *later* (position {pos[writer]}) — "
-                        "a reads-from-the-future cycle"
-                    ),
-                )
-        return StreamViolation(
-            uid=op.uid,
-            obj="",
-            expected_writer=op.uid,
-            actual_writer=None,
-            detail=(
-                f"order cycle: m#{op.uid} (update, ww position {own}) "
-                "is ordered after an m-operation that already observes "
-                f"broadcast position {mark}"
-            ),
-        )
+                cycle = ((uid, "extra"), (writer, "rf"))
+                break
+        else:
+            if mark == own:
+                cycle = ((uid, "path"),)
+            else:
+                later = next(itertools.islice(self._pos, mark + 1, None))
+                cycle = ((uid, "extra"), (later, "path"))
+        return Refutation("cycle", self.condition, cycle=cycle)
 
 
 def verify_stream(

@@ -21,8 +21,9 @@ non-initial base edge is then intra-process, so a reader's mark and
 the writers of the object it reads all lie in its own process's
 segment of the chain.
 
-:func:`run_scan` reports acyclicity, legality, a linear-size cover of
-the D 4.11 ``~rw`` pairs and a witness linearization.
+:func:`run_scan` reports a linear-size cover of the D 4.11 ``~rw``
+pairs and a witness linearization, or the refutation — a cycle or an
+illegal read — that stopped it.
 
 Verdict fidelity
 ----------------
@@ -57,6 +58,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.history import History
 from repro.core.index import HistoryIndex, rw_cover_pairs
+from repro.core.refutation import Refutation, label_cycle
 from repro.errors import PlanRefused, RelationError, WindowExceeded
 from repro.obs import get_tracer
 
@@ -68,16 +70,17 @@ _NO_MARK = -2
 
 @dataclass
 class ScanResult:
-    """Outcome of one forward legality scan (``rw``: the ``~rw`` cover)."""
+    """Outcome of one forward legality scan: when it holds, the ``~rw``
+    cover and a witness, else the cycle or illegal read that stopped
+    it."""
 
-    acyclic: bool
-    legal: bool
     rw: Tuple[Pair, ...] = ()
     witness: Optional[List[int]] = None
+    refutation: Optional[Refutation] = None
 
     @property
     def holds(self) -> bool:
-        return self.acyclic and self.legal
+        return self.refutation is None
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +141,29 @@ def _fifo_topo(
     if len(order) != n:
         return None
     return order
+
+
+def _unpopped_cycle(adj: List[List[int]], indegree: List[int]) -> List[int]:
+    """A cycle among the positions a Kahn pass left unpopped.
+
+    Each of them keeps an unpopped predecessor (its indegree counts
+    exactly those), so walking backwards from the first one must
+    revisit a position; the walk from there on, reversed, is a cycle.
+    """
+    preds: Dict[int, List[int]] = {}
+    for i, targets in enumerate(adj):
+        if indegree[i]:
+            for j in targets:
+                if indegree[j]:
+                    preds.setdefault(j, []).append(i)
+    walk: List[int] = []
+    step: Dict[int, int] = {}
+    node = min(preds)
+    while node not in step:
+        step[node] = len(walk)
+        walk.append(node)
+        node = preds[node][0]
+    return walk[step[node]:][::-1]
 
 
 def run_scan(
@@ -206,7 +232,10 @@ def run_scan(
             if indegree[j] == 0:
                 ready.append(j)
     if seen != n:
-        return ScanResult(acyclic=False, legal=False)
+        cycle = [uids[i] for i in _unpopped_cycle(adj, indegree)]
+        return ScanResult(
+            refutation=label_cycle(history, condition, extra_pairs, cycle)
+        )
 
     # Per-object writer positions, ascending by chain construction.
     writer_pos: Dict[str, List[int]] = {}
@@ -241,7 +270,12 @@ def run_scan(
         while k >= 0 and names[k] == a_uid:
             k -= 1
         if k >= 0 and positions[k] > b_pos:
-            return ScanResult(acyclic=True, legal=False)
+            return ScanResult(
+                refutation=Refutation(
+                    "illegal", condition, triple=(a_uid, b_uid, names[k]),
+                    obj=obj,
+                )
+            )
 
     rw = tuple(rw_cover_pairs(reads, writer_uid, chain_pos))
     with get_tracer().span(
@@ -254,4 +288,4 @@ def run_scan(
         "Lemma 3/4 violated: extended relation of a legal "
         "constrained history is cyclic"
     )
-    return ScanResult(acyclic=True, legal=True, rw=rw, witness=witness)
+    return ScanResult(rw=rw, witness=witness)

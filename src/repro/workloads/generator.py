@@ -522,6 +522,21 @@ def corrupt_history(
     return rewire_read(history, reader_uid, obj, rng.choice(alternatives))
 
 
+def corruption_kind(history: History, twin: History) -> str:
+    """Whether a :func:`corrupt_history` twin of ``history`` reads a
+    ``"stale"`` writer (older than the one it replaced, by uid: the
+    issue order of :func:`random_serial_history`; an overwriter then
+    sits between them, D 4.6) or a ``"future"`` one (newer: the update
+    order runs against the read, a cycle)."""
+    original = history.reads_from_map
+    ((key, writer),) = [
+        (key, writer)
+        for key, writer in twin.reads_from_map.items()
+        if original.get(key) != writer
+    ]
+    return "future" if writer > original[key] else "stale"
+
+
 def rewire_read(
     history: History, reader_uid: int, obj: str, new_writer: int
 ) -> History:

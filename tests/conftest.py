@@ -70,20 +70,14 @@ def twins(history):
     """``{"valid": h, "stale": ..., "future": ...}``: a
     ``random_serial_history`` and two ``corrupt_history`` twins, one
     reading an older writer than it should, one a newer one."""
-    from repro.workloads import corrupt_history
+    from repro.workloads import corrupt_history, corruption_kind
 
     found = {"valid": history}
     for seed in range(64):
         twin = corrupt_history(history, seed=seed)
         if twin is None:
             continue
-        (key,) = [
-            k
-            for k, writer in twin.reads_from_map.items()
-            if history.reads_from_map[k] != writer
-        ]
-        newer = twin.reads_from_map[key] > history.reads_from_map[key]
-        found.setdefault("future" if newer else "stale", twin)
+        found.setdefault(corruption_kind(history, twin), twin)
         if len(found) == 3:
             return found
     raise AssertionError(f"no stale and future twin found: {sorted(found)}")

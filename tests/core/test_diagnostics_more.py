@@ -1,6 +1,6 @@
-"""Additional diagnostics coverage: m-normality and edge branches."""
+"""Refutations under m-normality, and their rendering."""
 
-from repro.core.diagnostics import explain
+from repro.core import check_condition
 from tests.conftest import simple_history
 
 
@@ -9,7 +9,8 @@ class TestMNormDiagnosis:
         h = simple_history(
             [(1, 0, "w x 1", 0.0, 1.0), (2, 1, "r x 1", 2.0, 3.0)]
         )
-        assert explain(h, "m-norm").holds
+        verdict = check_condition(h, "m-norm")
+        assert verdict.holds and verdict.refutation is None
 
     def test_mnorm_stale_read_triple(self):
         h = simple_history(
@@ -19,13 +20,13 @@ class TestMNormDiagnosis:
                 (3, 2, "r x 5", 4.0, 5.0),
             ]
         )
-        result = explain(h, "m-norm")
-        assert not result.holds
-        assert result.kind == "illegal-triple"
+        refutation = check_condition(h, "m-norm").refutation
+        assert refutation.kind == "illegal"
+        assert refutation.triple == (3, 1, 2)
 
     def test_mnorm_passes_where_mlin_fails(self):
         # The separating history from test_consistency: m-normal but
-        # not m-linearizable; explain() must agree on both.
+        # not m-linearizable; the refutation is a real-time cycle.
         h = simple_history(
             [
                 (1, 0, "r y 3", 0.0, 1.0),
@@ -33,20 +34,27 @@ class TestMNormDiagnosis:
                 (3, 2, "r x 2, w y 3", 0.5, 3.0),
             ]
         )
-        assert explain(h, "m-norm").holds
-        mlin = explain(h, "m-lin")
-        assert not mlin.holds
-        assert mlin.kind == "cycle"
+        assert check_condition(h, "m-norm").refutation is None
+        refutation = check_condition(h, "m-lin").refutation
+        assert refutation.kind == "cycle"
+        assert {label for _uid, label in refutation.cycle} <= {"t", "rf"}
 
 
 class TestExplanationRendering:
     def test_str_is_detail(self):
-        h = simple_history([(1, 0, "w x 1")])
-        result = explain(h, "m-sc")
-        assert str(result) == result.detail
+        h = simple_history(
+            [(1, 0, "w x 5", 0.0, 1.0), (2, 1, "r x 5", 2.0, 3.0),
+             (3, 0, "w x 7", 1.5, 1.8)]
+        )
+        refutation = check_condition(h, "m-lin").refutation
+        assert str(refutation) == (
+            "m-lin violated: illegal triple (D 4.6): m#2 reads 'x' from "
+            "m#1, but m#3 overwrites it and is ordered strictly between "
+            "them"
+        )
 
     def test_untimed_history_msc_only(self):
-        # m-sc explanation never needs timestamps.
+        # m-sc refutations never need timestamps.
         h = simple_history(
             [
                 (1, 0, "w x 1"),
@@ -55,6 +63,6 @@ class TestExplanationRendering:
                 (4, 1, "r x 1"),
             ]
         )
-        result = explain(h, "m-sc")
-        assert not result.holds
-        assert result.kind in ("cycle", "illegal-triple", "search")
+        verdict = check_condition(h, "m-sc")
+        assert not verdict.holds
+        assert verdict.refutation.kind in ("cycle", "illegal", "search")

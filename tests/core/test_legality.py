@@ -145,6 +145,16 @@ class TestLegalSequence:
         reader, obj, expected, actual = diag
         assert reader == 2 and obj == "x" and expected == 1 and actual == 3
 
+    @pytest.mark.parametrize("order", [[], [1, 1, 3], [1, 3, 2, 2]])
+    def test_non_permutation_is_no_sequence(self, order):
+        # One replay loop: a non-permutation is illegal for
+        # is_legal_sequence and an error for first_illegal_read, never
+        # "no illegal read".
+        h = simple_history([(1, 0, "w x 1"), (2, 1, "w x 2"), (3, 2, "r x 1")])
+        assert not is_legal_sequence(h, order)
+        with pytest.raises(ValueError):
+            first_illegal_read(h, order)
+
     def test_multi_object_sequence(self):
         h = simple_history(
             [

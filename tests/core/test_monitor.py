@@ -17,6 +17,7 @@ from repro.workloads import (
     shift_process,
     stretch_history,
 )
+from tests.core.test_refutation import accepts
 
 
 def observe(monitor: LiveMonitor, *fields):
@@ -97,9 +98,8 @@ class TestUnitBehaviour:
         observe(monitor, 2, 0, 2.0, 3.0, {}, ("x",), True)
         violation = observe(monitor, 3, 0, 4.0, 5.0, {"x": 1}, (), False)
         assert violation is not None
-        assert violation.obj == "x"
-        assert violation.expected_writer == 1
-        assert violation.actual_writer == 2
+        assert violation.kind == "illegal"
+        assert violation.triple == (3, 1, 2) and violation.obj == "x"
         assert not monitor.consistent
         assert "illegal triple" in monitor.audit()
 
@@ -133,7 +133,8 @@ class TestUnitBehaviour:
         monitor.announce(3, ("y",))
         violation = observe(monitor, 2, 1, 2.0, 3.0, {"y": 3}, ("y",), True)
         assert violation is not None
-        assert "future" in violation.detail
+        # 2 precedes 3 on ~ww, and 3 -rf-> 2.
+        assert violation.cycle == ((2, "extra"), (3, "rf"))
 
     @pytest.mark.parametrize(
         "condition, writer_process", [("m-sc", 0), ("m-lin", 1)]
@@ -151,7 +152,8 @@ class TestUnitBehaviour:
         violation = observe(
             monitor, 1, writer_process, 2.0, 3.0, {}, ("x",), True
         )
-        assert violation is not None and "cycle" in violation.detail
+        assert violation is not None and violation.kind == "cycle"
+        assert violation.cycle == ((1, "path"),)
         assert "cycle" in monitor.audit()
 
     def test_out_of_order_responses_rejected(self):
@@ -263,6 +265,11 @@ class TestAgreementWithBatchChecker:
                 holds = batch_holds(h, condition, chain)
                 monitor = feed_history(h, condition, chain)
                 assert monitor.consistent == holds, (seed, kind)
+                pairs = list(zip(chain, chain[1:]))
+                for refutation in monitor.violations:
+                    assert accepts(h, condition, refutation, pairs, chain), (
+                        seed, kind, refutation,
+                    )
                 checked[kind] += 1
                 violated[kind] += not holds
         assert sum(checked.values()) >= 500  # x 2 conditions >= 1000

@@ -177,7 +177,7 @@ class TestScan:
             (1, 2),
             extra_pairs=((1, 2), (2, 3)),
         )
-        assert result.acyclic and not result.legal
+        assert result.refutation.kind == "illegal"
 
     def test_scan_rw_pairs_match_index(self):
         # ScanResult.rw is the linear-size cover of D 4.11, not the
@@ -210,9 +210,8 @@ class TestWindowedScan:
         windowed = run_scan(
             history, "m-sc", tuple(chain), extra_pairs=ww, window=None
         )
-        assert (full.acyclic, full.legal, full.witness) == (
-            windowed.acyclic,
-            windowed.legal,
+        assert (full.refutation, full.witness) == (
+            windowed.refutation,
             windowed.witness,
         )
 
@@ -235,10 +234,7 @@ class TestWindowedScan:
             extra_pairs=ww,
             window=len(history.mops),
         )
-        assert (full.acyclic, full.legal) == (
-            windowed.acyclic,
-            windowed.legal,
-        )
+        assert full.refutation == windowed.refutation
 
 
 class TestPartitioned:

@@ -151,7 +151,7 @@ class TestLiveViolationDetection:
         )
         assert not monitor.consistent
         first = monitor.violations[0]
-        assert first.obj == "x"
+        assert first.kind == "illegal" and first.obj == "x"
         # Sanity: the same run passes under its actual guarantee.
         assert check_m_sequential_consistency(
             result.history, extra_pairs=result.ww_pairs()
@@ -223,7 +223,7 @@ class TestBarrierAndFlush:
     a bookkeeping failure, not a verdict.  Now `barrier()` gives a
     deterministic drain point (slack-independent, so the outcome
     depends only on the event streams) and `flush()` converts
-    anything still blocked into an explicit `StreamViolation`.
+    anything still blocked into an explicit "undelivered" refutation.
     """
 
     def test_barrier_releases_ready_completions_ignoring_slack(self):
@@ -269,9 +269,10 @@ class TestBarrierAndFlush:
         assert monitor.pending == 0
         assert not monitor.consistent
         violation = monitor.violations[-1]
-        assert violation.uid == 2
-        assert "never received a broadcast position" in violation.detail
-        assert "m#9" in violation.detail
+        assert violation.kind == "undelivered"
+        assert violation.blocked == 2 and violation.undelivered == (9,)
+        assert "never received a broadcast position" in str(violation)
+        assert "m#9" in str(violation)
 
     def test_flush_reports_update_missing_own_position(self):
         from repro.core.monitor import ObservedOp
@@ -283,7 +284,8 @@ class TestBarrierAndFlush:
         )
         monitor.flush()
         assert not monitor.consistent
-        assert "m#4" in monitor.violations[-1].detail
+        assert monitor.violations[-1].undelivered == (4,)
+        assert "m#4" in str(monitor.violations[-1])
 
     def test_flush_clean_monitor_stays_consistent(self):
         from repro.core.monitor import ObservedOp

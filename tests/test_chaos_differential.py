@@ -6,16 +6,20 @@ same question — the streaming monitor replayed over the finished run
 and the uncertified closure checker — are compared with it here, on
 every finished run of the chaos sweeps: crash and partition schedules,
 their negative controls included, so violating histories are covered
-as well as clean ones.
+as well as clean ones.  On a violating run the scan's, the closure's
+and the monitor's refutations must each pass the independent checker
+of ``tests/core/test_refutation.py``.
 
 A tier-1 subset runs unmarked; the full sweeps are marked ``chaos``.
 """
 
 import pytest
 
+from repro.analysis.static import certify_run
 from repro.core import check_condition, verify_stream
 from repro.runtime import execute
 from tests.conftest import chaos_spec
+from tests.core.test_refutation import accepts
 from tests.test_chaos_msc import _recovery
 from tests.test_chaos_partition import CONTROL_SEEDS
 
@@ -93,3 +97,16 @@ def test_stream_closure_and_scan_agree_on_faulty_runs(spec):
     assert stream.consistent == closure.holds == verdict.holds, (
         artifact.summary()
     )
+    if verdict.holds:
+        return
+    # Each refutation, batch or streamed, checks out from the definitions.
+    ww = result.ww_pairs()
+    scan = check_condition(
+        result.history, verdict.condition, extra_pairs=ww,
+        certificate=certify_run(result) if verdict.certificate else None,
+    )
+    for refutation in [scan.refutation, closure.refutation, *stream.violations]:
+        assert accepts(
+            result.history, verdict.condition, refutation, ww,
+            result.ww_sequence,
+        ), refutation

@@ -41,6 +41,17 @@ class TestCheck:
         assert main(["check", torn_file]) == 0  # non-strict
         out = capsys.readouterr().out
         assert "VIOLATED" in out
+        # The refutation the check returned prints under the verdict.
+        lines = out.splitlines()
+        at = next(
+            i for i, line in enumerate(lines)
+            if line.startswith("m-sequential consistency")
+        )
+        assert lines[at + 1] == (
+            "    m-sc violated: illegal triple (D 4.6): m#2 reads 'y' from "
+            "m#0, but m#1 overwrites it and is ordered strictly between "
+            "them"
+        )
 
     def test_strict_exit_code(self, torn_file):
         assert main(["check", "--strict", torn_file]) == 1

@@ -146,6 +146,26 @@ def test_the_self_linter_is_gone():
     )
 
 
+def test_one_refutation_type_explains_every_violation():
+    """The pass that decides also explains: no second explainer, no
+    monitor-only violation type, no ``check --explain``."""
+    import repro
+    import repro.core as core
+    import repro.core.monitor as monitor
+    from repro.__main__ import main
+
+    assert importlib.util.find_spec("repro.core.diagnostics") is None
+    for name in ("Explanation", "explain", "StreamViolation"):
+        assert name not in core.__all__
+        for module in (repro, core, monitor):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert "Refutation" in core.__all__
+    assert "refutation" in core.ConsistencyVerdict.__dataclass_fields__
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--explain", "history.json"])
+    assert exc.value.code == 2
+
+
 def test_abcast_exports_both_sequencer_layers():
     import repro.abcast as abcast
 

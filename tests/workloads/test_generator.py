@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from repro.core import (
+    check_condition,
     is_m_linearizable,
     is_m_sequentially_consistent,
 )
@@ -15,6 +16,7 @@ from repro.workloads import (
     HistoryShape,
     WorkloadMix,
     corrupt_history,
+    corruption_kind,
     random_serial_history,
     random_workloads,
     shift_process,
@@ -217,6 +219,24 @@ class TestCorruption:
             seed=0,
         )
         assert corrupt_history(h, seed=0) is None
+
+    def test_corruption_kind_tells_stale_from_future(self):
+        # Under the serial order a stale read has an overwriter between
+        # its writer and itself, a future read closes a cycle.
+        h = random_serial_history(
+            HistoryShape(n_processes=3, n_objects=2, n_mops=12), seed=5
+        )
+        serial = list(zip(h.uids, h.uids[1:]))
+        proof = {"stale": "illegal", "future": "cycle"}
+        kinds = set()
+        for seed in range(32):
+            twin = corrupt_history(h, seed=seed)
+            if twin is not None:
+                kind = corruption_kind(h, twin)
+                verdict = check_condition(twin, "m-sc", extra_pairs=serial)
+                assert verdict.refutation.kind == proof[kind]
+                kinds.add(kind)
+        assert kinds == {"stale", "future"}
 
     def test_corruption_often_breaks_msc(self):
         broke = 0

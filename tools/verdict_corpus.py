@@ -15,7 +15,9 @@ certificate {none, ``certify_chain``, ``certify_partitioned_history``,
 ``certify_history``} x window {None, 1, wide}.  Each path writes one
 line: ``(holds, method_used, witness, certificate, stats)``, or the
 type and message of what it raised.  A certificate the prover refuses
-is one line of its own and its paths are not run.
+is one line of its own and its paths are not run.  ``checks()`` yields
+the same paths, for a test that wants the verdicts themselves
+(``tests/core/test_refutation.py``).
 
 ``compare`` demands byte equality for every verdict and equal
 exception types; it lists every exception message that differs, for
@@ -31,7 +33,7 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.static import (
     certify_chain,
@@ -124,7 +126,10 @@ def raised(exc: Exception) -> Dict[str, str]:
     return {"raised": type(exc).__name__, "message": str(exc)}
 
 
-def records() -> Iterator[Tuple[str, Dict]]:
+def checks() -> Iterator[Tuple[str, Any, Optional[str], Dict]]:
+    """Every checker path, as ``(label, history, condition, kwargs)``
+    for ``check_condition``; a certificate the prover refuses is
+    ``(label, refusal, None, {})`` and its paths are not run."""
     corpora = (
         ("index", index_corpus()),
         ("partitioned", partitioned_corpus()),
@@ -139,7 +144,7 @@ def records() -> Iterator[Tuple[str, Dict]]:
                 try:
                     certificates[kind] = certify(history)
                 except Exception as exc:  # a refusal is an outcome
-                    yield f"{corpus}[{h}] certify={kind}", raised(exc)
+                    yield f"{corpus}[{h}] certify={kind}", exc, None, {}
             for kind, cert in certificates.items():
                 for method in METHODS:
                     for condition in CONDITIONS:
@@ -149,11 +154,19 @@ def records() -> Iterator[Tuple[str, Dict]]:
                                     f"{corpus}[{h}] {method} {condition} "
                                     f"{extra} cert={kind} window={window}"
                                 )
-                                yield label, verdict(
-                                    history, condition, method=method,
-                                    extra_pairs=pairs, certificate=cert,
-                                    window=window, node_limit=NODE_LIMIT,
+                                yield label, history, condition, dict(
+                                    method=method, extra_pairs=pairs,
+                                    certificate=cert, window=window,
+                                    node_limit=NODE_LIMIT,
                                 )
+
+
+def records() -> Iterator[Tuple[str, Dict]]:
+    for label, subject, condition, kwargs in checks():
+        if condition is None:
+            yield label, raised(subject)  # the prover's refusal
+        else:
+            yield label, verdict(subject, condition, **kwargs)
 
 
 def verdict(history, condition, **kwargs) -> Dict:
