@@ -40,9 +40,10 @@ from typing import List, Optional
 
 from repro.analysis import ProtocolMetrics
 from repro.core import (
+    CONDITIONS,
+    ConstraintNotSatisfied,
     HistoryIndex,
     check_condition,
-    check_m_causal_consistency,
 )
 from repro.core.serialize import load_history
 from repro.errors import (
@@ -107,39 +108,27 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
             return 2
     failures = 0
-    checks = [
-        ("m-sequential consistency", "m-sc"),
-        ("m-linearizability", "m-lin"),
-        ("m-normality", "m-norm"),
-    ]
-    for label, condition in checks:
+    for row in CONDITIONS.values():
         try:
             verdict = check_condition(
                 history,
-                condition,
+                row.name,
                 method=method,
                 certificate=certificate,
                 window=args.window,
             )
         except MissingTimestampsError:
-            print(f"{label:<28} (skipped: history has no timestamps)")
+            print(f"{row.title:<28} (skipped: history has no timestamps)")
             continue
-        except (PlanRefused, WindowExceeded) as exc:
-            print(f"{label:<28} (refused: {exc})")
+        except (PlanRefused, WindowExceeded, ConstraintNotSatisfied) as exc:
+            print(f"{row.title:<28} (refused: {exc})")
             continue
         status = "HOLDS" if verdict.holds else "VIOLATED"
-        print(f"{label:<28} {status}  [{verdict.method_used} checker]")
+        print(f"{row.title:<28} {status}  [{verdict.method_used} checker]")
         failures += not verdict.holds
         if not verdict.holds:
             for line in str(verdict.refutation).splitlines():
                 print("    " + line)
-    causal = check_m_causal_consistency(history)
-    status = "HOLDS" if causal.holds else "VIOLATED"
-    extra = (
-        "" if causal.holds else f" (process P{causal.failing_process})"
-    )
-    print(f"{'m-causal consistency':<28} {status}{extra}")
-    failures += not causal.holds
     return 1 if failures and args.strict else 0
 
 
@@ -152,13 +141,10 @@ def _print_verdicts(artifact) -> None:
         )
         return
     for verdict in artifact.verdicts:
-        if verdict.condition == "m-causal":
-            print(f"m-causally consistent: {verdict.holds}")
-        else:
-            print(
-                f"{verdict.condition} holds: {verdict.holds} "
-                f"[{verdict.method} checker]"
-            )
+        print(
+            f"{verdict.condition} holds: {verdict.holds} "
+            f"[{verdict.method} checker]"
+        )
 
 
 def cmd_demo(args: argparse.Namespace) -> int:

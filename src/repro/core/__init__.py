@@ -5,13 +5,14 @@ Sub-modules:
 * :mod:`repro.core.operation` — operations and m-operations.
 * :mod:`repro.core.history` — histories and the reads-from map.
 * :mod:`repro.core.relations` — relation algebra.
-* :mod:`repro.core.index` — shared per-history derived-data layer.
+* :mod:`repro.core.index` — shared per-history derived-data layer and
+  the :data:`CONDITIONS` table.
 * :mod:`repro.core.plan` — the certified forward legality scan.
 * :mod:`repro.core.orders` — process/reads-from/real-time/object order.
 * :mod:`repro.core.legality` — conflict, interference, legality.
 * :mod:`repro.core.constraints` — OO/WW/WO constraints, ``~rw``, ``~H+``.
 * :mod:`repro.core.admissibility` — exact (NP-complete) admissibility.
-* :mod:`repro.core.consistency` — m-SC / m-lin / m-norm checkers.
+* :mod:`repro.core.consistency` — the checker of every condition.
 * :mod:`repro.core.refutation` — why a violated verdict is violated.
 """
 
@@ -22,25 +23,19 @@ from repro.core.admissibility import (
     check_admissible,
     count_legal_linearizations,
 )
-from repro.core.causal import (
-    CausalVerdict,
-    causal_order,
-    check_m_causal_consistency,
-    check_m_causal_serializability,
-    is_m_causally_consistent,
-    is_m_causally_serializable,
-    restrict_history,
-)
 from repro.core.consistency import (
     ConsistencyVerdict,
     ConstraintNotSatisfied,
     check_condition,
+    check_m_causal_consistency,
     check_m_linearizability,
     check_m_normality,
     check_m_sequential_consistency,
+    is_m_causally_consistent,
     is_m_linearizable,
     is_m_normal,
     is_m_sequentially_consistent,
+    restrict_history,
 )
 from repro.core.constraints import (
     constraint_report,
@@ -53,7 +48,7 @@ from repro.core.constraints import (
     satisfies_ww,
 )
 from repro.core.history import History
-from repro.core.index import HistoryIndex, IndexStats
+from repro.core.index import CONDITIONS, Condition, HistoryIndex, IndexStats
 from repro.core.legality import (
     conflict,
     interfere,
@@ -101,7 +96,8 @@ from repro.core.serialize import (
 
 __all__ = [
     "AdmissibilityResult",
-    "CausalVerdict",
+    "CONDITIONS",
+    "Condition",
     "ConsistencyVerdict",
     "ConstraintNotSatisfied",
     "History",
@@ -120,13 +116,11 @@ __all__ = [
     "SearchBudgetExceeded",
     "SearchStats",
     "base_order",
-    "causal_order",
     "check_admissible",
     "check_condition",
     "check_m_linearizability",
     "check_m_normality",
     "check_m_causal_consistency",
-    "check_m_causal_serializability",
     "check_m_sequential_consistency",
     "conflict",
     "constraint_report",
@@ -144,7 +138,6 @@ __all__ = [
     "is_legal",
     "is_legal_sequence",
     "is_m_causally_consistent",
-    "is_m_causally_serializable",
     "is_m_linearizable",
     "is_m_normal",
     "is_m_sequentially_consistent",

@@ -33,7 +33,7 @@ demands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.constraints import extended_relation
 from repro.core.history import History
@@ -248,7 +248,10 @@ def _search(
             lst[oi] = i
         return tuple(lst)
 
-    def solve(done: int, last_writer: Tuple[int, ...], prefix: List[int]) -> bool:
+    def visit(done: int, last_writer: Tuple[int, ...]):
+        """Expand one node: True when every m-operation is scheduled,
+        False when the node fails outright, else the candidates to
+        branch on, in the order they are tried."""
         stats.nodes += 1
         if node_limit is not None and stats.nodes > node_limit:
             raise SearchBudgetExceeded(
@@ -273,29 +276,39 @@ def _search(
         if use_safe_moves:
             for i in candidates:
                 if not writes[i]:
-                    prefix.append(i)
-                    if solve(done | (1 << i), last_writer, prefix):
-                        return True
-                    prefix.pop()
-                    failed.add(key)
-                    return False
+                    return [i]
+        return candidates
 
-        for i in candidates:
-            prefix.append(i)
-            if solve(done | (1 << i), apply(i, last_writer), prefix):
-                return True
-            prefix.pop()
-        failed.add(key)
-        return False
-
-    start_writer = tuple([NO_WRITER] * len(objects))
+    # Depth-first over an explicit stack (one frame per scheduled
+    # m-operation, so a long history cannot exhaust the interpreter's
+    # recursion limit): each frame is a node's state and its untried
+    # candidates; ``prefix`` holds the candidate taken at each frame
+    # below the top.  A node whose candidates are exhausted fails and
+    # is memoized.
     prefix: List[int] = []
-    # The initial m-operation is always first (it has no predecessors
-    # and everything depends on its writes); let the generic machinery
-    # handle it — it is schedulable at the start because it reads
-    # nothing.
-    if not solve(0, start_writer, prefix):
-        return None
+    state = (0, tuple([NO_WRITER] * len(objects)))
+    outcome = visit(*state)
+    stack: List[Tuple[Tuple[int, Tuple[int, ...]], Iterator[int]]] = []
+    while outcome is not True:
+        if outcome is False:
+            if not stack:
+                return None
+            prefix.pop()
+        else:
+            stack.append((state, iter(outcome)))
+        while True:
+            (done, last_writer), untried = stack[-1]
+            i = next(untried, None)
+            if i is not None:
+                break
+            stack.pop()
+            failed.add((done, last_writer))
+            if not stack:
+                return None
+            prefix.pop()
+        prefix.append(i)
+        state = (done | (1 << i), apply(i, last_writer))
+        outcome = visit(*state)
     assert prefix[0] == init_idx
     return [uids[i] for i in prefix]
 

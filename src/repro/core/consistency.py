@@ -1,23 +1,27 @@
-"""The paper's consistency conditions (Section 2.3) and their checkers.
+"""The paper's consistency conditions (Section 2.3) and their checker.
 
-* **m-sequential consistency** — admissible w.r.t. process order and
-  reads-from relation.
-* **m-linearizability** — admissible w.r.t. process order, reads-from
-  relation and real-time order.
-* **m-normality** — admissible w.r.t. process order, reads-from
-  relation and object order (weaker than m-linearizability: two
-  non-overlapping m-operations are ordered only if they share an
-  object).
+Every condition is a row of :data:`repro.core.index.CONDITIONS`:
+admissibility with respect to ``~p ∪ ~rf``, joined by ``~t``
+(**m-linearizability**), by ``~x`` (**m-normality**: two
+non-overlapping m-operations are ordered only if they share an
+object) or by neither (**m-sequential consistency**), judged over the
+whole history or — **m-causal consistency** — over each process's
+view.  :func:`check_condition` decides any row; the named checkers
+are one-line aliases of it.
 
-Each checker comes in three methods:
+Each condition is checked by one of three methods:
 
 * ``"exact"`` — the branch-and-bound of
   :mod:`repro.core.admissibility` (ground truth; worst-case
-  exponential, per Theorems 1 and 2).
+  exponential, per Theorems 1 and 2), once per view for a
+  per-process row.
 * ``"constrained"`` — the Theorem-7 polynomial path: *requires* the
   history to satisfy the OO- or WW-constraint, under which legality is
   necessary and sufficient for admissibility.  Raises
-  :class:`ConstraintNotSatisfied` when the precondition fails.
+  :class:`ConstraintNotSatisfied` when the precondition fails.  Under
+  the constraint every process's view is constrained too, and each
+  view's reads are the whole history's, so a per-process row's
+  verdict *is* that of the whole-history row with its orders.
 * ``"auto"`` (default) — use the constrained path when the constraint
   holds, fall back to exact search otherwise.
 
@@ -36,12 +40,13 @@ unsound Theorem-7 shortcut.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.admissibility import SearchStats, check_admissible
 from repro.core.constraints import satisfies_oo, satisfies_ww
 from repro.core.history import History
-from repro.core.index import CONDITION_ORDERS, HistoryIndex
+from repro.core.index import HistoryIndex, condition_row
+from repro.core.operation import INIT_UID
 from repro.core.plan import run_scan
 from repro.core.refutation import Refutation, refute_order
 from repro.core.relations import Relation
@@ -63,14 +68,16 @@ class ConsistencyVerdict:
 
     Attributes:
         holds: whether the consistency condition is satisfied.
-        condition: which condition was checked (``"m-sc"``,
-            ``"m-lin"`` or ``"m-norm"``).
+        condition: the :data:`~repro.core.index.CONDITIONS` row
+            checked, by name.
         method_used: ``"exact"`` or ``"constrained"``.
         witness: a legal linearization (uids) when available.  The
             constrained path produces one via the extended relation's
             topological order; the exact path returns the search
-            witness.
-        stats: exact-search statistics (zeroed for constrained runs).
+            witness (none for a per-process row: each view has its
+            own).
+        stats: exact-search statistics, summed over the views of a
+            per-process row (zeroed for constrained runs).
         certificate: rule name of the static constraint certificate
             that replaced the dynamic constraint phase, or None when
             the constraint was (or would have been) checked
@@ -95,14 +102,18 @@ class ConsistencyVerdict:
 def _check(
     history: History,
     condition: str,
-    method: str,
-    node_limit: Optional[int],
-    extra_pairs: Iterable[Tuple[int, int]],
+    *,
+    method: str = "auto",
+    node_limit: Optional[int] = None,
+    extra_pairs: Iterable[Tuple[int, int]] = (),
     certificate=None,
     window: Optional[int] = None,
 ) -> ConsistencyVerdict:
+    row = condition_row(condition)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    # A per-process row searches each view; otherwise one search.
+    search = _check_views if row.per_process else _check_exact
 
     tracer = get_tracer()
     with tracer.span(
@@ -123,7 +134,7 @@ def _check(
                 )
             # The exact search needs no constraint verdicts.
             base = index.base_relation(condition, extra)
-            return _check_exact(history, condition, base, extra, node_limit)
+            return search(history, condition, base, extra, node_limit)
 
         # A static certificate (repro.analysis.static.prover) replaces
         # the dynamic constraint phase: Theorem 7's precondition was
@@ -150,11 +161,10 @@ def _check(
             # ~t and extra_pairs order m-operations across processes,
             # carrying a reader's mark out of its own segment of an
             # object-partitioned chain; a window needs one total chain.
-            real_time = CONDITION_ORDERS[condition][0]
             if (
                 chain is not None
                 and cert.rule == "object-partitioned"
-                and (real_time or extra or window is not None)
+                and (row.real_time or extra or window is not None)
             ):
                 chain = None
             if window is not None and chain is None:
@@ -210,7 +220,7 @@ def _check(
             return _check_constrained(
                 history, base, closure, condition, extra
             )
-        return _check_exact(history, condition, base, extra, node_limit)
+        return search(history, condition, base, extra, node_limit)
 
 
 def _check_exact(
@@ -240,6 +250,70 @@ def _check_exact(
         method_used="exact",
         witness=result.witness,
         stats=result.stats,
+        refutation=refutation,
+    )
+
+
+def restrict_history(history: History, uids: Sequence[int]) -> History:
+    """The sub-history over ``uids`` (must be reads-from closed).
+
+    ``uids`` must contain, for every kept m-operation, the writers of
+    all its external reads (the initial m-operation is always kept).
+    Raises :class:`~repro.errors.MalformedHistoryError` otherwise,
+    via history validation.
+    """
+    keep = set(uids) | {INIT_UID}
+    mops = [m for m in history.mops if m.uid in keep]
+    reads_from = {
+        (reader, obj): writer
+        for (reader, obj), writer in history.reads_from_map.items()
+        if reader in keep
+    }
+    initial_values = dict(history.init.external_writes)
+    return History.from_mops(
+        mops, initial_values=initial_values, reads_from=reads_from
+    )
+
+
+def _check_views(
+    history: History,
+    condition: str,
+    base: Relation,
+    extra: Tuple[Tuple[int, int], ...],
+    node_limit: Optional[int],
+) -> ConsistencyVerdict:
+    """The exact search of a per-process row.  A cycle or illegal read
+    of the whole order lies in some view, so one :func:`refute_order`
+    pass refutes it; otherwise each process's view — every update plus
+    the process's own m-operations, ordered by the closure restricted
+    to them — is searched in turn, and the first inadmissible one is
+    the refutation."""
+    stats = SearchStats()
+    with get_tracer().span("check.views"):
+        refutation = refute_order(history, condition, base, extra)
+        closure = base.transitive_closure()
+        for proc in history.processes if refutation is None else ():
+            view = restrict_history(
+                history,
+                [m.uid for m in history.mops
+                 if m.is_update or m.process == proc],
+            )
+            result = check_admissible(
+                view, closure.restricted_to(view.uids), node_limit=node_limit
+            )
+            stats.nodes += result.stats.nodes
+            stats.memo_hits += result.stats.memo_hits
+            stats.dead_ends += result.stats.dead_ends
+            if not result.admissible:
+                refutation = Refutation(
+                    "search", condition, stats=result.stats, process=proc
+                )
+                break
+    return ConsistencyVerdict(
+        holds=refutation is None,
+        condition=condition,
+        method_used="exact",
+        stats=stats,
         refutation=refutation,
     )
 
@@ -287,128 +361,84 @@ def _normalize_extra(
     return tuple(sorted({(a, b) for a, b in extra_pairs if a != b}))
 
 
-def check_m_sequential_consistency(
-    history: History,
-    *,
-    method: str = "auto",
-    node_limit: Optional[int] = None,
-    extra_pairs: Iterable[Tuple[int, int]] = (),
-    certificate=None,
-    window: Optional[int] = None,
-) -> ConsistencyVerdict:
-    """Is the history m-sequentially consistent? (Section 2.3)
-
-    Admissibility with respect to process orders and the reads-from
-    relation.  With m-operations restricted to a single read or write
-    this reduces to Lamport's sequential consistency.
-
-    ``extra_pairs`` adds implementation-level synchronization edges to
-    the base order — typically a protocol run's recorded ``~ww``
-    delivery order (D 5.3), under which the order satisfies the
-    WW-constraint and the check runs in polynomial time (Theorem 7).
-    Note the check then becomes *sufficient* rather than exact:
-    admissibility w.r.t. a larger order implies m-sequential
-    consistency, but not conversely.
-
-    A ``certificate`` whose shape yields an update chain lowers the
-    check to the forward scan of :mod:`repro.core.plan`; ``window``
-    bounds that scan's lookback to so many chain positions, refusing
-    (never deciding wrongly) with
-    :class:`~repro.errors.WindowExceeded` when a read reaches further
-    back, and with :class:`~repro.errors.PlanRefused` when no
-    certificate binds a total update chain to measure along.
-    """
-    return _check(
-        history, "m-sc", method, node_limit, extra_pairs, certificate,
-        window=window,
-    )
-
-
-def check_m_linearizability(
-    history: History,
-    *,
-    method: str = "auto",
-    node_limit: Optional[int] = None,
-    extra_pairs: Iterable[Tuple[int, int]] = (),
-    certificate=None,
-    window: Optional[int] = None,
-) -> ConsistencyVerdict:
-    """Is the history m-linearizable? (Section 2.3)
-
-    Admissibility with respect to process orders, reads-from relation
-    and real-time order: every m-operation appears to take effect at
-    an instant between its invocation and response, and the order of
-    non-overlapping m-operations is preserved.  Requires a timed
-    history.  See :func:`check_m_sequential_consistency` for
-    ``extra_pairs``, ``certificate`` and ``window``.
-    """
-    return _check(
-        history, "m-lin", method, node_limit, extra_pairs, certificate,
-        window=window,
-    )
-
-
-def check_m_normality(
-    history: History,
-    *,
-    method: str = "auto",
-    node_limit: Optional[int] = None,
-    extra_pairs: Iterable[Tuple[int, int]] = (),
-    certificate=None,
-    window: Optional[int] = None,
-) -> ConsistencyVerdict:
-    """Is the history m-normal? (Section 2.3)
-
-    Like m-linearizability but two non-overlapping m-operations are
-    ordered only when they act on a common object (object order ``~x``
-    instead of real-time order ``~t``).  m-linearizability implies
-    m-normality implies m-sequential consistency.  See
-    :func:`check_m_sequential_consistency` for ``extra_pairs``,
-    ``certificate`` and ``window``.
-    """
-    return _check(
-        history, "m-norm", method, node_limit, extra_pairs, certificate,
-        window=window,
-    )
-
-
-#: condition name -> checker, for the :func:`check_condition` dispatcher.
-CHECKERS = {
-    "m-sc": check_m_sequential_consistency,
-    "m-lin": check_m_linearizability,
-    "m-norm": check_m_normality,
-}
-
-
 def check_condition(
     history: History, condition: str, **kwargs
 ) -> ConsistencyVerdict:
-    """Check any condition by name — the single entry point the CLI
-    and the run pipeline share.
+    """Check the :data:`~repro.core.index.CONDITIONS` row named
+    ``condition`` — the single entry point the CLI and the run
+    pipeline share.
 
-    ``kwargs`` are forwarded to the named checker (``method``,
-    ``node_limit``, ``extra_pairs``, ``certificate``, ``window``).
+    Keyword arguments (every row honours each of them):
+
+    * ``method`` — ``"auto"`` (default), ``"exact"`` or
+      ``"constrained"`` (module docstring).
+    * ``node_limit`` — bound on the exact search's expanded nodes
+      (per view for a per-process row), raising
+      :class:`~repro.core.admissibility.SearchBudgetExceeded`.
+    * ``extra_pairs`` — implementation-level synchronization edges
+      added to the base order, typically a protocol run's recorded
+      ``~ww`` delivery order (D 5.3), under which the order satisfies
+      the WW-constraint and the check runs in polynomial time
+      (Theorem 7).  The check then becomes *sufficient* rather than
+      exact: admissibility w.r.t. a larger order implies the
+      condition, but not conversely.
+    * ``certificate`` — a static constraint certificate; one whose
+      shape yields an update chain lowers the check to the forward
+      scan of :mod:`repro.core.plan`.
+    * ``window`` — bounds that scan's lookback to so many chain
+      positions, refusing (never deciding wrongly) with
+      :class:`~repro.errors.WindowExceeded` when a read reaches
+      further back, and with :class:`~repro.errors.PlanRefused` when
+      no certificate binds a total update chain to measure along.
+
+    A row joined by ``~t`` or ``~x`` requires a timed history.
     """
-    try:
-        checker = CHECKERS[condition]
-    except KeyError:
-        raise ValueError(
-            f"unknown condition {condition!r}; expected one of "
-            f"{tuple(CHECKERS)}"
-        ) from None
-    return checker(history, **kwargs)
+    return _check(history, condition, **kwargs)
+
+
+def check_m_sequential_consistency(history: History, **kwargs):
+    """``check_condition(history, "m-sc", ...)``: admissibility w.r.t.
+    process orders and the reads-from relation (Section 2.3).  With
+    single-operation m-operations it is Lamport's sequential
+    consistency."""
+    return check_condition(history, "m-sc", **kwargs)
+
+
+def check_m_linearizability(history: History, **kwargs):
+    """``check_condition(history, "m-lin", ...)``: every m-operation
+    appears to take effect at an instant between its invocation and
+    response (Section 2.3)."""
+    return check_condition(history, "m-lin", **kwargs)
+
+
+def check_m_normality(history: History, **kwargs):
+    """``check_condition(history, "m-norm", ...)``: like
+    m-linearizability, but non-overlapping m-operations are ordered
+    only when they share an object (Section 2.3)."""
+    return check_condition(history, "m-norm", **kwargs)
+
+
+def check_m_causal_consistency(history: History, **kwargs):
+    """``check_condition(history, "m-causal", ...)``: every process's
+    view is admissible w.r.t. the causal order ``~p ∪ ~rf``."""
+    return check_condition(history, "m-causal", **kwargs)
 
 
 def is_m_sequentially_consistent(history: History, **kwargs) -> bool:
     """Boolean shorthand for :func:`check_m_sequential_consistency`."""
-    return check_m_sequential_consistency(history, **kwargs).holds
+    return check_condition(history, "m-sc", **kwargs).holds
 
 
 def is_m_linearizable(history: History, **kwargs) -> bool:
     """Boolean shorthand for :func:`check_m_linearizability`."""
-    return check_m_linearizability(history, **kwargs).holds
+    return check_condition(history, "m-lin", **kwargs).holds
 
 
 def is_m_normal(history: History, **kwargs) -> bool:
     """Boolean shorthand for :func:`check_m_normality`."""
-    return check_m_normality(history, **kwargs).holds
+    return check_condition(history, "m-norm", **kwargs).holds
+
+
+def is_m_causally_consistent(history: History, **kwargs) -> bool:
+    """Boolean shorthand for :func:`check_m_causal_consistency`."""
+    return check_condition(history, "m-causal", **kwargs).holds

@@ -53,12 +53,53 @@ InterferingTriple = Tuple[int, int, int]
 
 Pair = Tuple[int, int]
 
-#: condition name -> (include ``~t``, include ``~x``).
-CONDITION_ORDERS: Mapping[str, Tuple[bool, bool]] = {
-    "m-sc": (False, False),
-    "m-lin": (True, False),
-    "m-norm": (False, True),
+
+@dataclass(frozen=True)
+class Condition:
+    """One consistency condition as data (Section 2.3): admissibility
+    with respect to ``~p ∪ ~rf``, joined by ``~t`` when ``real_time``
+    and by ``~x`` when ``objects``.  A ``per_process`` condition is
+    judged on each process's view instead of the whole history: every
+    update m-operation plus that process's own m-operations, ordered
+    by the closure restricted to them."""
+
+    name: str
+    title: str
+    real_time: bool = False
+    objects: bool = False
+    per_process: bool = False
+
+    @property
+    def orders(self) -> Tuple[bool, bool]:
+        """What ``~H`` is made of: rows with equal orders share one
+        cached base order and closure."""
+        return self.real_time, self.objects
+
+
+#: Every condition the checkers decide, by name, in the order
+#: ``repro check`` reports them.  m-causal consistency is the
+#: per-view extension of m-SC after Raynal et al. (Ahamad et al.'s
+#: causal memory for m-operations; ``docs/paper_notes.md``).
+CONDITIONS: Mapping[str, Condition] = {
+    row.name: row
+    for row in (
+        Condition("m-sc", "m-sequential consistency"),
+        Condition("m-lin", "m-linearizability", real_time=True),
+        Condition("m-norm", "m-normality", objects=True),
+        Condition("m-causal", "m-causal consistency", per_process=True),
+    )
 }
+
+
+def condition_row(name: str) -> Condition:
+    """The :data:`CONDITIONS` row named ``name``."""
+    try:
+        return CONDITIONS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown condition {name!r}; expected one of "
+            f"{tuple(CONDITIONS)}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -189,7 +230,9 @@ class HistoryIndex:
         self._conflict_masks: Optional[List[int]] = None
         self._writer_masks: Optional[Dict[str, int]] = None
         self._write_conflict_masks: Optional[List[int]] = None
-        self._bases: Dict[Tuple[str, Tuple[Pair, ...]], Relation] = {}
+        self._bases: Dict[
+            Tuple[Tuple[bool, bool], Tuple[Pair, ...]], Relation
+        ] = {}
 
     @classmethod
     def of(cls, history: History) -> "HistoryIndex":
@@ -503,12 +546,7 @@ class HistoryIndex:
         :meth:`base_relation` packs these into bitmasks and the
         forward scan of :mod:`repro.core.plan` walks them as sets.
         """
-        if condition not in CONDITION_ORDERS:
-            raise ValueError(
-                f"unknown condition {condition!r}; expected one of "
-                f"{tuple(CONDITION_ORDERS)}"
-            )
-        real_time, objects = CONDITION_ORDERS[condition]
+        real_time, objects = condition_row(condition).orders
         init_uid = self.history.init.uid
         for mop in self.history.mops:
             yield init_uid, mop.uid
@@ -531,10 +569,12 @@ class HistoryIndex:
         relation.
 
         The result is shared: do not mutate it — ``.copy()`` first.
-        ``extra_pairs`` must be a normalised (sorted, deduplicated,
-        irreflexive) tuple so equal requests hit the same cache entry.
+        It is keyed on the row's :attr:`~Condition.orders`, so
+        conditions with the same ``~H`` share it.  ``extra_pairs`` must
+        be a normalised (sorted, deduplicated, irreflexive) tuple so
+        equal requests hit the same cache entry.
         """
-        key = (condition, extra_pairs)
+        key = (condition_row(condition).orders, extra_pairs)
         rel = self._bases.get(key)
         if rel is None:
             if extra_pairs:

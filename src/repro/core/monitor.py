@@ -50,6 +50,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.core.index import CONDITIONS
 from repro.core.operation import INIT_UID
 from repro.core.refutation import Refutation
 from repro.errors import ReproError
@@ -92,9 +93,10 @@ class LiveMonitor:
     """Incremental m-SC / m-linearizability verification of a live run.
 
     Args:
-        condition: ``"m-sc"`` (marks from process order and reads-from)
-            or ``"m-lin"`` (additionally the global response-time
-            mark).
+        condition: a :data:`~repro.core.index.CONDITIONS` row judged
+            over the whole history and not joined by ``~x`` — marks
+            from process order and reads-from (``"m-sc"``), plus the
+            global response-time mark when ``~t`` joins (``"m-lin"``).
         window: bounded-memory mode — every ``window`` announcements
             the closed prefix is sealed: writer positions more than
             ``window`` behind the delivery frontier are discarded,
@@ -151,10 +153,15 @@ class LiveMonitor:
         window: Optional[int] = None,
         slack: float = 1e-3,
     ) -> None:
-        if condition not in ("m-sc", "m-lin"):
+        row = CONDITIONS.get(condition)
+        if row is None or row.objects or row.per_process:
+            streamable = tuple(
+                name for name, r in CONDITIONS.items()
+                if not (r.objects or r.per_process)
+            )
             raise MonitorUsageError(
-                f"unknown condition {condition!r}; expected 'm-sc' or "
-                "'m-lin'"
+                f"cannot stream condition {condition!r}; the monitor "
+                f"streams {streamable}"
             )
         if window is not None and window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -162,7 +169,7 @@ class LiveMonitor:
         #: retained ``~ww`` depth, in broadcast positions (None = all).
         self.window = window
         self.slack = slack
-        self._real_time = condition == "m-lin"
+        self._real_time = row.real_time
         self._pos: Dict[int, int] = {INIT_UID: INIT_POS}
         # Per object: parallel arrays of (position, writer uid),
         # positions strictly increasing.

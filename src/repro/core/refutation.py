@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.history import History
-from repro.core.index import CONDITION_ORDERS, HistoryIndex
+from repro.core.index import HistoryIndex, condition_row
 from repro.core.relations import Relation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,7 +48,8 @@ class Refutation:
     * ``"search"``: ``stats`` of the exact search over an acyclic,
       legal base order: it exhausted every linear extension, or
       (``stats.nodes == 0``) the D 4.11 ``~rw`` pairs it adds before
-      searching already made the order cyclic.
+      searching already made the order cyclic.  For a per-process
+      condition ``process`` names the process whose view it searched.
     """
 
     kind: str
@@ -59,6 +60,7 @@ class Refutation:
     undelivered: Tuple[int, ...] = ()
     blocked: Optional[int] = None
     stats: Optional[SearchStats] = None
+    process: Optional[int] = None
 
     def __str__(self) -> str:
         head = f"{self.condition} violated: "
@@ -82,16 +84,22 @@ class Refutation:
                 "a broadcast position: the update it depends on was never "
                 "delivered"
             )
-        if self.stats.nodes == 0:
-            return head + (
-                "no legal sequential ordering exists (the order is acyclic "
-                "and legal, but placing every read before the overwriters "
-                "of its writer, D 4.11, closes a cycle)"
+        ordering = "no legal sequential ordering"
+        if self.process is not None:
+            ordering += (
+                f" of P{self.process}'s view (every update plus "
+                f"P{self.process}'s m-operations)"
             )
-        return head + (
-            "no legal sequential ordering exists (exhaustive search "
-            f"explored {self.stats.nodes} states; the conflict is global "
-            "rather than a single cycle or triple)"
+        if self.stats.nodes == 0:
+            return head + ordering + (
+                " exists (the order is acyclic and legal, but placing "
+                "every read before the overwriters of its writer, D 4.11, "
+                "closes a cycle)"
+            )
+        return head + ordering + (
+            f" exists (exhaustive search explored {self.stats.nodes} "
+            "states; the conflict is global rather than a single cycle "
+            "or triple)"
         )
 
 
@@ -104,7 +112,7 @@ def label_cycle(
     """The cycle ``uids`` of the condition's base order plus
     ``extra_pairs``, each edge labelled by the first generating
     relation that contains it."""
-    real_time, objects = CONDITION_ORDERS[condition]
+    real_time, objects = condition_row(condition).orders
     chains = HistoryIndex.of(history).process_chains
     rank: Dict[int, Pair] = {}  # the cycle's (process, issue position)s
     for uid in uids:

@@ -1,4 +1,5 @@
-"""Causally consistent replication (extension; see repro.core.causal).
+"""Causally consistent replication (extension; checked against the
+m-causal row of :data:`repro.core.CONDITIONS`).
 
 The Section-4 aside — "The system can then provide weaker guarantees
 and have better performance" — made concrete: drop the total order on

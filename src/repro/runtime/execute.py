@@ -307,7 +307,7 @@ def _verify(
     """Run the spec's verification policy over a finished run."""
     # Resolved per call: benchmarks/e2e and the call-count guard wrap
     # ``repro.core.check_condition`` to time / count this one call.
-    from repro.core import check_condition, check_m_causal_consistency
+    from repro.core import check_condition
 
     policy = spec.verify
     if not policy.enabled:
@@ -316,15 +316,6 @@ def _verify(
     if condition is None:
         # Baselines/controls guarantee nothing — nothing to check.
         return []
-    if condition == "m-causal":
-        verdict = check_m_causal_consistency(result.history)
-        return [
-            VerdictRecord(
-                condition="m-causal",
-                holds=verdict.holds,
-                method="causal",
-            )
-        ]
     extra_pairs = result.ww_pairs() if policy.use_ww else ()
     certificate = None
     if policy.certificate == "auto":

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from repro.core.index import CONDITIONS
 from repro.errors import ReproError
 
 __all__ = [
@@ -90,8 +91,8 @@ class ProtocolSpec:
         name: registry key (e.g. ``"msc"``), also the CLI name.
         factory: the ``*_cluster(n, objects, **kwargs)`` builder.
         condition: strongest consistency condition every run
-            guarantees (``"m-sc"``, ``"m-lin"``, ``"m-causal"``) or
-            None for the deliberately weaker baselines/controls.
+            guarantees, a :data:`~repro.core.index.CONDITIONS` name,
+            or None for the deliberately weaker baselines/controls.
         summary: one line for ``--help`` and the docs table.
         capabilities: optional-machinery flags (see
             :class:`Capabilities`).
@@ -155,6 +156,11 @@ def register_protocol(spec: ProtocolSpec) -> ProtocolSpec:
     (idempotent reloads are fine; two protocols claiming one name is
     a bug surfaced immediately).
     """
+    if spec.condition is not None and spec.condition not in CONDITIONS:
+        raise ReproError(
+            f"protocol {spec.name!r} declares unknown condition "
+            f"{spec.condition!r}; expected one of {tuple(CONDITIONS)}"
+        )
     existing = _PROTOCOLS.get(spec.name)
     if existing is not None and existing != spec:
         raise ReproError(

@@ -18,6 +18,7 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.core.index import CONDITIONS
 from repro.core.serialize import canonical_json
 from repro.errors import ReproError
 from repro.sim.faults import (
@@ -356,9 +357,9 @@ class VerifyPolicy:
 
     Attributes:
         enabled: run the consistency checkers at all.
-        condition: condition to check; None = the protocol's declared
-            strongest condition (skip verification when the protocol
-            declares none).
+        condition: the :data:`~repro.core.index.CONDITIONS` row to
+            check; None = the protocol's declared strongest condition
+            (skip verification when the protocol declares none).
         method: checker selection (``auto``/``exact``/``constrained``),
             forwarded to :func:`repro.core.check_condition`.
         use_ww: feed the run's recorded ``~ww`` synchronization order
@@ -385,6 +386,11 @@ class VerifyPolicy:
     window: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.condition is not None and self.condition not in CONDITIONS:
+            raise InvalidSpecError(
+                f"unknown condition {self.condition!r}; expected one of "
+                f"{tuple(CONDITIONS)}"
+            )
         if self.method not in ("auto", "exact", "constrained"):
             raise InvalidSpecError(
                 f"unknown check method {self.method!r}"

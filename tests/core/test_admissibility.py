@@ -1,5 +1,7 @@
 """Unit tests for the exact admissibility checker (D 4.7)."""
 
+import sys
+
 import pytest
 
 from repro.analysis import exponential_gadget
@@ -8,11 +10,12 @@ from repro.core import (
     SearchBudgetExceeded,
     base_order,
     check_admissible,
+    check_condition,
     count_legal_linearizations,
     is_legal_sequence,
     msc_order,
 )
-from repro.workloads import figure2_h1
+from repro.workloads import HistoryShape, figure2_h1, random_serial_history
 from tests.conftest import simple_history
 
 
@@ -82,6 +85,28 @@ class TestSearchBehaviour:
         without = check_admissible(h, base, propagate_rw=False)
         assert with_rw.admissible and without.admissible
         assert with_rw.stats.nodes <= without.stats.nodes
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        """The search keeps its own stack: each scheduled m-operation
+        is one node deeper, and 300 of them fit under a recursion
+        limit 150 frames above this test's."""
+        h = random_serial_history(
+            HistoryShape(
+                n_processes=5, n_objects=4, n_mops=300, query_fraction=0.4
+            ),
+            seed=3,
+        )
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            verdict = check_condition(h, "m-sc")  # no ~ww: it searches
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verdict.holds and verdict.method_used == "exact"
+        assert verdict.stats.nodes > 300
 
     def test_base_without_init_universe_is_rebuilt(self):
         h = simple_history([(1, 0, "w x 1"), (2, 1, "r x 1")])

@@ -1,17 +1,25 @@
-"""Unit tests for the causal consistency conditions (extension)."""
+"""Unit tests for m-causal consistency, the per-view row of the
+condition table, and for m-causal serializability, which coincides
+with m-SC in this model (``docs/paper_notes.md``)."""
 
 import pytest
 
 from repro.core import (
-    causal_order,
-    check_m_causal_consistency,
-    check_m_causal_serializability,
+    INIT_UID,
+    HistoryIndex,
+    check_condition,
+    is_legal_sequence,
     is_m_causally_consistent,
-    is_m_causally_serializable,
     is_m_sequentially_consistent,
     restrict_history,
 )
 from tests.conftest import simple_history
+
+
+def update_order(h, witness):
+    """An m-SC witness projected onto the updates: the one update
+    order m-causal serializability asks for."""
+    return [u for u in witness if u != INIT_UID and h[u].is_update]
 
 
 @pytest.fixture
@@ -53,7 +61,7 @@ class TestCausalOrder:
         h = simple_history(
             [(1, 0, "w x 1"), (2, 0, "w y 2"), (3, 1, "r x 1")]
         )
-        co = causal_order(h)
+        co = HistoryIndex.of(h).closure("m-causal")
         assert (1, 2) in co  # process order
         assert (1, 3) in co  # reads-from
 
@@ -68,7 +76,7 @@ class TestCausalOrder:
                 (4, 2, "r y 2"),
             ]
         )
-        co = causal_order(h)
+        co = HistoryIndex.of(h).closure("m-causal")
         assert (1, 4) in co
 
 
@@ -102,9 +110,13 @@ class TestMCausalConsistency:
         assert not is_m_sequentially_consistent(h, method="exact")
 
     def test_causality_violation_detected(self, causality_violation):
-        verdict = check_m_causal_consistency(causality_violation)
+        # One writer orders every update (WW-constraint), so the
+        # verdict is m-SC's: an illegal read in P1's view.
+        verdict = check_condition(causality_violation, "m-causal")
         assert not verdict.holds
-        assert verdict.failing_process == 1
+        reader, writer, overwriter = verdict.refutation.triple
+        assert (reader, writer, overwriter) == (4, 1, 2)
+        assert causality_violation[reader].process == 1
 
     def test_transitive_causality_violation(self):
         # P0: w(x)1 then w(x)2.  P1 reads x=2 and writes y=5; P2 reads
@@ -120,15 +132,29 @@ class TestMCausalConsistency:
                 (6, 2, "r x 1"),
             ]
         )
-        verdict = check_m_causal_consistency(h)
+        verdict = check_condition(h, "m-causal")
         assert not verdict.holds
-        assert verdict.failing_process == 2
+        assert h[verdict.refutation.triple[0]].process == 2
 
-    def test_witnesses_returned(self):
-        h = simple_history([(1, 0, "w x 1"), (2, 1, "r x 1")])
-        verdict = check_m_causal_consistency(h)
-        assert verdict.holds
-        assert set(verdict.witnesses) == {0, 1}
+    def test_inadmissible_view_names_its_process(self):
+        # Concurrent writes, so no constraint: the order is acyclic and
+        # legal, but P2 reads x=1, then x=2, then x=1 again, which no
+        # order of its view explains.
+        h = simple_history(
+            [
+                (1, 0, "w x 1"),
+                (2, 1, "w x 2"),
+                (3, 2, "r x 1"),
+                (4, 2, "r x 2"),
+                (5, 2, "r x 1"),
+            ]
+        )
+        for method in ("auto", "exact"):
+            verdict = check_condition(h, "m-causal", method=method)
+            assert not verdict.holds and verdict.method_used == "exact"
+            ref = verdict.refutation
+            assert (ref.kind, ref.process) == ("search", 2)
+            assert "P2's view" in str(ref)
 
     def test_multi_object_torn_update_not_causal(self):
         # Atomicity of m-operations still applies: observing half an
@@ -145,16 +171,16 @@ class TestMCausalSerializability:
             [(1, 0, "w x 1"), (2, 1, "r x 1"), (3, 2, "w x 2")]
         )
         assert is_m_sequentially_consistent(h, method="exact")
-        assert is_m_causally_serializable(h)
+        assert is_m_causally_consistent(h)
 
     def test_split_reads_not_causally_serializable(
         self, concurrent_writes_split_reads
     ):
         # The readers disagree on the update order, so no *single*
-        # update serialization works.
-        assert not is_m_causally_serializable(
-            concurrent_writes_split_reads
-        )
+        # update serialization works: m-causal but not m-SC.
+        h = concurrent_writes_split_reads
+        assert is_m_causally_consistent(h)
+        assert not is_m_sequentially_consistent(h)
 
     def test_cross_object_split_reads(self):
         """Two concurrent single-object writes, observed in opposite
@@ -178,15 +204,17 @@ class TestMCausalSerializability:
         )
         assert is_m_causally_consistent(h)
         assert not is_m_sequentially_consistent(h, method="exact")
-        assert not is_m_causally_serializable(h)
+        assert not is_m_sequentially_consistent(h)
 
     def test_equivalence_with_m_sequential_consistency(self):
-        """In this model the two conditions coincide (see module doc).
+        """In this model the two conditions coincide (module doc).
 
         Queries write nothing, so the per-process insertions into the
         shared update order always merge into one global legal
-        sequence and vice versa.  Asserted over randomized instances,
-        including corrupted (inconsistent) ones.
+        sequence and vice versa: every m-SC witness, cut down to one
+        process's view, is a legal sequential history of that view.
+        Asserted over randomized instances, including corrupted
+        (inconsistent) ones.
         """
         from repro.workloads import (
             HistoryShape,
@@ -201,9 +229,17 @@ class TestMCausalSerializability:
             )
             h = random_serial_history(shape, seed=seed)
             h = corrupt_history(h, seed=seed) or h
-            msc = is_m_sequentially_consistent(h, method="exact")
-            cser = is_m_causally_serializable(h)
-            assert msc == cser, seed
+            exact = check_condition(h, "m-sc", method="exact")
+            verdict = check_condition(h, "m-sc")
+            assert exact.holds == verdict.holds, seed
+            for proc in h.processes if verdict.holds else ():
+                view = restrict_history(
+                    h, [m.uid for m in h.mops
+                        if m.is_update or m.process == proc],
+                )
+                assert is_legal_sequence(
+                    view, [u for u in verdict.witness if u in view.uids]
+                ), (seed, proc)
             checked += 1
         assert checked == 25
 
@@ -222,11 +258,8 @@ class TestMCausalSerializability:
             h = random_serial_history(shape, seed=seed)
             h = corrupt_history(h, seed=seed) or h
             msc = is_m_sequentially_consistent(h, method="exact")
-            cser = is_m_causally_serializable(h)
-            ccon = is_m_causally_consistent(h)
+            ccon = is_m_causally_consistent(h, method="exact")
             if msc:
-                assert cser, seed
-            if cser:
                 assert ccon, seed
 
     def test_bad_update_prefix_does_not_poison_a_good_one(self):
@@ -244,15 +277,42 @@ class TestMCausalSerializability:
             ]
         )
         assert is_m_sequentially_consistent(h, method="exact")
-        verdict = check_m_causal_serializability(h)
+        verdict = check_condition(h, "m-sc")
         assert verdict.holds
-        assert verdict.witnesses[-1] == [2, 1, 3]
+        assert update_order(h, verdict.witness) == [2, 1, 3]
 
     def test_update_order_witness_returned(self):
         h = simple_history(
             [(1, 0, "w x 1"), (2, 1, "r x 1"), (3, 2, "w x 2")]
         )
-        verdict = check_m_causal_serializability(h)
+        verdict = check_condition(h, "m-sc")
         assert verdict.holds
-        order = verdict.witnesses[-1]
-        assert set(order) == {1, 3}
+        assert set(update_order(h, verdict.witness)) == {1, 3}
+
+
+def test_constrained_m_causal_verdict_is_m_sc_verdict():
+    """Where m-SC's order is OO/WW-constrained (certified or tested),
+    every view is too and shares its reads, so by Theorem 7 the
+    m-causal verdict is m-SC's in every field but the condition: same
+    method, certificate, witness and refutation."""
+    from dataclasses import replace
+
+    from tools.verdict_corpus import checks
+
+    compared = 0
+    for label, history, condition, kwargs in checks():
+        if condition != "m-sc":
+            continue
+        try:
+            msc = check_condition(history, "m-sc", **kwargs)
+        except Exception:  # a refused path: no verdict
+            continue
+        if msc.method_used != "constrained":
+            continue
+        refutation = msc.refutation and replace(
+            msc.refutation, condition="m-causal"
+        )
+        expected = replace(msc, condition="m-causal", refutation=refutation)
+        assert check_condition(history, "m-causal", **kwargs) == expected, label
+        compared += 1
+    assert compared > 1000

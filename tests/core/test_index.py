@@ -16,7 +16,7 @@ from repro.core import (
     object_order,
     real_time_order,
 )
-from repro.core.index import CONDITION_ORDERS
+from repro.core.index import CONDITIONS
 from repro.core.operation import INIT_UID
 from repro.core.plan import _cover_successors
 from repro.errors import MissingTimestampsError
@@ -49,18 +49,32 @@ class TestHistoryIndex:
         assert augmented is not index.base_relation("m-sc")
         assert (1, 2) in augmented
 
-    @pytest.mark.parametrize("condition", sorted(CONDITION_ORDERS))
+    def test_rows_with_equal_orders_share_one_base(self):
+        """m-causal's ``~H`` is m-SC's: one cached base and closure."""
+        index = HistoryIndex.of(sample_history())
+        assert CONDITIONS["m-causal"].orders == CONDITIONS["m-sc"].orders
+        assert index.base_relation("m-causal") is index.base_relation("m-sc")
+        assert index.base_relation(
+            "m-causal", ((1, 2),)
+        ) is index.base_relation("m-sc", ((1, 2),))
+        assert index.base_relation("m-lin") is not index.base_relation("m-sc")
+
+    def test_unknown_condition_names_the_table(self):
+        with pytest.raises(ValueError, match="m-causal"):
+            list(HistoryIndex.of(sample_history()).cover_edges("m-foo"))
+
+    @pytest.mark.parametrize("condition", sorted(CONDITIONS))
     def test_cover_closure_equals_full_order_closure(self, condition):
         """The cover-edge bases close to exactly the paper's orders."""
         h = sample_history()
-        real_time, objects = CONDITION_ORDERS[condition]
+        real_time, objects = CONDITIONS[condition].orders
         naive = base_order(h, real_time=real_time, objects=objects)
         index_base = HistoryIndex.of(h).base_relation(condition)
         assert (
             index_base.transitive_closure() == naive.transitive_closure()
         )
 
-    @pytest.mark.parametrize("condition", sorted(CONDITION_ORDERS))
+    @pytest.mark.parametrize("condition", sorted(CONDITIONS))
     def test_cover_edges_feed_the_relation_and_the_scan(self, condition):
         """One generator says which edges make ``~H``: the bitmask
         base order and the scan's adjacency sets both hold exactly

@@ -174,6 +174,11 @@ class TestUnitBehaviour:
         assert not monitor.consistent
         assert "never received a broadcast position" in monitor.audit()
 
+    @pytest.mark.parametrize("condition", ["m-norm", "m-causal", "m-foo"])
+    def test_streams_only_rows_without_object_order_or_views(self, condition):
+        with pytest.raises(MonitorUsageError, match=r"\('m-sc', 'm-lin'\)"):
+            LiveMonitor(condition)
+
     def test_duplicate_announcement_rejected(self):
         monitor = LiveMonitor()
         monitor.announce(1, ("x",))

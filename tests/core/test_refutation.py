@@ -1,6 +1,8 @@
 """An independent checker of refutations, from the paper's definitions alone: it uses
 nothing of the index, relation, legality or plan modules.  The chaos differential
-test runs it on the chaos runs' refutations, ``test_monitor.py`` on the monitor's."""
+test runs it on the chaos runs' refutations, ``test_monitor.py`` on the monitor's.
+m-causal consistency (``~p ∪ ~rf``, judged per process view) refutes a search per
+view, naming the process, and that view is searched again here by brute force."""
 
 from collections import Counter, defaultdict
 from dataclasses import replace
@@ -32,6 +34,31 @@ def reach(succ, a):
         seen |= frontier
         frontier = set().union(*(succ[n] for n in frontier)) - seen
     return seen
+
+
+def view_admits(history, succ, proc):
+    """Brute force: is there a legal sequence of ``proc``'s view — every update
+    plus ``proc``'s m-operations — that respects ``~H`` restricted to it?"""
+    view = frozenset(m.uid for m in history.mops if m.is_update or m.process == proc)
+    after = {u: reach(succ, u) & view for u in view}
+    reads = {u: [(o, w) for (r, o), w in history.reads_from_map.items()
+                 if r == u and w != u] for u in view}
+    failed = set()
+
+    def extend(done, last):
+        if done == view or (done, last) in failed:
+            return done == view
+        for u in view - done:
+            seen = dict(last)
+            if (not any(u in after[v] for v in view - done)
+                    and all(seen.get(o, history.init.uid) == w for o, w in reads[u])):
+                seen.update((o, u) for o in history[u].wobjects)
+                if extend(done | {u}, tuple(sorted(seen.items()))):
+                    return True
+        failed.add((done, last))
+        return False
+
+    return extend(frozenset(), ())
 
 
 def accepts(history, condition, ref, extra=(), ww=(), method=None):
@@ -74,9 +101,14 @@ def accepts(history, condition, ref, extra=(), ww=(), method=None):
         needs |= {ref.blocked} if mop(ref.blocked).is_update else set()
         return 0 < len(ref.undelivered) and set(ref.undelivered) <= needs - set(ww)
     closure = {u: reach(succ, u) for u in history.uids}  # "search": acyclic, legal
+    if (ref.process is not None) != (condition == "m-causal"):
+        return False  # a per-view search, and only that, names its view
+    view = ref.process
     return method == "exact" and all(u not in closure[u] for u in closure) and not any(
         c in closure[b] and a in closure[c] for (a, obj), b in rf.items() if a != b
-        for c in closure if obj in mop(c).wobjects and c not in (a, b))
+        for c in closure if obj in mop(c).wobjects and c not in (a, b)) and (
+        view is None
+        or view in history.processes and not view_admits(history, succ, view))
 
 
 def mutant(ref):
@@ -87,7 +119,7 @@ def mutant(ref):
 
 
 def test_every_violated_corpus_verdict_is_refuted():
-    kinds = Counter()
+    kinds, views = Counter(), 0
     for label, history, condition, kwargs in checks():
         if condition is None:  # a certificate the prover refused
             continue
@@ -104,8 +136,12 @@ def test_every_violated_corpus_verdict_is_refuted():
         kinds[ref.kind, method, verdict.certificate is not None] += 1
         if ref.kind in ("cycle", "illegal"):
             assert not accepts(history, condition, mutant(ref), extra), label
+        if ref.process is not None:
+            views += 1
+            assert not accepts(history, condition, replace(ref, process=None), extra,
+                               method=method), label
     exact = {kind for kind, method, _cert in kinds if method == "exact"}
-    assert exact == {"cycle", "illegal", "search"}
+    assert exact == {"cycle", "illegal", "search"} and views > 0
     assert {kind for kind, _method, cert in kinds if cert} == {"cycle", "illegal"}
 
 
@@ -120,3 +156,9 @@ def test_relabelled_dropped_and_swapped_refutations_are_rejected():
                         (3, 2, "r x 5", 4.0, 5.0)])
     ref = check_condition(h, "m-lin").refutation  # (3, 1, 2) on x
     assert accepts(h, "m-lin", ref) and not accepts(h, "m-lin", mutant(ref))
+    h = simple_history([(1, 0, "w x 1"), (2, 1, "w x 2"), (3, 2, "r x 1"),
+                        (4, 2, "r x 2"), (5, 2, "r x 1"), (6, 3, "r x 2")])
+    ref = check_condition(h, "m-causal").refutation  # P2 reads 1, 2, 1
+    assert ref.process == 2 and accepts(h, "m-causal", ref, method="exact")
+    for other in (0, 1, 3, None):  # views that admit, or no view at all
+        assert not accepts(h, "m-causal", replace(ref, process=other), method="exact")

@@ -133,6 +133,15 @@ class TestProtocolRegistry:
             register_protocol(imposter)
         assert get_protocol("msc") == spec
 
+    def test_condition_outside_the_table_rejected(self):
+        spec = ProtocolSpec(
+            name="mystery", factory=get_protocol("msc").factory,
+            condition="m-foo",
+        )
+        with pytest.raises(ReproError, match="unknown condition 'm-foo'"):
+            register_protocol(spec)
+        assert "mystery" not in protocol_registry()
+
     def test_unknown_protocol_error_names_the_registry(self):
         with pytest.raises(UnknownProtocolError, match="msc"):
             get_protocol("paxos")

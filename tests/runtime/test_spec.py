@@ -154,6 +154,13 @@ class TestValidation:
         with pytest.raises(InvalidSpecError, match="certificate"):
             VerifyPolicy(certificate="maybe")
 
+    def test_verify_policy_condition_is_a_table_row(self):
+        with pytest.raises(InvalidSpecError, match="'m-causal'"):
+            RunSpec.from_dict(
+                {"protocol": "msc", "verify": {"condition": "m-foo"}}
+            )
+        assert VerifyPolicy(condition="m-causal").condition == "m-causal"
+
     def test_verify_policy_engine_knobs(self):
         with pytest.raises(InvalidSpecError, match="window"):
             VerifyPolicy(window=0)

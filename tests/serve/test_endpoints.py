@@ -163,6 +163,15 @@ def test_malformed_spec_is_400(client):
         assert excinfo.value.status == 400, bad
 
 
+def test_unknown_condition_is_400(client):
+    # Refused at submission, naming the table's conditions, instead of
+    # queued and failed by the worker.
+    with pytest.raises(ServeClientError) as excinfo:
+        client.submit({"protocol": "msc", "verify": {"condition": "m-foo"}})
+    assert excinfo.value.status == 400
+    assert "m-causal" in str(excinfo.value)
+
+
 def test_invalid_json_body_is_400(daemon):
     request = urllib.request.Request(
         daemon.url + "/v1/runs",

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.core import CONDITIONS
 from repro.core.serialize import save_history
+from repro.runtime import RunSpec, execute
 from repro.workloads import figure1
 from tests.conftest import simple_history
 
@@ -62,6 +64,26 @@ class TestCheck:
 
     def test_exact_method(self, fig1_file):
         assert main(["check", "--method", "exact", fig1_file]) == 0
+
+    def test_constrained_method_refuses_per_condition(self, tmp_path, capsys):
+        # Concurrent updates from three processes: no OO/WW-constraint.
+        history = execute(RunSpec(protocol="msc", n=3, ops=4, seed=2)).history
+        path = tmp_path / "msc.json"
+        save_history(history, str(path))
+        assert main(["check", "--method", "constrained", str(path)]) == 0
+        out = capsys.readouterr().out
+        for row in CONDITIONS.values():
+            assert f"{row.title:<28} (refused: history does not satisfy" in out
+
+    def test_every_table_row_reports_its_refutation(self, torn_file, capsys):
+        assert main(["check", torn_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for row in CONDITIONS.values():
+            at = next(
+                i for i, line in enumerate(lines) if line.startswith(row.title)
+            )
+            assert "VIOLATED" in lines[at], row.name
+            assert lines[at + 1].startswith(f"    {row.name} violated: ")
 
     def test_untimed_history_skips_timed_conditions(self, tmp_path, capsys):
         h = simple_history([(1, 0, "w x 1"), (2, 1, "r x 1")])
