@@ -90,7 +90,7 @@ class _SeqState:
     #: Contiguous stable watermark: every seq below it is quorum-acked.
     stable: int = 0
     #: Requests parked while the sequencer lacks a quorum.
-    deferred: Dict[int, Dict[str, Any]] = field(default_factory=dict)
+    deferred: Dict[int, Message] = field(default_factory=dict)
 
 
 class FailoverSequencer(SequencerAbcast):
@@ -268,7 +268,7 @@ class FailoverSequencer(SequencerAbcast):
                 # the sequencer in *this* pid's view.
                 self.network.send(pid, self._psequencer[pid], message)
                 return
-            self._sequence(pid, message.payload)
+            self._sequence(pid, message)
         elif message.kind == SEQ:
             entry = message.payload
             if self._gated and "stable" in entry:
@@ -381,8 +381,9 @@ class FailoverSequencer(SequencerAbcast):
     # Sequencer internals
     # ------------------------------------------------------------------
 
-    def _sequence(self, pid: int, request: Dict[str, Any]) -> None:
+    def _sequence(self, pid: int, message: Message) -> None:
         state = self._state(pid)
+        request = message.payload
         if request["id"] in state.ids:
             return  # duplicate or retried request: already ordered
         if self._gated and not self._quorate(pid):
@@ -393,7 +394,7 @@ class FailoverSequencer(SequencerAbcast):
             # replayed when quorum returns, or re-driven by its
             # sender's unsequenced retry after an epoch fence.
             if request["id"] not in state.deferred:
-                state.deferred[request["id"]] = request
+                state.deferred[request["id"]] = message
                 self._degrade(pid, "sequence-deferred", request["id"])
             return
         state.ids.add(request["id"])
@@ -402,7 +403,7 @@ class FailoverSequencer(SequencerAbcast):
             stamped["stable"] = state.stable
         state.next_seq += 1
         state.log[stamped["seq"]] = stamped
-        self.network.send_to_all(pid, Message(SEQ, stamped))
+        self.network.send_to_all(pid, message.relay(SEQ, stamped))
 
     def _serve_fetch(self, pid: int, body: Dict[str, Any]) -> None:
         state = self._state(pid)
@@ -618,8 +619,8 @@ class FailoverSequencer(SequencerAbcast):
                 state = self._seq_state[observer]
                 deferred = list(state.deferred.values())
                 state.deferred.clear()
-                for request in deferred:
-                    self._sequence(observer, request)
+                for message in deferred:
+                    self._sequence(observer, message)
             return
         if kind != "suspect":
             return

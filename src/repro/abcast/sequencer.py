@@ -130,7 +130,7 @@ class SequencerAbcast(AtomicBroadcast):
             self._ids.add(entry["id"])
             stamped = self._stamp(self._next_seq, self.epoch, entry)
             self._next_seq += 1
-            self.network.send_to_all(pid, Message(SEQ, stamped))
+            self.network.send_to_all(pid, message.relay(SEQ, stamped))
         else:  # pragma: no cover - defensive
             raise ProtocolError(f"unexpected message kind {message.kind!r}")
 

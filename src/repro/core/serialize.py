@@ -133,9 +133,9 @@ def history_from_json(text: str) -> History:
 
 
 def save_history(history: History, path: str) -> None:
-    """Write a history to a JSON file."""
+    """Write a history to a JSON file, in :func:`canonical_json`."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(history_to_json(history))
+        handle.write(canonical_json(history_to_dict(history)))
         handle.write("\n")
 
 

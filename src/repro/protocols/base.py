@@ -39,7 +39,7 @@ from repro.protocols.store import ExecutionRecord, MProgram, VersionedStore
 from repro.sim.detector import HeartbeatDetector
 from repro.sim.kernel import Simulator
 from repro.sim.latency import LatencyModel, UniformLatency
-from repro.sim.network import ChannelStats, Message, Network
+from repro.sim.network import Message, Network, NetworkStats
 
 #: A workload: one program sequence per process.
 Workloads = Sequence[Sequence[MProgram]]
@@ -395,7 +395,7 @@ class RunResult:
 
     history: History
     recorder: HistoryRecorder
-    net_stats: ChannelStats
+    net_stats: NetworkStats
     duration: float
     abcast_violation: Optional[str]
     ww_sequence: List[int] = field(default_factory=list)

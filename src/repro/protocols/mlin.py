@@ -90,16 +90,23 @@ class MLinProcess(BaseProcess):
         if message.kind == QUERY:
             # (A4): reply with (myX, myts), possibly restricted to the
             # relevant objects (Section 5.2 closing remark).
-            names = message.payload["objects"]
-            relevant = None if names is None else frozenset(names)
-            reply = {
-                "uid": message.payload["uid"],
-                "attempt": message.payload.get("attempt", 0),
-                "snapshot": self.store.export(relevant),
-                "ts": self.store.lex_ts(relevant),
-            }
+            query = message.payload
+            reply = {"uid": query["uid"], "attempt": query.get("attempt", 0)}
+            priced = None
+            if query["objects"] is None:
+                # The replica image knows what both parts cost.
+                snapshot, snapshot_size, ts, ts_size = (
+                    self.store.export_priced()
+                )
+                priced = {"snapshot": snapshot_size, "ts": ts_size}
+            else:
+                relevant = frozenset(query["objects"])
+                snapshot = self.store.export(relevant)
+                ts = self.store.lex_ts(relevant)
+            reply["snapshot"] = snapshot
+            reply["ts"] = ts
             self.cluster.network.send(
-                self.pid, src, Message(QUERY_RESP, reply)
+                self.pid, src, Message(QUERY_RESP, reply, priced)
             )
         elif message.kind == QUERY_RESP:
             self._on_query_response(message.payload)

@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set,
 
 from repro.core.operation import INIT_UID, Operation, read, write
 from repro.errors import ProtocolError
-from repro.sim.network import EMPTY_SIZE, SizedDict, entry_size
+from repro.sim.network import EMPTY_SIZE, entry_size
 
 #: The body of an m-operation program: runs reads/writes on a view and
 #: returns the m-operation's result value.
@@ -231,16 +231,22 @@ class _ReplicaImage:
     Attributes:
         cells: obj -> cell as of the last export, canonical order.
         sizes: obj -> :func:`~repro.sim.network.entry_size` of its cell.
-        size: what the network charges for ``cells`` in a reply.
+        size: what the network charges for ``cells`` as a member of
+            a message payload.
+        ts: the version vector as of the last export.
+        ts_size: what it charges for ``ts`` there, kept entry by entry
+            like ``size``.
         stale: objects written since the last export; at first, all.
     """
 
-    __slots__ = ("cells", "sizes", "size", "stale")
+    __slots__ = ("cells", "sizes", "size", "ts", "ts_size", "stale")
 
     def __init__(self, objects: Tuple[str, ...]) -> None:
         self.cells: Dict[str, Cell] = dict.fromkeys(objects)
         self.sizes: Dict[str, int] = dict.fromkeys(objects, 0)
         self.size = EMPTY_SIZE
+        self.ts: Tuple[int, ...] = ()
+        self.ts_size = EMPTY_SIZE
         self.stale: Set[str] = set(objects)
 
 
@@ -254,16 +260,17 @@ class VersionedStore:
     vector is ``tuple(_versions.values())``.
 
     A replica that answers Figure 6 queries (action A4) also keeps its
-    *image*: the exported form of every object together with what the
-    network charges for it, brought up to date at export time for the
-    objects written since the previous export.  A reply is then a
-    C-level copy that already knows its wire size, whatever the size
-    of the store.  The image is created by the first full
-    :meth:`export` and the write path does nothing for a store that
-    has none: every Figure 4 replica applies every update and never
-    exports.  Anything other than a completed program or
-    :meth:`apply_writes` (:meth:`reset`, :meth:`install`, a program
-    that raised half-way) simply drops the image.
+    *image*: the exported form of every object and the version vector,
+    together with what the network charges for each, brought up to
+    date at export time for the objects written since the previous
+    export.  A reply is then a C-level copy whose price
+    (:meth:`export_priced`) is known whatever the size of the store.
+    The image is created by the first full :meth:`export` and the
+    write path does nothing for a store that has none: every Figure 4
+    replica applies every update and never exports.  Anything other
+    than a completed program or :meth:`apply_writes` (:meth:`reset`,
+    :meth:`install`, a program that raised half-way) simply drops the
+    image.
 
     Written values are treated as immutable once written — the
     assumption :meth:`export` has always made by aliasing them into
@@ -436,37 +443,64 @@ class VersionedStore:
         """Snapshot ``obj -> (value, version, writer)`` for a query reply.
 
         ``objects=None`` exports the whole store (the literal protocol
-        of Figure 6) as a copy of the replica image — a
-        :class:`~repro.sim.network.SizedDict`, so the message that
-        carries it is priced without walking it; only the cells of
+        of Figure 6) as a copy of the replica image; only the cells of
         objects written since the previous full export are rebuilt
         and re-priced.  A set exports only those objects (the Section
-        5.2 optimization) as a plain dict.  Either way the caller owns
-        the returned dict and later writes do not show in it.
+        5.2 optimization).  Either way the caller owns the returned
+        dict and later writes do not show in it.
         """
+        if objects is None:
+            return dict(self._refreshed_image().cells)
         values = self._values
         versions = self._versions
         writers = self._writers
-        if objects is not None:
-            return {
-                obj: (values[obj], versions[obj], writers[obj])
-                for obj in sorted(objects)
-            }
+        return {
+            obj: (values[obj], versions[obj], writers[obj])
+            for obj in sorted(objects)
+        }
+
+    def export_priced(
+        self,
+    ) -> Tuple[Dict[str, Cell], int, Tuple[int, ...], int]:
+        """``(snapshot, its price, ts, its price)`` for a full A4 reply.
+
+        The full :meth:`export` and :meth:`ts_vector`, each with what
+        the network charges for it as a member of a message payload,
+        read off the replica image: the message that carries them
+        states both prices instead of walking them.
+        """
+        image = self._refreshed_image()
+        return dict(image.cells), image.size, image.ts, image.ts_size
+
+    def _refreshed_image(self) -> _ReplicaImage:
+        """The replica image, its stale cells rebuilt and re-priced."""
         image = self._image
         if image is None:
             image = self._image = _ReplicaImage(self._objects)
         if image.stale:
+            values = self._values
+            versions = self._versions
+            writers = self._writers
             cells = image.cells
             sizes = image.sizes
+            size = image.size
+            ts_size = image.ts_size
+            seen: Set[int] = set()
             for obj in image.stale:
-                cell = cells[obj] = (values[obj], versions[obj], writers[obj])
-                size = entry_size(obj, cell)
-                image.size += size - sizes[obj]
-                sizes[obj] = size
+                old = cells[obj]
+                version = versions[obj]
+                cell = cells[obj] = (values[obj], version, writers[obj])
+                entry = entry_size(seen, obj, cell)
+                size += entry - sizes[obj]
+                sizes[obj] = entry
+                ts_size += entry_size(seen, version)
+                if old is not None:
+                    ts_size -= entry_size(seen, old[1])
+            image.size = size
+            image.ts_size = ts_size
             image.stale.clear()
-        snapshot = SizedDict(image.cells)
-        snapshot.size = image.size
-        return snapshot
+            image.ts = self.ts_vector()
+        return image
 
     @classmethod
     def from_export(cls, snapshot: Mapping[str, Cell]) -> "VersionedStore":

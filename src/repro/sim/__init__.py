@@ -28,7 +28,6 @@ from repro.sim.latency import (
     UniformLatency,
 )
 from repro.sim.network import (
-    ChannelStats,
     Message,
     Network,
     NetworkStats,
@@ -42,7 +41,6 @@ __all__ = [
     "DelaySpike",
     "DetectorEvent",
     "ExplorationBudgetExceeded",
-    "ChannelStats",
     "EventHandle",
     "ExponentialLatency",
     "FaultInjector",

@@ -39,7 +39,17 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Container,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import DeliveryTimeout, ProcessCrashed, SimulationError
 from repro.obs import MetricsRegistry, get_tracer
@@ -66,20 +76,35 @@ class Message:
             destination of a broadcast).
 
     Immutable (attribute assignment raises), ``__slots__``-backed, and
-    carries a lazily computed payload-size cache: a broadcast reuses
-    one ``Message`` across all destinations, so the
-    :func:`estimate_size` tree-walk runs once per message instead of
-    once per destination.  Messages are *not* recycled through a free
-    list — receivers legitimately retain them (dedup ledgers, recorded
-    histories), so reuse would alias live payloads.
+    priced once: a broadcast reuses one ``Message`` across all
+    destinations, so its :attr:`size` is computed once per message
+    instead of once per destination.  Messages are *not* recycled
+    through a free list — receivers legitimately retain them (dedup
+    ledgers, recorded histories), so reuse would alias live payloads.
+
+    A sender that already holds the prices of some members of a dict
+    payload states them: ``priced`` maps those members to what the
+    walk charges for their values one level below the payload, and
+    only the other members are walked (at construction).  A dict's
+    price is the sum of its members' at the same depth, so a true
+    statement prices the message exactly as :func:`estimate_size`
+    does.  :meth:`relay` states a whole received payload the same way.
     """
 
     __slots__ = ("kind", "payload", "_size")
 
-    def __init__(self, kind: str, payload: Any = None) -> None:
+    def __init__(
+        self,
+        kind: str,
+        payload: Any = None,
+        priced: Optional[Dict[Any, int]] = None,
+    ) -> None:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "_size", None)
+        size = None
+        if priced is not None:
+            size = EMPTY_SIZE + _members_size(payload, priced)
+        object.__setattr__(self, "_size", size)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(
@@ -99,47 +124,106 @@ class Message:
 
     @property
     def size(self) -> int:
-        """Cached :func:`estimate_size` of the payload."""
+        """The payload's price: stated at construction, or else the
+        :func:`estimate_size` walk on first use."""
         size = self._size
         if size is None:
             size = estimate_size(self.payload)
             object.__setattr__(self, "_size", size)
         return size
 
+    def relay(self, kind: str, payload: Dict[Any, Any]) -> "Message":
+        """A ``kind`` message whose dict payload stamps this one's.
 
-class SizedDict(dict):
-    """A dict payload part that carries its own :func:`estimate_size`.
+        ``payload`` must hold every member of this message's dict
+        payload, unchanged; it is priced as this message plus the
+        members it adds, so relaying a large payload never walks it
+        again.
+        """
+        message = Message(kind, payload)
+        object.__setattr__(
+            message,
+            "_size",
+            self.size + _members_size(payload, {}, counted=self.payload),
+        )
+        return message
 
-    A payload part that is large, is sent often and changes little
-    between sends (a replica's exported store in every Figure 6 query
-    reply) is priced by whoever keeps it current instead of being
-    walked per message.  ``size`` is the owner's statement of what the
-    walk returns for this dict as a direct member of a message payload
-    (nesting depth :data:`SIZED_DEPTH`): :data:`EMPTY_SIZE` plus
-    :func:`entry_size` of every item.  The estimator takes it on trust
-    for this exact type at that depth only; a ``SizedDict`` anywhere
-    else, and any other object that merely has a ``size``, is walked.
-    """
-
-    __slots__ = ("size",)
-
-
-#: The nesting depth a :class:`SizedDict`'s ``size`` is stated for:
-#: ``payload[key]``.  The depth cap makes a price depth-dependent, so
-#: the statement holds at one depth only.
-SIZED_DEPTH = 1
 
 #: What an empty container costs; every member adds its own size.
 EMPTY_SIZE = 2
 
 
-def entry_size(key: Any, value: Any) -> int:
-    """What one ``key: value`` item adds to a :class:`SizedDict`'s size."""
-    seen: Set[int] = set()
-    depth = SIZED_DEPTH + 1
-    return _estimate_size(key, depth, seen) + _estimate_size(
-        value, depth, seen
-    )
+def entry_size(seen: Set[int], *parts: Any) -> int:
+    """What one entry of a payload member adds to the member's price.
+
+    A dict or tuple sent as a payload member costs :data:`EMPTY_SIZE`
+    plus this for each entry (a dict item's key and value, a tuple's
+    item), so its owner can keep the member's price current entry by
+    entry.  ``seen`` is the walk's path set; a caller pricing many
+    entries passes one empty set to all of them (every walk leaves it
+    as it found it).
+    """
+    total = 0
+    for part in parts:
+        kind = type(part)
+        if kind is int:
+            total += 8
+        elif kind is str:
+            total += len(part)
+        elif kind is tuple:
+            # A store cell: priced in place while its members are plain
+            # ints and strings, which is what the walk would charge (a
+            # tuple of those cannot be on its own path).
+            size = EMPTY_SIZE
+            for item in part:
+                item_kind = type(item)
+                if item_kind is int:
+                    size += 8
+                elif item_kind is str:
+                    size += len(item)
+                else:
+                    size = _estimate_size(part, 2, seen)
+                    break
+            total += size
+        else:
+            total += _estimate_size(part, 2, seen)
+    return total
+
+
+def _members_size(
+    payload: Dict[Any, Any],
+    priced: Dict[Any, int],
+    counted: Container[Any] = (),
+) -> int:
+    """What the members of dict ``payload`` add to its price.
+
+    Each member adds its key and its value, walked one level below the
+    payload, except that a member in ``priced`` adds its key and the
+    stated price of its value, and one in ``counted`` adds nothing (the
+    caller has counted it already).
+    """
+    seen = None  # the walk's path set, made when first needed
+    total = 0
+    for key, value in payload.items():
+        if key in counted:
+            continue
+        if type(key) is str:
+            total += len(key)
+        else:
+            seen = seen or {id(payload)}
+            total += _estimate_size(key, 1, seen)
+        if key in priced:
+            total += priced[key]
+            continue
+        kind = type(value)
+        if kind is int:
+            total += 8
+        elif kind is str:
+            total += len(value)
+        else:
+            seen = seen or {id(payload)}
+            total += _estimate_size(value, 1, seen)
+    return total
 
 
 def estimate_size(value: Any) -> int:
@@ -157,9 +241,6 @@ def estimate_size(value: Any) -> int:
     :data:`EMPTY_SIZE` plus its members (keys and values); any other
     object with a ``__dict__`` as that dict; everything else, and any
     container past the depth cap or already on the current path, 8.
-    One part is not walked: a :class:`SizedDict` directly below the
-    payload answers with the size its owner keeps for it, which must
-    be the number these rules give.
     """
     return _estimate_size(value, 0, set())
 
@@ -167,42 +248,49 @@ def estimate_size(value: Any) -> int:
 def _estimate_size(value: Any, depth: int, seen: Set[int]) -> int:
     # Exact-type fast paths for the bulk of every payload, here and
     # inlined in the container loops below (a reply's ``ts`` is 32
-    # ints: one call, not 33).  ``bool`` is not ``int`` by identity
-    # and subclasses miss too, so everything else still prices by the
-    # isinstance rules.
+    # ints: one call, not 33); exact tuples, lists, frozensets and
+    # dicts (a store cell, a payload) go straight to the container
+    # rule.  ``bool`` is not ``int`` by identity and subclasses miss
+    # too, so everything else still prices by the isinstance rules.
     kind = type(value)
     if kind is int or kind is float:
         return 8
     if kind is str:
         return len(value)
-    if kind is SizedDict and depth == SIZED_DEPTH:
-        return value.size
-    if value is None:
-        return 0
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, str):
-        return len(value)
+    if kind is tuple or kind is list or kind is frozenset:
+        is_dict = False
+    elif kind is dict:
+        is_dict = True
+    else:
+        if value is None:
+            return 0
+        if isinstance(value, bool):
+            return 1
+        if isinstance(value, (int, float)):
+            return 8
+        if isinstance(value, str):
+            return len(value)
+        if isinstance(value, (list, tuple, set, frozenset)):
+            is_dict = False
+        elif isinstance(value, dict):
+            is_dict = True
+        elif (
+            depth >= MAX_SIZE_DEPTH
+            or id(value) in seen
+            or not hasattr(value, "__dict__")
+        ):
+            return 8
+        else:
+            seen.add(id(value))
+            total = _estimate_size(vars(value), depth + 1, seen)
+            seen.discard(id(value))
+            return total
     if depth >= MAX_SIZE_DEPTH or id(value) in seen:
         return 8
-    if isinstance(value, (list, tuple, set, frozenset)):
-        seen.add(id(value))
-        depth += 1
-        total = EMPTY_SIZE
-        for v in value:
-            kind = type(v)
-            if kind is int:
-                total += 8
-            elif kind is str:
-                total += len(v)
-            else:
-                total += _estimate_size(v, depth, seen)
-    elif isinstance(value, dict):
-        seen.add(id(value))
-        depth += 1
-        total = EMPTY_SIZE
+    seen.add(id(value))
+    depth += 1
+    total = EMPTY_SIZE
+    if is_dict:
         for k, v in value.items():
             if type(k) is str:
                 total += len(k)
@@ -215,11 +303,15 @@ def _estimate_size(value: Any, depth: int, seen: Set[int]) -> int:
                 total += len(v)
             else:
                 total += _estimate_size(v, depth, seen)
-    elif hasattr(value, "__dict__"):
-        seen.add(id(value))
-        total = _estimate_size(vars(value), depth + 1, seen)
     else:
-        return 8
+        for v in value:
+            kind = type(v)
+            if kind is int:
+                total += 8
+            elif kind is str:
+                total += len(v)
+            else:
+                total += _estimate_size(v, depth, seen)
     seen.discard(id(value))
     return total
 
@@ -318,10 +410,6 @@ class NetworkStats:
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """The registry's counters/gauges/histograms as a plain dict."""
         return self.registry.snapshot()
-
-
-#: Backwards-compatible alias (the pre-fault-layer name).
-ChannelStats = NetworkStats
 
 
 class _Transfer:

@@ -3,14 +3,21 @@
 import pytest
 
 from repro.core.serialize import (
+    canonical_json,
     history_from_dict,
     history_from_json,
+    history_to_dict,
     history_to_json,
     load_history,
     save_history,
 )
 from repro.errors import MalformedHistoryError
-from repro.workloads import figure1, figure2_h1
+from repro.workloads import (
+    HistoryShape,
+    figure1,
+    figure2_h1,
+    random_serial_history,
+)
 from tests.conftest import simple_history
 
 
@@ -41,6 +48,15 @@ class TestRoundTrips:
         path = tmp_path / "h1.json"
         save_history(h, str(path))
         assert h.equivalent_to(load_history(str(path)))
+
+    def test_file_is_canonical_json(self, tmp_path):
+        h = random_serial_history(HistoryShape(3, 4, 20), seed=7)
+        path = tmp_path / "h.json"
+        save_history(h, str(path))
+        text = path.read_text(encoding="utf-8")
+        assert text == canonical_json(history_to_dict(h)) + "\n"
+        again = load_history(str(path))
+        assert h.equivalent_to(again)
 
     def test_verdicts_survive_round_trip(self):
         from repro.core import is_m_linearizable

@@ -20,6 +20,8 @@ record:
   already handed out do not move.
 """
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,8 +39,8 @@ from repro.objects import (
 )
 from repro.protocols import MProgram, VersionedStore
 from repro.protocols.mlin import QUERY_RESP
-from repro.sim.network import MAX_SIZE_DEPTH, Message, SizedDict
-from tests.sim.test_estimate_size import nested, plain, reference_size
+from repro.sim.network import MAX_SIZE_DEPTH, Message
+from tests.sim.test_estimate_size import nested, reference_size
 
 OBJECTS = ("x", "y", "z")
 
@@ -234,15 +236,21 @@ def by_definition(store, objects=None):
 
 def check_export(store, objects, uid):
     """One (A4) reply: right content, right price, nothing shared."""
-    snapshot = store.export(objects)
-    ts = store.lex_ts(objects)
+    priced = None
+    if objects is None:
+        snapshot, snapshot_size, ts, ts_size = store.export_priced()
+        priced = {"snapshot": snapshot_size, "ts": ts_size}
+        assert store.export() == snapshot and store.lex_ts() == ts
+    else:
+        snapshot = store.export(objects)
+        ts = store.lex_ts(objects)
     assert snapshot == by_definition(store, objects)
     assert list(snapshot) == list(by_definition(store, objects))
     names = OBJECTS if objects is None else sorted(objects)
     assert ts == tuple(store.version_of(obj) for obj in names)
-    assert (type(snapshot) is SizedDict) == (objects is None)
+    assert type(snapshot) is dict
     reply = {"uid": uid, "attempt": 0, "snapshot": snapshot, "ts": ts}
-    assert Message(QUERY_RESP, reply).size == reference_size(plain(reply))
+    assert Message(QUERY_RESP, reply, priced).size == reference_size(reply)
     return snapshot
 
 
@@ -250,7 +258,7 @@ def check_export(store, objects, uid):
 @settings(max_examples=200, deadline=None)
 def test_exports_are_the_definition_and_priced_as_the_walk(script):
     store = VersionedStore({obj: 0 for obj in OBJECTS})
-    handed_out = []  # (snapshot, plain copy at hand-out time, its size)
+    handed_out = []  # (snapshot, deep copy at hand-out time)
     for uid, (step, arg) in enumerate(script, start=1):
         if step in ("execute", "apply"):
             try:
@@ -265,7 +273,7 @@ def test_exports_are_the_definition_and_priced_as_the_walk(script):
         elif step == "reset":
             store.reset()
         elif step == "install":
-            full = [snap for snap, _c, _s in handed_out if len(snap) == 3]
+            full = [snap for snap, _copy in handed_out if len(snap) == 3]
             if full:
                 durable = full[arg % len(full)]
                 store.reset()
@@ -273,9 +281,7 @@ def test_exports_are_the_definition_and_priced_as_the_walk(script):
                 assert store.export() == durable
         else:
             snapshot = check_export(store, arg, uid)
-            handed_out.append(
-                (snapshot, plain(snapshot), getattr(snapshot, "size", None))
-            )
+            handed_out.append((snapshot, copy.deepcopy(snapshot)))
             if arg is None:
                 clone = VersionedStore.from_export(snapshot)
                 assert check_export(clone, None, uid) == snapshot
@@ -283,9 +289,8 @@ def test_exports_are_the_definition_and_priced_as_the_walk(script):
                 adopter.install(snapshot)
                 assert check_export(adopter, None, uid) == snapshot
     check_export(store, None, 0)
-    for snapshot, copy, size in handed_out:
-        assert snapshot == copy
-        assert getattr(snapshot, "size", None) == size
+    for snapshot, kept in handed_out:
+        assert snapshot == kept
 
 
 def test_image_exists_only_once_a_full_export_was_asked_for():

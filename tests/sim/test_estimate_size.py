@@ -9,13 +9,8 @@ every payload — kept here, verbatim, as the reference.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import estimate_size
-from repro.sim.network import (
-    EMPTY_SIZE,
-    MAX_SIZE_DEPTH,
-    SizedDict,
-    entry_size,
-)
+from repro.sim import Message, estimate_size
+from repro.sim.network import EMPTY_SIZE, MAX_SIZE_DEPTH, entry_size
 
 
 def reference_size(value, depth=0, seen=None):
@@ -165,38 +160,15 @@ def test_bool_and_subclasses_price_as_their_base_rule():
 
 
 # ----------------------------------------------------------------------
-# Self-priced parts: a SizedDict answers with its owner's number, and
-# that number is the walk's.
+# Stated prices: a message built with the prices of some payload
+# members walks only the others, and still costs what the walk says.
 # ----------------------------------------------------------------------
 
 
-def plain(value, _memo=None):
-    """A deep copy with every ``SizedDict`` turned into a plain dict.
-
-    Shared containers stay shared and cycles stay cycles, so the
-    reference prices the copy exactly as the walk prices the original.
-    """
-    memo = {} if _memo is None else _memo
-    if id(value) in memo:
-        return memo[id(value)]
-    if isinstance(value, dict):
-        copy = memo[id(value)] = (
-            {} if type(value) is SizedDict else type(value)()
-        )
-        for k, v in value.items():
-            copy[plain(k, memo)] = plain(v, memo)
-    elif isinstance(value, list):
-        copy = memo[id(value)] = type(value)()
-        copy.extend(plain(v, memo) for v in value)
-    elif isinstance(value, (tuple, set, frozenset)):
-        copy = memo[id(value)] = type(value)(plain(v, memo) for v in value)
-    elif isinstance(value, Box):
-        copy = memo[id(value)] = Box()
-        for k, v in vars(value).items():
-            setattr(copy, k, plain(v, memo))
-    else:
-        copy = value
-    return copy
+def member_size(value):
+    """What ``value`` costs as a member of a dict payload, one level
+    below it: the price a sender states for it."""
+    return reference_size(value, depth=1)
 
 
 def nested(levels, leaf=7):
@@ -206,11 +178,11 @@ def nested(levels, leaf=7):
     return leaf
 
 
-def sized(entries):
-    """Build a ``SizedDict`` the way an owner must: from the rules."""
-    part = SizedDict(entries)
-    part.size = EMPTY_SIZE + sum(entry_size(k, v) for k, v in part.items())
-    return part
+def kept_price(entries):
+    """A dict member's price kept item by item, as a replica image
+    keeps it: :data:`EMPTY_SIZE` plus each item's ``entry_size``."""
+    seen = set()
+    return EMPTY_SIZE + sum(entry_size(seen, k, v) for k, v in entries.items())
 
 
 # Cells as a store exports them, plus values that are themselves
@@ -227,28 +199,38 @@ parts = st.dictionaries(
     st.one_of(st.text(max_size=4), st.integers(0, 9)),
     st.tuples(cell_values, st.integers(0, 50), st.integers(0, 50)),
     max_size=5,
-).map(sized)
+)
 
 
 @given(parts, st.integers(0, 9))
 @settings(max_examples=200, deadline=None)
 def test_sized_part_prices_as_the_walk_wherever_it_sits(part, uid):
-    reply = {"uid": uid, "attempt": 0, "snapshot": part, "ts": (1, 2)}
-    # Where it is sent: a direct member of the payload.
-    assert part.size == reference_size(plain(reply)) - reference_size(
-        {"uid": uid, "attempt": 0, "ts": (1, 2)}
-    ) - len("snapshot")
+    ts = tuple(cell[0] for cell in part.values())
+    assert kept_price(part) == member_size(part)
+    seen = set()
+    assert EMPTY_SIZE + sum(entry_size(seen, v) for v in ts) == member_size(ts)
+    stated = {"snapshot": kept_price(part), "ts": member_size(ts)}
+    reply = {"uid": uid, "attempt": 0, "snapshot": part, "ts": ts}
+    assert Message("r", reply, stated).size == reference_size(reply)
+    # Stating some members, all of them, or none prices the same.
+    for names in ((), ("ts",), ("snapshot", "ts")):
+        priced = {name: stated[name] for name in names}
+        assert Message("r", reply, priced).size == reference_size(reply)
+    # The part shared by several members, and under any key.
     for payload in (
-        reply,
-        part,                       # the payload itself: walked
-        [part],
-        [part, part],               # shared twice, priced twice
-        {"a": part, "b": [part]},   # once trusted, once walked
-        Box(snapshot=part),
-        Box(inner=Box(parts=(part, part))),
-        {part.size: part, "size": part.size},
+        {"a": part, "b": part},
+        {uid: part, "size": len(part), None: part},
+        {"part": part, "box": Box(part=part)},
     ):
-        assert estimate_size(payload) == reference_size(plain(payload))
+        priced = {k: member_size(v) for k, v in payload.items()}
+        assert Message("r", payload, priced).size == reference_size(payload)
+    # A relay restates its request and walks only what it stamps.
+    request = Message("req", {"sender": uid, "payload": part, "id": 3})
+    relay = request.relay(
+        "seq", {"seq": 1, "epoch": 0, **request.payload, "stable": None}
+    )
+    assert request.size == reference_size(request.payload)
+    assert relay.size == reference_size(relay.payload)
 
 
 @given(parts, st.integers(0, MAX_SIZE_DEPTH + 4), st.sampled_from("ldb"))
@@ -264,36 +246,42 @@ def test_sized_part_prices_as_the_walk_below_the_depth_cap(
             value = {"k": value}
         else:
             value = Box(inner=value)
-        assert estimate_size(value) == reference_size(plain(value))
+        payload = {"member": value, "n": extra_depth}
+        stated = Message("m", payload, {"member": member_size(value)})
+        assert stated.size == reference_size(payload)
+        request = Message("req", {"member": value})
+        relay = request.relay("seq", payload)
+        assert relay.size == reference_size(payload)
 
 
 def test_only_the_exact_type_at_its_depth_is_taken_on_trust():
-    class Impostor(dict):
-        size = 1
-
-    class Heir(SizedDict):
-        pass
-
-    lying = SizedDict(a=1)
-    lying.size = 1000
-    heir = Heir(a=1)
-    heir.size = 1000
-    honest = reference_size({"a": 1})
-    # Trusted: the exact type, one level below the payload.
-    assert estimate_size([lying]) == 2 + 1000
-    assert estimate_size({"k": lying}) == 2 + 1 + 1000
-    # Walked: any other depth, a subclass, and look-alikes that merely
-    # carry a ``size`` attribute or key.
-    assert estimate_size(lying) == honest
-    assert estimate_size([[lying]]) == 2 + 2 + honest
-    assert estimate_size(Box(part=lying)) == 2 + 4 + honest
-    assert estimate_size([heir]) == 2 + honest
-    assert estimate_size([Impostor(a=1)]) == 2 + honest
-    assert estimate_size([Box(size=1)]) == 2 + reference_size({"size": 1})
-    assert estimate_size([{"size": 1}]) == 2 + reference_size({"size": 1})
-    assert estimate_size([Slotted()]) == 2 + 8
+    payload = {"a": {"x": 1}, "b": [1, 2]}
+    honest = reference_size(payload)
+    # A stated price is taken as stated, for that member only ...
+    assert Message("m", payload, {"a": 1000}).size == (
+        honest - member_size(payload["a"]) + 1000
+    )
+    assert Message("m", payload, {"a": 1000, "b": 0}).size == (
+        EMPTY_SIZE + 1 + 1000 + 1 + 0
+    )
+    # ... and a relay takes its request's price as it stands.
+    request = Message("req", {"a": payload["a"]})
+    object.__setattr__(request, "_size", 500)
+    assert request.relay("seq", payload).size == 500 + 1 + 18
+    # Nothing else is trusted: a message states nothing by default,
+    # and look-alikes that merely carry a ``size`` attribute or key
+    # are walked wherever they sit.
+    assert Message("m", payload).size == honest
+    for value in (Box(size=1), {"size": 1}, [Box(size=1)], Slotted()):
+        assert Message("m", value).size == reference_size(value)
+        assert Message("m", {"k": value}, {}).size == reference_size(
+            {"k": value}
+        )
 
 
 def test_unpriced_sized_dict_fails_loudly():
-    with pytest.raises(AttributeError):
-        estimate_size([SizedDict(a=1)])
+    for payload in ([1, 2], (("a", 1),), "ab", None):
+        with pytest.raises(AttributeError):
+            Message("m", payload, {"a": 8})
+        with pytest.raises(AttributeError):
+            Message("req", {"a": 1}).relay("seq", payload)
