@@ -35,7 +35,6 @@ from repro.core.consistency import (
     is_m_linearizable,
     is_m_normal,
     is_m_sequentially_consistent,
-    restrict_history,
 )
 from repro.core.constraints import (
     constraint_report,
@@ -152,7 +151,6 @@ __all__ = [
     "reads_from_order",
     "real_time_order",
     "relation_from_sequence",
-    "restrict_history",
     "run_scan",
     "save_history",
     "rw_pairs",

@@ -14,6 +14,9 @@ as a ground-truth oracle on histories of realistic size:
 2. **Constraint propagation** — the iterated ``~rw`` extension
    (D 4.11/D 4.12) adds forced precedences before the search starts;
    if the extension is cyclic the history is inadmissible outright.
+   Each round re-closes the sparse generators (``~H`` plus the
+   ``~rw`` pairs found so far), and the search reads its predecessor
+   rows straight off the last closure's cached rows.
 3. **Safe moves** — a schedulable *query* m-operation can always be
    scheduled immediately (it changes no object version, so deferring
    it never helps); such moves are taken without branching.
@@ -27,7 +30,9 @@ The search state is ``(scheduled mask, last-writer per object)``; an
 m-operation is schedulable when all its predecessors under the
 (extended) base order are scheduled and, for every object it reads,
 the current last writer is exactly the writer its reads-from entry
-demands.
+demands.  A process *view* (m-causal consistency) is a position mask
+over the whole history, whose index and base closure serve every view:
+the m-operations outside it start out scheduled.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.constraints import extended_relation
 from repro.core.history import History
-from repro.core.legality import is_legal, is_legal_sequence
+from repro.core.index import HistoryIndex
+from repro.core.legality import is_legal_sequence
 from repro.core.relations import Relation
 
 
@@ -83,6 +89,7 @@ def check_admissible(
     history: History,
     base: Relation,
     *,
+    view: Optional[int] = None,
     propagate_rw: bool = True,
     node_limit: Optional[int] = None,
     use_memo: bool = True,
@@ -97,6 +104,11 @@ def check_admissible(
         base: the generating order ``~H`` (process order, reads-from,
             real-time order ... as appropriate for the consistency
             condition; see :mod:`repro.core.orders`).
+        view: decide the sub-history whose ``history.uids`` positions
+            are set in this mask instead: the initial m-operation,
+            every update and some queries (an m-causal process view).
+            The others start out scheduled, their reads ignored; paths
+            and cycles of ``base`` through them still count.
         propagate_rw: apply the iterated D 4.11 extension before the
             search.  Sound for any history (see
             :func:`repro.core.constraints.extended_relation`); disable
@@ -141,13 +153,14 @@ def check_admissible(
     if not closure.is_acyclic():
         stats.pruned_cyclic = True
         return AdmissibilityResult(False, None, stats)
-    if use_legality_precheck and not is_legal(history, closure):
+    index = HistoryIndex.of(history)
+    if use_legality_precheck and not index.legal_under(closure, view):
         # Lemma 6: admissibility implies legality.
         stats.pruned_illegal = True
         return AdmissibilityResult(False, None, stats)
 
     if propagate_rw:
-        closure = extended_relation(history, base, iterate=True)
+        closure = extended_relation(history, base, iterate=True, view=view)
         if not closure.is_acyclic():
             stats.pruned_cyclic = True
             return AdmissibilityResult(False, None, stats)
@@ -157,12 +170,13 @@ def check_admissible(
         closure,
         stats,
         node_limit,
+        view=view,
         use_memo=use_memo,
         use_dead_end=use_dead_end,
         use_safe_moves=use_safe_moves,
     )
     if witness is not None:
-        assert is_legal_sequence(history, witness), (
+        assert is_legal_sequence(history, witness, view=view), (
             "internal error: search produced a non-legal witness"
         )
     return AdmissibilityResult(witness is not None, witness, stats)
@@ -178,29 +192,31 @@ def _search(
     stats: SearchStats,
     node_limit: Optional[int],
     *,
+    view: Optional[int] = None,
     use_memo: bool = True,
     use_dead_end: bool = True,
     use_safe_moves: bool = True,
 ) -> Optional[List[int]]:
-    """Branch-and-bound over legal linear extensions of ``closure``."""
+    """Branch-and-bound over legal linear extensions of ``closure``
+    (restricted to ``view``: the rest starts out scheduled)."""
     uids: Tuple[int, ...] = history.uids
     n = len(uids)
-    index = {uid: i for i, uid in enumerate(uids)}
+    index = HistoryIndex.of(history).positions
     objects = sorted(history.objects)
     obj_index = {obj: i for i, obj in enumerate(objects)}
+    full_mask = (1 << n) - 1
+    view = full_mask if view is None else view
 
-    # Predecessor masks from the (extended) order.
-    pred_mask = [0] * n
-    for a_uid, b_uid in closure.pairs():
-        ia, ib = index.get(a_uid), index.get(b_uid)
-        if ia is not None and ib is not None and ia != ib:
-            pred_mask[ib] |= 1 << ia
+    # Predecessor masks from the (extended) order's cached rows.
+    pred_mask = HistoryIndex.of(history).closure_rows(closure).pred
 
     # Per-m-operation external read requirements and writes.
     reads: List[List[Tuple[int, int]]] = [[] for _ in range(n)]  # (obj, writer)
     writes: List[List[int]] = [[] for _ in range(n)]
     readers_of: Dict[int, List[int]] = {}  # obj index -> reader mop indices
     for i, uid in enumerate(uids):
+        if not view >> i & 1:
+            continue
         mop = history[uid]
         for obj in mop.external_reads:
             writer = history.writer_of(uid, obj)
@@ -211,7 +227,6 @@ def _search(
             writes[i].append(obj_index[obj])
 
     init_idx = index[history.init.uid]
-    full_mask = (1 << n) - 1
     failed: Set[Tuple[int, Tuple[int, ...]]] = set()
 
     # last_writer: tuple over objects of the writing mop index (or -1).
@@ -286,7 +301,7 @@ def _search(
     # below the top.  A node whose candidates are exhausted fails and
     # is memoized.
     prefix: List[int] = []
-    state = (0, tuple([NO_WRITER] * len(objects)))
+    state = (full_mask ^ view, tuple([NO_WRITER] * len(objects)))
     outcome = visit(*state)
     stack: List[Tuple[Tuple[int, Tuple[int, ...]], Iterator[int]]] = []
     while outcome is not True:

@@ -40,13 +40,12 @@ unsound Theorem-7 shortcut.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.admissibility import SearchStats, check_admissible
 from repro.core.constraints import satisfies_oo, satisfies_ww
 from repro.core.history import History
 from repro.core.index import HistoryIndex, condition_row
-from repro.core.operation import INIT_UID
 from repro.core.plan import run_scan
 from repro.core.refutation import Refutation, refute_order
 from repro.core.relations import Relation
@@ -254,27 +253,6 @@ def _check_exact(
     )
 
 
-def restrict_history(history: History, uids: Sequence[int]) -> History:
-    """The sub-history over ``uids`` (must be reads-from closed).
-
-    ``uids`` must contain, for every kept m-operation, the writers of
-    all its external reads (the initial m-operation is always kept).
-    Raises :class:`~repro.errors.MalformedHistoryError` otherwise,
-    via history validation.
-    """
-    keep = set(uids) | {INIT_UID}
-    mops = [m for m in history.mops if m.uid in keep]
-    reads_from = {
-        (reader, obj): writer
-        for (reader, obj), writer in history.reads_from_map.items()
-        if reader in keep
-    }
-    initial_values = dict(history.init.external_writes)
-    return History.from_mops(
-        mops, initial_values=initial_values, reads_from=reads_from
-    )
-
-
 def _check_views(
     history: History,
     condition: str,
@@ -285,21 +263,19 @@ def _check_views(
     """The exact search of a per-process row.  A cycle or illegal read
     of the whole order lies in some view, so one :func:`refute_order`
     pass refutes it; otherwise each process's view — every update plus
-    the process's own m-operations, ordered by the closure restricted
-    to them — is searched in turn, and the first inadmissible one is
-    the refutation."""
+    the process's own m-operations, as a position mask over the whole
+    history and its order — is searched in turn, and the first
+    inadmissible one is the refutation."""
     stats = SearchStats()
+    index = HistoryIndex.of(history)
+    pos = index.positions
+    updates = sum(1 << pos[uid] for uid in index.update_uids)
     with get_tracer().span("check.views"):
         refutation = refute_order(history, condition, base, extra)
-        closure = base.transitive_closure()
         for proc in history.processes if refutation is None else ():
-            view = restrict_history(
-                history,
-                [m.uid for m in history.mops
-                 if m.is_update or m.process == proc],
-            )
+            view = sum(1 << pos[uid] for uid in index.process_chains[proc])
             result = check_admissible(
-                view, closure.restricted_to(view.uids), node_limit=node_limit
+                history, base, view=updates | view, node_limit=node_limit
             )
             stats.nodes += result.stats.nodes
             stats.memo_hits += result.stats.memo_hits

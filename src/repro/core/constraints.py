@@ -26,7 +26,7 @@ it is legal — which is exactly what :func:`extended_relation` plus
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.history import History
 from repro.core.index import HistoryIndex
@@ -116,7 +116,8 @@ def rw_pairs(history: History, closure: Relation) -> List[Tuple[int, int]]:
 
 
 def extended_relation(
-    history: History, base: Relation, *, iterate: bool = False
+    history: History, base: Relation, *, iterate: bool = False,
+    view: Optional[int] = None,
 ) -> Relation:
     """D 4.12: the extended relation ``~H+ = (~H ∪ ~rw)+``.
 
@@ -129,7 +130,11 @@ def extended_relation(
             a fixpoint — every new edge can reveal further forced
             precedences — which gives a strictly stronger (still sound)
             relation useful as constraint propagation for the exact
-            checker on *unconstrained* histories.
+            checker on *unconstrained* histories.  Each round closes
+            the sparse generators — ``base`` plus every ``~rw`` pair
+            found so far — never the previous round's closure.
+        view: derive ``~rw`` from the reads of the m-operations whose
+            position bit is set only (a process view).
 
     Returns:
         The transitive closure of ``~H ∪ ~rw``.  The result may be
@@ -138,16 +143,17 @@ def extended_relation(
         constraint, and callers use
         :meth:`~repro.core.relations.Relation.is_acyclic` to test.
     """
+    index = HistoryIndex.of(history)
+    generators = base.copy()
     closure = base.transitive_closure()
     while True:
-        new_pairs = [p for p in rw_pairs(history, closure) if p not in closure]
+        new_pairs = [
+            p for p in index.rw_pairs_under(closure, view) if p not in closure
+        ]
         if not new_pairs:
             return closure
-        extended = closure.copy()
-        for a_uid, c_uid in new_pairs:
-            if a_uid != c_uid:
-                extended.add(a_uid, c_uid)
-        closure = extended.transitive_closure()
+        generators.add_all(new_pairs)
+        closure = generators.transitive_closure()
         if not iterate:
             return closure
 

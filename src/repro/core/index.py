@@ -341,21 +341,21 @@ class HistoryIndex:
         return closure.closure_rows()
 
     def _overwritten_reads(
-        self, closure: Relation
+        self, closure: Relation, view: Optional[int] = None
     ) -> Iterator[Tuple[int, int, str, int]]:
         """D 4.6 as a per-read predicate.
 
         Yields ``(a, b, x, mask)`` for each proper read ``((a, x), b)``
-        that the closed order ``closure`` makes illegal: ``mask`` holds
-        the positions of the writers of ``x`` other than ``a`` and
-        ``b`` ordered strictly between them, ``succ*[b] & pred*[a]``
-        cut down to the object's writers.
+        in ``view`` that the closed order ``closure`` makes illegal:
+        ``mask`` holds the positions of the writers of ``x`` other than
+        ``a`` and ``b`` ordered strictly between them, ``succ*[b] &
+        pred*[a]`` cut down to the object's writers.
         """
         rows = self.closure_rows(closure)
         succ, pred = rows.succ, rows.pred
         pos = self.positions
         writer_masks = self.writer_masks
-        for (a_uid, obj), b_uid in self.proper_reads():
+        for (a_uid, obj), b_uid in self.proper_reads(view):
             ia, ib = pos[a_uid], pos[b_uid]
             between = succ[ib] & pred[ia] & writer_masks[obj]
             if between:
@@ -364,11 +364,11 @@ class HistoryIndex:
                 if between:
                     yield a_uid, b_uid, obj, between
 
-    def legal_under(self, closure: Relation) -> bool:
+    def legal_under(self, closure: Relation, view: Optional[int] = None) -> bool:
         """D 4.6 against the transitive closure of the order under
-        test: no read has an overwriter between its writer and itself.
-        One mask test per read."""
-        return next(self._overwritten_reads(closure), None) is None
+        test: no read (of a reader in ``view``) has an overwriter
+        between its writer and itself.  One mask test per read."""
+        return next(self._overwritten_reads(closure, view), None) is None
 
     def illegal_triples_under(
         self, closure: Relation
@@ -384,16 +384,24 @@ class HistoryIndex:
                     bad[(a_uid, b_uid, c_uid)] = None
         return list(bad)
 
-    def proper_reads(self) -> List[Tuple[Tuple[int, str], int]]:
-        """Reads-from edges ``((a, x), b)`` with ``a != b`` (D 4.2)."""
+    def proper_reads(
+        self, view: Optional[int] = None
+    ) -> List[Tuple[Tuple[int, str], int]]:
+        """Reads-from edges ``((a, x), b)`` with ``a != b`` (D 4.2) —
+        of the readers whose position bit is set in ``view``, if given
+        (:func:`~repro.core.admissibility.check_admissible`)."""
+        pos = self.positions
         return [
             (key, b_uid)
             for key, b_uid in self.history.reads_from_map.items()
-            if key[0] != b_uid
+            if key[0] != b_uid and (view is None or view >> pos[key[0]] & 1)
         ]
 
-    def rw_pairs_under(self, closure: Relation) -> List[Pair]:
-        """D 4.11 ``~rw`` pairs against a closed order.
+    def rw_pairs_under(
+        self, closure: Relation, view: Optional[int] = None
+    ) -> List[Pair]:
+        """D 4.11 ``~rw`` pairs against a closed order, of the readers
+        in ``view`` (all by default).
 
         Mask form of the triple scan: for each reads-from edge
         ``b --x--> a``, every writer ``c`` of ``x`` with ``b ~H c``
@@ -406,7 +414,7 @@ class HistoryIndex:
         pos = self.positions
         writer_masks = self.writer_masks
         pairs = set()
-        for (a_uid, obj), b_uid in self.proper_reads():
+        for (a_uid, obj), b_uid in self.proper_reads(view):
             ib = pos[b_uid]
             cands = (
                 succ[ib]

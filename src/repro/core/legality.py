@@ -83,7 +83,9 @@ def illegal_triples(
     return HistoryIndex.of(history).illegal_triples_under(closure)
 
 
-def is_legal_sequence(history: History, order: Sequence[int]) -> bool:
+def is_legal_sequence(
+    history: History, order: Sequence[int], *, view: Optional[int] = None
+) -> bool:
     """Directly check legality of a total order of the history's uids.
 
     The operational reading of a "legal sequential history" (Section
@@ -97,15 +99,18 @@ def is_legal_sequence(history: History, order: Sequence[int]) -> bool:
         order: a permutation of ``history.uids``; the initial
             m-operation may be omitted, in which case it is implicitly
             first.
+        view: a position mask over ``history.uids``: ``order`` then
+            permutes the m-operations of that process view only (see
+            :func:`~repro.core.admissibility.check_admissible`).
     """
     try:
-        return first_illegal_read(history, order) is None
+        return first_illegal_read(history, order, view=view) is None
     except ValueError:  # not a permutation
         return False
 
 
 def first_illegal_read(
-    history: History, order: Sequence[int]
+    history: History, order: Sequence[int], *, view: Optional[int] = None
 ) -> Optional[Tuple[int, str, int, Optional[int]]]:
     """The first violated read of a total order of the history's uids.
 
@@ -117,12 +122,14 @@ def first_illegal_read(
 
     Raises:
         ValueError: ``order`` is not a permutation of ``history.uids``
-            (the initial m-operation may be omitted, else first).
+            (the initial m-operation may be omitted, else first), or
+            of those whose position bit is set in ``view``.
     """
     order = list(order)
     if history.init.uid not in order:
         order = [history.init.uid] + order
-    if sorted(order) != sorted(history.uids) or order[0] != history.init.uid:
+    uids = [u for i, u in enumerate(history.uids) if view is None or view >> i & 1]
+    if sorted(order) != sorted(uids) or order[0] != history.init.uid:
         raise ValueError(
             f"{order} is not a permutation of the history's m-operations "
             "with the initial one first"

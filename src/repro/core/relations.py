@@ -343,21 +343,6 @@ class Relation:
         ordered = sum(mask.bit_count() for mask in closure._succ)
         return ordered == n * (n - 1) // 2
 
-    def restricted_to(self, nodes: Iterable[int]) -> "Relation":
-        """The restriction of the relation to a subset of its universe.
-
-        Self-pairs are dropped: the transitive closure of a *cyclic*
-        relation carries self-reachability internally, and a
-        restriction of it should remain a (possibly cyclic) relation
-        rather than fail.
-        """
-        keep = set(nodes)
-        result = Relation(n for n in self._nodes if n in keep)
-        for a, b in self.pairs():
-            if a in keep and b in keep and a != b:
-                result.add(a, b)
-        return result
-
     # ------------------------------------------------------------------
     # Linear extensions
     # ------------------------------------------------------------------

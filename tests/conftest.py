@@ -59,6 +59,22 @@ def simple_history(specs, *, reads_from=None, initial_values=None):
     )
 
 
+def view_history(history, proc):
+    """``proc``'s view — every update plus ``proc``'s own
+    m-operations — as a history of its own, reads-from cut down to its
+    readers: the route the exact m-causal check once took per view."""
+    keep = {m.uid for m in history.mops if m.is_update or m.process == proc}
+    return History.from_mops(
+        [m for m in history.mops if m.uid in keep],
+        initial_values=dict(history.init.external_writes),
+        reads_from={
+            key: writer
+            for key, writer in history.reads_from_map.items()
+            if key[0] in keep
+        },
+    )
+
+
 def ww_chain(history):
     """Updates chained in issue order — a ``~ww`` the valid history
     agrees with (``random_serial_history`` issues by increasing uid)."""

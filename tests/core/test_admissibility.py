@@ -6,17 +6,23 @@ import pytest
 
 from repro.analysis import exponential_gadget
 from repro.core import (
+    HistoryIndex,
     Relation,
     SearchBudgetExceeded,
     base_order,
     check_admissible,
     check_condition,
     count_legal_linearizations,
+    extended_relation,
+    is_legal,
     is_legal_sequence,
     msc_order,
+    rw_pairs,
 )
 from repro.workloads import HistoryShape, figure2_h1, random_serial_history
-from tests.conftest import simple_history
+from tests.conftest import simple_history, view_history
+from tests.core.test_index_crossval import CORPUS
+from tools.verdict_corpus import recorded_corpus
 
 
 class TestBasicVerdicts:
@@ -181,3 +187,66 @@ class TestCountLinearizations:
         h = simple_history([(1, 0, "w x 1"), (2, 1, "w y 2")])
         base = base_order(h, extra_pairs=[(1, 2), (2, 1)])
         assert count_legal_linearizations(h, base) == 0
+
+
+# ----------------------------------------------------------------------
+# Sparse generators against the dense route they replaced
+# ----------------------------------------------------------------------
+
+#: The cross-validation corpus plus recorded msc/mlin runs and their
+#: corrupt twins, whose searches branch.
+DIFFERENTIAL = [h for _label, h in CORPUS] + recorded_corpus()
+
+
+def dense_extended_relation(history, base):
+    """The iterated ``~rw`` fixpoint as it once ran: copy the last
+    closure, add the new pairs and close the dense copy again."""
+    closure = base.transitive_closure()
+    while True:
+        new = [p for p in rw_pairs(history, closure) if p not in closure]
+        if not new:
+            return closure
+        extended = closure.copy()
+        extended.add_all(new)
+        closure = extended.transitive_closure()
+
+
+class TestGeneratorsAgainstDenseRoute:
+    def test_rw_fixpoint_matches_the_dense_reference(self):
+        grown = 0
+        for history in DIFFERENTIAL:
+            index = HistoryIndex.of(history)
+            for condition in ("m-sc", "m-lin", "m-norm"):
+                base = index.base_relation(condition)
+                extended = extended_relation(history, base, iterate=True)
+                assert extended == dense_extended_relation(history, base)
+                grown += extended != base.transitive_closure()
+        assert grown > 300
+
+    def test_views_searched_by_mask_match_the_view_histories(self):
+        """Each m-causal view the exact check searches — the whole
+        order is acyclic and legal, else it is refuted first — gives
+        the same verdict, witness and stats by mask as searched as a
+        history of its own under the whole closure restricted to it."""
+        verdicts = []
+        for history in DIFFERENTIAL:
+            index = HistoryIndex.of(history)
+            base = index.base_relation("m-causal")
+            if not base.is_acyclic() or not is_legal(history, base):
+                continue
+            closure = base.transitive_closure()
+            for proc in history.processes:
+                view = view_history(history, proc)
+                mask = sum(1 << index.positions[uid] for uid in view.uids)
+                restricted = Relation(
+                    view.uids,
+                    (
+                        (a, b)
+                        for a, b in closure.pairs()
+                        if a in view and b in view and a != b
+                    ),
+                )
+                found = check_admissible(history, base, view=mask)
+                assert found == check_admissible(view, restricted), proc
+                verdicts.append(found.admissible)
+        assert len(verdicts) > 300 and False in verdicts

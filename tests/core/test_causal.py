@@ -11,9 +11,8 @@ from repro.core import (
     is_legal_sequence,
     is_m_causally_consistent,
     is_m_sequentially_consistent,
-    restrict_history,
 )
-from tests.conftest import simple_history
+from tests.conftest import simple_history, view_history
 
 
 def update_order(h, witness):
@@ -78,21 +77,6 @@ class TestCausalOrder:
         )
         co = HistoryIndex.of(h).closure("m-causal")
         assert (1, 4) in co
-
-
-class TestRestrictHistory:
-    def test_keeps_subset(self):
-        h = simple_history(
-            [(1, 0, "w x 1"), (2, 1, "r x 1"), (3, 2, "r x 1")]
-        )
-        sub = restrict_history(h, [1, 2])
-        assert set(sub.uids) == {0, 1, 2}
-        assert sub.writer_of(2, "x") == 1
-
-    def test_initial_values_preserved(self):
-        h = simple_history([(1, 0, "r x 7")], initial_values={"x": 7})
-        sub = restrict_history(h, [1])
-        assert sub.init.external_writes == {"x": 7}
 
 
 class TestMCausalConsistency:
@@ -233,10 +217,7 @@ class TestMCausalSerializability:
             verdict = check_condition(h, "m-sc")
             assert exact.holds == verdict.holds, seed
             for proc in h.processes if verdict.holds else ():
-                view = restrict_history(
-                    h, [m.uid for m in h.mops
-                        if m.is_update or m.process == proc],
-                )
+                view = view_history(h, proc)
                 assert is_legal_sequence(
                     view, [u for u in verdict.witness if u in view.uids]
                 ), (seed, proc)

@@ -91,21 +91,6 @@ class TestAlgebra:
         assert Relation([1, 2], [(1, 2)]) == Relation([1, 2], [(1, 2)])
         assert Relation([1, 2], [(1, 2)]) != Relation([1, 2])
 
-    def test_restricted_to(self):
-        rel = Relation([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-        sub = rel.restricted_to([1, 3])
-        assert sub.nodes == (1, 3)
-        assert (1, 3) in sub and len(sub) == 1
-
-    def test_restricted_to_takes_any_iterable_once(self):
-        """The signature says ``Iterable``: a generator must not be
-        drained by the first membership test."""
-        rel = Relation(range(5), [(0, 1), (1, 2), (3, 4)])
-        sub = rel.restricted_to(n for n in (2, 1, 0))
-        assert sub.nodes == (0, 1, 2)
-        assert set(sub.pairs()) == {(0, 1), (1, 2)}
-        assert sub == rel.restricted_to([0, 1, 2])
-
 
 class TestClosure:
     def test_transitive_closure_chain(self):

@@ -1,5 +1,7 @@
 """Unit tests for the Theorem-2 reduction (Section 3)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import check_m_linearizability
@@ -13,6 +15,28 @@ from repro.db import (
     schedule_to_history,
 )
 from repro.errors import ReproError
+
+#: ``random_schedule(4, 3, 4)`` seeds: 0-9, which all but seed 2 fail
+#: to express, plus expressible ones of both verdicts.
+LARGER_SEEDS = [*range(10), 21, 26, 40]
+
+#: Each biconditional family: generator, shape, seeds, and how many of
+#: its expressible schedules are (not) strict view serializable.
+FAMILIES = {
+    "random": (random_schedule, (3, 2, 3), range(40), {True: 4, False: 9}),
+    "serializable": (
+        random_serializable_schedule, (3, 2, 3), range(20), {True: 20}
+    ),
+    "larger": (random_schedule, (4, 3, 4), LARGER_SEEDS, {True: 2, False: 2}),
+}
+
+
+def expressible(schedule) -> bool:
+    try:
+        schedule_to_history(schedule)
+    except ReproError:
+        return False
+    return True
 
 
 class TestConstruction:
@@ -98,13 +122,45 @@ class TestEquivalence:
             == reduction_decides(s)
         )
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", LARGER_SEEDS)
     def test_biconditional_larger(self, seed):
         s = random_schedule(4, 3, 4, seed=seed)
         assert (
             is_strict_view_serializable(s).serializable
             == reduction_decides(s)
         )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_biconditional_decides_expressible_schedules(self, family):
+        """``reduction_decides`` answers False whenever
+        ``schedule_to_history`` raises; each family must also decide
+        schedules that reach the checker, of the verdicts it names."""
+        generate, shape, seeds, expected = FAMILIES[family]
+        decided = Counter()
+        for seed in seeds:
+            s = generate(*shape, seed=seed)
+            if expressible(s):
+                serializable = is_strict_view_serializable(s).serializable
+                assert reduction_decides(s) == serializable, seed
+                decided[serializable] += 1
+        assert decided == expected
+
+    def test_inexpressible_schedules_are_not_strict_view_serializable(self):
+        """Theorem 2's hidden claim, on its own: a schedule whose
+        observations no history can express (so the reduction answers
+        False without checking) is never strict view serializable."""
+        raised = Counter()
+        for shape, seeds in (
+            ((3, 2, 3), range(40)),
+            ((4, 3, 4), LARGER_SEEDS),
+            ((6, 4, 3), range(40)),
+        ):
+            for seed in seeds:
+                s = random_schedule(*shape, seed=seed)
+                if not expressible(s):
+                    assert not is_strict_view_serializable(s).serializable
+                    raised[shape] += 1
+        assert raised == {(3, 2, 3): 27, (4, 3, 4): 9, (6, 4, 3): 29}
 
     def test_final_mop_needed_for_final_writes(self):
         """Dropping T_inf loses the final-writes condition.

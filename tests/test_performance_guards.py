@@ -149,6 +149,55 @@ def test_certified_partitioned_check_is_one_scan_and_no_closure():
     assert HistoryIndex.of(history)._bases == {}
 
 
+def test_exact_checks_close_generators_never_closures(monkeypatch):
+    # Structural, no wall clock: exact m-SC and m-causal on a recorded
+    # history without ~ww close only sparse generators — ~H's cover
+    # edges plus the ~rw pairs the fixpoint adds — never a closed
+    # relation (688,984 edges at 1,200 m-ops, where 5,327 generate
+    # it), and the search reads its predecessor rows off the cached
+    # closure instead of walking Relation.pairs.
+    import repro.core.relations as relations
+    from repro.core import (
+        Relation,
+        check_condition,
+        extended_relation,
+        rw_pairs,
+    )
+    from repro.runtime import RunSpec, VerifyPolicy, execute
+
+    spec = RunSpec(
+        protocol="msc", workload="zipfian", n=8,
+        objects=tuple(f"x{i}" for i in range(32)), ops=37, seed=1,
+        verify=VerifyPolicy(enabled=False),
+    )
+    history = execute(spec).result.history
+    edges, walks = [], []
+    reachability, pairs = relations._reachability, Relation.pairs
+
+    def tapped_reachability(rows):
+        edges.append(sum(row.bit_count() for row in rows))
+        return reachability(rows)
+
+    def tapped_pairs(relation):
+        walks.append(len(relation.nodes))
+        return pairs(relation)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(relations, "_reachability", tapped_reachability)
+        patch.setattr(Relation, "pairs", tapped_pairs)
+        verdicts = [
+            check_condition(history, condition)
+            for condition in ("m-sc", "m-causal")
+        ]
+    assert [(v.holds, v.method_used) for v in verdicts] == [(True, "exact")] * 2
+    base = HistoryIndex.of(history).base_relation("m-sc")
+    extended = extended_relation(history, base, iterate=True)
+    allowed = len(base) + len(rw_pairs(history, extended))
+    assert len(history.mops) == 296 and len(edges) > 2 * len(history.processes)
+    assert max(edges) <= allowed
+    assert walks == []
+
+
 def test_delivered_update_reaches_the_replica_in_four_frames(monkeypatch):
     # Structural, no wall clock: the per-delivery cost of a clean run
     # is the Python frames between the event loop and the replica.

@@ -5,10 +5,11 @@
     PYTHONPATH=src               python tools/verdict_corpus.py dump change.jsonl
     python tools/verdict_corpus.py compare parent.jsonl change.jsonl
 
-``dump`` rebuilds three history corpora from the same generators and
-seeds as the cross-validation tests — the ``test_index_crossval``
-corpus, and the partitioned and contended corpora of
-``test_plan_crossval`` — and sends every history down every checker
+``dump`` rebuilds four history corpora — the ``test_index_crossval``
+corpus, the partitioned and contended corpora of
+``test_plan_crossval`` (same generators and seeds as those tests),
+and recorded msc and mlin runs with their corrupt twins, whose exact
+searches branch — and sends every history down every checker
 path: method {auto, constrained, exact} x every condition of
 ``repro.core.CONDITIONS`` x with/without the update chain as
 ``extra_pairs`` x certificate {none, ``certify_chain``,
@@ -16,8 +17,8 @@ path: method {auto, constrained, exact} x every condition of
 1, wide}.  Each path writes one line: ``(holds, method_used, witness,
 certificate, stats)``, or the type and message of what it raised.  A certificate the prover refuses
 is one line of its own and its paths are not run.  ``checks()`` yields
-the same paths, for a test that wants the verdicts themselves
-(``tests/core/test_refutation.py``).  After the paths, one
+the same paths over the three generated corpora, for a test that
+wants the verdicts themselves (``tests/core/test_refutation.py``).  After the paths, one
 ``<history> <condition> holds`` line per history and condition
 records the default check's verdict (or what it raised): the line a
 revision that adds a condition is compared on.
@@ -46,6 +47,7 @@ from repro.analysis.static import (
     certify_partitioned_history,
 )
 from repro.core import CONDITIONS, check_condition
+from repro.runtime import RunSpec, VerifyPolicy, execute
 from repro.workloads import (
     HistoryShape,
     corrupt_history,
@@ -126,27 +128,51 @@ def contended_corpus():
     return histories
 
 
+def recorded_corpus():
+    """msc and mlin zipfian runs, n=4 x 8 objects x 30 ops (120
+    m-ops), seeds 0-3, each followed by its ``corrupt_history`` twin."""
+    histories = []
+    for protocol in ("msc", "mlin"):
+        for seed in range(4):
+            spec = RunSpec(
+                protocol=protocol, workload="zipfian", n=4,
+                objects=tuple(f"x{i}" for i in range(8)), ops=30,
+                seed=seed, verify=VerifyPolicy(enabled=False),
+            )
+            clean = execute(spec).result.history
+            histories.append(clean)
+            bad = corrupt_history(clean, seed=seed)
+            if bad is not None:
+                histories.append(bad)
+    return histories
+
+
 def raised(exc: Exception) -> Dict[str, str]:
     return {"raised": type(exc).__name__, "message": str(exc)}
 
 
-def corpus_histories() -> Iterator[Tuple[str, Any]]:
-    """``(label, history)`` for every history of the three corpora."""
+def corpus_histories(recorded: bool = True) -> Iterator[Tuple[str, Any]]:
+    """``(label, history)`` for every history of the four corpora, or
+    of the three generated ones without ``recorded``."""
     corpora = (
         ("index", index_corpus()),
         ("partitioned", partitioned_corpus()),
         ("contended", contended_corpus()),
-    )
+    ) + ((("recorded", recorded_corpus()),) if recorded else ())
     for corpus, histories in corpora:
         for h, history in enumerate(histories):
             yield f"{corpus}[{h}]", history
 
 
-def checks() -> Iterator[Tuple[str, Any, Optional[str], Dict]]:
+def checks(
+    recorded: bool = False,
+) -> Iterator[Tuple[str, Any, Optional[str], Dict]]:
     """Every checker path, as ``(label, history, condition, kwargs)``
     for ``check_condition``; a certificate the prover refuses is
-    ``(label, refusal, None, {})`` and its paths are not run."""
-    for name, history in corpus_histories():
+    ``(label, refusal, None, {})`` and its paths are not run.  The
+    recorded corpus, which doubles a test's run over the paths, is
+    left out unless asked for."""
+    for name, history in corpus_histories(recorded):
         chain = update_chain(history)
         ww = tuple(zip(chain, chain[1:]))
         certificates = {"none": None}
@@ -172,7 +198,7 @@ def checks() -> Iterator[Tuple[str, Any, Optional[str], Dict]]:
 
 
 def records() -> Iterator[Tuple[str, Dict]]:
-    for label, subject, condition, kwargs in checks():
+    for label, subject, condition, kwargs in checks(recorded=True):
         if condition is None:
             yield label, raised(subject)  # the prover's refusal
         else:
