@@ -5,7 +5,7 @@
 targets a running daemon via ``--url``), then drives it with N
 concurrent clients submitting a mixed spec workload — every
 registered protocol across several seeds, drawn by per-client seeded
-RNGs so repeats are guaranteed and the verdict cache earns real hits.
+RNGs so repeats are guaranteed and the artifact store earns real hits.
 
 Two profiles land as rows in the artifact:
 

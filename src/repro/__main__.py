@@ -348,18 +348,22 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeConfig, ServeDaemon
 
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        store_dir=args.store,
-        queue_depth=args.queue_depth,
-        cache_entries=args.cache_entries,
-        retain_entries=args.retain,
-        retain_bytes=args.retain_bytes,
-    )
     try:
-        daemon = ServeDaemon(config)
+        daemon = ServeDaemon(
+            ServeConfig(
+                host=args.host,
+                port=args.port,
+                workers=args.workers,
+                store_dir=args.store,
+                queue_depth=args.queue_depth,
+                cache_entries=args.cache_entries,
+                retain_entries=args.retain,
+                retain_bytes=args.retain_bytes,
+            )
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: cannot bind {args.host}:{args.port}: {exc}",
               file=sys.stderr)
@@ -568,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store",
         default="repro-store",
-        help="store directory (artifacts/, verdicts/, request log)",
+        help="store directory (artifacts/, request log)",
     )
     serve.add_argument(
         "--queue-depth",
@@ -580,13 +584,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-entries",
         type=int,
         default=256,
-        help="in-memory verdict-cache entries (disk tier is unbounded)",
+        help="artifact-store entries kept parsed in memory (LRU)",
     )
     serve.add_argument(
         "--retain",
         type=int,
         default=512,
-        help="artifact retention: max stored artifacts (LRU eviction)",
+        help="artifact retention: max stored artifacts (LRU eviction "
+        "from memory and disk)",
     )
     serve.add_argument(
         "--retain-bytes",

@@ -519,7 +519,7 @@ class RunSpec:
         return canonical_json(self.canonical_dict())
 
     def spec_hash(self) -> str:
-        """SHA-256 of :meth:`canonical_json` — the verdict-cache key.
+        """SHA-256 of :meth:`canonical_json` — the served artifact's key.
 
         Semantically identical specs (field order, materialized
         defaults, int/float spellings) hash identically; any change

@@ -3,11 +3,12 @@
 A dependency-free HTTP daemon that turns the runtime layer's
 ``RunSpec → execute() → RunArtifact`` pipeline into a long-running
 service: specs arrive over HTTP, run on a bounded worker pool, and
-their artifacts are stored content-addressed by history hash.  A
-verdict cache keyed by the *canonical spec hash*
-(:meth:`~repro.runtime.spec.RunSpec.spec_hash`) short-circuits repeat
-submissions, an append-only JSONL audit log records every request,
-and live metrics + an HTML dashboard expose the serving state.
+each artifact is stored once under its *canonical spec hash*
+(:meth:`~repro.runtime.spec.RunSpec.spec_hash`), which identifies
+both the run and the condition it is checked under.  That one store
+answers repeat submissions, an append-only JSONL audit log records
+every request, and live metrics + an HTML dashboard expose the
+serving state.
 
 Surfaces:
 
@@ -16,14 +17,13 @@ Surfaces:
 * :class:`ServeClient` — stdlib urllib client;
 * ``benchmarks/bench_serve.py`` — the load generator.
 
-See ``docs/serving.md`` for the endpoint reference and cache /
+See ``docs/serving.md`` for the endpoint reference and the store's
 retention semantics.
 """
 
 from __future__ import annotations
 
 from repro.serve.audit import AuditLog
-from repro.serve.cache import VerdictCache
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.daemon import ServeDaemon
 from repro.serve.dashboard import render_dashboard
@@ -49,6 +49,5 @@ __all__ = [
     "ServeDaemon",
     "StoreError",
     "SubmitError",
-    "VerdictCache",
     "render_dashboard",
 ]

@@ -1,7 +1,7 @@
 """Append-only JSONL request log for the serving daemon.
 
 Every submission — accepted, coalesced onto an in-flight run, served
-from the verdict cache, or rejected — appends one JSON line, so the
+from the artifact store, or rejected — appends one JSON line, so the
 full request history of a daemon is one greppable file
 (``requests.log.jsonl`` inside the store directory).  Writes are
 serialized under a lock and flushed per line; the log is an audit

@@ -131,9 +131,9 @@ class ServeClient:
             }
         return self.wait(submitted["run_id"], timeout=timeout)
 
-    def artifact(self, history_hash: str) -> Dict[str, Any]:
-        """GET a stored artifact by its history hash."""
-        return self._request(f"/v1/artifacts/{history_hash}")
+    def artifact(self, spec_hash: str) -> Dict[str, Any]:
+        """GET a stored artifact by its spec hash."""
+        return self._request(f"/v1/artifacts/{spec_hash}")
 
     def trace(self, run_id: str) -> Dict[str, Any]:
         """GET the tracer spans of a traced run."""

@@ -5,9 +5,9 @@ connection, daemon threads) routing onto a :class:`ControlPlane`:
 
 ========================  =============================================
 ``POST /v1/runs``         submit a RunSpec JSON; 202 + run id (200 on a
-                          verdict-cache hit, artifact included)
+                          store hit, artifact included)
 ``GET /v1/runs/<id>``     run status; the artifact once terminal
-``GET /v1/artifacts/<h>`` content-addressed artifact by history hash
+``GET /v1/artifacts/<h>`` stored artifact by spec hash
 ``GET /metrics``          MetricsRegistry snapshot + serving summary
 ``GET /trace/<id>``       recorded tracer spans of a traced run
 ``GET /``                 HTML dashboard
@@ -165,16 +165,16 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._send_json(200, {"run": record.to_dict()})
 
-    def _get_artifact(self, history_hash: str) -> None:
+    def _get_artifact(self, spec_hash: str) -> None:
         try:
-            artifact = self.plane.artifact(history_hash)
+            artifact = self.plane.artifact(spec_hash)
         except Exception as exc:  # bad key shape or torn file
             self._error(400, str(exc))
             return
         if artifact is None:
             self._error(
                 404,
-                f"no artifact {history_hash!r} (never stored, or "
+                f"no artifact {spec_hash!r} (never stored, or "
                 "evicted by the retention policy)",
             )
             return

@@ -123,7 +123,7 @@ def render_dashboard(state: Dict[str, Any]) -> str:
 </table>
 <p><a href="/metrics">/metrics</a> &middot; JSON API:
 POST /v1/runs &middot; GET /v1/runs/&lt;id&gt; &middot;
-GET /v1/artifacts/&lt;hash&gt; &middot; GET /trace/&lt;id&gt;</p>
+GET /v1/artifacts/&lt;spec hash&gt; &middot; GET /trace/&lt;id&gt;</p>
 </body>
 </html>
 """

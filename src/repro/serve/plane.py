@@ -2,22 +2,21 @@
 
 :class:`ControlPlane` owns everything the HTTP layer exposes: a
 bounded queue drained by a worker-thread pool (each worker drives
-:func:`repro.runtime.execute`), the verdict cache, the
-content-addressed artifact store, the JSONL audit log, and a
+:func:`repro.runtime.execute`), the artifact store keyed by canonical
+spec hash, the JSONL audit log, and a
 :class:`~repro.obs.metrics.MetricsRegistry` of serving metrics.
 
 Submission semantics (the interesting part):
 
-* a spec whose canonical hash is in the **verdict cache** never
+* a spec whose canonical hash is in the **artifact store** never
   executes — the submission returns a terminal ``cached`` run that
   carries the stored artifact;
 * a spec whose hash matches an **in-flight** run coalesces onto it —
   N concurrent clients submitting one spec cost one execution and
   all observe the same run id and artifact bytes;
-* anything else is enqueued, executed by a worker, stored (artifact
-  by ``history_hash``, verdict by spec hash) and marked ``done`` —
-  or ``failed``, and failures are deliberately *not* cached so a
-  resubmission retries.
+* anything else is enqueued, executed by a worker, stored once under
+  its spec hash and marked ``done`` — or ``failed``, and failures are
+  deliberately *not* stored so a resubmission retries.
 
 The simulator itself is single-threaded per run and shares no state
 across clusters, so runs execute concurrently; the one global the
@@ -38,7 +37,6 @@ from repro.obs import MetricsRegistry
 from repro.runtime import RunSpec, execute
 from repro.runtime.registry import get_protocol, get_workload
 from repro.serve.audit import AuditLog
-from repro.serve.cache import VerdictCache
 from repro.serve.clock import tick, wall_now
 from repro.serve.store import ArtifactStore, RetentionPolicy
 
@@ -89,8 +87,15 @@ class ServeConfig:
         retain_bytes: Optional[int] = 256 * 1024 * 1024,
         max_run_records: int = 4096,
     ) -> None:
-        if workers < 1:
-            raise SubmitError(f"workers must be >= 1, got {workers}")
+        # queue.Queue(maxsize=0) is unbounded: load shedding would
+        # silently switch off.
+        for name, value in (
+            ("workers", workers),
+            ("queue_depth", queue_depth),
+            ("cache_entries", cache_entries),
+        ):
+            if value < 1:
+                raise SubmitError(f"{name} must be >= 1, got {value}")
         self.host = host
         self.port = port
         self.workers = workers
@@ -229,7 +234,7 @@ class RunRecord:
             self._status = "failed"
 
     def complete_cached(self, artifact: Dict[str, Any]) -> None:
-        """Terminal from birth: the verdict cache had the answer."""
+        """Terminal from birth: the artifact store had the answer."""
         with self._lock:
             self._artifact = artifact
             self._history_hash = artifact.get("history_hash")
@@ -262,7 +267,7 @@ class RunRecord:
 
 
 class ControlPlane:
-    """Worker pool + cache + store + audit behind one submit() call."""
+    """Worker pool + store + audit behind one submit() call."""
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
@@ -273,9 +278,7 @@ class ControlPlane:
                 max_entries=self.config.retain_entries,
                 max_bytes=self.config.retain_bytes,
             ),
-        )
-        self.cache = VerdictCache(
-            root / "verdicts", memory_entries=self.config.cache_entries
+            memory_entries=self.config.cache_entries,
         )
         self.audit = AuditLog(root / "requests.log.jsonl")
         self.registry = MetricsRegistry()
@@ -355,7 +358,7 @@ class ControlPlane:
             raise SubmitError(str(exc)) from exc
         spec_hash = spec.spec_hash()
         with self._lock:
-            cached = self.cache.get(spec_hash)
+            cached = self.store.lookup(spec_hash)
             if cached is not None:
                 record = self._new_record(spec, spec_hash)
                 record.complete_cached(cached)
@@ -414,8 +417,8 @@ class ControlPlane:
         record.event.wait(timeout)
         return record
 
-    def artifact(self, history_hash: str) -> Optional[Dict[str, Any]]:
-        return self.store.get(history_hash)
+    def artifact(self, spec_hash: str) -> Optional[Dict[str, Any]]:
+        return self.store.get(spec_hash)
 
     def trace_records(self, run_id: str) -> Optional[List[Dict[str, Any]]]:
         record = self.run_record(run_id)
@@ -428,7 +431,7 @@ class ControlPlane:
         return snapshot
 
     def state_summary(self) -> Dict[str, Any]:
-        """Queue/cache/store/verdict state for /metrics and the dashboard."""
+        """Queue/store/verdict state for /metrics and the dashboard."""
         with self._lock:
             by_status: Dict[str, int] = {}
             for record in self._records.values():
@@ -450,7 +453,7 @@ class ControlPlane:
             "queue_capacity": self.config.queue_depth,
             "runs_by_status": by_status,
             "verdicts": verdicts,
-            "cache": self.cache.stats(),
+            "cache": self.store.cache_stats(),
             "store": self.store.stats(),
             "audit_entries": self.audit.entries,
             "recent_runs": recent,
@@ -523,6 +526,13 @@ class ControlPlane:
                     artifact = execute(spec)
             else:
                 artifact = execute(spec)
+            # The dict is what the HTTP layer serves; the canonical
+            # text is what goes to disk, byte for byte.  Persist before
+            # flipping status: a client that sees "done" must find the
+            # artifact in the store too (a store that cannot write
+            # fails the run).
+            payload = artifact.to_dict()
+            self.store.put(record.spec_hash, payload, artifact.to_json())
         except Exception as exc:  # a failed run, not a dead daemon
             run_seconds = tick() - started
             error = f"{type(exc).__name__}: {exc}"
@@ -539,20 +549,11 @@ class ControlPlane:
                 detail=error,
             )
         else:
-            # The dict is what the HTTP layer serves; the canonical
-            # text is what goes to disk, byte for byte.
-            payload = artifact.to_dict()
-            text = artifact.to_json()
             trace = (
                 artifact.tracer.records()
                 if artifact.tracer is not None
                 else None
             )
-            # Persist before flipping status: a client that sees
-            # "done" must find the artifact in the store/cache too.
-            if artifact.history_hash:
-                self.store.put(artifact.history_hash, text)
-            self.cache.put(record.spec_hash, payload, text)
             run_seconds = tick() - started
             record.finish(
                 payload, artifact.history_hash, trace, run_seconds

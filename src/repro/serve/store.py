@@ -1,18 +1,22 @@
-"""Content-addressed artifact store with a retention policy.
+"""The serving layer's one store: spec hash → finished artifact.
 
-Artifacts (the canonical JSON text of a
-:class:`~repro.runtime.execute.RunArtifact`, written byte for byte)
-are stored on disk keyed by their ``history_hash`` — one file
-per distinct history, so resubmitting a spec (or two specs that
-happen to produce the same history) never duplicates bytes.  A
-retention policy bounds the store: when either the entry count or the
-total byte budget is exceeded, the least recently *used* artifacts
-are evicted (reads refresh recency, so hot verdicts survive).
+Every run the simulator executes is a pure function of its
+:class:`~repro.runtime.spec.RunSpec`, and the spec fixes both the run
+and the condition it is checked under, so a served artifact's identity
+is :meth:`RunSpec.spec_hash` (the history hash is only its evidence:
+one history can hold under m-SC and not under m-lin).  Each artifact
+is one file, ``<root>/<spec_hash>.json``, holding the bytes of
+:meth:`RunArtifact.to_json` as they are, written once through a
+same-directory temp file and ``os.replace`` so readers never observe
+a torn artifact.
 
-The store is safe for concurrent use from the daemon's worker
-threads; all index mutations happen under one lock and file writes go
-through a same-directory temp file + ``os.replace`` so readers never
-observe a torn artifact.
+Two tiers sit under one lock, which no file write or read holds.  The
+memory tier is an LRU of parsed dicts (``memory_entries``) that serves
+repeat submissions without I/O.  The disk tier is bounded by a
+:class:`RetentionPolicy` (entries and bytes, least recently *used*
+evicted first: reads from either tier refresh recency) and re-indexed
+from disk at startup, so a restarted daemon still answers ``cached``.
+Evicting an entry removes it from both tiers.
 """
 
 from __future__ import annotations
@@ -22,11 +26,13 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional, Set
 
 from repro.errors import ReproError
 
 __all__ = ["ArtifactStore", "RetentionPolicy", "StoreError"]
+
+_HEX = frozenset("0123456789abcdef")
 
 
 class StoreError(ReproError):
@@ -67,70 +73,84 @@ class RetentionPolicy:
 
 
 class ArtifactStore:
-    """Disk store of artifact JSON, keyed by content hash.
+    """Artifacts keyed by spec hash: a memory LRU over a retained disk
+    tier.
 
-    ``put`` is idempotent per key; ``get`` refreshes the entry's LRU
-    position.  Existing files are re-indexed at startup (ordered by
-    mtime, oldest first) so a restarted daemon keeps its artifacts.
+    ``lookup`` is a submission's read and counts a hit (``disk_hits``
+    when the memory tier missed) or a miss; ``get`` is the same read
+    uncounted.  Only finished, successful runs are ``put``.
     """
 
     def __init__(
         self,
         root: os.PathLike,
         policy: Optional[RetentionPolicy] = None,
+        memory_entries: int = 256,
     ) -> None:
         self.root = Path(root)
         self.policy = policy or RetentionPolicy()
+        self.memory_entries = memory_entries
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         #: key -> size in bytes, in least-recently-used-first order.
         self._index: "OrderedDict[str, int]" = OrderedDict()
+        #: key -> parsed artifact, least recently used first; a subset
+        #: of ``_index``.
+        self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        #: keys whose file a ``put`` is writing, outside the lock.
+        self._writing: Set[str] = set()
         self._bytes = 0
         self.evictions = 0
+        self.hits = 0
+        self.disk_hits = 0
+        self.misses = 0
         self._load_existing()
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
 
-    def put(self, key: str, text: str) -> str:
-        """Store an artifact's JSON ``text`` under ``key``, as is;
-        returns the file path."""
+    def put(self, key: str, artifact: Dict[str, Any], text: str) -> str:
+        """Store a finished artifact: ``artifact`` in memory, its JSON
+        ``text`` on disk as is; returns the file path."""
         self._check_key(key)
-        payload = text.encode("utf-8")
         path = self._path(key)
         with self._lock:
             if key in self._index:
-                # Same content hash -> same artifact; refresh recency.
-                self._index.move_to_end(key)
+                self._touch(key, artifact)
                 return str(path)
-            tmp = path.with_suffix(".tmp")
-            try:
-                tmp.write_bytes(payload)
-                os.replace(tmp, path)
-            except OSError as exc:
-                raise StoreError(
-                    f"cannot write artifact {key}: {exc}"
-                ) from exc
+            if key in self._writing:
+                return str(path)  # another put is writing the same bytes
+            self._writing.add(key)
+        # Write outside the lock: each syscall drops the GIL, and taking
+        # it back can wait a whole switch interval behind a worker that
+        # is running a simulation, while submissions' lookups queue on
+        # this lock.  A key being written is not indexed yet, so no
+        # eviction unlinks it meanwhile.
+        payload = text.encode("utf-8")
+        tmp = path.with_suffix(".tmp")
+        try:
+            tmp.write_bytes(payload)
+            os.replace(tmp, path)
+        except OSError as exc:
+            with self._lock:
+                self._writing.discard(key)
+            raise StoreError(f"cannot write artifact {key}: {exc}") from exc
+        with self._lock:
+            self._writing.discard(key)
             self._index[key] = len(payload)
             self._bytes += len(payload)
+            self._touch(key, artifact)
             self._evict_over_budget()
         return str(path)
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored artifact dict, or None when absent/evicted."""
-        self._check_key(key)
-        path = self._path(key)
-        with self._lock:
-            if key not in self._index:
-                return None
-            self._index.move_to_end(key)
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StoreError(
-                f"artifact {key} is unreadable: {exc}"
-            ) from exc
+        """The stored artifact dict, or None when absent or evicted."""
+        return self._read(key, count=False)
+
+    def lookup(self, key: str) -> Optional[Dict[str, Any]]:
+        """:meth:`get`, counted as one submission's hit or miss."""
+        return self._read(key, count=True)
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -140,12 +160,8 @@ class ArtifactStore:
         with self._lock:
             return len(self._index)
 
-    def keys(self) -> List[str]:
-        """Stored keys, least recently used first."""
-        with self._lock:
-            return list(self._index)
-
     def stats(self) -> Dict[str, Any]:
+        """The disk tier: ``/metrics``' ``serve.store`` block."""
         with self._lock:
             return {
                 "entries": len(self._index),
@@ -154,14 +170,60 @@ class ArtifactStore:
                 "policy": self.policy.to_dict(),
             }
 
+    def cache_stats(self) -> Dict[str, Any]:
+        """Submission lookups: ``/metrics``' ``serve.cache`` block."""
+        with self._lock:
+            lookups = self.hits + self.misses
+            return {
+                "memory_entries": len(self._memory),
+                "hits": self.hits,
+                "disk_hits": self.disk_hits,
+                "misses": self.misses,
+                "hit_rate": (self.hits / lookups) if lookups else 0.0,
+            }
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
+    def _read(self, key: str, count: bool) -> Optional[Dict[str, Any]]:
+        self._check_key(key)
+        with self._lock:
+            artifact = self._memory.get(key)
+            if artifact is not None:
+                self._touch(key, artifact)
+                self.hits += count
+                return artifact
+            if key not in self._index:
+                self.misses += count
+                return None
+        # Memory miss on a retained key: read the disk tier outside the
+        # lock.  A file evicted or torn meanwhile reads as a miss.
+        try:
+            artifact = json.loads(self._path(key).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError):
+            artifact = None
+        with self._lock:
+            if artifact is None or key not in self._index:
+                self.misses += count
+                return None
+            self._touch(key, artifact)
+            self.hits += count
+            self.disk_hits += count
+        return artifact
+
+    def _touch(self, key: str, artifact: Dict[str, Any]) -> None:
+        # Caller holds the lock; ``key`` is indexed.
+        self._index.move_to_end(key)
+        self._memory[key] = artifact
+        self._memory.move_to_end(key)
+        if len(self._memory) > self.memory_entries:
+            self._memory.popitem(last=False)
+
     @staticmethod
     def _check_key(key: str) -> None:
         # Keys are hex digests; anything else risks path traversal.
-        if not key or not all(c in "0123456789abcdef" for c in key):
+        if not key or not _HEX.issuperset(key):
             raise StoreError(
                 f"artifact key must be a lowercase hex digest, got "
                 f"{key!r}"
@@ -197,6 +259,7 @@ class ArtifactStore:
             )
         ):
             key, size = self._index.popitem(last=False)
+            self._memory.pop(key, None)
             self._bytes -= size
             self.evictions += 1
             try:

@@ -1,4 +1,4 @@
-"""Canonical spec hashing: the verdict cache's key must be stable.
+"""Canonical spec hashing: the artifact store's key must be stable.
 
 Two semantically identical specs — different JSON key order, sparse
 vs. materialized defaults, int vs. integral-float spellings — must

@@ -49,7 +49,7 @@ def test_same_spec_from_eight_threads_executes_once(daemon, client):
     assert all(result is not None for result in results)
 
     # One execution total: every non-first submission either
-    # coalesced onto the in-flight run or hit the verdict cache.
+    # coalesced onto the in-flight run or hit the artifact store.
     metrics = client.metrics()
     assert _executed_runs(metrics) == 1
     outcomes = sorted(sub["outcome"] for sub, _run in results)

@@ -17,7 +17,12 @@ import pytest
 
 from repro.core.serialize import canonical_json
 from repro.runtime import RunSpec, execute
-from repro.serve import ServeClientError
+from repro.serve import (
+    ServeClientError,
+    ServeConfig,
+    StoreError,
+    SubmitError,
+)
 
 SPEC = RunSpec(protocol="mlin", ops=4, seed=3)
 
@@ -42,28 +47,52 @@ def test_submit_poll_artifact_roundtrip(client):
     assert artifact["spec"] == SPEC.to_dict()
     assert run["run_seconds"] > 0
 
-    # The artifact is retrievable content-addressed by history hash.
-    stored = client.artifact(artifact["history_hash"])
+    # The artifact is retrievable by the spec hash the POST returned.
+    stored = client.artifact(submitted["spec_hash"])
     assert stored == artifact
 
 
-def test_stored_files_are_the_artifact_bytes(client, daemon):
-    """Store and cache write ``RunArtifact.to_json()`` as is, and the
-    history a client fetches by hash hashes to that hash."""
+def test_stored_files_are_the_artifact_bytes(client, daemon, tmp_path):
+    """An executed run writes one file, ``RunArtifact.to_json()`` as is,
+    and the history a client fetches hashes to its ``history_hash``."""
     run = client.submit_and_wait(SPEC)
     assert run["status"] == "done"
     text = execute(SPEC).to_json()  # deterministic: the same run
-    digest = run["artifact"]["history_hash"]
-    plane = daemon.plane
-    stored = (plane.store.root / f"{digest}.json").read_bytes()
-    cached = (plane.cache.root / f"{SPEC.spec_hash()}.json").read_bytes()
-    assert stored == cached == text.encode("utf-8")
-    assert plane.store.stats()["bytes"] == len(stored)
+    files = [
+        path
+        for path in (tmp_path / "store").rglob("*.json")
+        if path.name != "serve.json"
+    ]
+    assert [path.name for path in files] == [f"{SPEC.spec_hash()}.json"]
+    assert files[0].read_bytes() == text.encode("utf-8")
+    assert daemon.plane.store.stats()["bytes"] == len(text.encode("utf-8"))
 
-    fetched = client.artifact(digest)
+    fetched = client.artifact(SPEC.spec_hash())
     assert fetched == json.loads(text)
     payload = canonical_json(fetched["history"]).encode("utf-8")
-    assert hashlib.sha256(payload).hexdigest() == digest
+    digest = hashlib.sha256(payload).hexdigest()
+    assert digest == run["artifact"]["history_hash"]
+
+
+def test_one_history_two_conditions_two_artifacts(client):
+    """Specs that differ only in ``verify.condition`` share a history
+    but not an artifact: each spec hash serves its own verdict."""
+    specs = {
+        condition: RunSpec.from_dict(
+            {"protocol": "mlin", "ops": 4, "seed": 7,
+             "verify": {"condition": condition}}
+        )
+        for condition in ("m-sc", "m-lin")
+    }
+    runs = {c: client.submit_and_wait(s) for c, s in specs.items()}
+    assert runs["m-sc"]["artifact"]["history_hash"] == (
+        runs["m-lin"]["artifact"]["history_hash"]
+    )
+    for condition, spec in specs.items():
+        assert runs[condition]["status"] == "done"
+        fetched = client.artifact(spec.spec_hash())
+        assert [v["condition"] for v in fetched["verdicts"]] == [condition]
+        assert fetched == runs[condition]["artifact"]
 
 
 def test_cached_resubmission_short_circuits(client):
@@ -110,6 +139,10 @@ def test_metrics_snapshot_shape(client):
     assert serve["runs_by_status"].get("done", 0) >= 1
     assert serve["verdicts"].get("mlin/ok", 0) >= 1
     assert serve["store"]["entries"] >= 1
+    assert set(serve["store"]) == {"entries", "bytes", "evictions", "policy"}
+    assert set(serve["cache"]) == {
+        "memory_entries", "hits", "disk_hits", "misses", "hit_rate"
+    }
     assert serve["audit_entries"] >= 1
     assert any(
         name.startswith("serve.runs") for name in metrics["counters"]
@@ -142,6 +175,14 @@ def test_dashboard_renders_state(client, daemon):
 
 def test_healthz(client):
     assert client.healthy()
+
+
+@pytest.mark.parametrize("field", ["workers", "queue_depth", "cache_entries"])
+def test_config_rejects_non_positive_sizes(field):
+    # queue_depth=0 would build an unbounded queue.Queue (no 503 load
+    # shedding); cache_entries=0 used to be clamped to 1 silently.
+    with pytest.raises(SubmitError, match=field):
+        ServeConfig(**{field: 0})
 
 
 def test_malformed_spec_is_400(client):
@@ -214,6 +255,19 @@ def test_failed_runs_report_failed_not_500(client):
     again = client.submit(spec)
     assert again["outcome"] in ("queued", "coalesced")
     client.wait(again["run_id"])
+
+
+def test_store_write_failure_fails_the_run(client, daemon, monkeypatch):
+    # The run must land as failed (and stay unstored), not sit in
+    # "running" with its waiters blocked.
+    def refuse(key, artifact, text):
+        raise StoreError(f"cannot write artifact {key}: disk full")
+
+    monkeypatch.setattr(daemon.plane.store, "put", refuse)
+    run = client.wait(client.submit(SPEC)["run_id"], timeout=30.0)
+    assert run["status"] == "failed"
+    assert "disk full" in run["error"]
+    assert SPEC.spec_hash() not in daemon.plane.store
 
 
 def test_audit_log_records_every_submission(client, daemon):

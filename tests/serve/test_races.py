@@ -12,11 +12,13 @@ certainty while the suite stays fast.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro.obs import MetricsRegistry
 from repro.runtime import RunSpec
 from repro.serve.plane import ControlPlane, RunRecord, ServeConfig
+from repro.serve.store import ArtifactStore, RetentionPolicy
 
 THREADS = 8
 ROUNDS = 2_000
@@ -139,6 +141,45 @@ class TestRunRecordConsistency:
         assert info["run_seconds"] == 0.0
         assert info["artifact"]["history_hash"] == "abc"
         assert record.event.is_set()
+
+
+class TestArtifactStoreTiers:
+    def test_lookups_and_budgets_stay_exact_under_contention(self, tmp_path):
+        """Lookups racing puts and evictions: every lookup is counted
+        once, a hit returns its own key's artifact, and both tiers stay
+        within their bounds with the byte total matching the files."""
+        store = ArtifactStore(
+            tmp_path,
+            RetentionPolicy(max_entries=4, max_bytes=None),
+            memory_entries=2,
+        )
+        keys = [f"{index:02x}" * 32 for index in range(8)]
+        wrong = []
+        rounds = ROUNDS // 10
+
+        def worker(index):
+            for step in range(rounds):
+                key = keys[(index + step) % len(keys)]
+                if step % 3 == 0:
+                    store.put(key, {"key": key}, f'{{"key":"{key}"}}')
+                found = store.lookup(key)
+                if found is not None and found["key"] != key:
+                    wrong.append((key, found))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        lookups = store.cache_stats()
+        assert lookups["hits"] + lookups["misses"] == THREADS * rounds
+        assert lookups["memory_entries"] <= 2
+        stats = store.stats()
+        files = list(tmp_path.glob("*.json"))
+        assert stats["entries"] == len(files) <= 4
+        assert stats["bytes"] == sum(path.stat().st_size for path in files)
 
 
 class TestLifecycleHandles:

@@ -1,8 +1,8 @@
-"""Retention policy and store/cache unit behaviour.
+"""Retention policy and artifact-store unit behaviour.
 
-The artifact store is bounded (entries/bytes, LRU eviction); the
-verdict cache is a bounded memory tier over an unbounded disk tier.
-Evicted artifacts must 404 over HTTP while fresh ones stay served.
+The store is a bounded memory tier over a disk tier bounded by
+entries/bytes (LRU eviction from both).  Evicted artifacts must 404
+over HTTP, and their specs re-execute, while fresh ones stay served.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.serve import (
     ServeClient,
     ServeClientError,
     StoreError,
-    VerdictCache,
 )
 from tests.serve.conftest import make_daemon
 
@@ -28,29 +27,32 @@ def _artifact(tag: str) -> dict:
     return {"history_hash": tag, "payload": "x" * 64}
 
 
-def _text(tag: str) -> str:
-    return canonical_json(_artifact(tag))
+def _put(store: ArtifactStore, key: str) -> None:
+    store.put(key, _artifact(key), canonical_json(_artifact(key)))
 
 
 class TestArtifactStore:
     def test_put_get_roundtrip(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = "ab" * 32
-        store.put(key, _text(key))
+        _put(store, key)
         assert store.get(key) == _artifact(key)
         assert key in store
         assert store.get("cd" * 32) is None
+        # Uncounted reads: only submissions' lookups are hits/misses.
+        assert store.cache_stats()["hits"] == 0
+        assert store.cache_stats()["misses"] == 0
 
     def test_entry_count_eviction_is_lru(self, tmp_path):
         store = ArtifactStore(
             tmp_path, RetentionPolicy(max_entries=2, max_bytes=None)
         )
         keys = ["aa" * 32, "bb" * 32, "cc" * 32]
-        store.put(keys[0], _text(keys[0]))
-        store.put(keys[1], _text(keys[1]))
+        _put(store, keys[0])
+        _put(store, keys[1])
         # Touch the oldest so the *middle* entry becomes the victim.
         store.get(keys[0])
-        store.put(keys[2], _text(keys[2]))
+        _put(store, keys[2])
         assert store.get(keys[1]) is None
         assert store.get(keys[0]) is not None
         assert store.get(keys[2]) is not None
@@ -65,7 +67,7 @@ class TestArtifactStore:
         )
         keys = ["aa" * 32, "bb" * 32, "cc" * 32]
         for key in keys:
-            store.put(key, _text(key))
+            _put(store, key)
         assert store.stats()["bytes"] <= 300
         assert store.get(keys[0]) is None, "oldest must be evicted"
         assert store.get(keys[2]) is not None
@@ -73,7 +75,7 @@ class TestArtifactStore:
     def test_reindex_on_restart(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = "ab" * 32
-        store.put(key, _text(key))
+        _put(store, key)
         reopened = ArtifactStore(tmp_path)
         assert reopened.get(key) == _artifact(key)
         assert len(reopened) == 1
@@ -82,30 +84,44 @@ class TestArtifactStore:
         store = ArtifactStore(tmp_path)
         for bad in ("../escape", "UPPER", "", "zz"):
             with pytest.raises(StoreError):
-                store.put(bad, "{}")
+                store.put(bad, {}, "{}")
 
-
-class TestVerdictCache:
     def test_memory_lru_falls_back_to_disk(self, tmp_path):
-        cache = VerdictCache(tmp_path, memory_entries=1)
-        cache.put("a" * 64, {"verdict": 1}, '{"verdict":1}')
-        # evicts 'a' from memory
-        cache.put("b" * 64, {"verdict": 2}, '{"verdict":2}')
-        assert len(cache) == 1
+        store = ArtifactStore(tmp_path, memory_entries=1)
+        store.put("a" * 64, {"verdict": 1}, '{"verdict":1}')
+        # evicts 'a' from memory, not from disk
+        store.put("b" * 64, {"verdict": 2}, '{"verdict":2}')
+        assert store.cache_stats()["memory_entries"] == 1
+        assert len(store) == 2
         # 'a' is served from the disk tier and repopulates memory.
-        assert cache.get("a" * 64) == {"verdict": 1}
-        assert cache.disk_hits == 1
-        assert cache.get("c" * 64) is None
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert store.lookup("a" * 64) == {"verdict": 1}
+        assert store.disk_hits == 1
+        assert store.lookup("a" * 64) == {"verdict": 1}
+        assert store.disk_hits == 1
+        assert store.lookup("c" * 64) is None
+        stats = store.cache_stats()
+        assert stats["hits"] == 2 and stats["misses"] == 1
         assert 0 < stats["hit_rate"] < 1
 
     def test_warm_start_from_disk(self, tmp_path):
-        VerdictCache(tmp_path).put(
+        ArtifactStore(tmp_path).put(
             "a" * 64, {"verdict": 7}, '{"verdict":7}'
         )
-        reopened = VerdictCache(tmp_path)
-        assert reopened.get("a" * 64) == {"verdict": 7}
+        reopened = ArtifactStore(tmp_path)
+        assert reopened.lookup("a" * 64) == {"verdict": 7}
+        assert reopened.disk_hits == 1
+
+    def test_eviction_leaves_both_tiers(self, tmp_path):
+        store = ArtifactStore(
+            tmp_path, RetentionPolicy(max_entries=1, max_bytes=None)
+        )
+        _put(store, "aa" * 32)
+        _put(store, "bb" * 32)
+        # The evicted entry was still in the memory tier; it must not
+        # be served from there either.
+        assert store.lookup("aa" * 32) is None
+        assert store.cache_stats()["memory_entries"] == 1
+        assert [p.stem for p in tmp_path.glob("*.json")] == ["bb" * 32]
 
 
 class TestRetentionOverHTTP:
@@ -115,28 +131,28 @@ class TestRetentionOverHTTP:
         try:
             client = ServeClient(daemon.url, timeout=30.0)
             assert client.wait_healthy(10.0)
-            hashes = []
-            for seed in range(3):
-                run = client.submit_and_wait(
-                    RunSpec(protocol="mlin", ops=3, seed=seed),
-                    timeout=120.0,
-                )
+            specs = [RunSpec(protocol="mlin", ops=3, seed=s) for s in range(3)]
+            for spec in specs:
+                run = client.submit_and_wait(spec, timeout=120.0)
                 assert run["status"] == "done"
-                hashes.append(run["artifact"]["history_hash"])
-            assert len(set(hashes)) == 3
+            keys = [spec.spec_hash() for spec in specs]
             # Two retained, the least recently used evicted.
             assert daemon.plane.store.stats()["entries"] == 2
             assert daemon.plane.store.evictions == 1
             with pytest.raises(ServeClientError) as excinfo:
-                client.artifact(hashes[0])
+                client.artifact(keys[0])
             assert excinfo.value.status == 404
             assert "retention" in str(excinfo.value)
-            for fresh in hashes[1:]:
-                assert client.artifact(fresh)["history_hash"] == fresh
-            # The verdict cache still answers the evicted spec -- the
-            # verdict tier and the artifact tier age independently.
-            again = client.submit(RunSpec(protocol="mlin", ops=3, seed=0))
-            assert again["outcome"] == "cached"
+            for spec, fresh in zip(specs[1:], keys[1:]):
+                assert client.artifact(fresh)["spec"] == spec.to_dict()
+            # One budget bounds everything the store writes, and the
+            # evicted spec is gone from every tier: it re-executes.
+            files = list((tmp_path / "store").rglob("*.json"))
+            artifacts = [p for p in files if p.name != "serve.json"]
+            assert len(artifacts) <= 2
+            again = client.submit(specs[0])
+            assert again["outcome"] == "queued"
+            assert client.wait(again["run_id"])["status"] == "done"
         finally:
             daemon.stop()
 

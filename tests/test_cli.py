@@ -158,6 +158,24 @@ class TestRun:
         assert "unknown protocol" in capsys.readouterr().err
 
 
+class TestServe:
+    @pytest.mark.parametrize(
+        "flags", [["--workers", "0"], ["--queue-depth", "0"]]
+    )
+    def test_invalid_config_is_an_error_not_a_traceback(
+        self, flags, tmp_path, capsys, monkeypatch
+    ):
+        from repro.serve import ServeDaemon
+
+        def never(daemon):
+            pytest.fail("serve started with an invalid config")
+
+        monkeypatch.setattr(ServeDaemon, "serve_forever", never)
+        argv = ["serve", "--port", "0", "--store", str(tmp_path), *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestChaosChoices:
     def test_chaos_accepts_every_crash_tolerant_protocol(self):
         from repro.__main__ import build_parser

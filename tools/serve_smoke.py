@@ -10,7 +10,7 @@ per registered protocol through :class:`repro.serve.ServeClient`.
 Assertions, any of which fail the job:
 
 * every protocol's run completes with a ``done``/``ok`` artifact;
-* resubmitting every spec answers ``cached`` — the verdict cache
+* resubmitting every spec answers ``cached`` — the artifact store
   round-trips over HTTP;
 * ``/metrics`` reports a positive cache hit rate and one executed
   run per protocol.
@@ -149,7 +149,7 @@ def main(argv=None) -> int:
         audit = store / "requests.log.jsonl"
         if audit.exists():
             shutil.copy(audit, out_dir / "requests.log.jsonl")
-        # The store itself (artifact/verdict tiers) stays out of the
+        # The store itself (one artifact file per spec) stays out of the
         # uploaded payload -- the per-protocol artifact copies and the
         # audit log above are the interesting bits.
         shutil.rmtree(store, ignore_errors=True)
