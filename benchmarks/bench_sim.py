@@ -4,28 +4,33 @@
 discrete-event kernel and the full protocol stack end-to-end and writes
 the medians to ``BENCH_sim.json`` at the repository root — the sim-side
 counterpart of ``bench_checkers`` / ``bench_serve``, gated the same way
-by ``tools/bench_gate.py`` (a >2x events/sec collapse on any shared row
-fails CI).
+by ``tools/bench_gate.py`` (a >2x collapse of a shared row's rate fails
+CI).
 
-Three row families, all carrying ``events_per_sec``:
+Three row families:
 
 * **kernel** — a pure :class:`~repro.sim.kernel.Simulator` microbench:
   ``n`` self-rescheduling callbacks all firing at the same virtual
-  timestamp, so every instant is one batch of ``n`` ties.  This is the
-  raw drain-loop cost with no network or store attached.
+  timestamp, so every instant holds ``n`` ties.  This is the raw
+  drain-loop cost with no network or store attached, in
+  ``events_per_sec``.
 * **protocol rows** (msc / mlin / aggregate) — registry-built clusters
   under ``UniformLatency(0.5, 1.5)`` driven by registry workloads
-  (``zipfian`` / ``hotspot`` object skew).  ``events`` is
-  ``Simulator.events_fired`` for the whole run, and ``history_hash``
-  pins the produced history byte-for-byte: any hot-path refactor must
-  leave it unchanged per seed.  The 1000-process zipfian msc row is the
-  headline "million-event" tier.
+  (``zipfian`` / ``hotspot`` object skew).  ``deliveries`` is the
+  run's ``net.delivered`` and the row's rate is ``deliveries_per_sec``:
+  a clean run's relays land lazily, so ``events``
+  (``Simulator.events_fired``, kept for the record) counts far fewer
+  kernel events than deliveries, and events per second would reward
+  firing more of them.  ``history_hash`` pins the produced history
+  byte-for-byte: any hot-path refactor must leave it unchanged per
+  seed.  The 1000-process zipfian msc row is the headline
+  "million-delivery" tier.
 * **histgen** — the abstract-history generator at ROADMAP scale (1000
-  processes × 10k objects), in m-operations/sec.
+  processes × 10k objects), in m-operations/sec (as ``events_per_sec``).
 
-``allocs_per_event`` is measured in a separate untimed pass with
+``allocs_per_delivery`` is measured in a separate untimed pass with
 :mod:`tracemalloc` (net live small-object blocks at run end divided by
-events fired — retained per-event state such as version-vector
+deliveries — retained per-delivery state such as version-vector
 snapshots shows up here, which is exactly what interning is meant to
 shrink).  Rows above the alloc size cutoff skip the pass: tracemalloc
 slows the run ~4x and the headline row is measured for speed.
@@ -34,8 +39,8 @@ The script deliberately runs on *older* checkouts too: the ``zipfian``
 registry entry and the ``HistoryShape.distribution`` knob are feature-
 detected with uniform/direct fallbacks, so the committed artifact's
 before/after comparison (``--previous OLD.json`` annotates shared rows
-with ``pre_refactor_events_per_sec`` and ``speedup``) comes from one
-script run on two commits of the code under test.
+with ``pre_refactor_<rate>`` and ``speedup``) comes from one script run
+on two commits of the code under test.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ FULL_PROTOCOL_CASES: List[Tuple[str, str, int, int, int, int, int]] = [
     ("aggregate", "zipfian", 24, 32, 40, 11, 2),
     ("msc", "hotspot", 24, 32, 40, 11, 3),
     # The headline tier: 1000 sequencer-ordered replicas, zipf-skewed
-    # objects, ~1M delivery events per run.
+    # objects, ~1M deliveries per run.
     ("msc", "zipfian", 1000, 64, 2, 7, 1),
 ]
 
@@ -146,8 +151,9 @@ def _protocol_sample(
     n_objects: int,
     ops: int,
     seed: int,
-) -> Tuple[float, int, str]:
-    """One fresh cluster run; returns (wall_s, events, history_hash).
+) -> Tuple[float, int, int, str]:
+    """One fresh cluster run; returns (wall_s, events, deliveries,
+    history_hash).
 
     Construction happens outside the timed region: what is measured is
     ``Cluster.run`` — invocation scheduling, network transmission,
@@ -160,7 +166,12 @@ def _protocol_sample(
         start = time.perf_counter()
         result = cluster.run(workloads)
         elapsed = time.perf_counter() - start
-    return elapsed, cluster.sim.events_fired, history_hash(result.history)
+    return (
+        elapsed,
+        cluster.sim.events_fired,
+        cluster.network.stats.delivered,
+        history_hash(result.history),
+    )
 
 
 def _alloc_pass(
@@ -171,7 +182,7 @@ def _alloc_pass(
     ops: int,
     seed: int,
 ) -> Tuple[float, float]:
-    """Untimed tracemalloc pass; returns (allocs_per_event, peak_kb)."""
+    """Untimed tracemalloc pass; returns (allocs_per_delivery, peak_kb)."""
     objects = [f"x{i}" for i in range(n_objects)]
     cluster = _build_cluster(protocol, n, objects, seed)
     workloads = _workload_builder(workload)(n, objects, ops, seed + 1)
@@ -185,8 +196,8 @@ def _alloc_pass(
         stat.count_diff
         for stat in after.compare_to(before, "filename")
     )
-    events = max(1, cluster.sim.events_fired)
-    return live_blocks / events, peak / 1024.0
+    deliveries = max(1, cluster.network.stats.delivered)
+    return live_blocks / deliveries, peak / 1024.0
 
 
 def run_protocol_cases(
@@ -195,10 +206,10 @@ def run_protocol_cases(
     rows: List[dict] = []
     for protocol, workload, n, n_objects, ops, seed, runs in cases:
         samples: List[float] = []
-        events = 0
+        events = deliveries = 0
         digest = ""
         for _ in range(runs):
-            elapsed, events, run_digest = _protocol_sample(
+            elapsed, events, deliveries, run_digest = _protocol_sample(
                 protocol, workload, n, n_objects, ops, seed
             )
             if digest and run_digest != digest:
@@ -219,22 +230,23 @@ def run_protocol_cases(
             "seed": seed,
             "runs": runs,
             "events": events,
+            "deliveries": deliveries,
             "median_s": round(median, 4),
             "min_s": round(min(samples), 4),
-            "events_per_sec": round(events / median, 1),
+            "deliveries_per_sec": round(deliveries / median, 1),
             "history_hash": digest,
         }
         if n <= ALLOC_PASS_MAX_N:
             allocs, peak_kb = _alloc_pass(
                 protocol, workload, n, n_objects, ops, seed
             )
-            row["allocs_per_event"] = round(allocs, 3)
+            row["allocs_per_delivery"] = round(allocs, 3)
             row["alloc_peak_kb"] = round(peak_kb, 1)
         rows.append(row)
         print(
             f"{protocol:<9} {workload:<8} n={n:<5} ops={ops:<3} "
-            f"events={events:<8} median={median:.4f}s "
-            f"({row['events_per_sec']:.0f} ev/s)"
+            f"deliveries={deliveries:<8} median={median:.4f}s "
+            f"({row['deliveries_per_sec']:.0f} deliveries/s)"
         )
     return rows
 
@@ -342,6 +354,11 @@ def _row_key(row: dict) -> Tuple:
     )
 
 
+def _rate(row: dict) -> str:
+    """The rate a row is gated on (see the module notes)."""
+    return "deliveries_per_sec" if "deliveries" in row else "events_per_sec"
+
+
 def annotate_previous(rows: List[dict], previous: dict) -> Optional[dict]:
     """Fold an older artifact's numbers in as the pre-refactor column."""
     old_rows: Dict[Tuple, dict] = {
@@ -350,12 +367,11 @@ def annotate_previous(rows: List[dict], previous: dict) -> Optional[dict]:
     headline = None
     for row in rows:
         old = old_rows.get(_row_key(row))
-        if old is None or "events_per_sec" not in old:
+        rate = _rate(row)
+        if old is None or rate not in old:
             continue
-        row["pre_refactor_events_per_sec"] = old["events_per_sec"]
-        row["speedup"] = round(
-            row["events_per_sec"] / old["events_per_sec"], 2
-        )
+        row[f"pre_refactor_{rate}"] = old[rate]
+        row["speedup"] = round(row[rate] / old[rate], 2)
         if "history_hash" in old and "history_hash" in row:
             row["history_hash_unchanged"] = (
                 old["history_hash"] == row["history_hash"]
@@ -363,8 +379,8 @@ def annotate_previous(rows: List[dict], previous: dict) -> Optional[dict]:
         if row.get("n") == 1000 and row.get("protocol") == "msc":
             headline = {
                 "row": "msc/zipfian n=1000",
-                "events_per_sec": row["events_per_sec"],
-                "pre_refactor_events_per_sec": old["events_per_sec"],
+                rate: row[rate],
+                f"pre_refactor_{rate}": old[rate],
                 "speedup": row["speedup"],
             }
     return headline

@@ -75,6 +75,15 @@ class AtomicBroadcast:
         """Atomically broadcast ``payload`` on behalf of ``sender``."""
         raise NotImplementedError
 
+    def land_lazily(self) -> Optional[Callable[[int], None]]:
+        """Let deliveries land lazily, if this implementation can.
+
+        Returns the landing step the caller must run for a participant
+        at each of its landing points (whenever it acts), or None: the
+        default, every delivery is an event of its own.
+        """
+        return None
+
     # ------------------------------------------------------------------
     # Crash/recovery hooks (optional; ``FailoverSequencer`` implements
     # them, other implementations inherit the base behaviour: forget

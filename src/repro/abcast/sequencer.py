@@ -15,23 +15,44 @@ Message cost per broadcast: ``1 + n`` point-to-point messages and two
 message delays on the critical path (request to sequencer + relay),
 or one delay when the sender *is* the sequencer.
 
+**Lazy landing.**  A replica's copy is read only when the replica
+acts, so on a clean run (:meth:`SequencerAbcast.land_lazily`, which
+the cluster calls) a relay need not be an event per participant.  The
+network fans it out unqueued (:meth:`~repro.sim.network.Network.
+fan_out`): the latencies are sampled and the kernel seqs reserved as
+for queued frames, and the relay is *held* with its arrival key
+``(time, seq)`` at each participant.  A participant *lands* every held
+relay whose key is at or below the current event's, in sequence order
+— the gap-free prefix its buffer would have delivered by then — at
+each landing point: whenever it acts, when a frame reaches it, and at
+the end of the run (:meth:`SequencerAbcast.land_all`).  One frame per
+relay stays queued: the arrival that completes its sender's prefix,
+where the sender delivers it and answers its client.  When the network
+can no longer fan out unqueued (a tracer, an impaired wire, a crash),
+every held arrival is queued at its reserved key, so both paths give
+the same run.
+
 Its invariant: **every participant's delivery log is a gap-free prefix
 ``0..k`` of the one sequence the sequencer stamped**.  Duplicated
 frames are harmless (requests are deduplicated by message id, relays
-by sequence number) and no delivered entry is retained.  The core
+by sequence number), and a relay is retained until every participant
+landed it: memory follows the slowest replica, not the run.  The core
 knows no epochs, elections or quorums — the paper assumes reliable
 channels and crash-free processes (Section 5): with the sequencer down
 :meth:`SequencerAbcast.broadcast` raises
 :class:`~repro.errors.SequencerUnavailable`, as does a request to
 recover.  Runs with a fault plan use
 :class:`repro.abcast.failover.FailoverSequencer`, same wire format
-(the ``"epoch": 0`` on every relay is the one field it ever moves).
+(the ``"epoch": 0`` on every relay is the one field it ever moves);
+it queues every frame.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Set
+import math
+from array import array
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.abcast.interface import AtomicBroadcast
 from repro.errors import ProtocolError, SequencerUnavailable
@@ -41,6 +62,23 @@ from repro.sim.network import Message, Network
 #: Message kinds used on the wire.
 REQ = "abc-req"
 SEQ = "abc-seq"
+
+
+class _Held:
+    """A relay fanned out unqueued: when it reaches each participant
+    (``times[pid]``, kernel seq ``first + pid``), how many have yet to
+    land it, and the participants whose frame of it is queued."""
+
+    __slots__ = ("message", "times", "first", "left", "queued")
+
+    def __init__(
+        self, message: Message, times: array, first: int, left: int
+    ) -> None:
+        self.message = message
+        self.times = times
+        self.first = first
+        self.left = left
+        self.queued: Tuple[int, ...] = ()
 
 
 class SequencerAbcast(AtomicBroadcast):
@@ -76,6 +114,13 @@ class SequencerAbcast(AtomicBroadcast):
         self._buffer: Dict[int, Dict[int, Dict[str, Any]]] = {
             pid: {} for pid in range(network.n)
         }
+        # --- relays fanned out unqueued (see the module notes) ---
+        self._lazy = False
+        #: Held relays by sequence number, until every participant
+        #: landed them.
+        self._relays: Dict[int, _Held] = {}
+        #: Latest arrival time of any held relay.
+        self._last_arrival = 0.0
 
     # ------------------------------------------------------------------
     # AtomicBroadcast API
@@ -99,27 +144,24 @@ class SequencerAbcast(AtomicBroadcast):
         """Process an ``abc-*`` message arriving at endpoint ``pid``."""
         entry = message.payload
         if message.kind == SEQ:
+            if self._relays:
+                # Held relays that reached ``pid`` by now land first —
+                # this one too, if it is a held relay's queued arrival.
+                self.land(pid)
             seq = entry["seq"]
             expected = self._expected[pid]
             if seq > expected:
                 # Early; a duplicated early frame keeps the first copy.
                 self._buffer[pid].setdefault(seq, entry)
+                held = self._relays.get(seq)
+                if held is not None:  # a held relay's queued arrival
+                    held.left -= 1
+                    if not held.left:
+                        del self._relays[seq]
                 return
             if seq < expected:
                 return  # duplicate of an already-delivered relay
-            deliver = self._deliver.get(pid)
-            if deliver is None:
-                raise ProtocolError(
-                    f"delivery at unattached participant {pid}"
-                )
-            log = self.delivery_log[pid]
-            buffer = self._buffer[pid]
-            while entry is not None:
-                expected += 1
-                self._expected[pid] = expected
-                log.append((entry["sender"], entry["id"]))
-                deliver(entry["sender"], entry["payload"])
-                entry = buffer.pop(expected, None)
+            self._land_from(pid, entry, self.network.sim.key)
         elif message.kind == REQ:
             if pid != self.sequencer:
                 raise ProtocolError(
@@ -130,9 +172,129 @@ class SequencerAbcast(AtomicBroadcast):
             self._ids.add(entry["id"])
             stamped = self._stamp(self._next_seq, self.epoch, entry)
             self._next_seq += 1
-            self.network.send_to_all(pid, message.relay(SEQ, stamped))
+            relay = message.relay(SEQ, stamped)
+            if self._lazy:
+                fanned = self.network.fan_out(pid, relay, self._queue_held)
+                if fanned is not None:
+                    self._hold(relay, *fanned)
+                    return
+            self.network.send_to_all(pid, relay)
         else:  # pragma: no cover - defensive
             raise ProtocolError(f"unexpected message kind {message.kind!r}")
+
+    # ------------------------------------------------------------------
+    # Landing: one step for held relays and buffered frames
+    # ------------------------------------------------------------------
+
+    def land_lazily(self) -> Callable[[int], None]:
+        """Fan relays out unqueued from now on (see the module notes);
+        returns :meth:`land`, which the caller runs at every landing
+        point of a participant."""
+        self._lazy = True
+        return self.land
+
+    def land(self, pid: int) -> None:
+        """Deliver at ``pid`` every relay that has reached it by now."""
+        if self._expected[pid] in self._relays:
+            self._land_from(pid, None, self.network.sim.key)
+
+    def land_all(self) -> None:
+        """End of a run: land what a queued run would have delivered.
+
+        With the event queue drained, that is every held relay, and
+        the clock moves on to the last arrival; with events still
+        queued (an exhausted event budget), what has arrived by now.
+        """
+        sim = self.network.sim
+        drained = not sim.pending
+        key = (math.inf, 0) if drained else sim.key
+        for pid in range(self.n):
+            self._land_from(pid, None, key)
+        if drained and self._last_arrival > sim.now:
+            sim.run(until=self._last_arrival)
+
+    def _land_from(
+        self, pid: int, entry: Optional[Dict[str, Any]], key: Tuple[float, int]
+    ) -> None:
+        """The one landing step.  Deliver ``entry``, the relay at
+        ``pid``'s cursor (None: start with the held relay there, if it
+        has arrived), then every relay behind it that reached ``pid``
+        by ``key``: buffered frames and held relays alike."""
+        now, current = key
+        relays = self._relays
+        buffer = self._buffer[pid]
+        expected = self._expected[pid]
+        deliver = log = None
+        while True:
+            if entry is None:
+                held = relays.get(expected)
+                if held is None:
+                    break
+                time, seq = held.times[pid], held.first + pid
+                if time > now or (time == now and seq > current):
+                    break
+                if time != now or seq != current:
+                    # (the frame arriving now was counted on arrival)
+                    self.network.stats.delivered += 1
+                held.left -= 1
+                if not held.left:
+                    del relays[expected]
+                entry = held.message.payload
+            if deliver is None:
+                deliver = self._deliver.get(pid)
+                if deliver is None:
+                    raise ProtocolError(
+                        f"delivery at unattached participant {pid}"
+                    )
+                log = self.delivery_log[pid]
+            expected += 1
+            self._expected[pid] = expected
+            log.append((entry["sender"], entry["id"]))
+            deliver(entry["sender"], entry["payload"])
+            entry = buffer.pop(expected, None)
+
+    def _hold(self, relay: Message, times: array, first: int) -> None:
+        """Keep a relay fanned out unqueued until every participant
+        landed it, and queue the one frame it needs: the arrival that
+        completes its sender's prefix, where the sender delivers it
+        and answers its client."""
+        entry = relay.payload
+        seq, sender = entry["seq"], entry["sender"]
+        last = self._relays[seq] = _Held(relay, times, first, self.n)
+        self._last_arrival = max(self._last_arrival, max(times))
+        key = (times[sender], first + sender)
+        for earlier in range(self._expected[sender], seq):
+            held = self._relays.get(earlier)
+            if held is not None:
+                arrival = (held.times[sender], held.first + sender)
+                if arrival > key:
+                    key, last = arrival, held
+        if sender not in last.queued:
+            last.queued += (sender,)
+            self.network.arrive_at(
+                *key, self.sequencer, sender, last.message
+            )
+
+    def _queue_held(self) -> None:
+        """The network stopped fanning out unqueued: land what has
+        arrived, buffer what arrived behind a gap, and queue every
+        other held arrival at its reserved key."""
+        for pid in range(self.n):
+            self.land(pid)
+        key = self.network.sim.key
+        for seq, held in sorted(self._relays.items()):
+            for pid in range(self.n):
+                if self._expected[pid] > seq or pid in held.queued:
+                    continue  # landed, or its frame is queued already
+                arrival = (held.times[pid], held.first + pid)
+                if arrival <= key:
+                    self.network.stats.delivered += 1
+                    self._buffer[pid].setdefault(seq, held.message.payload)
+                else:
+                    self.network.arrive_at(
+                        *arrival, self.sequencer, pid, held.message
+                    )
+        self._relays.clear()
 
     @staticmethod
     def _stamp(seq: int, epoch: int, request: Dict[str, Any]) -> Dict[str, Any]:

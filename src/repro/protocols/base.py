@@ -19,6 +19,16 @@ Protocol subclasses implement two hooks:
 Atomic-broadcast and heartbeat traffic never reaches a process: those
 layers claim their message kinds on the network
 (:meth:`~repro.sim.network.Network.bind`).
+
+**Landing points.**  On a clean run (no monitor, not fault-tolerant)
+the fixed sequencer's relays land lazily (:mod:`repro.abcast.
+sequencer`): a replica applies the updates that have reached it when
+it next acts.  :attr:`Cluster.land` runs for a process at the start
+of every invocation (:meth:`BaseProcess._issue_next`) and before every
+frame dispatched to it; :meth:`Cluster.run` and :meth:`Cluster.
+finalize` land everything.  Process code that reads the replica from
+any other event — a protocol's own timer — must run ``cluster.land``
+for it first.
 """
 
 from __future__ import annotations
@@ -102,6 +112,9 @@ class BaseProcess:
         self.cluster.sim.schedule(delay, self._issue_next)
 
     def _issue_next(self) -> None:
+        land = self.cluster.land
+        if land is not None:
+            land(self.pid)
         if self.crashed:
             # The client's next request waits out the downtime and is
             # re-driven by recovery.
@@ -516,13 +529,26 @@ class Cluster:
         self._uid_counter = itertools.count(1)
         #: uids of broadcast m-operations in delivery order — the
         #: ``~ww`` synchronization order of D 5.3/D 5.8 (identical at
-        #: every replica by total order; captured at pid 0).
+        #: every replica by total order; captured at each uid's first
+        #: delivery anywhere, which under a sequencer is stamp order).
         self.ww_sequence: List[int] = []
+        #: The abcast's landing step, run for a process wherever it
+        #: acts; None when every delivery is an event of its own.  A
+        #: monitor reads deliveries as they happen and a fault-tolerant
+        #: run crashes replicas, so both keep deliveries queued.
+        self.land: Optional[Callable[[int], None]] = None
+        if self.abcast is not None and monitor is None and not fault_tolerant:
+            self.land = self.abcast.land_lazily()
         self.processes: List[BaseProcess] = []
         for pid in range(n):
             proc = process_class(pid, self)
             self.processes.append(proc)
-            self.network.register(pid, proc.handle_message)
+            self.network.register(
+                pid,
+                proc.handle_message
+                if self.land is None
+                else functools.partial(self._dispatch, pid),
+            )
             if self.abcast is not None:
                 self.abcast.attach(
                     pid, functools.partial(self._deliver, pid)
@@ -544,6 +570,11 @@ class Cluster:
                 proc.done for proc in self.processes
             )
         detector.start()
+
+    def _dispatch(self, pid: int, src: int, message: Message) -> None:
+        """A frame for process ``pid``: a landing point."""
+        self.land(pid)
+        self.processes[pid].handle_message(src, message)
 
     def _deliver(self, pid: int, sender: int, payload) -> None:
         # Record the broadcast order at each uid's *first* delivery,
@@ -670,6 +701,8 @@ class Cluster:
         """
         self.prepare(workloads)
         self.sim.run(max_events=max_events)
+        if self.land is not None:
+            self.abcast.land_all()
         if settle > 0:
             self.sim.run(until=self.sim.now + settle, max_events=max_events)
         return self.finalize(max_events=max_events)
@@ -701,6 +734,8 @@ class Cluster:
                 f"run ended with unfinished processes {stuck} "
                 f"(event budget {max_events} exhausted?)"
             )
+        if self.land is not None:
+            self.abcast.land_all()
         violation = (
             self.abcast.check_total_order() if self.abcast is not None else None
         )

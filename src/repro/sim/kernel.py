@@ -6,14 +6,15 @@ model it with a classic discrete-event simulator: a priority queue of
 Virtual time is a float; ties are broken by insertion sequence, so
 runs are fully deterministic given deterministic callbacks.
 
-The drain loop is **batched**: all entries sharing the head timestamp
-are popped in one pass and fired in sequence order.  Callbacks that
-schedule at the current instant receive a higher sequence number than
-anything already queued, so they land in a later batch of the same
-timestamp — the firing order is exactly the per-entry pop order of the
-unbatched loop, and histories are byte-identical per seed.  Per-batch
-overhead outside the callbacks themselves is one attribute check when
-no tracer/metrics collector is installed.
+The drain loop fires **one entry per pop**, in exact ``(time, seq)``
+order.  A sequence number is normally taken when an entry is queued,
+but a caller may *reserve* a block of them (:meth:`Simulator.reserve`)
+and post an entry at a reserved key later (:meth:`Simulator.post_at`)
+— such an entry can belong to the current instant with a lower seq
+than entries already due, which a whole-timestamp batch would have
+popped out of order.  :attr:`Simulator.key` is the ``(time, seq)``
+of the entry firing now (of the last one fired, between runs): every
+event keyed at or below it has happened.
 
 Bookkeeping is O(1): ``pending`` is a live counter (not a queue scan),
 and cancelled entries are dropped lazily — either when their timestamp
@@ -22,14 +23,14 @@ compaction that rebuilds the heap without them (``(time, seq)`` is a
 total order, so heapification preserves firing order).
 
 The kernel knows nothing about processes or messages — those live in
-:mod:`repro.sim.network` and :mod:`repro.sim.actor`.
+:mod:`repro.sim.network` and :mod:`repro.protocols.base`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs import get_metrics, get_tracer
@@ -97,6 +98,9 @@ class Simulator:
         #: Min-heap of ``(time, seq, EventHandle)`` tuples.
         self._queue: List[tuple] = []
         self._seq = itertools.count()
+        #: Seq of the entry firing now (the last one fired, between
+        #: runs); -1 before the first.
+        self._seq_now = -1
         self._events_fired = 0
         self._running = False
         # Live bookkeeping: ``_pending`` counts scheduled, unfired,
@@ -110,6 +114,13 @@ class Simulator:
     def now(self) -> float:
         """Current virtual time."""
         return self._now
+
+    @property
+    def key(self) -> Tuple[float, int]:
+        """``(time, seq)`` of the entry firing now (of the last one
+        fired, between runs): every entry keyed at or below it has
+        fired."""
+        return self._now, self._seq_now
 
     @property
     def events_fired(self) -> int:
@@ -155,6 +166,31 @@ class Simulator:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
         return self.schedule(time - self._now, callback, *args)
 
+    def reserve(self, count: int) -> int:
+        """Take ``count`` consecutive sequence numbers and return the
+        first; entries queued afterwards are numbered after them."""
+        first = next(self._seq)
+        self._seq = itertools.count(first + count)
+        return first
+
+    def post_at(
+        self, time: float, seq: int, callback: Callable[..., None], *args: object
+    ) -> EventHandle:
+        """Queue ``callback(*args)`` at the key ``(time, seq)``.
+
+        ``seq`` must come from :meth:`reserve` and be posted at most
+        once; the key must lie after :attr:`key`.
+        """
+        if (time, seq) <= (self._now, self._seq_now):
+            raise SimulationError(
+                f"cannot post at {(time, seq)}: the run is at "
+                f"{(self._now, self._seq_now)}"
+            )
+        event = EventHandle(self, time, callback, args)
+        heapq.heappush(self._queue, (time, seq, event))
+        self._pending += 1
+        return event
+
     def _on_cancel(self) -> None:
         """Bookkeeping for one newly cancelled, unfired entry."""
         self._pending -= 1
@@ -170,9 +206,7 @@ class Simulator:
 
         ``(time, seq)`` is a strict total order over entries, so the
         rebuilt heap pops survivors in exactly the same order as the
-        original.  ``_stale`` may slightly overcount (an entry can be
-        cancelled after it was popped into the current batch), hence
-        reset rather than subtraction.
+        original, and no cancelled entry is left to count.
         """
         self._queue = [item for item in self._queue if not item[2].cancelled]
         heapq.heapify(self._queue)
@@ -184,7 +218,8 @@ class Simulator:
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> float:
-        """Drain the event queue in same-timestamp batches.
+        """Drain the event queue one entry at a time, in ``(time, seq)``
+        order.
 
         Args:
             until: stop once virtual time would exceed this value
@@ -202,7 +237,7 @@ class Simulator:
         # Observability: while the queue drains, the installed tracer
         # reads *virtual* time, so spans emitted from simulated code
         # are deterministic under a fixed seed.  With no collector
-        # installed the per-batch cost is one None check.
+        # installed the per-event cost is one None check.
         tracer = get_tracer()
         binding = run_span = None
         if tracer.enabled:
@@ -213,64 +248,64 @@ class Simulator:
         depth_gauge = (
             metrics.gauge("kernel.queue_depth") if metrics is not None else None
         )
+        # The gauge samples the pending count once per *batch*: the
+        # entries of one timestamp already queued when its first one
+        # fires (``batch_end`` is the first seq after them), capped by
+        # the event budget left then (``batch_room``, counting
+        # cancelled entries popped in between).
+        batch_time, batch_end, batch_room = None, 0, None
         queue = self._queue
         pop = heapq.heappop
         try:
             while True:
                 if queue is not self._queue:  # compaction swapped it
                     queue = self._queue
-                # Shed cancelled heads without firing or tracer work.
-                while queue and queue[0][2].cancelled:
-                    pop(queue)
+                if not queue or (
+                    max_events is not None and fired_this_run >= max_events
+                ):
+                    break
+                time, seq, entry = pop(queue)
+                if entry.cancelled:
+                    # Shed without firing or tracer work.
                     if self._stale:
                         self._stale -= 1
-                if not queue:
+                    if batch_room is not None:
+                        batch_room -= 1
+                    continue
+                if until is not None and time > until:
+                    heapq.heappush(queue, (time, seq, entry))
                     break
-                batch_time = queue[0][0]
-                if until is not None and batch_time > until:
-                    break
-                if max_events is not None and fired_this_run >= max_events:
-                    break
-                if batch_time < self._now:  # pragma: no cover - defensive
+                if time < self._now:  # pragma: no cover - defensive
                     raise SimulationError(
-                        f"event queue disorder: {batch_time} < {self._now}"
+                        f"event queue disorder: {time} < {self._now}"
                     )
-                self._now = batch_time
-                # Pop the whole same-timestamp run in one pass, capped
-                # by the remaining event budget.  Callbacks scheduling
-                # at ``batch_time`` get higher sequence numbers than
-                # every entry still queued, so later batches of the
-                # same instant preserve global ``(time, seq)`` order.
-                budget = (
-                    None
-                    if max_events is None
-                    else max_events - fired_this_run
-                )
-                batch = [pop(queue)[2]]
-                while (
-                    queue
-                    and queue[0][0] == batch_time
-                    and (budget is None or len(batch) < budget)
-                ):
-                    batch.append(pop(queue)[2])
+                self._now = time
+                self._seq_now = seq
                 if depth_gauge is not None:
-                    depth_gauge.set(self._pending)
-                for entry in batch:
-                    if entry.cancelled:
-                        # Cancelled while queued or mid-batch; it has
-                        # left the heap either way.
-                        if self._stale:
-                            self._stale -= 1
-                        continue
-                    entry._sim = None  # fired: cancel() is now a no-op
-                    self._pending -= 1
-                    self._events_fired += 1
-                    fired_this_run += 1
-                    args = entry.args
-                    if args:
-                        entry.callback(*args)
-                    else:
-                        entry.callback()
+                    if (
+                        time != batch_time
+                        or seq >= batch_end
+                        or batch_room == 0
+                    ):
+                        batch_time, batch_end = time, next(self._seq)
+                        self._seq = itertools.count(batch_end)
+                        batch_room = (
+                            None
+                            if max_events is None
+                            else max_events - fired_this_run
+                        )
+                        depth_gauge.set(self._pending)
+                    if batch_room is not None:
+                        batch_room -= 1
+                entry._sim = None  # fired: cancel() is now a no-op
+                self._pending -= 1
+                self._events_fired += 1
+                fired_this_run += 1
+                args = entry.args
+                if args:
+                    entry.callback(*args)
+                else:
+                    entry.callback()
         finally:
             self._running = False
             if run_span is not None:

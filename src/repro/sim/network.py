@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from typing import (
     Any,
     Callable,
@@ -465,7 +466,10 @@ class Network:
     bookkeeping when neither the shim nor a tracer wants any.  A
     network that chooses deliveries itself (the exploring
     :class:`~repro.sim.explore.ControlledNetwork`) overrides
-    :meth:`_transmit` alone.
+    :meth:`_transmit` alone.  The one exception is :meth:`fan_out`: on
+    a clean wire a relay to all endpoints is sampled and accounted
+    like :meth:`send_to_all` but left unqueued, for the fixed
+    sequencer to land lazily.
 
     Args:
         sim: the driving simulator.
@@ -572,6 +576,12 @@ class Network:
         self._seen: Dict[int, Set[int]] = {pid: set() for pid in range(n)}
         #: Retired transfer objects awaiting reuse (see ``_Transfer``).
         self._transfer_pool: List[_Transfer] = []
+        #: A network that picks its own deliveries never fans out
+        #: unqueued (see :meth:`fan_out`).
+        self._queues_only = type(self)._transmit is not Network._transmit
+        #: Queues the deliveries :meth:`fan_out` left unqueued; called
+        #: once, the moment this network stops fanning out unqueued.
+        self._on_queue: Optional[Callable[[], None]] = None
 
     def _refresh_impaired(self) -> None:
         """Re-evaluate whether the fault stage of :meth:`_transmit` can
@@ -622,6 +632,7 @@ class Network:
         if pid in self._down:
             raise ProcessCrashed(f"endpoint {pid} is already down")
         self._down.add(pid)
+        self._queue_fanned_out()
         for transfer in self._outstanding[pid].values():
             if transfer.timer is not None:
                 transfer.timer.cancel()
@@ -809,6 +820,60 @@ class Network:
             message,
             reliable,
         )
+
+    def fan_out(
+        self, src: int, message: Message, on_queue: Callable[[], None]
+    ) -> Optional[Tuple[array, int]]:
+        """:meth:`send_to_all` with the deliveries left unqueued.
+
+        Samples the ``n`` latencies in pid order, as :meth:`send_to_all`
+        would, counts the sends, and reserves the ``n`` kernel sequence
+        numbers its deliveries would take.  It queues nothing: it
+        returns the arrival times by pid and the first reserved seq,
+        so the delivery to ``dst`` is keyed ``(times[dst], first +
+        dst)``.  The caller hands each delivery over itself (counting
+        it in ``stats.delivered``), or queues it at its key with
+        :meth:`arrive_at`.
+
+        Returns None, having sent nothing, when frames must take the
+        queued path: a tracer is on, an endpoint is down, the wire is
+        impaired or runs the reliable shim, or the network chooses its
+        own deliveries (:meth:`_transmit` is overridden).  The first
+        time that happens — or an endpoint crashes — ``on_queue`` of
+        the earlier fan-outs is called, once, to queue every delivery
+        they still hold.
+        """
+        if (
+            self._queues_only
+            or self._impaired
+            or self.reliable
+            or self._down
+            or get_tracer().enabled
+        ):
+            self._queue_fanned_out()
+            return None
+        self._check_pid(src)
+        self._on_queue = on_queue
+        self.stats.record_send(message, self.n)
+        sample = self.latency.sample
+        rng = self._rng
+        delays = [sample(rng, src, dst) for dst in range(self.n)]
+        if min(delays) < 0:
+            raise SimulationError("latency model produced negative delay")
+        now = self.sim.now
+        times = array("d", [now + delay for delay in delays])
+        return times, self.sim.reserve(self.n)
+
+    def arrive_at(
+        self, time: float, seq: int, src: int, dst: int, message: Message
+    ) -> None:
+        """Queue the delivery of a :meth:`fan_out` at its key."""
+        self.sim.post_at(time, seq, self._deliver, src, dst, message)
+
+    def _queue_fanned_out(self) -> None:
+        on_queue, self._on_queue = self._on_queue, None
+        if on_queue is not None:
+            on_queue()
 
     def _send(
         self,

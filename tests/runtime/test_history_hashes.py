@@ -1,7 +1,7 @@
 """Seed-matrix pin of per-seed history hashes across kernel changes.
 
-The batched drain loop, timestamp interning and network fast paths are
-pure *throughput* refactors: for every seed the produced history must
+The drain loop, timestamp interning, network fast paths and lazy
+relay landing are pure *throughput* refactors: for every seed the produced history must
 stay byte-identical (same canonical JSON, hence same digest).  These
 constants were captured from the pre-batching kernel; any change to
 the simulation hot path that shifts event order, RNG draw order or

@@ -1,13 +1,14 @@
-"""Semantics of the batched drain loop.
+"""Semantics of the drain loop.
 
-The kernel pops whole same-timestamp runs in one pass; these tests pin
-the properties that make that invisible to protocols: firing order
-equals the per-entry pop order, cancellation mid-batch is honoured,
-``until``/``max_events`` cut batches at the right entry, and the lazy
-compaction of cancelled entries never reorders survivors.  The queued
-entry is its own handle (``schedule`` returns it, ``post`` is the same
-call), so the same properties are pinned for events scheduled with
-positional arguments.
+The kernel fires one entry per pop in ``(time, seq)`` order; these
+tests pin the properties protocols rely on: same-instant ties fire in
+insertion order, cancellation of a due tie is honoured,
+``until``/``max_events`` cut a run of ties at the right entry, an
+entry posted at a reserved key fires in its place even inside the
+current instant, and the lazy compaction of cancelled entries never
+reorders survivors.  The queued entry is its own handle (``schedule``
+returns it, ``post`` is the same call), so the same properties are
+pinned for events scheduled with positional arguments.
 """
 
 import pytest
@@ -18,10 +19,9 @@ from repro.sim.kernel import _COMPACT_MIN_QUEUE
 
 class TestBatchOrder:
     def test_same_instant_reschedule_fires_after_queued_ties(self):
-        # A callback scheduling at delay 0 lands in a *later* batch of
-        # the same instant: every entry already queued at that time
-        # fires first (higher insertion seq = later), exactly as the
-        # unbatched loop popped them.
+        # A callback scheduling at delay 0 fires after every entry
+        # already queued at that instant (higher insertion seq =
+        # later).
         sim = Simulator()
         fired = []
 
@@ -43,6 +43,49 @@ class TestBatchOrder:
             sim.schedule(t, lambda t=t: fired.append(t))
         sim.run()
         assert fired == [1.0, 1.0, 2.0, 2.0]
+
+
+class TestReservedKeys:
+    def test_reserved_seqs_are_skipped_by_later_entries(self):
+        sim = Simulator()
+        fired = []
+        first = sim.reserve(3)
+        sim.schedule(1.0, lambda: fired.append(("queued", sim.key)))
+        sim.post_at(1.0, first + 2, lambda: fired.append(("reserved", sim.key)))
+        sim.run()
+        assert fired == [
+            ("reserved", (1.0, first + 2)),
+            ("queued", (1.0, first + 3)),
+        ]
+
+    def test_post_at_a_reserved_key_inside_the_current_instant(self):
+        # An entry posted mid-instant at a seq below entries already
+        # due fires before them: a whole-timestamp batch would not.
+        sim = Simulator()
+        fired = []
+
+        def poster():
+            fired.append("poster")
+            sim.post_at(1.0, reserved, fired.append, "reserved")
+
+        sim.schedule(1.0, poster)
+        reserved = sim.reserve(1)
+        sim.schedule(1.0, fired.append, "due")
+        sim.run()
+        assert fired == ["poster", "reserved", "due"]
+
+    def test_post_at_or_below_the_current_key_raises(self):
+        from repro.errors import SimulationError
+
+        sim = Simulator()
+        first = sim.reserve(2)
+        sim.post_at(1.0, first + 1, lambda: None)
+        sim.run()
+        assert sim.key == (1.0, first + 1)
+        with pytest.raises(SimulationError):
+            sim.post_at(1.0, first, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.post_at(0.5, first + 5, lambda: None)
 
 
 class TestCancellationInsideBatch:

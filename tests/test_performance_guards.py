@@ -198,22 +198,38 @@ def test_exact_checks_close_generators_never_closures(monkeypatch):
     assert walks == []
 
 
-def test_delivered_update_reaches_the_replica_in_four_frames(monkeypatch):
+def test_clean_msc_run_fires_three_events_per_mop():
+    # Structural, no wall clock: a clean run's relays land lazily, so
+    # an m-operation costs its invocation, and an update adds the
+    # request's arrival and the one delivery its client waits for; n
+    # more invocations find the workload exhausted.  Queued relays
+    # fire one event per replica per update (~2,000 here).
+    n = 32
+    objects = [f"x{i}" for i in range(8)]
+    cluster = msc_cluster(n, objects, seed=3)
+    result = cluster.run(random_workloads(n, objects, 4, seed=4))
+    mops = len(result.history.mops)
+    assert mops == 4 * n
+    assert cluster.sim.events_fired <= 3 * mops + n
+
+
+def test_landing_reaches_the_replica_in_four_frames(monkeypatch):
     # Structural, no wall clock: the per-delivery cost of a clean run
-    # is the Python frames between the event loop and the replica.
-    # Network._deliver -> SequencerAbcast.handle -> Cluster._deliver ->
+    # is the Python frames between the landing loop and the replica.
+    # SequencerAbcast._land_from -> Cluster._deliver ->
     # _apply_update_delivery -> store.apply.
     import sys
 
+    from repro.abcast.sequencer import SequencerAbcast
     from repro.protocols.store import VersionedStore
-    from repro.sim.kernel import Simulator
 
     paths = set()
     apply = VersionedStore.apply
+    landing = SequencerAbcast._land_from.__code__
 
     def tapped_apply(store, program, uid):
         frame, between = sys._getframe(1), []
-        while frame.f_code is not Simulator.run.__code__:
+        while frame.f_code is not landing:
             between.append(frame.f_code.co_name)
             frame = frame.f_back
         paths.add(tuple(reversed(between)))
@@ -223,8 +239,24 @@ def test_delivered_update_reaches_the_replica_in_four_frames(monkeypatch):
     cluster = msc_cluster(4, ["x", "y"], seed=5)
     cluster.run(random_workloads(4, ["x", "y"], 10, seed=6))
     assert paths and all(len(path) <= 4 for path in paths), paths
-    # ... and a clean run's abcast retains no delivered entry.
-    assert not hasattr(cluster.abcast, "_plog")
+
+
+def test_no_relay_every_replica_landed_is_retained():
+    # Memory follows the slowest replica, not the run: at every step
+    # the core holds exactly the relays some replica has yet to land,
+    # and nothing once the run is over.
+    n = 6
+    objects = ["x", "y", "z"]
+    cluster = msc_cluster(n, objects, seed=7)
+    cluster.prepare(random_workloads(n, objects, 12, seed=8))
+    abcast = cluster.abcast
+    held = []
+    while cluster.sim.step():
+        slowest = min(abcast.cursor(pid) for pid in range(n))
+        assert set(abcast._relays) == set(range(slowest, abcast._next_seq))
+        held.append(len(abcast._relays))
+    cluster.finalize()
+    assert max(held) > 0 and not abcast._relays
 
 
 def test_faulty_run_is_verified_once_under_its_policy(monkeypatch):

@@ -16,11 +16,15 @@ per row:
   submission latency (``p50_s``) regresses by more than ``--factor``
   *or* sustained throughput (``specs_per_sec``) collapses below
   ``1/factor`` of the baseline;
-* **sim rows** (``BENCH_sim.json``, rows carrying ``events_per_sec``),
-  keyed by ``(protocol, workload, n, ops)`` — the gate fails when
-  simulation throughput collapses below ``1/factor`` of the baseline
-  (throughput-gated rather than wall-clock-gated, so quick-profile
-  artifacts with different run counts still compare).
+* **sim rows** (``BENCH_sim.json``, rows carrying ``events_per_sec``
+  or ``deliveries_per_sec``), keyed by ``(protocol, workload, n,
+  ops)`` — the gate fails when the row's rate collapses below
+  ``1/factor`` of the baseline (throughput-gated rather than
+  wall-clock-gated, so quick-profile artifacts with different run
+  counts still compare).  A protocol row is rated in deliveries
+  (``net.delivered``) per second, which lazy relay landing leaves
+  unmoved while it fires far fewer kernel events; kernel and histgen
+  rows in events per second.
 
 The default factor (2x) absorbs CI machine-class noise while still
 catching complexity-class slips.  Rows present in only one artifact
@@ -49,7 +53,7 @@ def _key(row: dict) -> Key:
     if "p50_s" in row:
         return ("serve", str(row.get("profile", "full")),
                 int(row.get("clients", 0)))
-    if "events_per_sec" in row:
+    if "events_per_sec" in row or "deliveries_per_sec" in row:
         return ("sim", str(row.get("protocol", "?")),
                 str(row.get("workload", "?")),
                 int(row.get("n", 0)), int(row.get("ops", 0)))
@@ -89,47 +93,29 @@ def _gate_time(
     (failures if ratio > factor else notes).append(line)
 
 
-def _gate_throughput(
+def _gate_rate(
     key: Key,
     fresh_row: dict,
     base_row: dict,
+    metric: str,
     factor: float,
     failures: List[str],
     notes: List[str],
 ) -> None:
-    base_rate = float(base_row["specs_per_sec"])
-    fresh_rate = float(fresh_row["specs_per_sec"])
-    if base_rate <= 0:
-        notes.append(
-            f"{_label(key)} specs_per_sec: zero baseline (not gated)"
+    if metric not in fresh_row:
+        failures.append(
+            f"{_label(key)}: the baseline rates it in {metric}, the "
+            "fresh artifact does not"
         )
+        return
+    base_rate = float(base_row[metric])
+    fresh_rate = float(fresh_row[metric])
+    if base_rate <= 0:
+        notes.append(f"{_label(key)} {metric}: zero baseline (not gated)")
         return
     ratio = base_rate / fresh_rate if fresh_rate else float("inf")
     line = (
-        f"{_label(key)} specs_per_sec: {fresh_rate:.1f}/s vs baseline "
-        f"{base_rate:.1f}/s ({ratio:.2f}x slower)"
-    )
-    (failures if ratio > factor else notes).append(line)
-
-
-def _gate_events_throughput(
-    key: Key,
-    fresh_row: dict,
-    base_row: dict,
-    factor: float,
-    failures: List[str],
-    notes: List[str],
-) -> None:
-    base_rate = float(base_row["events_per_sec"])
-    fresh_rate = float(fresh_row["events_per_sec"])
-    if base_rate <= 0:
-        notes.append(
-            f"{_label(key)} events_per_sec: zero baseline (not gated)"
-        )
-        return
-    ratio = base_rate / fresh_rate if fresh_rate else float("inf")
-    line = (
-        f"{_label(key)} events_per_sec: {fresh_rate:.1f}/s vs baseline "
+        f"{_label(key)} {metric}: {fresh_rate:.1f}/s vs baseline "
         f"{base_rate:.1f}/s ({ratio:.2f}x slower)"
     )
     (failures if ratio > factor else notes).append(line)
@@ -154,12 +140,18 @@ def gate(
                 key, fresh_row, base_row, "p50_s", factor,
                 failures, notes,
             )
-            _gate_throughput(
-                key, fresh_row, base_row, factor, failures, notes
+            _gate_rate(
+                key, fresh_row, base_row, "specs_per_sec", factor,
+                failures, notes,
             )
         elif key[0] == "sim":
-            _gate_events_throughput(
-                key, fresh_row, base_row, factor, failures, notes
+            metric = (
+                "deliveries_per_sec"
+                if "deliveries_per_sec" in base_row
+                else "events_per_sec"
+            )
+            _gate_rate(
+                key, fresh_row, base_row, metric, factor, failures, notes
             )
         else:
             _gate_time(
