@@ -379,6 +379,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _window(text: str) -> int:
+    """A ``--window`` value: an int >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive int, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -398,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--window",
-        type=int,
+        type=_window,
         default=None,
         help="derive a static certificate from the history and bound "
         "the certified scan's lookback to this many update-chain "
@@ -509,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--window",
-        type=int,
+        type=_window,
         default=None,
         help="bound the in-run audit monitor's memory to a lookback of "
         "this many broadcast positions (reads reaching further back "
@@ -533,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("spec", help="path to the RunSpec JSON file")
     run.add_argument(
         "--window",
-        type=int,
+        type=_window,
         default=None,
         help="override the spec's verify.window",
     )

@@ -15,10 +15,15 @@ Each condition is checked by one of three methods:
   :mod:`repro.core.admissibility` (ground truth; worst-case
   exponential, per Theorems 1 and 2), once per view for a
   per-process row.
-* ``"constrained"`` — the Theorem-7 polynomial path: *requires* the
-  history to satisfy the OO- or WW-constraint, under which legality is
-  necessary and sufficient for admissibility.  Raises
-  :class:`ConstraintNotSatisfied` when the precondition fails.  Under
+* ``"constrained"`` — the Theorem-7 polynomial path, the forward scan
+  of :func:`repro.core.plan.run_scan`: *requires* the history to
+  satisfy the OO- or WW-constraint, under which legality is necessary
+  and sufficient for admissibility.  The scan itself sees WW along
+  the update chain it finds; otherwise the mask tests of
+  :func:`~repro.core.constraints.satisfies_ww` /
+  :func:`~repro.core.constraints.satisfies_oo` against the closure of
+  ``~H`` decide, and :class:`ConstraintNotSatisfied` is raised when
+  both fail.  Under
   the constraint every process's view is constrained too, and each
   view's reads are the whole history's, so a per-process row's
   verdict *is* that of the whole-history row with its orders.
@@ -28,11 +33,9 @@ Each condition is checked by one of three methods:
 Every checker also accepts a ``certificate`` — a static proof from
 :mod:`repro.analysis.static.prover` that the workload can only emit
 OO-/WW-constrained histories.  A certificate replaces the dynamic
-constraint phase (the mask tests of
-:func:`~repro.core.constraints.satisfies_ww` /
-:func:`~repro.core.constraints.satisfies_oo` against the closure) with
-an O(n) structural audit that also yields the forward scan's update
-chain; the audit is trust-but-verify — a mismatch raises
+constraint test with an O(n) structural audit that also yields the
+forward scan's update chain for the rules that bind one; the audit
+is trust-but-verify — a mismatch raises
 :class:`~repro.errors.InvalidCertificate` rather than risking an
 unsound Theorem-7 shortcut.
 """
@@ -46,7 +49,7 @@ from repro.core.admissibility import SearchStats, check_admissible
 from repro.core.constraints import satisfies_oo, satisfies_ww
 from repro.core.history import History
 from repro.core.index import HistoryIndex, condition_row
-from repro.core.plan import run_scan
+from repro.core.plan import check_window, run_scan
 from repro.core.refutation import Refutation, refute_order
 from repro.core.relations import Relation
 from repro.errors import InvalidCertificate, PlanRefused, ReproError
@@ -111,6 +114,7 @@ def _check(
     row = condition_row(condition)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    check_window(window)
     # A per-process row searches each view; otherwise one search.
     search = _check_views if row.per_process else _check_exact
 
@@ -139,7 +143,7 @@ def _check(
         # the dynamic constraint phase: Theorem 7's precondition was
         # proved from the workload, so only the O(n) structural audit
         # runs here — never the constraint tests below — and it hands
-        # back the update chain the forward scan walks.
+        # back the update chain the forward scan walks, if it binds one.
         cert = (
             certificate
             if getattr(certificate, "unlocks_theorem7", False)
@@ -173,53 +177,41 @@ def _check(
                     f"binding a total update chain; got {got}"
                 )
 
-        if chain is not None:
-            with tracer.span("check.scan", chain=len(chain)):
-                result = run_scan(
-                    history,
-                    condition,
-                    chain,
-                    extra_pairs=extra,
-                    window=window,
-                )
-            return ConsistencyVerdict(
-                holds=result.holds,
-                condition=condition,
-                method_used="constrained",
-                witness=result.witness,
-                certificate=cert.rule,
-                refutation=result.refutation,
+        with tracer.span(
+            "check.scan", chain=None if chain is None else len(chain)
+        ):
+            result = run_scan(
+                history, condition, chain, extra_pairs=extra, window=window
             )
 
-        # No usable chain: the monolithic Theorem-7 path.
-        base = index.base_relation(condition, extra)
-        with tracer.span("check.closure"):
-            closure = base.transitive_closure()
+        if cert is None and not result.ww:
+            # Neither a certificate nor the scan's own update chain
+            # proves the constraint: the scan's verdict stands only if
+            # the closure of ~H satisfies OO (or WW, when ~H is cyclic).
+            base = index.base_relation(condition, extra)
+            with tracer.span("check.closure"):
+                closure = base.transitive_closure()
+            with tracer.span("check.constraints"):
+                constrained_ok = satisfies_ww(
+                    history, closure
+                ) or satisfies_oo(history, closure)
+            if not constrained_ok:
+                if method == "constrained":
+                    raise ConstraintNotSatisfied(
+                        "history does not satisfy the OO- or WW-constraint "
+                        f"under the {condition} order; the Theorem-7 fast "
+                        "path does not apply"
+                    )
+                return search(history, condition, base, extra, node_limit)
 
-        if cert is not None:
-            verdict = _check_constrained(
-                history, base, closure, condition, extra
-            )
-            verdict.certificate = cert.rule
-            return verdict
-
-        with tracer.span("check.constraints"):
-            constrained_ok = satisfies_ww(history, closure) or satisfies_oo(
-                history, closure
-            )
-
-        if method == "constrained" and not constrained_ok:
-            raise ConstraintNotSatisfied(
-                "history does not satisfy the OO- or WW-constraint under "
-                f"the {condition} order; the Theorem-7 fast path does not "
-                "apply"
-            )
-
-        if constrained_ok:
-            return _check_constrained(
-                history, base, closure, condition, extra
-            )
-        return search(history, condition, base, extra, node_limit)
+        return ConsistencyVerdict(
+            holds=result.holds,
+            condition=condition,
+            method_used="constrained",
+            witness=result.witness,
+            certificate=None if cert is None else cert.rule,
+            refutation=result.refutation,
+        )
 
 
 def _check_exact(
@@ -294,42 +286,6 @@ def _check_views(
     )
 
 
-def _check_constrained(
-    history: History,
-    base: Relation,
-    closure: Relation,
-    condition: str,
-    extra: Tuple[Tuple[int, int], ...],
-) -> ConsistencyVerdict:
-    """Theorem 7: under OO/WW, admissible ⟺ legal.
-
-    When legal, Lemmas 3-5 guarantee the extended relation ``~H+`` is
-    an irreflexive partial order any of whose linear extensions is a
-    legal sequential history — so we also return such a witness.  A
-    graph and its transitive closure have the same topological orders,
-    so the witness is read off ``~H`` plus the ``~rw`` cover (one
-    pair per read, :meth:`HistoryIndex.rw_cover_under`) without
-    materialising ``~rw`` or ``~H+``.
-    """
-    tracer = get_tracer()
-    with tracer.span("check.legality"):
-        refutation = refute_order(history, condition, base, extra)
-    if refutation is not None:
-        return ConsistencyVerdict(
-            False, condition, "constrained", refutation=refutation
-        )
-    with tracer.span("check.witness"):
-        extended = base.copy()
-        for a_uid, c_uid in HistoryIndex.of(history).rw_cover_under(closure):
-            extended.add(a_uid, c_uid)
-        witness = extended.topological_order()
-    assert witness is not None, (
-        "Lemma 3/4 violated: extended relation of a legal constrained "
-        "history is cyclic"
-    )
-    return ConsistencyVerdict(True, condition, "constrained", witness=witness)
-
-
 def _normalize_extra(
     extra_pairs: Iterable[Tuple[int, int]]
 ) -> Tuple[Tuple[int, int], ...]:
@@ -358,11 +314,12 @@ def check_condition(
       (Theorem 7).  The check then becomes *sufficient* rather than
       exact: admissibility w.r.t. a larger order implies the
       condition, but not conversely.
-    * ``certificate`` — a static constraint certificate; one whose
-      shape yields an update chain lowers the check to the forward
-      scan of :mod:`repro.core.plan`.
-    * ``window`` — bounds that scan's lookback to so many chain
-      positions, refusing (never deciding wrongly) with
+    * ``certificate`` — a static constraint certificate: it spares
+      the constraint test, and one whose shape yields an update chain
+      hands the forward scan of :mod:`repro.core.plan` that chain.
+    * ``window`` — a positive int (else :class:`ValueError`): bounds
+      that scan's lookback to so many chain positions, refusing
+      (never deciding wrongly) with
       :class:`~repro.errors.WindowExceeded` when a read reaches
       further back, and with :class:`~repro.errors.PlanRefused` when
       no certificate binds a total update chain to measure along.

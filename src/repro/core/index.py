@@ -427,17 +427,6 @@ class HistoryIndex:
                 cands ^= low
         return sorted(pairs)
 
-    def rw_cover_under(self, closure: Relation) -> List[Pair]:
-        """:func:`rw_cover_pairs` against an acyclic closed order over
-        the full universe that totally orders each object's writers:
-        the edges the Theorem 7 witness adds to ``~H``.  A node of a
-        closed strict order precedes only nodes with fewer successors,
-        so the row popcounts rank every writer chain.
-        """
-        rows = zip(closure.nodes, closure._succ)
-        rank = {uid: -row.bit_count() for uid, row in rows}
-        return rw_cover_pairs(self.proper_reads(), self.writer_timelines, rank)
-
     # ------------------------------------------------------------------
     # Constraint structure (D 4.1 / D 4.8 - D 4.10): who must be ordered
     # ------------------------------------------------------------------

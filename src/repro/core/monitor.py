@@ -52,6 +52,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.index import CONDITIONS
 from repro.core.operation import INIT_UID
+from repro.core.plan import check_window
 from repro.core.refutation import Refutation
 from repro.errors import ReproError
 
@@ -163,8 +164,7 @@ class LiveMonitor:
                 f"cannot stream condition {condition!r}; the monitor "
                 f"streams {streamable}"
             )
-        if window is not None and window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
+        check_window(window)
         self.condition = condition
         #: retained ``~ww`` depth, in broadcast positions (None = all).
         self.window = window

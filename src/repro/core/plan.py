@@ -1,42 +1,38 @@
-"""The certified forward legality scan (Theorem 7 without a closure).
+"""The forward legality scan: Theorem 7's one executor.
 
-The monolithic closure path computes one global transitive closure per
-history — ``O(n²)`` bits of state.  When a static
-:class:`~repro.analysis.static.prover.ConstraintCertificate` holds, its
-:meth:`~repro.analysis.static.prover.ConstraintCertificate.chain_for`
-hands :func:`repro.core.consistency.check_condition` an update chain
-along which every object's writers are totally ordered, and legality
-(D 4.6) lowers to a single forward scan: under acyclicity,
+Under the OO- or WW-constraint legality (D 4.6) decides admissibility
+(Theorem 7).  Along an update chain on which every object's writers
+are totally ordered it is a single forward scan: under acyclicity,
 update-to-update reachability collapses to chain position comparison,
 and "is some writer ordered strictly between ``b`` and its reader"
 becomes one binary search per external read against a visibility
 *mark* computed by dynamic programming over the cover DAG.  No closure
-is ever materialised — ``O((V + E) log V)`` total.  The chain is the
-bound delivery order (``total-update-order``), the one updater's
+is materialised — ``O((V + E) log V)`` total.  A static
+:class:`~repro.analysis.static.prover.ConstraintCertificate`'s
+:meth:`~repro.analysis.static.prover.ConstraintCertificate.chain_for`
+hands the chain to :func:`repro.core.consistency.check_condition`:
+the bound delivery order (``total-update-order``), the one updater's
 process order (``single-updater``), empty (``read-only``), or — for
 ``object-partitioned`` certificates (every object is accessed by a
 single process) without ``~t`` and without ``extra_pairs`` — the
 per-process update chains concatenated in process-id order: every
 non-initial base edge is then intra-process, so a reader's mark and
 the writers of the object it reads all lie in its own process's
-segment of the chain.
+segment of the chain.  Without a chain the scan takes its own Kahn pop
+order of the updates and sees in the same pass whether it is the WW
+total order (:attr:`ScanResult.ww`); only if not does the checker
+close ``~H``, to test OO.
 
 :func:`run_scan` reports a linear-size cover of the D 4.11 ``~rw``
 pairs and a witness linearization, or the refutation — a cycle or an
-illegal read — that stopped it.
-
-Verdict fidelity
-----------------
-
-The scan reproduces the monolithic checker *byte for byte*: the
-same ``holds``, and the same witness.  The witness guarantee follows
-from replicating the bitmask Kahn order of
+illegal read — that stopped it.  The witness is the Kahn order of
 :meth:`repro.core.relations.Relation._topo_indices` exactly — same
 universe order (``history.uids``), FIFO ready queue, successors
 visited in ascending universe position, per-edge deduplication — over
 base cover edges plus :func:`repro.core.index.rw_cover_pairs` (the
 other D 4.11 pairs are path-implied edges, which FIFO Kahn cannot
-see).  Cross-validated in ``tests/core/test_plan_crossval.py``.
+see), so it does not depend on the chain the scan walked.
+Cross-validated in ``tests/core/test_plan_crossval.py``.
 
 Windowed checking
 -----------------
@@ -77,10 +73,23 @@ class ScanResult:
     rw: Tuple[Pair, ...] = ()
     witness: Optional[List[int]] = None
     refutation: Optional[Refutation] = None
+    #: the scan found its own chain, and it is the total order of the
+    #: updates the WW-constraint (D 4.9) asks for.
+    ww: bool = False
 
     @property
     def holds(self) -> bool:
         return self.refutation is None
+
+
+def check_window(window: Optional[int]) -> None:
+    """Refuse a lookback that is not a positive int (nor a bool)."""
+    if window is not None and (
+        isinstance(window, bool) or not isinstance(window, int) or window < 1
+    ):
+        raise ValueError(
+            f"window must be a positive int (or None), got {window!r}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +129,8 @@ def _fifo_topo(
 
     FIFO ready queue seeded in ascending universe position, successors
     visited in ascending position — the exact tie-breaking of the
-    bitmask implementation, so witnesses are byte-identical to the
-    monolithic checker's.  None if cyclic.
+    bitmask implementation, so a witness is the one
+    ``Relation.topological_order`` gives.  None if cyclic.
     """
     n = len(uids)
     adj = [sorted(s) for s in succ]
@@ -169,7 +178,7 @@ def _unpopped_cycle(adj: List[List[int]], indegree: List[int]) -> List[int]:
 def run_scan(
     history: History,
     condition: str,
-    chain: Tuple[int, ...],
+    chain: Optional[Tuple[int, ...]] = None,
     *,
     extra_pairs: Tuple[Pair, ...] = (),
     window: Optional[int] = None,
@@ -192,6 +201,13 @@ def run_scan(
     chain position in ``(pos(b), mark(a)]`` — one binary search per
     external read.
 
+    Without a ``chain`` the updates' Kahn pop order is the chain.  It
+    is total (D 4.9, :attr:`ScanResult.ww`) iff each update's
+    predecessor mark is the position of the update popped just before
+    it.  Under OO (D 4.8) it also meets the preconditions — every
+    writer of ``x`` is ordered with every access to ``x`` — which the
+    caller decides on the closure.
+
     With ``window`` set, a read whose mark reaches more than
     ``window`` positions behind its claimed writer raises
     :class:`WindowExceeded` (refusal, not a verdict).
@@ -200,12 +216,16 @@ def run_scan(
     of the object on the chain); the witness orders ``~H`` plus it.
     """
     uids = history.uids
+    index = HistoryIndex.of(history)
     pos, succ = _cover_successors(history, condition, extra_pairs)
     n = len(uids)
-
+    found = chain is None
+    chain = [] if found else chain
     chain_pos: Dict[int, int] = {history.init.uid: -1}
-    for i, uid in enumerate(chain):
-        chain_pos[uid] = i
+    chain_pos.update((uid, i) for i, uid in enumerate(chain))
+    # Without a chain each update takes the next position as it pops
+    # (update_uids lists the initial m-operation first).
+    updates = {pos[uid] for uid in index.update_uids[1:]} if found else ()
 
     # Kahn pass: acyclicity + the mark DP in one sweep (a node's mark
     # is final when it is popped, since all predecessors popped first).
@@ -221,10 +241,15 @@ def run_scan(
             marks[i] = cp
     ready = deque(i for i in range(n) if indegree[i] == 0)
     seen = 0
+    ww = found
     while ready:
         i = ready.popleft()
         seen += 1
         mark = marks[i]
+        if i in updates:
+            ww = ww and mark == len(chain) - 1
+            mark = marks[i] = chain_pos[uids[i]] = len(chain)
+            chain.append(uids[i])
         for j in adj[i]:
             if marks[j] < mark:
                 marks[j] = mark
@@ -247,7 +272,7 @@ def run_scan(
             writer_pos.setdefault(obj, []).append(cp)
             writer_uid.setdefault(obj, []).append(uid)
 
-    reads = sorted(HistoryIndex.of(history).proper_reads())
+    reads = sorted(index.proper_reads())
     for (a_uid, obj), b_uid in reads:
         b_pos = chain_pos.get(b_uid)
         if b_pos is None:
@@ -271,10 +296,11 @@ def run_scan(
             k -= 1
         if k >= 0 and positions[k] > b_pos:
             return ScanResult(
+                ww=ww,
                 refutation=Refutation(
                     "illegal", condition, triple=(a_uid, b_uid, names[k]),
                     obj=obj,
-                )
+                ),
             )
 
     rw = tuple(rw_cover_pairs(reads, writer_uid, chain_pos))
@@ -284,8 +310,9 @@ def run_scan(
         for a_uid, c_uid in rw:
             succ[pos[a_uid]].add(pos[c_uid])
         witness = _fifo_topo(uids, succ)
-    assert witness is not None, (
+    # Only a found chain that is not D 4.9's order may leave OO unproved.
+    assert witness is not None or (found and not ww), (
         "Lemma 3/4 violated: extended relation of a legal "
         "constrained history is cyclic"
     )
-    return ScanResult(rw=rw, witness=witness)
+    return ScanResult(rw=rw, witness=witness, ww=ww)

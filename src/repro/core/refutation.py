@@ -111,9 +111,14 @@ def label_cycle(
 ) -> Refutation:
     """The cycle ``uids`` of the condition's base order plus
     ``extra_pairs``, each edge labelled by the first generating
-    relation that contains it."""
+    relation that contains it, rotated to start at its earliest
+    m-operation in ``history.uids`` order — so a cycle reads the same
+    whichever pass found it."""
     real_time, objects = condition_row(condition).orders
-    chains = HistoryIndex.of(history).process_chains
+    index = HistoryIndex.of(history)
+    first = min(range(len(uids)), key=lambda k: index.positions[uids[k]])
+    uids = uids[first:] + uids[:first]
+    chains = index.process_chains
     rank: Dict[int, Pair] = {}  # the cycle's (process, issue position)s
     for uid in uids:
         chain = chains.get(history[uid].process, ())

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.index import CONDITIONS
+from repro.core.plan import check_window
 from repro.core.serialize import canonical_json
 from repro.errors import ReproError
 from repro.sim.faults import (
@@ -77,6 +78,11 @@ def _canonical_value(value: Any) -> Any:
         f"value {value!r} ({type(value).__name__}) has no canonical "
         "JSON form"
     )
+
+
+def _is_int(value: Any) -> bool:
+    """An int, and not a bool: JSON ``true`` is no count or seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _reject_unknown(cls, section: str, data: Mapping[str, Any]) -> None:
@@ -400,10 +406,10 @@ class VerifyPolicy:
                 f"certificate policy must be 'auto' or 'off', got "
                 f"{self.certificate!r}"
             )
-        if self.window is not None and self.window < 1:
-            raise InvalidSpecError(
-                f"window must be >= 1 (or null), got {self.window}"
-            )
+        try:
+            check_window(self.window)
+        except ValueError as exc:
+            raise InvalidSpecError(str(exc)) from None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -458,6 +464,9 @@ class RunSpec:
         object.__setattr__(
             self, "options", tuple(sorted((k, v) for k, v in options))
         )
+        for name in ("n", "ops", "seed", "max_events"):
+            if not _is_int(value := getattr(self, name)):
+                raise InvalidSpecError(f"{name} must be an int, got {value!r}")
         if self.n <= 0:
             raise InvalidSpecError("n must be positive")
         if self.ops < 0:

@@ -4,7 +4,8 @@ Covers every certification rule (D 4.8/4.9/4.10 via the module's
 soundness arguments), the paper workloads the repo certifies
 statically, and the checker integration: a certificate swaps the
 dynamic ``check.constraints`` phase for the ``check.certificate``
-audit on the way to the Theorem-7 path.
+audit on the way to the Theorem-7 path, where an uncertified check
+skips that phase only when its scan finds the WW update chain.
 """
 
 import pytest
@@ -278,6 +279,12 @@ class TestCheckerSkip:
         assert "check.constraints" not in names
 
     def test_uncertified_check_runs_constraint_phase(self, run_and_cert):
+        # Without a certificate the scan finds its own update chain: a
+        # WW history (the run with its ~ww pairs) needs no constraint
+        # phase, an OO-only one (two processes, each writing and
+        # reading its own object) does.
+        from repro.core import History, make_mop, read, write
+
         result, _ = run_and_cert
         verdict, names = self.spans_for(
             lambda: check_m_sequential_consistency(
@@ -285,6 +292,20 @@ class TestCheckerSkip:
             )
         )
         assert verdict.certificate is None
+        assert "check.constraints" not in names
+        assert "check.certificate" not in names
+        oo_only = History.from_mops(
+            [
+                make_mop(1, 0, [write("x", 1)]),
+                make_mop(2, 1, [write("y", 2)]),
+                make_mop(3, 0, [read("x", 1)]),
+            ],
+            reads_from={(3, "x"): 1},
+        )
+        verdict, names = self.spans_for(
+            lambda: check_m_sequential_consistency(oo_only)
+        )
+        assert verdict.holds and verdict.method_used == "constrained"
         assert "check.constraints" in names
         assert "check.certificate" not in names
 

@@ -1,12 +1,12 @@
-"""Unit tests for the certified forward legality scan.
+"""Unit tests for the forward legality scan.
 
-Which path a check takes (the verdict's ``certificate`` and its
-``check.scan`` / ``check.closure`` spans) and its refusals, the chain
-a certificate hands the checker, the forward legality scan (certified
-chains and object-partitioned histories alike), the windowed scan's
-refusal contract, and its streaming counterpart, :class:`LiveMonitor`
-with a ``window``.  Corpus-scale verdict fidelity lives in
-``tests/core/test_plan_crossval.py``.
+Which path a check takes (the verdict's ``certificate``, the
+``check.scan`` span's ``chain`` and whether ``check.closure`` follows
+it) and its refusals, the chain a certificate hands the checker, the
+forward legality scan (given, found and object-partitioned chains
+alike), the windowed scan's refusal contract, and its streaming
+counterpart, :class:`LiveMonitor` with a ``window``.  Corpus-scale
+verdict fidelity lives in ``tests/core/test_plan_crossval.py``.
 """
 
 from __future__ import annotations
@@ -49,6 +49,20 @@ def partitioned(n_mops=60, seed=3, n_processes=3):
     return random_partitioned_history(shape, seed=seed)
 
 
+def popcount_rw_cover(history, closure):
+    """The ~rw cover over ``closure``'s writer chains, ranked by row
+    popcount: a node of a closed strict order precedes only nodes
+    with fewer successors."""
+    from repro.core.index import HistoryIndex, rw_cover_pairs
+
+    index = HistoryIndex.of(history)
+    rows = index.closure_rows(closure).succ
+    rank = {uid: -row.bit_count() for uid, row in zip(history.uids, rows)}
+    return set(
+        rw_cover_pairs(index.proper_reads(), index.writer_timelines, rank)
+    )
+
+
 def traced(history, condition, **kwargs):
     """The verdict and the names of the check's spans."""
     tracer = Tracer()
@@ -64,10 +78,21 @@ class TestPlanner:
     """Which path a check takes, read off its verdict and spans."""
 
     def test_full_without_certificate_is_closure(self):
-        history, _chain = serial()
+        # Without a certificate the scan finds its own update chain.
+        # ~H is closed, for the OO test, only when that chain is not
+        # the total update order of D 4.9.
+        history, chain = serial()
         verdict, spans = traced(history, "m-sc")
         assert verdict.certificate is None
-        assert "check.closure" in spans and "check.scan" not in spans
+        assert spans["check.scan"]["attrs"]["chain"] is None
+        assert "check.closure" in spans and "check.constraints" in spans
+        ww = tuple(zip(chain, chain[1:]))
+        verdict, spans = traced(history, "m-sc", extra_pairs=ww)
+        assert verdict.certificate is None
+        assert verdict.method_used == "constrained" and verdict.holds
+        assert spans["check.scan"]["attrs"]["chain"] is None
+        assert "check.closure" not in spans
+        assert "check.constraints" not in spans
 
     def test_full_with_chain_certificate_is_scan(self):
         history, chain = serial()
@@ -80,6 +105,9 @@ class TestPlanner:
         assert verdict.certificate == "total-update-order"
         assert spans["check.scan"]["attrs"]["chain"] == len(chain)
         assert "check.closure" not in spans
+        assert "check.constraints" not in spans
+        uncertified = check_condition(history, "m-sc", extra_pairs=ww)
+        assert uncertified.witness == verdict.witness
 
     def test_windowed_requires_chain_certificate(self):
         history = partitioned()
@@ -119,10 +147,13 @@ class TestPlanner:
             assert verdict.certificate == "object-partitioned"
             assert spans["check.scan"]["attrs"]["chain"] == len(by_process)
             assert "check.closure" not in spans
+            assert "check.constraints" not in spans
 
     def test_partitioned_mlin_and_extra_pairs_take_the_closure(self):
         # ~t and extra_pairs order m-operations across the partitions:
-        # a reader's mark would leave its own chain segment.
+        # a reader's mark would leave its own segment of the
+        # certificate's chain.  The scan finds its own chain instead,
+        # and the certificate (OO holds) spares it the closure.
         history = partitioned()
         cert = certify_partitioned_history(history)
         for condition, extra in (("m-lin", ()), ("m-sc", ((1, 2),))):
@@ -130,8 +161,26 @@ class TestPlanner:
                 history, condition, certificate=cert, extra_pairs=extra
             )
             assert verdict.certificate == "object-partitioned"
-            assert "check.closure" in spans and "check.scan" not in spans
+            assert spans["check.scan"]["attrs"]["chain"] is None
+            assert "check.closure" not in spans
             assert "check.constraints" not in spans
+            uncertified = check_condition(
+                history, condition, extra_pairs=extra
+            )
+            assert (uncertified.holds, uncertified.witness) == (
+                verdict.holds, verdict.witness
+            )
+
+    @pytest.mark.parametrize("window", [0, -3, True, 2.5, "3"])
+    def test_window_must_be_a_positive_int(self, window):
+        history, chain = serial()
+        cert = certify_chain(history, chain)
+        ww = tuple(zip(chain, chain[1:]))
+        with pytest.raises(ValueError, match="window"):
+            check_condition(
+                history, "m-sc", window=window, extra_pairs=ww,
+                certificate=cert,
+            )
 
 
 class TestScan:
@@ -193,13 +242,25 @@ class TestScan:
         full = set(index.rw_pairs_under(closure))
         cover = set(result.rw)
         assert cover <= full
-        assert cover == set(index.rw_cover_under(closure))
+        assert cover == popcount_rw_cover(history, closure)
         assert len(result.rw) <= len(index.proper_reads()) < len(full)
         extended = base.copy()
         for pair in cover:
             extended.add(*pair)
         generated = extended.transitive_closure()
         assert all(pair in generated for pair in full)
+
+    def test_scan_finds_its_own_chain(self):
+        # Without a chain the updates' Kahn pop order is the chain: the
+        # ~ww-ordered history is found WW and scans exactly as the
+        # given chain does; without ~ww the found order is not total.
+        history, chain = serial(n_mops=50, seed=9)
+        ww = tuple(zip(chain, chain[1:]))
+        given = run_scan(history, "m-sc", tuple(chain), extra_pairs=ww)
+        found = run_scan(history, "m-sc", extra_pairs=ww)
+        assert found.ww and not given.ww
+        assert (found.rw, found.witness) == (given.rw, given.witness)
+        assert not run_scan(history, "m-sc").ww
 
 
 class TestWindowedScan:
@@ -263,7 +324,7 @@ class TestPartitioned:
         assert result.holds
         index = HistoryIndex.of(history)
         closure = index.base_relation("m-sc").transitive_closure()
-        assert set(result.rw) == set(index.rw_cover_under(closure))
+        assert set(result.rw) == popcount_rw_cover(history, closure)
         assert set(result.rw) <= set(index.rw_pairs_under(closure))
         assert len(result.rw) <= len(index.proper_reads())
 

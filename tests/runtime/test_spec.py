@@ -165,6 +165,25 @@ class TestValidation:
         with pytest.raises(InvalidSpecError, match="window"):
             VerifyPolicy(window=0)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": "3"},
+            {"n": True},
+            {"ops": 2.5},
+            {"seed": "x"},
+            {"max_events": None},
+            {"verify": {"window": "3"}},
+            {"verify": {"window": True}},
+            {"verify": {"window": 2.5}},
+        ],
+    )
+    def test_malformed_numbers_are_spec_errors(self, data):
+        # A wrong type is refused as a spec error, never a TypeError,
+        # and a bool never passes for an int.
+        with pytest.raises(InvalidSpecError):
+            RunSpec.from_dict({"protocol": "msc", **data})
+
     def test_verify_policy_engine_defaults(self):
         policy = VerifyPolicy()
         assert policy.window is None

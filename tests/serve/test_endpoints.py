@@ -204,6 +204,24 @@ def test_malformed_spec_is_400(client):
         assert excinfo.value.status == 400, bad
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"n": "3"},
+        {"seed": "x"},
+        {"verify": {"window": "3"}},
+        {"verify": {"window": True}},
+        {"verify": {"window": 2.5}},
+    ],
+)
+def test_malformed_numbers_are_400(client, bad):
+    # A wrong type is answered, not a dropped connection, and a bool
+    # or a fraction never passes for an int.
+    with pytest.raises(ServeClientError) as excinfo:
+        client.submit({"protocol": "msc", **bad})
+    assert excinfo.value.status == 400, bad
+
+
 def test_unknown_condition_is_400(client):
     # Refused at submission, naming the table's conditions, instead of
     # queued and failed by the worker.

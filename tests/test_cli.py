@@ -85,6 +85,13 @@ class TestCheck:
             assert "VIOLATED" in lines[at], row.name
             assert lines[at + 1].startswith(f"    {row.name} violated: ")
 
+    @pytest.mark.parametrize("window", ["-3", "0"])
+    def test_non_positive_window_is_an_error(self, fig1_file, window, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", fig1_file, "--window", window])
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_untimed_history_skips_timed_conditions(self, tmp_path, capsys):
         h = simple_history([(1, 0, "w x 1"), (2, 1, "r x 1")])
         path = tmp_path / "untimed.json"

@@ -357,3 +357,49 @@ def test_witness_costs_at_most_5x_the_bare_verdict_at_4000_mops():
     bare = min(scan - witness for scan, witness in runs)
     assert with_witness < 5.0 * bare
 
+
+
+def test_uncertified_constrained_checks_close_only_for_oo(monkeypatch):
+    # Structural, no wall clock: without a certificate the forward
+    # scan finds its own update chain.  A recorded msc history checked
+    # with its ~ww pairs is WW along that chain and never closes ~H;
+    # an OO-only history (object-partitioned, no two processes'
+    # updates ordered) closes it once, for the OO mask test.
+    from repro.analysis.static import certify_run
+    from repro.core import Relation
+    from repro.runtime import RunSpec, VerifyPolicy, execute
+    from repro.workloads import random_partitioned_history
+
+    spec = RunSpec(
+        protocol="msc", workload="zipfian", n=4,
+        objects=tuple(f"x{i}" for i in range(8)), ops=30, seed=1,
+        verify=VerifyPolicy(enabled=False),
+    )
+    run = execute(spec).result
+    ww = run.ww_pairs()
+    certified = check_m_sequential_consistency(
+        run.history, extra_pairs=ww, certificate=certify_run(run)
+    )
+    partitioned = random_partitioned_history(
+        HistoryShape(n_processes=3, n_objects=2, n_mops=60), seed=3
+    )
+    closures = []
+    closure = Relation.transitive_closure
+
+    def tapped_closure(relation):
+        closures.append(len(relation.nodes))
+        return closure(relation)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Relation, "transitive_closure", tapped_closure)
+        recorded = check_m_sequential_consistency(
+            run.history, extra_pairs=ww
+        )
+        assert closures == []
+        oo_only = check_m_sequential_consistency(partitioned)
+    assert certified.certificate == "total-update-order"
+    assert (recorded.holds, recorded.method_used) == (True, "constrained")
+    assert recorded.certificate is None
+    assert recorded.witness == certified.witness
+    assert (oo_only.holds, oo_only.method_used) == (True, "constrained")
+    assert closures == [len(partitioned.uids)]
