@@ -542,9 +542,8 @@ class FailoverSequencer(SequencerAbcast):
                 # process that saw the entry, and then the sender's
                 # retained copy is what the retry path resends.
                 self._unsequenced[pid].pop(entry["id"], None)
-            self._local_deliver(
-                pid, entry["sender"], entry["payload"], entry["id"]
-            )
+            run = [entry]
+            self._log_run(pid, run)(run)
             expected = self._expected[pid]
             pepoch = self._pepoch[pid]
 

@@ -21,6 +21,7 @@ by their test suites.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
@@ -29,13 +30,20 @@ from repro.sim.network import Network
 #: Delivery callback: (sender_pid, payload) -> None.
 DeliverFn = Callable[[int, Any], None]
 
+#: Run callback: one call per gap-free run of deliveries at a
+#: participant, a list of relay entries in delivery order (dicts with
+#: at least ``"sender"``, ``"payload"`` and the unique ``"id"``).
+DeliverRunFn = Callable[[List[Dict[str, Any]]], None]
+
+#: A run entry's delivery-log record: ``(sender, id)``.
+_SENDER_ID = itemgetter("sender", "id")
 
 class AtomicBroadcast:
     """Base class for total-order broadcast implementations.
 
     Lifecycle: construct with the network, then each participant calls
-    :meth:`attach` exactly once with its delivery callback, and
-    afterwards may call :meth:`broadcast`.
+    :meth:`attach` or :meth:`attach_run` exactly once with its delivery
+    callback, and afterwards may call :meth:`broadcast`.
 
     Implementations deliver every broadcast payload exactly once at
     every participant, in one global order.
@@ -49,8 +57,8 @@ class AtomicBroadcast:
         self.network = network
         for kind in self.KINDS:
             network.bind(kind, self.handle)
-        self._deliver: Dict[int, DeliverFn] = {}
-        #: per-pid delivery logs (sender, payload), kept for property
+        self._deliver: Dict[int, DeliverRunFn] = {}
+        #: per-pid delivery logs (sender, msg id), kept for property
         #: checking in tests; cheap relative to simulation cost.
         self.delivery_log: Dict[int, List[Tuple[int, Any]]] = {}
         #: global position of each pid's log[0] — 0 normally, the
@@ -64,10 +72,20 @@ class AtomicBroadcast:
         return self.network.n
 
     def attach(self, pid: int, deliver: DeliverFn) -> None:
-        """Register participant ``pid``'s delivery callback."""
+        """Register participant ``pid``'s delivery callback, called
+        with ``(sender, payload)`` for each delivery in turn."""
+
+        def each(run: List[Dict[str, Any]]) -> None:
+            for entry in run:
+                deliver(entry["sender"], entry["payload"])
+
+        self.attach_run(pid, each)
+
+    def attach_run(self, pid: int, deliver_run: DeliverRunFn) -> None:
+        """Register participant ``pid``'s :data:`DeliverRunFn`."""
         if pid in self._deliver:
             raise ProtocolError(f"participant {pid} already attached")
-        self._deliver[pid] = deliver
+        self._deliver[pid] = deliver_run
         self.delivery_log[pid] = []
         self.delivery_offset[pid] = 0
 
@@ -115,19 +133,15 @@ class AtomicBroadcast:
     # Shared helpers for implementations
     # ------------------------------------------------------------------
 
-    def _local_deliver(
-        self, pid: int, sender: int, payload: Any, msg_id: Any
-    ) -> None:
-        """Invoke ``pid``'s callback and record the delivery.
-
-        ``msg_id`` is an implementation-assigned identifier unique per
-        broadcast; it powers the integrity check below.
-        """
+    def _log_run(self, pid: int, run: List[Dict[str, Any]]) -> DeliverRunFn:
+        """Log a run of deliveries at ``pid``; return its callback.
+        Every delivery is ``self._log_run(pid, run)(run)``, one entry
+        or many: the callback runs right below the caller's frame."""
         deliver = self._deliver.get(pid)
         if deliver is None:
             raise ProtocolError(f"delivery at unattached participant {pid}")
-        self.delivery_log[pid].append((sender, msg_id))
-        deliver(sender, payload)
+        self.delivery_log[pid] += map(_SENDER_ID, run)
+        return deliver
 
     # ------------------------------------------------------------------
     # Property checking (used by tests and by protocol self-checks)
@@ -144,19 +158,26 @@ class AtomicBroadcast:
         ``delivery_offset + i``), and integrity forbids duplicate
         message ids within one log.
         """
-        reference: Dict[int, Tuple[int, Any]] = {}
+        # reference[p]: the entry delivered at position p; None while
+        # only logs starting past p (snapshot-recovered ones) were seen.
+        reference: List[Any] = []
         for pid in range(self.n):
             log = self.delivery_log.get(pid, [])
             base = self.delivery_offset.get(pid, 0)
-            ids = [msg_id for _sender, msg_id in log]
-            if len(ids) != len(set(ids)):
+            if len({msg_id for _sender, msg_id in log}) != len(log):
                 return f"participant {pid} delivered a message twice"
-            for i, entry in enumerate(log):
-                position = base + i
-                known = reference.setdefault(position, entry)
-                if known != entry:
-                    return (
-                        f"participant {pid} delivered {entry} at position "
-                        f"{position} but another delivered {known}"
-                    )
+            reference += [None] * (base - len(reference))
+            overlap = min(len(log), len(reference) - base)
+            if reference[base:base + overlap] != log[:overlap]:
+                for i in range(overlap):
+                    known, entry = reference[base + i], log[i]
+                    if known is None:
+                        reference[base + i] = entry
+                    elif known != entry:
+                        return (
+                            f"participant {pid} delivered {entry} at "
+                            f"position {base + i} but another delivered "
+                            f"{known}"
+                        )
+            reference += log[overlap:]
         return None

@@ -156,4 +156,5 @@ class LamportAbcast(AtomicBroadcast):
             sender, payload = pending.pop(key)
             self._acks[pid].pop(key, None)
             self._delivered[pid].add(key)
-            self._local_deliver(pid, sender, payload, key[2])
+            run = [{"sender": sender, "payload": payload, "id": key[2]}]
+            self._log_run(pid, run)(run)

@@ -8,8 +8,8 @@ The simplest total-order broadcast over reliable channels: a designated
   sends ``abc-seq`` to every participant (including the sender and
   itself).
 * Each participant delivers in sequence-number order: a relay that
-  arrives in order is delivered at once, one that arrives early (the
-  network is non-FIFO) waits in a buffer for the gap to fill.
+  arrives in order is delivered at once, with the run of early ones
+  (the network is non-FIFO) that waited in a buffer for its gap.
 
 Message cost per broadcast: ``1 + n`` point-to-point messages and two
 message delays on the critical path (request to sequencer + relay),
@@ -21,13 +21,14 @@ the cluster calls) a relay need not be an event per participant.  The
 network fans it out unqueued (:meth:`~repro.sim.network.Network.
 fan_out`): the latencies are sampled and the kernel seqs reserved as
 for queued frames, and the relay is *held* with its arrival key
-``(time, seq)`` at each participant.  A participant *lands* every held
-relay whose key is at or below the current event's, in sequence order
-— the gap-free prefix its buffer would have delivered by then — at
-each landing point: whenever it acts, when a frame reaches it, and at
-the end of the run (:meth:`SequencerAbcast.land_all`).  One frame per
-relay stays queued: the arrival that completes its sender's prefix,
-where the sender delivers it and answers its client.  When the network
+``(time, seq)`` at each participant.  A participant *lands*, in one
+delivery call, every held relay whose key is at or below the current
+event's, in sequence order — the gap-free run its buffer would have
+delivered by then — at each landing point: whenever it acts, when a
+frame reaches it, and at the end of the run (:meth:`SequencerAbcast.
+land_all`).  One frame per relay stays queued: the arrival that
+completes its sender's prefix, where the sender delivers it and
+answers its client.  When the network
 can no longer fan out unqueued (a tracer, an impaired wire, a crash),
 every held arrival is queued at its reserved key, so both paths give
 the same run.
@@ -216,15 +217,17 @@ class SequencerAbcast(AtomicBroadcast):
     def _land_from(
         self, pid: int, entry: Optional[Dict[str, Any]], key: Tuple[float, int]
     ) -> None:
-        """The one landing step.  Deliver ``entry``, the relay at
+        """The one landing step.  Collect ``entry``, the relay at
         ``pid``'s cursor (None: start with the held relay there, if it
         has arrived), then every relay behind it that reached ``pid``
-        by ``key``: buffered frames and held relays alike."""
+        by ``key`` — buffered frames and held relays alike — and
+        deliver that run in one call."""
         now, current = key
         relays = self._relays
         buffer = self._buffer[pid]
         expected = self._expected[pid]
-        deliver = log = None
+        run = []
+        landed = 0
         while True:
             if entry is None:
                 held = relays.get(expected)
@@ -235,23 +238,18 @@ class SequencerAbcast(AtomicBroadcast):
                     break
                 if time != now or seq != current:
                     # (the frame arriving now was counted on arrival)
-                    self.network.stats.delivered += 1
+                    landed += 1
                 held.left -= 1
                 if not held.left:
                     del relays[expected]
                 entry = held.message.payload
-            if deliver is None:
-                deliver = self._deliver.get(pid)
-                if deliver is None:
-                    raise ProtocolError(
-                        f"delivery at unattached participant {pid}"
-                    )
-                log = self.delivery_log[pid]
+            run.append(entry)
             expected += 1
-            self._expected[pid] = expected
-            log.append((entry["sender"], entry["id"]))
-            deliver(entry["sender"], entry["payload"])
             entry = buffer.pop(expected, None)
+        if run:
+            self._expected[pid] = expected
+            self.network.stats.delivered += landed
+            self._log_run(pid, run)(run)
 
     def _hold(self, relay: Message, times: array, first: int) -> None:
         """Keep a relay fanned out unqueued until every participant

@@ -24,6 +24,7 @@ supply the exact map obtained from version vectors (D 5.1 / D 5.6).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import (
     Any,
     Dict,
@@ -67,6 +68,8 @@ class History:
         "_init",
         "_reads_from",
         "_objects",
+        "_by_process",
+        "_processes",
         "_index_cache",
     )
 
@@ -96,6 +99,18 @@ class History:
         # object is by definition also written.
         self._objects: FrozenSet[str] = frozenset().union(
             *reads.values(), *writes.values()
+        )
+        # H|P for every P, grouped once (see ``subhistory``).
+        grouped: Dict[Optional[int], List[MOperation]] = {}
+        for mop in self._mops:
+            grouped.setdefault(mop.process, []).append(mop)
+        self._by_process: Dict[Optional[int], Tuple[MOperation, ...]] = {}
+        for process, own in grouped.items():
+            if all(m.inv is not None for m in own):
+                own.sort(key=attrgetter("inv"))
+            self._by_process[process] = tuple(own)
+        self._processes: Tuple[int, ...] = tuple(
+            sorted(p for p in grouped if p is not None)
         )
         #: Lazily attached :class:`repro.core.index.HistoryIndex`; a
         #: history is immutable once constructed, so derived data never
@@ -172,9 +187,7 @@ class History:
     @property
     def processes(self) -> Tuple[int, ...]:
         """Sorted process ids appearing in the history."""
-        return tuple(
-            sorted({m.process for m in self._mops if m.process is not None})
-        )
+        return self._processes
 
     @property
     def is_timed(self) -> bool:
@@ -199,10 +212,7 @@ class History:
         Issue order is timestamp order when the history is timed, and
         listing order otherwise.
         """
-        own = [m for m in self._mops if m.process == process]
-        if all(m.inv is not None for m in own):
-            own.sort(key=lambda m: m.inv)  # type: ignore[arg-type, return-value]
-        return tuple(own)
+        return self._by_process.get(process, ())
 
     # ------------------------------------------------------------------
     # Reads-from queries (D 4.3)

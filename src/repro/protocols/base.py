@@ -28,7 +28,11 @@ of every invocation (:meth:`BaseProcess._issue_next`) and before every
 frame dispatched to it; :meth:`Cluster.run` and :meth:`Cluster.
 finalize` land everything.  Process code that reads the replica from
 any other event — a protocol's own timer — must run ``cluster.land``
-for it first.
+for it first.  Whatever lands at a process arrives as one run
+(:meth:`Cluster._land_run`, one call per run, queued or lazy): each
+update's first delivery is recorded in the ``~ww`` order, the issuer
+applies its own update through :meth:`BaseProcess.on_abcast_deliver`,
+and every other replica applies it straight into its store.
 """
 
 from __future__ import annotations
@@ -306,27 +310,21 @@ class BaseProcess:
         events (Fig-6) override this to restart the gather.
         """
 
-    def _apply_update_delivery(
-        self, sender: int, payload: Dict[str, Any]
-    ) -> None:
-        """Atomic-broadcast delivery (total order across processes).
+    def on_abcast_deliver(self, sender: int, payload: Dict[str, Any]) -> None:
+        """Atomic-broadcast delivery of this process's own broadcast.
 
-        Action (A2), the default of every abcast protocol: apply the
-        delivered update, respond if ours.  Every process applies;
-        only the issuer observes the run (the record its response and
-        the history need).  Tolerant of
-        recovery replay: a re-delivered own update that was already
-        answered is applied like anyone else's (rebuilding the
-        replica) without generating a second response.
+        Action (A2) at the issuer, the default of every abcast
+        protocol: apply the update and respond.  Every process
+        applies; only the issuer observes the run (the record its
+        response and the history need), so the cluster applies
+        everyone else's updates itself (:meth:`Cluster._land_run`).
+        Tolerant of recovery replay: a re-delivered own update that
+        was already answered is applied like anyone else's
+        (rebuilding the replica) without generating a second response.
         """
         uid: int = payload["uid"]
         program: MProgram = payload["program"]
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "proto.apply", uid=uid, process=self.pid, sender=sender
-            )
-        if sender != self.pid or uid in self._responded_uids:
+        if uid in self._responded_uids:
             self.store.apply(program, uid)
             return
         pending = self._pending
@@ -336,8 +334,6 @@ class BaseProcess:
                 "matching pending m-operation"
             )
         self.respond(pending, self.store.execute(program, uid))
-
-    on_abcast_deliver = _apply_update_delivery
 
     # ------------------------------------------------------------------
     # Protocol hooks
@@ -550,8 +546,8 @@ class Cluster:
                 else functools.partial(self._dispatch, pid),
             )
             if self.abcast is not None:
-                self.abcast.attach(
-                    pid, functools.partial(self._deliver, pid)
+                self.abcast.attach_run(
+                    pid, functools.partial(self._land_run, pid)
                 )
         self._ran = False
         #: uids already recorded in ``ww_sequence`` (recovery replay
@@ -576,24 +572,42 @@ class Cluster:
         self.land(pid)
         self.processes[pid].handle_message(src, message)
 
-    def _deliver(self, pid: int, sender: int, payload) -> None:
-        # Record the broadcast order at each uid's *first* delivery,
-        # whichever process that lands on: total order makes every
-        # process's delivery stream an extension of the same global
-        # sequence, so first-seen across processes reconstructs it
-        # even when individual replicas crash, replay (duplicates are
-        # filtered here) or skip their prefix via a peer snapshot.
-        track = (
-            isinstance(payload, dict)
-            and "uid" in payload
-            and payload["uid"] not in self._announced
-        )
-        if track:
-            self._announced.add(payload["uid"])
-            self.ww_sequence.append(payload["uid"])
-        self.processes[pid].on_abcast_deliver(sender, payload)
-        if track:
-            self._notify_announce(payload["uid"], pid)
+    def _land_run(self, pid: int, run: List[Dict[str, Any]]) -> None:
+        """A gap-free run of atomic-broadcast deliveries at ``pid``.
+
+        Each update lands in turn: its first delivery anywhere is
+        recorded in ``ww_sequence``, then process ``pid`` applies it
+        — the issuer through its :meth:`BaseProcess.on_abcast_deliver`
+        hook, any other replica straight into its store (action A2).
+        Total order makes every process's delivery stream an extension
+        of the same global sequence, so first-seen across processes
+        reconstructs it even when replicas crash, replay (duplicates
+        are filtered here) or skip their prefix via a peer snapshot.
+        """
+        proc = self.processes[pid]
+        apply = proc.store.apply
+        announced = self._announced
+        monitor = self.monitor
+        tracer = get_tracer()
+        traced = tracer.enabled
+        for entry in run:
+            sender = entry["sender"]
+            payload = entry["payload"]
+            uid = payload["uid"]
+            first = uid not in announced
+            if first:
+                announced.add(uid)
+                self.ww_sequence.append(uid)
+            if traced:
+                tracer.event(
+                    "proto.apply", uid=uid, process=pid, sender=sender
+                )
+            if sender == pid:
+                proc.on_abcast_deliver(sender, payload)
+            else:
+                apply(payload["program"], uid)
+            if first and monitor is not None:
+                self._notify_announce(uid, pid)
 
     def _notify_announce(self, uid: int, pid: int) -> None:
         """Feed one synchronization-order entry to the live monitor.

@@ -25,8 +25,10 @@ bundled as an :class:`ExecutionRecord` — is what the history recorder
 needs, and only from the process that issued the m-operation and
 generates its response (:meth:`VersionedStore.execute`, which is apply
 plus observe).  Both run the program body on the replica's own state
-through the same :class:`ObjectView`; effects are never carried from
-one replica to another, so a replica that diverged keeps diverging.
+through an :class:`ObjectView` — applying on the replica's one
+applying view, observing on a view of its own — and bump versions in
+one place; effects are never carried from one replica to another, so
+a replica that diverged keeps diverging.
 
 **Exporting** a replica — ``(myX, myts)``, what action A4 of Figure 6
 sends in answer to every query — costs what was written since the
@@ -102,8 +104,11 @@ class ObjectView:
     logs every operation performed and the (version, writer) of each
     external read, so the issuer can reconstruct the m-operation's
     externally visible behaviour and reads-from entries afterwards.
-    A replica that merely applies a delivered update does not observe
-    — there is no second, leaner view class, only an absent log.
+
+    Each replica keeps one view that only applies, made with its
+    store and re-bound to every delivered update by
+    :meth:`VersionedStore.apply`; :meth:`VersionedStore.execute` makes
+    an observing view per m-operation.
     """
 
     __slots__ = (
@@ -117,16 +122,20 @@ class ObjectView:
     )
 
     def __init__(
-        self, store: "VersionedStore", program: MProgram, *, observe: bool
+        self,
+        store: "VersionedStore",
+        program: Optional[MProgram],
+        *,
+        observe: bool,
     ) -> None:
         self._store = store
-        # Alias of the store's live value dict: views are allocated on
-        # every update delivery at every replica, and going through
-        # the store's accessor methods for each operation dominated
-        # profiles of the 1000-process workload.
+        # Alias of the store's live value dict (kept in place across
+        # ``reset``): going through the store's accessor methods for
+        # each operation dominated profiles of the 1000-process
+        # workload.
         self._values = store._values
         self._program = program
-        self._allowed = program.static_objects
+        self._allowed = None if program is None else program.static_objects
         self._written: Set[str] = set()
         #: the operation log; ``None`` when nobody observes this run.
         self.ops: Optional[List[Operation]] = [] if observe else None
@@ -134,20 +143,22 @@ class ObjectView:
         #: (filled only when observing).
         self.read_versions: Dict[str, Tuple[int, int]] = {}
 
-    def _check(self, obj: str) -> None:
+    def _refuse(self, obj: str) -> None:
+        """Raise the error of an access that failed the checks."""
         if obj not in self._values:
             raise ProtocolError(f"unknown shared object {obj!r}")
-        allowed = self._allowed
-        if allowed is not None and obj not in allowed:
-            raise ProtocolError(
-                f"program {self._program.name!r} accessed {obj!r} outside "
-                f"its declared static_objects set"
-            )
+        raise ProtocolError(
+            f"program {self._program.name!r} accessed {obj!r} outside "
+            f"its declared static_objects set"
+        )
 
     def read(self, obj: str) -> Any:
         """Read the current value of ``obj``."""
-        self._check(obj)
-        value = self._values[obj]
+        values = self._values
+        allowed = self._allowed
+        if obj not in values or (allowed is not None and obj not in allowed):
+            self._refuse(obj)
+        value = values[obj]
         ops = self.ops
         if ops is not None:
             ops.append(read(obj, value))
@@ -161,13 +172,16 @@ class ObjectView:
 
     def write(self, obj: str, value: Any) -> None:
         """Write ``value`` to ``obj`` (updates the view's store)."""
-        self._check(obj)
+        values = self._values
+        allowed = self._allowed
+        if obj not in values or (allowed is not None and obj not in allowed):
+            self._refuse(obj)
         if not self._program.may_write:
             raise ProtocolError(
                 f"program {self._program.name!r} declared may_write=False "
                 f"but wrote to {obj!r}"
             )
-        self._values[obj] = value
+        values[obj] = value
         self._written.add(obj)
         ops = self.ops
         if ops is not None:
@@ -289,6 +303,8 @@ class VersionedStore:
             self._objects, INIT_UID
         )
         self._image: Optional[_ReplicaImage] = None
+        #: The view every delivered update runs on (see :meth:`apply`).
+        self._applier = ObjectView(self, None, observe=False)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -330,8 +346,16 @@ class VersionedStore:
         incremented by one and its writer recorded as ``mop_uid``.
         Nothing is logged: use it wherever the caller would discard
         :meth:`execute`'s record.
+
+        Every update a replica applies runs on the replica's one
+        applying view, bound here to the program: its
+        ``static_objects`` and an empty written set.
         """
-        self._run(ObjectView(self, program, observe=False), mop_uid)
+        view = self._applier
+        view._program = program
+        view._allowed = program.static_objects
+        view._written.clear()
+        self._run(view, mop_uid)
 
     def _run(self, view: ObjectView, mop_uid: int) -> Any:
         """Run the view's program here; bump what it wrote."""
@@ -409,7 +433,9 @@ class VersionedStore:
         is then rebuilt either by replaying the totally-ordered update
         log from the start or by :meth:`install`-ing a peer snapshot.
         """
-        self._values = dict(self._initial)
+        # In place: the applying view aliases this dict, and its key
+        # set never changes.
+        self._values.update(self._initial)
         self._versions = dict.fromkeys(self._objects, 0)
         self._writers = dict.fromkeys(self._objects, INIT_UID)
         self._image = None

@@ -213,11 +213,12 @@ def test_clean_msc_run_fires_three_events_per_mop():
     assert cluster.sim.events_fired <= 3 * mops + n
 
 
-def test_landing_reaches_the_replica_in_four_frames(monkeypatch):
+def test_landing_reaches_the_replica_in_two_frames(monkeypatch):
     # Structural, no wall clock: the per-delivery cost of a clean run
-    # is the Python frames between the landing loop and the replica.
-    # SequencerAbcast._land_from -> Cluster._deliver ->
-    # _apply_update_delivery -> store.apply.
+    # is the Python frames between the landing loop and the replica's
+    # store, store.apply's own included: SequencerAbcast._land_from
+    # hands the run to Cluster._land_run, which applies someone
+    # else's update straight into the replica.
     import sys
 
     from repro.abcast.sequencer import SequencerAbcast
@@ -228,17 +229,44 @@ def test_landing_reaches_the_replica_in_four_frames(monkeypatch):
     landing = SequencerAbcast._land_from.__code__
 
     def tapped_apply(store, program, uid):
-        frame, between = sys._getframe(1), []
+        frame, below = sys._getframe(0), []
         while frame.f_code is not landing:
-            between.append(frame.f_code.co_name)
+            below.append(frame.f_code.co_name)
             frame = frame.f_back
-        paths.add(tuple(reversed(between)))
+        paths.add(tuple(reversed(below)))
         return apply(store, program, uid)
 
     monkeypatch.setattr(VersionedStore, "apply", tapped_apply)
     cluster = msc_cluster(4, ["x", "y"], seed=5)
     cluster.run(random_workloads(4, ["x", "y"], 10, seed=6))
-    assert paths and all(len(path) <= 4 for path in paths), paths
+    assert paths and all(len(path) <= 2 for path in paths), paths
+
+
+def test_clean_msc_run_allocates_no_view_per_replica_per_update(
+    monkeypatch,
+):
+    # Structural, no wall clock: every replica applies every update on
+    # its one applying view, so a clean run makes one view per replica
+    # and one observing view per m-operation (its issuer's execute),
+    # not one per replica per update (~n x updates).
+    from repro.protocols import store
+
+    made = []
+    view_init = store.ObjectView.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(None)
+        view_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(store.ObjectView, "__init__", counted_init)
+    n = 16
+    objects = [f"x{i}" for i in range(8)]
+    cluster = msc_cluster(n, objects, seed=3)
+    result = cluster.run(random_workloads(n, objects, 6, seed=4))
+    mops = len(result.history.mops)
+    updates = sum(m.is_update for m in result.history.mops)
+    assert updates * n > 2 * (mops + n)
+    assert len(made) <= mops + n
 
 
 def test_no_relay_every_replica_landed_is_retained():
