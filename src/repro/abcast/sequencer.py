@@ -200,18 +200,14 @@ class SequencerAbcast(AtomicBroadcast):
             self._land_from(pid, None, self.network.sim.key)
 
     def land_all(self) -> None:
-        """End of a run: land what a queued run would have delivered.
-
-        With the event queue drained, that is every held relay, and
-        the clock moves on to the last arrival; with events still
-        queued (an exhausted event budget), what has arrived by now.
-        """
+        """End of a drained run: land every held relay and move the
+        clock on to the last arrival, as a queued run would have.  (A
+        run stopped with events queued switches to the queued path
+        instead: :meth:`~repro.sim.network.Network.queue_held`.)"""
         sim = self.network.sim
-        drained = not sim.pending
-        key = (math.inf, 0) if drained else sim.key
         for pid in range(self.n):
-            self._land_from(pid, None, key)
-        if drained and self._last_arrival > sim.now:
+            self._land_from(pid, None, (math.inf, 0))
+        if self._last_arrival > sim.now:
             sim.run(until=self._last_arrival)
 
     def _land_from(

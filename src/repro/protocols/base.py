@@ -113,7 +113,7 @@ class BaseProcess:
     def start(self) -> None:
         """Schedule the first invocation (with per-process jitter)."""
         delay = self.cluster.rng.uniform(0.0, self.cluster.start_jitter)
-        self.cluster.sim.schedule(delay, self._issue_next)
+        self.cluster.sim.post(delay, self._issue_next)
 
     def _issue_next(self) -> None:
         land = self.cluster.land
@@ -203,7 +203,7 @@ class BaseProcess:
             (resp - self.cluster.sim.now)
             + max(self.cluster.think_time(), self.cluster.local_delay)
         )
-        self.cluster.sim.schedule(delay, self._issue_next)
+        self.cluster.sim.post(delay, self._issue_next)
 
     @property
     def done(self) -> bool:
@@ -716,10 +716,18 @@ class Cluster:
         self.prepare(workloads)
         self.sim.run(max_events=max_events)
         if self.land is not None:
-            self.abcast.land_all()
+            self.land_all()
         if settle > 0:
             self.sim.run(until=self.sim.now + settle, max_events=max_events)
         return self.finalize(max_events=max_events)
+
+    def land_all(self) -> None:
+        """End of a run whose deliveries land lazily: hand every process
+        what a queued run would have delivered to it by now."""
+        if self.sim.pending:  # stopped early: the queued path from here
+            self.network.queue_held()
+        else:
+            self.abcast.land_all()
 
     def prepare(self, workloads: Workloads) -> None:
         """Load workloads and schedule the first invocations.
@@ -749,7 +757,7 @@ class Cluster:
                 f"(event budget {max_events} exhausted?)"
             )
         if self.land is not None:
-            self.abcast.land_all()
+            self.land_all()
         violation = (
             self.abcast.check_total_order() if self.abcast is not None else None
         )

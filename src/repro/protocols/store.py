@@ -238,6 +238,10 @@ class ExecutionRecord:
 #: One object's exported form: ``(value, version, writer uid)``.
 Cell = Tuple[Any, int, int]
 
+#: What the network charges a cell besides its name and value, when
+#: its version and writer are ints: an empty tuple plus two ints.
+_PLAIN_CELL = EMPTY_SIZE + 8 + 8
+
 
 class _ReplicaImage:
     """A store's full export, kept between exports (see ``export``).
@@ -303,8 +307,10 @@ class VersionedStore:
             self._objects, INIT_UID
         )
         self._image: Optional[_ReplicaImage] = None
-        #: The view every delivered update runs on (see :meth:`apply`).
-        self._applier = ObjectView(self, None, observe=False)
+
+    #: The view every delivered update runs on (see :meth:`apply`),
+    #: made by the first one: a store that only executes needs none.
+    _applier: Optional[ObjectView] = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -352,6 +358,8 @@ class VersionedStore:
         ``static_objects`` and an empty written set.
         """
         view = self._applier
+        if view is None:
+            view = self._applier = ObjectView(self, None, observe=False)
         view._program = program
         view._allowed = program.static_objects
         view._written.clear()
@@ -514,14 +522,32 @@ class VersionedStore:
             seen: Set[int] = set()
             for obj in image.stale:
                 old = cells[obj]
-                version = versions[obj]
-                cell = cells[obj] = (values[obj], version, writers[obj])
-                entry = entry_size(seen, obj, cell)
+                value, version, writer = cell = cells[obj] = (
+                    values[obj], versions[obj], writers[obj]
+                )
+                kind = type(value)
+                if (
+                    (kind is int or kind is str)
+                    and type(obj) is str
+                    and type(version) is int
+                    and type(writer) is int
+                ):
+                    # What ``entry_size`` charges a cell of plain ints
+                    # and strings under a name, without the walk.
+                    entry = _PLAIN_CELL + len(obj) + (
+                        8 if kind is int else len(value)
+                    )
+                else:
+                    entry = entry_size(seen, obj, cell)
                 size += entry - sizes[obj]
                 sizes[obj] = entry
-                ts_size += entry_size(seen, version)
-                if old is not None:
-                    ts_size -= entry_size(seen, old[1])
+                if old is None:
+                    ts_size += entry_size(seen, version)
+                elif type(version) is not int or type(old[1]) is not int:
+                    # (one int version for another leaves the price)
+                    ts_size += entry_size(seen, version) - entry_size(
+                        seen, old[1]
+                    )
             image.size = size
             image.ts_size = ts_size
             image.stale.clear()

@@ -2,7 +2,7 @@
 
 The paper's protocols run in an asynchronous distributed system.  We
 model it with a classic discrete-event simulator: a priority queue of
-``(time, sequence, callback)`` entries drained in timestamp order.
+``(time, seq, callback, args)`` entries drained in timestamp order.
 Virtual time is a float; ties are broken by insertion sequence, so
 runs are fully deterministic given deterministic callbacks.
 
@@ -16,11 +16,12 @@ popped out of order.  :attr:`Simulator.key` is the ``(time, seq)``
 of the entry firing now (of the last one fired, between runs): every
 event keyed at or below it has happened.
 
-Bookkeeping is O(1): ``pending`` is a live counter (not a queue scan),
-and cancelled entries are dropped lazily — either when their timestamp
-arrives or, if they ever exceed half the queue, by a one-shot
-compaction that rebuilds the heap without them (``(time, seq)`` is a
-total order, so heapification preserves firing order).
+An entry is one tuple: :meth:`Simulator.post` queues it, and only
+:meth:`Simulator.schedule` also returns a handle, which cancels by
+marking the entry's seq.  A marked entry is dropped when its time
+comes or, once marks exceed half the queue, by a one-shot compaction
+(``(time, seq)`` is a total order, so re-heapifying keeps firing
+order).  ``pending`` is the queue's length less the marks.
 
 The kernel knows nothing about processes or messages — those live in
 :mod:`repro.sim.network` and :mod:`repro.protocols.base`.
@@ -30,7 +31,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+import math
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.obs import get_metrics, get_tracer
@@ -42,41 +44,31 @@ _COMPACT_MIN_QUEUE = 64
 
 
 class EventHandle:
-    """One scheduled event: the heap entry and the caller's handle to it.
-
-    The heap itself holds ``(time, seq, event)`` tuples so ordering is
-    decided by C-level float/int comparisons — ``seq`` is unique, so
-    the event object is never compared.  :meth:`Simulator.schedule`
-    returns the event it queued; there is no second object per timer.
+    """The caller's handle to one event queued by :meth:`Simulator.schedule`.
 
     Attributes:
         time: the virtual time at which the event fires.
+        seq: its kernel sequence number (the entry's key is
+            ``(time, seq)``).
         cancelled: True once :meth:`cancel` stopped it from firing.
     """
 
-    __slots__ = ("time", "callback", "args", "cancelled", "_sim")
+    __slots__ = ("time", "seq", "cancelled", "_sim")
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        time: float,
-        callback: Callable[..., None],
-        args: tuple,
-    ) -> None:
+    def __init__(self, sim: "Simulator", time: float, seq: int) -> None:
         self.time = time
-        self.callback = callback
-        self.args = args
+        self.seq = seq
         self.cancelled = False
-        #: The simulator whose queue holds the event; None once fired.
-        self._sim: Optional["Simulator"] = sim
+        self._sim = sim
 
     def cancel(self) -> None:
-        """Prevent the event from firing (idempotent; a no-op once fired)."""
+        """Prevent the event from firing (idempotent; a no-op once the
+        run has reached its key, i.e. once it fired)."""
         sim = self._sim
-        if sim is None or self.cancelled:
+        if self.cancelled or (self.time, self.seq) <= sim.key:
             return
         self.cancelled = True
-        sim._on_cancel()
+        sim._cancel(self.seq)
 
 
 class Simulator:
@@ -95,7 +87,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        #: Min-heap of ``(time, seq, EventHandle)`` tuples.
+        #: Min-heap of ``(time, seq, callback, args)`` entries.
         self._queue: List[tuple] = []
         self._seq = itertools.count()
         #: Seq of the entry firing now (the last one fired, between
@@ -103,12 +95,8 @@ class Simulator:
         self._seq_now = -1
         self._events_fired = 0
         self._running = False
-        # Live bookkeeping: ``_pending`` counts scheduled, unfired,
-        # uncancelled events (O(1) ``pending``); ``_stale`` estimates
-        # how many cancelled entries still sit in the heap, driving
-        # lazy compaction.
-        self._pending = 0
-        self._stale = 0
+        #: Seqs of the cancelled entries still in the heap.
+        self._cancelled: Set[int] = set()
 
     @property
     def now(self) -> float:
@@ -130,35 +118,26 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events (O(1))."""
-        return self._pending
+        return len(self._queue) - len(self._cancelled)
+
+    def post(self, delay: float, callback: Callable[..., None], *args: object) -> None:
+        """Queue ``callback(*args)`` to fire ``delay`` (>= 0) time units
+        from now; ``args`` spare timers and deliveries a closure."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        heapq.heappush(
+            self._queue, (self._now + delay, next(self._seq), callback, args)
+        )
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: object
     ) -> EventHandle:
-        """Schedule ``callback(*args)`` to fire ``delay`` time units from now.
-
-        Args:
-            delay: non-negative offset from the current virtual time.
-            callback: the callable to fire.
-            *args: positional arguments passed to ``callback`` at fire
-                time, so timers and delivery loops need no per-event
-                closure.
-
-        Returns:
-            The queued event, which is its own cancellable
-            :class:`EventHandle`; hot paths simply discard it.
-        """
+        """:meth:`post`, returning the event's cancellable handle."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        time = self._now + delay
-        event = EventHandle(self, time, callback, args)
-        heapq.heappush(self._queue, (time, next(self._seq), event))
-        self._pending += 1
-        return event
-
-    #: The same call under the name the delivery paths (and the
-    #: end-to-end benchmark's probes) use for fire-and-forget events.
-    post = schedule
+        time, seq = self._now + delay, next(self._seq)
+        heapq.heappush(self._queue, (time, seq, callback, args))
+        return EventHandle(self, time, seq)
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: object
@@ -175,7 +154,7 @@ class Simulator:
 
     def post_at(
         self, time: float, seq: int, callback: Callable[..., None], *args: object
-    ) -> EventHandle:
+    ) -> None:
         """Queue ``callback(*args)`` at the key ``(time, seq)``.
 
         ``seq`` must come from :meth:`reserve` and be posted at most
@@ -186,31 +165,18 @@ class Simulator:
                 f"cannot post at {(time, seq)}: the run is at "
                 f"{(self._now, self._seq_now)}"
             )
-        event = EventHandle(self, time, callback, args)
-        heapq.heappush(self._queue, (time, seq, event))
-        self._pending += 1
-        return event
+        heapq.heappush(self._queue, (time, seq, callback, args))
 
-    def _on_cancel(self) -> None:
-        """Bookkeeping for one newly cancelled, unfired entry."""
-        self._pending -= 1
-        self._stale += 1
-        if (
-            self._stale * 2 > len(self._queue)
-            and len(self._queue) >= _COMPACT_MIN_QUEUE
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify.
-
-        ``(time, seq)`` is a strict total order over entries, so the
-        rebuilt heap pops survivors in exactly the same order as the
-        original, and no cancelled entry is left to count.
-        """
-        self._queue = [item for item in self._queue if not item[2].cancelled]
-        heapq.heapify(self._queue)
-        self._stale = 0
+    def _cancel(self, seq: int) -> None:
+        """Mark the unfired entry ``seq``; compact once marks exceed
+        half the queue."""
+        cancelled = self._cancelled
+        cancelled.add(seq)
+        queue = self._queue
+        if len(cancelled) * 2 > len(queue) >= _COMPACT_MIN_QUEUE:
+            self._queue = [item for item in queue if item[1] not in cancelled]
+            heapq.heapify(self._queue)
+            cancelled.clear()
 
     def run(
         self,
@@ -233,11 +199,12 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
-        fired_this_run = 0
+        fired = 0
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         # Observability: while the queue drains, the installed tracer
         # reads *virtual* time, so spans emitted from simulated code
-        # are deterministic under a fixed seed.  With no collector
-        # installed the per-event cost is one None check.
+        # are deterministic under a fixed seed.
         tracer = get_tracer()
         binding = run_span = None
         if tracer.enabled:
@@ -254,26 +221,24 @@ class Simulator:
         # the event budget left then (``batch_room``, counting
         # cancelled entries popped in between).
         batch_time, batch_end, batch_room = None, 0, None
+        cancelled = self._cancelled
         queue = self._queue
         pop = heapq.heappop
         try:
-            while True:
+            while fired < budget:
                 if queue is not self._queue:  # compaction swapped it
                     queue = self._queue
-                if not queue or (
-                    max_events is not None and fired_this_run >= max_events
-                ):
+                if not queue:
                     break
-                time, seq, entry = pop(queue)
-                if entry.cancelled:
-                    # Shed without firing or tracer work.
-                    if self._stale:
-                        self._stale -= 1
+                entry = pop(queue)
+                time, seq, callback, args = entry
+                if cancelled and seq in cancelled:
+                    cancelled.discard(seq)  # shed without firing
                     if batch_room is not None:
                         batch_room -= 1
                     continue
-                if until is not None and time > until:
-                    heapq.heappush(queue, (time, seq, entry))
+                if time > horizon:
+                    heapq.heappush(queue, entry)
                     break
                 if time < self._now:  # pragma: no cover - defensive
                     raise SimulationError(
@@ -290,26 +255,19 @@ class Simulator:
                         batch_time, batch_end = time, next(self._seq)
                         self._seq = itertools.count(batch_end)
                         batch_room = (
-                            None
-                            if max_events is None
-                            else max_events - fired_this_run
+                            None if max_events is None else max_events - fired
                         )
-                        depth_gauge.set(self._pending)
+                        # (the entry firing now still counts as pending)
+                        depth_gauge.set(len(queue) + 1 - len(cancelled))
                     if batch_room is not None:
                         batch_room -= 1
-                entry._sim = None  # fired: cancel() is now a no-op
-                self._pending -= 1
-                self._events_fired += 1
-                fired_this_run += 1
-                args = entry.args
-                if args:
-                    entry.callback(*args)
-                else:
-                    entry.callback()
+                fired += 1
+                callback(*args)
         finally:
             self._running = False
+            self._events_fired += fired
             if run_span is not None:
-                run_span.end(events=fired_this_run)
+                run_span.end(events=fired)
             if binding is not None:
                 binding.__exit__()
         if until is not None and self._now < until and not self._queue:

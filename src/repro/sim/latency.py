@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import List
+
+from repro.errors import SimulationError
 
 
 class LatencyModel:
@@ -23,6 +26,14 @@ class LatencyModel:
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
         """Return the delay for one message from ``src`` to ``dst``."""
         raise NotImplementedError
+
+    def arrivals(self, rng: random.Random, src: int, n: int, now: float) -> List[float]:
+        """When a frame sent from ``src`` at ``now`` reaches each pid
+        ``0..n-1``: one :meth:`sample` per destination, in pid order."""
+        delays = [self.sample(rng, src, dst) for dst in range(n)]
+        if min(delays) < 0:
+            raise SimulationError("latency model produced negative delay")
+        return [now + delay for delay in delays]
 
     def mean(self) -> float:
         """The mean one-way delay (used by analysis code)."""
@@ -57,6 +68,12 @@ class UniformLatency(LatencyModel):
         # ``rng.uniform(low, high)``, bit for bit, without the wrapper's
         # Python-level call: one sample is drawn per delivered frame.
         return self.low + (self.high - self.low) * rng.random()
+
+    def arrivals(self, rng: random.Random, src: int, n: int, now: float) -> List[float]:
+        low, span, draw = self.low, self.high - self.low, rng.random
+        if low < 0 or self.high < 0:  # (else no delay is negative)
+            return super().arrivals(rng, src, n, now)
+        return [now + (low + span * draw()) for _ in range(n)]
 
     def mean(self) -> float:
         return (self.low + self.high) / 2.0

@@ -50,6 +50,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.errors import DeliveryTimeout, ProcessCrashed, SimulationError
@@ -89,7 +90,8 @@ class Message:
     only the other members are walked (at construction).  A dict's
     price is the sum of its members' at the same depth, so a true
     statement prices the message exactly as :func:`estimate_size`
-    does.  :meth:`relay` states a whole received payload the same way.
+    does.  A sender that holds the whole price states it as an int
+    ``priced``; :meth:`relay` states a whole received payload.
     """
 
     __slots__ = ("kind", "payload", "_size")
@@ -98,12 +100,12 @@ class Message:
         self,
         kind: str,
         payload: Any = None,
-        priced: Optional[Dict[Any, int]] = None,
+        priced: Union[None, int, Dict[Any, int]] = None,
     ) -> None:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "payload", payload)
-        size = None
-        if priced is not None:
+        size = priced
+        if type(priced) is dict:
             size = EMPTY_SIZE + _members_size(payload, priced)
         object.__setattr__(self, "_size", size)
 
@@ -466,10 +468,10 @@ class Network:
     bookkeeping when neither the shim nor a tracer wants any.  A
     network that chooses deliveries itself (the exploring
     :class:`~repro.sim.explore.ControlledNetwork`) overrides
-    :meth:`_transmit` alone.  The one exception is :meth:`fan_out`: on
-    a clean wire a relay to all endpoints is sampled and accounted
-    like :meth:`send_to_all` but left unqueued, for the fixed
-    sequencer to land lazily.
+    :meth:`_transmit` alone.  The exceptions are :meth:`fan_out` and
+    :meth:`hold`: on a clean wire a relay to all endpoints, or a Fig-6
+    gather's reply, is sampled and accounted like :meth:`send_to_all`
+    or :meth:`send` but left unqueued, for its holder to land lazily.
 
     Args:
         sim: the driving simulator.
@@ -579,9 +581,9 @@ class Network:
         #: A network that picks its own deliveries never fans out
         #: unqueued (see :meth:`fan_out`).
         self._queues_only = type(self)._transmit is not Network._transmit
-        #: Queues the deliveries :meth:`fan_out` left unqueued; called
-        #: once, the moment this network stops fanning out unqueued.
-        self._on_queue: Optional[Callable[[], None]] = None
+        #: Hooks queueing what :meth:`fan_out` and :meth:`hold` left
+        #: unqueued (see :meth:`_unqueued`).
+        self._on_queue: Dict[Callable[[], None], None] = {}
 
     def _refresh_impaired(self) -> None:
         """Re-evaluate whether the fault stage of :meth:`_transmit` can
@@ -632,7 +634,7 @@ class Network:
         if pid in self._down:
             raise ProcessCrashed(f"endpoint {pid} is already down")
         self._down.add(pid)
-        self._queue_fanned_out()
+        self.queue_held()
         for transfer in self._outstanding[pid].values():
             if transfer.timer is not None:
                 transfer.timer.cancel()
@@ -833,16 +835,47 @@ class Network:
         so the delivery to ``dst`` is keyed ``(times[dst], first +
         dst)``.  The caller hands each delivery over itself (counting
         it in ``stats.delivered``), or queues it at its key with
-        :meth:`arrive_at`.
-
-        Returns None, having sent nothing, when frames must take the
-        queued path: a tracer is on, an endpoint is down, the wire is
-        impaired or runs the reliable shim, or the network chooses its
-        own deliveries (:meth:`_transmit` is overridden).  The first
-        time that happens — or an endpoint crashes — ``on_queue`` of
-        the earlier fan-outs is called, once, to queue every delivery
-        they still hold.
+        :meth:`arrive_at`.  Returns None, having sent nothing, where
+        :meth:`_unqueued` says no.
         """
+        if not self._unqueued(on_queue):
+            return None
+        self._check_pid(src)
+        self.stats.record_send(message, self.n)
+        times = self.latency.arrivals(self._rng, src, self.n, self.sim.now)
+        return array("d", times), self.sim.reserve(self.n)
+
+    def hold(
+        self, src: int, dst: int, message: Message, on_queue: Callable[[], None]
+    ) -> Optional[Tuple[float, int]]:
+        """:meth:`send` with the delivery left unqueued, as :meth:`fan_out`
+        does: returns its key ``(time, seq)``, or None having sent the
+        message with :meth:`send` where :meth:`_unqueued` says no."""
+        if not self._unqueued(on_queue):
+            self.send(src, dst, message)
+            return None
+        self._check_pid(src)
+        self._check_pid(dst)
+        self.stats.record_send(message)
+        delay = self.latency.sample(self._rng, src, dst)
+        if delay < 0:
+            raise SimulationError("latency model produced negative delay")
+        return self.sim.now + delay, self.sim.reserve(1)
+
+    def arrive_at(
+        self, time: float, seq: int, src: int, dst: int, message: Message
+    ) -> None:
+        """Queue a delivery :meth:`fan_out` or :meth:`hold` left unqueued
+        at its key."""
+        self.sim.post_at(time, seq, self._deliver, src, dst, message)
+
+    def _unqueued(self, on_queue: Callable[[], None]) -> bool:
+        """The one switch of :meth:`fan_out` and :meth:`hold`: False
+        while a tracer is on, an endpoint is down, the wire is impaired
+        or runs the reliable shim, or the network chooses its own
+        deliveries (:meth:`_transmit` is overridden).  The first time
+        it says no — or an endpoint crashes — each ``on_queue`` given
+        since is called, once, to queue the deliveries it holds."""
         if (
             self._queues_only
             or self._impaired
@@ -850,30 +883,19 @@ class Network:
             or self._down
             or get_tracer().enabled
         ):
-            self._queue_fanned_out()
-            return None
-        self._check_pid(src)
-        self._on_queue = on_queue
-        self.stats.record_send(message, self.n)
-        sample = self.latency.sample
-        rng = self._rng
-        delays = [sample(rng, src, dst) for dst in range(self.n)]
-        if min(delays) < 0:
-            raise SimulationError("latency model produced negative delay")
-        now = self.sim.now
-        times = array("d", [now + delay for delay in delays])
-        return times, self.sim.reserve(self.n)
+            self.queue_held()
+            return False
+        self._on_queue[on_queue] = None
+        return True
 
-    def arrive_at(
-        self, time: float, seq: int, src: int, dst: int, message: Message
-    ) -> None:
-        """Queue the delivery of a :meth:`fan_out` at its key."""
-        self.sim.post_at(time, seq, self._deliver, src, dst, message)
-
-    def _queue_fanned_out(self) -> None:
-        on_queue, self._on_queue = self._on_queue, None
-        if on_queue is not None:
-            on_queue()
+    def queue_held(self) -> None:
+        """Queue every delivery :meth:`fan_out` and :meth:`hold` left
+        unqueued: each holder lands what has arrived by now and queues
+        the rest at its reserved key."""
+        if self._on_queue:
+            hooks, self._on_queue = self._on_queue, {}
+            for on_queue in hooks:
+                on_queue()
 
     def _send(
         self,

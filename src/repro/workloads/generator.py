@@ -125,7 +125,9 @@ def random_workloads(
     mix = mix or WorkloadMix()
     entries = mix.entries()
     names = [name for name, _w in entries]
-    weights = [w for _name, w in entries]
+    # ``random.choices`` accumulates its weights on every call; passing
+    # them accumulated once gives the same draws.
+    cum_weights = list(itertools.accumulate(w for _name, w in entries))
     rng = random.Random(seed)
     value_counter = itertools.count(1)
     span = max(1, min(span, len(objects)))
@@ -133,11 +135,12 @@ def random_workloads(
     object_weights = [
         1.0 / (rank + 1) ** zipf_s for rank in range(len(object_list))
     ]
+    object_cum_weights = list(itertools.accumulate(object_weights))
 
     def pick_one() -> str:
         if zipf_s == 0:
             return rng.choice(object_list)
-        return rng.choices(object_list, weights=object_weights)[0]
+        return rng.choices(object_list, cum_weights=object_cum_weights)[0]
 
     def pick_objs(k: int) -> List[str]:
         k = min(k, len(object_list))
@@ -196,7 +199,7 @@ def random_workloads(
 
     return [
         [
-            make_program(rng.choices(names, weights=weights)[0])
+            make_program(rng.choices(names, cum_weights=cum_weights)[0])
             for _ in range(ops_per_process)
         ]
         for _pid in range(n_processes)

@@ -6,13 +6,15 @@ insertion order, cancellation of a due tie is honoured,
 ``until``/``max_events`` cut a run of ties at the right entry, an
 entry posted at a reserved key fires in its place even inside the
 current instant, and the lazy compaction of cancelled entries never
-reorders survivors.  The queued entry is its own handle (``schedule``
-returns it, ``post`` is the same call), so the same properties are
-pinned for events scheduled with positional arguments.
+reorders survivors.  A queued entry is one ``(time, seq, callback,
+args)`` tuple; ``post`` returns nothing and ``schedule`` returns a
+handle that cancels by seq, so the same properties are pinned for
+events scheduled with positional arguments.
 """
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim import EventHandle, Simulator
 from repro.sim.kernel import _COMPACT_MIN_QUEUE
 
@@ -179,7 +181,8 @@ class TestLazyCompaction:
         # Compaction actually shrank the heap (not just marked), and
         # the post-compaction queue honours the staleness bound.
         assert len(sim._queue) < total
-        assert sim._stale * 2 <= len(sim._queue)
+        assert len(sim._cancelled) * 2 <= len(sim._queue)
+        assert all(handles[i].cancelled for i in range(1, total, 4))
         sim.run()
         assert fired == survivors
         assert sim.pending == 0
@@ -217,27 +220,32 @@ class TestLazyCompaction:
         assert sim.now == 0.5
 
 
-class TestEntryIsTheHandle:
-    def test_schedule_passes_args_and_returns_the_queued_entry(self):
+class TestHandles:
+    def test_schedule_passes_args_and_returns_a_handle(self):
         sim = Simulator()
         fired = []
         handle = sim.schedule(1.5, lambda *args: fired.append(args), "a", 2)
         assert isinstance(handle, EventHandle)
         assert handle.time == 1.5 and not handle.cancelled
-        assert sim._queue[0][2] is handle  # no second object per timer
+        # The heap holds the entry itself; the handle names it by key.
+        (time, seq, _callback, args), = sim._queue
+        assert (time, seq, args) == (handle.time, handle.seq, ("a", 2))
         sim.schedule_at(1.5, fired.append, "at")
         sim.run()
         assert fired == [("a", 2), "at"]
 
-    def test_post_is_schedule(self):
+    def test_post_queues_the_entry_alone(self):
         sim = Simulator()
         fired = []
-        posted = sim.post(1.0, fired.append, "posted")
+        assert sim.post(1.0, fired.append, "posted") is None
         scheduled = sim.schedule(1.0, fired.append, "scheduled")
-        assert type(posted) is type(scheduled) is EventHandle
-        posted.cancel()
+        assert [type(entry) for entry in sim._queue] == [tuple, tuple]
+        assert sim.pending == 2
+        scheduled.cancel()
         sim.run()
-        assert fired == ["scheduled"]
+        assert fired == ["posted"]
+        with pytest.raises(SimulationError):
+            sim.post(-1.0, fired.append, "past")
 
     def test_cancel_mid_batch_with_args(self):
         sim = Simulator()
@@ -254,7 +262,7 @@ class TestEntryIsTheHandle:
         sim.run()
         assert fired == ["canceller", "bystander"]
         assert victims[0].cancelled
-        assert sim.pending == 0 and sim._stale == 0
+        assert sim.pending == 0 and not sim._cancelled
 
     def test_cancel_after_firing_changes_nothing(self):
         sim = Simulator()
@@ -265,7 +273,7 @@ class TestEntryIsTheHandle:
         # A fired event is not "cancelled", and the books only count
         # events still queued.
         assert not handle.cancelled
-        assert sim.pending == 1 and sim._stale == 0
+        assert sim.pending == 1 and not sim._cancelled
         sim.run()
         assert sim.events_fired == 2
 
@@ -284,7 +292,7 @@ class TestEntryIsTheHandle:
                 timer.cancel()  # idempotent: counted once
         assert sim.pending == total // 8
         assert len(sim._queue) < total
-        assert sim._stale * 2 <= len(sim._queue)
+        assert len(sim._cancelled) * 2 <= len(sim._queue)
         sim.run()
         assert fired == list(range(0, total, 8))
         assert sim.pending == 0

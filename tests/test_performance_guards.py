@@ -269,6 +269,43 @@ def test_clean_msc_run_allocates_no_view_per_replica_per_update(
     assert len(made) <= mops + n
 
 
+def test_clean_mlin_gather_fires_one_reply_event(monkeypatch):
+    # Structural, no wall clock: a clean run holds a Fig-6 gather's
+    # replies and queues only the one that arrives last, so a query
+    # fires one query-resp delivery, not n - 1 (5 here).  Every event
+    # of a clean run is posted, and a post makes no EventHandle.
+    from repro.protocols import mlin_cluster
+    from repro.protocols.mlin import QUERY_RESP
+    from repro.sim import kernel, network
+
+    handles = []
+    handle_init = kernel.EventHandle.__init__
+
+    def counted_init(self, *args):
+        handles.append(None)
+        handle_init(self, *args)
+
+    fired = []
+    deliver = network.Network._deliver
+
+    def counted_deliver(self, src, dst, message, *rest):
+        fired.append(message.kind)
+        return deliver(self, src, dst, message, *rest)
+
+    monkeypatch.setattr(kernel.EventHandle, "__init__", counted_init)
+    monkeypatch.setattr(network.Network, "_deliver", counted_deliver)
+    n = 6
+    objects = [f"x{i}" for i in range(8)]
+    cluster = mlin_cluster(n, objects, seed=4)
+    result = cluster.run(random_workloads(n, objects, 10, seed=5))
+    queries = sum(not rec.is_update for rec in result.recorder.records)
+    assert queries > n
+    assert result.net_stats.by_kind[QUERY_RESP] == queries * (n - 1)
+    assert fired.count(QUERY_RESP) == queries
+    assert cluster.sim.post(1.0, fired.append, "posted") is None
+    assert handles == []
+
+
 def test_no_relay_every_replica_landed_is_retained():
     # Memory follows the slowest replica, not the run: at every step
     # the core holds exactly the relays some replica has yet to land,

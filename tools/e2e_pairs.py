@@ -9,8 +9,13 @@ this tree, ``compileall`` both (the shell may export
 ``benchmarks/e2e/run.py`` — unmodified, each side from its own tree —
 ``PAIRS`` times per side, alternating which side goes first.  Prints
 every run, then per end-to-end metric of ``BENCHMARK.json`` both
-medians, both inter-quartile ranges and in how many pairs the change
-read better (ties count for neither side).
+medians, both inter-quartile ranges, in how many pairs the change
+read better (ties count for neither side) and a verdict by the rule of
+that section 8: ``gain`` when the change won at least nine tenths of
+the pairs and its median moved the better way by more than the
+parent's inter-quartile range, ``worse`` when its median is worse than
+the parent's by more than the metric's ``bound`` in ``BENCHMARK.json``
+(a fraction of the parent's median), else ``unresolved``.
 
     make e2e-pairs PARENT=a94fd46 WORKLOAD=fanout-msc SEED=1 PAIRS=10
 
@@ -65,6 +70,24 @@ def quartiles(values: List[float]) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def verdict(
+    spec: Dict[str, object], parent: List[float], change: List[float]
+) -> str:
+    """``gain``, ``worse`` or ``unresolved`` for one end-to-end metric
+    over alternated pairs (see the module notes)."""
+    sign = 1 if spec["better"] == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    q1, parent_median, q3 = statistics.quantiles(
+        parent, n=4, method="inclusive"
+    )
+    moved = sign * (statistics.median(change) - parent_median)
+    if wins >= 0.9 * len(parent) and moved > q3 - q1:
+        return "gain"
+    if -moved > spec["bound"] * abs(parent_median):
+        return "worse"
+    return "unresolved"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision")
@@ -107,7 +130,8 @@ def main() -> int:
 
     print(
         f"\n{args.workload} seed {args.seed}, {args.pairs} pairs, parent "
-        f"{args.parent}: median [q1, q3], wins = pairs the change read better"
+        f"{args.parent}: median [q1, q3], wins = pairs the change read better, "
+        "verdict"
     )
     for spec in benchmark["end_to_end"]:
         name = spec["name"]
@@ -119,7 +143,8 @@ def main() -> int:
         print(
             f"  {name:24s} parent {quartiles(parent):32s} "
             f"change {quartiles(change):32s} wins {wins} losses {losses} "
-            f"({spec['better']} is better, {spec['unit']})"
+            f"({spec['better']} is better, {spec['unit']}) "
+            f"{verdict(spec, parent, change)}"
         )
     ok = all(
         run["correct"] and not run["failed"]
