@@ -591,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-entries",
         type=int,
         default=256,
-        help="artifact-store entries kept parsed in memory (LRU)",
+        help="artifact-store entries held in memory as text (LRU)",
     )
     serve.add_argument(
         "--retain",

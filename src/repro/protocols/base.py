@@ -29,7 +29,7 @@ frame dispatched to it; :meth:`Cluster.run` and :meth:`Cluster.
 finalize` land everything.  Process code that reads the replica from
 any other event — a protocol's own timer — must run ``cluster.land``
 for it first.  Whatever lands at a process arrives as one run
-(:meth:`Cluster._land_run`, one call per run, queued or lazy): each
+(:meth:`BaseProcess.land_run`, one call per run, queued or lazy): each
 update's first delivery is recorded in the ``~ww`` order, the issuer
 applies its own update through :meth:`BaseProcess.on_abcast_deliver`,
 and every other replica applies it straight into its store.
@@ -37,7 +37,6 @@ and every other replica applies it straight into its store.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -310,14 +309,57 @@ class BaseProcess:
         events (Fig-6) override this to restart the gather.
         """
 
+    def dispatch(self, src: int, message: Message) -> None:
+        """A frame for this process under lazy landing: a landing point."""
+        self.cluster.land(self.pid)
+        self.handle_message(src, message)
+
+    def land_run(self, run: List[Dict[str, Any]]) -> None:
+        """A gap-free run of atomic-broadcast deliveries at this process.
+
+        Each update lands in turn: its first delivery anywhere is
+        recorded in the cluster's ``ww_sequence``, then this process
+        applies it — the issuer through its :meth:`on_abcast_deliver`
+        hook, any other replica straight into its store (action A2).
+        Total order makes every process's delivery stream an extension
+        of the same global sequence, so first-seen across processes
+        reconstructs it even when replicas crash, replay (duplicates
+        are filtered here) or skip their prefix via a peer snapshot.
+        """
+        cluster = self.cluster
+        pid = self.pid
+        apply = self.store.apply
+        announced = cluster._announced
+        monitor = cluster.monitor
+        tracer = get_tracer()
+        traced = tracer.enabled
+        for entry in run:
+            sender = entry["sender"]
+            payload = entry["payload"]
+            uid = payload["uid"]
+            first = uid not in announced
+            if first:
+                announced.add(uid)
+                cluster.ww_sequence.append(uid)
+            if traced:
+                tracer.event(
+                    "proto.apply", uid=uid, process=pid, sender=sender
+                )
+            if sender == pid:
+                self.on_abcast_deliver(sender, payload)
+            else:
+                apply(payload["program"], uid)
+            if first and monitor is not None:
+                cluster._notify_announce(uid, pid)
+
     def on_abcast_deliver(self, sender: int, payload: Dict[str, Any]) -> None:
         """Atomic-broadcast delivery of this process's own broadcast.
 
         Action (A2) at the issuer, the default of every abcast
         protocol: apply the update and respond.  Every process
         applies; only the issuer observes the run (the record its
-        response and the history need), so the cluster applies
-        everyone else's updates itself (:meth:`Cluster._land_run`).
+        response and the history need), so :meth:`land_run` applies
+        everyone else's updates straight into the store.
         Tolerant of recovery replay: a re-delivered own update that
         was already answered is applied like anyone else's
         (rebuilding the replica) without generating a second response.
@@ -541,14 +583,10 @@ class Cluster:
             self.processes.append(proc)
             self.network.register(
                 pid,
-                proc.handle_message
-                if self.land is None
-                else functools.partial(self._dispatch, pid),
+                proc.handle_message if self.land is None else proc.dispatch,
             )
             if self.abcast is not None:
-                self.abcast.attach_run(
-                    pid, functools.partial(self._land_run, pid)
-                )
+                self.abcast.attach_run(pid, proc.land_run)
         self._ran = False
         #: uids already recorded in ``ww_sequence`` (recovery replay
         #: re-delivers them at pid 0; they must not be re-announced).
@@ -562,52 +600,11 @@ class Cluster:
         the run would never quiesce.
         """
         if detector.should_stop is None:
+            processes = self.processes
             detector.should_stop = lambda: all(
-                proc.done for proc in self.processes
+                proc.done for proc in processes
             )
         detector.start()
-
-    def _dispatch(self, pid: int, src: int, message: Message) -> None:
-        """A frame for process ``pid``: a landing point."""
-        self.land(pid)
-        self.processes[pid].handle_message(src, message)
-
-    def _land_run(self, pid: int, run: List[Dict[str, Any]]) -> None:
-        """A gap-free run of atomic-broadcast deliveries at ``pid``.
-
-        Each update lands in turn: its first delivery anywhere is
-        recorded in ``ww_sequence``, then process ``pid`` applies it
-        — the issuer through its :meth:`BaseProcess.on_abcast_deliver`
-        hook, any other replica straight into its store (action A2).
-        Total order makes every process's delivery stream an extension
-        of the same global sequence, so first-seen across processes
-        reconstructs it even when replicas crash, replay (duplicates
-        are filtered here) or skip their prefix via a peer snapshot.
-        """
-        proc = self.processes[pid]
-        apply = proc.store.apply
-        announced = self._announced
-        monitor = self.monitor
-        tracer = get_tracer()
-        traced = tracer.enabled
-        for entry in run:
-            sender = entry["sender"]
-            payload = entry["payload"]
-            uid = payload["uid"]
-            first = uid not in announced
-            if first:
-                announced.add(uid)
-                self.ww_sequence.append(uid)
-            if traced:
-                tracer.event(
-                    "proto.apply", uid=uid, process=pid, sender=sender
-                )
-            if sender == pid:
-                proc.on_abcast_deliver(sender, payload)
-            else:
-                apply(payload["program"], uid)
-            if first and monitor is not None:
-                self._notify_announce(uid, pid)
 
     def _notify_announce(self, uid: int, pid: int) -> None:
         """Feed one synchronization-order entry to the live monitor.
@@ -720,6 +717,18 @@ class Cluster:
         if settle > 0:
             self.sim.run(until=self.sim.now + settle, max_events=max_events)
         return self.finalize(max_events=max_events)
+
+    def close(self) -> None:
+        """Break the reference cycles through this finished cluster.
+
+        Every process points back at its cluster, and the network and
+        the atomic broadcast hold the processes' handlers, so without
+        this a dead cluster (stores, recorder, history) lives until a
+        full cyclic collection.  Call once the run's results are read;
+        the processes can no longer act.
+        """
+        for proc in self.processes:
+            proc.cluster = None
 
     def land_all(self) -> None:
         """End of a run whose deliveries land lazily: hand every process

@@ -556,7 +556,7 @@ def _run(
             net_stats["chaos"]["window_epochs"] = monitor.epochs
         if detector is not None:
             net_stats["detector"] = chaos.detector
-    return RunArtifact(
+    artifact = RunArtifact(
         spec=spec,
         protocol=proto.name,
         condition=spec.verify.condition or proto.condition,
@@ -576,3 +576,5 @@ def _run(
         result=result,
         chaos=chaos,
     )
+    cluster.close()
+    return artifact

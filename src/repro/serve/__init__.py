@@ -10,6 +10,13 @@ answers repeat submissions, an append-only JSONL audit log records
 every request, and live metrics + an HTML dashboard expose the
 serving state.
 
+An artifact is held in one form only: the canonical JSON text of
+:meth:`~repro.runtime.execute.RunArtifact.to_json`, the stored file's
+bytes.  The memory tier and every terminal :class:`RunRecord` share
+that one string, and the HTTP layer splices it into its responses
+as it is.  A client awaits a queued run with one blocking
+``GET /v1/runs/<id>?wait=<s>``, not by polling.
+
 Surfaces:
 
 * ``python -m repro serve [--port --workers --store DIR]`` — the CLI;

@@ -101,10 +101,18 @@ class ServeClient:
         timeout: float = 60.0,
         poll_interval: float = 0.02,
     ) -> Dict[str, Any]:
-        """Poll until the run is terminal; returns the run dict."""
+        """Block until the run is terminal; returns the run dict.
+
+        Each request waits on the daemon (``?wait=``), so a run that
+        finishes within one request's wait costs one GET.
+        ``poll_interval`` only paces the next request after one came
+        back non-terminal (the daemon's wait cap, or half this
+        client's socket timeout, ran out first).
+        """
         deadline = tick() + timeout
         while True:
-            info = self.run(run_id)
+            wait = min(max(deadline - tick(), 0.0), self.timeout / 2)
+            info = self._request(f"/v1/runs/{run_id}?wait={wait:.3f}")["run"]
             if info["status"] in ("done", "failed", "cached"):
                 return info
             if tick() >= deadline:
@@ -120,7 +128,8 @@ class ServeClient:
         spec: Union[RunSpec, Dict[str, Any]],
         timeout: float = 60.0,
     ) -> Dict[str, Any]:
-        """Submit, then wait; cache hits return without polling."""
+        """Submit, then wait; cache hits return without a second
+        request."""
         submitted = self.submit(spec)
         if submitted["outcome"] == "cached":
             return {

@@ -6,7 +6,9 @@ connection, daemon threads) routing onto a :class:`ControlPlane`:
 ========================  =============================================
 ``POST /v1/runs``         submit a RunSpec JSON; 202 + run id (200 on a
                           store hit, artifact included)
-``GET /v1/runs/<id>``     run status; the artifact once terminal
+``GET /v1/runs/<id>``     run status; the artifact once terminal;
+                          ``?wait=<s>`` first blocks until the run is
+                          terminal, up to ``MAX_WAIT_S``
 ``GET /v1/artifacts/<h>`` stored artifact by spec hash
 ``GET /metrics``          MetricsRegistry snapshot + serving summary
 ``GET /trace/<id>``       recorded tracer spans of a traced run
@@ -18,6 +20,10 @@ Error mapping: malformed submissions are 400, unknown ids/hashes 404,
 a full run queue 503 — never a 500 for a *failed run* (that is a
 ``status: failed`` on a 200; the daemon itself stayed healthy).
 
+An artifact is never parsed or re-encoded here: the store holds its
+canonical JSON text, and every body that carries it splices that text
+in as it is (:func:`_with_artifact`).
+
 On startup the daemon writes ``serve.json`` (bound host/port/pid)
 into the store directory so tooling launched against ``--port 0``
 can discover the ephemeral port.
@@ -26,11 +32,13 @@ can discover the ephemeral port.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
+from urllib.parse import parse_qs
 
 from repro.serve.dashboard import render_dashboard
 from repro.serve.plane import ControlPlane, QueueFullError, ServeConfig, SubmitError
@@ -40,6 +48,41 @@ __all__ = ["ServeDaemon"]
 #: Submission bodies beyond this are rejected outright (a RunSpec with
 #: an explicit fault plan is a few KiB; 2 MiB is generous).
 MAX_BODY_BYTES = 2 * 1024 * 1024
+
+#: The longest one ``GET /v1/runs/<id>?wait=`` blocks; a client that
+#: wants longer asks again.
+MAX_WAIT_S = 20.0
+
+
+def _with_artifact(fields: Dict[str, Any], text: Optional[str]) -> str:
+    """``fields`` as sorted-key JSON with an ``artifact`` member: the
+    stored canonical ``text`` spliced in as it is (``null`` for None).
+
+    ``artifact`` sorts before every other field of a run or a
+    submission, so it goes first.
+    """
+    rest = json.dumps(fields, sort_keys=True)
+    return '{"artifact": %s, %s' % (text or "null", rest[1:])
+
+
+def _wait_seconds(query: str) -> Optional[float]:
+    """The ``wait`` parameter of a query string: None when absent,
+    capped at :data:`MAX_WAIT_S`; ValueError unless it is one finite,
+    non-negative number."""
+    values = parse_qs(query, keep_blank_values=True).get("wait")
+    if values is None:
+        return None
+    if len(values) != 1:
+        raise ValueError("give wait once")
+    try:
+        seconds = float(values[0])
+    except ValueError:
+        raise ValueError(f"wait must be a number, got {values[0]!r}") from None
+    if not math.isfinite(seconds) or seconds < 0:
+        raise ValueError(
+            f"wait must be a finite number >= 0, got {values[0]!r}"
+        )
+    return min(seconds, MAX_WAIT_S)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -65,21 +108,21 @@ class _Handler(BaseHTTPRequestHandler):
         # Access logging belongs to the audit log, not stderr.
         pass
 
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    def _send(self, status: int, text: str, content_type: str) -> None:
+        body = text.encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
+    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
+        self._send(
+            status, json.dumps(payload, sort_keys=True), "application/json"
+        )
+
     def _send_html(self, status: int, text: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/html; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, text, "text/html; charset=utf-8")
 
     def _error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
@@ -134,13 +177,16 @@ class _Handler(BaseHTTPRequestHandler):
             "spec_hash": record.spec_hash,
         }
         if outcome == "cached":
-            payload["artifact"] = record.artifact
-            self._send_json(200, payload)
+            self._send(
+                200,
+                _with_artifact(payload, record.artifact),
+                "application/json",
+            )
         else:
             self._send_json(202, payload)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.split("?", 1)[0]
+        path, _, query = self.path.partition("?")
         if path in ("/", "/index.html"):
             self._send_html(
                 200, render_dashboard(self.plane.state_summary())
@@ -150,7 +196,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/metrics":
             self._send_json(200, self.plane.metrics_snapshot())
         elif path.startswith("/v1/runs/"):
-            self._get_run(path[len("/v1/runs/"):])
+            self._get_run(path[len("/v1/runs/"):], query)
         elif path.startswith("/v1/artifacts/"):
             self._get_artifact(path[len("/v1/artifacts/"):])
         elif path.startswith("/trace/"):
@@ -158,17 +204,31 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._error(404, f"no route {path!r}")
 
-    def _get_run(self, run_id: str) -> None:
-        record = self.plane.run_record(run_id)
+    def _get_run(self, run_id: str, query: str) -> None:
+        try:
+            wait = _wait_seconds(query)
+        except ValueError as exc:
+            self._error(400, str(exc))
+            return
+        if wait is None:
+            record = self.plane.run_record(run_id)
+        else:
+            record = self.plane.wait(run_id, timeout=wait)
         if record is None:
             self._error(404, f"unknown run {run_id!r}")
             return
-        self._send_json(200, {"run": record.to_dict()})
+        info = record.to_dict()
+        text = info.pop("artifact")
+        self._send(
+            200,
+            '{"run": %s}' % _with_artifact(info, text),
+            "application/json",
+        )
 
     def _get_artifact(self, spec_hash: str) -> None:
         try:
             artifact = self.plane.artifact(spec_hash)
-        except Exception as exc:  # bad key shape or torn file
+        except Exception as exc:  # bad key shape
             self._error(400, str(exc))
             return
         if artifact is None:
@@ -178,7 +238,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "evicted by the retention policy)",
             )
             return
-        self._send_json(200, artifact)
+        self._send(200, artifact, "application/json")
 
     def _get_trace(self, run_id: str) -> None:
         record = self.plane.run_record(run_id)

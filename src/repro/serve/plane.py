@@ -38,7 +38,7 @@ from repro.runtime import RunSpec, execute
 from repro.runtime.registry import get_protocol, get_workload
 from repro.serve.audit import AuditLog
 from repro.serve.clock import tick, wall_now
-from repro.serve.store import ArtifactStore, RetentionPolicy
+from repro.serve.store import ArtifactStore, RetentionPolicy, Stored
 
 __all__ = [
     "ControlPlane",
@@ -118,6 +118,10 @@ class RunRecord:
     lock acquisition so a client never observes a torn state (e.g.
     ``status == "done"`` with ``run_seconds`` still ``None``).
 
+    A terminal record's artifact is the canonical JSON text the store
+    holds — the same object, not a copy — so records and the memory
+    tier together cost one text per artifact, never a parsed dict.
+
     Lock ordering: ``ControlPlane._lock`` may be held while taking a
     record's lock (``state_summary`` does), never the reverse.
     """
@@ -149,7 +153,7 @@ class RunRecord:
         self.event = threading.Event()
         self._lock = threading.Lock()
         self._status = "queued"
-        self._artifact: Optional[Dict[str, Any]] = None
+        self._artifact: Optional[str] = None
         self._history_hash: Optional[str] = None
         self._error: Optional[str] = None
         self._started_at: Optional[float] = None
@@ -165,7 +169,8 @@ class RunRecord:
             return self._status
 
     @property
-    def artifact(self) -> Optional[Dict[str, Any]]:
+    def artifact(self) -> Optional[str]:
+        """The artifact's canonical JSON text once the run succeeded."""
         with self._lock:
             return self._artifact
 
@@ -213,13 +218,13 @@ class RunRecord:
 
     def finish(
         self,
-        payload: Dict[str, Any],
+        text: str,
         history_hash: Optional[str],
         trace: Optional[List[Dict[str, Any]]],
         run_seconds: float,
     ) -> None:
         with self._lock:
-            self._artifact = payload
+            self._artifact = text
             self._history_hash = history_hash
             self._trace = trace
             self._run_seconds = run_seconds
@@ -233,17 +238,19 @@ class RunRecord:
             self._finished_at = wall_now()
             self._status = "failed"
 
-    def complete_cached(self, artifact: Dict[str, Any]) -> None:
+    def complete_cached(self, stored: Stored) -> None:
         """Terminal from birth: the artifact store had the answer."""
         with self._lock:
-            self._artifact = artifact
-            self._history_hash = artifact.get("history_hash")
+            self._artifact, self._history_hash = stored
             self._finished_at = self.submitted_at
             self._run_seconds = 0.0
             self._status = "cached"
         self.event.set()
 
     def to_dict(self, *, include_artifact: bool = True) -> Dict[str, Any]:
+        """One consistent snapshot; its ``artifact`` is the canonical
+        JSON *text* (None until the run is terminal), for the HTTP
+        layer to splice in as it is."""
         with self._lock:
             terminal = self._status in self.TERMINAL
             info: Dict[str, Any] = {
@@ -410,15 +417,18 @@ class ControlPlane:
             return self._records.get(run_id)
 
     def wait(self, run_id: str, timeout: float = 60.0) -> Optional[RunRecord]:
-        """Block until the run reaches a terminal state (or timeout)."""
+        """Block until the run reaches a terminal state (or timeout);
+        None at once for an unknown run id."""
         record = self.run_record(run_id)
         if record is None:
             return None
         record.event.wait(timeout)
         return record
 
-    def artifact(self, spec_hash: str) -> Optional[Dict[str, Any]]:
-        return self.store.get(spec_hash)
+    def artifact(self, spec_hash: str) -> Optional[str]:
+        """The stored artifact's canonical JSON text, or None."""
+        stored = self.store.get(spec_hash)
+        return stored.text if stored is not None else None
 
     def trace_records(self, run_id: str) -> Optional[List[Dict[str, Any]]]:
         record = self.run_record(run_id)
@@ -526,13 +536,14 @@ class ControlPlane:
                     artifact = execute(spec)
             else:
                 artifact = execute(spec)
-            # The dict is what the HTTP layer serves; the canonical
-            # text is what goes to disk, byte for byte.  Persist before
+            # The canonical text, encoded once, is what goes to disk,
+            # what the memory tier and the record share and what the
+            # HTTP layer serves, byte for byte.  Persist before
             # flipping status: a client that sees "done" must find the
             # artifact in the store too (a store that cannot write
             # fails the run).
-            payload = artifact.to_dict()
-            self.store.put(record.spec_hash, payload, artifact.to_json())
+            text = artifact.to_json()
+            self.store.put(record.spec_hash, text, artifact.history_hash)
         except Exception as exc:  # a failed run, not a dead daemon
             run_seconds = tick() - started
             error = f"{type(exc).__name__}: {exc}"
@@ -556,7 +567,7 @@ class ControlPlane:
             )
             run_seconds = tick() - started
             record.finish(
-                payload, artifact.history_hash, trace, run_seconds
+                text, artifact.history_hash, trace, run_seconds
             )
             outcome = "ok" if artifact.ok else "violated"
             self.registry.counter(

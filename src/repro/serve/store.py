@@ -10,8 +10,10 @@ is one file, ``<root>/<spec_hash>.json``, holding the bytes of
 same-directory temp file and ``os.replace`` so readers never observe
 a torn artifact.
 
-Two tiers sit under one lock, which no file write or read holds.  The
-memory tier is an LRU of parsed dicts (``memory_entries``) that serves
+An artifact is held only as that text, never as a parsed dict: the
+HTTP layer splices it into its responses as it is.  Two tiers sit
+under one lock, which no file write or read holds.  The memory tier is
+an LRU of :class:`Stored` entries (``memory_entries``) that serves
 repeat submissions without I/O.  The disk tier is bounded by a
 :class:`RetentionPolicy` (entries and bytes, least recently *used*
 evicted first: reads from either tier refresh recency) and re-indexed
@@ -26,17 +28,26 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, NamedTuple, Optional, Set
 
 from repro.errors import ReproError
 
-__all__ = ["ArtifactStore", "RetentionPolicy", "StoreError"]
+__all__ = ["ArtifactStore", "RetentionPolicy", "StoreError", "Stored"]
 
 _HEX = frozenset("0123456789abcdef")
 
 
 class StoreError(ReproError):
     """The artifact store could not read or write an entry."""
+
+
+class Stored(NamedTuple):
+    """One artifact as the store holds it."""
+
+    #: the canonical JSON text, the file's bytes as they are.
+    text: str
+    #: its ``history_hash`` member, so a cache hit needs no parse.
+    history_hash: Optional[str]
 
 
 class RetentionPolicy:
@@ -94,9 +105,9 @@ class ArtifactStore:
         self._lock = threading.Lock()
         #: key -> size in bytes, in least-recently-used-first order.
         self._index: "OrderedDict[str, int]" = OrderedDict()
-        #: key -> parsed artifact, least recently used first; a subset
+        #: key -> held artifact, least recently used first; a subset
         #: of ``_index``.
-        self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._memory: "OrderedDict[str, Stored]" = OrderedDict()
         #: keys whose file a ``put`` is writing, outside the lock.
         self._writing: Set[str] = set()
         self._bytes = 0
@@ -110,14 +121,16 @@ class ArtifactStore:
     # Public API
     # ------------------------------------------------------------------
 
-    def put(self, key: str, artifact: Dict[str, Any], text: str) -> str:
-        """Store a finished artifact: ``artifact`` in memory, its JSON
-        ``text`` on disk as is; returns the file path."""
+    def put(self, key: str, text: str, history_hash: Optional[str]) -> str:
+        """Store a finished artifact's canonical JSON ``text`` (whose
+        ``history_hash`` member is ``history_hash``) in memory and on
+        disk as is; returns the file path."""
         self._check_key(key)
         path = self._path(key)
+        entry = Stored(text, history_hash)
         with self._lock:
             if key in self._index:
-                self._touch(key, artifact)
+                self._touch(key, entry)
                 return str(path)
             if key in self._writing:
                 return str(path)  # another put is writing the same bytes
@@ -140,15 +153,15 @@ class ArtifactStore:
             self._writing.discard(key)
             self._index[key] = len(payload)
             self._bytes += len(payload)
-            self._touch(key, artifact)
+            self._touch(key, entry)
             self._evict_over_budget()
         return str(path)
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored artifact dict, or None when absent or evicted."""
+    def get(self, key: str) -> Optional[Stored]:
+        """The held artifact, or None when absent or evicted."""
         return self._read(key, count=False)
 
-    def lookup(self, key: str) -> Optional[Dict[str, Any]]:
+    def lookup(self, key: str) -> Optional[Stored]:
         """:meth:`get`, counted as one submission's hit or miss."""
         return self._read(key, count=True)
 
@@ -186,36 +199,44 @@ class ArtifactStore:
     # Internals
     # ------------------------------------------------------------------
 
-    def _read(self, key: str, count: bool) -> Optional[Dict[str, Any]]:
+    def _read(self, key: str, count: bool) -> Optional[Stored]:
         self._check_key(key)
         with self._lock:
-            artifact = self._memory.get(key)
-            if artifact is not None:
-                self._touch(key, artifact)
+            entry = self._memory.get(key)
+            if entry is not None:
+                self._touch(key, entry)
                 self.hits += count
-                return artifact
+                return entry
             if key not in self._index:
                 self.misses += count
                 return None
         # Memory miss on a retained key: read the disk tier outside the
-        # lock.  A file evicted or torn meanwhile reads as a miss.
-        try:
-            artifact = json.loads(self._path(key).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            artifact = None
+        # lock.  It is parsed once, for its history hash and so that a
+        # file evicted, torn or foreign meanwhile reads as a miss.
+        entry = self._load(key)
         with self._lock:
-            if artifact is None or key not in self._index:
+            if entry is None or key not in self._index:
                 self.misses += count
                 return None
-            self._touch(key, artifact)
+            self._touch(key, entry)
             self.hits += count
             self.disk_hits += count
-        return artifact
+        return entry
 
-    def _touch(self, key: str, artifact: Dict[str, Any]) -> None:
+    def _load(self, key: str) -> Optional[Stored]:
+        try:
+            text = self._path(key).read_text(encoding="utf-8")
+            artifact = json.loads(text)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+            return None
+        if not isinstance(artifact, dict):
+            return None
+        return Stored(text, artifact.get("history_hash"))
+
+    def _touch(self, key: str, entry: Stored) -> None:
         # Caller holds the lock; ``key`` is indexed.
         self._index.move_to_end(key)
-        self._memory[key] = artifact
+        self._memory[key] = entry
         self._memory.move_to_end(key)
         if len(self._memory) > self.memory_entries:
             self._memory.popitem(last=False)

@@ -1,9 +1,11 @@
 """The execute() pipeline: determinism, verification, fault policy."""
 
+import gc
 import json
 
 import pytest
 
+from repro.protocols.base import Cluster
 from repro.runtime import (
     FaultPolicyError,
     FaultSpec,
@@ -182,3 +184,34 @@ class TestArtifact:
         assert trace.exists()
         assert artifact.metrics
         assert artifact.summary().startswith("msc/random")
+
+
+def _live_clusters() -> int:
+    return sum(isinstance(obj, Cluster) for obj in gc.get_objects())
+
+
+def test_a_finished_cluster_is_not_a_reference_cycle():
+    """A process that executes many specs (the serve daemon) frees
+    each run's cluster as soon as its artifact is built, not at the
+    next full cyclic collection."""
+    objects = tuple(f"x{i}" for i in range(8))
+    specs = [
+        RunSpec(
+            protocol=("msc", "mlin")[seed % 2], workload="zipfian", n=6,
+            objects=objects, ops=20, seed=seed,
+        )
+        for seed in range(10)
+    ] + [
+        small(protocol, faults=FaultSpec(seed=2, partition=True))
+        for protocol in ("msc", "mlin")
+    ]
+    gc.collect()
+    before = _live_clusters()
+    gc.disable()
+    try:
+        for spec in specs:
+            assert execute(spec).ok
+        live = _live_clusters() - before
+    finally:
+        gc.enable()
+    assert live == 0

@@ -278,7 +278,7 @@ def test_failed_runs_report_failed_not_500(client):
 def test_store_write_failure_fails_the_run(client, daemon, monkeypatch):
     # The run must land as failed (and stay unstored), not sit in
     # "running" with its waiters blocked.
-    def refuse(key, artifact, text):
+    def refuse(key, text, history_hash):
         raise StoreError(f"cannot write artifact {key}: disk full")
 
     monkeypatch.setattr(daemon.plane.store, "put", refuse)

@@ -18,7 +18,7 @@ import threading
 from repro.obs import MetricsRegistry
 from repro.runtime import RunSpec
 from repro.serve.plane import ControlPlane, RunRecord, ServeConfig
-from repro.serve.store import ArtifactStore, RetentionPolicy
+from repro.serve.store import ArtifactStore, RetentionPolicy, Stored
 
 THREADS = 8
 ROUNDS = 2_000
@@ -135,18 +135,21 @@ class TestRunRecordConsistency:
     def test_cached_record_is_terminal_and_complete(self):
         spec = RunSpec(protocol="msc", n=2, ops=2, seed=1)
         record = RunRecord("r2", spec, spec.spec_hash())
-        record.complete_cached({"history_hash": "abc", "ok": True})
+        text = '{"history_hash":"abc","ok":true}'
+        record.complete_cached(Stored(text, "abc"))
         info = record.to_dict()
         assert info["status"] == "cached"
         assert info["run_seconds"] == 0.0
-        assert info["artifact"]["history_hash"] == "abc"
+        # The record shares the store's text; it never parses it.
+        assert info["artifact"] is text
+        assert info["history_hash"] == "abc"
         assert record.event.is_set()
 
 
 class TestArtifactStoreTiers:
     def test_lookups_and_budgets_stay_exact_under_contention(self, tmp_path):
         """Lookups racing puts and evictions: every lookup is counted
-        once, a hit returns its own key's artifact, and both tiers stay
+        once, a hit returns its own key's text, and both tiers stay
         within their bounds with the byte total matching the files."""
         store = ArtifactStore(
             tmp_path,
@@ -161,9 +164,12 @@ class TestArtifactStoreTiers:
             for step in range(rounds):
                 key = keys[(index + step) % len(keys)]
                 if step % 3 == 0:
-                    store.put(key, {"key": key}, f'{{"key":"{key}"}}')
+                    store.put(key, f'{{"history_hash":"{key}"}}', key)
                 found = store.lookup(key)
-                if found is not None and found["key"] != key:
+                if found is not None and (
+                    found.history_hash != key
+                    or found.text != f'{{"history_hash":"{key}"}}'
+                ):
                     wrong.append((key, found))
 
         interval = sys.getswitchinterval()

@@ -1,7 +1,8 @@
 """Retention policy and artifact-store unit behaviour.
 
 The store is a bounded memory tier over a disk tier bounded by
-entries/bytes (LRU eviction from both).  Evicted artifacts must 404
+entries/bytes (LRU eviction from both); both hold an artifact as its
+canonical JSON text, never as a parsed dict.  Evicted artifacts must 404
 over HTTP, and their specs re-execute, while fresh ones stay served.
 """
 
@@ -20,15 +21,17 @@ from repro.serve import (
     ServeClientError,
     StoreError,
 )
+from repro.serve.store import Stored
 from tests.serve.conftest import make_daemon
 
 
-def _artifact(tag: str) -> dict:
-    return {"history_hash": tag, "payload": "x" * 64}
+def _artifact(tag: str) -> Stored:
+    text = canonical_json({"history_hash": tag, "payload": "x" * 64})
+    return Stored(text, tag)
 
 
 def _put(store: ArtifactStore, key: str) -> None:
-    store.put(key, _artifact(key), canonical_json(_artifact(key)))
+    store.put(key, *_artifact(key))
 
 
 class TestArtifactStore:
@@ -84,19 +87,19 @@ class TestArtifactStore:
         store = ArtifactStore(tmp_path)
         for bad in ("../escape", "UPPER", "", "zz"):
             with pytest.raises(StoreError):
-                store.put(bad, {}, "{}")
+                store.put(bad, "{}", None)
 
     def test_memory_lru_falls_back_to_disk(self, tmp_path):
         store = ArtifactStore(tmp_path, memory_entries=1)
-        store.put("a" * 64, {"verdict": 1}, '{"verdict":1}')
+        store.put("a" * 64, '{"verdict":1}', None)
         # evicts 'a' from memory, not from disk
-        store.put("b" * 64, {"verdict": 2}, '{"verdict":2}')
+        store.put("b" * 64, '{"verdict":2}', None)
         assert store.cache_stats()["memory_entries"] == 1
         assert len(store) == 2
         # 'a' is served from the disk tier and repopulates memory.
-        assert store.lookup("a" * 64) == {"verdict": 1}
+        assert store.lookup("a" * 64) == Stored('{"verdict":1}', None)
         assert store.disk_hits == 1
-        assert store.lookup("a" * 64) == {"verdict": 1}
+        assert store.lookup("a" * 64) == Stored('{"verdict":1}', None)
         assert store.disk_hits == 1
         assert store.lookup("c" * 64) is None
         stats = store.cache_stats()
@@ -105,11 +108,24 @@ class TestArtifactStore:
 
     def test_warm_start_from_disk(self, tmp_path):
         ArtifactStore(tmp_path).put(
-            "a" * 64, {"verdict": 7}, '{"verdict":7}'
+            "a" * 64, '{"history_hash":"h7","verdict":7}', "h7"
         )
         reopened = ArtifactStore(tmp_path)
-        assert reopened.lookup("a" * 64) == {"verdict": 7}
+        # The disk read parses once, for the history hash.
+        assert reopened.lookup("a" * 64) == Stored(
+            '{"history_hash":"h7","verdict":7}', "h7"
+        )
         assert reopened.disk_hits == 1
+
+    def test_torn_or_foreign_file_is_a_miss(self, tmp_path):
+        for key, text in (("a" * 64, '{"history_hash":'), ("b" * 64, "[1]")):
+            (tmp_path / f"{key}.json").write_text(text, encoding="utf-8")
+        store = ArtifactStore(tmp_path)
+        assert len(store) == 2
+        assert store.lookup("a" * 64) is None
+        assert store.lookup("b" * 64) is None
+        assert store.cache_stats()["misses"] == 2
+        assert store.cache_stats()["memory_entries"] == 0
 
     def test_eviction_leaves_both_tiers(self, tmp_path):
         store = ArtifactStore(

@@ -217,7 +217,7 @@ def test_landing_reaches_the_replica_in_two_frames(monkeypatch):
     # Structural, no wall clock: the per-delivery cost of a clean run
     # is the Python frames between the landing loop and the replica's
     # store, store.apply's own included: SequencerAbcast._land_from
-    # hands the run to Cluster._land_run, which applies someone
+    # hands the run to BaseProcess.land_run, which applies someone
     # else's update straight into the replica.
     import sys
 

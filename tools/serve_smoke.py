@@ -9,14 +9,18 @@ per registered protocol through :class:`repro.serve.ServeClient`.
 
 Assertions, any of which fail the job:
 
-* every protocol's run completes with a ``done``/``ok`` artifact;
+* every protocol's run completes with a ``done``/``ok`` artifact,
+  awaited with the waiting ``GET /v1/runs/<id>?wait=`` (no polling);
+* every protocol's ``GET /v1/artifacts/<spec hash>`` body is the
+  store's file, byte for byte;
 * resubmitting every spec answers ``cached`` — the artifact store
   round-trips over HTTP;
 * ``/metrics`` reports a positive cache hit rate and one executed
   run per protocol.
 
-The daemon's request audit log and every fetched artifact land in
-``--out-dir`` (default ``serve-smoke/``) for CI upload.
+The daemon's request audit log and every fetched artifact (its
+canonical bytes) land in ``--out-dir`` (default ``serve-smoke/``) for
+CI upload.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import time
+import urllib.request
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -98,18 +103,27 @@ def main(argv=None) -> int:
             for name in names
         ]
 
-        # Round 1: every protocol executes to a done/ok artifact.
+        # Round 1: every protocol executes to a done/ok artifact, and
+        # the daemon serves the stored file's bytes as they are.
         for spec in specs:
-            run = client.submit_and_wait(spec, timeout=args.timeout)
+            submitted = client.submit(spec)
+            run = client.wait(submitted["run_id"], timeout=args.timeout)
             ok = run["status"] == "done" and run["artifact"]["ok"]
             print(f"[serve-smoke] {spec.protocol}: {run['status']}")
             if not ok:
                 failures.append(f"{spec.protocol}: {run.get('error')}")
                 continue
-            artifact_path = out_dir / f"{spec.protocol}.artifact.json"
-            artifact_path.write_text(
-                json.dumps(run["artifact"], indent=2, sort_keys=True)
-            )
+            key = submitted["spec_hash"]
+            with urllib.request.urlopen(
+                f"{url}/v1/artifacts/{key}", timeout=30.0
+            ) as response:
+                body = response.read()
+            if body != (store / "artifacts" / f"{key}.json").read_bytes():
+                failures.append(
+                    f"{spec.protocol}: served artifact is not the "
+                    "store's file"
+                )
+            (out_dir / f"{spec.protocol}.artifact.json").write_bytes(body)
 
         # Round 2: byte-for-byte resubmission must answer from cache.
         for spec in specs:
