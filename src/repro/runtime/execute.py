@@ -33,12 +33,19 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.abcast.failover import FailoverSequencer
 from repro.core.monitor import LiveMonitor
-from repro.core.serialize import canonical_json, history_to_dict
+from repro.core.serialize import (
+    canonical_history_json,
+    canonical_json,
+    history_to_dict,
+)
 from repro.errors import (
     DeliveryTimeout,
+    MalformedHistoryError,
+    MalformedOperationError,
     PartitionedError,
     ProcessCrashed,
     ProtocolError,
+    ReadsFromError,
     ReproError,
     SequencerUnavailable,
 )
@@ -70,6 +77,11 @@ _RUN_FAILURES = (
     SequencerUnavailable,
 )
 
+#: What recording an ill-formed history raises.  A protocol with no
+#: condition (a baseline or control) guarantees not even a well-formed
+#: history: there it is the run's violation, not a crash of the run.
+_ILL_FORMED = (MalformedHistoryError, MalformedOperationError, ReadsFromError)
+
 
 class FaultPolicyError(ReproError):
     """The fault plan needs a capability the protocol does not have."""
@@ -81,7 +93,7 @@ def history_hash(history, text: Optional[str] = None) -> str:
     ``text`` is that JSON when the caller has already encoded it.
     """
     if text is None:
-        text = canonical_json(history_to_dict(history))
+        text = canonical_history_json(history)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -89,7 +101,7 @@ def _encoded(result) -> Dict[str, Any]:
     """A finished run's one encoding pass, as ``RunArtifact`` fields."""
     if result is None:
         return {"history_json": None, "history_hash": ""}
-    text = canonical_json(history_to_dict(result.history))
+    text = canonical_history_json(result.history)
     return {
         "history_json": text,
         # Via the public function, which benchmarks/e2e taps by name
@@ -493,7 +505,7 @@ def _run(
         ).install(cluster)
 
     workloads = workload.builder(n, objects, spec.ops, spec.seed + 1)
-    result = failure = None
+    result = failure = ill_formed = None
     try:
         result = cluster.run(
             workloads, max_events=spec.max_events, settle=spec.settle
@@ -502,12 +514,18 @@ def _run(
         if plan is None:
             raise
         failure = f"{type(exc).__name__}: {exc}"
+    except _ILL_FORMED as exc:
+        if proto.condition is not None:
+            raise
+        ill_formed = f"recorded history: {type(exc).__name__}: {exc}"
 
     violations = [
         f"incremental audit: {found}"
         for _t, _kind, _pid, found in audits
         if found is not None
     ]
+    if ill_formed is not None:
+        violations.append(ill_formed)
     verdicts: List[VerdictRecord] = []
     if result is not None:
         if monitor is not None:

@@ -168,6 +168,6 @@ def test_uncertified_check_makes_no_membership_test_and_no_triples(
         verdict = check_condition(history, "m-sc", extra_pairs=extra)
         assert verdict.holds == holds
         assert verdict.method_used == "constrained"
-        assert HistoryIndex.of(history)._triples is None
+        assert HistoryIndex.of(history)._d.triples is None
     assert calls == []
     assert not HistoryIndex.of(future).closure("m-sc", extra).is_acyclic()

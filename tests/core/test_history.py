@@ -1,13 +1,25 @@
 """Unit tests for histories (Section 2.2)."""
 
+from collections import Counter
+
 import pytest
 
-from repro.core import INIT_UID, History, MOperation, make_mop, write
+from repro.core import (
+    CONDITIONS,
+    INIT_UID,
+    History,
+    Operation,
+    check_condition,
+    make_mop,
+    write,
+)
+from repro.core.serialize import history_from_dict, history_to_dict
 from repro.errors import (
     MalformedHistoryError,
     MalformedOperationError,
     ReadsFromError,
 )
+from repro.protocols.recorder import HistoryRecorder, OpRecord
 from tests.conftest import simple_history
 
 
@@ -136,36 +148,83 @@ class TestWellFormedness:
         assert not simple_history([(1, 0, "w x 1")]).is_timed
 
 
+#: Two processes, an internal read, a query and a read-modify-write.
+COST_SPECS = [
+    (1, 0, "w x 1, w y 1", 0.0, 1.0),
+    (2, 1, "r x 1, r y 1, w z 2, r z 2", 0.5, 2.0),
+    (3, 0, "r x 1, r y 1, r z 2", 3.0, 4.0),
+]
+COST_MAP = {(2, "x"): 1, (2, "y"): 1, (3, "x"): 1, (3, "y"): 1, (3, "z"): 2}
+
+
+def count_op_walks(monkeypatch):
+    """Count, per operation, the reads of its ``kind``: every walk of
+    an m-operation's ops reads each op's kind once (a check that does
+    not read it needs neither the kind nor any other field)."""
+    reads = Counter()
+    slot = Operation.__dict__["kind"]
+
+    def kind(op):
+        reads[id(op)] += 1
+        return slot.__get__(op)
+
+    monkeypatch.setattr(Operation, "kind", property(kind, slot.__set__))
+    return reads
+
+
+def walks_per_op(history, reads):
+    return [reads[id(op)] for mop in history.all_mops for op in mop.ops]
+
+
 class TestConstructionCost:
-    """The uncached ``external_reads`` / ``external_writes`` views are
-    taken once per m-operation, whatever the reads-from map's size."""
+    """Every construction path walks each m-operation's ops exactly
+    once, the walk that validates internal reads and derives the
+    external views; completion, validation, ``objects`` and a check
+    read only those views.  Counted, not timed."""
 
     def test_views_are_computed_once_per_mop(self, monkeypatch):
-        walks = {"external_reads": [], "external_writes": []}
-        for name, seen in walks.items():
-            real = getattr(MOperation, name).fget
-
-            def counted(mop, real=real, seen=seen):
-                seen.append(mop.uid)
-                return real(mop)
-
-            monkeypatch.setattr(MOperation, name, property(counted))
-        specs = [
-            (1, 0, "w x 1, w y 1"),
-            (2, 1, "r x 1, r y 1, w z 2"),
-            (3, 2, "r x 1, r y 1, r z 2"),
-        ]
-        explicit = {
-            (2, "x"): 1, (2, "y"): 1, (3, "x"): 1, (3, "y"): 1, (3, "z"): 2,
-        }
-        for reads_from in (None, explicit, {(3, "z"): 2}):
-            for seen in walks.values():
-                seen.clear()
-            h = simple_history(specs, reads_from=reads_from)
-            assert h.reads_from_map == explicit
+        for reads_from in (None, COST_MAP, {(3, "z"): 2}):
+            reads = count_op_walks(monkeypatch)
+            h = simple_history(COST_SPECS, reads_from=reads_from)
+            assert h.reads_from_map == COST_MAP
             assert h.objects == {"x", "y", "z"}
-            assert sorted(walks["external_reads"]) == [1, 2, 3]
-            assert sorted(walks["external_writes"]) == [INIT_UID, 1, 2, 3]
+            assert walks_per_op(h, reads) == [1] * 12
+
+    def test_a_loaded_document_is_walked_once(self, monkeypatch):
+        for document in (
+            history_to_dict(simple_history(COST_SPECS)),
+            {"mops": history_to_dict(simple_history(COST_SPECS))["mops"]},
+        ):
+            reads = count_op_walks(monkeypatch)
+            h = history_from_dict(document)
+            assert h.reads_from_map == COST_MAP
+            assert walks_per_op(h, reads) == [1] * 12
+
+    def test_a_recorded_run_is_walked_once(self, monkeypatch):
+        recorder = HistoryRecorder()
+        for mop in simple_history(COST_SPECS).mops:
+            recorder.complete(
+                OpRecord(
+                    uid=mop.uid, process=mop.process, name="p",
+                    inv=mop.inv, resp=mop.resp, ops=mop.ops,
+                    reads_from={
+                        obj: w for (r, obj), w in COST_MAP.items()
+                        if r == mop.uid
+                    },
+                    result=None, is_update=mop.is_update,
+                )
+            )
+        reads = count_op_walks(monkeypatch)
+        h = recorder.build_history({"x": 0, "y": 0, "z": 0})
+        assert h.reads_from_map == COST_MAP
+        assert walks_per_op(h, reads) == [1] * 12
+
+    @pytest.mark.parametrize("condition", sorted(CONDITIONS))
+    def test_a_check_walks_no_ops(self, monkeypatch, condition):
+        h = simple_history(COST_SPECS)
+        reads = count_op_walks(monkeypatch)
+        assert check_condition(h, condition).holds
+        assert sum(reads.values()) == 0
 
 
 class TestRaiseOrder:

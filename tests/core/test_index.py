@@ -154,7 +154,7 @@ class TestHistoryIndex:
     def test_stats_count_triples_without_enumerating_them(self, n_mops, seed):
         index = HistoryIndex.of(sample_history(n_mops=n_mops, seed=seed))
         counted = index.stats().interfering_triples
-        assert index._triples is None
+        assert index._d.triples is None
         assert counted == len(index.interfering_triples()) > 0
 
 

@@ -85,17 +85,18 @@ def test_saved_file_is_the_canonical_text(tmp_path):
 def test_history_is_walked_once_per_run(monkeypatch):
     """Count guard: hash and artifact text share one encoding pass."""
     # ``repro.runtime.execute`` the attribute is the function; the
-    # module that imported ``history_to_dict`` by name is this one.
+    # module that imported the encoders by name is this one.
     execute_module = importlib.import_module("repro.runtime.execute")
     calls = []
-    real = serialize.history_to_dict
+    for name in ("canonical_history_json", "history_to_dict"):
+        real = getattr(serialize, name)
 
-    def counted(history):
-        calls.append(history)
-        return real(history)
+        def counted(history, real=real):
+            calls.append(history)
+            return real(history)
 
-    monkeypatch.setattr(execute_module, "history_to_dict", counted)
-    monkeypatch.setattr(serialize, "history_to_dict", counted)
+        monkeypatch.setattr(execute_module, name, counted)
+        monkeypatch.setattr(serialize, name, counted)
     artifact = execute(RunSpec(protocol="msc", ops=3, seed=1))
     artifact.to_json()
     artifact.to_json()

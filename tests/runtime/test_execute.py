@@ -5,7 +5,11 @@ import json
 
 import pytest
 
+from repro.core.history import History
+from repro.core.index import HistoryIndex
+from repro.errors import MalformedHistoryError
 from repro.protocols.base import Cluster
+from repro.protocols.recorder import HistoryRecorder
 from repro.runtime import (
     FaultPolicyError,
     FaultSpec,
@@ -186,14 +190,15 @@ class TestArtifact:
         assert artifact.summary().startswith("msc/random")
 
 
-def _live_clusters() -> int:
-    return sum(isinstance(obj, Cluster) for obj in gc.get_objects())
+def _live(*kinds) -> int:
+    return sum(isinstance(obj, kinds) for obj in gc.get_objects())
 
 
 def test_a_finished_cluster_is_not_a_reference_cycle():
     """A process that executes many specs (the serve daemon) frees
-    each run's cluster as soon as its artifact is built, not at the
-    next full cyclic collection."""
+    each run's cluster, and its checked history with that history's
+    index, as soon as the artifact is dropped, not at the next full
+    cyclic collection."""
     objects = tuple(f"x{i}" for i in range(8))
     specs = [
         RunSpec(
@@ -206,12 +211,47 @@ def test_a_finished_cluster_is_not_a_reference_cycle():
         for protocol in ("msc", "mlin")
     ]
     gc.collect()
-    before = _live_clusters()
+    before = _live(Cluster), _live(History, HistoryIndex)
     gc.disable()
     try:
         for spec in specs:
             assert execute(spec).ok
-        live = _live_clusters() - before
+        live = _live(Cluster), _live(History, HistoryIndex)
     finally:
         gc.enable()
-    assert live == 0
+    assert live == before
+
+
+def local_zipfian(seed):
+    """The no-replication control on a skewed workload: replicas never
+    hear each other's writes, so a read may name a writer that never
+    wrote the value it returned."""
+    return RunSpec(
+        protocol="local", workload="zipfian", n=6,
+        objects=tuple(f"x{i}" for i in range(8)), ops=20, seed=seed,
+    )
+
+
+class TestIllFormedHistories:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_control_returns_its_ill_formed_history_as_a_violation(
+        self, seed
+    ):
+        artifact = execute(local_zipfian(seed))
+        assert not artifact.ok
+        assert artifact.completed == artifact.expected
+        assert artifact.verdicts == [] and artifact.history_hash == ""
+        (violation,) = artifact.violations
+        assert violation.startswith("recorded history: MalformedHistoryError: ")
+        assert json.loads(artifact.to_json())["violations"] == [violation]
+
+    def test_a_protocol_with_a_guarantee_still_raises(self, monkeypatch):
+        def ill_formed(recorder, initial_values):
+            raise MalformedHistoryError("no such writer")
+
+        monkeypatch.setattr(HistoryRecorder, "build_history", ill_formed)
+        with pytest.raises(MalformedHistoryError, match="no such writer"):
+            execute(small("msc"))
+        assert execute(small("local")).violations == [
+            "recorded history: MalformedHistoryError: no such writer"
+        ]

@@ -309,3 +309,20 @@ def test_audit_log_records_every_submission(client, daemon):
         if entry["event"] == "submit" and entry.get("detail") == "cached"
     ]
     assert cached, "cache-hit submission missing from the audit log"
+
+
+def test_an_ill_formed_control_history_is_a_finished_violated_run(client):
+    """A baseline's recorded history that is not even well formed is
+    that run's verdict: the daemon answers it as done, not failed."""
+    spec = RunSpec(
+        protocol="local", workload="zipfian", n=6,
+        objects=tuple(f"x{i}" for i in range(8)), ops=20, seed=0,
+    )
+    run = client.submit_and_wait(spec)
+    assert run["status"] == "done"
+    assert run["error"] is None
+    artifact = run["artifact"]
+    assert artifact["ok"] is False
+    assert artifact["violations"][0].startswith(
+        "recorded history: MalformedHistoryError: "
+    )

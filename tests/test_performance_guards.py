@@ -146,7 +146,7 @@ def test_certified_partitioned_check_is_one_scan_and_no_closure():
     spans = {record["name"] for record in tracer.records()}
     assert "check.scan" in spans
     assert "check.closure" not in spans
-    assert HistoryIndex.of(history)._bases == {}
+    assert HistoryIndex.of(history)._d.bases == {}
 
 
 def test_exact_checks_close_generators_never_closures(monkeypatch):
