@@ -162,10 +162,10 @@ class FailoverSequencer(SequencerAbcast):
         }
         #: Participants whose delivery is gated (snapshot install).
         self._suspended: Set[int] = set()
-        #: Sender pid -> msg id -> request body, for requests not yet
-        #: seen in the delivered order (durable client intent; resent
-        #: on failover and recovery).
-        self._unsequenced: Dict[int, Dict[int, Dict[str, Any]]] = {
+        #: Sender pid -> msg id -> request, for requests not yet seen
+        #: in the delivered order (durable client intent; resent, as
+        #: priced when first sent, on failover and recovery).
+        self._unsequenced: Dict[int, Dict[int, Message]] = {
             pid: {} for pid in range(network.n)
         }
         #: Recovery-completion callbacks: pid -> thunk fired once the
@@ -203,6 +203,12 @@ class FailoverSequencer(SequencerAbcast):
         self._gated = quorum_aware
         detector.on_change = self.on_detector_event
 
+    def close(self) -> None:
+        super().close()
+        self._on_caught_up = {}
+        if self.detector is not None:
+            self.detector.on_change = None
+
     def quorum_size(self) -> int:
         """The majority threshold used for stability and elections."""
         return self.network.n // 2 + 1
@@ -236,7 +242,9 @@ class FailoverSequencer(SequencerAbcast):
     # AtomicBroadcast API
     # ------------------------------------------------------------------
 
-    def broadcast(self, sender: int, payload: Any) -> None:
+    def broadcast(
+        self, sender: int, payload: Any, price: Optional[int] = None
+    ) -> None:
         """Send the payload to the sequencer (in the sender's view)."""
         if (
             self._gated
@@ -250,10 +258,10 @@ class FailoverSequencer(SequencerAbcast):
             )
         msg_id = next(self._next_msg_id)
         body = {"sender": sender, "payload": payload, "id": msg_id}
-        self._unsequenced[sender][msg_id] = body
-        self.network.send(
-            sender, self._psequencer[sender], Message(REQ, body)
+        request = self._unsequenced[sender][msg_id] = self.request(
+            REQ, body, price
         )
+        self.network.send(sender, self._psequencer[sender], request)
 
     # ------------------------------------------------------------------
     # Wire protocol
@@ -353,8 +361,8 @@ class FailoverSequencer(SequencerAbcast):
         self.network.send(
             pid, self.sequencer, Message(FETCH, {"pid": pid, "from": cursor})
         )
-        for body in list(self._unsequenced[pid].values()):
-            self.network.send(pid, self.sequencer, Message(REQ, body))
+        for request in list(self._unsequenced[pid].values()):
+            self.network.send(pid, self.sequencer, request)
         self._drain(pid)
 
     def suspend(self, pid: int) -> None:
@@ -573,8 +581,8 @@ class FailoverSequencer(SequencerAbcast):
         # In-flight-request retry: everything this participant has
         # broadcast but not yet seen delivered may have died with the
         # old sequencer (or sat deferred on a fenced minority one).
-        for req in list(self._unsequenced[pid].values()):
-            self.network.send(pid, new, Message(REQ, req))
+        for request in list(self._unsequenced[pid].values()):
+            self.network.send(pid, new, request)
         self._drain(pid)
 
     def _on_log(self, pid: int, src: int, body: Dict[str, Any]) -> None:

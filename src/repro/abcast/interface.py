@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.sim.network import Network
+from repro.sim.network import Message, Network
 
 #: Delivery callback: (sender_pid, payload) -> None.
 DeliverFn = Callable[[int, Any], None]
@@ -89,8 +89,29 @@ class AtomicBroadcast:
         self.delivery_log[pid] = []
         self.delivery_offset[pid] = 0
 
-    def broadcast(self, sender: int, payload: Any) -> None:
-        """Atomically broadcast ``payload`` on behalf of ``sender``."""
+    @staticmethod
+    def request(kind: str, body: Dict[str, Any], price: Optional[int]) -> Message:
+        """A ``kind`` message carrying a request ``body`` (its
+        broadcast payload under ``"payload"``), priced from the
+        payload's ``price`` when the broadcaster stated one."""
+        return Message(kind, body, None if price is None else {"payload": price})
+
+    def close(self) -> None:
+        """Drop the participants' delivery callbacks (they hold the
+        processes, which hold this layer): a finished run is freed
+        without the cyclic collector."""
+        self._deliver = {}
+
+    def broadcast(
+        self, sender: int, payload: Any, price: Optional[int] = None
+    ) -> None:
+        """Atomically broadcast ``payload`` on behalf of ``sender``.
+
+        ``price``, when the caller holds it, is what the network
+        charges for ``payload`` as a member of a message payload; an
+        implementation may state it on its request instead of walking
+        ``payload``.
+        """
         raise NotImplementedError
 
     def land_lazily(self) -> Optional[Callable[[int], None]]:

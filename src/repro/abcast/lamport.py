@@ -27,7 +27,7 @@ experiment A2.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.abcast.interface import AtomicBroadcast
 from repro.errors import ProtocolError
@@ -77,8 +77,11 @@ class LamportAbcast(AtomicBroadcast):
     # AtomicBroadcast API
     # ------------------------------------------------------------------
 
-    def broadcast(self, sender: int, payload: Any) -> None:
-        """Multicast the payload with the sender's Lamport timestamp."""
+    def broadcast(
+        self, sender: int, payload: Any, price: Optional[int] = None
+    ) -> None:
+        """Multicast the payload with the sender's Lamport timestamp
+        (each copy is walked: the FIFO slot makes it a new message)."""
         self._clock[sender] += 1
         key: Key = (self._clock[sender], sender, next(self._msg_counter))
         body = {"key": key, "sender": sender, "payload": payload}

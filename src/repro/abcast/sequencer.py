@@ -127,7 +127,9 @@ class SequencerAbcast(AtomicBroadcast):
     # AtomicBroadcast API
     # ------------------------------------------------------------------
 
-    def broadcast(self, sender: int, payload: Any) -> None:
+    def broadcast(
+        self, sender: int, payload: Any, price: Optional[int] = None
+    ) -> None:
         """Send the payload to the sequencer."""
         if self.network.is_down(self.sequencer):
             raise SequencerUnavailable(
@@ -139,7 +141,9 @@ class SequencerAbcast(AtomicBroadcast):
             "payload": payload,
             "id": next(self._next_msg_id),
         }
-        self.network.send(sender, self.sequencer, Message(REQ, body))
+        self.network.send(
+            sender, self.sequencer, self.request(REQ, body, price)
+        )
 
     def handle(self, pid: int, src: int, message: Message) -> None:
         """Process an ``abc-*`` message arriving at endpoint ``pid``."""

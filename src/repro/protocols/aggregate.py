@@ -36,10 +36,7 @@ class AggregateProcess(BaseProcess):
             raise ProtocolError(
                 "the aggregate baseline requires an atomic-broadcast layer"
             )
-        abcast.broadcast(
-            self.pid,
-            {"uid": pending.uid, "program": pending.program},
-        )
+        self.broadcast_update(abcast, pending)
 
 
 def aggregate_cluster(n: int, objects, **kwargs) -> Cluster:

@@ -52,7 +52,7 @@ from repro.protocols.store import ExecutionRecord, MProgram, VersionedStore
 from repro.sim.detector import HeartbeatDetector
 from repro.sim.kernel import Simulator
 from repro.sim.latency import LatencyModel, UniformLatency
-from repro.sim.network import Message, Network, NetworkStats
+from repro.sim.network import EMPTY_SIZE, Message, Network, NetworkStats
 
 #: A workload: one program sequence per process.
 Workloads = Sequence[Sequence[MProgram]]
@@ -60,6 +60,10 @@ Workloads = Sequence[Sequence[MProgram]]
 #: Wire kinds of the peer-snapshot recovery exchange.
 SNAP_REQ = "snap-req"
 SNAP_RESP = "snap-resp"
+
+#: What an update's abcast payload is charged besides its program: an
+#: int ``uid`` and the two member names.
+_UPDATE_PRICE = EMPTY_SIZE + 8 + len("uid") + len("program")
 
 
 @dataclass
@@ -147,6 +151,19 @@ class BaseProcess:
             )
         self.cluster.recorder.begin(uid, inv, program.name)
         self.on_invoke(self._pending)
+
+    def broadcast_update(
+        self, abcast: AtomicBroadcast, pending: PendingOp
+    ) -> None:
+        """Atomically broadcast ``pending``'s program, the payload
+        priced from the program's stated price: no request walks its
+        program."""
+        program = pending.program
+        abcast.broadcast(
+            self.pid,
+            {"uid": pending.uid, "program": program},
+            _UPDATE_PRICE + program.price,
+        )
 
     def respond(self, pending: PendingOp, record: ExecutionRecord) -> None:
         """Generate the response event for the pending m-operation."""
@@ -729,6 +746,9 @@ class Cluster:
         """
         for proc in self.processes:
             proc.cluster = None
+        self.network.close()
+        if self.abcast is not None:
+            self.abcast.close()
 
     def land_all(self) -> None:
         """End of a run whose deliveries land lazily: hand every process

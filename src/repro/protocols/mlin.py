@@ -101,10 +101,7 @@ class MLinProcess(BaseProcess):
                 tracer.event(
                     "proto.abcast", uid=pending.uid, process=self.pid
                 )
-            abcast.broadcast(
-                self.pid,
-                {"uid": pending.uid, "program": pending.program},
-            )
+            self.broadcast_update(abcast, pending)
             return
         # (A3): gather the freshest replica state.
         self._start_gather(pending, attempt=0)

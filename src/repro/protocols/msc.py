@@ -47,10 +47,7 @@ class MSCProcess(BaseProcess):
                 tracer.event(
                     "proto.abcast", uid=pending.uid, process=self.pid
                 )
-            abcast.broadcast(
-                self.pid,
-                {"uid": pending.uid, "program": pending.program},
-            )
+            self.broadcast_update(abcast, pending)
         else:
             # (A3): queries execute against the local copy at once.
             with tracer.span(

@@ -39,11 +39,22 @@ on the replica image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.operation import INIT_UID, Operation, read, write
 from repro.errors import ProtocolError
-from repro.sim.network import EMPTY_SIZE, entry_size
+from repro.sim.network import EMPTY_SIZE, attributes_size, entry_size
 
 #: The body of an m-operation program: runs reads/writes on a view and
 #: returns the m-operation's result value.
@@ -64,7 +75,10 @@ def intern_objects(objects: Tuple[str, ...]) -> Tuple[str, ...]:
     return interned
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class MProgram:
     """An m-operation as issued by a client (a deterministic procedure).
 
@@ -80,18 +94,52 @@ class MProgram:
             known to touch.  Enables the Section 5.2 closing
             optimization (query replies carrying only the relevant
             objects); when set, access outside the set is an error.
+
+    A program states its wire price, ``price``, computed once when it
+    is built: what :func:`~repro.sim.network.estimate_size` charges
+    for it as one entry of a payload member, which is where an
+    ``abc-req`` carries an update's program.  The price lives in a
+    slot, out of ``vars(program)``, the dict the walk prices, and the
+    walk stays the definition: a message that states no price (an
+    ``abc-log`` entry, a program nested near the walk's depth cap)
+    walks the program as before.
     """
+
+    __slots__ = ("__dict__", "price")
 
     name: str
     body: ProgramBody
     may_write: bool
     static_objects: Optional[FrozenSet[str]] = None
 
-    def __post_init__(self) -> None:
-        if self.static_objects is not None:
-            object.__setattr__(
-                self, "static_objects", frozenset(self.static_objects)
-            )
+    def __init__(
+        self,
+        name: str,
+        body: ProgramBody,
+        may_write: bool,
+        static_objects: Optional[Iterable[str]] = None,
+    ) -> None:
+        if static_objects is not None:
+            static_objects = frozenset(static_objects)
+        fields = {
+            "name": name,
+            "body": body,
+            "may_write": may_write,
+            "static_objects": static_objects,
+        }
+        # Set one by one and priced from ``fields``, so that Python
+        # keeps them compactly and never builds the program's
+        # ``__dict__`` unless something asks for it.
+        for field, value in fields.items():
+            _set(self, field, value)
+        _set(self, "price", attributes_size(self, fields))
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Copies and pickles rebuild the price from the fields.
+        return (
+            MProgram,
+            (self.name, self.body, self.may_write, self.static_objects),
+        )
 
 
 class ObjectView:

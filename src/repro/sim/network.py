@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
+from types import FunctionType
 from typing import (
     Any,
     Callable,
@@ -190,6 +191,50 @@ def entry_size(seen: Set[int], *parts: Any) -> int:
             total += size
         else:
             total += _estimate_size(part, 2, seen)
+    return total
+
+
+def attributes_size(owner: Any, attributes: Dict[str, Any]) -> int:
+    """What the walk charges for ``owner`` — an object it prices as
+    its ``__dict__``, which holds ``attributes`` — as one entry of a
+    payload member, computed without visiting ``owner`` (or making
+    Python build its ``__dict__``).
+
+    An attribute that is an int, a string, a bool, None, a function
+    without attributes of its own (priced as its empty ``__dict__``)
+    or a frozenset of strings is priced in place; any other is walked
+    where the walk would reach it.  An in-place price is what the walk
+    charges for that attribute wherever ``owner`` sits above the last
+    3 levels of :data:`MAX_SIZE_DEPTH` (a function's ``__dict__`` is 3
+    levels below ``owner``).
+    """
+    seen = None  # the walk's path set, made when first needed
+    total = EMPTY_SIZE
+    for key, member in attributes.items():
+        total += len(key)
+        kind = type(member)
+        if kind is str:
+            total += len(member)
+        elif kind is bool:
+            total += 1
+        elif kind is int:
+            total += 8
+        elif member is None:
+            pass
+        elif kind is FunctionType and not member.__dict__:
+            total += EMPTY_SIZE
+        else:
+            if kind is frozenset:
+                size = EMPTY_SIZE
+                for item in member:
+                    if type(item) is not str:
+                        break
+                    size += len(item)
+                else:
+                    total += size
+                    continue
+            seen = seen or {id(owner), id(attributes)}
+            total += _estimate_size(member, 4, seen)
     return total
 
 
@@ -619,6 +664,14 @@ class Network:
         if kind in self._bound:
             raise SimulationError(f"message kind {kind!r} already bound")
         self._bound[kind] = handler
+
+    def close(self) -> None:
+        """Drop every handler, bound kind and queueing hook: the
+        layers above hold this network, so these are cycles through a
+        finished run.  The network delivers nothing afterwards."""
+        self._handlers = [None] * self.n
+        self._bound = {}
+        self._on_queue = {}
 
     # ------------------------------------------------------------------
     # Crash / restore

@@ -21,9 +21,11 @@ All generators take explicit seeds and are deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.history import History
 from repro.core.operation import MOperation, Operation, read, write
@@ -73,6 +75,68 @@ class WorkloadMix:
         return pairs
 
 
+class _WeightedDraws:
+    """Draws by weight with ``random.choices``' own arithmetic.
+
+    ``rng.choices(population, weights)[0]`` accumulates the weights,
+    then picks ``population[bisect(cum, rng.random() * total, 0,
+    n - 1)]`` with ``total = cum[-1] + 0.0``.  This holds the weights
+    accumulated once; every draw takes exactly one ``rng.random()``
+    and raises the ``ValueError`` ``choices`` raises, so what it draws
+    is what ``choices`` would have drawn from the same generator.
+    """
+
+    __slots__ = ("_random", "_weights", "_cum", "_total", "_hi")
+
+    def __init__(self, rng: random.Random, weights: Iterable[float]) -> None:
+        self._random = rng.random
+        self._weights = list(weights)
+        self._cum = list(itertools.accumulate(self._weights))
+        self._total = self._cum[-1] + 0.0 if self._cum else math.nan
+        self._hi = len(self._cum) - 1
+
+    def index(self) -> int:
+        """One index, drawn with replacement."""
+        total = self._total
+        if not 0.0 < total < math.inf:
+            _refuse(total)
+        return bisect_right(self._cum, self._random() * total, 0, self._hi)
+
+    def sample(self, population: Sequence[str], k: int) -> List[str]:
+        """``k`` members of ``population`` (one per weight, in order)
+        without replacement: each draw is :meth:`index` over the
+        members left.  A draw pops its member's weight, and only the
+        cumulative weights after it are accumulated again."""
+        pool = list(population)
+        weights = self._weights[:]
+        cum = self._cum[:]
+        random = self._random
+        chosen: List[str] = []
+        for left in range(k - 1, -1, -1):
+            total = cum[-1] + 0.0
+            if not 0.0 < total < math.inf:
+                _refuse(total)
+            index = bisect_right(cum, random() * total, 0, len(cum) - 1)
+            chosen.append(pool.pop(index))
+            if left:
+                del weights[index]
+                if index:
+                    cum[index - 1:] = itertools.accumulate(
+                        weights[index:], initial=cum[index - 1]
+                    )
+                else:
+                    cum[:] = itertools.accumulate(weights)
+        return chosen
+
+
+def _refuse(total: float) -> None:
+    """Raise what ``random.choices`` raises for weights summing to
+    ``total``."""
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    raise ValueError("Total of weights must be finite")
+
+
 #: Mix with only blind writes and reads — safe for the local-gossip
 #: negative control (see repro.protocols.local's workload caveat).
 BLIND_MIX = WorkloadMix(
@@ -117,6 +181,13 @@ def random_workloads(
     Write values are unique across the whole workload (drawn from one
     shared counter), so histories recorded from these programs always
     have derivable reads-from relations.
+
+    Every weighted draw — the program family, and a skewed object
+    pick — goes through one helper that :func:`random_serial_history`
+    shares: it bisects weights accumulated once per call, and equals
+    ``random.choices`` by construction (one ``rng.random()`` per draw,
+    the same arithmetic), so a seed draws the same workload either
+    way.
     """
     if not objects:
         raise WorkloadError("need at least one object")
@@ -125,38 +196,25 @@ def random_workloads(
     mix = mix or WorkloadMix()
     entries = mix.entries()
     names = [name for name, _w in entries]
-    # ``random.choices`` accumulates its weights on every call; passing
-    # them accumulated once gives the same draws.
-    cum_weights = list(itertools.accumulate(w for _name, w in entries))
     rng = random.Random(seed)
+    kinds = _WeightedDraws(rng, (w for _name, w in entries))
     value_counter = itertools.count(1)
     span = max(1, min(span, len(objects)))
     object_list = list(objects)
-    object_weights = [
-        1.0 / (rank + 1) ** zipf_s for rank in range(len(object_list))
-    ]
-    object_cum_weights = list(itertools.accumulate(object_weights))
+    picks = _WeightedDraws(
+        rng, (1.0 / (rank + 1) ** zipf_s for rank in range(len(object_list)))
+    )
 
     def pick_one() -> str:
         if zipf_s == 0:
             return rng.choice(object_list)
-        return rng.choices(object_list, cum_weights=object_cum_weights)[0]
+        return object_list[picks.index()]
 
     def pick_objs(k: int) -> List[str]:
         k = min(k, len(object_list))
         if zipf_s == 0:
             return rng.sample(object_list, k=k)
-        # Weighted sampling without replacement.
-        chosen: List[str] = []
-        pool = list(object_list)
-        pool_weights = list(object_weights)
-        for _ in range(k):
-            index = rng.choices(
-                range(len(pool)), weights=pool_weights
-            )[0]
-            chosen.append(pool.pop(index))
-            pool_weights.pop(index)
-        return chosen
+        return picks.sample(object_list, k)
 
     def make_program(kind: str) -> MProgram:
         if kind == "read":
@@ -198,10 +256,7 @@ def random_workloads(
         raise WorkloadError(f"unknown program kind {kind!r}")
 
     return [
-        [
-            make_program(rng.choices(names, cum_weights=cum_weights)[0])
-            for _ in range(ops_per_process)
-        ]
+        [make_program(names[kinds.index()]) for _ in range(ops_per_process)]
         for _pid in range(n_processes)
     ]
 
@@ -252,8 +307,9 @@ def _object_picker(rng: random.Random, distribution: str):
     The uniform path delegates straight to ``rng.sample`` — the exact
     call the generators made before the knob existed, so uniform
     histories are byte-identical per seed.  Skewed paths do weighted
-    sampling without replacement, mirroring ``random_workloads``.
-    The rank weights of each pool size are computed once per generator.
+    sampling without replacement with the draw helper of
+    ``random_workloads``, its rank weights accumulated once per pool
+    size.
     """
     skew = DISTRIBUTION_SKEW.get(distribution)
     if skew is None:
@@ -264,23 +320,15 @@ def _object_picker(rng: random.Random, distribution: str):
     if skew == 0.0:
         return lambda pool, k: rng.sample(pool, k=k)
 
-    ranked: Dict[int, List[float]] = {}
+    ranked: Dict[int, _WeightedDraws] = {}
 
     def pick(pool: Sequence[str], k: int) -> List[str]:
-        pool = list(pool)
-        if len(pool) not in ranked:
-            ranked[len(pool)] = [
-                1.0 / (rank + 1) ** skew for rank in range(len(pool))
-            ]
-        pool_weights = list(ranked[len(pool)])
-        chosen: List[str] = []
-        for _ in range(k):
-            index = rng.choices(
-                range(len(pool)), weights=pool_weights
-            )[0]
-            chosen.append(pool.pop(index))
-            pool_weights.pop(index)
-        return chosen
+        draws = ranked.get(len(pool))
+        if draws is None:
+            draws = ranked[len(pool)] = _WeightedDraws(
+                rng, (1.0 / (rank + 1) ** skew for rank in range(len(pool)))
+            )
+        return draws.sample(pool, k)
 
     return pick
 

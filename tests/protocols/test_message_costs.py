@@ -201,11 +201,13 @@ def test_the_walk_runs_once_per_broadcast_and_never_for_a_full_reply():
     n = 16
     entries, sent, _reply_calls = walks_by_kind("mlin", n, 32, 50)
     assert sent["abc-req"] and sent["query-resp"]
-    assert entries["abc-req"] == sent["abc-req"]
+    # A query broadcast is walked once; a request states its program's
+    # price, a relay its request's, a full reply its replica image's.
     assert entries["query"] * (n - 1) == sent["query"]
-    assert entries["abc-seq"] == entries["query-resp"] == 0
+    assert entries["abc-req"] == entries["abc-seq"] == 0
+    assert entries["query-resp"] == 0
     # Anything else is the replica images' upkeep, outside any message.
-    assert set(entries) <= {"abc-req", "query", None}
+    assert set(entries) <= {"query", None}
 
 
 def test_replicas_that_never_export_keep_no_image():

@@ -10,6 +10,7 @@ from repro.core.index import HistoryIndex
 from repro.errors import MalformedHistoryError
 from repro.protocols.base import Cluster
 from repro.protocols.recorder import HistoryRecorder
+from repro.sim.network import Network
 from repro.runtime import (
     FaultPolicyError,
     FaultSpec,
@@ -196,9 +197,9 @@ def _live(*kinds) -> int:
 
 def test_a_finished_cluster_is_not_a_reference_cycle():
     """A process that executes many specs (the serve daemon) frees
-    each run's cluster, and its checked history with that history's
-    index, as soon as the artifact is dropped, not at the next full
-    cyclic collection."""
+    each run's cluster, its network and atomic broadcast, and its
+    checked history with that history's index, as soon as the artifact
+    is dropped, not at the next full cyclic collection."""
     objects = tuple(f"x{i}" for i in range(8))
     specs = [
         RunSpec(
@@ -211,12 +212,13 @@ def test_a_finished_cluster_is_not_a_reference_cycle():
         for protocol in ("msc", "mlin")
     ]
     gc.collect()
-    before = _live(Cluster), _live(History, HistoryIndex)
+    kinds = (Cluster,), (History, HistoryIndex), (Network,)
+    before = [_live(*group) for group in kinds]
     gc.disable()
     try:
         for spec in specs:
             assert execute(spec).ok
-        live = _live(Cluster), _live(History, HistoryIndex)
+        live = [_live(*group) for group in kinds]
     finally:
         gc.enable()
     assert live == before

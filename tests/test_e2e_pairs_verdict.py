@@ -1,4 +1,5 @@
-"""The verdict ``tools/e2e_pairs.py`` prints per end-to-end metric."""
+"""What ``tools/e2e_pairs.py`` prints: the verdict per end-to-end metric,
+and the counted per-layer metrics that differ between the two trees."""
 
 import importlib.util
 from pathlib import Path
@@ -35,3 +36,32 @@ PARENT = [10.0, 11.0, 10.5, 10.2, 10.8, 10.1, 10.9, 10.4, 10.6, 10.3]
 )
 def test_verdict_follows_the_pairs_rule(spec, change, expected):
     assert e2e_pairs.verdict(spec, PARENT, change) == expected
+
+
+def test_moved_counts_names_every_counted_metric_that_differs():
+    benchmark = {
+        "per_layer": [
+            {"name": "sim.kernel.events", "unit": "count"},
+            {"name": "msgs_per_mop", "unit": "msgs"},
+            {"name": "sim_update_rt_p50_t", "unit": "vt"},
+            {"name": "sim.run_s", "unit": "s"},
+        ]
+    }
+
+    def run(**values):
+        return {
+            "metrics": {name: {"value": v} for name, v in values.items()}
+        }
+
+    parent = run(**{
+        "sim.kernel.events": 10, "msgs_per_mop": 4.5,
+        "sim_update_rt_p50_t": 2.0, "sim.run_s": 0.3,
+    })
+    change = run(**{
+        "sim.kernel.events": 10, "msgs_per_mop": 4.5,
+        "sim_update_rt_p50_t": 2.5, "sim.run_s": 0.2,
+    })
+    assert e2e_pairs.moved_counts(benchmark, parent, parent) == {}
+    assert e2e_pairs.moved_counts(benchmark, parent, change) == {
+        "sim_update_rt_p50_t": (2.0, 2.5)
+    }

@@ -269,6 +269,31 @@ def test_clean_msc_run_allocates_no_view_per_replica_per_update(
     assert len(made) <= mops + n
 
 
+def test_clean_msc_run_never_walks_a_program(monkeypatch):
+    # Structural, no wall clock: a program states its price when it is
+    # built and an abc-req states its program's, so the size walk never
+    # visits a program (it visited each one once per update before).
+    from repro.protocols.store import MProgram
+    from repro.sim import network
+
+    visits = []
+    walk = network._estimate_size
+
+    def counting_walk(value, depth, seen):
+        if type(value) is MProgram:
+            visits.append(value)
+        return walk(value, depth, seen)
+
+    monkeypatch.setattr(network, "_estimate_size", counting_walk)
+    n = 8
+    objects = [f"x{i}" for i in range(8)]
+    workloads = random_workloads(n, objects, 10, seed=4)
+    result = msc_cluster(n, objects, seed=3).run(workloads)
+    updates = sum(p.may_write for programs in workloads for p in programs)
+    assert updates and result.net_stats.by_kind["abc-req"] == updates
+    assert visits == []
+
+
 def test_clean_mlin_gather_fires_one_reply_event(monkeypatch):
     # Structural, no wall clock: a clean run holds a Fig-6 gather's
     # replies and queues only the one that arrives last, so a query

@@ -17,6 +17,11 @@ parent's inter-quartile range, ``worse`` when its median is worse than
 the parent's by more than the metric's ``bound`` in ``BENCHMARK.json``
 (a fraction of the parent's median), else ``unresolved``.
 
+It ends with one ``--trace 1`` run per side and prints every
+``per_layer`` metric counted in ``count``, ``msgs`` or ``vt`` units
+whose value differs between the two — or ``all equal``: the check that
+a change which claims not to move the simulated system did not.
+
     make e2e-pairs PARENT=a94fd46 WORKLOAD=fanout-msc SEED=1 PAIRS=10
 
 The parent tree is a ``git archive`` export under ``$TMPDIR`` (removed
@@ -47,7 +52,13 @@ def export_parent(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def run_once(tree: Path, args: argparse.Namespace) -> Dict[str, object]:
+#: ``per_layer`` units that count what the simulated system did.
+COUNTED_UNITS = ("count", "msgs", "vt")
+
+
+def run_once(
+    tree: Path, args: argparse.Namespace, trace: int = 0
+) -> Dict[str, object]:
     """One ``run.py`` invocation in ``tree``; its closing JSON line."""
     out = subprocess.run(
         [
@@ -56,7 +67,7 @@ def run_once(tree: Path, args: argparse.Namespace) -> Dict[str, object]:
             "--workload", args.workload,
             "--seed", str(args.seed),
             "--seconds", str(args.seconds),
-            "--trace", "0",
+            "--trace", str(trace),
         ],
         cwd=tree,
         stdout=subprocess.PIPE,
@@ -86,6 +97,26 @@ def verdict(
     if -moved > spec["bound"] * abs(parent_median):
         return "worse"
     return "unresolved"
+
+
+def moved_counts(
+    benchmark: Dict[str, object],
+    parent: Dict[str, object],
+    change: Dict[str, object],
+) -> Dict[str, tuple]:
+    """Every ``per_layer`` metric in :data:`COUNTED_UNITS` whose value
+    differs between two runs: name -> (parent value, change value)."""
+    moved = {}
+    for spec in benchmark["per_layer"]:
+        if spec["unit"] in COUNTED_UNITS:
+            name = spec["name"]
+            values = tuple(
+                run["metrics"].get(name, {}).get("value")
+                for run in (parent, change)
+            )
+            if values[0] != values[1]:
+                moved[name] = values
+    return moved
 
 
 def main() -> int:
@@ -125,6 +156,7 @@ def main() -> int:
                     f"failed={result['failed']}/{result['attempted']} {values}",
                     flush=True,
                 )
+        traced = {side: run_once(tree, args, trace=1) for side, tree in trees.items()}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -146,9 +178,17 @@ def main() -> int:
             f"({spec['better']} is better, {spec['unit']}) "
             f"{verdict(spec, parent, change)}"
         )
+    moved = moved_counts(benchmark, traced["parent"], traced["change"])
+    print(
+        "\none --trace 1 run per side, per-layer metrics in "
+        f"{'/'.join(COUNTED_UNITS)} units:"
+    )
+    for name, (parent, change) in moved.items():
+        print(f"  {name:40s} parent {parent} change {change}")
+    print(f"  {len(moved)} differ" if moved else "  all equal")
     ok = all(
         run["correct"] and not run["failed"]
-        for side in runs.values()
+        for side in [*runs.values(), list(traced.values())]
         for run in side
     )
     print("all runs correct, none failed" if ok else "SOME RUNS INCORRECT OR FAILED")
