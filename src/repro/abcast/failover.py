@@ -350,7 +350,7 @@ class FailoverSequencer(SequencerAbcast):
         # from a stale pre-crash frame still floating in the network.
         self._suspended.add(pid)
         self._expected[pid] = cursor
-        self.delivery_offset[pid] = cursor
+        self._restart_log(pid, cursor)
         self._buffer[pid] = {
             seq: entry
             for seq, entry in self._buffer[pid].items()

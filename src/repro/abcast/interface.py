@@ -58,13 +58,17 @@ class AtomicBroadcast:
         for kind in self.KINDS:
             network.bind(kind, self.handle)
         self._deliver: Dict[int, DeliverRunFn] = {}
-        #: per-pid delivery logs (sender, msg id), kept for property
-        #: checking in tests; cheap relative to simulation cost.
-        self.delivery_log: Dict[int, List[Tuple[int, Any]]] = {}
-        #: global position of each pid's log[0] — 0 normally, the
-        #: snapshot cursor after a peer-snapshot recovery (the prefix
-        #: below it was adopted as state, never re-delivered).
+        # One delivery log for every participant: the first entry
+        # landed at each global position, as ``(sender, id)``, and per
+        # participant the entries that differ from it, by position.
+        self._order: List[Optional[Tuple[int, Any]]] = []
+        self._odd: Dict[int, Dict[int, Tuple[int, Any]]] = {}
+        #: global position of each pid's first delivery — 0 normally,
+        #: the snapshot cursor after a peer-snapshot recovery (the
+        #: prefix below it was adopted as state, never re-delivered).
         self.delivery_offset: Dict[int, int] = {}
+        #: global position of each pid's next delivery.
+        self._position: Dict[int, int] = {}
 
     @property
     def n(self) -> int:
@@ -86,8 +90,7 @@ class AtomicBroadcast:
         if pid in self._deliver:
             raise ProtocolError(f"participant {pid} already attached")
         self._deliver[pid] = deliver_run
-        self.delivery_log[pid] = []
-        self.delivery_offset[pid] = 0
+        self._restart_log(pid, 0)
 
     @staticmethod
     def request(kind: str, body: Dict[str, Any], price: Optional[int]) -> Message:
@@ -137,8 +140,12 @@ class AtomicBroadcast:
         cursor), so the rebuilt log stays prefix-consistent with the
         other participants' logs.
         """
-        self.delivery_log[pid] = []
-        self.delivery_offset[pid] = 0
+        self._restart_log(pid, 0)
+
+    def _restart_log(self, pid: int, position: int) -> None:
+        """``pid``'s delivery log restarts empty at global ``position``."""
+        self.delivery_offset[pid] = self._position[pid] = position
+        self._odd.pop(pid, None)
 
     def recover(self, pid: int) -> None:
         """Participant ``pid`` restarted and wants to catch up."""
@@ -161,7 +168,21 @@ class AtomicBroadcast:
         deliver = self._deliver.get(pid)
         if deliver is None:
             raise ProtocolError(f"delivery at unattached participant {pid}")
-        self.delivery_log[pid] += map(_SENDER_ID, run)
+        order = self._order
+        position = self._position[pid]
+        records = list(map(_SENDER_ID, run))
+        end = self._position[pid] = position + len(records)
+        if order[position:end] == records:
+            return deliver  # what earlier landings delivered there
+        order += [None] * (position - len(order))
+        for record in records:
+            if position == len(order):
+                order.append(record)
+            elif order[position] is None:
+                order[position] = record
+            elif order[position] != record:
+                self._odd.setdefault(pid, {})[position] = record
+            position += 1
         return deliver
 
     # ------------------------------------------------------------------
@@ -169,7 +190,7 @@ class AtomicBroadcast:
     # ------------------------------------------------------------------
 
     def check_total_order(self) -> Optional[str]:
-        """Verify the delivery logs satisfy total order + integrity.
+        """Verify the deliveries satisfy total order + integrity.
 
         Returns None when the properties hold, else a human-readable
         description of the first violation.  A run may end mid-flight,
@@ -177,14 +198,25 @@ class AtomicBroadcast:
         total order the logs must agree element-wise wherever they
         overlap (each log ``i``-th entry sits at global position
         ``delivery_offset + i``), and integrity forbids duplicate
-        message ids within one log.
+        message ids within one log.  Participants are checked in pid
+        order, each against the earlier ones.
+
+        Each entry was compared with the one log as it landed; the
+        logs are rebuilt and walked only if one differed from it or an
+        id repeats in it.
         """
+        ids = [record[1] for record in self._order if record is not None]
+        if not self._odd and len(set(ids)) == len(ids):
+            return None
         # reference[p]: the entry delivered at position p; None while
         # only logs starting past p (snapshot-recovered ones) were seen.
         reference: List[Any] = []
-        for pid in range(self.n):
-            log = self.delivery_log.get(pid, [])
-            base = self.delivery_offset.get(pid, 0)
+        for pid in sorted(self._position):
+            base, odd = self.delivery_offset[pid], self._odd.get(pid, {})
+            log = [  # rebuilt from the one log
+                odd.get(p) or self._order[p]
+                for p in range(base, self._position[pid])
+            ]
             if len({msg_id for _sender, msg_id in log}) != len(log):
                 return f"participant {pid} delivered a message twice"
             reference += [None] * (base - len(reference))

@@ -15,23 +15,12 @@ Message cost per broadcast: ``1 + n`` point-to-point messages and two
 message delays on the critical path (request to sequencer + relay),
 or one delay when the sender *is* the sequencer.
 
-**Lazy landing.**  A replica's copy is read only when the replica
-acts, so on a clean run (:meth:`SequencerAbcast.land_lazily`, which
-the cluster calls) a relay need not be an event per participant.  The
-network fans it out unqueued (:meth:`~repro.sim.network.Network.
-fan_out`): the latencies are sampled and the kernel seqs reserved as
-for queued frames, and the relay is *held* with its arrival key
-``(time, seq)`` at each participant.  A participant *lands*, in one
-delivery call, every held relay whose key is at or below the current
-event's, in sequence order — the gap-free run its buffer would have
-delivered by then — at each landing point: whenever it acts, when a
-frame reaches it, and at the end of the run (:meth:`SequencerAbcast.
-land_all`).  One frame per relay stays queued: the arrival that
-completes its sender's prefix, where the sender delivers it and
-answers its client.  When the network
-can no longer fan out unqueued (a tracer, an impaired wire, a crash),
-every held arrival is queued at its reserved key, so both paths give
-the same run.
+**Lazy landing.**  On a clean run (:meth:`SequencerAbcast.land_lazily`,
+which the cluster calls) relays are *held* in the network
+(:class:`~repro.sim.network.Holder`): a participant lands the gap-free
+run that has reached it whenever it acts, and one frame per relay is
+queued, the arrival that completes its sender's prefix.  See "The
+delivery path" in ``docs/architecture.md``.
 
 Its invariant: **every participant's delivery log is a gap-free prefix
 ``0..k`` of the one sequence the sequencer stamped**.  Duplicated
@@ -51,35 +40,16 @@ it queues every frame.
 from __future__ import annotations
 
 import itertools
-import math
-from array import array
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.abcast.interface import AtomicBroadcast
 from repro.errors import ProtocolError, SequencerUnavailable
 from repro.obs import get_tracer
-from repro.sim.network import Message, Network
+from repro.sim.network import Holder, Message, Network
 
 #: Message kinds used on the wire.
 REQ = "abc-req"
 SEQ = "abc-seq"
-
-
-class _Held:
-    """A relay fanned out unqueued: when it reaches each participant
-    (``times[pid]``, kernel seq ``first + pid``), how many have yet to
-    land it, and the participants whose frame of it is queued."""
-
-    __slots__ = ("message", "times", "first", "left", "queued")
-
-    def __init__(
-        self, message: Message, times: array, first: int, left: int
-    ) -> None:
-        self.message = message
-        self.times = times
-        self.first = first
-        self.left = left
-        self.queued: Tuple[int, ...] = ()
 
 
 class SequencerAbcast(AtomicBroadcast):
@@ -115,13 +85,9 @@ class SequencerAbcast(AtomicBroadcast):
         self._buffer: Dict[int, Dict[int, Dict[str, Any]]] = {
             pid: {} for pid in range(network.n)
         }
-        # --- relays fanned out unqueued (see the module notes) ---
-        self._lazy = False
-        #: Held relays by sequence number, until every participant
-        #: landed them.
-        self._relays: Dict[int, _Held] = {}
-        #: Latest arrival time of any held relay.
-        self._last_arrival = 0.0
+        #: Relays held in the network by sequence number, until every
+        #: participant landed them; None while relays are queued.
+        self._relays: Optional[Holder] = None
 
     # ------------------------------------------------------------------
     # AtomicBroadcast API
@@ -149,24 +115,7 @@ class SequencerAbcast(AtomicBroadcast):
         """Process an ``abc-*`` message arriving at endpoint ``pid``."""
         entry = message.payload
         if message.kind == SEQ:
-            if self._relays:
-                # Held relays that reached ``pid`` by now land first —
-                # this one too, if it is a held relay's queued arrival.
-                self.land(pid)
-            seq = entry["seq"]
-            expected = self._expected[pid]
-            if seq > expected:
-                # Early; a duplicated early frame keeps the first copy.
-                self._buffer[pid].setdefault(seq, entry)
-                held = self._relays.get(seq)
-                if held is not None:  # a held relay's queued arrival
-                    held.left -= 1
-                    if not held.left:
-                        del self._relays[seq]
-                return
-            if seq < expected:
-                return  # duplicate of an already-delivered relay
-            self._land_from(pid, entry, self.network.sim.key)
+            self._arrived(pid, message, self.network.sim.key)
         elif message.kind == REQ:
             if pid != self.sequencer:
                 raise ProtocolError(
@@ -175,15 +124,18 @@ class SequencerAbcast(AtomicBroadcast):
             if entry["id"] in self._ids:
                 return  # duplicated request frame: already ordered
             self._ids.add(entry["id"])
-            stamped = self._stamp(self._next_seq, self.epoch, entry)
+            seq = self._next_seq
             self._next_seq += 1
-            relay = message.relay(SEQ, stamped)
-            if self._lazy:
-                fanned = self.network.fan_out(pid, relay, self._queue_held)
-                if fanned is not None:
-                    self._hold(relay, *fanned)
-                    return
-            self.network.send_to_all(pid, relay)
+            relay = message.relay(SEQ, self._stamp(seq, self.epoch, entry))
+            relays = self._relays
+            if relays is None:
+                self.network.send_to_all(pid, relay)
+            elif relays.hold(pid, range(self.n), relay, seq) is not None:
+                # The one frame a held relay needs queued: the arrival
+                # that completes its sender's prefix, where the sender
+                # delivers it and answers its client.
+                sender = entry["sender"]
+                relays.queue_last(sender, range(self._expected[sender], seq + 1))
         else:  # pragma: no cover - defensive
             raise ProtocolError(f"unexpected message kind {message.kind!r}")
 
@@ -192,107 +144,68 @@ class SequencerAbcast(AtomicBroadcast):
     # ------------------------------------------------------------------
 
     def land_lazily(self) -> Callable[[int], None]:
-        """Fan relays out unqueued from now on (see the module notes);
-        returns :meth:`land`, which the caller runs at every landing
-        point of a participant."""
-        self._lazy = True
+        """Hold relays in the network from now on (see the module
+        notes); returns :meth:`land`, which the caller runs at every
+        landing point of a participant."""
+        self._relays = self.network.holder(self._arrived)
         return self.land
 
-    def land(self, pid: int) -> None:
-        """Deliver at ``pid`` every relay that has reached it by now."""
-        if self._expected[pid] in self._relays:
-            self._land_from(pid, None, self.network.sim.key)
+    def land(self, pid: int, key: Optional[Tuple[float, int]] = None) -> None:
+        """Deliver at ``pid`` every relay that has reached it by ``key``
+        (by now)."""
+        expected = self._expected[pid]
+        if expected in self._relays:
+            key = key or self.network.sim.key
+            held = self._relays.land_from(pid, expected, key)
+            if held:
+                run = [frame.message.payload for frame in held]
+                self._land_from(pid, run, key, held=True)
 
-    def land_all(self) -> None:
-        """End of a drained run: land every held relay and move the
-        clock on to the last arrival, as a queued run would have.  (A
-        run stopped with events queued switches to the queued path
-        instead: :meth:`~repro.sim.network.Network.queue_held`.)"""
-        sim = self.network.sim
-        for pid in range(self.n):
-            self._land_from(pid, None, (math.inf, 0))
-        if self._last_arrival > sim.now:
-            sim.run(until=self._last_arrival)
+    def _arrived(
+        self, pid: int, message: Message, key: Tuple[float, int]
+    ) -> None:
+        """What a relay does where it lands: delivered with the run
+        behind it when it is next; buffered when early (a duplicated
+        early frame keeps the first copy), after which ``pid`` lands
+        what has reached it by ``key``; dropped when delivered
+        already."""
+        entry = message.payload
+        seq, expected = entry["seq"], self._expected[pid]
+        if seq == expected:
+            self._land_from(pid, [entry], key)
+        elif seq > expected:
+            self._buffer[pid].setdefault(seq, entry)
+            if self._relays:
+                self.land(pid, key)
 
     def _land_from(
-        self, pid: int, entry: Optional[Dict[str, Any]], key: Tuple[float, int]
+        self,
+        pid: int,
+        run: List[Dict[str, Any]],
+        key: Tuple[float, int],
+        held: bool = False,
     ) -> None:
-        """The one landing step.  Collect ``entry``, the relay at
-        ``pid``'s cursor (None: start with the held relay there, if it
-        has arrived), then every relay behind it that reached ``pid``
-        by ``key`` — buffered frames and held relays alike — and
-        deliver that run in one call."""
-        now, current = key
+        """The one landing step.  Deliver at ``pid`` the relays ``run``,
+        which start at its cursor, and every relay behind them that
+        reached it by ``key`` — buffered frames and held relays alike —
+        in one call.  ``held``: ``run`` ends with every held relay that
+        could land there."""
         relays = self._relays
         buffer = self._buffer[pid]
-        expected = self._expected[pid]
-        run = []
-        landed = 0
+        expected = self._expected[pid] + len(run)
         while True:
+            if relays and not held:
+                landed = relays.land_from(pid, expected, key)
+                run += [frame.message.payload for frame in landed]
+                expected += len(landed)
+            entry = buffer.pop(expected, None)
             if entry is None:
-                held = relays.get(expected)
-                if held is None:
-                    break
-                time, seq = held.times[pid], held.first + pid
-                if time > now or (time == now and seq > current):
-                    break
-                if time != now or seq != current:
-                    # (the frame arriving now was counted on arrival)
-                    landed += 1
-                held.left -= 1
-                if not held.left:
-                    del relays[expected]
-                entry = held.message.payload
+                break
             run.append(entry)
             expected += 1
-            entry = buffer.pop(expected, None)
-        if run:
-            self._expected[pid] = expected
-            self.network.stats.delivered += landed
-            self._log_run(pid, run)(run)
-
-    def _hold(self, relay: Message, times: array, first: int) -> None:
-        """Keep a relay fanned out unqueued until every participant
-        landed it, and queue the one frame it needs: the arrival that
-        completes its sender's prefix, where the sender delivers it
-        and answers its client."""
-        entry = relay.payload
-        seq, sender = entry["seq"], entry["sender"]
-        last = self._relays[seq] = _Held(relay, times, first, self.n)
-        self._last_arrival = max(self._last_arrival, max(times))
-        key = (times[sender], first + sender)
-        for earlier in range(self._expected[sender], seq):
-            held = self._relays.get(earlier)
-            if held is not None:
-                arrival = (held.times[sender], held.first + sender)
-                if arrival > key:
-                    key, last = arrival, held
-        if sender not in last.queued:
-            last.queued += (sender,)
-            self.network.arrive_at(
-                *key, self.sequencer, sender, last.message
-            )
-
-    def _queue_held(self) -> None:
-        """The network stopped fanning out unqueued: land what has
-        arrived, buffer what arrived behind a gap, and queue every
-        other held arrival at its reserved key."""
-        for pid in range(self.n):
-            self.land(pid)
-        key = self.network.sim.key
-        for seq, held in sorted(self._relays.items()):
-            for pid in range(self.n):
-                if self._expected[pid] > seq or pid in held.queued:
-                    continue  # landed, or its frame is queued already
-                arrival = (held.times[pid], held.first + pid)
-                if arrival <= key:
-                    self.network.stats.delivered += 1
-                    self._buffer[pid].setdefault(seq, held.message.payload)
-                else:
-                    self.network.arrive_at(
-                        *arrival, self.sequencer, pid, held.message
-                    )
-        self._relays.clear()
+            held = False
+        self._expected[pid] = expected
+        self._log_run(pid, run)(run)
 
     @staticmethod
     def _stamp(seq: int, epoch: int, request: Dict[str, Any]) -> Dict[str, Any]:

@@ -87,6 +87,7 @@ class AWProcess(BaseProcess):
             Message(
                 UPDATE,
                 {"stamp": stamp, "program": pending.program},
+                {"program": pending.program.price},
             ),
             include_self=False,
         )

@@ -729,8 +729,7 @@ class Cluster:
         """
         self.prepare(workloads)
         self.sim.run(max_events=max_events)
-        if self.land is not None:
-            self.land_all()
+        self.network.land_held()
         if settle > 0:
             self.sim.run(until=self.sim.now + settle, max_events=max_events)
         return self.finalize(max_events=max_events)
@@ -749,14 +748,6 @@ class Cluster:
         self.network.close()
         if self.abcast is not None:
             self.abcast.close()
-
-    def land_all(self) -> None:
-        """End of a run whose deliveries land lazily: hand every process
-        what a queued run would have delivered to it by now."""
-        if self.sim.pending:  # stopped early: the queued path from here
-            self.network.queue_held()
-        else:
-            self.abcast.land_all()
 
     def prepare(self, workloads: Workloads) -> None:
         """Load workloads and schedule the first invocations.
@@ -785,8 +776,7 @@ class Cluster:
                 f"run ended with unfinished processes {stuck} "
                 f"(event budget {max_events} exhausted?)"
             )
-        if self.land is not None:
-            self.land_all()
+        self.network.land_held()
         violation = (
             self.abcast.check_total_order() if self.abcast is not None else None
         )

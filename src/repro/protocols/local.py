@@ -54,6 +54,7 @@ class LocalProcess(BaseProcess):
                 Message(
                     GOSSIP,
                     {"uid": pending.uid, "program": pending.program},
+                    {"program": pending.program.price},
                 ),
                 include_self=False,
             )

@@ -34,31 +34,23 @@ a network "query"; this is the same event (``query(i, a)`` occurs
 between ``inv(a)`` and ``resp(a)``, P 5.20) without a self-addressed
 message in flight.
 
-**Held replies.**  Between A3 and A6 the issuer does nothing but
-count replies, so on a clean run (where relays land lazily, see
-:mod:`repro.abcast.sequencer`) a reply need not be an event.  Each
-A4 reply is sampled, counted and seq-reserved at send exactly as a
-queued frame would be (:meth:`~repro.sim.network.Network.hold`) and
-held by the issuer's gather with its arrival key ``(time, seq)``.
-Once all ``n - 1`` are sent, the one that arrives last is queued;
-when it fires, the issuer lands its relays, runs A5 over the held
-replies in arrival-key order, then over it, then runs A6.  Whenever
-the network stops holding (a tracer, a crash, an impairment) the
-replies that have arrived by then go through A5 and the rest are
-queued at their reserved keys, so both paths give the same run.
+**Held replies.**  On a clean run (where relays land lazily) the issuer
+*holds* its gather's A4 replies in the network
+(:class:`~repro.sim.network.Holder`) and queues only the one that
+arrives last; when it fires, A5 runs over every reply.  See "The
+delivery path" in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, FrozenSet, Optional
 
 from repro.errors import ProtocolError
 from repro.obs import get_tracer
 from repro.protocols.base import BaseProcess, Cluster, PendingOp, make_cluster
 from repro.protocols.store import MProgram, VersionedStore
 from repro.runtime.registry import Capabilities, ProtocolSpec, register_protocol
-from repro.sim.network import EMPTY_SIZE, Message
+from repro.sim.network import EMPTY_SIZE, Holder, Message
 
 QUERY = "query"
 QUERY_RESP = "query-resp"
@@ -70,23 +62,14 @@ _REPLY_PRICE = EMPTY_SIZE + 8 + 8 + sum(
 )
 
 
-class _Gather:
-    """One query round's replies left unqueued (see the module notes):
-    ``(time, seq, src, message)`` each, and how many were sent."""
-
-    __slots__ = ("held", "sent")
-
-    def __init__(self) -> None:
-        self.held: List[Tuple[float, int, int, Message]] = []
-        self.sent = 0
-
-
 class MLinProcess(BaseProcess):
     """One participant in the Figure-6 protocol."""
 
-    #: The open query round whose replies may be held; None when
-    #: replies are queued (see the module notes).
-    _gather: Optional[_Gather] = None
+    #: The replies held for this process's gathers (see the module
+    #: notes), and how many replicas answered the open one; None
+    #: while replies are queued.
+    _replies: Optional[Holder] = None
+    _sent: Optional[int] = None
 
     def on_invoke(self, pending: PendingOp) -> None:
         if pending.program.may_write:
@@ -139,12 +122,12 @@ class MLinProcess(BaseProcess):
             reply["ts"] = ts
             response = Message(QUERY_RESP, reply, price)
             issuer = self.cluster.processes[src]
-            if issuer._gather is not None:
+            if issuer._sent is not None:
                 issuer._hold_reply(self.pid, response)
             else:
                 self.cluster.network.send(self.pid, src, response)
         elif message.kind == QUERY_RESP:
-            self._on_query_response(message.payload)
+            self._on_query_response(message)
         else:
             super().handle_message(src, message)
 
@@ -198,7 +181,9 @@ class MLinProcess(BaseProcess):
             self._finish_query(pending)
             return
         if self.cluster.land is not None:  # a clean run: hold replies
-            self._gather = _Gather()
+            if self._replies is None:
+                self._replies = self.cluster.network.holder(self._a5)
+            self._sent = 0
         query_body = {
             "uid": pending.uid,
             "attempt": attempt,
@@ -226,7 +211,8 @@ class MLinProcess(BaseProcess):
             return
         self._start_gather(pending, attempt + 1)
 
-    def _on_query_response(self, payload: Dict[str, Any]) -> None:
+    def _on_query_response(self, message: Message) -> None:
+        payload = message.payload
         pending = self._pending
         stale = (
             pending is None
@@ -245,65 +231,34 @@ class MLinProcess(BaseProcess):
                 f"P{self.pid}: stray query response for uid "
                 f"{payload['uid']}"
             )
-        self._land_replies(self.cluster.sim.key)
-        self._a5(pending, payload)
+        if self._replies:
+            self._replies.land_arrived(self.cluster.sim.key)
+        self._a5(self.pid, message)
         if pending.extra["awaiting"] == 0:
             self._finish_query(pending)
 
-    @staticmethod
-    def _a5(pending: PendingOp, payload: Dict[str, Any]) -> None:
-        """(A5): keep the lexicographically freshest snapshot, wholesale."""
+    def _a5(self, _pid: int, message: Message, _key: Any = None) -> None:
+        """(A5), also what a held reply does where it lands: keep the
+        lexicographically freshest snapshot, wholesale."""
+        payload, extra = message.payload, self._pending.extra
         ts = payload["ts"]
-        if pending.extra["best_ts"] < ts:
-            pending.extra["best"] = payload["snapshot"]
-            pending.extra["best_ts"] = ts
-        pending.extra["awaiting"] -= 1
+        if extra["best_ts"] < ts:
+            extra["best"] = payload["snapshot"]
+            extra["best_ts"] = ts
+        extra["awaiting"] -= 1
 
     def _hold_reply(self, src: int, message: Message) -> None:
         """Replica ``src`` answers this process's open gather: hold the
         reply, and once all are sent queue the one arriving last."""
-        gather = self._gather
-        network = self.cluster.network
-        key = network.hold(src, self.pid, message, self._queue_replies)
-        if key is not None:
-            gather.held.append((*key, src, message))
-        gather.sent += 1
-        if gather.sent == self.cluster.n - 1 and gather.held:
-            gather.held.sort()
-            time, seq, last, message = gather.held.pop()
-            network.arrive_at(time, seq, last, self.pid, message)
-
-    def _land_replies(self, key: Tuple[float, int]) -> None:
-        """A5 over the held replies that reached this process by
-        ``key``, in arrival order, each counted as delivered."""
-        gather = self._gather
-        if gather is None or not gather.held:
-            return
-        held = gather.held
-        held.sort()
-        # (a reply's key is never the key given: that one is queued)
-        arrived = bisect_right(held, key)
-        if arrived:
-            self.cluster.network.stats.delivered += arrived
-            pending = self._pending
-            for _time, _seq, _src, message in held[:arrived]:
-                self._a5(pending, message.payload)
-            del held[:arrived]
-
-    def _queue_replies(self) -> None:
-        """The network stopped holding: land the replies that arrived
-        by now, queue the others at their reserved keys."""
-        gather = self._gather
-        if gather is None:
-            return
-        self._land_replies(self.cluster.sim.key)
-        for time, seq, src, message in gather.held:
-            self.cluster.network.arrive_at(time, seq, src, self.pid, message)
-        gather.held = []
+        replies = self._replies
+        replies.hold(src, (self.pid,), message, src)
+        self._sent += 1
+        if self._sent == self.cluster.n - 1:
+            replies.queue_last(self.pid, replies)
 
     def _finish_query(self, pending: PendingOp) -> None:
         # (A6): run the query against the constructed copy othX.
-        self._gather = None
+        self._sent = None
         gather_span = pending.extra.pop("gather_span", None)
         if gather_span is not None:
             gather_span.end()

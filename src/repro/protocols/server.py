@@ -84,7 +84,9 @@ class ServerProcess(BaseProcess):
             self.pid,
             SERVER_PID,
             Message(
-                EXEC_REQ, {"uid": pending.uid, "program": pending.program}
+                EXEC_REQ,
+                {"uid": pending.uid, "program": pending.program},
+                {"program": pending.program.price},
             ),
         )
         if self.cluster.fault_tolerant:

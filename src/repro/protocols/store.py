@@ -295,7 +295,8 @@ class _ReplicaImage:
     """A store's full export, kept between exports (see ``export``).
 
     Attributes:
-        cells: obj -> cell as of the last export, canonical order.
+        cells: obj -> cell as of the last export, canonical order;
+            replaced, never changed, once exported.
         sizes: obj -> :func:`~repro.sim.network.entry_size` of its cell.
         size: what the network charges for ``cells`` as a member of
             a message payload.
@@ -549,10 +550,12 @@ class VersionedStore:
         The full :meth:`export` and :meth:`ts_vector`, each with what
         the network charges for it as a member of a message payload,
         read off the replica image: the message that carries them
-        states both prices instead of walking them.
+        states both prices instead of walking them.  The snapshot is
+        the image's own cell dict, shared and read-only: a write
+        after it makes the next export build a new one.
         """
         image = self._refreshed_image()
-        return dict(image.cells), image.size, image.ts, image.ts_size
+        return image.cells, image.size, image.ts, image.ts_size
 
     def _refreshed_image(self) -> _ReplicaImage:
         """The replica image, its stale cells rebuilt and re-priced."""
@@ -563,7 +566,8 @@ class VersionedStore:
             values = self._values
             versions = self._versions
             writers = self._writers
-            cells = image.cells
+            # A new dict: earlier exports share the old one.
+            cells = image.cells = dict(image.cells)
             sizes = image.sizes
             size = image.size
             ts_size = image.ts_size

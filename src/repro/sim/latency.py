@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 from repro.errors import SimulationError
 
@@ -27,10 +27,12 @@ class LatencyModel:
         """Return the delay for one message from ``src`` to ``dst``."""
         raise NotImplementedError
 
-    def arrivals(self, rng: random.Random, src: int, n: int, now: float) -> List[float]:
-        """When a frame sent from ``src`` at ``now`` reaches each pid
-        ``0..n-1``: one :meth:`sample` per destination, in pid order."""
-        delays = [self.sample(rng, src, dst) for dst in range(n)]
+    def arrivals(
+        self, rng: random.Random, src: int, dsts: Sequence[int], now: float
+    ) -> List[float]:
+        """When a frame sent from ``src`` at ``now`` reaches each pid of
+        ``dsts``: one :meth:`sample` per destination, in pid order."""
+        delays = [self.sample(rng, src, dst) for dst in dsts]
         if min(delays) < 0:
             raise SimulationError("latency model produced negative delay")
         return [now + delay for delay in delays]
@@ -69,11 +71,13 @@ class UniformLatency(LatencyModel):
         # Python-level call: one sample is drawn per delivered frame.
         return self.low + (self.high - self.low) * rng.random()
 
-    def arrivals(self, rng: random.Random, src: int, n: int, now: float) -> List[float]:
+    def arrivals(
+        self, rng: random.Random, src: int, dsts: Sequence[int], now: float
+    ) -> List[float]:
         low, span, draw = self.low, self.high - self.low, rng.random
         if low < 0 or self.high < 0:  # (else no delay is negative)
-            return super().arrivals(rng, src, n, now)
-        return [now + (low + span * draw()) for _ in range(n)]
+            return super().arrivals(rng, src, dsts, now)
+        return [now + (low + span * draw()) for _ in dsts]
 
     def mean(self) -> float:
         return (self.low + self.high) / 2.0

@@ -38,6 +38,7 @@ separately (``retransmitted``, ``acked``, ``deduped``).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from array import array
 from types import FunctionType
@@ -46,6 +47,7 @@ from typing import (
     Callable,
     Container,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -513,10 +515,9 @@ class Network:
     bookkeeping when neither the shim nor a tracer wants any.  A
     network that chooses deliveries itself (the exploring
     :class:`~repro.sim.explore.ControlledNetwork`) overrides
-    :meth:`_transmit` alone.  The exceptions are :meth:`fan_out` and
-    :meth:`hold`: on a clean wire a relay to all endpoints, or a Fig-6
-    gather's reply, is sampled and accounted like :meth:`send_to_all`
-    or :meth:`send` but left unqueued, for its holder to land lazily.
+    :meth:`_transmit` alone.  The exception is a *held* frame
+    (:class:`Holder`): on a clean wire it is sampled and accounted
+    like a queued one but left unqueued, for its holder to land.
 
     Args:
         sim: the driving simulator.
@@ -623,12 +624,14 @@ class Network:
         self._seen: Dict[int, Set[int]] = {pid: set() for pid in range(n)}
         #: Retired transfer objects awaiting reuse (see ``_Transfer``).
         self._transfer_pool: List[_Transfer] = []
-        #: A network that picks its own deliveries never fans out
-        #: unqueued (see :meth:`fan_out`).
+        #: A network that picks its own deliveries holds nothing (see
+        #: :meth:`Holder.hold`).
         self._queues_only = type(self)._transmit is not Network._transmit
-        #: Hooks queueing what :meth:`fan_out` and :meth:`hold` left
-        #: unqueued (see :meth:`_unqueued`).
-        self._on_queue: Dict[Callable[[], None], None] = {}
+        #: The held-frame store: its holders, whether any frame was
+        #: held since the last switch, and the latest arrival of one.
+        self._holders: List[Holder] = []
+        self._holding = False
+        self._latest = 0.0
 
     def _refresh_impaired(self) -> None:
         """Re-evaluate whether the fault stage of :meth:`_transmit` can
@@ -666,12 +669,14 @@ class Network:
         self._bound[kind] = handler
 
     def close(self) -> None:
-        """Drop every handler, bound kind and queueing hook: the
-        layers above hold this network, so these are cycles through a
-        finished run.  The network delivers nothing afterwards."""
+        """Drop every handler, bound kind and holder: the layers above
+        hold this network, so these are cycles through a finished run.
+        The network delivers nothing afterwards."""
         self._handlers = [None] * self.n
         self._bound = {}
-        self._on_queue = {}
+        for holder in self._holders:
+            holder.arrive = None
+        self._holders = []
 
     # ------------------------------------------------------------------
     # Crash / restore
@@ -687,7 +692,7 @@ class Network:
         if pid in self._down:
             raise ProcessCrashed(f"endpoint {pid} is already down")
         self._down.add(pid)
-        self.queue_held()
+        self._queue_held()
         for transfer in self._outstanding[pid].values():
             if transfer.timer is not None:
                 transfer.timer.cancel()
@@ -876,79 +881,33 @@ class Network:
             reliable,
         )
 
-    def fan_out(
-        self, src: int, message: Message, on_queue: Callable[[], None]
-    ) -> Optional[Tuple[array, int]]:
-        """:meth:`send_to_all` with the deliveries left unqueued.
+    def holder(
+        self, arrive: Callable[[int, Message, Tuple[float, int]], None]
+    ) -> "Holder":
+        """A new party holding frames in this network (see :class:`Holder`)."""
+        holder = Holder(self, arrive)
+        self._holders.append(holder)
+        return holder
 
-        Samples the ``n`` latencies in pid order, as :meth:`send_to_all`
-        would, counts the sends, and reserves the ``n`` kernel sequence
-        numbers its deliveries would take.  It queues nothing: it
-        returns the arrival times by pid and the first reserved seq,
-        so the delivery to ``dst`` is keyed ``(times[dst], first +
-        dst)``.  The caller hands each delivery over itself (counting
-        it in ``stats.delivered``), or queues it at its key with
-        :meth:`arrive_at`.  Returns None, having sent nothing, where
-        :meth:`_unqueued` says no.
-        """
-        if not self._unqueued(on_queue):
-            return None
-        self._check_pid(src)
-        self.stats.record_send(message, self.n)
-        times = self.latency.arrivals(self._rng, src, self.n, self.sim.now)
-        return array("d", times), self.sim.reserve(self.n)
+    def land_held(self) -> None:
+        """End of a run: a drained run lands every held frame and moves
+        the clock on to the latest arrival, as queued frames would
+        have; one stopped with events queued switches to them."""
+        if self.sim.pending:
+            self._queue_held()
+            return
+        self._queue_held((math.inf, 0))
+        if self._latest > self.sim.now:
+            self.sim.run(until=self._latest)
 
-    def hold(
-        self, src: int, dst: int, message: Message, on_queue: Callable[[], None]
-    ) -> Optional[Tuple[float, int]]:
-        """:meth:`send` with the delivery left unqueued, as :meth:`fan_out`
-        does: returns its key ``(time, seq)``, or None having sent the
-        message with :meth:`send` where :meth:`_unqueued` says no."""
-        if not self._unqueued(on_queue):
-            self.send(src, dst, message)
-            return None
-        self._check_pid(src)
-        self._check_pid(dst)
-        self.stats.record_send(message)
-        delay = self.latency.sample(self._rng, src, dst)
-        if delay < 0:
-            raise SimulationError("latency model produced negative delay")
-        return self.sim.now + delay, self.sim.reserve(1)
-
-    def arrive_at(
-        self, time: float, seq: int, src: int, dst: int, message: Message
-    ) -> None:
-        """Queue a delivery :meth:`fan_out` or :meth:`hold` left unqueued
-        at its key."""
-        self.sim.post_at(time, seq, self._deliver, src, dst, message)
-
-    def _unqueued(self, on_queue: Callable[[], None]) -> bool:
-        """The one switch of :meth:`fan_out` and :meth:`hold`: False
-        while a tracer is on, an endpoint is down, the wire is impaired
-        or runs the reliable shim, or the network chooses its own
-        deliveries (:meth:`_transmit` is overridden).  The first time
-        it says no — or an endpoint crashes — each ``on_queue`` given
-        since is called, once, to queue the deliveries it holds."""
-        if (
-            self._queues_only
-            or self._impaired
-            or self.reliable
-            or self._down
-            or get_tracer().enabled
-        ):
-            self.queue_held()
-            return False
-        self._on_queue[on_queue] = None
-        return True
-
-    def queue_held(self) -> None:
-        """Queue every delivery :meth:`fan_out` and :meth:`hold` left
-        unqueued: each holder lands what has arrived by now and queues
-        the rest at its reserved key."""
-        if self._on_queue:
-            hooks, self._on_queue = self._on_queue, {}
-            for on_queue in hooks:
-                on_queue()
+    def _queue_held(self, key: Optional[Tuple[float, int]] = None) -> None:
+        """Switch to queued frames: land each held frame that has
+        arrived by ``key`` (by now) and queue the rest at their keys."""
+        if self._holding:
+            self._holding = False
+            for holder in self._holders:
+                for tag, frame, i in holder.land_arrived(key or self.sim.key):
+                    holder._queue(tag, frame, i)
 
     def _send(
         self,
@@ -1173,3 +1132,179 @@ class Network:
             raise SimulationError(
                 f"pid {pid} outside the endpoint range 0..{self.n - 1}"
             )
+
+
+#: Where a held frame stands at one destination (:attr:`HeldFrame.state`).
+HELD, QUEUED, LANDED = 0, 1, 2
+
+
+class HeldFrame:
+    """A message held for the pids ``start, start + 1, ...``: the frame
+    to ``start + i`` arrives at ``times[i]``, kernel seq ``first + i``,
+    and is ``state[i]`` there; ``left`` counts the frames not landed."""
+
+    __slots__ = ("src", "start", "message", "times", "first", "state", "left")
+
+    def __init__(
+        self, src: int, start: int, message: Message,
+        times: Sequence[float], first: int,
+    ) -> None:
+        self.src = src
+        self.start = start
+        self.message = message
+        self.times = times
+        self.first = first
+        self.left = count = len(times)
+        self.state = bytearray(count)
+
+
+class Holder(dict):
+    """One party's frames in the held-frame store, by the tag each was
+    held under, until every destination landed them.
+
+    The holder lands frames itself (:meth:`land_from`,
+    :meth:`land_arrived`) and asks for the arrivals it needs as events
+    (:meth:`queue_last`).  Wherever the store lands a frame, it calls
+    ``arrive(dst, message, key)``: what the frame does where it lands,
+    at the point ``key``.
+    """
+
+    __slots__ = ("network", "arrive")
+
+    def __init__(
+        self,
+        network: Network,
+        arrive: Callable[[int, Message, Tuple[float, int]], None],
+    ) -> None:
+        super().__init__()
+        self.network = network
+        self.arrive = arrive
+
+    def hold(
+        self, src: int, dsts: Sequence[int], message: Message, tag: Any
+    ) -> Optional[HeldFrame]:
+        """Send ``message`` from ``src`` to ``dsts`` (consecutive pids),
+        held under ``tag``: latencies sampled, sends counted and kernel
+        seqs reserved as for queued frames, nothing queued.  While a
+        tracer is on, an endpoint is down, the wire is impaired or runs
+        the reliable shim, or the network picks its own deliveries, the
+        held frames switch to queued ones and this one is sent queued:
+        None."""
+        network = self.network
+        if (
+            network._queues_only
+            or network._impaired
+            or network.reliable
+            or network._down
+            or get_tracer().enabled
+        ):
+            network._queue_held()
+            network._send(src, dsts, message, None)
+            return None
+        count = len(dsts)
+        network.stats.record_send(message, count)
+        sim, latency = network.sim, network.latency
+        if count > 1:  # (a fan-out's times are packed)
+            times = array("d", latency.arrivals(network._rng, src, dsts, sim.now))
+            latest = max(times)
+        else:
+            delay = latency.sample(network._rng, src, dsts[0])
+            if delay < 0:
+                raise SimulationError("latency model produced negative delay")
+            latest = sim.now + delay
+            times = [latest]
+        frame = self[tag] = HeldFrame(
+            src, dsts[0], message, times, sim.reserve(count)
+        )
+        network._holding = True
+        if latest > network._latest:
+            network._latest = latest
+        return frame
+
+    def land_from(
+        self, dst: int, tag: int, key: Tuple[float, int]
+    ) -> List[HeldFrame]:
+        """Land at ``dst`` the frames held under ``tag``, ``tag + 1``,
+        ... up to the first one not held there or not arrived by
+        ``key``; they count as delivered.  Returns them, in tag order:
+        the caller does what they do."""
+        now, current = key
+        landed = []
+        frame = self.get(tag)
+        while frame is not None:
+            i = dst - frame.start
+            time = frame.times[i]
+            if frame.state[i] or time > now or (
+                time == now and frame.first + i > current
+            ):
+                break
+            landed.append(frame)
+            frame.state[i] = LANDED  # (:meth:`_landed`, inlined: the hot path)
+            frame.left -= 1
+            if not frame.left:
+                del self[tag]
+            tag += 1
+            frame = self.get(tag)
+        if landed:
+            self.network.stats.delivered += len(landed)
+        return landed
+
+    def land_arrived(
+        self, key: Tuple[float, int]
+    ) -> List[Tuple[Any, HeldFrame, int]]:
+        """Land every frame held here that has arrived by ``key``, in
+        hold order, each through ``arrive``; return the ``(tag, frame,
+        index)`` of the others.  A holder lands a frame that comes
+        early as its queued arrival would: the sequencer buffers it,
+        and A5 keeps the freshest snapshot whatever the order."""
+        later = []
+        now, current = key
+        arrive, stats = self.arrive, self.network.stats
+        for tag, frame in list(self.items()):
+            state = frame.state
+            i = state.find(HELD)  # (an ``arrive`` may land later ones)
+            while i >= 0:
+                time = frame.times[i]
+                if time < now or (time == now and frame.first + i <= current):
+                    stats.delivered += 1
+                    state[i] = LANDED  # (:meth:`_landed`, inlined)
+                    frame.left -= 1
+                    if not frame.left:
+                        del self[tag]
+                    arrive(frame.start + i, frame.message, key)
+                else:
+                    later.append((tag, frame, i))
+                i = state.find(HELD, i + 1)
+        return later
+
+    def queue_last(self, dst: int, tags: Iterable[Any]) -> None:
+        """Queue the frame to ``dst`` that arrives there last of those
+        held under ``tags`` and not landed there, unless it is queued
+        already: the one event ``dst`` needs to land them all."""
+        get, last, last_at = self.get, None, (-math.inf, 0)
+        for tag in tags:
+            frame = get(tag)
+            if frame is not None:
+                i = dst - frame.start
+                at = (frame.times[i], frame.first + i)
+                if at > last_at and frame.state[i] != LANDED:
+                    last, last_tag, last_at = frame, tag, at
+        if last is not None and last.state[dst - last.start] == HELD:
+            self._queue(last_tag, last, dst - last.start)
+
+    def _landed(self, tag: Any, frame: HeldFrame, i: int) -> None:
+        frame.state[i] = LANDED
+        frame.left -= 1
+        if not frame.left:
+            del self[tag]
+
+    def _queue(self, tag: Any, frame: HeldFrame, i: int) -> None:
+        frame.state[i] = QUEUED
+        self.network.sim.post_at(
+            frame.times[i], frame.first + i, self._arrival, tag, frame, i
+        )
+
+    def _arrival(self, tag: Any, frame: HeldFrame, i: int) -> None:
+        """A queued frame arrives: delivered as any frame, then landed."""
+        self.network._deliver(frame.src, frame.start + i, frame.message)
+        self._landed(tag, frame, i)

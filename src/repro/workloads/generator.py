@@ -201,9 +201,16 @@ def random_workloads(
     value_counter = itertools.count(1)
     span = max(1, min(span, len(objects)))
     object_list = list(objects)
-    picks = _WeightedDraws(
-        rng, (1.0 / (rank + 1) ** zipf_s for rank in range(len(object_list)))
-    )
+    try:
+        picks = _WeightedDraws(
+            rng,
+            (1.0 / (rank + 1) ** zipf_s for rank in range(len(object_list))),
+        )
+    except OverflowError:
+        raise WorkloadError(
+            f"zipf_s={zipf_s} overflows the weight of one of "
+            f"{len(object_list)} objects"
+        ) from None
 
     def pick_one() -> str:
         if zipf_s == 0:

@@ -23,12 +23,14 @@ from repro.abcast.sequencer import SequencerAbcast
 from repro.sim.kernel import Simulator
 from repro.sim.latency import UniformLatency
 from repro.sim.network import Network
+from tests.abcast.deliveries import spy
 
 N = 3
 BROADCASTS = 8
 
 
 def _wire(abcast, n):
+    spy(abcast)
     for pid in range(n):
         abcast.attach(pid, lambda sender, payload: None)
 
@@ -57,7 +59,7 @@ def test_total_order_under_reorder_and_duplication(impl, seed):
         )
     sim.run()
     assert abcast.check_total_order() is None
-    logs = [abcast.delivery_log[pid] for pid in range(N)]
+    logs = [abcast.spied[pid] for pid in range(N)]
     assert logs[0] == logs[1] == logs[2]
     assert len(logs[0]) == BROADCASTS
     assert network.stats.duplicated > 0  # the fault knob actually fired
@@ -94,9 +96,9 @@ def test_sequencer_failover_handoff():
     assert abcast.check_total_order() is None
     # Every broadcast survived the handoff: the longest log carries
     # all 8 ids exactly once, and the restarted pid 0 caught up fully.
-    ids = [msg_id for _s, msg_id in abcast.delivery_log[1]]
+    ids = [msg_id for _s, msg_id in abcast.spied[1]]
     assert len(ids) == 8 and len(set(ids)) == 8
-    assert abcast.delivery_log[0] == abcast.delivery_log[1]
+    assert abcast.spied[0] == abcast.spied[1]
 
 
 def test_failover_without_fault_tolerance_stays_down():

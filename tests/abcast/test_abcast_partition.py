@@ -21,6 +21,7 @@ from repro.abcast.failover import FailoverSequencer
 from repro.errors import PartitionedError
 from repro.sim import HeartbeatDetector, Network, Simulator
 from repro.sim.latency import UniformLatency
+from tests.abcast.deliveries import spy
 
 N = 4
 
@@ -42,6 +43,7 @@ def make_cluster(seed=0, *, quorum_aware=True, degraded="defer", stop_at=80.0):
     abcast.bind_detector(
         detector, quorum_aware=quorum_aware, degraded=degraded
     )
+    spy(abcast)
     for pid in range(N):
         abcast.attach(pid, lambda sender, payload: None)
     detector.start()
@@ -74,7 +76,7 @@ def test_majority_elects_past_a_minority_sequencer():
     assert len(abcast.failovers) == 1
     assert detector.suspicions > 0
     assert abcast.check_total_order() is None
-    logs = [abcast.delivery_log[pid] for pid in range(N)]
+    logs = [abcast.spied[pid] for pid in range(N)]
     assert logs[0] == logs[1] == logs[2] == logs[3]
     # Every broadcast from both sides of the split was delivered
     # exactly once — the minority's deferred request included.
@@ -95,7 +97,7 @@ def test_minority_defers_and_replays_after_heal():
     reasons = [reason for _t, _pid, reason, _id in abcast.degraded]
     assert "sequence-deferred" in reasons
     assert abcast.check_total_order() is None
-    logs = [abcast.delivery_log[pid] for pid in range(N)]
+    logs = [abcast.spied[pid] for pid in range(N)]
     assert logs[0] == logs[1]
     assert len(logs[0]) == 2  # both ops landed, post-heal
 

@@ -25,6 +25,7 @@ from repro.abcast.failover import FailoverSequencer
 from repro.sim import HeartbeatDetector, Network, Simulator
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.latency import UniformLatency
+from tests.abcast.deliveries import spy
 from tests.abcast.test_ordering_core import assert_broadcast_properties
 
 N = 5
@@ -51,7 +52,7 @@ def assert_gap_free_prefixes(abcast):
             for seq in sorted(retained)
         ] == [
             (position, msg_id)
-            for position, (_s, msg_id) in enumerate(abcast.delivery_log[pid])
+            for position, (_s, msg_id) in enumerate(abcast.spied[pid])
         ]
 
 
@@ -74,6 +75,7 @@ def run_schedule(seed):
         should_stop=lambda: sim.now >= max(deadline, HORIZON) + 5.0,
     )
     abcast.bind_detector(detector)
+    spy(abcast)
     for pid in range(N):
         abcast.attach(pid, lambda sender, payload: None)
     detector.start()

@@ -5,8 +5,9 @@ replica lands what has reached it whenever it next acts; the queued
 path fires one kernel event per replica per relay.  Each case runs
 twice — lazily, and on :class:`QueuedNetwork`, whose overridden
 ``_transmit`` keeps every frame on the queued path — and the two runs
-must agree on the artifact bytes, every replica's delivery log and
-store, the ``~ww`` sequence, the ``net.*`` counters and the clock.
+must agree on the artifact bytes, every replica's deliveries (as the
+test records them) and store, the ``~ww`` sequence, the ``net.*``
+counters and the clock.
 """
 
 import itertools
@@ -29,6 +30,21 @@ LATENCIES = [
 ]
 
 
+@pytest.fixture(autouse=True)
+def recorded_deliveries(monkeypatch):
+    """Record each process's deliveries as ``(sender, id)``, in the
+    runs the abcast hands it."""
+    land_run = base.BaseProcess.land_run
+
+    def recorded(proc, run):
+        proc.__dict__.setdefault("delivered", []).extend(
+            (entry["sender"], entry["id"]) for entry in run
+        )
+        land_run(proc, run)
+
+    monkeypatch.setattr(base.BaseProcess, "land_run", recorded)
+
+
 class QueuedNetwork(Network):
     """A network that picks its own deliveries — here, the base's — so
     every relay is queued."""
@@ -39,7 +55,7 @@ class QueuedNetwork(Network):
 
 def observed(cluster):
     return (
-        cluster.abcast.delivery_log,
+        [proc.__dict__.get("delivered") for proc in cluster.processes],
         cluster.ww_sequence,
         [proc.store.export() for proc in cluster.processes],
         cluster.network.stats.snapshot(),

@@ -20,6 +20,7 @@ from repro.abcast.sequencer import SEQ, SequencerAbcast
 from repro.sim.kernel import Simulator
 from repro.sim.latency import UniformLatency
 from repro.sim.network import Network
+from tests.abcast.deliveries import spy
 
 N = 4
 BROADCASTS = 12
@@ -52,7 +53,7 @@ class TappedCore(SequencerAbcast):
 def assert_broadcast_properties(abcast, broadcasts):
     """Validity, integrity and total order over the delivery logs."""
     assert abcast.check_total_order() is None
-    logs = [abcast.delivery_log[pid] for pid in range(abcast.n)]
+    logs = [abcast.spied[pid] for pid in range(abcast.n)]
     assert all(log == logs[0] for log in logs)
     ids = [msg_id for _sender, msg_id in logs[0]]
     assert sorted(ids) == list(range(broadcasts))
@@ -60,7 +61,7 @@ def assert_broadcast_properties(abcast, broadcasts):
 
 def assert_gap_free_prefixes(abcast):
     for pid in range(abcast.n):
-        seqs = [abcast.seq_of[msg_id] for _s, msg_id in abcast.delivery_log[pid]]
+        seqs = [abcast.seq_of[msg_id] for _s, msg_id in abcast.spied[pid]]
         assert seqs == list(range(abcast.cursor(pid)))
 
 
@@ -71,6 +72,7 @@ def test_core_orders_and_retains_nothing(seed):
         sim, N, latency=UniformLatency(0.2, 3.0), seed=seed, dup_prob=0.15
     )
     abcast = TappedCore(network)
+    spy(abcast)
     delivered = {pid: [] for pid in range(N)}
     for pid in range(N):
         abcast.attach(

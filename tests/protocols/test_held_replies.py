@@ -137,13 +137,13 @@ def test_exhausted_event_budget(budget):
     held = build(5, 3, None)
     held.sim.run(max_events=budget)
     stop = held.sim.key
-    held.land_all()
+    held.network.land_held()
 
     def drive(cluster):
         while cluster.sim.key < stop:
             assert cluster.sim.step()
         assert cluster.sim.key == stop
-        cluster.land_all()
+        cluster.network.land_held()
         return observed(cluster)
 
     queued = build(5, 3, None)

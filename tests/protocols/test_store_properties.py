@@ -293,6 +293,21 @@ def test_exports_are_the_definition_and_priced_as_the_walk(script):
         assert snapshot == kept
 
 
+def test_a_write_after_a_full_export_does_not_show_in_it():
+    # A full A4 reply is the image's own cell dict, shared until a
+    # write: the write rebuilds the dict instead of changing it.
+    store = VersionedStore({obj: 0 for obj in OBJECTS})
+    before = by_definition(store)
+    first = store.export_priced()[0]
+    assert store.export_priced()[0] is first
+    store.execute(write_reg("x", 1), 1)
+    store.apply_writes({"y": 2}, 2)
+    later = store.export_priced()[0]
+    assert first == before and later == by_definition(store) != before
+    store.apply(write_reg("x", 3), 3)
+    assert store.export_priced()[0] == by_definition(store) != later
+
+
 def test_image_exists_only_once_a_full_export_was_asked_for():
     store = VersionedStore({obj: 0 for obj in OBJECTS})
     store.execute(write_reg("x", 1), 1)

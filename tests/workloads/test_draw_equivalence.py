@@ -198,6 +198,10 @@ MIXES = [None, BLIND_MIX] + [
 ]
 
 
+def overflowed(zipf_s, n_objects):
+    return f"zipf_s={zipf_s} overflows the weight of one of {n_objects} objects"
+
+
 @pytest.mark.parametrize("zipf_s", [0, 1.0, 1.5, 2000])
 @pytest.mark.parametrize("n_objects", [1, 2, 8, 32, 64])
 @pytest.mark.parametrize("n", [1, 6, 150])
@@ -210,19 +214,26 @@ def test_programs_equal_the_choices_generator(n, n_objects, zipf_s):
             reference_workloads, n, objects, ops, mix=mix, seed=seed,
             zipf_s=zipf_s,
         )
+        if expected[0] is OverflowError:  # (see the test below)
+            expected = (WorkloadError, overflowed(zipf_s, n_objects))
         assert drawn(
             random_workloads, n, objects, ops, mix=mix, seed=seed,
             zipf_s=zipf_s,
         ) == expected, (mix, seed)
 
 
-def test_tail_weights_that_overflow_raise_as_before():
-    # 2 ** 2000 is no float: the shared weight formula raises before
-    # any draw, in both generators alike.
+def test_tail_weights_that_overflow_raise_a_workload_error():
+    # 2 ** 2000 is no float: the weight formula overflows before any
+    # draw.  The reference lets the bare OverflowError out; the
+    # generator says which setting caused it.
+    assert drawn(reference_workloads, 2, ["x0", "x1"], 3, zipf_s=2000)[
+        0
+    ] is OverflowError
     raised = drawn(random_workloads, 2, ["x0", "x1"], 3, zipf_s=2000)
-    assert raised[0] is OverflowError
-    assert raised == drawn(
-        reference_workloads, 2, ["x0", "x1"], 3, zipf_s=2000
+    assert raised == (WorkloadError, overflowed(2000, 2))
+    # One object weighs 1 ** s = 1, whatever s.
+    assert drawn(random_workloads, 2, ["x0"], 3, zipf_s=2000) == drawn(
+        reference_workloads, 2, ["x0"], 3, zipf_s=2000
     )
 
 
