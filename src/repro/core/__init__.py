@@ -58,7 +58,6 @@ from repro.core.legality import (
 from repro.core.monitor import (
     LiveMonitor,
     MonitorUsageError,
-    ObservedOp,
     verify_stream,
 )
 from repro.core.operation import (
@@ -106,7 +105,6 @@ __all__ = [
     "LiveMonitor",
     "MOperation",
     "MonitorUsageError",
-    "ObservedOp",
     "OpKind",
     "Operation",
     "Refutation",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -165,35 +165,6 @@ def _interval_cover(items: List[Tuple[float, float, int]]) -> List[Pair]:
                 edges.append((uid_by_resp[j], uid))
         heapq.heappush(heap, (resp, uid, inv))
     return edges
-
-
-def rw_cover_pairs(
-    reads: Iterable[Tuple[Tuple[int, str], int]],
-    writers: Mapping[str, Iterable[int]],
-    rank: Mapping[int, int],
-) -> List[Pair]:
-    """Cover of the D 4.11 ``~rw`` pairs over totally ordered writers.
-
-    ``reads`` are proper reads-from edges ``((a, x), b)`` and ``rank``
-    sorts the writers ``writers[x]`` of each object into their ``~H+``
-    order — a chain under OO/WW (Theorem 7).  Of all the pairs
-    ``a ~rw c`` (``c`` a writer of ``x`` after ``b``) only the first
-    ``c`` other than ``a`` needs an edge: the rest follow along the
-    chain.  At most one pair per read, same transitive closure.
-    """
-    chains: Dict[str, Tuple[List[int], List[int]]] = {}
-    pairs = set()
-    for (a_uid, obj), b_uid in reads:
-        if obj not in chains:
-            names = sorted(writers.get(obj, ()), key=rank.__getitem__)
-            chains[obj] = ([rank[uid] for uid in names], names)
-        keys, names = chains[obj]
-        k = bisect_right(keys, rank[b_uid])
-        if k < len(names) and names[k] == a_uid:
-            k += 1
-        if k < len(names):
-            pairs.add((a_uid, names[k]))
-    return sorted(pairs)
 
 
 class _Derived:

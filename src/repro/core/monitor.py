@@ -1,19 +1,12 @@
 """Streaming verification of WW-constrained executions (S28).
 
-The constrained checker (Theorem 7) already avoids the NP-complete
-search, but it reruns a legality scan over the whole history.  For
-*monitoring* — checking each m-operation as it completes — the same
-theory supports an incremental formulation that is the operational
-twin of the paper's Section-5 timestamp reasoning, and of the batch
-scan in :mod:`repro.core.plan`:
-
-Under the WW-constraint the updates carry a total order (``~ww``
-positions).  For a completed m-operation ``a``, the set of update
-m-operations ordered before ``a`` by the closure of
-``~p ∪ ~rf ∪ ~ww`` (plus ``~t`` for the m-linearizability variant) is
-exactly ``{u : pos(u) <= M(a)}`` where the *mark* ``M(a)`` is the
-maximum update position reachable through ``a``'s direct
-predecessors:
+The batch scan of :mod:`repro.core.plan` re-runs over the whole
+history; for *monitoring* — checking each m-operation as it completes
+— the same theory gives an incremental form, the operational twin of
+the paper's Section-5 timestamp reasoning.  Announced updates take
+``~ww`` positions on a :class:`~repro.core.plan.Timeline` (see there
+for what a *mark* decides), and a completed ``a``'s mark is the
+highest position among its direct predecessors:
 
 * the writers of ``a``'s external reads,
 * the issuing process's previous m-operation (cumulative per-process
@@ -32,9 +25,8 @@ update's mark *is* its position, so only positions — never marks —
 need to travel along reads-from edges, and a reader may be checked
 before the update it read from has completed.
 
-**Legality** (D 4.6) collapses to a per-read check: *no other writer
-of object ``x`` sits at a position after the claimed writer's and at
-or below the reader's mark* — one ``bisect`` per read.
+**Legality** (D 4.6) is :meth:`~repro.core.plan.Timeline.overwriter`
+per read, at the reader's mark.
 
 The verdicts coincide with the batch constrained checker
 (``check_*(extra_pairs=ww_pairs)``) — cross-validated over randomized
@@ -46,48 +38,21 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.index import CONDITIONS
 from repro.core.operation import INIT_UID
-from repro.core.plan import check_window
+from repro.core.plan import INIT_POS, Timeline, check_window
 from repro.core.refutation import Refutation
-from repro.errors import ReproError
+from repro.errors import ReproError, WindowExceeded
 
-#: Position assigned to the imaginary initial m-operation.
-INIT_POS = -1
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.protocols.recorder import OpRecord
 
 
 class MonitorUsageError(ReproError):
     """The live monitor was fed an out-of-contract stream."""
-
-
-@dataclass
-class ObservedOp:
-    """What the monitor needs to know about one completed m-operation.
-
-    Attributes:
-        uid: m-operation uid (> 0, unique).
-        process: issuing process id.
-        inv: invocation time.
-        resp: response time.
-        reads_from: obj -> writer uid for every external read
-            (``INIT_UID`` for initial values).
-        writes: objects written.
-        is_update: whether the m-operation occupies a ``~ww`` slot
-            (it is held back until :meth:`LiveMonitor.announce` has
-            given it one).
-    """
-
-    uid: int
-    process: int
-    inv: float
-    resp: float
-    reads_from: Dict[str, int]
-    writes: Tuple[str, ...]
-    is_update: bool
 
 
 class LiveMonitor:
@@ -106,8 +71,10 @@ class LiveMonitor:
             reaching behind a sealed prefix is a *refusal*, never a
             wrong verdict: it is counted in :attr:`window_refusals`
             and left undecided (the end-of-run batch check is the
-            authority).  Retained state is O(objects × window) plus
-            one integer per announced uid.
+            authority).  Retained state is O(objects × window) writer
+            slots, one position per announced uid and one mark per
+            process; under m-lin also one response time and one mark
+            per released completion, which no seal discards.
         slack: see the release discipline below.
 
     Attach via ``Cluster(..., monitor=LiveMonitor("m-sc"))``; the
@@ -170,12 +137,7 @@ class LiveMonitor:
         self.window = window
         self.slack = slack
         self._real_time = row.real_time
-        self._pos: Dict[int, int] = {INIT_UID: INIT_POS}
-        # Per object: parallel arrays of (position, writer uid),
-        # positions strictly increasing.
-        self._write_pos: Dict[str, List[int]] = {}
-        self._write_uid: Dict[str, List[int]] = {}
-        self._pruned: Set[str] = set()
+        self._timeline = Timeline(INIT_UID)
         self._proc_mark: Dict[int, int] = {}
         # m-lin: response times and the cumulative mark after each
         # release (both non-decreasing).
@@ -183,7 +145,7 @@ class LiveMonitor:
         self._marks_after: List[int] = []
         self._last_resp = float("-inf")
         # Completions awaiting release: (resp, arrival number, op).
-        self._queue: List[Tuple[float, int, ObservedOp]] = []
+        self._queue: List[Tuple[float, int, OpRecord]] = []
         self._arrivals = itertools.count()
         self._now = float("-inf")
         #: completions released to the checks so far.
@@ -203,19 +165,24 @@ class LiveMonitor:
 
         Consecutive announcements form the ``~ww`` chain (D 5.3).
         """
-        if uid in self._pos:
+        timeline = self._timeline
+        if uid in timeline:
             raise MonitorUsageError(f"uid {uid} already has a ww position")
-        position = len(self._pos) - 1
-        self._pos[uid] = position
-        for obj in writes:
-            self._write_pos.setdefault(obj, []).append(position)
-            self._write_uid.setdefault(obj, []).append(uid)
+        position = timeline.place(uid, writes)
         if self.window is not None and (position + 1) % self.window == 0:
-            self._seal(position - self.window)
+            floor = position - self.window  # epoch checkpoint
+            if floor > 0:
+                self.epochs += 1
+                self.sealed += timeline.seal(floor)
         self._drain()
 
-    def complete(self, op: ObservedOp, *, now: Optional[float] = None) -> None:
-        """An m-operation completed at (simulated) wall time ``now``."""
+    def complete(self, op: OpRecord, *, now: Optional[float] = None) -> None:
+        """An m-operation completed at (simulated) wall time ``now``.
+
+        ``op`` is the recorder's :class:`~repro.protocols.recorder.OpRecord`;
+        the monitor reads its ``uid``, ``process``, ``inv``, ``resp``,
+        ``reads_from`` and ``is_update``.
+        """
         if now is not None:
             self._now = max(self._now, now)
         if self._real_time and op.resp < self._last_resp:
@@ -257,10 +224,10 @@ class LiveMonitor:
         self._now = float("inf")
         self.barrier()
         blocked, self._queue = sorted(self._queue), []
-        positions = self._pos
+        timeline = self._timeline
         for _resp, _arrival, op in blocked:
-            missing = {w for w in op.reads_from.values() if w not in positions}
-            if op.is_update and op.uid not in positions:
+            missing = {w for w in op.reads_from.values() if w not in timeline}
+            if op.is_update and op.uid not in timeline:
                 missing.add(op.uid)
             self.violations.append(
                 Refutation(
@@ -294,17 +261,15 @@ class LiveMonitor:
     @property
     def retained(self) -> int:
         """Writer-timeline slots currently held (memory gauge)."""
-        return sum(len(p) for p in self._write_pos.values())
+        return self._timeline.retained
 
     # -- internals -----------------------------------------------------
 
-    def _ready(self, op: ObservedOp) -> bool:
-        positions = self._pos
-        if op.is_update and op.uid not in positions:
+    def _ready(self, op: OpRecord) -> bool:
+        timeline = self._timeline
+        if op.is_update and op.uid not in timeline:
             return False
-        return all(
-            writer in positions for writer in op.reads_from.values()
-        )
+        return all(writer in timeline for writer in op.reads_from.values())
 
     def _drain(self) -> None:
         queue = self._queue
@@ -315,28 +280,13 @@ class LiveMonitor:
         ):
             self._release(heapq.heappop(queue)[2])
 
-    def _seal(self, floor: int) -> None:
-        """Epoch checkpoint: discard writer positions below ``floor``
-        except, per object, the newest of them (the sealed head)."""
-        if floor <= 0:
-            return
-        self.epochs += 1
-        for obj, positions in self._write_pos.items():
-            cut = bisect_left(positions, floor) - 1
-            if cut <= 0:
-                continue
-            del positions[:cut]
-            del self._write_uid[obj][:cut]
-            self._pruned.add(obj)
-            self.sealed += cut
-
-    def _release(self, op: ObservedOp) -> None:
+    def _release(self, op: OpRecord) -> None:
         """Check one completion against the marks, then advance them."""
-        pos = self._pos
+        timeline = self._timeline
         uid = op.uid
         self._last_resp = op.resp
         reads = [
-            (obj, writer)
+            (obj, writer, timeline.position(writer))
             for obj, writer in op.reads_from.items()
             if writer != uid
         ]
@@ -347,12 +297,12 @@ class LiveMonitor:
             k = bisect_left(self._resp_times, op.inv)
             if k and self._marks_after[k - 1] > mark:
                 mark = self._marks_after[k - 1]
-        for _obj, writer in reads:
-            if pos[writer] > mark:
-                mark = pos[writer]
+        for _obj, _writer, b_pos in reads:
+            if b_pos > mark:
+                mark = b_pos
 
         violation: Optional[Refutation] = None
-        own = pos[uid] if op.is_update else None
+        own = timeline.position(uid) if op.is_update else None
         if own is not None:
             if mark >= own:
                 violation = self._cycle(uid, own, mark, reads)
@@ -360,25 +310,17 @@ class LiveMonitor:
                 mark = own
 
         # Per-read legality at the mark.
-        for obj, writer in reads:
-            b_pos = pos[writer]
-            positions = self._write_pos.get(obj)
-            if b_pos >= mark or not positions:
-                # The claimed writer is the newest delivery the reader
-                # can see: nothing can sit between them.
-                continue
-            if obj in self._pruned and b_pos < positions[0]:
+        for obj, writer, b_pos in reads:
+            try:
+                overwriter = timeline.overwriter(uid, obj, b_pos, mark)
+            except WindowExceeded:
                 self.window_refusals += 1
                 continue
-            uids = self._write_uid[obj]
-            k = bisect_right(positions, mark) - 1
-            while k >= 0 and uids[k] == uid:
-                k -= 1  # the reader's own write is not a predecessor
-            if k >= 0 and positions[k] > b_pos and violation is None:
+            if overwriter is not None and violation is None:
                 violation = Refutation(
                     "illegal",
                     self.condition,
-                    triple=(uid, writer, uids[k]),
+                    triple=(uid, writer, overwriter),
                     obj=obj,
                 )
 
@@ -393,23 +335,22 @@ class LiveMonitor:
             self.violations.append(violation)
 
     def _cycle(
-        self, uid: int, own: int, mark: int, reads: List[Tuple[str, int]]
+        self, uid: int, own: int, mark: int, reads: List[Tuple[str, int, int]]
     ) -> Refutation:
         """The cycle through an update whose predecessors already see
         broadcast position ``mark >= own``: a read from a later update
         ``w`` is ``uid -extra-> w -rf-> uid``; otherwise the update at
         ``mark`` follows ``uid`` on the chain and precedes it along a
         path of the order (or is ``uid`` itself)."""
-        pos = self._pos
-        for _obj, writer in reads:
-            if pos[writer] >= own:
+        for _obj, writer, b_pos in reads:
+            if b_pos >= own:
                 cycle = ((uid, "extra"), (writer, "rf"))
                 break
         else:
             if mark == own:
                 cycle = ((uid, "path"),)
             else:
-                later = next(itertools.islice(self._pos, mark + 1, None))
+                later = self._timeline.uid_at(mark)
                 cycle = ((uid, "extra"), (later, "path"))
         return Refutation("cycle", self.condition, cycle=cycle)
 
@@ -436,16 +377,6 @@ def verify_stream(
     for uid in result.ww_sequence:
         monitor.announce(uid, writes_of.get(uid, ()))
     for record in records:
-        monitor.complete(
-            ObservedOp(
-                uid=record.uid,
-                process=record.process,
-                inv=record.inv,
-                resp=record.resp,
-                reads_from=dict(record.reads_from),
-                writes=writes_of[record.uid],
-                is_update=record.is_update,
-            )
-        )
+        monitor.complete(record)
     monitor.flush()
     return monitor

@@ -29,10 +29,13 @@ illegal read — that stopped it.  The witness is the Kahn order of
 :meth:`repro.core.relations.Relation._topo_indices` exactly — same
 universe order (``history.uids``), FIFO ready queue, successors
 visited in ascending universe position, per-edge deduplication — over
-base cover edges plus :func:`repro.core.index.rw_cover_pairs` (the
-other D 4.11 pairs are path-implied edges, which FIFO Kahn cannot
+base cover edges plus the cover pairs (:meth:`Timeline.next_writer`;
+the other D 4.11 pairs are path-implied edges, which FIFO Kahn cannot
 see), so it does not depend on the chain the scan walked.
 Cross-validated in ``tests/core/test_plan_crossval.py``.
+
+The scan and :class:`repro.core.monitor.LiveMonitor` ask one kernel,
+:class:`Timeline`.
 
 Windowed checking
 -----------------
@@ -40,27 +43,32 @@ Windowed checking
 ``window=N`` bounds the scan's lookback: a read whose visibility mark
 reaches more than ``N`` chain positions behind its claimed writer
 raises :class:`~repro.errors.WindowExceeded` — a refusal, never a
-wrong verdict.  The *streaming* counterpart (bounded-memory epoch
-checkpoints over a live feed) is
-:class:`repro.core.monitor.LiveMonitor` with the same ``window``.
+wrong verdict.  The streaming counterpart,
+:class:`repro.core.monitor.LiveMonitor` with a ``window``, bounds
+memory instead: every ``N`` announcements it seals the timeline
+(:meth:`Timeline.seal`), and a read reaching behind a sealed head is
+counted as a refusal.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import itertools
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.history import History
-from repro.core.index import HistoryIndex, rw_cover_pairs
+from repro.core.index import HistoryIndex
 from repro.core.refutation import Refutation, label_cycle
 from repro.errors import PlanRefused, RelationError, WindowExceeded
 from repro.obs import get_tracer
 
 Pair = Tuple[int, int]
 
-#: Mark value below every chain position (INIT sits at -1).
+#: Chain position of the initial m-operation.
+INIT_POS = -1
+#: Mark value below every chain position.
 _NO_MARK = -2
 
 
@@ -95,6 +103,94 @@ def check_window(window: Optional[int]) -> None:
 # ----------------------------------------------------------------------
 # Scan executor
 # ----------------------------------------------------------------------
+
+
+class Timeline:
+    """The update chain of a Theorem-7 check, and its two questions.
+
+    INIT sits at position -1 and each placed uid (once) at the next;
+    per object the timeline holds its writers' positions and uids,
+    ascending.  Along a chain that totally orders each object's
+    writers, in an acyclic order, writer ``b`` precedes writer ``c``
+    iff ``pos(b) < pos(c)``, and ``c`` precedes ``a`` iff ``pos(c) <=
+    mark(a)``, the highest position reachable through ``a``'s
+    predecessors: D 4.6 and D 4.11 are one bisect each.  After
+    :meth:`seal`, a question about a read from behind an object's
+    sealed head raises :class:`WindowExceeded` instead of answering.
+    """
+
+    __slots__ = ("_pos", "_writers", "_sealed")
+
+    def __init__(self, init_uid: int) -> None:
+        self._pos: Dict[int, int] = {init_uid: INIT_POS}
+        # obj -> (positions, uids), parallel and ascending.
+        self._writers: Dict[str, Tuple[List[int], List[int]]] = {}
+        self._sealed: Set[str] = set()
+
+    def __contains__(self, uid: int) -> bool:
+        return uid in self._pos
+
+    def position(self, uid: int) -> Optional[int]:
+        return self._pos.get(uid)
+
+    def uid_at(self, position: int) -> int:
+        """A linear walk: it names the update that closes a cycle."""
+        return next(itertools.islice(self._pos, position + 1, None))
+
+    def place(self, uid: int, writes: Iterable[str]) -> int:
+        """Give ``uid``, which writes ``writes``, the next position."""
+        position = self._pos[uid] = len(self._pos) - 1
+        for obj in writes:
+            positions, uids = self._writers.setdefault(obj, ([], []))
+            positions.append(position)
+            uids.append(uid)
+        return position
+
+    def overwriter(
+        self, reader: int, obj: str, b_pos: int, mark: int
+    ) -> Optional[int]:
+        """D 4.6: the newest writer ``c != reader`` of ``obj`` at or
+        below ``mark``, if it sits after ``b_pos``; else None."""
+        if b_pos >= mark:
+            return None  # nothing the reader sees lies after its writer
+        positions, uids = self._writers_of(obj, b_pos)
+        k = bisect_right(positions, mark) - 1
+        while k >= 0 and uids[k] == reader:
+            k -= 1  # the reader's own write is not a predecessor
+        return uids[k] if k >= 0 and positions[k] > b_pos else None
+
+    def next_writer(self, reader: int, obj: str, b_pos: int) -> Optional[int]:
+        """The D 4.11 cover pair of a read from ``b_pos``: the first
+        writer ``c != reader`` of ``obj`` after it, or None."""
+        positions, uids = self._writers_of(obj, b_pos)
+        k = bisect_right(positions, b_pos)
+        if k < len(uids) and uids[k] == reader:
+            k += 1
+        return uids[k] if k < len(uids) else None
+
+    def seal(self, floor: int) -> int:
+        """Drop writer slots below ``floor`` but, per object, the newest
+        (the sealed head).  Returns how many were dropped."""
+        dropped = 0
+        for obj, (positions, uids) in self._writers.items():
+            cut = bisect_left(positions, floor) - 1
+            if cut > 0:
+                del positions[:cut]
+                del uids[:cut]
+                self._sealed.add(obj)
+                dropped += cut
+        return dropped
+
+    @property
+    def retained(self) -> int:
+        """Writer slots held."""
+        return sum(len(positions) for positions, _ in self._writers.values())
+
+    def _writers_of(self, obj: str, b_pos: int):
+        positions, uids = self._writers.get(obj, ((), ()))
+        if obj in self._sealed and b_pos < positions[0]:
+            raise WindowExceeded(f"{obj!r} read from behind its sealed head")
+        return positions, uids
 
 
 def _cover_successors(
@@ -192,14 +288,9 @@ def run_scan(
     ``total-update-order``, via ``~p`` for ``single-updater``), or the
     chain is a concatenation of segments no base edge crosses, each
     ordered by ``~p`` and holding all accesses to its objects
-    (``object-partitioned``).  Under these, for writers ``b, c`` of
-    one object in an acyclic base: ``b ~H+ c`` iff ``chainpos(b) <
-    chainpos(c)``, and ``c ~H+ a`` iff ``chainpos(c) <= mark(a)``
-    where ``mark(a)`` is the maximum chain position reachable through
-    ``a``'s predecessors (a forward DP over the cover DAG).  D 4.6
-    then reads: some writer of ``x`` other than the reader sits at a
-    chain position in ``(pos(b), mark(a)]`` — one binary search per
-    external read.
+    (``object-partitioned``).  Under these the chain is a
+    :class:`Timeline`, and each read asks it D 4.6 at the reader's
+    mark, computed by a forward DP over the cover DAG.
 
     Without a ``chain`` the updates' Kahn pop order is the chain.  It
     is total (D 4.9, :attr:`ScanResult.ww`) iff each update's
@@ -219,10 +310,15 @@ def run_scan(
     index = HistoryIndex.of(history)
     pos, succ = _cover_successors(history, condition, extra_pairs)
     n = len(uids)
+    timeline = Timeline(history.init.uid)
+    marks = [_NO_MARK] * n
+    marks[pos[history.init.uid]] = INIT_POS
     found = chain is None
-    chain = [] if found else chain
-    chain_pos: Dict[int, int] = {history.init.uid: -1}
-    chain_pos.update((uid, i) for i, uid in enumerate(chain))
+    for uid in chain or ():
+        i = pos.get(uid)  # a chain slot outside this history writes nothing
+        cp = timeline.place(uid, () if i is None else history[uid].external_writes)
+        if i is not None:
+            marks[i] = cp
     # Without a chain each update takes the next position as it pops
     # (update_uids lists the initial m-operation first).
     updates = {pos[uid] for uid in index.update_uids[1:]} if found else ()
@@ -234,11 +330,6 @@ def run_scan(
     for targets in adj:
         for j in targets:
             indegree[j] += 1
-    marks = [_NO_MARK] * n
-    for uid, cp in chain_pos.items():
-        i = pos.get(uid)
-        if i is not None:
-            marks[i] = cp
     ready = deque(i for i in range(n) if indegree[i] == 0)
     seen = 0
     ww = found
@@ -247,9 +338,10 @@ def run_scan(
         seen += 1
         mark = marks[i]
         if i in updates:
-            ww = ww and mark == len(chain) - 1
-            mark = marks[i] = chain_pos[uids[i]] = len(chain)
-            chain.append(uids[i])
+            uid = uids[i]
+            cp = timeline.place(uid, history[uid].external_writes)
+            ww = ww and mark == cp - 1
+            mark = marks[i] = cp
         for j in adj[i]:
             if marks[j] < mark:
                 marks[j] = mark
@@ -262,19 +354,10 @@ def run_scan(
             refutation=label_cycle(history, condition, extra_pairs, cycle)
         )
 
-    # Per-object writer positions, ascending by chain construction.
-    writer_pos: Dict[str, List[int]] = {}
-    writer_uid: Dict[str, List[int]] = {}
-    for cp, uid in enumerate(chain):
-        if uid not in pos:
-            continue  # chain slot for an m-op outside this history
-        for obj in history[uid].external_writes:
-            writer_pos.setdefault(obj, []).append(cp)
-            writer_uid.setdefault(obj, []).append(uid)
-
     reads = sorted(index.proper_reads())
+    cover = set()
     for (a_uid, obj), b_uid in reads:
-        b_pos = chain_pos.get(b_uid)
+        b_pos = timeline.position(b_uid)
         if b_pos is None:
             raise PlanRefused(
                 f"writer m#{b_uid} of {obj!r} is not on the update "
@@ -287,23 +370,20 @@ def run_scan(
                 f"position {b_pos}, {limit - b_pos} positions behind "
                 f"its visibility mark {limit} (> window {window})"
             )
-        positions = writer_pos.get(obj)
-        if not positions:
-            continue
-        k = bisect_right(positions, limit) - 1
-        names = writer_uid[obj]
-        while k >= 0 and names[k] == a_uid:
-            k -= 1
-        if k >= 0 and positions[k] > b_pos:
+        c_uid = timeline.overwriter(a_uid, obj, b_pos, limit)
+        if c_uid is not None:
             return ScanResult(
                 ww=ww,
                 refutation=Refutation(
-                    "illegal", condition, triple=(a_uid, b_uid, names[k]),
+                    "illegal", condition, triple=(a_uid, b_uid, c_uid),
                     obj=obj,
                 ),
             )
+        c_uid = timeline.next_writer(a_uid, obj, b_pos)
+        if c_uid is not None:
+            cover.add((a_uid, c_uid))
 
-    rw = tuple(rw_cover_pairs(reads, writer_uid, chain_pos))
+    rw = tuple(sorted(cover))
     with get_tracer().span(
         "check.witness", reads=len(reads), rw_edges=len(rw)
     ):

@@ -177,36 +177,20 @@ class BaseProcess:
             # Zero-latency local actions still consume local processing
             # time; keep real-time order sound by nudging the response.
             resp = pending.inv + self.cluster.local_delay
-        self.cluster.recorder.complete(
-            OpRecord(
-                uid=pending.uid,
-                process=self.pid,
-                name=pending.program.name,
-                inv=pending.inv,
-                resp=resp,
-                ops=record.ops,
-                reads_from=dict(record.reads_from),
-                result=record.result,
-                is_update=pending.program.may_write,
-            )
+        completed = OpRecord(
+            uid=pending.uid,
+            process=self.pid,
+            name=pending.program.name,
+            inv=pending.inv,
+            resp=resp,
+            ops=record.ops,
+            reads_from=dict(record.reads_from),
+            result=record.result,
+            is_update=pending.program.may_write,
         )
+        self.cluster.recorder.complete(completed)
         if self.cluster.monitor is not None:
-            from repro.core.monitor import ObservedOp
-
-            self.cluster.monitor.complete(
-                ObservedOp(
-                    uid=pending.uid,
-                    process=self.pid,
-                    inv=pending.inv,
-                    resp=resp,
-                    reads_from=dict(record.reads_from),
-                    writes=tuple(
-                        op.obj for op in record.ops if op.is_write
-                    ),
-                    is_update=pending.program.may_write,
-                ),
-                now=self.cluster.sim.now,
-            )
+            self.cluster.monitor.complete(completed, now=self.cluster.sim.now)
         if pending.span is not None:
             pending.span.end(resp=resp)
             pending.span = None

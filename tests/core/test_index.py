@@ -1,16 +1,14 @@
 """Unit tests for the shared history-index layer.
 
-:class:`HistoryIndex` (batch: cached covers, triples, base orders),
-and the audit contract the chaos harness keys on — once a streaming
-``LiveIndex`` twin of it, now :class:`~repro.core.monitor.LiveMonitor`.
+:class:`HistoryIndex` (batch: cached covers, triples, base orders).
+The streaming audit contract is :class:`~repro.core.monitor.LiveMonitor`'s,
+in ``tests/core/test_monitor.py``.
 """
 
 import pytest
 
 from repro.core import (
     HistoryIndex,
-    LiveMonitor,
-    ObservedOp,
     Relation,
     base_order,
     object_order,
@@ -20,11 +18,9 @@ from repro.core.index import CONDITIONS
 from repro.core.operation import INIT_UID
 from repro.core.plan import _cover_successors
 from repro.errors import MissingTimestampsError
-from repro.protocols import msc_cluster
 from repro.workloads import (
     HistoryShape,
     random_serial_history,
-    random_workloads,
 )
 from tests.conftest import simple_history
 
@@ -156,63 +152,3 @@ class TestHistoryIndex:
         counted = index.stats().interfering_triples
         assert index._d.triples is None
         assert counted == len(index.interfering_triples()) > 0
-
-
-def observe(monitor, uid, process, reads_from, is_update):
-    """Feed one completion (times in uid order: arrival is response
-    order) and release whatever is ready."""
-    monitor.complete(
-        ObservedOp(
-            uid, process, float(uid), uid + 0.5, dict(reads_from), (),
-            is_update,
-        )
-    )
-    monitor.barrier()
-
-
-class TestLiveIndex:
-    """The streaming audit contract (class and test names are the
-    ``LiveIndex`` era's; the behaviours are ``LiveMonitor``'s now)."""
-
-    def test_buffers_until_writer_announced(self):
-        li = LiveMonitor()
-        observe(li, 2, 0, {"x": 1}, False)  # reads a not-yet-known writer
-        assert li.pending == 1 and li.observed == 0
-        li.announce(1, ["x"])
-        assert li.audit() is None
-        assert li.pending == 0 and li.observed == 1
-
-    def test_update_waits_for_own_announcement(self):
-        li = LiveMonitor()
-        observe(li, 1, 0, {}, True)
-        assert li.pending == 1
-        li.announce(1, ["x"])
-        assert li.audit() is None
-        assert li.pending == 0 and li.observed == 1
-
-    def test_detects_order_cycle(self):
-        li = LiveMonitor()
-        li.announce(1, ["x"])
-        li.announce(2, ["x"])  # ~ww: 1 -> 2
-        observe(li, 1, 0, {"x": 2}, True)  # ~rf: 2 -> 1 closes the cycle
-        assert "cycle" in li.audit()
-        assert not li.consistent
-
-    def test_detects_illegal_triple(self):
-        li = LiveMonitor()
-        li.announce(1, ["x"])
-        li.announce(2, ["x"])  # ~ww: 1 -> 2
-        observe(li, 2, 0, {}, True)
-        observe(li, 3, 0, {"x": 1}, False)  # P0: 2 -> 3, but 3 reads 1
-        verdict = li.audit()
-        assert verdict is not None and "illegal triple" in verdict
-
-    def test_clean_protocol_run_stays_consistent(self):
-        """End-to-end: the cluster feeds the monitor during a run and
-        the final audit agrees with the batch verdict."""
-        li = LiveMonitor()
-        cluster = msc_cluster(3, ["x", "y"], seed=2, monitor=li)
-        result = cluster.run(random_workloads(3, ["x", "y"], 4, seed=3))
-        assert li.observed == len(result.recorder.records)
-        assert li.pending == 0
-        assert li.audit() is None

@@ -1,4 +1,6 @@
-"""Live monitor: unit behaviour + agreement with batch checking."""
+"""Live monitor: unit behaviour, the audit contract the chaos harness
+keys on, the windowed (bounded-memory) mode, and agreement with batch
+checking."""
 
 import pytest
 
@@ -6,27 +8,54 @@ from repro.core import History, check_condition
 from repro.core.monitor import (
     LiveMonitor,
     MonitorUsageError,
-    ObservedOp,
     verify_stream,
 )
+from repro.protocols import msc_cluster
+from repro.protocols.recorder import OpRecord
 from repro.workloads import (
     HistoryShape,
     corrupt_history,
     random_serial_history,
+    random_workloads,
     rewire_read,
     shift_process,
     stretch_history,
 )
+from tests.core.test_plan import serial
 from tests.core.test_refutation import accepts
+
+
+def completion(uid, process, inv, resp, reads_from, is_update):
+    """The :class:`OpRecord` a cluster hands the monitor when an
+    m-operation completes (no operations: the monitor reads none)."""
+    return OpRecord(
+        uid=uid,
+        process=process,
+        name=f"m{uid}",
+        inv=inv,
+        resp=resp,
+        ops=(),
+        reads_from=dict(reads_from),
+        result=None,
+        is_update=is_update,
+    )
 
 
 def observe(monitor: LiveMonitor, *fields):
     """Complete one m-operation and release it; its violation if any."""
     before = len(monitor.violations)
-    monitor.complete(ObservedOp(*fields))
+    monitor.complete(completion(*fields))
     monitor.barrier()
     exposed = monitor.violations[before:]
     return exposed[0] if exposed else None
+
+
+def observe_in_uid_order(monitor, uid, process, reads_from, is_update):
+    """:func:`observe` with times in uid order (arrival is response
+    order)."""
+    return observe(
+        monitor, uid, process, float(uid), uid + 0.5, reads_from, is_update
+    )
 
 
 def ww_chain_of(history: History):
@@ -47,17 +76,16 @@ def feed_history(history: History, condition: str, chain=None) -> LiveMonitor:
         monitor.announce(uid, tuple(sorted(history[uid].external_writes)))
     for mop in history.mops:
         monitor.complete(
-            ObservedOp(
-                uid=mop.uid,
-                process=mop.process,
-                inv=mop.inv,
-                resp=mop.resp,
-                reads_from={
+            completion(
+                mop.uid,
+                mop.process,
+                mop.inv,
+                mop.resp,
+                {
                     obj: history.writer_of(mop.uid, obj)
                     for obj in mop.external_reads
                 },
-                writes=tuple(sorted(mop.external_writes)),
-                is_update=mop.is_update,
+                mop.is_update,
             )
         )
     monitor.flush()
@@ -84,8 +112,8 @@ class TestUnitBehaviour:
     def test_simple_fresh_read(self):
         monitor = LiveMonitor()
         monitor.announce(1, ("x",))
-        assert observe(monitor, 1, 0, 0.0, 1.0, {}, ("x",), True) is None
-        assert observe(monitor, 2, 1, 2.0, 3.0, {"x": 1}, (), False) is None
+        assert observe(monitor, 1, 0, 0.0, 1.0, {}, True) is None
+        assert observe(monitor, 2, 1, 2.0, 3.0, {"x": 1}, False) is None
         assert monitor.observed == 2
 
     def test_skipped_update_detected(self):
@@ -94,9 +122,9 @@ class TestUnitBehaviour:
         monitor = LiveMonitor()
         monitor.announce(1, ("x",))
         monitor.announce(2, ("x",))
-        observe(monitor, 1, 0, 0.0, 1.0, {}, ("x",), True)
-        observe(monitor, 2, 0, 2.0, 3.0, {}, ("x",), True)
-        violation = observe(monitor, 3, 0, 4.0, 5.0, {"x": 1}, (), False)
+        observe(monitor, 1, 0, 0.0, 1.0, {}, True)
+        observe(monitor, 2, 0, 2.0, 3.0, {}, True)
+        violation = observe(monitor, 3, 0, 4.0, 5.0, {"x": 1}, False)
         assert violation is not None
         assert violation.kind == "illegal"
         assert violation.triple == (3, 1, 2) and violation.obj == "x"
@@ -107,31 +135,31 @@ class TestUnitBehaviour:
         # A different process may lag arbitrarily under m-SC.
         monitor = LiveMonitor("m-sc")
         monitor.announce(1, ("x",))
-        observe(monitor, 1, 0, 0.0, 1.0, {}, ("x",), True)
-        assert observe(monitor, 2, 1, 2.0, 3.0, {"x": 0}, (), False) is None
+        observe(monitor, 1, 0, 0.0, 1.0, {}, True)
+        assert observe(monitor, 2, 1, 2.0, 3.0, {"x": 0}, False) is None
 
     def test_same_stale_read_flagged_for_mlin(self):
         monitor = LiveMonitor("m-lin")
         monitor.announce(1, ("x",))
-        observe(monitor, 1, 0, 0.0, 1.0, {}, ("x",), True)
-        violation = observe(monitor, 2, 1, 2.0, 3.0, {"x": 0}, (), False)
+        observe(monitor, 1, 0, 0.0, 1.0, {}, True)
+        violation = observe(monitor, 2, 1, 2.0, 3.0, {"x": 0}, False)
         assert violation is not None
 
     def test_overlapping_stale_read_fine_for_mlin(self):
         monitor = LiveMonitor("m-lin")
         monitor.announce(1, ("x",))
-        observe(monitor, 1, 0, 0.0, 2.0, {}, ("x",), True)
+        observe(monitor, 1, 0, 0.0, 2.0, {}, True)
         # inv before the writer's resp: no global-mark edge.
-        assert observe(monitor, 2, 1, 1.0, 3.0, {"x": 0}, (), False) is None
+        assert observe(monitor, 2, 1, 1.0, 3.0, {"x": 0}, False) is None
 
     def test_future_read_flagged(self):
         monitor = LiveMonitor()
         monitor.announce(1, ("x",))
         monitor.announce(2, ("y",))
-        observe(monitor, 1, 0, 0.0, 1.0, {}, ("x",), True)
+        observe(monitor, 1, 0, 0.0, 1.0, {}, True)
         # Update 2 claims to read y from an even later broadcast.
         monitor.announce(3, ("y",))
-        violation = observe(monitor, 2, 1, 2.0, 3.0, {"y": 3}, ("y",), True)
+        violation = observe(monitor, 2, 1, 2.0, 3.0, {"y": 3}, True)
         assert violation is not None
         # 2 precedes 3 on ~ww, and 3 -rf-> 2.
         assert violation.cycle == ((2, "extra"), (3, "rf"))
@@ -148,9 +176,9 @@ class TestUnitBehaviour:
         # predecessors' mark *equals* the update's own position.
         monitor = LiveMonitor(condition)
         monitor.announce(1, ("x",))
-        assert observe(monitor, 2, 0, 0.0, 1.0, {"x": 1}, (), False) is None
+        assert observe(monitor, 2, 0, 0.0, 1.0, {"x": 1}, False) is None
         violation = observe(
-            monitor, 1, writer_process, 2.0, 3.0, {}, ("x",), True
+            monitor, 1, writer_process, 2.0, 3.0, {}, True
         )
         assert violation is not None and violation.kind == "cycle"
         assert violation.cycle == ((1, "path"),)
@@ -160,15 +188,15 @@ class TestUnitBehaviour:
         # m-lin's response-time mark needs releases in response order.
         monitor = LiveMonitor("m-lin")
         monitor.announce(1, ("x",))
-        observe(monitor, 1, 0, 0.0, 5.0, {}, ("x",), True)
+        observe(monitor, 1, 0, 0.0, 5.0, {}, True)
         with pytest.raises(MonitorUsageError):
-            observe(monitor, 2, 1, 0.0, 1.0, {"x": 1}, (), False)
+            observe(monitor, 2, 1, 0.0, 1.0, {"x": 1}, False)
 
     def test_unannounced_update_rejected(self):
         # Held back while its broadcast position may still land; at
         # the end of the run a never-delivered update is a violation.
         monitor = LiveMonitor()
-        assert observe(monitor, 1, 0, 0.0, 1.0, {}, ("x",), True) is None
+        assert observe(monitor, 1, 0, 0.0, 1.0, {}, True) is None
         assert monitor.pending == 1 and monitor.observed == 0
         monitor.flush()
         assert not monitor.consistent
@@ -191,10 +219,148 @@ class TestUnitBehaviour:
         monitor = LiveMonitor()
         monitor.announce(1, ("x",))
         monitor.announce(2, ("x",))
-        observe(monitor, 1, 0, 0.0, 1.0, {}, ("x",), True)
+        observe(monitor, 1, 0, 0.0, 1.0, {}, True)
         assert (
-            observe(monitor, 2, 1, 2.0, 3.0, {"x": 1}, ("x",), True) is None
+            observe(monitor, 2, 1, 2.0, 3.0, {"x": 1}, True) is None
         )
+
+
+class TestAuditContract:
+    """The streaming audit contract the chaos harness keys on."""
+
+    def test_buffers_until_writer_announced(self):
+        monitor = LiveMonitor()
+        # reads a not-yet-known writer
+        observe_in_uid_order(monitor, 2, 0, {"x": 1}, False)
+        assert monitor.pending == 1 and monitor.observed == 0
+        monitor.announce(1, ["x"])
+        assert monitor.audit() is None
+        assert monitor.pending == 0 and monitor.observed == 1
+
+    def test_update_waits_for_own_announcement(self):
+        monitor = LiveMonitor()
+        observe_in_uid_order(monitor, 1, 0, {}, True)
+        assert monitor.pending == 1
+        monitor.announce(1, ["x"])
+        assert monitor.audit() is None
+        assert monitor.pending == 0 and monitor.observed == 1
+
+    def test_detects_order_cycle(self):
+        monitor = LiveMonitor()
+        monitor.announce(1, ["x"])
+        monitor.announce(2, ["x"])  # ~ww: 1 -> 2
+        # ~rf: 2 -> 1 closes the cycle
+        observe_in_uid_order(monitor, 1, 0, {"x": 2}, True)
+        assert "cycle" in monitor.audit()
+        assert not monitor.consistent
+
+    def test_detects_illegal_triple(self):
+        monitor = LiveMonitor()
+        monitor.announce(1, ["x"])
+        monitor.announce(2, ["x"])  # ~ww: 1 -> 2
+        observe_in_uid_order(monitor, 2, 0, {}, True)
+        # P0: 2 -> 3, but 3 reads 1
+        observe_in_uid_order(monitor, 3, 0, {"x": 1}, False)
+        verdict = monitor.audit()
+        assert verdict is not None and "illegal triple" in verdict
+
+    def test_clean_protocol_run_stays_consistent(self):
+        """End-to-end: the cluster feeds the monitor during a run and
+        the final audit agrees with the batch verdict."""
+        monitor = LiveMonitor()
+        cluster = msc_cluster(3, ["x", "y"], seed=2, monitor=monitor)
+        result = cluster.run(random_workloads(3, ["x", "y"], 4, seed=3))
+        assert monitor.observed == len(result.recorder.records)
+        assert monitor.pending == 0
+        assert monitor.audit() is None
+
+
+class TestWindowedMonitor:
+    """:class:`LiveMonitor` with a ``window``: bounded memory, and a
+    read behind a sealed prefix is a counted refusal."""
+
+    def feed(self, monitor, history):
+        for mop in history.mops:
+            if mop.is_update:
+                monitor.announce(mop.uid, list(mop.external_writes))
+            observe_in_uid_order(
+                monitor,
+                mop.uid,
+                mop.process,
+                {
+                    obj: writer
+                    for (reader, obj), writer
+                    in history.reads_from_map.items()
+                    if reader == mop.uid
+                },
+                mop.is_update,
+            )
+
+    def test_clean_serial_history_is_consistent(self):
+        history, _chain = serial(n_mops=100, seed=6)
+        monitor = LiveMonitor(window=16)
+        self.feed(monitor, history)
+        assert monitor.audit() is None
+        assert monitor.consistent
+        assert not monitor.pending
+        assert monitor.epochs > 0
+
+    def test_memory_stays_bounded(self):
+        history, _chain = serial(n_mops=200, seed=7, n_objects=2)
+        monitor = LiveMonitor(window=10)
+        self.feed(monitor, history)
+        # Per object the timeline keeps at most the sealed head plus
+        # the live window of writer positions.
+        assert monitor.retained <= 2 * (10 + 2)
+        assert monitor.sealed > 0
+
+    def test_window_one_rejected(self):
+        with pytest.raises(ValueError):
+            LiveMonitor(window=0)
+
+    def test_stale_read_behind_seal_counts_refusal(self):
+        # Two x writers, then enough y traffic that the seal discards
+        # x's older position; a reader whose mark advanced on y then
+        # reads x from the *pruned* older writer — undecidable.
+        monitor = LiveMonitor(window=2)
+        monitor.announce(1, ["x"])
+        observe_in_uid_order(monitor, 1, 0, {}, True)
+        monitor.announce(2, ["x"])
+        observe_in_uid_order(monitor, 2, 0, {"x": 1}, True)
+        for uid in range(3, 9):
+            monitor.announce(uid, ["y"])
+            observe_in_uid_order(monitor, uid, 1, {}, True)
+        observe_in_uid_order(monitor, 10, 2, {"y": 8}, False)
+        observe_in_uid_order(monitor, 11, 2, {"x": 1}, False)
+        assert monitor.window_refusals >= 1
+        assert monitor.audit() is None  # refusal, never a verdict
+
+    def test_illegal_triple_detected_within_window(self):
+        monitor = LiveMonitor(window=32)
+        monitor.announce(1, ["x"])
+        observe_in_uid_order(monitor, 1, 0, {}, True)
+        monitor.announce(2, ["x"])
+        observe_in_uid_order(monitor, 2, 0, {"x": 1}, True)
+        # Reader saw writer 2 (via y-less mark: its own process read
+        # of 2) yet reads x from 1: illegal D 4.6 triple.
+        observe_in_uid_order(monitor, 3, 1, {"x": 2}, False)
+        observe_in_uid_order(monitor, 4, 1, {"x": 1}, False)
+        violation = monitor.audit()
+        assert violation is not None
+        assert "illegal triple" in violation
+
+    def test_chaos_accepts_verify_window(self):
+        from repro.runtime import VerifyPolicy, execute
+        from tests.conftest import chaos_spec
+
+        artifact = execute(
+            chaos_spec(
+                "msc", 0, n=3, ops=4, verify=VerifyPolicy(window=64)
+            )
+        )
+        assert artifact.ok
+        assert artifact.net_stats["chaos"]["window_refusals"] == 0
+        assert "window_epochs" in artifact.net_stats["chaos"]
 
 
 def rewired(history: History, chain, kind: str, seed: int):

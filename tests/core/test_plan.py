@@ -4,12 +4,17 @@ Which path a check takes (the verdict's ``certificate``, the
 ``check.scan`` span's ``chain`` and whether ``check.closure`` follows
 it) and its refusals, the chain a certificate hands the checker, the
 forward legality scan (given, found and object-partitioned chains
-alike), the windowed scan's refusal contract, and its streaming
-counterpart, :class:`LiveMonitor` with a ``window``.  Corpus-scale
-verdict fidelity lives in ``tests/core/test_plan_crossval.py``.
+alike), the windowed scan's refusal contract, and the
+:class:`~repro.core.plan.Timeline` kernel against the definitions it
+answers.  Corpus-scale verdict fidelity lives in
+``tests/core/test_plan_crossval.py``; the streaming counterpart,
+:class:`~repro.core.monitor.LiveMonitor` with a ``window``, is tested
+in ``tests/core/test_monitor.py``.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -18,8 +23,9 @@ from repro.analysis.static import (
     certify_history,
     certify_partitioned_history,
 )
-from repro.core import LiveMonitor, check_condition
-from repro.core.plan import run_scan
+from repro.core import check_condition
+from repro.core.operation import INIT_UID
+from repro.core.plan import INIT_POS, Timeline, run_scan
 from repro.errors import (
     CertificationRefused,
     InvalidCertificate,
@@ -32,7 +38,6 @@ from repro.workloads import (
     random_partitioned_history,
     random_serial_history,
 )
-from tests.core.test_index import observe
 
 
 def serial(n_mops=40, seed=3, **kwargs):
@@ -52,15 +57,23 @@ def partitioned(n_mops=60, seed=3, n_processes=3):
 def popcount_rw_cover(history, closure):
     """The ~rw cover over ``closure``'s writer chains, ranked by row
     popcount: a node of a closed strict order precedes only nodes
-    with fewer successors."""
-    from repro.core.index import HistoryIndex, rw_cover_pairs
+    with fewer successors.  Per read ``a`` from ``b`` the pair goes to
+    the first writer after ``b`` other than ``a`` — the reference the
+    scan's :meth:`Timeline.next_writer` cover is compared against."""
+    from repro.core.index import HistoryIndex
 
     index = HistoryIndex.of(history)
     rows = index.closure_rows(closure).succ
     rank = {uid: -row.bit_count() for uid, row in zip(history.uids, rows)}
-    return set(
-        rw_cover_pairs(index.proper_reads(), index.writer_timelines, rank)
-    )
+    pairs = set()
+    for (a_uid, obj), b_uid in index.proper_reads():
+        later = [
+            c for c in index.writer_timelines.get(obj, ())
+            if c != a_uid and rank[c] > rank[b_uid]
+        ]
+        if later:
+            pairs.add((a_uid, min(later, key=rank.__getitem__)))
+    return pairs
 
 
 def traced(history, condition, **kwargs):
@@ -350,91 +363,115 @@ class TestCertifyHistory:
             certify_history(history)
 
 
-class TestWindowedIndex:
-    """:class:`LiveMonitor` with a ``window`` (the class keeps the
-    name of the ``WindowedIndex`` whose contract this is)."""
+class TestTimeline:
+    """The kernel both Theorem-7 checkers ask, against brute-force
+    readings of D 4.6 and D 4.11 over random update chains."""
 
-    observe = staticmethod(observe)
+    OBJECTS = ("x", "y", "z")
 
-    def feed(self, index, history):
-        for mop in history.mops:
-            if mop.is_update:
-                index.announce(mop.uid, list(mop.external_writes))
-            self.observe(
-                index,
-                mop.uid,
-                mop.process,
-                {
-                    obj: writer
-                    for (reader, obj), writer
-                    in history.reads_from_map.items()
-                    if reader == mop.uid
-                },
-                mop.is_update,
+    def random_timeline(self, rng):
+        """A timeline and its chain as ``(uid, writes)`` per position."""
+        timeline = Timeline(INIT_UID)
+        chain = []
+        for uid in range(1, rng.randint(1, 14)):
+            writes = tuple(o for o in self.OBJECTS if rng.random() < 0.45)
+            assert timeline.place(uid, writes) == len(chain)
+            chain.append((uid, writes))
+        return timeline, chain
+
+    @staticmethod
+    def writers_after(chain, reader, obj, b_pos, mark):
+        """Positions ``p`` of writers ``c != reader`` of ``obj`` with
+        ``b_pos < p <= mark``."""
+        return [
+            p for p, (uid, writes) in enumerate(chain)
+            if uid != reader and obj in writes and b_pos < p <= mark
+        ]
+
+    def queries(self, rng, chain):
+        """``(reader, obj, b_pos, mark)``: INIT reads, reads from a
+        writer of ``obj``, and readers that wrote ``obj`` themselves."""
+        n = len(chain)
+        for _ in range(40):
+            obj = rng.choice(self.OBJECTS)
+            writers = [p for p, (_u, w) in enumerate(chain) if obj in w]
+            b_pos = rng.choice([INIT_POS] + writers)
+            mark = rng.randint(INIT_POS, n - 1)
+            reader = rng.choice(
+                [chain[p][0] for p in writers] + [n + 1]
             )
+            yield reader, obj, b_pos, mark
 
-    def test_clean_serial_history_is_consistent(self):
-        history, _chain = serial(n_mops=100, seed=6)
-        index = LiveMonitor(window=16)
-        self.feed(index, history)
-        assert index.audit() is None
-        assert index.consistent
-        assert not index.pending
-        assert index.epochs > 0
+    def test_questions_match_the_definitions(self):
+        rng = random.Random(11)
+        own_write_below_mark = init_reads = answered = 0
+        for _ in range(300):
+            timeline, chain = self.random_timeline(rng)
+            for reader, obj, b_pos, mark in self.queries(rng, chain):
+                later = self.writers_after(chain, reader, obj, b_pos, mark)
+                expected = chain[max(later)][0] if later else None
+                assert timeline.overwriter(reader, obj, b_pos, mark) == (
+                    expected
+                ), (chain, reader, obj, b_pos, mark)
+                after = self.writers_after(
+                    chain, reader, obj, b_pos, len(chain)
+                )
+                expected = chain[min(after)][0] if after else None
+                assert timeline.next_writer(reader, obj, b_pos) == expected
+                own = [
+                    p for p, (uid, w) in enumerate(chain)
+                    if uid == reader and obj in w
+                ]
+                own_write_below_mark += bool(own) and own[0] <= mark
+                init_reads += b_pos == INIT_POS
+                answered += 1
+        assert answered == 300 * 40
+        assert own_write_below_mark > 500 and init_reads > 1000
 
-    def test_memory_stays_bounded(self):
-        history, _chain = serial(n_mops=200, seed=7, n_objects=2)
-        index = LiveMonitor(window=10)
-        self.feed(index, history)
-        # Per object the timeline keeps at most the sealed head plus
-        # the live window of writer positions.
-        assert index.retained <= 2 * (10 + 2)
-        assert index.sealed > 0
+    def test_positions_and_uids(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            timeline, chain = self.random_timeline(rng)
+            assert timeline.position(INIT_UID) == INIT_POS
+            for p, (uid, writes) in enumerate(chain):
+                assert uid in timeline and timeline.position(uid) == p
+                assert timeline.uid_at(p) == uid
+            assert timeline.position(len(chain) + 1) is None
+            assert timeline.retained == sum(len(w) for _u, w in chain)
 
-    def test_window_one_rejected(self):
-        with pytest.raises(ValueError):
-            LiveMonitor(window=0)
-
-    def test_stale_read_behind_seal_counts_refusal(self):
-        # Two x writers, then enough y traffic that the seal discards
-        # x's older position; a reader whose mark advanced on y then
-        # reads x from the *pruned* older writer — undecidable.
-        index = LiveMonitor(window=2)
-        index.announce(1, ["x"])
-        self.observe(index, 1, 0, {}, True)
-        index.announce(2, ["x"])
-        self.observe(index, 2, 0, {"x": 1}, True)
-        for uid in range(3, 9):
-            index.announce(uid, ["y"])
-            self.observe(index, uid, 1, {}, True)
-        self.observe(index, 10, 2, {"y": 8}, False)
-        self.observe(index, 11, 2, {"x": 1}, False)
-        assert index.window_refusals >= 1
-        assert index.audit() is None  # refusal, never a verdict
-
-    def test_illegal_triple_detected_within_window(self):
-        index = LiveMonitor(window=32)
-        index.announce(1, ["x"])
-        self.observe(index, 1, 0, {}, True)
-        index.announce(2, ["x"])
-        self.observe(index, 2, 0, {"x": 1}, True)
-        # Reader saw writer 2 (via y-less mark: its own process read
-        # of 2) yet reads x from 1: illegal D 4.6 triple.
-        self.observe(index, 3, 1, {"x": 2}, False)
-        self.observe(index, 4, 1, {"x": 1}, False)
-        violation = index.audit()
-        assert violation is not None
-        assert "illegal triple" in violation
-
-    def test_chaos_accepts_verify_window(self):
-        from repro.runtime import VerifyPolicy, execute
-        from tests.conftest import chaos_spec
-
-        artifact = execute(
-            chaos_spec(
-                "msc", 0, n=3, ops=4, verify=VerifyPolicy(window=64)
+    def test_a_read_behind_the_sealed_head_is_refused(self):
+        rng = random.Random(7)
+        refused = answered = 0
+        for _ in range(300):
+            timeline, chain = self.random_timeline(rng)
+            floor = rng.randint(1, len(chain) + 1)
+            heads = {}
+            for obj in self.OBJECTS:
+                below = [
+                    p for p, (_u, w) in enumerate(chain)
+                    if obj in w and p < floor
+                ]
+                if len(below) > 1:
+                    heads[obj] = below[-1]
+            dropped = timeline.seal(floor)
+            assert dropped == sum(
+                sum(1 for p, (_u, w) in enumerate(chain)
+                    if obj in w and p < head)
+                for obj, head in heads.items()
             )
-        )
-        assert artifact.ok
-        assert artifact.net_stats["chaos"]["window_refusals"] == 0
-        assert "window_epochs" in artifact.net_stats["chaos"]
+            for reader, obj, b_pos, mark in self.queries(rng, chain):
+                if obj in heads and b_pos < heads[obj]:
+                    with pytest.raises(WindowExceeded):
+                        timeline.next_writer(reader, obj, b_pos)
+                    if b_pos < mark:
+                        with pytest.raises(WindowExceeded):
+                            timeline.overwriter(reader, obj, b_pos, mark)
+                    refused += 1
+                    continue
+                later = self.writers_after(chain, reader, obj, b_pos, mark)
+                expected = chain[max(later)][0] if later else None
+                assert timeline.overwriter(reader, obj, b_pos, mark) == (
+                    expected
+                )
+                answered += 1
+        assert refused > 500 and answered > 500

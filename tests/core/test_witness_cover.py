@@ -1,9 +1,10 @@
 """The ``~rw`` cover: why a linear-size edge set gives the same witness.
 
 The Theorem 7 witness is the FIFO-Kahn order of ``~H ∪ ~rw``.  The
-engine adds only the *cover* of ``~rw`` (one pair per read, see
-:func:`repro.core.index.rw_cover_pairs`); every other D 4.11 pair is
-implied by a path through the cover.  These tests pin the lemma that
+scan adds only the *cover* of ``~rw``: per read, the first writer
+after the one it read from
+(:meth:`repro.core.plan.Timeline.next_writer`).  Every other D 4.11
+pair is implied by a path through the cover.  These tests pin the lemma that
 makes that safe — a FIFO-Kahn order cannot see transitively implied
 edges — and the size bound that makes it worth doing.
 """

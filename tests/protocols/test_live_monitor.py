@@ -18,6 +18,7 @@ from repro.objects import read_reg, write_reg
 from repro.protocols import mlin_cluster, msc_cluster
 from repro.sim import ExponentialLatency
 from repro.workloads import random_workloads
+from tests.core.test_monitor import completion
 
 
 class TestLiveRuns:
@@ -185,28 +186,24 @@ class TestLiveViolationDetection:
 
 class TestBufferingDiscipline:
     def test_out_of_window_completion_rejected_directly(self):
-        from repro.core.monitor import ObservedOp
-
         monitor = LiveMonitor("m-lin", slack=0.001)
         monitor.announce(1, ("x",))
         monitor.complete(
-            ObservedOp(1, 0, 0.0, 1.0, {}, ("x",), True), now=5.0
+            completion(1, 0, 0.0, 1.0, {}, True), now=5.0
         )
         # Released already (window passed); a later-time feed with an
         # earlier response would be missing from the response-time
         # mark of what was released since.
         with pytest.raises(MonitorUsageError):
             monitor.complete(
-                ObservedOp(2, 1, 0.0, 0.5, {"x": 1}, (), False), now=6.0
+                completion(2, 1, 0.0, 0.5, {"x": 1}, False), now=6.0
             )
 
     def test_completion_waits_for_announcement(self):
-        from repro.core.monitor import ObservedOp
-
         monitor = LiveMonitor("m-sc")
         # Reader depends on uid 1, not yet announced.
         monitor.complete(
-            ObservedOp(2, 1, 0.0, 0.5, {"x": 1}, (), False), now=10.0
+            completion(2, 1, 0.0, 0.5, {"x": 1}, False), now=10.0
         )
         assert monitor.pending == 1
         monitor.announce(1, ("x",))
@@ -227,12 +224,10 @@ class TestBarrierAndFlush:
     """
 
     def test_barrier_releases_ready_completions_ignoring_slack(self):
-        from repro.core.monitor import ObservedOp
-
         monitor = LiveMonitor("m-sc", slack=100.0)
         monitor.announce(1, ("x",))
         monitor.complete(
-            ObservedOp(1, 0, 0.0, 1.0, {}, ("x",), True), now=1.0
+            completion(1, 0, 0.0, 1.0, {}, True), now=1.0
         )
         # Within the (huge) slack window: _drain holds it back...
         assert monitor.pending == 1
@@ -242,27 +237,23 @@ class TestBarrierAndFlush:
         assert monitor.consistent
 
     def test_barrier_stops_at_blocked_head(self):
-        from repro.core.monitor import ObservedOp
-
         monitor = LiveMonitor("m-sc", slack=0.0)
         # Head reads from the never-announced uid 9; the later
         # completion must stay queued behind it (response order).
         monitor.complete(
-            ObservedOp(2, 1, 0.0, 0.5, {"x": 9}, (), False), now=10.0
+            completion(2, 1, 0.0, 0.5, {"x": 9}, False), now=10.0
         )
         monitor.announce(3, ("y",))
         monitor.complete(
-            ObservedOp(3, 0, 0.6, 1.0, {}, ("y",), True), now=10.0
+            completion(3, 0, 0.6, 1.0, {}, True), now=10.0
         )
         assert monitor.barrier() == 0
         assert monitor.pending == 2
 
     def test_flush_reports_missing_tap_as_violation(self):
-        from repro.core.monitor import ObservedOp
-
         monitor = LiveMonitor("m-sc")
         monitor.complete(
-            ObservedOp(2, 1, 0.0, 0.5, {"x": 9}, (), False), now=10.0
+            completion(2, 1, 0.0, 0.5, {"x": 9}, False), now=10.0
         )
         assert monitor.pending == 1
         monitor.flush()  # no MonitorUsageError
@@ -275,12 +266,10 @@ class TestBarrierAndFlush:
         assert "m#9" in str(violation)
 
     def test_flush_reports_update_missing_own_position(self):
-        from repro.core.monitor import ObservedOp
-
         monitor = LiveMonitor("m-sc")
         # An update completes but its own broadcast never landed.
         monitor.complete(
-            ObservedOp(4, 0, 0.0, 1.0, {}, ("x",), True), now=5.0
+            completion(4, 0, 0.0, 1.0, {}, True), now=5.0
         )
         monitor.flush()
         assert not monitor.consistent
@@ -288,12 +277,10 @@ class TestBarrierAndFlush:
         assert "m#4" in str(monitor.violations[-1])
 
     def test_flush_clean_monitor_stays_consistent(self):
-        from repro.core.monitor import ObservedOp
-
         monitor = LiveMonitor("m-sc", slack=50.0)
         monitor.announce(1, ("x",))
         monitor.complete(
-            ObservedOp(1, 0, 0.0, 1.0, {}, ("x",), True), now=1.0
+            completion(1, 0, 0.0, 1.0, {}, True), now=1.0
         )
         monitor.flush()
         assert monitor.pending == 0

@@ -81,7 +81,9 @@ def test_headline_api_reachable():
 
 def test_retired_verification_names_are_gone():
     """One mark scan: the shard executor, the mode table and the four
-    streaming classes behind it left no alias behind."""
+    streaming classes behind it left no alias behind; nor did the
+    monitor's own completion type or the scan's cover helper, which
+    the recorder's ``OpRecord`` and ``plan.Timeline`` replace."""
     import repro.core as core
     import repro.core.index as index
     import repro.core.monitor as monitor
@@ -89,9 +91,10 @@ def test_retired_verification_names_are_gone():
     import repro.core.relations as relations
 
     retired = {
-        "IncrementalClosure", "LiveIndex", "MODES", "Shard",
+        "IncrementalClosure", "LiveIndex", "MODES", "ObservedOp", "Shard",
         "ShardOutcome", "ShardReport", "StreamingVerifier",
-        "WindowedIndex", "object_shards", "run_sharded", "shard_history",
+        "WindowedIndex", "object_shards", "run_sharded", "rw_cover_pairs",
+        "shard_history",
     }
     assert not retired & set(core.__all__)
     for module in (core, index, monitor, plan, relations):

@@ -15,7 +15,8 @@ path: method {auto, constrained, exact} x every condition of
 ``extra_pairs`` x certificate {none, ``certify_chain``,
 ``certify_partitioned_history``, ``certify_history``} x window {None,
 1, wide}.  Each path writes one line: ``(holds, method_used, witness,
-certificate, stats)``, or the type and message of what it raised.  A certificate the prover refuses
+certificate, stats, refutation)``, or the type and message of what it
+raised.  A certificate the prover refuses
 is one line of its own and its paths are not run.  ``checks()`` yields
 the same paths over the three generated corpora, for a test that
 wants the verdicts themselves (``tests/core/test_refutation.py``).  After the paths, one
@@ -226,6 +227,10 @@ def verdict(history, condition, **kwargs) -> Dict:
         "witness": found.witness,
         "certificate": found.certificate,
         "stats": dataclasses.asdict(found.stats),
+        "refutation": (
+            None if found.refutation is None
+            else dataclasses.asdict(found.refutation)
+        ),
     }
 
 
