@@ -48,7 +48,7 @@ from repro.core.history import History
 from repro.errors import ProcessCrashed, ProtocolError, SimulationError
 from repro.obs import get_tracer
 from repro.protocols.recorder import HistoryRecorder, OpRecord
-from repro.protocols.store import ExecutionRecord, MProgram, VersionedStore
+from repro.protocols.store import EffectTable, ExecutionRecord, MProgram, VersionedStore
 from repro.sim.detector import HeartbeatDetector
 from repro.sim.kernel import Simulator
 from repro.sim.latency import LatencyModel, UniformLatency
@@ -91,6 +91,7 @@ class BaseProcess:
         self.pid = pid
         self.cluster = cluster
         self.store = VersionedStore(cluster.initial_values)
+        self.store.effects = cluster.effects
         self._programs: List[MProgram] = []
         self._next_program = 0
         self._pending: Optional[PendingOp] = None
@@ -578,6 +579,9 @@ class Cluster:
         self.land: Optional[Callable[[int], None]] = None
         if self.abcast is not None and monitor is None and not fault_tolerant:
             self.land = self.abcast.land_lazily()
+        #: Each update's effect, recorded by the first replica to apply
+        #: it for the n - 2 others that do (its issuer executes it).
+        self.effects = EffectTable(n - 2)
         self.processes: List[BaseProcess] = []
         for pid in range(n):
             proc = process_class(pid, self)

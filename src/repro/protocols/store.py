@@ -27,8 +27,11 @@ generates its response (:meth:`VersionedStore.execute`, which is apply
 plus observe).  Both run the program body on the replica's own state
 through an :class:`ObjectView` — applying on the replica's one
 applying view, observing on a view of its own — and bump versions in
-one place; effects are never carried from one replica to another, so
-a replica that diverged keeps diverging.
+one place.  An applied update's effect is computed once per cluster:
+the first replica to apply it records what the body read and wrote,
+and the others install those writes only if what it read are the very
+objects they hold (:meth:`VersionedStore.apply`), so a replica that
+diverged still runs the body and keeps diverging.
 
 **Exporting** a replica — ``(myX, myts)``, what action A4 of Figure 6
 sends in answer to every query — costs what was written since the
@@ -103,6 +106,12 @@ class MProgram:
     walk stays the definition: a message that states no price (an
     ``abc-log`` entry, a program nested near the walk's depth cap)
     walks the program as before.
+
+    The body must be deterministic in the values it reads (§2.1): runs
+    that read the same values make the same accesses, writes and
+    result.  Stored values are immutable: a body mutates none it reads
+    or writes.  Replicas replay one another's effects on both counts
+    (:meth:`VersionedStore.apply`).
     """
 
     __slots__ = ("__dict__", "price")
@@ -165,6 +174,7 @@ class ObjectView:
         "_program",
         "_allowed",
         "_written",
+        "_reads",
         "ops",
         "read_versions",
     )
@@ -185,6 +195,9 @@ class ObjectView:
         self._program = program
         self._allowed = None if program is None else program.static_objects
         self._written: Set[str] = set()
+        #: obj -> value of each external read while the applying view
+        #: records a run (see :meth:`VersionedStore.apply`), else None.
+        self._reads: Optional[Dict[str, Any]] = None
         #: the operation log; ``None`` when nobody observes this run.
         self.ops: Optional[List[Operation]] = [] if observe else None
         #: obj -> (version, writer uid) for each *external* read
@@ -216,6 +229,10 @@ class ObjectView:
                     store._versions[obj],
                     store._writers[obj],
                 )
+        else:
+            reads = self._reads
+            if reads is not None and obj not in reads and obj not in self._written:
+                reads[obj] = value
         return value
 
     def write(self, obj: str, value: Any) -> None:
@@ -281,6 +298,20 @@ class ExecutionRecord:
         self.wobjects = wobjects
         self.start_ts = start_ts
         self.finish_ts = finish_ts
+
+
+class EffectTable(dict):
+    """uid -> ``[program, external reads, final writes, replays left]``.
+
+    Shared by a cluster's stores (see :meth:`VersionedStore.apply`); a
+    record is dropped after ``replays`` further applies of its uid.
+    """
+
+    __slots__ = ("replays",)
+
+    def __init__(self, replays: int = 0) -> None:
+        super().__init__()
+        self.replays = replays
 
 
 #: One object's exported form: ``(value, version, writer uid)``.
@@ -356,6 +387,7 @@ class VersionedStore:
             self._objects, INIT_UID
         )
         self._image: Optional[_ReplicaImage] = None
+        self.effects = EffectTable()
 
     #: The view every delivered update runs on (see :meth:`apply`),
     #: made by the first one: a store that only executes needs none.
@@ -395,24 +427,65 @@ class VersionedStore:
         """Run a program against this replica for its effects only.
 
         Action A2 as every process performs it on every delivered
-        update: the program body runs on *this* replica's values
-        (never on effects computed elsewhere), and then — per
-        P 5.17/P 5.28 — the version of every written object is
-        incremented by one and its writer recorded as ``mop_uid``.
+        update: the program body runs on *this* replica's values, and
+        then — per P 5.17/P 5.28 — the version of every written object
+        is incremented by one and its writer recorded as ``mop_uid``.
         Nothing is logged: use it wherever the caller would discard
         :meth:`execute`'s record.
 
-        Every update a replica applies runs on the replica's one
-        applying view, bound here to the program: its
-        ``static_objects`` and an empty written set.
+        The first replica in the cluster to apply ``mop_uid`` records
+        the run in the shared :class:`EffectTable`: the value of each
+        external read and the final value of each write.  A later
+        apply installs those writes instead, but only for the same
+        program and only if every recorded value *is* the object this
+        replica holds: a deterministic body that reads the very same
+        objects writes the same values.  ``==`` would not do (``1 ==
+        True == 1.0`` can steer a body), nor would versions (a
+        split-brain replica may hold other values at the same ones),
+        so a replica that diverged runs the body on its own values,
+        on its one applying view (bound here to the program).
         """
+        effects = self.effects
+        record = effects.get(mop_uid)
+        if record is not None:
+            recorded, reads, writes, left = record
+            if left > 1:
+                record[3] = left - 1
+            else:
+                del effects[mop_uid]
+            if recorded is program:
+                values = self._values
+                for obj, value in reads:
+                    if values[obj] is not value:
+                        break
+                else:
+                    versions = self._versions
+                    writers = self._writers
+                    for obj, value in writes:
+                        values[obj] = value
+                        versions[obj] += 1
+                        writers[obj] = mop_uid
+                    if self._image is not None:
+                        self._image.stale.update(dict(writes))
+                    return
         view = self._applier
         if view is None:
             view = self._applier = ObjectView(self, None, observe=False)
         view._program = program
         view._allowed = program.static_objects
         view._written.clear()
+        reads = view._reads = (
+            {} if record is None and effects.replays > 0 else None
+        )
         self._run(view, mop_uid)
+        if reads is not None:
+            values = self._values
+            effects[mop_uid] = [
+                program,
+                tuple(reads.items()),
+                tuple([(obj, values[obj]) for obj in view._written]),
+                effects.replays,
+            ]
 
     def _run(self, view: ObjectView, mop_uid: int) -> Any:
         """Run the view's program here; bump what it wrote."""
