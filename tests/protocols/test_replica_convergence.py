@@ -1,12 +1,15 @@
 """Replicas converge, and only the issuer of an m-operation records it.
 
 Action A2 has every process apply every atomically-broadcast update;
-``VersionedStore.apply`` is the path that builds (and, after a crash,
-rebuilds) all replicas but the issuer's.  These tests pin what that
-path must deliver — n equal stores once the run has settled, clean or
-after crash + recovery — and, structurally (call counts, no wall
-clock), that execution records are built once per m-operation rather
-than once per delivery.
+the store's apply path (one call per landed stretch,
+``VersionedStore.apply_run``) builds, and after a crash rebuilds, all
+replicas but the issuer's.  These tests pin what that path must
+deliver — n equal stores once the run has settled, clean or after
+crash + recovery, each in step at the last update position of a clean
+run — and, structurally (call counts and positions, no wall clock),
+that execution records are built once per m-operation rather than once
+per delivery, and that the cluster's state log keeps nothing below its
+slowest in-step store.
 """
 
 from collections import Counter
@@ -45,6 +48,15 @@ def store_calls(monkeypatch):
     return calls
 
 
+def assert_log_holds_nothing_below_its_slowest_store(cluster):
+    log = cluster.state_log
+    held = [
+        proc.store._at for proc in cluster.processes if proc.store._held
+    ]
+    assert log.base == min(held) if held else not log.uids
+    assert all(log.holders[position - log.base] for position in held)
+
+
 def assert_converged(cluster):
     exports = [proc.store.export() for proc in cluster.processes]
     assert all(export == exports[0] for export in exports[1:])
@@ -56,19 +68,39 @@ def assert_converged(cluster):
 def test_clean_run_converges(protocol):
     n = 6
     cluster = protocol_registry()[protocol].factory(n, OBJECTS, seed=4)
-    cluster.run(zipfian(n, 12, seed=5), settle=5.0)
+    result = cluster.run(zipfian(n, 12, seed=5), settle=5.0)
     assert_converged(cluster)
+    updates = sum(rec.is_update for rec in result.recorder.records)
+    assert {proc.store._at for proc in cluster.processes} == {updates}
+    assert_log_holds_nothing_below_its_slowest_store(cluster)
 
 
-def test_records_are_built_once_per_mop_not_once_per_delivery(store_calls):
+def test_records_are_built_once_per_mop_not_once_per_delivery(
+    store_calls, monkeypatch
+):
+    # Every replica but an update's issuer steps over the update's
+    # position without observing it: n - 1 steps per update, counted
+    # over each store's moves through the cluster's state log.
     n = 20
     cluster = protocol_registry()["msc"].factory(n, OBJECTS, seed=2)
+    pid_of = {id(proc.store): proc.pid for proc in cluster.processes}
+    steps = []
+    adopt = VersionedStore._adopt
+
+    def counted_adopt(store, index):
+        log = store._log
+        for uid in log.uids[store._at + 1 - log.base : index + 1]:
+            steps.append((pid_of[id(store)], uid))
+        adopt(store, index)
+
+    monkeypatch.setattr(VersionedStore, "_adopt", counted_adopt)
     result = cluster.run(zipfian(n, 6, seed=3), settle=5.0)
     records = result.recorder.records
     updates = sum(rec.is_update for rec in records)
     assert len(records) == n * 6 and 0 < updates < len(records)
+    issuer = {rec.uid: rec.process for rec in records}
+    assert sum(issuer[uid] != pid for pid, uid in steps) == updates * (n - 1)
     assert store_calls["execute"] == len(records)
-    assert store_calls["apply"] == updates * (n - 1)
     assert_converged(cluster)
 
 
@@ -113,3 +145,4 @@ def test_crash_and_recovery_converges(protocol, recovery, store_calls):
     assert len(result.recorder.records) == n * 10
     assert store_calls["execute"] == len(result.recorder.records)
     assert_converged(cluster)
+    assert_log_holds_nothing_below_its_slowest_store(cluster)

@@ -141,3 +141,22 @@ class TestExportImport:
         assert store.lex_ts() == (0, 1, 0)
         assert store.lex_ts(frozenset(["y"])) == (1,)
         assert store.lex_ts(frozenset(["x", "z"])) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "refused",
+        [
+            lambda store: store.apply_writes({"a": 5, "b": 1}, 3),
+            # Covers every object, so only the unknown name is wrong.
+            lambda store: store.install(
+                {"a": (5, 1, 3), "b": (1, 1, 3), "c": (0, 0, 0)}
+            ),
+        ],
+        ids=["apply_writes", "install"],
+    )
+    def test_a_refused_write_changes_nothing(self, refused):
+        store = VersionedStore({"a": 0, "c": 0})
+        before = store.export()
+        with pytest.raises(ProtocolError, match="unknown shared object 'b'"):
+            refused(store)
+        assert store.export() == before
+        assert store._at == 0
