@@ -551,7 +551,7 @@ class FailoverSequencer(SequencerAbcast):
                 # retained copy is what the retry path resends.
                 self._unsequenced[pid].pop(entry["id"], None)
             run = [entry]
-            self._log_run(pid, run)(run)
+            self._deliver_run(pid, run)
             expected = self._expected[pid]
             pepoch = self._pepoch[pid]
 

@@ -31,9 +31,11 @@ from repro.sim.network import Message, Network
 DeliverFn = Callable[[int, Any], None]
 
 #: Run callback: one call per gap-free run of deliveries at a
-#: participant, a list of relay entries in delivery order (dicts with
-#: at least ``"sender"``, ``"payload"`` and the unique ``"id"``).
-DeliverRunFn = Callable[[List[Dict[str, Any]]], None]
+#: participant, with its relay entries in delivery order (dicts with at
+#: least ``"sender"``, ``"payload"`` and the unique ``"id"``) and the
+#: global position of the first, None if an entry differs from the one
+#: log (the run is no stretch of one global sequence).
+DeliverRunFn = Callable[[List[Dict[str, Any]], Optional[int]], None]
 
 #: A run entry's delivery-log record: ``(sender, id)``.
 _SENDER_ID = itemgetter("sender", "id")
@@ -79,7 +81,7 @@ class AtomicBroadcast:
         """Register participant ``pid``'s delivery callback, called
         with ``(sender, payload)`` for each delivery in turn."""
 
-        def each(run: List[Dict[str, Any]]) -> None:
+        def each(run: List[Dict[str, Any]], _start: Optional[int]) -> None:
             for entry in run:
                 deliver(entry["sender"], entry["payload"])
 
@@ -161,19 +163,26 @@ class AtomicBroadcast:
     # Shared helpers for implementations
     # ------------------------------------------------------------------
 
-    def _log_run(self, pid: int, run: List[Dict[str, Any]]) -> DeliverRunFn:
-        """Log a run of deliveries at ``pid``; return its callback.
-        Every delivery is ``self._log_run(pid, run)(run)``, one entry
-        or many: the callback runs right below the caller's frame."""
+    def _deliver_run(self, pid: int, run: List[Dict[str, Any]]) -> None:
+        """Deliver a run of entries at ``pid`` (one entry or many)."""
+        deliver, start = self._log_run(pid, list(map(_SENDER_ID, run)))
+        deliver(run, start)
+
+    def _log_run(
+        self, pid: int, records: List[Tuple[int, Any]]
+    ) -> Tuple[DeliverRunFn, Optional[int]]:
+        """Log the ``(sender, id)`` records of a run of deliveries at
+        ``pid``; return its callback and the run's global start
+        position, None if a record differs from the one log.  The
+        caller runs the callback right below its own frame."""
         deliver = self._deliver.get(pid)
         if deliver is None:
             raise ProtocolError(f"delivery at unattached participant {pid}")
         order = self._order
-        position = self._position[pid]
-        records = list(map(_SENDER_ID, run))
+        start = position = self._position[pid]
         end = self._position[pid] = position + len(records)
         if order[position:end] == records:
-            return deliver  # what earlier landings delivered there
+            return deliver, start  # what earlier landings delivered there
         order += [None] * (position - len(order))
         for record in records:
             if position == len(order):
@@ -182,8 +191,9 @@ class AtomicBroadcast:
                 order[position] = record
             elif order[position] != record:
                 self._odd.setdefault(pid, {})[position] = record
+                start = None
             position += 1
-        return deliver
+        return deliver, start
 
     # ------------------------------------------------------------------
     # Property checking (used by tests and by protocol self-checks)

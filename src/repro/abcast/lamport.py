@@ -160,4 +160,4 @@ class LamportAbcast(AtomicBroadcast):
             self._acks[pid].pop(key, None)
             self._delivered[pid].add(key)
             run = [{"sender": sender, "payload": payload, "id": key[2]}]
-            self._log_run(pid, run)(run)
+            self._deliver_run(pid, run)

@@ -16,11 +16,13 @@ message delays on the critical path (request to sequencer + relay),
 or one delay when the sender *is* the sequencer.
 
 **Lazy landing.**  On a clean run (:meth:`SequencerAbcast.land_lazily`,
-which the cluster calls) relays are *held* in the network
-(:class:`~repro.sim.network.Holder`): a participant lands the gap-free
-run that has reached it whenever it acts, and one frame per relay is
-queued, the arrival that completes its sender's prefix.  See "The
-delivery path" in ``docs/architecture.md``.
+which the cluster calls) relays are *held* in the network as rows by
+sequence number (:class:`~repro.sim.network.Holder`), whose cursors
+are the participants' delivery cursors: whenever a participant acts it
+lands the rows that have reached it as a move of its cursor, and hands
+the run on as slices of the rows' bodies and ``(sender, id)`` records.
+One frame per relay is queued, the arrival that completes its sender's
+prefix.  See "The delivery path" in ``docs/architecture.md``.
 
 Its invariant: **every participant's delivery log is a gap-free prefix
 ``0..k`` of the one sequence the sequencer stamped**.  Duplicated
@@ -80,7 +82,7 @@ class SequencerAbcast(AtomicBroadcast):
         self._ids: Set[int] = set()
         # --- per-participant state ---
         #: Delivery cursor: the next sequence number to deliver.
-        self._expected: Dict[int, int] = {pid: 0 for pid in range(network.n)}
+        self._expected: List[int] = [0] * network.n
         #: Relays that arrived ahead of the cursor, by sequence number.
         self._buffer: Dict[int, Dict[int, Dict[str, Any]]] = {
             pid: {} for pid in range(network.n)
@@ -130,12 +132,11 @@ class SequencerAbcast(AtomicBroadcast):
             relays = self._relays
             if relays is None:
                 self.network.send_to_all(pid, relay)
-            elif relays.hold(pid, range(self.n), relay, seq) is not None:
+            elif relays.hold(pid, relay, seq, (entry["sender"], entry["id"])):
                 # The one frame a held relay needs queued: the arrival
                 # that completes its sender's prefix, where the sender
                 # delivers it and answers its client.
-                sender = entry["sender"]
-                relays.queue_last(sender, range(self._expected[sender], seq + 1))
+                relays.queue_last(entry["sender"])
         else:  # pragma: no cover - defensive
             raise ProtocolError(f"unexpected message kind {message.kind!r}")
 
@@ -147,19 +148,17 @@ class SequencerAbcast(AtomicBroadcast):
         """Hold relays in the network from now on (see the module
         notes); returns :meth:`land`, which the caller runs at every
         landing point of a participant."""
-        self._relays = self.network.holder(self._arrived)
+        self._relays = self.network.holder(self._arrived, range(self.n), self._expected)
         return self.land
 
     def land(self, pid: int, key: Optional[Tuple[float, int]] = None) -> None:
         """Deliver at ``pid`` every relay that has reached it by ``key``
         (by now)."""
-        expected = self._expected[pid]
-        if expected in self._relays:
+        if self._expected[pid] < self._next_seq:  # (a relay it lacks)
             key = key or self.network.sim.key
-            held = self._relays.land_from(pid, expected, key)
-            if held:
-                run = [frame.message.payload for frame in held]
-                self._land_from(pid, run, key, held=True)
+            held = self._relays.land(pid, key)
+            if held is not None:
+                self._land_from(pid, *held, key, True)
 
     def _arrived(
         self, pid: int, message: Message, key: Tuple[float, int]
@@ -172,40 +171,41 @@ class SequencerAbcast(AtomicBroadcast):
         entry = message.payload
         seq, expected = entry["seq"], self._expected[pid]
         if seq == expected:
-            self._land_from(pid, [entry], key)
+            self._land_from(pid, [entry], [(entry["sender"], entry["id"])], key)
         elif seq > expected:
             self._buffer[pid].setdefault(seq, entry)
-            if self._relays:
+            if self._relays is not None:
                 self.land(pid, key)
 
     def _land_from(
-        self,
-        pid: int,
-        run: List[Dict[str, Any]],
-        key: Tuple[float, int],
-        held: bool = False,
+        self, pid: int, run: List[Dict[str, Any]], records: List[Tuple[int, Any]],
+        key: Tuple[float, int], held: bool = False,
     ) -> None:
-        """The one landing step.  Deliver at ``pid`` the relays ``run``,
-        which start at its cursor, and every relay behind them that
-        reached it by ``key`` — buffered frames and held relays alike —
-        in one call.  ``held``: ``run`` ends with every held relay that
-        could land there."""
-        relays = self._relays
-        buffer = self._buffer[pid]
-        expected = self._expected[pid] + len(run)
+        """The one landing step.  Deliver at ``pid`` the relays ``run``
+        with their ``records``, which start at its cursor, and every
+        relay behind them that reached it by ``key`` — buffered frames
+        and held relays alike — in one call.  ``held``: ``run`` ends
+        with every held relay that could land there."""
+        relays, buffer, cursors = self._relays, self._buffer[pid], self._expected
+        start = cursors[pid]
+        cursors[pid] += len(run)
         while True:
-            if relays and not held:
-                landed = relays.land_from(pid, expected, key)
-                run += [frame.message.payload for frame in landed]
-                expected += len(landed)
-            entry = buffer.pop(expected, None)
+            landed = None if held or relays is None else relays.land(pid, key)
+            if landed is not None:
+                run += landed[0]
+                records += landed[1]
+                cursors[pid] += len(landed[0])
+            entry = buffer.pop(cursors[pid], None)
             if entry is None:
                 break
             run.append(entry)
-            expected += 1
+            records.append((entry["sender"], entry["id"]))
+            cursors[pid] += 1
             held = False
-        self._expected[pid] = expected
-        self._log_run(pid, run)(run)
+        if relays is not None and start <= relays.base < min(cursors):
+            relays.trim()
+        deliver, position = self._log_run(pid, records)
+        deliver(run, position)
 
     @staticmethod
     def _stamp(seq: int, epoch: int, request: Dict[str, Any]) -> Dict[str, Any]:

@@ -316,53 +316,72 @@ class BaseProcess:
         self.cluster.land(self.pid)
         self.handle_message(src, message)
 
-    def land_run(self, run: List[Dict[str, Any]]) -> None:
-        """A gap-free run of atomic-broadcast deliveries at this process.
+    def land_run(self, run: List[Dict[str, Any]], start: Optional[int]) -> None:
+        """A gap-free run of atomic-broadcast deliveries at this process,
+        at global positions ``start, start + 1, ...``.
 
-        Each update's first delivery anywhere is recorded in the
-        cluster's ``ww_sequence``; the issuer applies its own update
-        through :meth:`on_abcast_deliver`, each stretch of others' goes
-        to the store in one call (action A2), one new update at a time
-        under a monitor (it reads each update's writes off the store).
-        Total order makes every process's delivery stream an extension
-        of the same global sequence, so first-seen across processes
-        reconstructs it even when replicas crash, replay (duplicates
-        are filtered here) or skip their prefix via a peer snapshot.
+        Total order makes every delivery stream an extension of one
+        global sequence, kept once by position: ``ww_sequence`` (the
+        ``~ww`` order) with each update's program and sender beside
+        it, extended at a position's first delivery anywhere.  The
+        issuer applies its own update through :meth:`on_abcast_deliver`,
+        each stretch of others' goes to the store in one call (action
+        A2), one new update at a time under a monitor (it reads each
+        update's writes off the store).  A run the columns do not
+        stand for (``start`` None: a split brain) lands entry by
+        entry, first sight by uid.
         """
         cluster = self.cluster
-        pid = self.pid
-        announced = cluster._announced
-        monitor = cluster.monitor
+        uids, programs = cluster.ww_sequence, cluster.ww_programs
+        seen = len(uids)
+        if (
+            start is None
+            or len(programs) != seen  # (a position recorded elsewhere)
+            or start > seen
+            or (start + len(run) > seen and not cluster._sight(run[seen - start:]))
+        ):
+            return self._land_entries(run)
+        pid, store, senders = self.pid, self.store, cluster.ww_senders
+        monitor, tracer = cluster.monitor, get_tracer()
+        position, stop = start, start + len(run)
+        while position < stop:
+            # The stretch of others' updates up to the next own entry,
+            # or, under a monitor, the next first-seen one.
+            last = stop
+            if pid in senders[position:stop]:
+                last = senders.index(pid, position, stop)
+            if monitor is not None and seen < last:
+                last = max(position, seen)
+            if tracer.enabled:
+                for k in range(position, min(last + 1, stop)):
+                    tracer.event(
+                        "proto.apply", uid=uids[k], process=pid, sender=senders[k]
+                    )
+            if last > position:
+                store.apply_run(programs[position:last], uids[position:last])
+            if last == stop:
+                return
+            if senders[last] == pid:
+                self.on_abcast_deliver(pid, run[last - start]["payload"])
+            else:
+                store.apply_run(programs[last:last + 1], uids[last:last + 1])
+            if monitor is not None and last >= seen:
+                cluster._notify_announce(uids[last], pid)
+            position = last + 1
+
+    def _land_entries(self, run: List[Dict[str, Any]]) -> None:
+        """:meth:`land_run` one entry at a time, first sight by uid."""
         tracer = get_tracer()
-        traced = tracer.enabled
-        programs: List[MProgram] = []
-        uids: List[int] = []
         for entry in run:
-            sender = entry["sender"]
-            payload = entry["payload"]
+            sender, payload, pid = entry["sender"], entry["payload"], self.pid
             uid = payload["uid"]
-            first = uid not in announced
-            if first:
-                announced.add(uid)
-                cluster.ww_sequence.append(uid)
-            if traced:
-                tracer.event(
-                    "proto.apply", uid=uid, process=pid, sender=sender
-                )
-            if sender != pid:
-                programs.append(payload["program"])
-                uids.append(uid)
-                if not first or monitor is None:
-                    continue
-            if uids:  # the stretch of others' updates ends here
-                self.store.apply_run(programs, uids)
-                programs, uids = [], []
+            if tracer.enabled:
+                tracer.event("proto.apply", uid=uid, process=pid, sender=sender)
             if sender == pid:
                 self.on_abcast_deliver(sender, payload)
-            if first and monitor is not None:
-                cluster._notify_announce(uid, pid)
-        if uids:
-            self.store.apply_run(programs, uids)
+            else:
+                self.store.apply(payload["program"], uid)
+            self.cluster.announce_sync(uid, pid)
 
     def on_abcast_deliver(self, sender: int, payload: Dict[str, Any]) -> None:
         """Atomic-broadcast delivery of this process's own broadcast.
@@ -582,6 +601,10 @@ class Cluster:
         #: every replica by total order; captured at each uid's first
         #: delivery anywhere, which under a sequencer is stamp order).
         self.ww_sequence: List[int] = []
+        #: Each update's program and sender beside ``ww_sequence``,
+        #: while they stand for it (see :meth:`BaseProcess.land_run`).
+        self.ww_programs: List[MProgram] = []
+        self.ww_senders: List[int] = []
         #: The abcast's landing step, run for a process wherever it
         #: acts; None when every delivery is an event of its own.  A
         #: monitor reads deliveries as they happen and a fault-tolerant
@@ -620,6 +643,22 @@ class Cluster:
             )
         detector.start()
 
+    def _sight(self, fresh: List[Dict[str, Any]]) -> bool:
+        """Record the first delivery of ``fresh``, each at the next
+        position, unless one was recorded already: False."""
+        announced, uids, seen = self._announced, self.ww_sequence, len(self.ww_sequence)
+        for entry in fresh:
+            payload = entry["payload"]
+            if payload["uid"] in announced:  # (a replayed or restamped update)
+                announced.difference_update(uids[seen:])
+                del uids[seen:], self.ww_programs[seen:], self.ww_senders[seen:]
+                return False
+            announced.add(payload["uid"])
+            uids.append(payload["uid"])
+            self.ww_programs.append(payload["program"])
+            self.ww_senders.append(entry["sender"])
+        return True
+
     def _notify_announce(self, uid: int, pid: int) -> None:
         """Feed one synchronization-order entry to the live monitor.
 
@@ -639,13 +678,15 @@ class Cluster:
         )
 
     def announce_sync(self, uid: int, pid: int) -> None:
-        """Record ``uid`` in the ``~ww`` sequence outside the abcast path.
+        """Record ``uid`` in the ``~ww`` sequence, by uid, once ``pid``
+        applied it.
 
         Protocols that serialize updates through something other than
         atomic broadcast (the single-server baseline's arrival order)
         call this at execution time so their runs still expose the
         total synchronization order the Theorem-7 fast path and the
-        live monitor key on.  Idempotent across recovery replays.
+        live monitor key on, as does an abcast run that is no stretch
+        of one global sequence.  Idempotent across recovery replays.
         """
         if uid in self._announced:
             return

@@ -182,7 +182,7 @@ class MLinProcess(BaseProcess):
             return
         if self.cluster.land is not None:  # a clean run: hold replies
             if self._replies is None:
-                self._replies = self.cluster.network.holder(self._a5)
+                self._replies = self.cluster.network.holder(self._a5, (self.pid,))
             self._sent = 0
         query_body = {
             "uid": pending.uid,
@@ -231,7 +231,7 @@ class MLinProcess(BaseProcess):
                 f"P{self.pid}: stray query response for uid "
                 f"{payload['uid']}"
             )
-        if self._replies:
+        if self._replies is not None:
             self._replies.land_arrived(self.cluster.sim.key)
         self._a5(self.pid, message)
         if pending.extra["awaiting"] == 0:
@@ -251,10 +251,9 @@ class MLinProcess(BaseProcess):
         """Replica ``src`` answers this process's open gather: hold the
         reply, and once all are sent queue the one arriving last."""
         replies = self._replies
-        replies.hold(src, (self.pid,), message, src)
         self._sent += 1
-        if self._sent == self.cluster.n - 1:
-            replies.queue_last(self.pid, replies)
+        if replies.hold(src, message) and self._sent == self.cluster.n - 1:
+            replies.queue_last(self.pid)
 
     def _finish_query(self, pending: PendingOp) -> None:
         # (A6): run the query against the constructed copy othX.

@@ -41,13 +41,13 @@ import itertools
 import math
 import random
 from array import array
+from operator import itemgetter
 from types import FunctionType
 from typing import (
     Any,
     Callable,
     Container,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -882,10 +882,11 @@ class Network:
         )
 
     def holder(
-        self, arrive: Callable[[int, Message, Tuple[float, int]], None]
+        self, arrive: Callable[[int, Message, Tuple[float, int]], None],
+        dsts: Sequence[int], cursors: Optional[List[int]] = None,
     ) -> "Holder":
-        """A new party holding frames in this network (see :class:`Holder`)."""
-        holder = Holder(self, arrive)
+        """A new party holding frames to ``dsts`` (see :class:`Holder`)."""
+        holder = Holder(self, arrive, dsts, cursors)
         self._holders.append(holder)
         return holder
 
@@ -906,8 +907,8 @@ class Network:
         if self._holding:
             self._holding = False
             for holder in self._holders:
-                for tag, frame, i in holder.land_arrived(key or self.sim.key):
-                    holder._queue(tag, frame, i)
+                for tag, i in holder.land_arrived(key or self.sim.key):
+                    holder._queue(tag, i)
 
     def _send(
         self,
@@ -1134,63 +1135,59 @@ class Network:
             )
 
 
-#: Where a held frame stands at one destination (:attr:`HeldFrame.state`).
-HELD, QUEUED, LANDED = 0, 1, 2
+#: Where a held frame stands at a destination whose cursor has not
+#: passed its row: held (unmarked), queued, or landed there early.
+QUEUED, LANDED = 1, 2
 
 
-class HeldFrame:
-    """A message held for the pids ``start, start + 1, ...``: the frame
-    to ``start + i`` arrives at ``times[i]``, kernel seq ``first + i``,
-    and is ``state[i]`` there; ``left`` counts the frames not landed."""
+class Holder:
+    """One party's frames in the held-frame store: one row per message
+    held, in tag order, sent to each of the party's destinations
+    ``dsts`` (consecutive pids).  The frame of row ``tag`` to
+    ``dsts[i]`` arrives at ``times[r][i]`` (``r = tag - base``), kernel
+    seq ``first + i`` of ``frames[r] = (src, message, first)``.
 
-    __slots__ = ("src", "start", "message", "times", "first", "state", "left")
-
-    def __init__(
-        self, src: int, start: int, message: Message,
-        times: Sequence[float], first: int,
-    ) -> None:
-        self.src = src
-        self.start = start
-        self.message = message
-        self.times = times
-        self.first = first
-        self.left = count = len(times)
-        self.state = bytearray(count)
-
-
-class Holder(dict):
-    """One party's frames in the held-frame store, by the tag each was
-    held under, until every destination landed them.
-
-    The holder lands frames itself (:meth:`land_from`,
-    :meth:`land_arrived`) and asks for the arrivals it needs as events
-    (:meth:`queue_last`).  Wherever the store lands a frame, it calls
-    ``arrive(dst, message, key)``: what the frame does where it lands,
-    at the point ``key``.
+    Every row below ``cursors[i]`` landed at ``dsts[i]``; ``marks[i]``
+    holds the rows past it that are queued or landed there already.
+    Rows below every cursor are dropped, so memory follows the slowest
+    destination.  A party that moves the cursors itself (the
+    sequencer's are its delivery cursors) passes them in; otherwise
+    the holder moves them past the rows it lands.  Wherever the store
+    lands one frame, it calls ``arrive(dst, message, key)``: what the
+    frame does where it lands, at the point ``key``.
     """
 
-    __slots__ = ("network", "arrive")
+    __slots__ = (
+        "network", "arrive", "dsts", "start", "cursors", "marks", "base",
+        "times", "frames", "bodies", "notes",
+    )
 
     def __init__(
-        self,
-        network: Network,
-        arrive: Callable[[int, Message, Tuple[float, int]], None],
+        self, network: Network, arrive: Callable[[int, Message, Any], None],
+        dsts: Sequence[int], cursors: Optional[List[int]] = None,
     ) -> None:
-        super().__init__()
-        self.network = network
-        self.arrive = arrive
+        self.network, self.arrive, self.dsts = network, arrive, dsts
+        self.start, self.base = dsts[0], 0
+        self.cursors = [0] * len(dsts) if cursors is None else cursors
+        self.marks: List[Dict[int, int]] = [{} for _ in dsts]
+        #: The rows: arrival times, ``(src, message, first seq)``, the
+        #: message's payload and the party's note.
+        self.times, self.frames, self.bodies, self.notes = [], [], [], []
 
     def hold(
-        self, src: int, dsts: Sequence[int], message: Message, tag: Any
-    ) -> Optional[HeldFrame]:
-        """Send ``message`` from ``src`` to ``dsts`` (consecutive pids),
-        held under ``tag``: latencies sampled, sends counted and kernel
-        seqs reserved as for queued frames, nothing queued.  While a
-        tracer is on, an endpoint is down, the wire is impaired or runs
-        the reliable shim, or the network picks its own deliveries, the
+        self, src: int, message: Message, tag: Optional[int] = None,
+        note: Any = None,
+    ) -> bool:
+        """Send ``message`` from ``src`` to every destination, held as
+        the next row (numbered on from the first ``tag`` given) with
+        ``note``: latencies sampled, sends counted and kernel seqs
+        reserved as for queued frames, nothing queued.  While a tracer
+        is on, an endpoint is down, the wire is impaired or runs the
+        reliable shim, or the network picks its own deliveries, the
         held frames switch to queued ones and this one is sent queued:
-        None."""
-        network = self.network
+        False (a numbered row stays, marked queued everywhere)."""
+        network, times, dsts = self.network, self.times, self.dsts
+        count = len(dsts)
         if (
             network._queues_only
             or network._impaired
@@ -1200,111 +1197,144 @@ class Holder(dict):
         ):
             network._queue_held()
             network._send(src, dsts, message, None)
-            return None
-        count = len(dsts)
-        network.stats.record_send(message, count)
-        sim, latency = network.sim, network.latency
-        if count > 1:  # (a fan-out's times are packed)
-            times = array("d", latency.arrivals(network._rng, src, dsts, sim.now))
-            latest = max(times)
+            if tag is None:
+                return False
+            row, first = [-math.inf] * count, None
         else:
-            delay = latency.sample(network._rng, src, dsts[0])
-            if delay < 0:
-                raise SimulationError("latency model produced negative delay")
-            latest = sim.now + delay
-            times = [latest]
-        frame = self[tag] = HeldFrame(
-            src, dsts[0], message, times, sim.reserve(count)
-        )
-        network._holding = True
-        if latest > network._latest:
-            network._latest = latest
-        return frame
+            network.stats.record_send(message, count)
+            sim, latency = network.sim, network.latency
+            if count > 1:  # (a fan-out's times are packed)
+                row = array("d", latency.arrivals(network._rng, src, dsts, sim.now))
+                latest = max(row)
+            else:
+                delay = latency.sample(network._rng, src, self.start)
+                if delay < 0:
+                    raise SimulationError("latency model produced negative delay")
+                latest = sim.now + delay
+                row = [latest]
+            first = sim.reserve(count)
+            network._holding = True
+            if latest > network._latest:
+                network._latest = latest
+        if not times and tag is not None:
+            self.base = tag
+        if first is None:
+            for marks in self.marks:
+                marks[self.base + len(times)] = QUEUED
+        times.append(row)
+        self.frames.append((src, message, first))
+        self.bodies.append(message.payload)
+        self.notes.append(note)
+        return first is not None
 
-    def land_from(
-        self, dst: int, tag: int, key: Tuple[float, int]
-    ) -> List[HeldFrame]:
-        """Land at ``dst`` the frames held under ``tag``, ``tag + 1``,
-        ... up to the first one not held there or not arrived by
-        ``key``; they count as delivered.  Returns them, in tag order:
-        the caller does what they do."""
-        now, current = key
-        landed = []
-        frame = self.get(tag)
-        while frame is not None:
-            i = dst - frame.start
-            time = frame.times[i]
-            if frame.state[i] or time > now or (
-                time == now and frame.first + i > current
-            ):
-                break
-            landed.append(frame)
-            frame.state[i] = LANDED  # (:meth:`_landed`, inlined: the hot path)
-            frame.left -= 1
-            if not frame.left:
-                del self[tag]
-            tag += 1
-            frame = self.get(tag)
-        if landed:
-            self.network.stats.delivered += len(landed)
-        return landed
+    def land(
+        self, dst: int, key: Tuple[float, int]
+    ) -> Optional[Tuple[List[Any], List[Any]]]:
+        """Land at ``dst`` the rows from its cursor that have arrived by
+        ``key``, up to the first that has not or is marked there; they
+        count as delivered.  Returns their payloads and notes (None if
+        none): the caller moves the cursor past them."""
+        i = dst - self.start
+        times, marks = self.times, self.marks[i]
+        r = k = self.cursors[i] - self.base
+        stop = len(times) if r >= 0 else 0
+        if marks and k < stop:
+            cursor = r + self.base
+            if min(marks) < cursor:
+                for tag in [tag for tag in marks if tag < cursor]:
+                    del marks[tag]  # (the cursor passed them)
+            if marks:
+                stop = min(stop, min(marks) - self.base)
+        if k < stop:
+            now, current = key
+            while k < stop:
+                time = times[k][i]
+                if time > now or (
+                    time == now and self.frames[k][2] + i > current
+                ):
+                    break
+                k += 1
+            if k > r:
+                self.network.stats.delivered += k - r
+                return self.bodies[r:k], self.notes[r:k]
+        return None
 
-    def land_arrived(
-        self, key: Tuple[float, int]
-    ) -> List[Tuple[Any, HeldFrame, int]]:
+    def land_arrived(self, key: Tuple[float, int]) -> List[Tuple[int, int]]:
         """Land every frame held here that has arrived by ``key``, in
-        hold order, each through ``arrive``; return the ``(tag, frame,
+        hold order, each through ``arrive``; return the ``(tag,
         index)`` of the others.  A holder lands a frame that comes
         early as its queued arrival would: the sequencer buffers it,
         and A5 keeps the freshest snapshot whatever the order."""
         later = []
         now, current = key
+        cursors, marks, start = self.cursors, self.marks, self.start
         arrive, stats = self.arrive, self.network.stats
-        for tag, frame in list(self.items()):
-            state = frame.state
-            i = state.find(HELD)  # (an ``arrive`` may land later ones)
-            while i >= 0:
-                time = frame.times[i]
-                if time < now or (time == now and frame.first + i <= current):
-                    stats.delivered += 1
-                    state[i] = LANDED  # (:meth:`_landed`, inlined)
-                    frame.left -= 1
-                    if not frame.left:
-                        del self[tag]
-                    arrive(frame.start + i, frame.message, key)
-                else:
-                    later.append((tag, frame, i))
-                i = state.find(HELD, i + 1)
+        count = len(cursors)
+        tag, end = self.base, self.base + len(self.times)
+        while tag < end:
+            r = tag - self.base  # (an ``arrive`` may drop rows)
+            if r >= 0:
+                times = self.times[r]
+                _src, message, first = self.frames[r]
+                for i in range(count):
+                    if tag < cursors[i] or tag in marks[i]:
+                        continue  # (an ``arrive`` may land later ones)
+                    time = times[i]
+                    if time < now or (time == now and first + i <= current):
+                        stats.delivered += 1
+                        marks[i][tag] = LANDED
+                        arrive(start + i, message, key)
+                    else:
+                        later.append((tag, i))
+            tag += 1
+        for i in range(count):
+            self._advance(i)
         return later
 
-    def queue_last(self, dst: int, tags: Iterable[Any]) -> None:
+    def queue_last(self, dst: int) -> None:
         """Queue the frame to ``dst`` that arrives there last of those
-        held under ``tags`` and not landed there, unless it is queued
-        already: the one event ``dst`` needs to land them all."""
-        get, last, last_at = self.get, None, (-math.inf, 0)
-        for tag in tags:
-            frame = get(tag)
-            if frame is not None:
-                i = dst - frame.start
-                at = (frame.times[i], frame.first + i)
-                if at > last_at and frame.state[i] != LANDED:
-                    last, last_tag, last_at = frame, tag, at
-        if last is not None and last.state[dst - last.start] == HELD:
-            self._queue(last_tag, last, dst - last.start)
+        held from its cursor, unless it is queued already: the one event
+        ``dst`` needs to land them all.  Called right after a hold (that
+        frame arrives after every one landed so far)."""
+        i = dst - self.start
+        cursor = max(self.cursors[i], self.base)
+        column = list(map(itemgetter(i), self.times[cursor - self.base:]))
+        # The latest key: of equal times, the later row's seq.
+        tag = cursor + len(column) - 1 - column[::-1].index(max(column))
+        if tag not in self.marks[i]:
+            self._queue(tag, i)
 
-    def _landed(self, tag: Any, frame: HeldFrame, i: int) -> None:
-        frame.state[i] = LANDED
-        frame.left -= 1
-        if not frame.left:
-            del self[tag]
+    def trim(self) -> None:
+        """Drop the rows that every destination landed."""
+        drop = min(self.cursors) - self.base
+        if drop > 0:
+            del self.times[:drop], self.frames[:drop]
+            del self.bodies[:drop], self.notes[:drop]
+            self.base += drop
 
-    def _queue(self, tag: Any, frame: HeldFrame, i: int) -> None:
-        frame.state[i] = QUEUED
+    def _advance(self, i: int) -> None:
+        """Move ``dsts[i]``'s cursor past the rows landed there."""
+        marks, cursor = self.marks[i], self.cursors[i]
+        if marks.get(cursor) == LANDED:
+            while marks.get(cursor) == LANDED:
+                del marks[cursor]
+                cursor += 1
+            self.cursors[i] = cursor
+            self.trim()
+
+    def _queue(self, tag: int, i: int) -> None:
+        self.marks[i][tag] = QUEUED
+        r = tag - self.base
         self.network.sim.post_at(
-            frame.times[i], frame.first + i, self._arrival, tag, frame, i
+            self.times[r][i], self.frames[r][2] + i, self._arrival, tag, i
         )
 
-    def _arrival(self, tag: Any, frame: HeldFrame, i: int) -> None:
+    def _arrival(self, tag: int, i: int) -> None:
         """A queued frame arrives: delivered as any frame, then landed."""
-        self.network._deliver(frame.src, frame.start + i, frame.message)
-        self._landed(tag, frame, i)
+        src, message, _first = self.frames[tag - self.base]
+        self.network._deliver(src, self.start + i, message)
+        marks = self.marks[i]
+        marks.pop(tag, None)
+        if tag >= self.cursors[i]:
+            marks[tag] = LANDED
+            self._advance(i)

@@ -13,9 +13,9 @@ def spy(abcast):
     def attach(pid, deliver_run):
         log = logs[pid] = []
 
-        def recorded(run):
+        def recorded(run, start):
             log.extend((entry["sender"], entry["id"]) for entry in run)
-            deliver_run(run)
+            deliver_run(run, start)
 
         attach_run(pid, recorded)
 

@@ -36,11 +36,11 @@ def recorded_deliveries(monkeypatch):
     runs the abcast hands it."""
     land_run = base.BaseProcess.land_run
 
-    def recorded(proc, run):
+    def recorded(proc, run, start):
         proc.__dict__.setdefault("delivered", []).extend(
             (entry["sender"], entry["id"]) for entry in run
         )
-        land_run(proc, run)
+        land_run(proc, run, start)
 
     monkeypatch.setattr(base.BaseProcess, "land_run", recorded)
 

@@ -65,14 +65,14 @@ def landed(logs, rng: random.Random) -> AtomicBroadcast:
     abcast = AtomicBroadcast(Network(Simulator(), logs.n))
     left = {}
     for pid, log in logs.delivery_log.items():
-        abcast.attach_run(pid, lambda run: None)
+        abcast.attach_run(pid, lambda run, start: None)
         abcast._restart_log(pid, logs.delivery_offset[pid])
         left[pid] = [{"sender": s, "id": msg_id} for s, msg_id in log]
     while any(left.values()):
         pid = rng.choice([pid for pid, log in left.items() if log])
         size = rng.randint(1, 3)
         run, left[pid] = left[pid][:size], left[pid][size:]
-        abcast._log_run(pid, run)(run)
+        abcast._deliver_run(pid, run)
     return abcast
 
 

@@ -249,14 +249,14 @@ def test_landing_reaches_the_replica_in_two_frames(monkeypatch):
     tap("apply", lambda program, uid: 1)
     log_run = AtomicBroadcast._log_run
 
-    def tapped_log_run(abcast, pid, run):
+    def tapped_log_run(abcast, pid, records):
         # The run's maximal stretches of other senders' entries.
-        others = [entry["sender"] != pid for entry in run]
+        others = [sender != pid for sender, _id in records]
         stretches.append(
             sum(other and not (k and others[k - 1])
                 for k, other in enumerate(others))
         )
-        return log_run(abcast, pid, run)
+        return log_run(abcast, pid, records)
 
     monkeypatch.setattr(AtomicBroadcast, "_log_run", tapped_log_run)
     cluster = msc_cluster(4, ["x", "y"], seed=5)
@@ -370,19 +370,61 @@ def test_clean_mlin_gather_fires_one_reply_event(monkeypatch):
 def test_no_relay_every_replica_landed_is_retained():
     # Memory follows the slowest replica, not the run: at every step
     # the core holds exactly the relays some replica has yet to land,
-    # and nothing once the run is over.
+    # one row each, and nothing once the run is over.
     n = 6
     objects = ["x", "y", "z"]
     cluster = msc_cluster(n, objects, seed=7)
     cluster.prepare(random_workloads(n, objects, 12, seed=8))
     abcast = cluster.abcast
-    held = []
+    relays = abcast._relays
+    columns = (relays.times, relays.frames, relays.bodies, relays.notes)
+
+    def held():
+        rows = {len(column) for column in columns}
+        assert len(rows) == 1
+        return list(range(relays.base, relays.base + rows.pop()))
+
+    sizes = []
     while cluster.sim.step():
         slowest = min(abcast.cursor(pid) for pid in range(n))
-        assert set(abcast._relays) == set(range(slowest, abcast._next_seq))
-        held.append(len(abcast._relays))
+        assert held() == list(range(slowest, abcast._next_seq))
+        sizes.append(len(held()))
     cluster.finalize()
-    assert max(held) > 0 and not abcast._relays
+    assert max(sizes) > 0 and held() == []
+
+
+def test_relay_bodies_are_read_once_per_position_not_per_replica(
+    monkeypatch,
+):
+    # Counted, no wall clock: a landed run is handed on as a slice of
+    # the held rows and read by position, so the reads of relay bodies
+    # per landed position do not grow with n.  At a3bdb77 every
+    # replica read each body's sender and payload in land_run and its
+    # sender and id in _log_run: about 4 more reads per replica.
+    from repro.abcast.sequencer import SequencerAbcast
+
+    stamp = SequencerAbcast._stamp
+    reads = []
+
+    class Counted(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return dict.__getitem__(self, key)
+
+    monkeypatch.setattr(
+        SequencerAbcast, "_stamp",
+        staticmethod(lambda *args: Counted(stamp(*args))),
+    )
+    per_position = {}
+    for n in (8, 32):
+        reads.clear()
+        objects = [f"x{i}" for i in range(8)]
+        result = msc_cluster(n, objects, seed=7).run(
+            random_workloads(n, objects, 6, seed=8)
+        )
+        assert len(result.ww_sequence) > n
+        per_position[n] = len(reads) / len(result.ww_sequence)
+    assert per_position[32] <= per_position[8] + 1, per_position
 
 
 def test_faulty_run_is_verified_once_under_its_policy(monkeypatch):
